@@ -19,10 +19,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use muppet_daemon::json::Json;
 use muppet_scenario::{generate, Expected, ScenarioParams};
 
-use crate::daemon::{spec_json, Conn, Daemon};
-use crate::json::Json;
+use crate::daemon::{at, spec_json, Conn, Daemon, ReplyTimes};
 use crate::layers::{self, SpanFold};
 use crate::stats::{Outcome, Rng};
 use crate::Config;
@@ -30,8 +30,9 @@ use crate::Config;
 const CLIENTS: usize = 2;
 /// Fresh specs each client opens per epoch: (size index, conflicted).
 const FRESH: [(usize, bool); 4] = [(0, false), (0, true), (1, false), (0, false)];
-/// Sessions per client that revisit a spec opened earlier in the epoch.
-const REVISITS: usize = 16;
+/// Sessions per client that revisit a spec opened earlier in the epoch:
+/// about a fifth of the requests repeat an earlier (spec, op).
+const REVISITS: usize = 1;
 const SETUP_REPEATS: usize = 5;
 
 /// One generated session spec.
@@ -152,9 +153,7 @@ struct Shared {
     /// Request keys seen so far, to count repeats.
     issued: BTreeSet<String>,
     repeats: u64,
-    /// Replies received and their summed client latency.
-    replies: usize,
-    client_ms: f64,
+    replies: ReplyTimes,
     end: Option<Instant>,
 }
 
@@ -198,8 +197,7 @@ impl Client<'_> {
             }
         };
         let ms = reply.latency.as_secs_f64() * 1000.0;
-        sh.replies += 1;
-        sh.client_ms += ms;
+        sh.replies.note(&reply);
         sh.end = Some(Instant::now());
         if !reply.ok() {
             sh.out.failed += 1;
@@ -273,7 +271,7 @@ impl Client<'_> {
             let Some(reply) = reply else { continue };
             let (Some(handle), Some(ports)) = (
                 reply.get("session").and_then(Json::as_str),
-                reply.at(&["result", "ports"]).map(Json::to_line),
+                at(&reply, &["result", "ports"]).map(Json::to_line),
             ) else {
                 continue;
             };
@@ -331,7 +329,7 @@ fn daemon_stats(daemon: &Daemon) -> Result<Json, String> {
 }
 
 fn stat(stats: &Json, path: &[&str]) -> f64 {
-    stats.at(path).and_then(Json::as_f64).unwrap_or(0.0)
+    at(stats, path).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
 /// Start a daemon and warm it with one solve on a spec outside the
@@ -385,7 +383,8 @@ pub fn run(cfg: &Config, traced: bool) -> Result<Outcome, String> {
         set_up = Some((daemon, epoch));
     }
     let (mut daemon, mut epoch) = set_up.expect("set up at least once");
-    let (mut repeats, mut replies, mut client_ms) = (0u64, 0usize, 0.0);
+    let mut repeats = 0u64;
+    let mut replies = ReplyTimes::default();
     let mut totals = LayerTotals::default();
     let mut e = 0;
     loop {
@@ -425,8 +424,7 @@ pub fn run(cfg: &Config, traced: bool) -> Result<Outcome, String> {
         out.latencies_ms.append(&mut sh.out.latencies_ms);
         out.window_s += sh.end.map_or(0.0, |end| (end - start).as_secs_f64());
         repeats += sh.repeats;
-        replies += sh.replies;
-        client_ms += sh.client_ms;
+        replies.add(sh.replies);
         if let Some(path) = &trace {
             let f = layers::fold_trace_file(path, trace_offset)?;
             totals.fold.merge(&f);
@@ -460,7 +458,9 @@ pub fn run(cfg: &Config, traced: bool) -> Result<Outcome, String> {
     if traced {
         let mut m = Vec::new();
         let n = out.latencies_ms.len();
-        layers::daemon_span_metrics(&totals.fold, n, replies, client_ms, &mut m);
+        if let Some(why) = layers::daemon_span_metrics(&totals.fold, n, replies, &mut m) {
+            out.mismatch(why);
+        }
         let st = |k: &str| totals.stats.get(k).copied().unwrap_or(0.0);
         m.push(("domain.build_ms".into(), crate::stats::median(&totals.domain_ms), "ms"));
         m.push((

@@ -9,12 +9,12 @@
 use std::time::Instant;
 
 use muppet::ReconcileMode;
+use muppet_daemon::json::Json;
 use muppet_scenario::corpus::{self, Kind};
 use muppet_scenario::{generate_stream, ConfigDelta, EditStream, Expected};
 use muppet_stream::{verdict_line, StreamSpec};
 
-use crate::daemon::{spec_json, Conn, Daemon, Reply};
-use crate::json::Json;
+use crate::daemon::{at, spec_json, Conn, Daemon, Reply, ReplyTimes};
 use crate::layers;
 use crate::stats::{Outcome, Rng};
 use crate::Config;
@@ -110,8 +110,7 @@ pub fn run(cfg: &Config, traced: bool) -> Result<Outcome, String> {
     // verdicts[seq]: the first pass's verdict after `seq` deltas.
     let mut verdicts = vec![initial];
     let (mut reused, mut encoded, mut flips) = (0u64, 0u64, 0u64);
-    let mut client_ms = 0.0;
-    let mut requests = 0usize;
+    let mut replies = ReplyTimes::default();
     let mut passes = 0usize;
     let mut seq = 0usize;
     let start = Instant::now();
@@ -135,8 +134,7 @@ pub fn run(cfg: &Config, traced: bool) -> Result<Outcome, String> {
             let reopened = conn
                 .call(Json::obj([("op", Json::str("unwatch")), ("watch", Json::str(&id))]))
                 .and_then(|unwatch| {
-                    client_ms += unwatch.latency.as_secs_f64() * 1000.0;
-                    requests += 1;
+                    replies.note(&unwatch);
                     watch(&mut conn, &inp.spec)
                 });
             let (new_id, reply) = match reopened {
@@ -149,8 +147,7 @@ pub fn run(cfg: &Config, traced: bool) -> Result<Outcome, String> {
             id = new_id;
             seq = 0;
             let ms = reply.latency.as_secs_f64() * 1000.0;
-            client_ms += ms;
-            requests += 1;
+            replies.note(&reply);
             out.attempted += 1;
             out.latencies_ms.push(ms);
             end = Instant::now();
@@ -167,7 +164,6 @@ pub fn run(cfg: &Config, traced: bool) -> Result<Outcome, String> {
         ]));
         seq += 1;
         out.attempted += 1;
-        requests += 1;
         let reply = match reply {
             Ok(r) => r,
             Err(e) => {
@@ -178,7 +174,7 @@ pub fn run(cfg: &Config, traced: bool) -> Result<Outcome, String> {
             }
         };
         let ms = reply.latency.as_secs_f64() * 1000.0;
-        client_ms += ms;
+        replies.note(&reply);
         end = Instant::now();
         let result = reply.result();
         let verdict = if reply.ok() { verdict_of(result) } else { None };
@@ -221,7 +217,9 @@ pub fn run(cfg: &Config, traced: bool) -> Result<Outcome, String> {
         let fold = layers::fold_trace_file(&path, trace_offset)?;
         let mut m = Vec::new();
         let n = out.latencies_ms.len();
-        layers::daemon_span_metrics(&fold, n, requests, client_ms, &mut m);
+        if let Some(why) = layers::daemon_span_metrics(&fold, n, replies, &mut m) {
+            out.mismatch(why);
+        }
         m.push(("domain.build_ms".into(), layers::domain_build_ms(&inp.content)?, "ms"));
         m.push((
             "stream.groups_reused_ratio".into(),
@@ -230,7 +228,7 @@ pub fn run(cfg: &Config, traced: bool) -> Result<Outcome, String> {
         ));
         m.push(("stream.verdict_flips".into(), layers::ratio(flips as f64, n as f64), "count"));
         let s = stats.result();
-        let stat = |p: &[&str]| s.at(p).and_then(Json::as_f64).unwrap_or(0.0);
+        let stat = |p: &[&str]| at(s, p).and_then(Json::as_f64).unwrap_or(0.0);
         m.push(("daemon.queue.highwater".into(), stat(&["overload", "queue_highwater"]), "count"));
         m.push(("daemon.shed".into(), stat(&["overload", "shed", "total"]), "count"));
         out.layers = layers::complete(m);

@@ -3,15 +3,17 @@
 //! The daemon runs under an address-space limit (`ulimit -v`), so a
 //! runaway request fails inside the child instead of exhausting the
 //! host. Every request carries a daemon-side `timeout_ms` and the client
-//! socket a read timeout, so a hang becomes a counted failure.
+//! socket a read timeout, so a hang becomes a counted failure. Requests
+//! go through the daemon crate's own [`Client`] and JSON codec, the
+//! same ones `muppet-cli client` uses.
 
-use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use crate::json::{parse, Json};
+use muppet_daemon::json::{parse, Json};
+use muppet_daemon::{Client, Endpoint};
 
 /// Address-space cap of the daemon child, KiB (`ulimit -v`).
 pub const DAEMON_AS_LIMIT_KIB: u64 = 4 * 1024 * 1024;
@@ -77,13 +79,17 @@ impl Daemon {
     }
 
     pub fn connect(&self) -> Result<Conn, String> {
-        Conn::open(&self.socket)
+        let client = Endpoint::Unix(self.socket.clone()).connect(Some(REPLY_TIMEOUT))?;
+        Ok(Conn(client))
     }
 
     /// Peak resident set of the daemon child (`VmHWM`), MiB.
     pub fn peak_rss_mb(&self) -> Option<f64> {
         let pid = self.child.as_ref()?.id();
-        vm_hwm_mb(&format!("/proc/{pid}/status"))
+        let text = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+        let line = text.lines().find(|l| l.starts_with("VmHWM:"))?;
+        let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+        Some(kib / 1024.0)
     }
 
     fn kill(&mut self) {
@@ -111,24 +117,13 @@ pub fn spec_json(content: &(String, String, String, Vec<u16>)) -> Json {
         ("istio_goals", Json::str(istio)),
         (
             "extra_ports",
-            Json::Arr(extras.iter().map(|&p| Json::Num(p as f64)).collect()),
+            Json::Arr(extras.iter().map(|&p| Json::num(u64::from(p))).collect()),
         ),
     ])
 }
 
-/// `VmHWM` from a `/proc/<pid>/status` file, MiB.
-pub fn vm_hwm_mb(status_path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(status_path).ok()?;
-    let line = text.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib / 1024.0)
-}
-
 /// One client connection; requests are strictly one at a time.
-pub struct Conn {
-    writer: UnixStream,
-    reader: BufReader<UnixStream>,
-}
+pub struct Conn(Client);
 
 /// A reply and how long the client waited for it.
 pub struct Reply {
@@ -149,6 +144,11 @@ impl Reply {
         self.json.get("result").unwrap_or(&Json::Null)
     }
 
+    /// The daemon's own time handling the request, ms.
+    pub fn handled_ms(&self) -> f64 {
+        self.json.get("elapsed_us").and_then(Json::as_f64).unwrap_or(0.0) / 1000.0
+    }
+
     pub fn error(&self) -> String {
         let e = self.json.get("error").and_then(Json::as_str).unwrap_or("");
         if self.json.get("status").and_then(Json::as_str) == Some("overloaded") {
@@ -160,39 +160,54 @@ impl Reply {
 }
 
 impl Conn {
-    fn open(socket: &Path) -> Result<Conn, String> {
-        let s = UnixStream::connect(socket).map_err(|e| format!("connect: {e}"))?;
-        s.set_read_timeout(Some(REPLY_TIMEOUT)).map_err(|e| e.to_string())?;
-        let reader = BufReader::new(s.try_clone().map_err(|e| e.to_string())?);
-        Ok(Conn { writer: s, reader })
-    }
-
     /// Send one request (the protocol version and the per-request
     /// budget are added here) and wait for its reply.
     pub fn call(&mut self, req: Json) -> Result<Reply, String> {
         let Json::Obj(mut pairs) = req else {
             return Err("request must be an object".into());
         };
-        pairs.insert(0, ("v".into(), Json::Num(1.0)));
-        pairs.push(("timeout_ms".into(), Json::Num(REQUEST_TIMEOUT_MS as f64)));
-        let mut line = Json::Obj(pairs).to_line();
-        line.push('\n');
+        pairs.insert(0, ("v".into(), Json::num(1)));
+        pairs.push(("timeout_ms".into(), Json::num(REQUEST_TIMEOUT_MS)));
+        let line = Json::Obj(pairs).to_line();
         let start = Instant::now();
-        self.writer
-            .write_all(line.as_bytes())
-            .map_err(|e| format!("send: {e}"))?;
-        let mut buf = String::new();
-        let n = self
-            .reader
-            .read_line(&mut buf)
+        self.0.send_raw(&line)?;
+        let reply = self
+            .0
+            .recv_line()
             .map_err(|e| format!("no reply within {REPLY_TIMEOUT:?}: {e}"))?;
         let latency = start.elapsed();
-        if n == 0 {
-            return Err("daemon closed the connection".into());
-        }
         Ok(Reply {
-            json: parse(buf.trim_end())?,
+            json: parse(reply.trim_end())?,
             latency,
         })
     }
+}
+
+/// Replies received, their summed client latency and the summed
+/// handling time the daemon reported in them (ms): what a traced run's
+/// spans are checked against.
+#[derive(Clone, Copy, Default)]
+pub struct ReplyTimes {
+    pub count: usize,
+    pub client_ms: f64,
+    pub handled_ms: f64,
+}
+
+impl ReplyTimes {
+    pub fn note(&mut self, reply: &Reply) {
+        self.count += 1;
+        self.client_ms += reply.latency.as_secs_f64() * 1000.0;
+        self.handled_ms += reply.handled_ms();
+    }
+
+    pub fn add(&mut self, other: ReplyTimes) {
+        self.count += other.count;
+        self.client_ms += other.client_ms;
+        self.handled_ms += other.handled_ms;
+    }
+}
+
+/// The value at `path` inside nested objects.
+pub fn at<'a>(json: &'a Json, path: &[&str]) -> Option<&'a Json> {
+    path.iter().try_fold(json, |j, k| j.get(k))
 }

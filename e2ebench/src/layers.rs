@@ -3,14 +3,15 @@
 //! A span's self time is its duration minus its direct children. Summed
 //! per span name, this needs no tree reconstruction: every closed span
 //! adds its duration to its own name and subtracts it from its parent's
-//! name (the second-to-last component of its path). The same fold
-//! serves the daemon's `--trace-json` event lines and in-process span
-//! callbacks, whose events from concurrent workers may interleave.
+//! name (the second-to-last component of its path), so the events of
+//! concurrent workers may interleave in the daemon's `--trace-json`
+//! file.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
-use crate::json::Json;
+use muppet_daemon::json::Json;
+
+use crate::daemon::{at, ReplyTimes};
 
 /// Span name → per-layer metric prefix. Spans not listed here are
 /// summed under `obs.unlisted`.
@@ -50,26 +51,25 @@ fn layer_of(name: &str) -> &'static str {
 }
 
 impl SpanFold {
-    /// Fold one closed span.
-    pub fn add(
-        &mut self,
-        name: &str,
-        path: &str,
-        elapsed_us: u64,
-        counters: &[(&str, u64)],
-        op: Option<&str>,
-    ) {
+    /// Fold one `--trace-json` event line: a closed span.
+    pub fn add_event(&mut self, ev: &Json) {
+        let name = ev.get("name").and_then(Json::as_str).unwrap_or("");
+        let path = ev.get("path").and_then(Json::as_str).unwrap_or(name);
+        let elapsed_us = ev.get("elapsed_us").and_then(Json::as_f64).unwrap_or(0.0) as u64;
         let layer = layer_of(name);
         *self.self_us.entry(layer).or_default() += elapsed_us as i64;
         *self.spans.entry(layer).or_default() += 1;
-        for (k, v) in counters {
-            *self.counters.entry((layer, k.to_string())).or_default() += v;
+        if let Some(Json::Obj(pairs)) = ev.get("counters") {
+            for (k, v) in pairs {
+                let v = v.as_f64().unwrap_or(0.0) as u64;
+                *self.counters.entry((layer, k.clone())).or_default() += v;
+            }
         }
         if let Some(parent) = path.rsplit('/').nth(1) {
             *self.self_us.entry(layer_of(parent)).or_default() -= elapsed_us as i64;
         }
         if name == "request" {
-            if let Some(op) = op {
+            if let Some(op) = at(ev, &["attrs", "op"]).and_then(Json::as_str) {
                 let slot = self.request_us_by_op.entry(op.to_string()).or_default();
                 slot.0 += elapsed_us;
                 slot.1 += 1;
@@ -93,22 +93,6 @@ impl SpanFold {
             slot.0 += us;
             slot.1 += n;
         }
-    }
-
-    /// Fold one `--trace-json` event line.
-    pub fn add_event(&mut self, ev: &Json) {
-        let name = ev.get("name").and_then(Json::as_str).unwrap_or("");
-        let path = ev.get("path").and_then(Json::as_str).unwrap_or(name);
-        let elapsed = ev.get("elapsed_us").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        let counters: Vec<(&str, u64)> = match ev.get("counters") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .filter_map(|(k, v)| Some((k.as_str(), v.as_f64()? as u64)))
-                .collect(),
-            _ => Vec::new(),
-        };
-        let op = ev.at(&["attrs", "op"]).and_then(Json::as_str);
-        self.add(name, path, elapsed, &counters, op);
     }
 
     pub fn self_ms(&self, layer: &str) -> f64 {
@@ -202,35 +186,6 @@ pub fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// In-process tracing: turns the program's spans on and folds every
-/// span close into a shared [`SpanFold`].
-pub struct InProcessTrace {
-    fold: Arc<Mutex<SpanFold>>,
-}
-
-impl InProcessTrace {
-    pub fn start() -> InProcessTrace {
-        let fold = Arc::new(Mutex::new(SpanFold::default()));
-        let sink = Arc::clone(&fold);
-        muppet_obs::on_span_close(move |ev| {
-            let counters: Vec<(&str, u64)> = ev.counters.iter().map(|(k, v)| (*k, *v)).collect();
-            if let Ok(mut f) = sink.lock() {
-                f.add(ev.name, ev.path, ev.elapsed_us, &counters, None);
-            }
-        });
-        muppet_obs::set_enabled(true);
-        InProcessTrace { fold }
-    }
-
-    /// Turn tracing off and return the fold.
-    pub fn finish(self) -> SpanFold {
-        muppet_obs::set_enabled(false);
-        muppet_obs::clear_profilers();
-        let fold = self.fold.lock().map(|f| f.clone()).unwrap_or_default();
-        fold
-    }
-}
-
 /// Fold the events of a `--trace-json` file written after byte
 /// `offset` (set-up traffic comes before it).
 pub fn fold_trace_file(path: &std::path::Path, offset: u64) -> Result<SpanFold, String> {
@@ -239,9 +194,9 @@ pub fn fold_trace_file(path: &std::path::Path, offset: u64) -> Result<SpanFold, 
     let text = String::from_utf8_lossy(bytes.get(offset as usize..).unwrap_or(&[]));
     let mut fold = SpanFold::default();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let ev = crate::json::parse(line)?;
+        let ev = muppet_daemon::json::parse(line)?;
         // The benchmark's own `stats` probe is not workload traffic.
-        if ev.at(&["attrs", "op"]).and_then(Json::as_str) == Some("stats") {
+        if at(&ev, &["attrs", "op"]).and_then(Json::as_str) == Some("stats") {
             continue;
         }
         fold.add_event(&ev);
@@ -312,34 +267,41 @@ pub fn complete(got: Vec<(String, f64, &'static str)>) -> Vec<(String, f64, &'st
 }
 
 /// Span metrics of a daemon run: the fold's layers, the `request` span
-/// per op (mean ms), and the client time outside it (mean ms per
-/// request). `client_ms` is the summed client latency of every
-/// workload request, `requests` their count.
+/// per op (mean ms), and the client time outside the daemon's handling
+/// (mean ms per request), from the workload's `replies`.
+///
+/// The trace is checked against those replies, which it does not
+/// produce: there must be one `request` span per reply, and the self
+/// times plus the time outside the daemon's handling must add up to the
+/// client's time within 5%. A lost, truncated or partly recorded trace
+/// fails one of the two; the complaint is returned.
 pub fn daemon_span_metrics(
     fold: &SpanFold,
     verdicts: usize,
-    requests: usize,
-    client_ms: f64,
+    replies: ReplyTimes,
     out: &mut Vec<(String, f64, &'static str)>,
-) {
+) -> Option<String> {
     fold.metrics(verdicts as f64, out);
-    let mut request_ms = 0.0;
     for (op, (us, n)) in &fold.request_us_by_op {
-        request_ms += *us as f64 / 1000.0;
         let name = format!("daemon.request_ms.{op}");
         if PER_LAYER.iter().any(|(n, _)| *n == name) {
             out.push((name, *us as f64 / 1000.0 / (*n).max(1) as f64, "ms"));
         }
     }
-    let outside_ms = client_ms - request_ms;
+    let outside_ms = replies.client_ms - replies.handled_ms;
     out.push((
         "daemon.outside_request_ms".into(),
-        outside_ms / requests.max(1) as f64,
+        outside_ms / replies.count.max(1) as f64,
         "ms",
     ));
-    out.push((
-        "obs.span_coverage_pct".into(),
-        100.0 * ratio(fold.total_self_ms() + outside_ms, client_ms),
-        "%",
-    ));
+    let coverage = 100.0 * ratio(fold.total_self_ms() + outside_ms, replies.client_ms);
+    out.push(("obs.span_coverage_pct".into(), coverage, "%"));
+    let spans = fold.spans("daemon.request");
+    if spans != replies.count as u64 {
+        Some(format!("trace has {spans} request spans for {} replies", replies.count))
+    } else if (coverage - 100.0).abs() > 5.0 {
+        Some(format!("span self times cover {coverage:.1}% of the client's time"))
+    } else {
+        None
+    }
 }

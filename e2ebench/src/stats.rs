@@ -1,12 +1,12 @@
 //! What one workload run measured, and the end-to-end metrics derived
 //! from it.
 
-use crate::json::Json;
+use muppet_daemon::json::Json;
 
 /// The measurements of one (traced or untraced) workload run.
 #[derive(Default)]
 pub struct Outcome {
-    /// Requests (or in-process operations) attempted in the timed loop.
+    /// Requests attempted in the timed loop.
     pub attempted: u64,
     /// Of those: errors, unknown/exhausted verdicts, shed requests,
     /// rejected deltas, timeouts and wrong verdicts.

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 
-const WORKLOADS: [&str; 3] = ["admin-daemon", "large-bounded", "stream-churn"];
+const WORKLOADS: [&str; 2] = ["admin-daemon", "stream-churn"];
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
