@@ -66,7 +66,7 @@ fn a2_core_minimization(c: &mut Criterion) {
     };
     let scenario = generate(params);
     assert!(!scenario.conflicting_ports().is_empty());
-    let session = scenario.session(false);
+    let mut session = scenario.session(false);
 
     let minimized = session.reconcile(ReconcileMode::Blameable).unwrap();
     assert!(!minimized.success);
@@ -87,7 +87,7 @@ fn a3_bounds_tightness(c: &mut Criterion) {
     // Synthesize once, then re-solve with the upper bound tightened to
     // the solution's support — the holes-vs-soft-settings effect.
     let mv = vocab();
-    let s = session(&mv, IstioTable::Fig4);
+    let mut s = session(&mv, IstioTable::Fig4);
     let rec = s.reconcile(ReconcileMode::HardBounds).unwrap();
     assert!(rec.success);
     let istio_solution = &rec.configs[&mv.istio_party];

@@ -11,7 +11,7 @@ use muppet_bench::paper::{session, vocab, IstioTable};
 
 fn bench(c: &mut Criterion) {
     let mv = vocab();
-    let s = session(&mv, IstioTable::Fig3);
+    let mut s = session(&mv, IstioTable::Fig3);
 
     // Shape checks once, outside the timing loop.
     let rec = s.reconcile(ReconcileMode::Blameable).unwrap();

@@ -13,7 +13,7 @@ use muppet_logic::Instance;
 
 fn bench(c: &mut Criterion) {
     let mv = vocab();
-    let s = session(&mv, IstioTable::Fig4);
+    let mut s = session(&mv, IstioTable::Fig4);
     let rec = s.reconcile(ReconcileMode::HardBounds).unwrap();
     assert!(rec.success);
     let envelope = s

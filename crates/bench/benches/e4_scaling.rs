@@ -22,7 +22,7 @@ fn bench(c: &mut Criterion) {
             continue;
         };
         let scenario = generate(params);
-        let session = scenario.session(false);
+        let mut session = scenario.session(false);
         let sat = entry.expected == Expected::Sat;
 
         if sat {

@@ -14,7 +14,7 @@ use muppet_bench::scenario::generate;
 
 fn bench(c: &mut Criterion) {
     let mv = vocab();
-    let s = session(&mv, IstioTable::Fig3);
+    let mut s = session(&mv, IstioTable::Fig3);
 
     // The corpus' conflicted paper-scale mesh (committed label: unsat).
     let e = entry("paper-mesh-12-conflict").expect("committed corpus entry");
@@ -22,13 +22,13 @@ fn bench(c: &mut Criterion) {
         panic!("paper-mesh-12-conflict must be a mesh entry")
     };
     let big = generate(params);
-    let big_session = big.session(false);
+    let mut big_session = big.session(false);
 
     let mut g = c.benchmark_group("e5_baseline");
     g.sample_size(15);
     g.bench_function("baseline_monolithic_paper", |b| {
         b.iter(|| {
-            let r = baseline::monolithic_synthesis(&s).unwrap();
+            let r = baseline::monolithic_synthesis(&mut s).unwrap();
             assert!(!r.success);
         })
     });
@@ -40,7 +40,7 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("baseline_monolithic_12svc", |b| {
         b.iter(|| {
-            let r = baseline::monolithic_synthesis(&big_session).unwrap();
+            let r = baseline::monolithic_synthesis(&mut big_session).unwrap();
             assert!(!r.success);
         })
     });

@@ -13,13 +13,13 @@ use muppet_solver::Outcome;
 
 fn bench(c: &mut Criterion) {
     let mv = vocab();
-    let s = session(&mv, IstioTable::Fig3);
+    let mut s = session(&mv, IstioTable::Fig3);
     let env = s
         .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
         .unwrap();
     let target = mv.structure_instance();
     // Free synthesis needs satisfiable tenant goals: the Fig. 4 session.
-    let s4 = session(&mv, IstioTable::Fig4);
+    let mut s4 = session(&mv, IstioTable::Fig4);
 
     // Shape check once: minimal edit = 1; free synthesis lands at least
     // as far from the administrator's current configuration.

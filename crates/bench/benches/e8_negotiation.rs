@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Stubborn};
+use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
 use muppet_bench::scenario::corpus::{entries, Kind, Tier};
 use muppet_bench::scenario::{generate, Expected};
 
@@ -39,7 +39,9 @@ fn bench(c: &mut Criterion) {
                         BTreeMap::new();
                     negs.insert(scenario.mv.k8s_party, Box::new(Stubborn));
                     negs.insert(scenario.mv.istio_party, Box::new(DropBlamedSoftGoals));
-                    let report = run_negotiation(&mut session, &mut negs, 40).unwrap();
+                    let report =
+                        run_negotiation(&mut session, &mut negs, 40, Schedule::RoundRobin)
+                            .unwrap();
                     assert!(report.success);
                     report.rounds
                 })

@@ -16,7 +16,7 @@ use muppet_mesh::{Mesh, MeshVocab, Service};
 
 fn x1_learning(c: &mut Criterion) {
     let mv = vocab();
-    let s = session(&mv, IstioTable::Fig3);
+    let mut s = session(&mv, IstioTable::Fig3);
     let fe = mv.svc_atom("test-frontend").unwrap();
     let be = mv.svc_atom("test-backend").unwrap();
     let db = mv.svc_atom("test-db").unwrap();
@@ -36,7 +36,7 @@ fn x1_learning(c: &mut Criterion) {
     g.bench_function("learn_8_tuple_scope", |b| {
         b.iter(|| {
             let learned = learn_envelope(
-                &s,
+                &mut s,
                 mv.k8s_party,
                 &Instance::new(),
                 mv.istio_party,

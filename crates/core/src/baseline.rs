@@ -32,24 +32,24 @@ pub struct BaselineReport {
 /// Offers enter as hard bounds (the baseline has no notion of blameable
 /// commitments). On failure there is deliberately no core — that is the
 /// point of the comparison.
-pub fn monolithic_synthesis(session: &Session<'_>) -> Result<BaselineReport, MuppetError> {
-    // The session-standard query builder supplies the free relations,
-    // fixed structure, axiom group and solver settings — the baseline
-    // differs from reconciliation only in lumping every goal into one
-    // opaque unnamed-blame group.
-    let mut q = session.new_query();
+pub fn monolithic_synthesis(session: &mut Session<'_>) -> Result<BaselineReport, MuppetError> {
+    // The baseline differs from reconciliation only in lumping every
+    // goal into one opaque unnamed-blame group; it solves through the
+    // same session loop (free relations, structure, axiom group and
+    // solver settings included) so solver defaults cannot drift.
     let refs: Vec<&Party> = session.parties().iter().collect();
     let (bounds, _commitments) = session.merge_offers(&refs, ReconcileMode::HardBounds);
-    q.set_bounds(bounds);
     let mut formulas = Vec::new();
     for p in session.parties() {
         for g in &p.goals {
             formulas.push(g.formula.clone());
         }
     }
-    q.add_group(FormulaGroup::new("all goals (monolithic)", formulas));
-    let (outcome, _attempts) =
-        session.run_budgeted(&mut q, |q| q.solve(), Outcome::is_unknown)?;
+    let groups = [
+        session.axiom_group(),
+        FormulaGroup::new("all goals (monolithic)", formulas),
+    ];
+    let (outcome, _attempts) = session.solve(&bounds, &groups)?;
     match outcome {
         Outcome::Sat { solution, stats } => {
             let configs = session
@@ -84,7 +84,7 @@ pub fn monolithic_synthesis(session: &Session<'_>) -> Result<BaselineReport, Mup
 /// Convenience for E5: does the baseline agree with Muppet's
 /// reconciliation verdict? (It must — both decide the same SAT
 /// question; only the *information content* of failures differs.)
-pub fn verdicts_agree(session: &Session<'_>) -> Result<bool, MuppetError> {
+pub fn verdicts_agree(session: &mut Session<'_>) -> Result<bool, MuppetError> {
     let baseline = monolithic_synthesis(session)?;
     let muppet = session.reconcile(ReconcileMode::HardBounds)?;
     Ok(baseline.success == muppet.success)
@@ -118,22 +118,22 @@ mod tests {
     #[test]
     fn baseline_fails_opaquely_on_the_paper_conflict() {
         let mv = MeshVocab::paper_example();
-        let s = session(&mv, &IstioGoal::fig3());
-        let report = monolithic_synthesis(&s).unwrap();
+        let mut s = session(&mv, &IstioGoal::fig3());
+        let report = monolithic_synthesis(&mut s).unwrap();
         assert!(!report.success);
         assert!(report.configs.is_empty());
         // Muppet, on the same instance, localizes the conflict.
         let rec = s.reconcile(crate::session::ReconcileMode::HardBounds).unwrap();
         assert!(!rec.success);
         assert_eq!(rec.core.len(), 2);
-        assert!(verdicts_agree(&s).unwrap());
+        assert!(verdicts_agree(&mut s).unwrap());
     }
 
     #[test]
     fn baseline_succeeds_when_goals_are_compatible() {
         let mv = MeshVocab::paper_example();
-        let s = session(&mv, &IstioGoal::fig4());
-        let report = monolithic_synthesis(&s).unwrap();
+        let mut s = session(&mv, &IstioGoal::fig4());
+        let report = monolithic_synthesis(&mut s).unwrap();
         assert!(report.success);
         let mut combined = s.structure().clone();
         for c in report.configs.values() {
@@ -142,6 +142,6 @@ mod tests {
         for (name, holds) in s.check_goals(&combined) {
             assert!(holds, "{name}");
         }
-        assert!(verdicts_agree(&s).unwrap());
+        assert!(verdicts_agree(&mut s).unwrap());
     }
 }

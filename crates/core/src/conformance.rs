@@ -9,7 +9,7 @@
 //! counter-offers) on their side.
 
 use muppet_logic::{Domain, Instance, PartyId};
-use muppet_solver::{Outcome, PartialResult, PreparedStore};
+use muppet_solver::{Outcome, PartialResult};
 
 use crate::envelope::Envelope;
 use crate::session::{MuppetError, Session};
@@ -79,51 +79,14 @@ pub struct ConformanceReport {
 /// the tenant's current configuration, used as the target for
 /// minimal-edit feedback when synthesis fails.
 ///
-/// The workflow holds one warm incremental engine per query shape in
-/// an internal [`PreparedStore`] — see [`run_conformance_with_store`]
-/// to keep that state alive across calls, and [`run_conformance_cold`]
-/// for the one-shot reference path (byte-identical results).
-pub fn run_conformance(
-    session: &Session<'_>,
-    provider: PartyId,
-    tenant: PartyId,
-    tenant_preferred: Option<&Instance>,
-) -> Result<ConformanceReport, MuppetError> {
-    let mut store = PreparedStore::new();
-    run_conformance_impl(session, provider, tenant, tenant_preferred, Some(&mut store))
-}
-
-/// [`run_conformance`] with a caller-held [`PreparedStore`]: repeated
-/// conformance checks (revision loops, daemon sessions) reuse the warm
+/// Every query runs on the session's warm engines, so repeated
+/// conformance checks (revision loops, daemon sessions) reuse the
 /// ground/encode state and solver clauses across calls.
-pub fn run_conformance_with_store(
-    session: &Session<'_>,
+pub fn run_conformance(
+    session: &mut Session<'_>,
     provider: PartyId,
     tenant: PartyId,
     tenant_preferred: Option<&Instance>,
-    store: &mut PreparedStore,
-) -> Result<ConformanceReport, MuppetError> {
-    run_conformance_impl(session, provider, tenant, tenant_preferred, Some(store))
-}
-
-/// The one-shot reference path: every query compiles a fresh engine.
-/// Exists for differential testing against the warm path — results
-/// must be byte-identical.
-pub fn run_conformance_cold(
-    session: &Session<'_>,
-    provider: PartyId,
-    tenant: PartyId,
-    tenant_preferred: Option<&Instance>,
-) -> Result<ConformanceReport, MuppetError> {
-    run_conformance_impl(session, provider, tenant, tenant_preferred, None)
-}
-
-fn run_conformance_impl(
-    session: &Session<'_>,
-    provider: PartyId,
-    tenant: PartyId,
-    tenant_preferred: Option<&Instance>,
-    mut warm: Option<&mut PreparedStore>,
 ) -> Result<ConformanceReport, MuppetError> {
     let names = session.party_names();
     let pname = names.get(&provider).cloned().unwrap_or_default();
@@ -131,10 +94,7 @@ fn run_conformance_impl(
     let mut log = Vec::new();
 
     // Step 1 (Alg. 1): provider's local consistency.
-    let lc = match warm.as_deref_mut() {
-        Some(store) => session.local_consistency_warm(provider, store)?,
-        None => session.local_consistency(provider)?,
-    };
+    let lc = session.local_consistency(provider)?;
     if !lc.ok {
         log.push(format!(
             "{pname}: offer is locally inconsistent; blame: {:?}",
@@ -172,7 +132,6 @@ fn run_conformance_impl(
         provider_config,
         envelope,
         tenant_preferred,
-        warm,
         log,
     )
 }
@@ -183,28 +142,20 @@ fn run_conformance_impl(
 /// feedback on failure. Factored out so the revision loop can re-run
 /// only this step — the provider check and envelope "need never be
 /// recomputed".
-#[allow(clippy::too_many_arguments)]
 fn tenant_step(
-    session: &Session<'_>,
+    session: &mut Session<'_>,
     tenant: PartyId,
     tname: &str,
     provider_config: Instance,
     envelope: Envelope,
     tenant_preferred: Option<&Instance>,
-    mut warm: Option<&mut PreparedStore>,
     mut log: Vec<String>,
 ) -> Result<ConformanceReport, MuppetError> {
-    let synth = match warm.as_deref_mut() {
-        Some(store) => session.synthesize_against_warm(tenant, &envelope, store)?,
-        None => session.synthesize_against(tenant, &envelope)?,
-    };
+    let synth = session.synthesize_against(tenant, &envelope)?;
     let mut counter_offer = |target: &Instance,
                              log: &mut Vec<String>|
      -> Result<Option<usize>, MuppetError> {
-        let edit = match warm.as_deref_mut() {
-            Some(store) => session.minimal_edit_warm(tenant, &envelope, target, store)?,
-            None => session.minimal_edit(tenant, &envelope, target)?,
-        };
+        let edit = session.minimal_edit(tenant, &envelope, target)?;
         Ok(counter_offer_distance(edit, tname, log))
     };
     match synth {
@@ -311,14 +262,11 @@ use std::collections::BTreeMap;
 /// (envelopes differ per tenant because each tenant owns a different
 /// configuration domain).
 pub fn run_conformance_multi_tenant(
-    session: &Session<'_>,
+    session: &mut Session<'_>,
     provider: PartyId,
     tenants: &[PartyId],
 ) -> Result<MultiTenantReport, MuppetError> {
-    // One warm store for the whole fan-out: the provider check and each
-    // tenant's synthesis shape stay warm across the loop.
-    let mut store = PreparedStore::new();
-    let lc = session.local_consistency_warm(provider, &mut store)?;
+    let lc = session.local_consistency(provider)?;
     if !lc.ok {
         return Ok(MultiTenantReport {
             provider_consistent: false,
@@ -340,7 +288,7 @@ pub fn run_conformance_multi_tenant(
     let mut outcomes = Vec::new();
     for &tenant in tenants {
         let envelope = session.compute_envelope(provider, tenant, &provider_config)?;
-        let outcome = match session.synthesize_against_warm(tenant, &envelope, &mut store)? {
+        let outcome = match session.synthesize_against(tenant, &envelope)? {
             Outcome::Sat { solution, .. } => TenantOutcome {
                 tenant,
                 success: true,
@@ -391,13 +339,11 @@ pub fn run_conformance_with_revisions(
     strategy: &mut dyn crate::negotiate::Negotiator,
     max_revisions: usize,
 ) -> Result<ConformanceReport, MuppetError> {
-    // One warm store for the whole loop: the provider is checked and
-    // the envelope computed exactly once (tenant revisions touch only
-    // tenant-owned goals and offers, which enter neither), and every
-    // retry re-runs only the tenant-side step on the warm engine.
-    let mut store = PreparedStore::new();
-    let mut report =
-        run_conformance_with_store(session, provider, tenant, tenant_preferred, &mut store)?;
+    // The provider is checked and the envelope computed exactly once
+    // (tenant revisions touch only tenant-owned goals and offers, which
+    // enter neither), and every retry re-runs only the tenant-side step
+    // on the session's warm engines.
+    let mut report = run_conformance(session, provider, tenant, tenant_preferred)?;
     let mut revisions = 0usize;
     while !report.success && report.provider_consistent && revisions < max_revisions {
         let envelope = report
@@ -408,7 +354,7 @@ pub fn run_conformance_with_revisions(
         // the preferred configuration that satisfies the envelope.
         let counter_offer = match tenant_preferred {
             Some(target) => {
-                match session.minimal_edit_warm(tenant, &envelope, target, &mut store)? {
+                match session.minimal_edit(tenant, &envelope, target)? {
                     (muppet_solver::Outcome::Sat { solution, .. }, dist) => Some((
                         solution.restrict_to_domain(
                             session.vocab(),
@@ -469,7 +415,6 @@ pub fn run_conformance_with_revisions(
             provider_config,
             envelope,
             tenant_preferred,
-            Some(&mut store),
             retry_log,
         )?;
         let mut log = report.log;
@@ -509,11 +454,11 @@ mod tests {
     #[test]
     fn strict_tenant_goals_fail_with_feedback() {
         let mv = MeshVocab::paper_example();
-        let s = session(&mv, &IstioGoal::fig3());
+        let mut s = session(&mv, &IstioGoal::fig3());
         // The tenant's preferred configuration is its current deployment.
         let preferred = mv.structure_instance();
         let report =
-            run_conformance(&s, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap();
+            run_conformance(&mut s, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap();
         assert!(report.provider_consistent);
         assert!(!report.success);
         assert!(!report.blame.is_empty());
@@ -528,8 +473,8 @@ mod tests {
         // Fig. 4 relaxation: the synthesizer may re-expose the frontend
         // on a spare port (port exposure is Istio-owned).
         let mv = MeshVocab::paper_example();
-        let s = session(&mv, &IstioGoal::fig4());
-        let report = run_conformance(&s, mv.k8s_party, mv.istio_party, None).unwrap();
+        let mut s = session(&mv, &IstioGoal::fig4());
+        let report = run_conformance(&mut s, mv.k8s_party, mv.istio_party, None).unwrap();
         assert!(report.success, "log: {:?}", report.log);
         // End-to-end verification: provider config + tenant config
         // satisfy everyone's goals.
@@ -625,7 +570,7 @@ mod tests {
             NamedGoal::hard("guard fe", guard.clone()),
             NamedGoal::hard("never guard fe", muppet_logic::Formula::not(guard)),
         ]);
-        let report = run_conformance(&s, mv.k8s_party, mv.istio_party, None).unwrap();
+        let report = run_conformance(&mut s, mv.k8s_party, mv.istio_party, None).unwrap();
         assert!(!report.provider_consistent);
         assert!(!report.success);
         assert!(report.envelope.is_none());

@@ -2,7 +2,7 @@
 //!
 //! The hasher itself ([`Fingerprinter`]) lives in
 //! [`muppet_logic::fingerprint`] so the solver's incremental engine can
-//! key its subformula caches on the same digests (DESIGN.md §13). This
+//! key its group index on the same digests (DESIGN.md §13). This
 //! module re-exports it and adds the session-layer walks — goals and
 //! parties — as the [`FingerprintExt`] extension trait.
 

@@ -28,9 +28,9 @@
 use muppet_logic::{
     AtomId, Formula, Instance, PartialInstance, PartyId, RelId, Term,
 };
-use muppet_solver::{FormulaGroup, Outcome, PreparedStore, QueryStats};
+use muppet_solver::{FormulaGroup, Outcome};
 
-use crate::session::{MuppetError, Session};
+use crate::session::{Engine, MuppetError, Session};
 
 /// The finite set of recipient tuples the learner characterizes over.
 /// Tuples outside the scope are treated as absent (closed world).
@@ -128,33 +128,20 @@ impl LearnedEnvelope {
 /// implicant); if the budget is exhausted before full characterization,
 /// the result has `complete == false` (its cubes are still *sufficient*,
 /// just possibly not necessary).
+///
+/// The find loop runs on the session's warm engine for the scope shape:
+/// the goal group is grounded and encoded once, each iteration adds
+/// only its one new blocking-cube group, and learned clauses persist —
+/// so iteration `n` does `O(1)` new encoding work instead of
+/// re-compiling `n` groups. Generalization probes change the bounds per
+/// candidate literal, so each runs on a one-shot engine.
 pub fn learn_envelope(
-    session: &Session<'_>,
+    session: &mut Session<'_>,
     from: PartyId,
     c_from: &Instance,
     to: PartyId,
     scope: &Scope,
     max_cubes: usize,
-) -> Result<LearnedEnvelope, MuppetError> {
-    let mut store = PreparedStore::new();
-    learn_envelope_with_store(session, from, c_from, to, scope, max_cubes, &mut store)
-}
-
-/// [`learn_envelope`] with a caller-held [`PreparedStore`]. The find
-/// loop runs on a warm incremental engine: the goal group is grounded
-/// and encoded once, each iteration adds only its one new blocking-cube
-/// group, and learned clauses persist — so iteration `n` does `O(1)`
-/// new encoding work instead of re-compiling `n` groups. Generalization
-/// probes change the bounds per candidate literal, so they stay on the
-/// one-shot facade.
-pub fn learn_envelope_with_store(
-    session: &Session<'_>,
-    from: PartyId,
-    c_from: &Instance,
-    to: PartyId,
-    scope: &Scope,
-    max_cubes: usize,
-    store: &mut PreparedStore,
 ) -> Result<LearnedEnvelope, MuppetError> {
     let sender = session.party(from)?;
     session.party(to)?;
@@ -181,19 +168,13 @@ pub fn learn_envelope_with_store(
         // 1. Find a satisfying recipient configuration not covered yet,
         //    on the warm engine (fresh groups only are encoded).
         queries += 1;
-        let (outcome, _attempts) = session.run_warm_op(
-            store,
-            &scope_bounds,
+        let (outcome, _attempts) = session.run(
+            Engine::Warm,
             &to_rels,
-            &fixed,
+            &scope_bounds,
+            Some(&fixed),
             &groups,
             |pq, active, budget| pq.solve(active, budget),
-            |phase| Outcome::Unknown {
-                phase,
-                stats: QueryStats::default(),
-                partial: None,
-            },
-            Outcome::is_unknown,
         )?;
         let model = match outcome {
             Outcome::Sat { solution, .. } => solution,
@@ -250,13 +231,16 @@ pub fn learn_envelope_with_store(
             for (rel, tuple) in &candidate.positive {
                 bounds.require(*rel, tuple.clone());
             }
-            let mut q = session.scoped_query(&to_rels, fixed.clone());
-            q.set_bounds(bounds)
-                .set_minimize_cores(false)
-                .add_group(FormulaGroup::new("neg goals", vec![negated_goals.clone()]));
+            let probe = [FormulaGroup::new("neg goals", vec![negated_goals.clone()])];
             queries += 1;
-            let (outcome, _attempts) =
-                session.run_budgeted(&mut q, |q| q.solve(), Outcome::is_unknown)?;
+            let (outcome, _attempts) = session.run(
+                Engine::Probe,
+                &to_rels,
+                &bounds,
+                Some(&fixed),
+                &probe,
+                |pq, active, budget| pq.solve(active, budget),
+            )?;
             match outcome {
                 Outcome::Unsat { .. } => {
                     // Every completion satisfies the goals: drop it.
@@ -403,10 +387,10 @@ mod tests {
                         c_a.insert(t.deny, vec![a]);
                     }
                 }
-                let session = session_with_goal(&t, goal.clone());
+                let mut session = session_with_goal(&t, goal.clone());
                 let scope = scope_of(&t);
                 let learned =
-                    learn_envelope(&session, t.sender, &c_a, t.recipient, &scope, 64)
+                    learn_envelope(&mut session, t.sender, &c_a, t.recipient, &scope, 64)
                         .unwrap();
                 assert!(learned.complete);
                 // Compare against direct evaluation over all 16 scope
@@ -440,9 +424,9 @@ mod tests {
         // mention guard at all.
         let goal = Formula::pred(t.allow, [Term::Const(t.atoms[0])]);
         let _ = x;
-        let session = session_with_goal(&t, goal);
+        let mut session = session_with_goal(&t, goal);
         let learned = learn_envelope(
-            &session,
+            &mut session,
             t.sender,
             &Instance::new(),
             t.recipient,
@@ -465,9 +449,9 @@ mod tests {
             Formula::pred(t.allow, [Term::Const(t.atoms[0])]),
             Formula::not(Formula::pred(t.allow, [Term::Const(t.atoms[0])])),
         ]);
-        let session = session_with_goal(&t, goal);
+        let mut session = session_with_goal(&t, goal);
         let learned = learn_envelope(
-            &session,
+            &mut session,
             t.sender,
             &Instance::new(),
             t.recipient,
@@ -526,7 +510,7 @@ mod tests {
 
         let c_a = Instance::new();
         let learned =
-            learn_envelope(&session, mv.k8s_party, &c_a, mv.istio_party, &scope, 256)
+            learn_envelope(&mut session, mv.k8s_party, &c_a, mv.istio_party, &scope, 256)
                 .unwrap();
         assert!(learned.complete);
         let syntactic = session

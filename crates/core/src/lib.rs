@@ -35,6 +35,13 @@
 //!   `E_{{A,B}→C}` with per-sender obligation tags) and the
 //!   configuration-privacy **leakage metric** ([`Envelope::leakage`])
 //!   with simplification as the mitigation the paper proposes.
+//! * **Warm sessions**: a [`Session`] owns a [`PreparedStore`] of
+//!   incremental engines, and each workflow has one entry point —
+//!   the four `Session` queries, [`negotiate::run_negotiation`],
+//!   [`conformance::run_conformance`] and [`learn::learn_envelope`] —
+//!   that solves through it. Repeating a call re-encodes only the
+//!   groups whose content changed; answers are byte-identical to the
+//!   same call on a fresh `Session`, which is the cold reference.
 //! * **Resource governance**: every session query runs under a
 //!   [`Budget`] (wall-clock deadline, conflict/propagation caps,
 //!   cooperative cancellation) with a [`RetryPolicy`] escalation

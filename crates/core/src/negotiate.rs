@@ -17,7 +17,6 @@
 use std::collections::BTreeMap;
 
 use muppet_logic::{Instance, PartyId};
-use muppet_solver::PreparedStore;
 
 use crate::envelope::Envelope;
 use crate::party::Party;
@@ -226,7 +225,8 @@ pub struct NegotiationReport {
     pub trace: Vec<String>,
 }
 
-/// Run the Fig. 9 round-robin negotiation.
+/// Run the Fig. 9 negotiation under a [`Schedule`] (the paper's is
+/// [`Schedule::RoundRobin`]).
 ///
 /// Each round attempts reconciliation (Alg. 2, blameable mode). On
 /// failure, the party whose turn it is receives [`Feedback`] (core +
@@ -234,63 +234,15 @@ pub struct NegotiationReport {
 /// revises it. Negotiation ends on success, after `max_rounds`, or when
 /// a full cycle passes with no party changing anything.
 ///
-/// The whole negotiation runs on **one warm incremental engine** per
-/// query shape (held in an internal [`PreparedStore`]): round `n`
-/// starts from round `n-1`'s solver state, a counter-offer is a group
-/// swap plus assumption flips rather than a recompilation, and answers
-/// are byte-identical to the cold path ([`run_negotiation_cold`]) by
-/// the engine's canonicalization contract.
+/// The whole negotiation runs on the session's warm engines: round `n`
+/// starts from round `n-1`'s solver state, and a counter-offer is a
+/// group swap plus assumption flips rather than a recompilation.
+/// Answers are byte-identical to the same negotiation on a fresh
+/// session by the engine's canonicalization contract.
 pub fn run_negotiation(
     session: &mut Session<'_>,
     negotiators: &mut BTreeMap<PartyId, Box<dyn Negotiator>>,
     max_rounds: usize,
-) -> Result<NegotiationReport, MuppetError> {
-    let mut store = PreparedStore::new();
-    run_negotiation_with_store(session, negotiators, max_rounds, &mut store)
-}
-
-/// [`run_negotiation`] under an explicit [`Schedule`]. `RoundRobin`
-/// reproduces [`run_negotiation`] exactly.
-pub fn run_negotiation_scheduled(
-    session: &mut Session<'_>,
-    negotiators: &mut BTreeMap<PartyId, Box<dyn Negotiator>>,
-    max_rounds: usize,
-    schedule: Schedule,
-) -> Result<NegotiationReport, MuppetError> {
-    let mut store = PreparedStore::new();
-    run_negotiation_impl(session, negotiators, max_rounds, Some(&mut store), schedule)
-}
-
-/// [`run_negotiation`] with a caller-held [`PreparedStore`], so warm
-/// engine state survives *across* negotiations (the daemon holds one
-/// store per warm session and feeds successive `NegotiateRound`
-/// requests through it).
-pub fn run_negotiation_with_store(
-    session: &mut Session<'_>,
-    negotiators: &mut BTreeMap<PartyId, Box<dyn Negotiator>>,
-    max_rounds: usize,
-    store: &mut PreparedStore,
-) -> Result<NegotiationReport, MuppetError> {
-    run_negotiation_impl(session, negotiators, max_rounds, Some(store), Schedule::RoundRobin)
-}
-
-/// The one-shot reference path: every query compiles a fresh engine.
-/// Exists for differential testing against the warm path — results
-/// must be byte-identical — and as the fallback shape for callers that
-/// cannot hold state.
-pub fn run_negotiation_cold(
-    session: &mut Session<'_>,
-    negotiators: &mut BTreeMap<PartyId, Box<dyn Negotiator>>,
-    max_rounds: usize,
-) -> Result<NegotiationReport, MuppetError> {
-    run_negotiation_impl(session, negotiators, max_rounds, None, Schedule::RoundRobin)
-}
-
-fn run_negotiation_impl(
-    session: &mut Session<'_>,
-    negotiators: &mut BTreeMap<PartyId, Box<dyn Negotiator>>,
-    max_rounds: usize,
-    mut warm: Option<&mut PreparedStore>,
     schedule: Schedule,
 ) -> Result<NegotiationReport, MuppetError> {
     let mut trace = Vec::new();
@@ -300,10 +252,7 @@ fn run_negotiation_impl(
     let mut unchanged_streak = 0usize;
 
     for round in 0..max_rounds {
-        let rec = match warm.as_deref_mut() {
-            Some(store) => session.reconcile_warm(ReconcileMode::Blameable, store)?,
-            None => session.reconcile(ReconcileMode::Blameable)?,
-        };
+        let rec = session.reconcile(ReconcileMode::Blameable)?;
         if rec.success {
             trace.push(format!("round {}: reconciliation succeeded", round + 1));
             return Ok(NegotiationReport {
@@ -339,10 +288,7 @@ fn run_negotiation_impl(
         // its goals still shape the envelope).
         let mut senders = Vec::new();
         for &other in party_ids.iter().filter(|&&p| p != turn) {
-            let lc = match warm.as_deref_mut() {
-                Some(store) => session.local_consistency_warm(other, store)?,
-                None => session.local_consistency(other)?,
-            };
+            let lc = session.local_consistency(other)?;
             senders.push((other, lc.witness.unwrap_or_default()));
         }
         let envelope = session.compute_multi_envelope(&senders, turn)?;
@@ -363,13 +309,7 @@ fn run_negotiation_impl(
                 }
                 inst
             };
-            let edit = match warm.as_deref_mut() {
-                Some(store) => {
-                    session.minimal_edit_warm(turn, &envelope, &committed, store)?
-                }
-                None => session.minimal_edit(turn, &envelope, &committed)?,
-            };
-            match edit {
+            match session.minimal_edit(turn, &envelope, &committed)? {
                 (muppet_solver::Outcome::Sat { solution, .. }, dist) => {
                     let cfg = solution.restrict_to_domain(
                         session.vocab(),
@@ -471,7 +411,7 @@ mod tests {
         let mut negs: BTreeMap<PartyId, Box<dyn Negotiator>> = BTreeMap::new();
         negs.insert(mv.k8s_party, Box::new(Stubborn));
         negs.insert(mv.istio_party, Box::new(Stubborn));
-        let report = run_negotiation(&mut s, &mut negs, 10).unwrap();
+        let report = run_negotiation(&mut s, &mut negs, 10, Schedule::RoundRobin).unwrap();
         assert!(!report.success);
         assert!(report.trace.iter().any(|t| t.contains("stuck")));
         assert!(report.rounds <= 3);
@@ -486,7 +426,7 @@ mod tests {
         let mut negs: BTreeMap<PartyId, Box<dyn Negotiator>> = BTreeMap::new();
         negs.insert(mv.k8s_party, Box::new(Stubborn));
         negs.insert(mv.istio_party, Box::new(DropBlamedSoftGoals));
-        let report = run_negotiation(&mut s, &mut negs, 10).unwrap();
+        let report = run_negotiation(&mut s, &mut negs, 10, Schedule::RoundRobin).unwrap();
         assert!(report.success, "trace: {:#?}", report.trace);
         // The istio admin ends with 3 goals (row 2 dropped).
         assert_eq!(s.party(mv.istio_party).unwrap().goals.len(), 3);
@@ -556,7 +496,7 @@ mod tests {
                 }
             })),
         );
-        let report = run_negotiation(&mut s2, &mut negs, 10).unwrap();
+        let report = run_negotiation(&mut s2, &mut negs, 10, Schedule::RoundRobin).unwrap();
         assert!(report.success, "trace: {:#?}", report.trace);
         let mut combined = s2.structure().clone();
         for c in report.configs.values() {
@@ -588,7 +528,7 @@ mod tests {
         let mut negs: BTreeMap<PartyId, Box<dyn Negotiator>> = BTreeMap::new();
         negs.insert(k8s_id, Box::new(SoftenBlamedCommitments));
         negs.insert(mv.istio_party, Box::new(Stubborn));
-        let report = run_negotiation(&mut s, &mut negs, 10).unwrap();
+        let report = run_negotiation(&mut s, &mut negs, 10, Schedule::RoundRobin).unwrap();
         assert!(report.success, "trace: {:#?}", report.trace);
         // The offer no longer *requires* the tuple…
         let offer = &s.party(k8s_id).unwrap().offer;
@@ -676,7 +616,7 @@ mod tests {
         let mut negs: BTreeMap<PartyId, Box<dyn Negotiator>> = BTreeMap::new();
         negs.insert(mv.k8s_party, Box::new(Stubborn));
         negs.insert(istio_id, Box::new(AcceptCounterOffer));
-        let report = run_negotiation(&mut s, &mut negs, 10).unwrap();
+        let report = run_negotiation(&mut s, &mut negs, 10, Schedule::RoundRobin).unwrap();
         assert!(report.success, "trace: {:#?}", report.trace);
         // The adopted commitments are one edit away from the originals.
         let new_offer = &s.party(istio_id).unwrap().offer;
@@ -715,7 +655,7 @@ mod tests {
                 false
             })),
         );
-        let _ = run_negotiation(&mut s, &mut negs, 6).unwrap();
+        let _ = run_negotiation(&mut s, &mut negs, 6, Schedule::RoundRobin).unwrap();
         let seen = seen.borrow();
         assert!(!seen.is_empty());
         // The istio admin committed nothing, so its commitments are never
@@ -740,7 +680,7 @@ mod tests {
                 false
             })),
         );
-        let report = run_negotiation(&mut s, &mut negs, 6).unwrap();
+        let report = run_negotiation(&mut s, &mut negs, 6, Schedule::RoundRobin).unwrap();
         assert!(!report.success);
         // On the istio admin's turn(s) it saw the K8s envelope (≥1
         // predicate — the port-23 obligation).

@@ -8,8 +8,8 @@ use muppet_logic::{
     RelId, Term, Universe, Vocabulary,
 };
 use muppet_solver::{
-    Budget, FormulaGroup, GroupId, Outcome, PartialResult, Phase, PortfolioConfig,
-    PrepareError, PreparedQuery, PreparedStore, Query, QueryError, QueryStats, RetryPolicy,
+    Budget, FormulaGroup, GroupId, IncrementalQuery, Outcome, PartialResult, Phase,
+    PortfolioConfig, PrepareError, PreparedStore, QueryError, QueryStats, RetryPolicy,
 };
 
 use crate::envelope::{Envelope, EnvelopePredicate};
@@ -133,8 +133,63 @@ pub enum ReconcileMode {
     Blameable,
 }
 
+/// Which engine a solve runs on. The two one-shot kinds are fresh
+/// engines dropped after the call, for queries whose clauses must not
+/// outlive them.
+#[derive(Clone, Copy)]
+pub(crate) enum Engine {
+    /// The session store's warm engine for the query's shape.
+    Warm,
+    /// One-shot, with lex-leader symmetry breaking over the query's
+    /// groups: the lex clauses are permanent and depend on the goal set.
+    SymmetryBreaking,
+    /// One-shot, without core minimization: envelope learning's
+    /// generalization probes change their bounds (and with them the
+    /// engine shape) on every probe, and need only the verdict.
+    Probe,
+}
+
+/// What the retry loop needs to know about a solve's result type.
+pub(crate) trait Answer {
+    /// The result of an attempt whose budget fired before the solver
+    /// ran (while grounding or encoding a group).
+    fn aborted(phase: Phase) -> Self;
+    /// Did the attempt end without a verdict?
+    fn is_unknown(&self) -> bool;
+}
+
+impl Answer for Outcome {
+    fn aborted(phase: Phase) -> Outcome {
+        Outcome::Unknown {
+            phase,
+            stats: QueryStats::default(),
+            partial: None,
+        }
+    }
+
+    fn is_unknown(&self) -> bool {
+        Outcome::is_unknown(self)
+    }
+}
+
+impl Answer for (Outcome, usize) {
+    fn aborted(phase: Phase) -> (Outcome, usize) {
+        (Outcome::aborted(phase), 0)
+    }
+
+    fn is_unknown(&self) -> bool {
+        self.0.is_unknown()
+    }
+}
+
 /// A Muppet session: universe, vocabulary, shared structure, axioms and
 /// parties. All of Algs. 1–3 are methods here.
+///
+/// A session owns a [`PreparedStore`] of warm incremental engines, one
+/// per query shape: repeating a query (or a negotiation round that
+/// changes one goal) re-encodes only groups whose content changed. Answers do not depend on that
+/// state — models and cores are canonical — so the cold reference for
+/// any call is the same call on a fresh `Session`.
 pub struct Session<'a> {
     universe: &'a Universe,
     vocab: Vocabulary,
@@ -145,6 +200,7 @@ pub struct Session<'a> {
     budget: Budget,
     retry: RetryPolicy,
     portfolio: Option<PortfolioConfig>,
+    store: PreparedStore,
 }
 
 impl<'a> Session<'a> {
@@ -161,6 +217,7 @@ impl<'a> Session<'a> {
             budget: Budget::unlimited(),
             retry: RetryPolicy::default(),
             portfolio: None,
+            store: PreparedStore::new(),
         }
     }
 
@@ -189,41 +246,6 @@ impl<'a> Session<'a> {
     /// The session's retry policy.
     pub fn retry_policy(&self) -> &RetryPolicy {
         &self.retry
-    }
-
-    /// Run a budgeted query closure under the session's retry policy.
-    /// Re-runs while the result is unknown, attempts remain, and the
-    /// shared deadline/cancellation has not already fired (retrying
-    /// past an absolute deadline cannot help). Returns the final
-    /// result and the number of attempts made.
-    pub(crate) fn run_budgeted<T>(
-        &self,
-        q: &mut Query,
-        mut run: impl FnMut(&mut Query) -> Result<T, QueryError>,
-        unknown: impl Fn(&T) -> bool,
-    ) -> Result<(T, u32), MuppetError> {
-        let attempts = self.retry.max_attempts.max(1);
-        let mut attempt = 1;
-        loop {
-            let mut budget = self.budget.clone();
-            if let Some(cap) = self.retry.conflict_cap(attempt) {
-                let cap = match budget.conflict_cap() {
-                    Some(own) => own.min(cap),
-                    None => cap,
-                };
-                budget.set_conflict_cap(Some(cap));
-            }
-            q.set_budget(budget);
-            let mut attempt_span = muppet_obs::span("attempt");
-            attempt_span.record("attempt", u64::from(attempt));
-            let out = run(q)?;
-            drop(attempt_span);
-            if unknown(&out) && attempt < attempts && self.budget.poll().is_none() {
-                attempt += 1;
-                continue;
-            }
-            return Ok((out, attempt));
-        }
     }
 
     /// Run the search phase of satisfiability queries on a parallel
@@ -256,9 +278,23 @@ impl<'a> Session<'a> {
     /// satisfiability queries (Alg. 1/2 and envelope-side synthesis).
     /// Minimal-edit queries are unaffected — they must see the full
     /// model space. Most useful when the universe carries spare ports
-    /// for ∃-port goals.
+    /// for ∃-port goals. The lex clauses are permanent, so these
+    /// queries run on one-shot engines and bypass the warm store.
     pub fn set_symmetry_breaking(&mut self, enable: bool) {
         self.symmetry_breaking = enable;
+    }
+
+    /// The session's warm engine store.
+    pub fn store(&self) -> &PreparedStore {
+        &self.store
+    }
+
+    /// Mutable access to the warm engine store. Callers that rebuild a
+    /// session per request (the daemon's warm sessions, stream
+    /// sessions) swap their long-lived store in before a call and take
+    /// it back afterwards, so warm state outlives the session.
+    pub fn store_mut(&mut self) -> &mut PreparedStore {
+        &mut self.store
     }
 
     /// Add domain well-formedness axioms (always included as a hard
@@ -341,47 +377,6 @@ impl<'a> Session<'a> {
         FormulaGroup::new("structural axioms", self.axioms.clone())
     }
 
-    /// The session-standard one-shot satisfiability query: all party
-    /// relations free, structure fixed, the session's symmetry and
-    /// portfolio settings applied, and the axiom group added first.
-    /// Every cold Alg. 1/2 call site (and the E5 baseline) builds on
-    /// this, so solver defaults cannot drift between them.
-    pub(crate) fn new_query(&self) -> Query<'_> {
-        let mut q = Query::new(&self.vocab, self.universe);
-        q.free_rels(self.all_party_rels())
-            .set_fixed(self.structure.clone())
-            .set_symmetry_breaking(self.symmetry_breaking)
-            .set_portfolio(self.portfolio)
-            .add_group(self.axiom_group());
-        q
-    }
-
-    /// The session-standard target-oriented query over one party's own
-    /// relations: full model space (no symmetry breaking — lex-leader
-    /// pruning would hide the true nearest model) and the axiom group
-    /// added first. Minimal-edit call sites build on this.
-    pub(crate) fn edit_query(&self, owner: PartyId) -> Query<'_> {
-        let mut q = Query::new(&self.vocab, self.universe);
-        q.free_rels(self.owned_rels(owner))
-            .set_fixed(self.structure.clone())
-            .add_group(self.axiom_group());
-        q
-    }
-
-    /// A one-shot query over a custom free-relation set and fixed
-    /// instance — the shape envelope learning uses (scope-bounded
-    /// recipient relations, sender config folded into the fixed
-    /// instance). Model-space complete: no symmetry breaking; the
-    /// session's portfolio still accelerates the search phase without
-    /// changing verdicts.
-    pub(crate) fn scoped_query(&self, free: &[RelId], fixed: Instance) -> Query<'_> {
-        let mut q = Query::new(&self.vocab, self.universe);
-        q.free_rels(free.iter().copied())
-            .set_fixed(fixed)
-            .set_portfolio(self.portfolio);
-        q
-    }
-
     pub(crate) fn goal_groups(&self, party: &Party) -> Vec<FormulaGroup> {
         party
             .goals
@@ -441,51 +436,44 @@ impl<'a> Session<'a> {
         (bounds, groups)
     }
 
-    /// **Alg. 1 — local consistency.** Can `C??_A` be completed (with
-    /// some configuration for everyone else) so that φ_A holds?
-    pub fn local_consistency(&self, id: PartyId) -> Result<ConsistencyReport, MuppetError> {
-        let party = self.party(id)?;
-        let mut op_span = muppet_obs::span("consistency");
-        op_span.attr("party", party.name.clone());
-        let mut q = self.new_query();
-        let (bounds, commit_groups) = self.merge_offers(&[party], ReconcileMode::HardBounds);
-        q.set_bounds(bounds);
-        for g in commit_groups {
-            q.add_group(g);
-        }
-        for g in self.goal_groups(party) {
-            q.add_group(g);
-        }
-        let (outcome, attempts) = self.run_budgeted(&mut q, |q| q.solve(), Outcome::is_unknown)?;
-        op_span.record("attempts", u64::from(attempts));
-        drop(op_span);
-        Ok(self.consistency_report(id, outcome, attempts))
+    /// The bounds and groups of a one-party satisfiability query (Alg. 1
+    /// and envelope-side synthesis): the party's offer as hard bounds,
+    /// then the axiom group, `extra`, and the party's goals.
+    fn party_input(
+        &self,
+        party: &Party,
+        extra: Vec<FormulaGroup>,
+    ) -> (PartialInstance, Vec<FormulaGroup>) {
+        // Hard bounds derive no commitment groups.
+        let (bounds, _) = self.merge_offers(&[party], ReconcileMode::HardBounds);
+        let mut groups = vec![self.axiom_group()];
+        groups.extend(extra);
+        groups.extend(self.goal_groups(party));
+        (bounds, groups)
     }
 
-    /// Warm-path **Alg. 1**: identical verdicts to
-    /// [`Session::local_consistency`], but grounding/encoding state is
-    /// kept alive in `store` and reused across calls whose vocabulary,
-    /// universe, structure and offer bounds are unchanged — a repeat
-    /// check re-encodes only groups whose content actually changed.
-    /// Symmetry-breaking sessions fall back to the cold path (lex
-    /// clauses are permanent and would poison reuse).
-    pub fn local_consistency_warm(
-        &self,
-        id: PartyId,
-        store: &mut PreparedStore,
-    ) -> Result<ConsistencyReport, MuppetError> {
-        if self.symmetry_breaking {
-            return self.local_consistency(id);
+    /// The bounds and groups Alg. 2 submits, in submission order: the
+    /// axiom group, any commitment groups the mode derives from offers,
+    /// then each party's goal groups.
+    fn reconcile_input(&self, mode: ReconcileMode) -> (PartialInstance, Vec<FormulaGroup>) {
+        let refs: Vec<&Party> = self.parties.iter().collect();
+        let (bounds, commit_groups) = self.merge_offers(&refs, mode);
+        let mut groups = vec![self.axiom_group()];
+        groups.extend(commit_groups);
+        for p in &self.parties {
+            groups.extend(self.goal_groups(p));
         }
+        (bounds, groups)
+    }
+
+    /// **Alg. 1 — local consistency.** Can `C??_A` be completed (with
+    /// some configuration for everyone else) so that φ_A holds?
+    pub fn local_consistency(&mut self, id: PartyId) -> Result<ConsistencyReport, MuppetError> {
         let party = self.party(id)?;
         let mut op_span = muppet_obs::span("consistency");
         op_span.attr("party", party.name.clone());
-        op_span.attr("warm", "true");
-        let (bounds, commit_groups) = self.merge_offers(&[party], ReconcileMode::HardBounds);
-        let mut groups = vec![self.axiom_group()];
-        groups.extend(commit_groups);
-        groups.extend(self.goal_groups(party));
-        let (outcome, attempts) = self.run_warm(store, &bounds, &groups)?;
+        let (bounds, groups) = self.party_input(party, Vec::new());
+        let (outcome, attempts) = self.solve(&bounds, &groups)?;
         op_span.record("attempts", u64::from(attempts));
         drop(op_span);
         Ok(self.consistency_report(id, outcome, attempts))
@@ -528,72 +516,26 @@ impl<'a> Session<'a> {
 
     /// **Alg. 2 — reconciliation.** Can all offers be extended to total
     /// configurations that jointly satisfy everyone's goals?
-    pub fn reconcile(&self, mode: ReconcileMode) -> Result<Reconciliation, MuppetError> {
+    pub fn reconcile(&mut self, mode: ReconcileMode) -> Result<Reconciliation, MuppetError> {
         let mut op_span = muppet_obs::span("reconcile");
         op_span.attr("mode", format!("{mode:?}"));
-        let mut q = self.new_query();
-        let refs: Vec<&Party> = self.parties.iter().collect();
-        let (bounds, commit_groups) = self.merge_offers(&refs, mode);
-        q.set_bounds(bounds);
-        for g in commit_groups {
-            q.add_group(g);
-        }
-        for p in &self.parties {
-            for g in self.goal_groups(p) {
-                q.add_group(g);
-            }
-        }
-        let (outcome, attempts) = self.run_budgeted(&mut q, |q| q.solve(), Outcome::is_unknown)?;
-        op_span.record("attempts", u64::from(attempts));
-        drop(op_span);
-        Ok(self.reconciliation_report(outcome, attempts))
-    }
-
-    /// Warm-path **Alg. 2**: identical verdicts to
-    /// [`Session::reconcile`], with grounding/encoding state kept alive
-    /// in `store` (see [`Session::local_consistency_warm`]).
-    pub fn reconcile_warm(
-        &self,
-        mode: ReconcileMode,
-        store: &mut PreparedStore,
-    ) -> Result<Reconciliation, MuppetError> {
-        if self.symmetry_breaking {
-            return self.reconcile(mode);
-        }
-        let mut op_span = muppet_obs::span("reconcile");
-        op_span.attr("mode", format!("{mode:?}"));
-        op_span.attr("warm", "true");
-        let refs: Vec<&Party> = self.parties.iter().collect();
-        let (bounds, commit_groups) = self.merge_offers(&refs, mode);
-        let mut groups = vec![self.axiom_group()];
-        groups.extend(commit_groups);
-        for p in &self.parties {
-            groups.extend(self.goal_groups(p));
-        }
-        let (outcome, attempts) = self.run_warm(store, &bounds, &groups)?;
+        let (bounds, groups) = self.reconcile_input(mode);
+        let (outcome, attempts) = self.solve(&bounds, &groups)?;
         op_span.record("attempts", u64::from(attempts));
         drop(op_span);
         Ok(self.reconciliation_report(outcome, attempts))
     }
 
     /// The `(name, content_key)` signature of every formula group a
-    /// [`Session::reconcile_warm`] call would submit, in submission
-    /// order: the axiom group, any commitment groups the mode derives
-    /// from offers, then each party's goal groups. Diffing two
-    /// sessions' signatures predicts exactly which groups a shared warm
-    /// engine will re-encode — unchanged keys are reused from the
-    /// incremental engine's content index — which is how the stream
-    /// session maps a config delta to its dirtied groups without
+    /// [`Session::reconcile`] call would submit, in submission order.
+    /// Diffing two sessions' signatures predicts exactly which groups a
+    /// shared warm engine will re-encode — unchanged keys are reused
+    /// from the incremental engine's content index — which is how the
+    /// stream session maps a config delta to its dirtied groups without
     /// touching the solver (DESIGN.md §16).
     pub fn reconcile_group_signatures(&self, mode: ReconcileMode) -> Vec<(String, u128)> {
-        let refs: Vec<&Party> = self.parties.iter().collect();
-        let (_, commit_groups) = self.merge_offers(&refs, mode);
-        let mut groups = vec![self.axiom_group()];
-        groups.extend(commit_groups);
-        for p in &self.parties {
-            groups.extend(self.goal_groups(p));
-        }
-        groups
+        self.reconcile_input(mode)
+            .1
             .into_iter()
             .map(|g| {
                 let key = g.content_key();
@@ -646,8 +588,8 @@ impl<'a> Session<'a> {
 
     /// Fingerprint of everything that shapes a warm query's variable
     /// layout: universe, vocabulary, the given fixed instance, bounds
-    /// and free relations. Two sessions agreeing on this key can share
-    /// one [`PreparedQuery`].
+    /// and free relations. Queries agreeing on this key share one warm
+    /// engine in the store.
     fn warm_key(&self, bounds: &PartialInstance, free: &[RelId], fixed: &Instance) -> u128 {
         let mut fp = Fingerprinter::new();
         fp.add_universe(self.universe)
@@ -675,31 +617,46 @@ impl<'a> Session<'a> {
         fp.digest()
     }
 
-    /// The warm analogue of [`Session::run_budgeted`], generic over the
-    /// engine operation: fetch (or build) the warm engine for this
-    /// bounds/free/fixed shape, make sure every group is encoded, and
-    /// run `op` with exactly those groups active, under the session's
-    /// budget and retry escalation. `exhausted` shapes a pre-solve
-    /// abort into the operation's result type; `is_unknown` drives the
-    /// retry loop.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_warm_op<T>(
-        &self,
-        store: &mut PreparedStore,
-        bounds: &PartialInstance,
+    /// The one budget/retry loop every solve runs through. Takes the
+    /// engine for the `free`/`bounds`/`fixed` shape (`fixed` defaults
+    /// to the session structure) — the store's warm one, or a fresh
+    /// one-shot — and per attempt: derives the attempt's budget (the
+    /// session budget, with the retry policy's conflict cap when that
+    /// is smaller), makes sure every group is encoded, and runs `op`
+    /// with exactly those groups active. Re-runs while the answer is
+    /// unknown, attempts remain, and the shared deadline/cancellation
+    /// has not already fired (retrying past an absolute deadline cannot
+    /// help). Returns the final answer and the number of attempts.
+    pub(crate) fn run<A: Answer>(
+        &mut self,
+        engine: Engine,
         free: &[RelId],
-        fixed: &Instance,
+        bounds: &PartialInstance,
+        fixed: Option<&Instance>,
         groups: &[FormulaGroup],
-        mut op: impl FnMut(&mut PreparedQuery, &[GroupId], Budget) -> T,
-        exhausted: impl Fn(Phase) -> T,
-        is_unknown: impl Fn(&T) -> bool,
-    ) -> Result<(T, u32), MuppetError> {
-        let key = self.warm_key(bounds, free, fixed);
-        let pq = store.get_or_build(key, || {
-            PreparedQuery::new(&self.vocab, self.universe, free, bounds, fixed.clone())
-        });
+        mut op: impl FnMut(&mut IncrementalQuery, &[GroupId], Budget) -> A,
+    ) -> Result<(A, u32), MuppetError> {
+        let fixed = fixed.unwrap_or(&self.structure);
+        let build =
+            || IncrementalQuery::new(&self.vocab, self.universe, free, bounds, fixed.clone());
+        let mut one_shot;
+        let (pq, mut lex_pending) = match engine {
+            Engine::Warm => {
+                let key = self.warm_key(bounds, free, fixed);
+                (self.store.get_or_build(key, build), false)
+            }
+            Engine::SymmetryBreaking => {
+                one_shot = build();
+                (&mut one_shot, true)
+            }
+            Engine::Probe => {
+                one_shot = build();
+                one_shot.set_minimize_cores(false);
+                (&mut one_shot, false)
+            }
+        };
         pq.set_portfolio(self.portfolio);
-        let attempts_max = self.retry.max_attempts.max(1);
+        let attempts = self.retry.max_attempts.max(1);
         let mut attempt = 1;
         loop {
             let mut budget = self.budget.clone();
@@ -712,7 +669,6 @@ impl<'a> Session<'a> {
             }
             let mut attempt_span = muppet_obs::span("attempt");
             attempt_span.record("attempt", u64::from(attempt));
-            attempt_span.attr("warm", "true");
             let mut active = Vec::with_capacity(groups.len());
             let mut aborted = None;
             for g in groups {
@@ -728,11 +684,17 @@ impl<'a> Session<'a> {
                 }
             }
             let out = match aborted {
-                Some(phase) => exhausted(phase),
-                None => op(pq, &active, budget),
+                Some(phase) => A::aborted(phase),
+                None => {
+                    if lex_pending {
+                        pq.add_symmetry_breaking(groups);
+                        lex_pending = false;
+                    }
+                    op(pq, &active, budget)
+                }
             };
             drop(attempt_span);
-            if is_unknown(&out) && attempt < attempts_max && self.budget.poll().is_none() {
+            if out.is_unknown() && attempt < attempts && self.budget.poll().is_none() {
                 attempt += 1;
                 continue;
             }
@@ -740,62 +702,23 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Warm satisfiability solve: [`Session::run_warm_op`] specialized
-    /// to the all-party-relations shape every Alg. 1/2 query uses.
-    fn run_warm(
-        &self,
-        store: &mut PreparedStore,
+    /// A satisfiability solve over every party's relations against the
+    /// structure — the shape of Alg. 1/2, synthesis and the monolithic
+    /// baseline. Symmetry-breaking sessions solve on a one-shot engine.
+    pub(crate) fn solve(
+        &mut self,
         bounds: &PartialInstance,
         groups: &[FormulaGroup],
     ) -> Result<(Outcome, u32), MuppetError> {
+        let engine = if self.symmetry_breaking {
+            Engine::SymmetryBreaking
+        } else {
+            Engine::Warm
+        };
         let free = self.all_party_rels();
-        self.run_warm_op(
-            store,
-            bounds,
-            &free,
-            &self.structure,
-            groups,
-            |pq, active, budget| pq.solve(active, budget),
-            |phase| Outcome::Unknown {
-                phase,
-                stats: QueryStats::default(),
-                partial: None,
-            },
-            Outcome::is_unknown,
-        )
-    }
-
-    /// Warm target-oriented solve: the probing loop of
-    /// [`PreparedQuery::solve_target`] runs on the warm engine, so the
-    /// cardinality encoding and learned clauses persist across a
-    /// workflow's counter-offer queries.
-    fn run_warm_target(
-        &self,
-        store: &mut PreparedStore,
-        bounds: &PartialInstance,
-        free: &[RelId],
-        groups: &[FormulaGroup],
-        target: &Instance,
-    ) -> Result<((Outcome, usize), u32), MuppetError> {
-        self.run_warm_op(
-            store,
-            bounds,
-            free,
-            &self.structure,
-            groups,
-            |pq, active, budget| pq.solve_target(active, target, budget),
-            |phase| {
-                (
-                    Outcome::Unknown {
-                        phase,
-                        stats: QueryStats::default(),
-                        partial: None,
-                    },
-                    0,
-                )
-            },
-            |(o, _)| o.is_unknown(),
-        )
+        self.run(engine, &free, bounds, None, groups, |pq, active, budget| {
+            pq.solve(active, budget)
+        })
     }
 
     /// **Alg. 3 — envelope extraction.** `E_{from→to}` modulo the
@@ -927,54 +850,16 @@ impl<'a> Session<'a> {
     /// own goals, within the party's offer bounds. Other parties'
     /// relations are treated existentially (as in Alg. 1).
     pub fn synthesize_against(
-        &self,
+        &mut self,
         to: PartyId,
         envelope: &Envelope,
     ) -> Result<Outcome, MuppetError> {
         let party = self.party(to)?;
         let mut op_span = muppet_obs::span("synthesize");
         op_span.attr("party", party.name.clone());
-        let mut q = self.new_query();
-        let (bounds, commit_groups) = self.merge_offers(&[party], ReconcileMode::HardBounds);
-        q.set_bounds(bounds);
-        for g in commit_groups {
-            q.add_group(g);
-        }
-        for g in envelope.to_groups(&self.party_names()) {
-            q.add_group(g);
-        }
-        for g in self.goal_groups(party) {
-            q.add_group(g);
-        }
-        let (outcome, attempts) = self.run_budgeted(&mut q, |q| q.solve(), Outcome::is_unknown)?;
-        op_span.record("attempts", u64::from(attempts));
-        drop(op_span);
-        Ok(outcome)
-    }
-
-    /// Warm-path [`Session::synthesize_against`]: identical verdicts,
-    /// with grounding/encoding state kept alive in `store` (see
-    /// [`Session::local_consistency_warm`]). Symmetry-breaking sessions
-    /// fall back to the cold path.
-    pub fn synthesize_against_warm(
-        &self,
-        to: PartyId,
-        envelope: &Envelope,
-        store: &mut PreparedStore,
-    ) -> Result<Outcome, MuppetError> {
-        if self.symmetry_breaking {
-            return self.synthesize_against(to, envelope);
-        }
-        let party = self.party(to)?;
-        let mut op_span = muppet_obs::span("synthesize");
-        op_span.attr("party", party.name.clone());
-        op_span.attr("warm", "true");
-        let (bounds, commit_groups) = self.merge_offers(&[party], ReconcileMode::HardBounds);
-        let mut groups = vec![self.axiom_group()];
-        groups.extend(commit_groups);
-        groups.extend(envelope.to_groups(&self.party_names()));
-        groups.extend(self.goal_groups(party));
-        let (outcome, attempts) = self.run_warm(store, &bounds, &groups)?;
+        let (bounds, groups) =
+            self.party_input(party, envelope.to_groups(&self.party_names()));
+        let (outcome, attempts) = self.solve(&bounds, &groups)?;
         op_span.record("attempts", u64::from(attempts));
         drop(op_span);
         Ok(outcome)
@@ -983,53 +868,30 @@ impl<'a> Session<'a> {
     /// Fig. 8 solver aid: the *minimal edit* of `target` (the party's
     /// current or preferred configuration) that satisfies the envelope.
     /// Returns the edited configuration and the edit distance (tuple
-    /// flips over the party's relations).
+    /// flips over the party's relations). The query ranges over the
+    /// party's own relations with no symmetry breaking (lex-leader
+    /// pruning would hide the true nearest model); its warm engine keeps
+    /// the cardinality encoding and learned clauses, so a negotiation's
+    /// counter-offer queries get cheaper round over round.
     pub fn minimal_edit(
-        &self,
+        &mut self,
         to: PartyId,
         envelope: &Envelope,
         target: &Instance,
     ) -> Result<(Outcome, usize), MuppetError> {
         self.party(to)?;
         let mut op_span = muppet_obs::span("minimal_edit");
-        let mut q = self.edit_query(to);
-        for g in envelope.to_groups(&self.party_names()) {
-            q.add_group(g);
-        }
-        let (result, attempts) = self.run_budgeted(
-            &mut q,
-            |q| q.solve_target(target),
-            |(outcome, _)| outcome.is_unknown(),
-        )?;
-        op_span.record("attempts", u64::from(attempts));
-        op_span.record("distance", result.1 as u64);
-        drop(op_span);
-        Ok(result)
-    }
-
-    /// Warm-path [`Session::minimal_edit`]: the target-oriented probing
-    /// runs on the warm engine for this party's edit shape, so the
-    /// cardinality (totalizer) encoding and learned clauses persist —
-    /// a negotiation's counter-offer queries get cheaper round over
-    /// round. Minimal-edit queries never use symmetry breaking, so
-    /// (unlike the satisfiability paths) there is no cold fallback to
-    /// take.
-    pub fn minimal_edit_warm(
-        &self,
-        to: PartyId,
-        envelope: &Envelope,
-        target: &Instance,
-        store: &mut PreparedStore,
-    ) -> Result<(Outcome, usize), MuppetError> {
-        self.party(to)?;
-        let mut op_span = muppet_obs::span("minimal_edit");
-        op_span.attr("warm", "true");
         let free = self.owned_rels(to);
         let mut groups = vec![self.axiom_group()];
         groups.extend(envelope.to_groups(&self.party_names()));
-        let bounds = PartialInstance::new();
-        let (result, attempts) =
-            self.run_warm_target(store, &bounds, &free, &groups, target)?;
+        let (result, attempts) = self.run(
+            Engine::Warm,
+            &free,
+            &PartialInstance::new(),
+            None,
+            &groups,
+            |pq, active, budget| pq.solve_target(active, target, budget),
+        )?;
         op_span.record("attempts", u64::from(attempts));
         op_span.record("distance", result.1 as u64);
         drop(op_span);
@@ -1125,7 +987,7 @@ mod tests {
         // The paper's central conflict: the union of the Fig. 2 and
         // Fig. 3 goal sets is unsatisfiable.
         let mv = MeshVocab::paper_example();
-        let session = paper_session(&mv, &IstioGoal::fig3());
+        let mut session = paper_session(&mv, &IstioGoal::fig3());
         let rec = session.reconcile(ReconcileMode::HardBounds).unwrap();
         assert!(!rec.success);
         // The minimal core blames exactly the ban and the backend →
@@ -1146,7 +1008,7 @@ mod tests {
         // "choose up to four different ports".
         let mv = MeshVocab::paper_example();
         let mesh = mv.mesh().clone();
-        let session = paper_session(&mv, &IstioGoal::fig4());
+        let mut session = paper_session(&mv, &IstioGoal::fig4());
         let rec = session.reconcile(ReconcileMode::HardBounds).unwrap();
         assert!(rec.success, "core: {:?}", rec.core);
         // Verify the delivered configs satisfy every goal.
@@ -1179,7 +1041,7 @@ mod tests {
     #[test]
     fn local_consistency_of_each_side() {
         let mv = MeshVocab::paper_example();
-        let session = paper_session(&mv, &IstioGoal::fig3());
+        let mut session = paper_session(&mv, &IstioGoal::fig3());
         // Each party alone is locally consistent (the conflict is joint).
         let k8s = session.local_consistency(mv.k8s_party).unwrap();
         assert!(k8s.ok);
@@ -1304,7 +1166,7 @@ mod tests {
     #[test]
     fn synthesize_against_envelope_produces_compatible_config() {
         let mv = MeshVocab::paper_example();
-        let session = paper_session(&mv, &IstioGoal::fig4());
+        let mut session = paper_session(&mv, &IstioGoal::fig4());
         let env = session
             .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
             .unwrap();
@@ -1323,7 +1185,7 @@ mod tests {
         // With the strict Fig. 3 goals (backend→frontend:23 required),
         // no Istio configuration satisfies envelope + goals.
         let mv = MeshVocab::paper_example();
-        let session = paper_session(&mv, &IstioGoal::fig3());
+        let mut session = paper_session(&mv, &IstioGoal::fig3());
         let env = session
             .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
             .unwrap();
@@ -1341,7 +1203,7 @@ mod tests {
     #[test]
     fn minimal_edit_against_envelope_is_small() {
         let mv = MeshVocab::paper_example();
-        let session = paper_session(&mv, &IstioGoal::fig3());
+        let mut session = paper_session(&mv, &IstioGoal::fig3());
         let env = session
             .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
             .unwrap();
@@ -1482,7 +1344,7 @@ mod tests {
     #[test]
     fn unknown_party_errors() {
         let mv = MeshVocab::paper_example();
-        let session = paper_session(&mv, &IstioGoal::fig3());
+        let mut session = paper_session(&mv, &IstioGoal::fig3());
         let ghost = PartyId(9);
         assert!(matches!(
             session.local_consistency(ghost),
@@ -1536,62 +1398,74 @@ mod tests {
         assert_eq!(ex.phase, Phase::Search);
     }
 
-    /// Warm-path reconciliation and consistency must agree with the
-    /// cold paths verdict-for-verdict, and the second warm call must
-    /// actually reuse the prepared state.
-    #[test]
-    fn warm_paths_match_cold_verdicts_and_reuse_state() {
-        let mv = MeshVocab::paper_example();
-        let mut store = PreparedStore::new();
-
-        // UNSAT case (Fig. 3): same verdict, same minimal core.
-        let s3 = paper_session(&mv, &IstioGoal::fig3());
-        let cold = s3.reconcile(ReconcileMode::HardBounds).unwrap();
-        let warm = s3.reconcile_warm(ReconcileMode::HardBounds, &mut store).unwrap();
-        assert_eq!(cold.success, warm.success);
-        let (mut cc, mut wc) = (cold.core.clone(), warm.core.clone());
-        cc.sort();
-        wc.sort();
-        assert_eq!(cc, wc);
-
-        // Repeat: served from the same prepared query, same answer.
-        let warm2 = s3.reconcile_warm(ReconcileMode::HardBounds, &mut store).unwrap();
-        assert_eq!(warm2.success, cold.success);
-        assert!(store.hits() >= 1, "second call must hit the store");
-        let (_, reused) = store.group_counters();
-        assert!(reused > 0, "repeat call must reuse encoded groups");
-
-        // SAT case (Fig. 4) shares the same store; delivered configs
-        // must satisfy every goal just like the cold path's do.
-        let s4 = paper_session(&mv, &IstioGoal::fig4());
-        let warm4 = s4.reconcile_warm(ReconcileMode::HardBounds, &mut store).unwrap();
-        assert!(warm4.success, "core: {:?}", warm4.core);
-        let mut combined = s4.structure().clone();
-        for c in warm4.configs.values() {
-            combined = combined.union(c);
-        }
-        for (name, holds) in s4.check_goals(&combined) {
-            assert!(holds, "goal {name} violated by warm-delivered configs");
-        }
-
-        // Local consistency parity.
-        let ck = s3.local_consistency(mv.k8s_party).unwrap();
-        let wk = s3.local_consistency_warm(mv.k8s_party, &mut store).unwrap();
-        assert_eq!(ck.ok, wk.ok);
-        assert_eq!(wk.witness.is_some(), ck.witness.is_some());
+    /// The verdict fields of a reconciliation (stats excluded: a warm
+    /// engine does less work by design).
+    fn verdict(rec: &Reconciliation) -> String {
+        format!("{} {:?} {:?} {:?}", rec.success, rec.configs, rec.core, rec.exhausted.is_some())
     }
 
-    /// Warm paths under a symmetry-breaking session silently use the
-    /// cold pipeline (permanent lex clauses must not enter the store).
+    /// A second identical call on the same session encodes no new
+    /// groups and answers byte-identically to the first — on the UNSAT
+    /// (Fig. 3) and SAT (Fig. 4) cases, for Alg. 1 and Alg. 2.
     #[test]
-    fn warm_paths_fall_back_under_symmetry_breaking() {
+    fn repeat_call_on_one_session_reuses_every_group() {
         let mv = MeshVocab::paper_example();
-        let mut store = PreparedStore::new();
+        for rows in [IstioGoal::fig3(), IstioGoal::fig4()] {
+            let mut s = paper_session(&mv, &rows);
+            let first = s.reconcile(ReconcileMode::HardBounds).unwrap();
+            let (encoded, reused) = s.store().group_counters();
+            let second = s.reconcile(ReconcileMode::HardBounds).unwrap();
+            assert_eq!(verdict(&first), verdict(&second));
+            assert_eq!(s.store().group_counters(), (encoded, reused + encoded));
+            assert_eq!(s.store().hits(), 1, "second call must hit the warm engine");
+
+            let k1 = s.local_consistency(mv.k8s_party).unwrap();
+            let (encoded, reused) = s.store().group_counters();
+            let k2 = s.local_consistency(mv.k8s_party).unwrap();
+            assert_eq!(
+                format!("{} {:?} {:?}", k1.ok, k1.witness, k1.core),
+                format!("{} {:?} {:?}", k2.ok, k2.witness, k2.core)
+            );
+            let (encoded2, reused2) = s.store().group_counters();
+            assert_eq!(encoded2, encoded, "repeat consistency check encoded new groups");
+            assert!(reused2 > reused);
+        }
+    }
+
+    /// A fresh session's reconcile encodes exactly one group per
+    /// distinct signature key, so the stream session's dirty-group
+    /// prediction matches what reconcile submits.
+    #[test]
+    fn reconcile_encodes_one_group_per_signature_key() {
+        let mv = MeshVocab::paper_example();
+        for mode in [ReconcileMode::HardBounds, ReconcileMode::Blameable] {
+            let mut s = paper_session(&mv, &IstioGoal::fig3());
+            let fe = mv.svc_atom("test-frontend").unwrap();
+            s.party_mut(mv.istio_party)
+                .unwrap()
+                .offer
+                .require(mv.istio_eg_guard, vec![fe]);
+            let keys: std::collections::BTreeSet<u128> = s
+                .reconcile_group_signatures(mode)
+                .into_iter()
+                .map(|(_, k)| k)
+                .collect();
+            s.reconcile(mode).unwrap();
+            let (encoded, _) = s.store().group_counters();
+            assert_eq!(encoded, keys.len() as u64, "{mode:?}");
+        }
+    }
+
+    /// Symmetry-breaking solves run on one-shot engines: the permanent
+    /// lex clauses must never enter the warm store.
+    #[test]
+    fn symmetry_breaking_solves_bypass_the_store() {
+        let mv = MeshVocab::paper_example();
         let mut s = paper_session(&mv, &IstioGoal::fig4());
         s.set_symmetry_breaking(true);
-        let rec = s.reconcile_warm(ReconcileMode::HardBounds, &mut store).unwrap();
+        let rec = s.reconcile(ReconcileMode::HardBounds).unwrap();
         assert!(rec.success);
-        assert!(store.is_empty(), "fallback must not populate the store");
+        assert!(s.store().is_empty(), "one-shot solves must not populate the store");
     }
 
     /// An expired deadline (no fault injection at all) also yields the

@@ -24,11 +24,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use muppet::conformance::run_conformance_with_store;
-use muppet::negotiate::{DropBlamedSoftGoals, Negotiator, Stubborn};
+use muppet::conformance::run_conformance;
+use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
 use muppet::{
     Budget, CancelToken, ConsistencyReport, Envelope, ExhaustionReport, MuppetError,
     QueryStats, Reconciliation, ReconcileMode, RetryPolicy, Session,
@@ -43,7 +43,7 @@ use muppet_obs::{registry, Counter, Gauge, Histogram};
 use crate::cache::ResultCache;
 use crate::json::Json;
 use crate::proto::{Op, Request, Response};
-use crate::spec::{SessionSpec, WarmSession};
+use crate::spec::{SessionSpec, WarmCore, WarmSession};
 
 use muppet::fingerprint::{hex as fingerprint_hex, parse_hex, Fingerprinter};
 
@@ -210,6 +210,16 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// [`relock`] without waiting: `None` while another thread holds the
+/// lock.
+fn try_relock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
@@ -562,9 +572,25 @@ impl Engine {
         cancel: Option<&CancelToken>,
     ) -> Result<(Json, bool), String> {
         // Split borrows: the rebuilt `Session` borrows `core` while the
-        // warm solver state lives in the sibling `prepared` store.
+        // warm solver state lives in the sibling `prepared` store. The
+        // store is lent to the session for this request and taken back
+        // on every return path, errors included.
         let WarmSession { core, prepared, .. } = ws;
         let mut session = core.session();
+        std::mem::swap(session.store_mut(), prepared);
+        let out = self.solve_op(req, core, &mut session, cancel);
+        std::mem::swap(session.store_mut(), prepared);
+        out
+    }
+
+    /// [`Engine::run_op`] on a session that holds the warm store.
+    fn solve_op(
+        &self,
+        req: &Request,
+        core: &WarmCore,
+        session: &mut Session<'_>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(Json, bool), String> {
         let mut budget = Budget::unlimited();
         if let Some(ms) = req.timeout_ms {
             budget = budget.with_timeout(Duration::from_millis(ms));
@@ -587,12 +613,10 @@ impl Engine {
         match req.op {
             Op::CheckConsistency => {
                 let party = self.party_from(req.party.as_deref(), "party", core)?;
-                let report = session
-                    .local_consistency_warm(party, prepared)
-                    .map_err(describe_err)?;
+                let report = session.local_consistency(party).map_err(describe_err)?;
                 let definite = report.exhausted.is_none();
                 self.note_portfolio(&report.stats);
-                Ok((consistency_json(&session, party, &report), definite))
+                Ok((consistency_json(session, party, &report), definite))
             }
             Op::Reconcile => {
                 let mode = match req.mode.as_deref().unwrap_or("hard") {
@@ -600,10 +624,10 @@ impl Engine {
                     "blameable" => ReconcileMode::Blameable,
                     other => return Err(format!("unknown reconcile mode {other:?}")),
                 };
-                let rec = session.reconcile_warm(mode, prepared).map_err(describe_err)?;
+                let rec = session.reconcile(mode).map_err(describe_err)?;
                 let definite = rec.exhausted.is_none();
                 self.note_portfolio(&rec.stats);
-                Ok((reconciliation_json(&session, &rec), definite))
+                Ok((reconciliation_json(session, &rec), definite))
             }
             Op::ExtractEnvelope => {
                 // `E_{S→to}`: every *other* party is a sender with its
@@ -617,16 +641,15 @@ impl Engine {
                 let env = session
                     .compute_multi_envelope(&senders, to)
                     .map_err(describe_err)?;
-                Ok((envelope_json(&session, &env), true))
+                Ok((envelope_json(session, &env), true))
             }
             Op::CheckConformance => {
                 let provider = self.party_or_slot(req.provider.as_deref(), 0, core)?;
                 let tenant = self.tenant_for(req.to.as_deref(), provider, core)?;
                 let preferred = core.deployed(tenant)?;
-                let report =
-                    run_conformance_with_store(&session, provider, tenant, Some(&preferred), prepared)
-                        .map_err(describe_err)?;
-                Ok((conformance_json(&session, &report), true))
+                let report = run_conformance(session, provider, tenant, Some(&preferred))
+                    .map_err(describe_err)?;
+                Ok((conformance_json(session, &report), true))
             }
             Op::NegotiateRound => {
                 let rounds = req.max_rounds.unwrap_or(4).min(64) as usize;
@@ -651,19 +674,15 @@ impl Engine {
                         negotiators.insert(id, Box::new(DropBlamedSoftGoals));
                     }
                 }
-                let report = muppet::negotiate::run_negotiation_with_store(
-                    &mut session,
-                    &mut negotiators,
-                    rounds,
-                    prepared,
-                )
-                .map_err(describe_err)?;
+                let report =
+                    run_negotiation(session, &mut negotiators, rounds, Schedule::RoundRobin)
+                        .map_err(describe_err)?;
                 let configs = Json::Obj(
                     report
                         .configs
                         .iter()
                         .map(|(id, c)| {
-                            (core.model.role(*id).to_string(), instance_json(&session, c))
+                            (core.model.role(*id).to_string(), instance_json(session, c))
                         })
                         .collect(),
                 );
@@ -893,30 +912,25 @@ impl Engine {
         let cache_len = relock(&self.cache).len() as u64;
         let reg = relock(&self.sessions);
         let session_count = reg.map.len() as u64;
+        // Warm-group counters cover the sessions at rest. A session
+        // busy with a request has lent its store to that request's
+        // `Session`; it is skipped rather than waited for, so `stats`
+        // answers while long solves run.
         let (mut builds, mut reuses) = (0u64, 0u64);
-        let (mut ground_hits, mut ground_misses) = (0u64, 0u64);
-        for h in reg.map.values() {
-            let ws = relock(h);
+        for ws in reg.map.values().filter_map(|h| try_relock(h)) {
             let (b, r) = ws.prepared.group_counters();
             builds += b;
             reuses += r;
-            let (gh, gm) = ws.prepared.ground_cache_counters();
-            ground_hits += gh;
-            ground_misses += gm;
         }
         drop(reg);
         // Streaming watches carry their own warm stores; their reuse is
         // part of the same story the counters tell.
         let wreg = relock(&self.watches);
         let watch_count = wreg.map.len() as u64;
-        for h in wreg.map.values() {
-            let ss = relock(h);
+        for ss in wreg.map.values().filter_map(|h| try_relock(h)) {
             let (b, r) = ss.group_counters();
             builds += b;
             reuses += r;
-            let (gh, gm) = ss.ground_cache_counters();
-            ground_hits += gh;
-            ground_misses += gm;
         }
         drop(wreg);
         let lat = relock(&self.latencies);
@@ -968,21 +982,6 @@ impl Engine {
             (
                 "warm_groups",
                 Json::obj([("encoded", Json::num(builds)), ("reused", Json::num(reuses))]),
-            ),
-            (
-                "ground_cache",
-                Json::obj([
-                    ("hits", Json::num(ground_hits)),
-                    ("misses", Json::num(ground_misses)),
-                    (
-                        "hit_rate",
-                        if ground_hits + ground_misses == 0 {
-                            Json::Null
-                        } else {
-                            Json::Num(ground_hits as f64 / (ground_hits + ground_misses) as f64)
-                        },
-                    ),
-                ]),
             ),
             ("obs", obs_json()),
             ("kernel", kernel_json()),
@@ -1059,8 +1058,6 @@ fn stream_stats_json(s: &StreamStats) -> Json {
         ("dirtied", Json::strs(&s.dirtied)),
         ("groups_encoded", Json::num(s.groups_encoded)),
         ("groups_reused", Json::num(s.groups_reused)),
-        ("ground_cache_hits", Json::num(s.ground_cache_hits)),
-        ("ground_cache_misses", Json::num(s.ground_cache_misses)),
         ("vocab_rebuilt", Json::Bool(s.vocab_rebuilt)),
         ("delta_us", Json::num(s.elapsed_us)),
     ])
@@ -1397,6 +1394,51 @@ mod tests {
         assert_eq!(relaxed.result.get("success").and_then(Json::as_bool), Some(true));
     }
 
+    /// `warm_groups.{encoded,reused}` from the stats op.
+    fn warm_groups(eng: &Engine) -> (u64, u64) {
+        let stats = eng.handle(&Request::new(Op::Stats), None).result;
+        let wg = stats.get("warm_groups").expect("stats carries warm_groups");
+        let n = |k: &str| wg.get(k).and_then(Json::as_u64).unwrap();
+        (n("encoded"), n("reused"))
+    }
+
+    /// A request that fails on a warm session — an error raised after
+    /// the store was lent to the request's session, or a solve whose
+    /// budget is already spent — leaves the session's store in place:
+    /// the next same-shape request reuses every group it encoded.
+    #[test]
+    fn failed_request_keeps_warm_state() {
+        let eng = engine();
+        let spec = SessionSpec::paper_strict();
+        let first = eng.handle_op(Op::Reconcile, &spec);
+        assert!(first.ok, "{:?}", first.error);
+        let (encoded, reused) = warm_groups(&eng);
+        assert!(encoded > 0);
+
+        let mut bad_mode = Request::new(Op::Reconcile).with_spec(spec.clone());
+        bad_mode.mode = Some("bogus".into());
+        let r = eng.handle(&bad_mode, None);
+        assert!(!r.ok, "an unknown mode must fail");
+        let mut expired = Request::new(Op::CheckConsistency).with_spec(spec.clone());
+        expired.party = Some("k8s".into());
+        expired.timeout_ms = Some(0);
+        let r = eng.handle(&expired, None);
+        assert!(r.ok, "{:?}", r.error);
+        assert!(
+            r.result.get("exhausted").is_some_and(|e| *e != Json::Null),
+            "an expired budget must report exhaustion"
+        );
+        assert_eq!(warm_groups(&eng).0, encoded, "failed requests must not lose the store");
+
+        let mut again = expired.clone();
+        again.timeout_ms = None;
+        let r = eng.handle(&again, None);
+        assert!(r.ok && !r.cached, "{:?}", r.error);
+        let (encoded2, reused2) = warm_groups(&eng);
+        assert_eq!(encoded2, encoded, "same-shape request re-encoded groups");
+        assert!(reused2 > reused, "same-shape request must reuse warm groups");
+    }
+
     #[test]
     fn tenant_goal_edit_keeps_provider_envelope_hot() {
         let eng = engine();
@@ -1452,7 +1494,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_hit_is_much_faster_than_cold() {
+    fn cached_hit_is_much_faster_than_solving() {
         let eng = engine();
         let spec = SessionSpec::paper_relaxed();
         let t0 = Instant::now();

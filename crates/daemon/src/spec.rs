@@ -359,11 +359,11 @@ mod tests {
     #[test]
     fn paper_specs_load_and_reconcile_as_in_the_paper() {
         let strict = SessionSpec::paper_strict().load().unwrap();
-        let s = strict.core.session();
+        let mut s = strict.core.session();
         let rec = s.reconcile(muppet::ReconcileMode::HardBounds).unwrap();
         assert!(!rec.success, "Fig. 3 goals conflict with the ban");
         let relaxed = SessionSpec::paper_relaxed().load().unwrap();
-        let s = relaxed.core.session();
+        let mut s = relaxed.core.session();
         let rec = s.reconcile(muppet::ReconcileMode::HardBounds).unwrap();
         assert!(rec.success, "Fig. 4 relaxation reconciles: {:?}", rec.core);
     }
@@ -376,7 +376,7 @@ mod tests {
         assert!(warm.core.party_id("platform").is_ok());
         assert!(warm.core.party_id("linkerd-admin").is_ok());
         assert!(warm.core.party_id("k8s").is_err());
-        let s = warm.core.session();
+        let mut s = warm.core.session();
         let rec = s.reconcile(muppet::ReconcileMode::HardBounds).unwrap();
         assert!(!rec.success, "the committed example carries a conflict");
     }

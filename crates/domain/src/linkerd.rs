@@ -1358,7 +1358,7 @@ mod tests {
     #[test]
     fn example_reconciles_only_after_dropping_conflicting_goals() {
         let model = LinkerdDomain.build(&example_input()).unwrap();
-        let s = model.session();
+        let mut s = model.session();
         let rec = s.reconcile(ReconcileMode::Blameable).unwrap();
         assert!(!rec.success, "legacy/db and 9090 rows conflict");
         // Blame names both sides.
@@ -1381,7 +1381,7 @@ mod tests {
             ..example_input()
         };
         let model = LinkerdDomain.build(&solo).unwrap();
-        let s = model.session();
+        let mut s = model.session();
         let rec = s.reconcile(ReconcileMode::HardBounds).unwrap();
         assert!(rec.success, "core: {:?}", rec.core);
     }
@@ -1400,7 +1400,7 @@ mod tests {
             extra_ports: Vec::new(),
         };
         let model = LinkerdDomain.build(&input).unwrap();
-        let s = model.session();
+        let mut s = model.session();
         assert!(!s.reconcile(ReconcileMode::HardBounds).unwrap().success);
         // Without the mTLS requirement the same row is satisfiable.
         let relaxed = DomainInput {
@@ -1411,7 +1411,7 @@ mod tests {
             ..input
         };
         let model = LinkerdDomain.build(&relaxed).unwrap();
-        let s = model.session();
+        let mut s = model.session();
         assert!(s.reconcile(ReconcileMode::HardBounds).unwrap().success);
     }
 

@@ -216,7 +216,7 @@ mod tests {
         assert_eq!(model.parties.len(), 2);
         assert_eq!(model.role(PartyId(0)), "k8s");
         assert_eq!(model.party_id("istio-admin").unwrap(), PartyId(1));
-        let s = model.session();
+        let mut s = model.session();
         let rec = s.reconcile(ReconcileMode::HardBounds).unwrap();
         assert!(!rec.success, "Fig. 3 goals conflict with the port-23 ban");
     }

@@ -1,8 +1,8 @@
 //! Stable content fingerprints for logic-level values.
 //!
 //! Caches throughout the pipeline — the daemon's result cache, the
-//! warm-session registry, and the incremental engine's per-subformula
-//! ground/encode cache — are keyed by *content*, not identity: two
+//! warm-session registry, and the incremental engine's group index
+//! and warm-engine store — are keyed by *content*, not identity: two
 //! values that describe the same formulas, bounds and universe must
 //! collide, and any semantic difference must not. [`Fingerprinter`]
 //! produces a 128-bit digest from two independently-seeded FNV-1a

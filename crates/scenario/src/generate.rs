@@ -476,7 +476,7 @@ mod tests {
         });
         assert!(s.conflicting_ports().is_empty());
         assert_eq!(s.expected_label(), Expected::Sat);
-        let session = s.session(false);
+        let mut session = s.session(false);
         let rec = session.reconcile(ReconcileMode::HardBounds).unwrap();
         assert!(rec.success);
     }
@@ -490,7 +490,7 @@ mod tests {
         });
         assert!(!s.conflicting_ports().is_empty());
         assert_eq!(s.expected_label(), Expected::Unsat);
-        let session = s.session(false);
+        let mut session = s.session(false);
         let rec = session.reconcile(ReconcileMode::Blameable).unwrap();
         assert!(!rec.success);
         assert!(!rec.core.is_empty());
@@ -506,7 +506,7 @@ mod tests {
             k8s_goals: 2,
             ..ScenarioParams::default()
         });
-        let session = s.session(false);
+        let mut session = s.session(false);
         let rec = session.reconcile(ReconcileMode::HardBounds).unwrap();
         assert!(rec.success);
     }
@@ -531,7 +531,7 @@ mod tests {
         assert_eq!(namespaces.len(), 3);
         // The session solves either way; if conflicts exist the core
         // names goals, not the whole table.
-        let session = s.session(false);
+        let mut session = s.session(false);
         let rec = session.reconcile(muppet::ReconcileMode::Blameable).unwrap();
         if s.conflicting_ports().is_empty() {
             assert!(rec.success);
@@ -549,7 +549,7 @@ mod tests {
             ..ScenarioParams::default()
         });
         assert_eq!(s.mesh.services().len(), 12);
-        let session = s.session(false);
+        let mut session = s.session(false);
         assert!(session.reconcile(ReconcileMode::HardBounds).unwrap().success);
     }
 

@@ -107,9 +107,9 @@ mod tests {
     #[test]
     fn fig3_conflicts_fig4_reconciles() {
         let mv = vocab();
-        let s3 = session(&mv, IstioTable::Fig3);
+        let mut s3 = session(&mv, IstioTable::Fig3);
         assert!(!s3.reconcile(ReconcileMode::HardBounds).unwrap().success);
-        let s4 = session(&mv, IstioTable::Fig4);
+        let mut s4 = session(&mv, IstioTable::Fig4);
         assert!(s4.reconcile(ReconcileMode::HardBounds).unwrap().success);
     }
 

@@ -9,10 +9,7 @@
 //! re-grounds and re-encodes *nothing*: it just assumes the selectors
 //! of the groups it needs. Groups absent from a request are inert
 //! (their clauses are `¬sel ∨ …` and `sel` is not assumed), which is
-//! what makes delta-aware reuse sound. Below group granularity, a
-//! per-subformula cache keyed by content fingerprint
-//! ([`muppet_logic::fingerprint`]) shares ground/encode work between
-//! groups that repeat a formula.
+//! what makes delta-aware reuse sound.
 //!
 //! Learned clauses and variable activity persist in the warm solver,
 //! so negotiation round *N* starts from round *N−1*'s search state.
@@ -30,7 +27,8 @@
 //! whichever the search produced.
 //!
 //! The one-shot [`crate::Query`] facade compiles into a fresh engine
-//! per call; [`crate::PreparedQuery`] is an alias for this type.
+//! per call; [`crate::PreparedStore`] keeps warm engines keyed by
+//! query shape.
 
 use std::collections::HashMap;
 
@@ -40,7 +38,7 @@ use muppet_obs::{Counter, Gauge};
 use muppet_portfolio::{solve_portfolio, PortfolioConfig, PortfolioSummary};
 use muppet_sat::{mus, Budget, Lit, Model, ReduceStrategy, SolveResult, Solver, SolverStats, Var};
 
-use crate::ground::{ground, GExpr, GroundError};
+use crate::ground::{ground, GroundError};
 use crate::query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, QueryStats};
 use crate::totalizer::Totalizer;
 use crate::tseitin::encode;
@@ -111,9 +109,8 @@ pub enum TargetStrategy {
 ///
 /// Restriction: [`IncrementalQuery::add_symmetry_breaking`] installs
 /// *permanent*, goal-set-dependent lex clauses, so it is only sound on
-/// an engine used as a one-shot (the [`crate::Query`] facade). Warm
-/// callers must not enable it — `Session` falls back to a cold facade
-/// query when symmetry breaking is on.
+/// an engine used once and dropped. Warm callers must not enable it —
+/// `Session` runs symmetry-breaking solves on a one-shot engine.
 pub struct IncrementalQuery {
     vocab: Vocabulary,
     universe: Universe,
@@ -125,8 +122,6 @@ pub struct IncrementalQuery {
     selectors: Vec<(String, Lit)>,
     /// Group content fingerprint → index into `selectors`.
     index: HashMap<u128, usize>,
-    /// Subformula content fingerprint → encoded root literal.
-    ground_cache: HashMap<u128, Lit>,
     /// Difference-input fingerprint → cardinality network, so repeated
     /// target-oriented solves against the same target reuse the
     /// (permanent, one-sided, assumption-activated) totalizer clauses.
@@ -144,12 +139,8 @@ pub struct IncrementalQuery {
     kernel_published: SolverStats,
     encoded_groups: u64,
     reused_groups: u64,
-    ground_cache_hits: u64,
-    ground_cache_misses: u64,
     ctr_encoded: Counter,
     ctr_reused: Counter,
-    ctr_cache_hits: Counter,
-    ctr_cache_misses: Counter,
     ctr_inprocessings: Counter,
     ctr_subsumed: Counter,
     ctr_strengthened: Counter,
@@ -190,7 +181,6 @@ impl IncrementalQuery {
             varmap,
             selectors: Vec::new(),
             index: HashMap::new(),
-            ground_cache: HashMap::new(),
             totalizers: HashMap::new(),
             minimize_cores: true,
             canonical_cap: DEFAULT_CANONICAL_CAP,
@@ -200,12 +190,8 @@ impl IncrementalQuery {
             kernel_published: SolverStats::default(),
             encoded_groups: 0,
             reused_groups: 0,
-            ground_cache_hits: 0,
-            ground_cache_misses: 0,
             ctr_encoded: metrics.counter("engine.groups.encoded"),
             ctr_reused: metrics.counter("engine.groups.reused"),
-            ctr_cache_hits: metrics.counter("engine.ground_cache.hits"),
-            ctr_cache_misses: metrics.counter("engine.ground_cache.misses"),
             ctr_inprocessings: metrics.counter("kernel.inprocessings"),
             ctr_subsumed: metrics.counter("kernel.subsumed_clauses"),
             ctr_strengthened: metrics.counter("kernel.strengthened_clauses"),
@@ -297,18 +283,9 @@ impl IncrementalQuery {
         group.content_key()
     }
 
-    /// Content fingerprint of one formula (the subformula-cache key).
-    fn formula_key(formula: &Formula) -> u128 {
-        let mut fp = Fingerprinter::new();
-        fp.add_hash(formula);
-        fp.digest()
-    }
-
     /// Ground + encode `group` if this engine has not seen its content
     /// before; otherwise reuse the existing encoding. The returned id
-    /// activates the group in a later solve. Individual formulas are
-    /// cached by content too, so a new group made of already-seen
-    /// formulas costs one selector variable and one clause per formula.
+    /// activates the group in a later solve.
     pub fn ensure_group(
         &mut self,
         group: &FormulaGroup,
@@ -327,25 +304,14 @@ impl IncrementalQuery {
         if budget.poll().is_some() {
             return Err(PrepareError::Exhausted(Phase::Ground));
         }
-        // Ground phase: every formula not in the subformula cache.
         let mut ground_span = muppet_obs::span("ground");
         ground_span.record("groups", 1);
-        let mut hits = 0u64;
-        let mut pending: Vec<(u128, Option<GExpr>)> = Vec::with_capacity(group.formulas.len());
-        for f in &group.formulas {
-            let fkey = Self::formula_key(f);
-            if self.ground_cache.contains_key(&fkey) {
-                hits += 1;
-                pending.push((fkey, None));
-            } else {
-                let expr = ground(f, &self.varmap, &self.fixed, &self.universe)
-                    .map_err(PrepareError::Ground)?;
-                pending.push((fkey, Some(expr)));
-            }
-        }
-        let misses = pending.len() as u64 - hits;
-        ground_span.record("cache_hits", hits);
-        ground_span.record("cache_misses", misses);
+        let exprs = group
+            .formulas
+            .iter()
+            .map(|f| ground(f, &self.varmap, &self.fixed, &self.universe))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(PrepareError::Ground)?;
         drop(ground_span);
         #[cfg(any(test, feature = "fault-inject"))]
         if crate::fault::should_trip(Phase::Encode) {
@@ -360,22 +326,11 @@ impl IncrementalQuery {
         let mut encode_span = muppet_obs::span("encode");
         encode_span.record("groups", 1);
         let sel = Lit::pos(self.solver.new_var());
-        for (fkey, expr) in pending {
-            let lit = match expr {
-                Some(expr) => {
-                    let lit = encode(&expr, &mut self.solver);
-                    self.ground_cache.insert(fkey, lit);
-                    lit
-                }
-                None => self.ground_cache[&fkey],
-            };
+        for expr in &exprs {
+            let lit = encode(expr, &mut self.solver);
             self.solver.add_clause([!sel, lit]);
         }
         drop(encode_span);
-        self.ground_cache_hits += hits;
-        self.ground_cache_misses += misses;
-        self.ctr_cache_hits.add(hits);
-        self.ctr_cache_misses.add(misses);
         let i = self.selectors.len();
         self.selectors.push((group.name.clone(), sel));
         self.index.insert(key, i);
@@ -1132,18 +1087,6 @@ impl IncrementalQuery {
         self.reused_groups
     }
 
-    /// Subformula ground/encode cache hits across all `ensure_group`
-    /// calls (formulas shared between distinct groups).
-    pub fn ground_cache_hits(&self) -> u64 {
-        self.ground_cache_hits
-    }
-
-    /// Subformula ground/encode cache misses (fresh ground + encode
-    /// work) across all `ensure_group` calls.
-    pub fn ground_cache_misses(&self) -> u64 {
-        self.ground_cache_misses
-    }
-
     /// The owned vocabulary (for decoding / debugging).
     pub fn vocab(&self) -> &Vocabulary {
         &self.vocab
@@ -1186,7 +1129,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_subformulas_hit_the_ground_cache() {
+    fn groups_sharing_a_formula_stay_independent() {
         let f = fix();
         let shared = tuple_pred(&f, 0, 1);
         let own = tuple_pred(&f, 1, 2);
@@ -1198,9 +1141,6 @@ mod tests {
         let i2 = q.ensure_group(&g2, &b).unwrap();
         assert_ne!(i1, i2, "distinct groups get distinct selectors");
         assert_eq!(q.encoded_groups(), 2);
-        assert_eq!(q.ground_cache_misses(), 2, "`shared` and `own` ground once each");
-        assert_eq!(q.ground_cache_hits(), 1, "`shared` reused by the second group");
-        // Both groups behave correctly despite the shared encoding.
         assert!(q.solve(&[i1, i2], Budget::unlimited()).is_sat());
         let neg = FormulaGroup::new("neg", vec![Formula::not(shared)]);
         let i3 = q.ensure_group(&neg, &b).unwrap();

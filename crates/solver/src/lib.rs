@@ -36,11 +36,11 @@
 //!   model space.
 //! * **One incremental engine** ([`IncrementalQuery`], DESIGN.md §13):
 //!   every path above runs on a single warm compilation engine —
-//!   selector-gated CNF groups, a content-fingerprinted subformula
-//!   ground/encode cache, persistent learned clauses — with [`Query`]
-//!   as the one-shot facade and [`PreparedQuery`] as the warm alias.
-//!   Models and cores are canonicalized so warm, cold and portfolio
-//!   runs answer byte-identically.
+//!   selector-gated CNF groups deduplicated by content fingerprint,
+//!   persistent learned clauses — with [`Query`] as the one-shot facade
+//!   and [`PreparedStore`] holding warm engines per query shape.
+//!   Models and cores are canonicalized so a warm engine, a fresh one
+//!   and a portfolio run answer byte-identically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +59,7 @@ pub mod varmap;
 pub use incremental::{IncrementalQuery, TargetStrategy, DEFAULT_CANONICAL_CAP};
 pub use muppet_portfolio::{default_threads, PortfolioConfig, PortfolioSummary};
 pub use muppet_sat::{Budget, CancelToken, Exhaustion, ReduceStrategy, RetryPolicy};
-pub use prepared::{GroupId, PrepareError, PreparedQuery, PreparedStore};
+pub use prepared::{GroupId, PrepareError, PreparedStore};
 pub use query::{FormulaGroup, Outcome, PartialResult, Phase, Query, QueryError, QueryStats};
 pub use ground::{ground, GExpr};
 pub use varmap::VarMap;

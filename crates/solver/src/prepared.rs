@@ -1,8 +1,7 @@
 //! Warm, reusable encode state for repeated queries.
 //!
 //! The warm query type itself is the incremental engine
-//! ([`IncrementalQuery`], DESIGN.md §13); [`PreparedQuery`] is kept as
-//! an alias for daemon-facing callers. This module owns
+//! ([`IncrementalQuery`], DESIGN.md §13). This module owns
 //! [`PreparedStore`]: a capped, keyed store of warm engines.
 //!
 //! [`PreparedStore`] maps a *base fingerprint* — vocabulary, universe,
@@ -14,21 +13,17 @@ use std::collections::HashMap;
 
 pub use crate::incremental::{GroupId, IncrementalQuery, PrepareError};
 
-/// Back-compat alias: the warm prepared query *is* the incremental
-/// engine.
-pub type PreparedQuery = IncrementalQuery;
-
-/// A keyed store of warm [`PreparedQuery`]s. Keys are *base
+/// A keyed store of warm [`IncrementalQuery`] engines. Keys are *base
 /// fingerprints* — everything that shapes the variable layout: vocab,
 /// universe, fixed instance, bounds and free relations. Distinct keys
 /// get distinct warm states; hitting an existing key is the warm path.
 ///
-/// Counter discipline: `builds`, `hits` and the group/ground-cache
-/// counters are **monotone over the store's lifetime** — evicting an
-/// engine retires its counters into store-level accumulators instead of
-/// forgetting them, so dashboards never see totals go backwards.
+/// Counter discipline: `builds`, `hits` and the group counters are
+/// **monotone over the store's lifetime** — evicting an engine retires
+/// its counters into store-level accumulators instead of forgetting
+/// them, so dashboards never see totals go backwards.
 pub struct PreparedStore {
-    map: HashMap<u128, PreparedQuery>,
+    map: HashMap<u128, IncrementalQuery>,
     order: Vec<u128>,
     cap: usize,
     builds: u64,
@@ -36,8 +31,6 @@ pub struct PreparedStore {
     evictions: u64,
     retired_encoded: u64,
     retired_reused: u64,
-    retired_cache_hits: u64,
-    retired_cache_misses: u64,
 }
 
 impl PreparedStore {
@@ -58,8 +51,6 @@ impl PreparedStore {
             evictions: 0,
             retired_encoded: 0,
             retired_reused: 0,
-            retired_cache_hits: 0,
-            retired_cache_misses: 0,
         }
     }
 
@@ -71,8 +62,8 @@ impl PreparedStore {
     pub fn get_or_build(
         &mut self,
         key: u128,
-        build: impl FnOnce() -> PreparedQuery,
-    ) -> &mut PreparedQuery {
+        build: impl FnOnce() -> IncrementalQuery,
+    ) -> &mut IncrementalQuery {
         if !self.map.contains_key(&key) {
             if self.order.len() >= self.cap {
                 let evict = self.order.remove(0);
@@ -82,8 +73,6 @@ impl PreparedStore {
                     self.evictions += 1;
                     self.retired_encoded += old.encoded_groups();
                     self.retired_reused += old.reused_groups();
-                    self.retired_cache_hits += old.ground_cache_hits();
-                    self.retired_cache_misses += old.ground_cache_misses();
                 }
             }
             self.map.insert(key, build());
@@ -131,16 +120,6 @@ impl PreparedStore {
             |(e, r), q| (e + q.encoded_groups(), r + q.reused_groups()),
         )
     }
-
-    /// Summed subformula ground/encode cache (hits, misses) across the
-    /// store's whole lifetime, eviction-safe like
-    /// [`PreparedStore::group_counters`].
-    pub fn ground_cache_counters(&self) -> (u64, u64) {
-        self.map.values().fold(
-            (self.retired_cache_hits, self.retired_cache_misses),
-            |(h, m), q| (h + q.ground_cache_hits(), m + q.ground_cache_misses()),
-        )
-    }
 }
 
 impl Default for PreparedStore {
@@ -174,8 +153,8 @@ mod tests {
         Fix { u, v, allow, atoms }
     }
 
-    fn pq(f: &Fix) -> PreparedQuery {
-        PreparedQuery::new(
+    fn pq(f: &Fix) -> IncrementalQuery {
+        IncrementalQuery::new(
             &f.v,
             &f.u,
             &[f.allow],

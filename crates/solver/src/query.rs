@@ -10,9 +10,9 @@
 //!
 //! `Query` is a thin **one-shot facade** over the incremental engine
 //! ([`crate::IncrementalQuery`], DESIGN.md §13): each call compiles the
-//! groups into a fresh engine and delegates. Long-lived callers
-//! (sessions, the daemon, negotiation loops) hold a warm engine instead
-//! and pay the ground/encode cost once.
+//! groups into a fresh engine and delegates. `muppet::Session` solves
+//! on warm engines from its own store instead and pays the
+//! ground/encode cost once per group.
 
 use std::fmt;
 

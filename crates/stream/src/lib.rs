@@ -15,18 +15,18 @@
 //!    fingerprints of the groups a reconcile would submit against the
 //!    previous delta's set ([`muppet::Session::reconcile_group_signatures`]),
 //! 3. re-runs reconciliation multi-shot through
-//!    [`muppet::Session::reconcile_warm`] — unchanged groups are reused
-//!    from the engine's content index, only dirtied ones are
-//!    re-grounded and re-encoded — and
+//!    [`muppet::Session::reconcile`] on a per-delta session that
+//!    borrows the stream's store — unchanged groups are reused from the
+//!    engine's content index, only dirtied ones are re-grounded and
+//!    re-encoded — and
 //! 4. reports a per-delta [`StreamStats`]: verdict, whether it flipped,
-//!    dirtied group names, groups re-encoded vs reused, subformula
-//!    ground-cache hits, and latency.
+//!    dirtied group names, groups re-encoded vs reused, and latency.
 //!
-//! Warm verdicts are **byte-identical** to cold re-solves of every
-//! intermediate snapshot (canonical lex-min models + ordered-deletion
-//! cores make the solve deterministic); `tests/stream_props.rs` proves
-//! it differentially and the harness W1 lane gates it together with an
-//! amortized speedup floor.
+//! Warm verdicts are **byte-identical** to re-solves of every
+//! intermediate snapshot on a fresh session (canonical lex-min models +
+//! ordered-deletion cores make the solve deterministic);
+//! `tests/stream_props.rs` proves it differentially and the harness W1
+//! lane gates it together with an amortized speedup floor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -225,10 +225,6 @@ pub struct StreamStats {
     pub groups_encoded: u64,
     /// Groups reused from the warm engine's content index.
     pub groups_reused: u64,
-    /// Subformula ground-cache hits during this solve.
-    pub ground_cache_hits: u64,
-    /// Subformula ground-cache misses during this solve.
-    pub ground_cache_misses: u64,
     /// Did the delta force a vocabulary (universe) rebuild?
     pub vocab_rebuilt: bool,
     /// Wall-clock latency of apply + solve, in microseconds.
@@ -326,27 +322,25 @@ impl StreamSession {
         kind: &'static str,
         vocab_rebuilt: bool,
     ) -> Result<StreamStats, StreamError> {
-        let session = {
-            let mut s = self.spec.session(&self.mv)?;
-            s.set_threads(self.threads);
-            s
-        };
+        let mut session = self.spec.session(&self.mv)?;
+        session.set_threads(self.threads);
         let sigs = session.reconcile_group_signatures(ReconcileMode::HardBounds);
         let dirtied: Vec<String> = sigs
             .iter()
             .filter(|(_, key)| !self.prev_keys.contains(key))
             .map(|(name, _)| name.clone())
             .collect();
-        let (enc_before, reuse_before) = self.store.group_counters();
-        let (hit_before, miss_before) = self.store.ground_cache_counters();
-        let rec = session
-            .reconcile_warm(ReconcileMode::HardBounds, &mut self.store)
-            .map_err(StreamError::Engine)?;
+        // Lend the warm store to this delta's session and take it back
+        // before looking at the result, so an error keeps it too.
+        std::mem::swap(session.store_mut(), &mut self.store);
+        let (enc_before, reuse_before) = session.store().group_counters();
+        let rec = session.reconcile(ReconcileMode::HardBounds);
+        let (enc_after, reuse_after) = session.store().group_counters();
+        std::mem::swap(session.store_mut(), &mut self.store);
+        let rec = rec.map_err(StreamError::Engine)?;
         if let Some(ex) = &rec.exhausted {
             return Err(StreamError::Exhausted(format!("{:?}", ex.phase)));
         }
-        let (enc_after, reuse_after) = self.store.group_counters();
-        let (hit_after, miss_after) = self.store.ground_cache_counters();
         let verdict = verdict_line(&rec);
         let flipped = self.seq > 0 && verdict != self.verdict;
         if flipped {
@@ -364,8 +358,6 @@ impl StreamSession {
             dirtied,
             groups_encoded: enc_after - enc_before,
             groups_reused: reuse_after - reuse_before,
-            ground_cache_hits: hit_after - hit_before,
-            ground_cache_misses: miss_after - miss_before,
             vocab_rebuilt,
             elapsed_us,
         };
@@ -394,19 +386,6 @@ impl StreamSession {
     pub fn group_counters(&self) -> (u64, u64) {
         self.store.group_counters()
     }
-
-    /// Lifetime subformula ground-cache `(hits, misses)`.
-    pub fn ground_cache_counters(&self) -> (u64, u64) {
-        self.store.ground_cache_counters()
-    }
-
-    /// Ground-cache hit rate over the session's lifetime (`None` before
-    /// any lookups).
-    pub fn ground_cache_hit_rate(&self) -> Option<f64> {
-        let (h, m) = self.ground_cache_counters();
-        let total = h + m;
-        (total > 0).then(|| h as f64 / total as f64)
-    }
 }
 
 #[cfg(test)]
@@ -434,8 +413,8 @@ mod tests {
         let sc = generate(small_params());
         let spec = StreamSpec::from(&sc);
         let mv = spec.vocab();
-        let mirrored = spec.session(&mv).unwrap();
-        let original = sc.session(false);
+        let mut mirrored = spec.session(&mv).unwrap();
+        let mut original = sc.session(false);
         assert_eq!(
             mirrored.content_fingerprint(),
             original.content_fingerprint()

@@ -21,7 +21,7 @@ use muppet_logic::Instance;
 
 fn main() {
     let mv = vocab();
-    let s = session(&mv, IstioTable::Fig3);
+    let mut s = session(&mv, IstioTable::Fig3);
 
     // ── 1. Learn the envelope over a focused scope ───────────────────
     let fe = mv.svc_atom("test-frontend").unwrap();
@@ -43,7 +43,7 @@ fn main() {
         scope.len()
     );
     let learned = learn_envelope(
-        &s,
+        &mut s,
         mv.k8s_party,
         &Instance::new(),
         mv.istio_party,

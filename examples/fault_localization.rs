@@ -46,7 +46,7 @@ fn main() {
 
     // ── 2. Solver-aided diagnosis ────────────────────────────────────
     let mv = vocab();
-    let s = session(&mv, IstioTable::Fig3);
+    let mut s = session(&mv, IstioTable::Fig3);
 
     // (a) The envelope the K8s provider sent. The Istio admin applies it
     // to their *current* configuration (the deployment as-is).

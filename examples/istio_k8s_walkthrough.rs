@@ -109,7 +109,7 @@ fn main() {
     );
 
     // ── 2–3. Strict goals conflict ──────────────────────────────────
-    let strict = build_session(&mv, ISTIO_GOALS_CSV);
+    let mut strict = build_session(&mv, ISTIO_GOALS_CSV);
     let rec = strict.reconcile(ReconcileMode::HardBounds).expect("solve");
     println!("\nstrict goals (Figs. 2+3): success = {}", rec.success);
     for name in &rec.core {
@@ -129,7 +129,7 @@ fn main() {
     );
 
     // ── 5. Relax to Fig. 4 and synthesize ───────────────────────────
-    let relaxed = build_session(&mv, ISTIO_RELAXED_CSV);
+    let mut relaxed = build_session(&mv, ISTIO_RELAXED_CSV);
     let rec = relaxed.reconcile(ReconcileMode::HardBounds).expect("solve");
     println!("\nrelaxed goals (Fig. 4): success = {}", rec.success);
     assert!(rec.success, "the paper's relaxation must synthesize");

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use muppet::negotiate::{run_negotiation, FnNegotiator, Negotiator, Stubborn};
+use muppet::negotiate::{run_negotiation, FnNegotiator, Negotiator, Schedule, Stubborn};
 use muppet::{NamedGoal, Party, ReconcileMode, Session};
 use muppet_logic::{
     Domain, Formula, Instance, PartyId, Term, Universe, Vocabulary,
@@ -141,7 +141,8 @@ fn main() {
         })),
     );
     println!("\nnegotiation:");
-    let report = run_negotiation(&mut session, &mut negotiators, 12).expect("negotiation");
+    let report = run_negotiation(&mut session, &mut negotiators, 12, Schedule::RoundRobin)
+        .expect("negotiation");
     for line in &report.trace {
         println!("  {line}");
     }

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Stubborn};
+use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
 use muppet::{NamedGoal, Party, Session};
 use muppet_bench::paper::vocab;
 use muppet_goals::{fig2, translate_istio_goals, translate_k8s_goals, IstioGoal};
@@ -55,7 +55,8 @@ fn episode(name: &str, soft_istio: bool, istio_strategy: Box<dyn Negotiator>) {
     let mut negotiators: BTreeMap<PartyId, Box<dyn Negotiator>> = BTreeMap::new();
     negotiators.insert(mv.k8s_party, Box::new(Stubborn));
     negotiators.insert(mv.istio_party, istio_strategy);
-    let report = run_negotiation(&mut session, &mut negotiators, 10).expect("negotiation runs");
+    let report = run_negotiation(&mut session, &mut negotiators, 10, Schedule::RoundRobin)
+        .expect("negotiation runs");
     for line in &report.trace {
         println!("  {line}");
     }
@@ -114,7 +115,8 @@ fn counter_offer_episode() {
     let mut negotiators: BTreeMap<PartyId, Box<dyn Negotiator>> = BTreeMap::new();
     negotiators.insert(mv.k8s_party, Box::new(Stubborn));
     negotiators.insert(mv.istio_party, Box::new(AcceptCounterOffer));
-    let report = run_negotiation(&mut session, &mut negotiators, 10).expect("negotiation runs");
+    let report = run_negotiation(&mut session, &mut negotiators, 10, Schedule::RoundRobin)
+        .expect("negotiation runs");
     for line in &report.trace {
         println!("  {line}");
     }

@@ -22,7 +22,7 @@ fn main() {
     }
 
     // Strict goals (Figs. 2 + 3).
-    let strict = session(&mv, IstioTable::Fig3);
+    let mut strict = session(&mv, IstioTable::Fig3);
     let rec = strict
         .reconcile(ReconcileMode::HardBounds)
         .expect("solver runs");
@@ -54,7 +54,7 @@ fn main() {
     );
 
     // Relaxed goals (Fig. 4) make the joint problem satisfiable.
-    let relaxed = session(&mv, IstioTable::Fig4);
+    let mut relaxed = session(&mv, IstioTable::Fig4);
     let rec = relaxed
         .reconcile(ReconcileMode::HardBounds)
         .expect("solver runs");

@@ -17,6 +17,10 @@ run() {
 
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
+# The repository benchmark (e2ebench/, its own workspace): build it
+# against the current public APIs and run its self-test, which drives
+# every workload at a tiny size through the release muppet-cli.
+run cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 # Daemon end-to-end: real sockets, 64 concurrent clients, randomized
 # cache-soundness properties.
 run cargo test -q --offline --test daemon --test daemon_cache_props
@@ -54,19 +58,22 @@ fi
 run cargo test -q --offline --test scenario_props --test scenario_corpus
 run cargo run --release --offline -q --bin muppet-harness -- s1
 test -s BENCH_scale.json || { echo "BENCH_scale.json missing"; exit 1; }
-# Incremental-engine lane: warm vs cold negotiation on the paper
-# scenario — byte-identical verdicts/counter-offers, and the cold path
-# must re-encode >= 3x more CNF groups. Emits BENCH_incremental.json.
+# Incremental-engine lane: negotiation episodes sharing one warm store
+# vs a fresh Session per episode on the paper scenario — byte-identical
+# verdicts/counter-offers, and the fresh sessions must re-encode >= 3x
+# more CNF groups. Emits BENCH_incremental.json.
 run cargo run --release --offline -q --bin muppet-harness -- n1
 test -s BENCH_incremental.json || { echo "BENCH_incremental.json missing"; exit 1; }
-# Differential properties: warm == cold on negotiation + conformance.
+# Differential properties: a session with warm engines answers exactly
+# like the same call on a fresh Session (negotiation + conformance).
 run cargo test -q --offline --test incremental_diff
 # Streaming-reconfiguration lane (DESIGN.md §16): differential
-# proptests (warm StreamSession replay == cold snapshot solves, 1 and 4
-# threads), then the W1 harness lane replaying a committed ≥200-delta
-# edit stream against the cold oracle — byte-identical verdicts and a
-# >= 5x amortized warm speedup, recorded in BENCH_stream.json (written
-# before the gates fire, so trend lines survive a red run).
+# proptests (warm StreamSession replay == fresh-Session snapshot solves,
+# 1 and 4 threads), then the W1 harness lane replaying a committed
+# ≥200-delta edit stream against the fresh-Session oracle —
+# byte-identical verdicts and a >= 5x amortized warm speedup, recorded
+# in BENCH_stream.json (written before the gates fire, so trend lines
+# survive a red run).
 run cargo test -q --offline --test stream_props
 run cargo run --release --offline -q --bin muppet-harness -- w1
 test -s BENCH_stream.json || { echo "BENCH_stream.json missing"; exit 1; }

@@ -51,7 +51,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use muppet::conformance::run_conformance;
-use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Stubborn};
+use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
 use muppet::{baseline, Budget, ExhaustionReport, ReconcileMode, Reconciliation, RetryPolicy, Session};
 use muppet_bench::paper::{session, vocab, IstioTable};
 use muppet_bench::scenario::{generate, ScenarioParams};
@@ -465,7 +465,7 @@ fn e5(t: &mut Table) {
     let mv = vocab();
     let mut s = session(&mv, IstioTable::Fig3);
     govern(&mut s);
-    let (b, db) = timed_median(REPS, || baseline::monolithic_synthesis(&s).unwrap());
+    let (b, db) = timed_median(REPS, || baseline::monolithic_synthesis(&mut s).unwrap());
     let (m, dm) = timed_median(REPS, || s.reconcile(ReconcileMode::Blameable).unwrap());
     if let Some(ex) = &m.exhausted {
         exhausted_row(t, "E5", "fig2+fig3", ex);
@@ -491,10 +491,10 @@ fn e6(t: &mut Table) {
     let mv = vocab();
     let mut strict = session(&mv, IstioTable::Fig3);
     govern(&mut strict);
-    let strict = strict;
+    let mut strict = strict;
     let preferred = mv.structure_instance();
     let (report, d) = timed_median(REPS, || {
-        run_conformance(&strict, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap()
+        run_conformance(&mut strict, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap()
     });
     assert!(!report.success);
     row(t, "E6", "strict tenant", "outcome", "rejected".into(), "tenant must revise");
@@ -510,9 +510,9 @@ fn e6(t: &mut Table) {
 
     let mut relaxed = session(&mv, IstioTable::Fig4);
     govern(&mut relaxed);
-    let relaxed = relaxed;
+    let mut relaxed = relaxed;
     let (report, d) = timed_median(REPS, || {
-        run_conformance(&relaxed, mv.k8s_party, mv.istio_party, None).unwrap()
+        run_conformance(&mut relaxed, mv.k8s_party, mv.istio_party, None).unwrap()
     });
     assert!(report.success);
     row(t, "E6", "relaxed tenant", "outcome", "conforming config".into(), "success");
@@ -525,7 +525,7 @@ fn e7(t: &mut Table) {
     let mv = vocab();
     let mut s = session(&mv, IstioTable::Fig3);
     govern(&mut s);
-    let s = s;
+    let mut s = s;
     let env = s
         .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
         .unwrap();
@@ -548,7 +548,7 @@ fn e7(t: &mut Table) {
     row(t, "E7", "paper deployment", "minimal edit distance", dist.to_string(), "1 tuple");
     row(t, "E7", "paper deployment", "target-oriented time (ms)", ms(d), "< 1000");
 
-    let s4 = session(&mv, IstioTable::Fig4);
+    let mut s4 = session(&mv, IstioTable::Fig4);
     let (out, d) = timed_median(REPS, || {
         s4.synthesize_against(mv.istio_party, &env).unwrap()
     });
@@ -588,7 +588,7 @@ fn e8(t: &mut Table) {
             let mut negs: BTreeMap<muppet_logic::PartyId, Box<dyn Negotiator>> = BTreeMap::new();
             negs.insert(scenario.mv.k8s_party, Box::new(Stubborn));
             negs.insert(scenario.mv.istio_party, Box::new(DropBlamedSoftGoals));
-            run_negotiation(&mut sess, &mut negs, 40).unwrap()
+            run_negotiation(&mut sess, &mut negs, 40, Schedule::RoundRobin).unwrap()
         });
         assert!(report.success);
         let inst = format!("{bans} ban(s); {conflicts} conflict(s)");
@@ -663,7 +663,7 @@ fn a4(t: &mut Table) {
 fn x1(t: &mut Table) {
     use muppet::learn::{learn_envelope, Scope};
     let mv = vocab();
-    let s = session(&mv, IstioTable::Fig3);
+    let mut s = session(&mv, IstioTable::Fig3);
     let fe = mv.svc_atom("test-frontend").unwrap();
     let be = mv.svc_atom("test-backend").unwrap();
     let db = mv.svc_atom("test-db").unwrap();
@@ -679,7 +679,7 @@ fn x1(t: &mut Table) {
         (mv.istio_in_deny, vec![fe, db]),
     ]);
     let (learned, d) = timed_median(3, || {
-        learn_envelope(&s, mv.k8s_party, &Instance::new(), mv.istio_party, &scope, 128)
+        learn_envelope(&mut s, mv.k8s_party, &Instance::new(), mv.istio_party, &scope, 128)
             .unwrap()
     });
     assert!(learned.complete);
@@ -841,7 +841,7 @@ fn a3(t: &mut Table) {
     use muppet_logic::PartialInstance;
     use muppet_solver::{FormulaGroup, Query};
     let mv = vocab();
-    let s = session(&mv, IstioTable::Fig4);
+    let mut s = session(&mv, IstioTable::Fig4);
     let rec = s.reconcile(ReconcileMode::HardBounds).unwrap();
     assert!(rec.success);
     let mut tight = PartialInstance::new();
@@ -1766,19 +1766,18 @@ fn s1(t: &mut Table) {
 /// N1 — the incremental-engine lane (DESIGN.md §13). The paper's
 /// K8s/Istio negotiation (Fig. 2 vs Fig. 3, the mesh admin's rows soft
 /// so blamed ones can be conceded) runs as repeated episodes the way
-/// the daemon replays `NegotiateRound`: the **warm** path feeds every
-/// episode through one `PreparedStore`, the **cold** path compiles a
-/// fresh engine for every query. Two gates, always written to
+/// the daemon replays `NegotiateRound`: the **warm** path lends one
+/// `PreparedStore` to every episode's session, the **cold** path runs
+/// every episode on a fresh `Session`. Two gates, always written to
 /// `BENCH_incremental.json`:
 ///
 /// 1. *Byte identity*: every episode's verdict, round count, delivered
 ///    configs and full trace (the counter-offer sequence) must be
 ///    identical between the two paths.
-/// 2. *Work ratio*: the cold path must re-encode >= 3x more CNF groups
-///    than the warm path, measured as deltas of the global
+/// 2. *Work ratio*: the fresh sessions must re-encode >= 3x more CNF
+///    groups than the shared store, measured as deltas of the global
 ///    `engine.groups.encoded` counter around each phase.
 fn n1(t: &mut Table) {
-    use muppet::negotiate::{run_negotiation_cold, run_negotiation_with_store};
     use muppet_daemon::json::Json;
     use muppet_solver::PreparedStore;
 
@@ -1810,34 +1809,30 @@ fn n1(t: &mut Table) {
             .counter("engine.groups.encoded")
             .unwrap_or(0)
     };
-    let ground_hits = || {
-        muppet_obs::registry()
-            .snapshot()
-            .counter("engine.ground_cache.hits")
-            .unwrap_or(0)
-    };
 
-    // Warm: one store across all episodes, the daemon's lifetime shape.
+    // Warm: one store lent to every episode, the daemon's lifetime shape.
     let mut store = PreparedStore::new();
-    let warm_before = (encoded(), ground_hits());
+    let warm_before = encoded();
     let t0 = std::time::Instant::now();
     let warm_reports: Vec<_> = (0..EPISODES)
         .map(|_| {
             let mut s = build();
-            run_negotiation_with_store(&mut s, &mut negs(), MAX_ROUNDS, &mut store).unwrap()
+            std::mem::swap(s.store_mut(), &mut store);
+            let report =
+                run_negotiation(&mut s, &mut negs(), MAX_ROUNDS, Schedule::RoundRobin).unwrap();
+            std::mem::swap(s.store_mut(), &mut store);
+            report
         })
         .collect();
     let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let warm_encoded = encoded() - warm_before.0;
-    let warm_ground_hits = ground_hits() - warm_before.1;
+    let warm_encoded = encoded() - warm_before;
 
-    // Cold: identical episodes, every query on a fresh engine.
+    // Cold: identical episodes, each on a fresh session.
     let cold_before = encoded();
     let t1 = std::time::Instant::now();
     let cold_reports: Vec<_> = (0..EPISODES)
         .map(|_| {
-            let mut s = build();
-            run_negotiation_cold(&mut s, &mut negs(), MAX_ROUNDS).unwrap()
+            run_negotiation(&mut build(), &mut negs(), MAX_ROUNDS, Schedule::RoundRobin).unwrap()
         })
         .collect();
     let cold_ms = t1.elapsed().as_secs_f64() * 1e3;
@@ -1864,7 +1859,7 @@ fn n1(t: &mut Table) {
         render(&cold_reports[0]),
     );
 
-    // Gate 2: the cold path re-encodes >= 3x more groups.
+    // Gate 2: fresh sessions re-encode >= 3x more groups.
     let ratio = cold_encoded as f64 / (warm_encoded.max(1)) as f64;
     let inst = format!("paper fig2/fig3, {EPISODES} episodes");
     row(t, "N1", &inst, "verdicts + traces byte-identical", identical.to_string(), "true");
@@ -1872,12 +1867,12 @@ fn n1(t: &mut Table) {
     row(t, "N1", &inst, "groups encoded (warm)", warm_encoded.to_string(), "-");
     row(t, "N1", &inst, "groups encoded (cold)", cold_encoded.to_string(), "-");
     row(t, "N1", &inst, "cold/warm encode ratio", format!("{ratio:.1}x"), ">= 3x");
-    row(t, "N1", &inst, "ground-cache hits (warm)", warm_ground_hits.to_string(), "-");
     row(t, "N1", &inst, "warm wall (ms)", format!("{warm_ms:.1}"), "-");
     row(t, "N1", &inst, "cold wall (ms)", format!("{cold_ms:.1}"), "-");
     assert!(
         ratio >= 3.0,
-        "cold path must re-encode >= 3x more groups than warm: cold {cold_encoded} vs warm {warm_encoded}"
+        "fresh sessions must re-encode >= 3x more groups than a shared store: \
+         cold {cold_encoded} vs warm {warm_encoded}"
     );
 
     let doc = Json::obj([
@@ -1891,7 +1886,6 @@ fn n1(t: &mut Table) {
             "warm",
             Json::obj([
                 ("groups_encoded", Json::num(warm_encoded)),
-                ("ground_cache_hits", Json::num(warm_ground_hits)),
                 ("wall_ms", Json::Num(warm_ms)),
             ]),
         ),
@@ -1917,10 +1911,10 @@ fn n1(t: &mut Table) {
 ///
 /// - **warm**: one [`muppet_stream::StreamSession`] ingests every
 ///   delta multi-shot — unchanged CNF groups are reused by content
-///   fingerprint and grounding hits the subformula cache;
+///   fingerprint;
 /// - **cold oracle**: after every delta the accumulated configuration
-///   state is rebuilt and re-solved from scratch (fresh vocabulary,
-///   fresh grounding, fresh encoding, fresh solver).
+///   state is rebuilt and re-solved on a fresh `Session` (fresh
+///   vocabulary, fresh grounding, fresh encoding, fresh solver).
 ///
 /// Two gates, applied only after `BENCH_stream.json` is on disk:
 ///
@@ -1962,8 +1956,6 @@ fn w1(t: &mut Table) {
     }
     let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
     let (encoded, reused) = warm.group_counters();
-    let (gc_hits, gc_misses) = warm.ground_cache_counters();
-    let hit_rate = warm.ground_cache_hit_rate().unwrap_or(0.0);
 
     // Cold oracle: the identical state sequence, each solved from
     // scratch. Same session construction and thread count as the warm
@@ -2033,14 +2025,6 @@ fn w1(t: &mut Table) {
         format!("{encoded} / {reused}"),
         "reuse dominates",
     );
-    row(
-        t,
-        "W1",
-        &inst,
-        "ground-cache hit rate",
-        format!("{:.3}", hit_rate),
-        "-",
-    );
 
     // The artifact is written before any gate fires, so CI trend lines
     // survive a red run.
@@ -2067,14 +2051,6 @@ fn w1(t: &mut Table) {
                 ("max_delta_us", Json::num(max_delta_us)),
                 ("groups_encoded", Json::num(encoded)),
                 ("groups_reused", Json::num(reused)),
-                (
-                    "ground_cache",
-                    Json::obj([
-                        ("hits", Json::num(gc_hits)),
-                        ("misses", Json::num(gc_misses)),
-                        ("hit_rate", Json::Num(hit_rate)),
-                    ]),
-                ),
             ]),
         ),
         (
@@ -2523,11 +2499,13 @@ fn m1(t: &mut Table) {
     negs.insert(parties[1], Box::new(Stubborn));
     negs.insert(parties[2], Box::new(DropBlamedSoftGoals));
     let t3 = std::time::Instant::now();
-    let first = run_negotiation(&mut s, &mut negs, 12).expect("3-party negotiation runs");
+    let first = run_negotiation(&mut s, &mut negs, 12, Schedule::RoundRobin)
+        .expect("3-party negotiation runs");
     let neg3_ms = t3.elapsed().as_secs_f64() * 1e3;
     // Fixpoint: negotiating again from the converged goal state must
     // agree immediately (one round, nothing revised).
-    let second = run_negotiation(&mut s, &mut negs, 12).expect("fixpoint negotiation runs");
+    let second = run_negotiation(&mut s, &mut negs, 12, Schedule::RoundRobin)
+        .expect("fixpoint negotiation runs");
     row(
         t,
         "M1",

@@ -587,7 +587,7 @@ fn check(opts: &Opts) -> Result<ExitCode, String> {
 /// `reconcile`: Alg. 2 with blame.
 fn reconcile(opts: &Opts) -> Result<ExitCode, String> {
     let l = load(opts)?;
-    let session = build_session(&l, opts)?;
+    let mut session = build_session(&l, opts)?;
     let rec = session
         .reconcile(ReconcileMode::Blameable)
         .map_err(|e| e.to_string())?;
@@ -706,7 +706,7 @@ fn explain(opts: &Opts) -> Result<ExitCode, String> {
 /// `synthesize`: joint synthesis, emitted as YAML manifests.
 fn synthesize(opts: &Opts) -> Result<ExitCode, String> {
     let l = load(opts)?;
-    let session = build_session(&l, opts)?;
+    let mut session = build_session(&l, opts)?;
     let rec = session
         .reconcile(ReconcileMode::Blameable)
         .map_err(|e| e.to_string())?;

@@ -48,7 +48,7 @@ struct Oracle {
 fn oracle() -> Oracle {
     let strict = SessionSpec::paper_strict().load().expect("load strict");
     let relaxed = SessionSpec::paper_relaxed().load().expect("load relaxed");
-    let s = strict.core.session();
+    let mut s = strict.core.session();
     let strict_reconcile = s
         .reconcile(muppet::ReconcileMode::HardBounds)
         .expect("reconcile")
@@ -57,7 +57,7 @@ fn oracle() -> Oracle {
         .local_consistency(strict.core.party_id("istio").expect("party"))
         .expect("consistency")
         .ok;
-    let r = relaxed.core.session();
+    let mut r = relaxed.core.session();
     let relaxed_reconcile = r
         .reconcile(muppet::ReconcileMode::HardBounds)
         .expect("reconcile")
@@ -65,7 +65,7 @@ fn oracle() -> Oracle {
     let tenant = relaxed.core.party_id("istio").expect("party");
     let preferred = relaxed.core.deployed(tenant).expect("deployed");
     let conformance_success = muppet::conformance::run_conformance(
-        &r,
+        &mut r,
         relaxed.core.party_id("k8s").expect("party"),
         tenant,
         Some(&preferred),

@@ -265,7 +265,7 @@ fn retrying_client_reaches_a_verdict_under_flood() {
     let provider = warm.core.party_id("k8s").expect("party");
     let preferred = warm.core.deployed(tenant).expect("deployed");
     let expect = muppet::conformance::run_conformance(
-        &warm.core.session(),
+        &mut warm.core.session(),
         provider,
         tenant,
         Some(&preferred),

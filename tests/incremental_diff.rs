@@ -1,21 +1,20 @@
-//! Differential testing of the unified incremental engine: the warm
-//! path (one `PreparedStore` held for the workflow lifetime, counter-
-//! offers as group swaps + assumption flips) must be **byte-identical**
-//! to the one-shot cold path on every semantic output — verdicts,
-//! models, cores, counter-offer sequences — across randomized
-//! multi-round negotiations, with and without portfolio threads.
+//! Differential testing of the unified incremental engine against the
+//! fresh-`Session` oracle: a session whose warm engines already hold
+//! state (the same workflow's queries, or a whole earlier episode's
+//! store) must answer **byte-identically** to the same call on a fresh
+//! session, on every semantic output — verdicts, models, cores,
+//! counter-offer sequences — across randomized multi-round
+//! negotiations, with and without portfolio threads.
 //!
 //! Stats (conflicts, encode counters, portfolio summaries) are
-//! deliberately *excluded*: the two paths do different amounts of work
+//! deliberately *excluded*: the two sides do different amounts of work
 //! by design; what they may never do is give different answers.
 
 use std::collections::BTreeMap;
 
-use muppet::conformance::{run_conformance_cold, run_conformance_with_store};
-use muppet::negotiate::{
-    run_negotiation_cold, run_negotiation_with_store, DropBlamedSoftGoals, Negotiator, Stubborn,
-};
-use muppet::{NamedGoal, Party, Session};
+use muppet::conformance::run_conformance;
+use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
+use muppet::{NamedGoal, Party, ReconcileMode, Session};
 use muppet_logic::{AtomId, Domain, Formula, Instance, PartyId, RelId, Term, Universe, Vocabulary};
 use muppet_solver::PreparedStore;
 use proptest::prelude::*;
@@ -123,8 +122,8 @@ fn goal_formula(f: &Fixture, g: &G) -> Formula {
     }))
 }
 
-/// Build a fresh session for the scenario. Called once per path under
-/// comparison so warm and cold runs start from identical state.
+/// Build a fresh session for the scenario. Called once per side under
+/// comparison so both start from identical parties and settings.
 fn build_session<'a>(f: &'a Fixture, sc: &Scenario) -> Session<'a> {
     let mut s = Session::new(&f.universe, f.vocab.clone(), Instance::new());
     let named = |prefix: &str, i: usize, g: &G| {
@@ -177,28 +176,35 @@ fn preferred(f: &Fixture, sc: &Scenario) -> Instance {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Warm multi-round negotiation == cold, on every semantic field.
-    /// The trace carries the counter-offer sequence (who revised, what
-    /// was blamed, each round's verdict), so string equality here is
-    /// the "counter-offer sequence byte-identical" requirement.
+    /// A negotiation on a session whose engines were warmed by the
+    /// first round's queries (Alg. 2 in blameable mode, Alg. 1 for each
+    /// party) == the same negotiation on a fresh session, on every
+    /// semantic field. The trace carries the counter-offer sequence
+    /// (who revised, what was blamed, each round's verdict), so string
+    /// equality here is the "counter-offer sequence byte-identical"
+    /// requirement.
     #[test]
-    fn negotiation_warm_equals_cold(sc in scenario_strategy()) {
+    fn negotiation_warm_equals_fresh_session(sc in scenario_strategy()) {
         let f = fixture();
 
         let mut warm_session = build_session(&f, &sc);
-        let mut store = PreparedStore::new();
-        let warm = run_negotiation_with_store(
+        warm_session.reconcile(ReconcileMode::Blameable).expect("warm-up reconcile");
+        for p in f.parties {
+            warm_session.local_consistency(p).expect("warm-up consistency");
+        }
+        let warm = run_negotiation(
             &mut warm_session,
             &mut negotiators(&f, &sc),
             sc.max_rounds,
-            &mut store,
+            Schedule::RoundRobin,
         ).expect("warm negotiation");
 
         let mut cold_session = build_session(&f, &sc);
-        let cold = run_negotiation_cold(
+        let cold = run_negotiation(
             &mut cold_session,
             &mut negotiators(&f, &sc),
             sc.max_rounds,
+            Schedule::RoundRobin,
         ).expect("cold negotiation");
 
         prop_assert_eq!(warm.success, cold.success);
@@ -207,21 +213,22 @@ proptest! {
         prop_assert_eq!(&warm.trace, &cold.trace);
     }
 
-    /// Warm conformance workflow == cold: provider verdict + witness,
-    /// envelope, tenant verdict + config, blame, and the minimal-edit
-    /// counter-offer distance.
+    /// A repeat conformance run on one session (every query served by
+    /// a warm engine) == the same run on a fresh session: provider
+    /// verdict + witness, envelope, tenant verdict + config, blame, and
+    /// the minimal-edit counter-offer distance.
     #[test]
-    fn conformance_warm_equals_cold(sc in scenario_strategy()) {
+    fn conformance_warm_equals_fresh_session(sc in scenario_strategy()) {
         let f = fixture();
-        let session = build_session(&f, &sc);
         let pref = preferred(&f, &sc);
 
-        let mut store = PreparedStore::new();
-        let warm = run_conformance_with_store(
-            &session, f.parties[0], f.parties[1], Some(&pref), &mut store,
-        ).expect("warm conformance");
-        let cold = run_conformance_cold(
-            &session, f.parties[0], f.parties[1], Some(&pref),
+        let mut session = build_session(&f, &sc);
+        run_conformance(&mut session, f.parties[0], f.parties[1], Some(&pref))
+            .expect("warm-up conformance");
+        let warm = run_conformance(&mut session, f.parties[0], f.parties[1], Some(&pref))
+            .expect("warm conformance");
+        let cold = run_conformance(
+            &mut build_session(&f, &sc), f.parties[0], f.parties[1], Some(&pref),
         ).expect("cold conformance");
 
         prop_assert_eq!(warm.provider_consistent, cold.provider_consistent);
@@ -241,10 +248,10 @@ proptest! {
     }
 
     /// A warm store *reused across* consecutive negotiations (the
-    /// daemon's shape: one `PreparedStore` per warm session, fed every
-    /// request) still matches a cold run of each — engine state from a
-    /// previous workflow may speed the next one up but never leak into
-    /// its answers.
+    /// daemon's shape: one `PreparedStore` per warm session, lent to
+    /// each request's session) still matches a fresh session's run of
+    /// each — engine state from a previous workflow may speed the next
+    /// one up but never leak into its answers.
     #[test]
     fn reused_store_across_negotiations_stays_cold_identical(
         sc1 in scenario_strategy(),
@@ -254,22 +261,26 @@ proptest! {
         let mut store = PreparedStore::new();
         for sc in [&sc1, &sc2] {
             let mut warm_session = build_session(&f, sc);
-            let warm = run_negotiation_with_store(
+            std::mem::swap(warm_session.store_mut(), &mut store);
+            let warm = run_negotiation(
                 &mut warm_session,
                 &mut negotiators(&f, sc),
                 sc.max_rounds,
-                &mut store,
+                Schedule::RoundRobin,
             ).expect("warm negotiation");
+            std::mem::swap(warm_session.store_mut(), &mut store);
             let mut cold_session = build_session(&f, sc);
-            let cold = run_negotiation_cold(
+            let cold = run_negotiation(
                 &mut cold_session,
                 &mut negotiators(&f, sc),
                 sc.max_rounds,
+                Schedule::RoundRobin,
             ).expect("cold negotiation");
             prop_assert_eq!(warm.success, cold.success);
             prop_assert_eq!(warm.rounds, cold.rounds);
             prop_assert_eq!(&warm.configs, &cold.configs);
             prop_assert_eq!(&warm.trace, &cold.trace);
         }
+        prop_assert!(store.builds() > 0, "the store never reached the sessions");
     }
 }

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Stubborn};
+use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
 use muppet::{NamedGoal, Party, ReconcileMode, Session};
 use muppet_logic::{Domain, Formula, Instance, PartyId, Term, Universe, Vocabulary};
 
@@ -151,7 +151,7 @@ fn round_robin_cycles_through_three_parties() {
     negs.insert(t.parties[0], Box::new(Stubborn));
     negs.insert(t.parties[1], Box::new(Stubborn));
     negs.insert(t.parties[2], Box::new(DropBlamedSoftGoals));
-    let report = run_negotiation(&mut s, &mut negs, 12).unwrap();
+    let report = run_negotiation(&mut s, &mut negs, 12, Schedule::RoundRobin).unwrap();
     assert!(report.success, "trace: {:#?}", report.trace);
     // C's turn is the third in the cycle: rounds 1 and 2 stand firm,
     // round 3 revises, round 4 reconciles.
@@ -188,7 +188,7 @@ fn multi_tenant_conformance_serves_each_tenant_independently() {
         Formula::not(on(t.rels[2], t.atoms[0])),
     )]));
     let report =
-        run_conformance_multi_tenant(&s, t.parties[0], &[t.parties[1], t.parties[2]]).unwrap();
+        run_conformance_multi_tenant(&mut s, t.parties[0], &[t.parties[1], t.parties[2]]).unwrap();
     assert!(report.provider_consistent);
     assert_eq!(report.envelopes.len(), 2);
     // Each envelope speaks only its tenant's domain.
@@ -225,7 +225,7 @@ fn multi_tenant_conformance_fails_fast_on_inconsistent_provider() {
     s.add_party(Party::new(t.parties[1], "tenant-b"));
     s.add_party(Party::new(t.parties[2], "tenant-c"));
     let report =
-        run_conformance_multi_tenant(&s, t.parties[0], &[t.parties[1], t.parties[2]]).unwrap();
+        run_conformance_multi_tenant(&mut s, t.parties[0], &[t.parties[1], t.parties[2]]).unwrap();
     assert!(!report.provider_consistent);
     assert!(report.envelopes.is_empty());
     assert!(report.tenants.iter().all(|o| !o.success));
@@ -248,7 +248,7 @@ fn stuck_three_party_negotiation_stops_after_full_cycle() {
     for p in t.parties {
         negs.insert(p, Box::new(Stubborn));
     }
-    let report = run_negotiation(&mut s, &mut negs, 20).unwrap();
+    let report = run_negotiation(&mut s, &mut negs, 20, Schedule::RoundRobin).unwrap();
     assert!(!report.success);
     assert_eq!(report.rounds, 3, "one full stubborn cycle");
 }

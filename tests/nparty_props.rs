@@ -18,10 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use muppet::negotiate::{
-    run_negotiation, run_negotiation_scheduled, DropBlamedSoftGoals, Negotiator, Schedule,
-    Stubborn,
-};
+use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
 use muppet::{NamedGoal, Party, Session};
 use muppet_logic::{Domain, Formula, Instance, PartyId, Term, Universe, Vocabulary};
 use proptest::prelude::*;
@@ -142,7 +139,7 @@ fn negotiate(
     p: &Problem,
     w: &World,
     order: &[usize],
-    schedule: Option<Schedule>,
+    schedule: Schedule,
     stubborn: Option<PartyId>,
 ) -> bool {
     let mut s = Session::new(&w.universe, w.vocab.clone(), Instance::new());
@@ -171,11 +168,8 @@ fn negotiate(
         };
         negs.insert(PartyId(i as u32), boxed);
     }
-    let report = match schedule {
-        Some(sched) => run_negotiation_scheduled(&mut s, &mut negs, MAX_ROUNDS, sched)
-            .expect("negotiation runs within budget"),
-        None => run_negotiation(&mut s, &mut negs, MAX_ROUNDS).expect("negotiation runs"),
-    };
+    let report =
+        run_negotiation(&mut s, &mut negs, MAX_ROUNDS, schedule).expect("negotiation runs");
     if report.success {
         let mut combined = Instance::new();
         for c in report.configs.values() {
@@ -204,7 +198,7 @@ proptest! {
         let reversed: Vec<usize> = (0..p.n).rev().collect();
         let shuffled = shuffled(p.n, p.perm_seed);
         for order in [&identity, &reversed, &shuffled] {
-            let got = negotiate(&p, &w, order, None, None);
+            let got = negotiate(&p, &w, order, Schedule::RoundRobin, None);
             prop_assert_eq!(
                 got, expected,
                 "order {:?} of {:?}: verdict {} but hard literals {} consistent",
@@ -227,13 +221,13 @@ proptest! {
                 .flat_map(|(i, gs)| gs.iter().filter(move |l| l.hard || i == 0)),
         );
         let order: Vec<usize> = (0..p.n).collect();
-        let spoke = negotiate(&p, &w, &order, Some(Schedule::HubAndSpoke(hub)), Some(hub));
+        let spoke = negotiate(&p, &w, &order, Schedule::HubAndSpoke(hub), Some(hub));
         prop_assert_eq!(
             spoke, expected,
             "hub-and-spoke on {:?}: verdict {} but hub-augmented hard literals {} consistent",
             p, spoke, if expected { "are" } else { "are not" }
         );
-        let twin = negotiate(&p, &w, &order, Some(Schedule::RoundRobin), Some(hub));
+        let twin = negotiate(&p, &w, &order, Schedule::RoundRobin, Some(hub));
         prop_assert_eq!(
             spoke, twin,
             "hub-and-spoke and stubborn-hub round-robin disagree on {:?}", p

@@ -19,17 +19,17 @@ fn paper_walkthrough_end_to_end() {
     let mv = vocab();
 
     // E1: conflict with exact blame.
-    let strict = session(&mv, IstioTable::Fig3);
+    let mut strict = session(&mv, IstioTable::Fig3);
     let rec = strict.reconcile(ReconcileMode::HardBounds).unwrap();
     assert!(!rec.success);
     assert_eq!(rec.core.len(), 2);
 
     // E5: baseline agrees on the verdict but is informationless.
-    let b = baseline::monolithic_synthesis(&strict).unwrap();
+    let b = baseline::monolithic_synthesis(&mut strict).unwrap();
     assert!(!b.success);
 
     // E2: relax, synthesize, decompile, re-parse, re-verify.
-    let relaxed = session(&mv, IstioTable::Fig4);
+    let mut relaxed = session(&mv, IstioTable::Fig4);
     let rec = relaxed.reconcile(ReconcileMode::HardBounds).unwrap();
     assert!(rec.success);
     let k8s_cfg = &rec.configs[&mv.k8s_party];
@@ -90,15 +90,16 @@ fn paper_walkthrough_end_to_end() {
 #[test]
 fn conformance_workflow_episodes() {
     let mv = vocab();
-    let strict = session(&mv, IstioTable::Fig3);
+    let mut strict = session(&mv, IstioTable::Fig3);
     let preferred = mv.structure_instance();
-    let report = run_conformance(&strict, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap();
+    let report =
+        run_conformance(&mut strict, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap();
     assert!(report.provider_consistent);
     assert!(!report.success);
     assert_eq!(report.counter_offer_distance, Some(1));
 
-    let relaxed = session(&mv, IstioTable::Fig4);
-    let report = run_conformance(&relaxed, mv.k8s_party, mv.istio_party, None).unwrap();
+    let mut relaxed = session(&mv, IstioTable::Fig4);
+    let report = run_conformance(&mut relaxed, mv.k8s_party, mv.istio_party, None).unwrap();
     assert!(report.success);
     let combined = report
         .provider_config
@@ -118,7 +119,7 @@ fn modest_scenarios_stay_under_one_second() {
     let budget = Duration::from_secs(1);
     let mv = vocab();
 
-    let strict = session(&mv, IstioTable::Fig3);
+    let mut strict = session(&mv, IstioTable::Fig3);
     let (_, d) = timed(|| strict.local_consistency(mv.k8s_party).unwrap());
     assert!(d < budget, "local consistency took {d:?}");
     let (_, d) = timed(|| strict.reconcile(ReconcileMode::Blameable).unwrap());
@@ -130,7 +131,7 @@ fn modest_scenarios_stay_under_one_second() {
     });
     assert!(d < budget, "envelope took {d:?}");
 
-    let relaxed = session(&mv, IstioTable::Fig4);
+    let mut relaxed = session(&mv, IstioTable::Fig4);
     let (rec, d) = timed(|| relaxed.reconcile(ReconcileMode::HardBounds).unwrap());
     assert!(rec.success);
     assert!(d < budget, "synthesis took {d:?}");
@@ -143,7 +144,7 @@ fn modest_scenarios_stay_under_one_second() {
         conflict_fraction: 0.5,
         ..ScenarioParams::default()
     });
-    let sess = s.session(false);
+    let mut sess = s.session(false);
     let (_, d) = timed(|| sess.reconcile(ReconcileMode::Blameable).unwrap());
     assert!(d < budget, "8-service reconcile took {d:?}");
 }
@@ -163,7 +164,7 @@ fn generated_conflicts_are_localized() {
         if s.conflicting_ports().is_empty() {
             continue; // rare: all bans landed on flexible rows
         }
-        let sess = s.session(false);
+        let mut sess = s.session(false);
         let rec = sess.reconcile(ReconcileMode::Blameable).unwrap();
         assert!(!rec.success, "seed {seed} should conflict");
         assert!(rec.core.iter().any(|n| n.contains("k8s goal")));
@@ -179,7 +180,7 @@ fn generated_conflicts_are_localized() {
 /// deliver verified configurations.
 #[test]
 fn negotiation_terminates_cleanly_across_random_scenarios() {
-    use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Stubborn};
+    use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
     use std::collections::BTreeMap;
     for seed in 0..12u64 {
         let s = generate(ScenarioParams {
@@ -196,7 +197,7 @@ fn negotiation_terminates_cleanly_across_random_scenarios() {
             let mut negs: BTreeMap<muppet_logic::PartyId, Box<dyn Negotiator>> = BTreeMap::new();
             negs.insert(s.mv.k8s_party, Box::new(Stubborn));
             negs.insert(s.mv.istio_party, Box::new(DropBlamedSoftGoals));
-            let report = run_negotiation(&mut sess, &mut negs, 30)
+            let report = run_negotiation(&mut sess, &mut negs, 30, Schedule::RoundRobin)
                 .unwrap_or_else(|e| panic!("seed {seed} soft {soft}: {e}"));
             assert!(report.rounds <= 30);
             if report.success {
@@ -222,7 +223,7 @@ fn negotiation_terminates_cleanly_across_random_scenarios() {
 /// the number of rounds grows with the number of built-in conflicts.
 #[test]
 fn negotiation_converges_on_generated_scenarios() {
-    use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Stubborn};
+    use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
     use std::collections::BTreeMap;
 
     let mut rounds_by_conflicts = Vec::new();
@@ -240,7 +241,7 @@ fn negotiation_converges_on_generated_scenarios() {
         let mut negs: BTreeMap<muppet_logic::PartyId, Box<dyn Negotiator>> = BTreeMap::new();
         negs.insert(s.mv.k8s_party, Box::new(Stubborn));
         negs.insert(s.mv.istio_party, Box::new(DropBlamedSoftGoals));
-        let report = run_negotiation(&mut sess, &mut negs, 40).unwrap();
+        let report = run_negotiation(&mut sess, &mut negs, 40, Schedule::RoundRobin).unwrap();
         assert!(report.success, "trace: {:#?}", report.trace);
         rounds_by_conflicts.push((conflicts, report.rounds));
     }
