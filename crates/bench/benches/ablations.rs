@@ -17,7 +17,7 @@ use muppet_bench::paper::{session, vocab, IstioTable};
 use muppet_bench::scenario::corpus::{entry, Kind};
 use muppet_bench::scenario::generate;
 use muppet_logic::{Instance, PartialInstance};
-use muppet_solver::{FormulaGroup, Query};
+use muppet_solver::{Budget, FormulaGroup, IncrementalQuery};
 
 fn a1_simplification(c: &mut Criterion) {
     let mv = vocab();
@@ -102,27 +102,21 @@ fn a3_bounds_tightness(c: &mut Criterion) {
     }
 
     // Re-create the goal formulas through a fresh session each time is
-    // costly; instead drive Query directly with the session's parts.
-    let goals: Vec<FormulaGroup> = s
-        .parties()
-        .iter()
-        .flat_map(|p| {
+    // costly; instead drive a fresh engine directly with the session's
+    // parts.
+    let axioms = FormulaGroup::new("axioms", s.axioms().to_vec());
+    let groups: Vec<FormulaGroup> = std::iter::once(axioms)
+        .chain(s.parties().iter().flat_map(|p| {
             p.goals
                 .iter()
                 .map(|g| FormulaGroup::new(g.name.clone(), vec![g.formula.clone()]))
-        })
+        }))
         .collect();
-    let axioms = FormulaGroup::new("axioms", s.axioms().to_vec());
+    let free: Vec<_> = mv.istio_rels().into_iter().chain(mv.k8s_rels()).collect();
 
     let run = |bounds: PartialInstance| {
-        let mut q = Query::new(s.vocab(), s.universe());
-        q.free_rels(mv.istio_rels().into_iter().chain(mv.k8s_rels()))
-            .set_bounds(bounds);
-        q.add_group(axioms.clone());
-        for g in &goals {
-            q.add_group(g.clone());
-        }
-        let out = q.solve().unwrap();
+        let mut q = IncrementalQuery::new(s.vocab(), s.universe(), &free, &bounds, Instance::new());
+        let out = q.solve(&groups, Budget::unlimited()).unwrap();
         assert!(out.is_sat());
     };
 

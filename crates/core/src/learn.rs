@@ -174,7 +174,7 @@ pub fn learn_envelope(
             &scope_bounds,
             Some(&fixed),
             &groups,
-            |pq, active, budget| pq.solve(active, budget),
+            |pq, groups, budget| pq.solve(groups, budget),
         )?;
         let model = match outcome {
             Outcome::Sat { solution, .. } => solution,
@@ -239,7 +239,7 @@ pub fn learn_envelope(
                 &bounds,
                 Some(&fixed),
                 &probe,
-                |pq, active, budget| pq.solve(active, budget),
+                |pq, groups, budget| pq.solve(groups, budget),
             )?;
             match outcome {
                 Outcome::Unsat { .. } => {

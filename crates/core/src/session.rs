@@ -8,8 +8,8 @@ use muppet_logic::{
     RelId, Term, Universe, Vocabulary,
 };
 use muppet_solver::{
-    Budget, FormulaGroup, GroupId, IncrementalQuery, Outcome, PartialResult, Phase,
-    PortfolioConfig, PrepareError, PreparedStore, QueryError, QueryStats, RetryPolicy,
+    Budget, FormulaGroup, IncrementalQuery, Outcome, PartialResult, Phase, PortfolioConfig,
+    PreparedStore, QueryError, QueryStats, RetryPolicy,
 };
 
 use crate::envelope::{Envelope, EnvelopePredicate};
@@ -151,32 +151,17 @@ pub(crate) enum Engine {
 
 /// What the retry loop needs to know about a solve's result type.
 pub(crate) trait Answer {
-    /// The result of an attempt whose budget fired before the solver
-    /// ran (while grounding or encoding a group).
-    fn aborted(phase: Phase) -> Self;
     /// Did the attempt end without a verdict?
     fn is_unknown(&self) -> bool;
 }
 
 impl Answer for Outcome {
-    fn aborted(phase: Phase) -> Outcome {
-        Outcome::Unknown {
-            phase,
-            stats: QueryStats::default(),
-            partial: None,
-        }
-    }
-
     fn is_unknown(&self) -> bool {
         Outcome::is_unknown(self)
     }
 }
 
 impl Answer for (Outcome, usize) {
-    fn aborted(phase: Phase) -> (Outcome, usize) {
-        (Outcome::aborted(phase), 0)
-    }
-
     fn is_unknown(&self) -> bool {
         self.0.is_unknown()
     }
@@ -620,10 +605,10 @@ impl<'a> Session<'a> {
     /// The one budget/retry loop every solve runs through. Takes the
     /// engine for the `free`/`bounds`/`fixed` shape (`fixed` defaults
     /// to the session structure) — the store's warm one, or a fresh
-    /// one-shot — and per attempt: derives the attempt's budget (the
+    /// one-shot — and per attempt derives the attempt's budget (the
     /// session budget, with the retry policy's conflict cap when that
-    /// is smaller), makes sure every group is encoded, and runs `op`
-    /// with exactly those groups active. Re-runs while the answer is
+    /// is smaller) and runs `op` with the groups on it; the engine
+    /// encodes the groups it has not seen. Re-runs while the answer is
     /// unknown, attempts remain, and the shared deadline/cancellation
     /// has not already fired (retrying past an absolute deadline cannot
     /// help). Returns the final answer and the number of attempts.
@@ -634,25 +619,26 @@ impl<'a> Session<'a> {
         bounds: &PartialInstance,
         fixed: Option<&Instance>,
         groups: &[FormulaGroup],
-        mut op: impl FnMut(&mut IncrementalQuery, &[GroupId], Budget) -> A,
+        mut op: impl FnMut(&mut IncrementalQuery, &[FormulaGroup], Budget) -> Result<A, QueryError>,
     ) -> Result<(A, u32), MuppetError> {
         let fixed = fixed.unwrap_or(&self.structure);
         let build =
             || IncrementalQuery::new(&self.vocab, self.universe, free, bounds, fixed.clone());
         let mut one_shot;
-        let (pq, mut lex_pending) = match engine {
+        let pq = match engine {
             Engine::Warm => {
                 let key = self.warm_key(bounds, free, fixed);
-                (self.store.get_or_build(key, build), false)
+                self.store.get_or_build(key, build)
             }
             Engine::SymmetryBreaking => {
                 one_shot = build();
-                (&mut one_shot, true)
+                one_shot.add_symmetry_breaking();
+                &mut one_shot
             }
             Engine::Probe => {
                 one_shot = build();
                 one_shot.set_minimize_cores(false);
-                (&mut one_shot, false)
+                &mut one_shot
             }
         };
         pq.set_portfolio(self.portfolio);
@@ -669,30 +655,7 @@ impl<'a> Session<'a> {
             }
             let mut attempt_span = muppet_obs::span("attempt");
             attempt_span.record("attempt", u64::from(attempt));
-            let mut active = Vec::with_capacity(groups.len());
-            let mut aborted = None;
-            for g in groups {
-                match pq.ensure_group(g, &budget) {
-                    Ok(id) => active.push(id),
-                    Err(PrepareError::Ground(e)) => {
-                        return Err(MuppetError::Query(QueryError::Ground(e)))
-                    }
-                    Err(PrepareError::Exhausted(phase)) => {
-                        aborted = Some(phase);
-                        break;
-                    }
-                }
-            }
-            let out = match aborted {
-                Some(phase) => A::aborted(phase),
-                None => {
-                    if lex_pending {
-                        pq.add_symmetry_breaking(groups);
-                        lex_pending = false;
-                    }
-                    op(pq, &active, budget)
-                }
-            };
+            let out = op(pq, groups, budget)?;
             drop(attempt_span);
             if out.is_unknown() && attempt < attempts && self.budget.poll().is_none() {
                 attempt += 1;
@@ -716,8 +679,8 @@ impl<'a> Session<'a> {
             Engine::Warm
         };
         let free = self.all_party_rels();
-        self.run(engine, &free, bounds, None, groups, |pq, active, budget| {
-            pq.solve(active, budget)
+        self.run(engine, &free, bounds, None, groups, |pq, groups, budget| {
+            pq.solve(groups, budget)
         })
     }
 
@@ -890,7 +853,7 @@ impl<'a> Session<'a> {
             &PartialInstance::new(),
             None,
             &groups,
-            |pq, active, budget| pq.solve_target(active, target, budget),
+            |pq, groups, budget| pq.solve_target(groups, target, budget),
         )?;
         op_span.record("attempts", u64::from(attempts));
         op_span.record("distance", result.1 as u64);

@@ -3,7 +3,7 @@
 //! The pipeline's observability layer (DESIGN.md §12). Three pieces,
 //! all dependency-free (std only, no unsafe):
 //!
-//! * [`span`] — a thread-local **span tree** recorder. Each solve
+//! * [`span`](mod@span) — a thread-local **span tree** recorder. Each solve
 //!   phase (`ground` → `encode` → `search` → `minimize`) opens a span;
 //!   closing it records wall-clock, solver counters and attributes
 //!   (the operation fingerprint among them, so traces join against the

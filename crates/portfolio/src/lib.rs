@@ -2,11 +2,11 @@
 //!
 //! Runs N diversified clones of one [`muppet_sat::Solver`] over the
 //! same clause set, races them first-to-finish, and cancels the losers
-//! through the existing [`Budget`]/[`CancelToken`] machinery. Workers
-//! share learned clauses below an LBD threshold through a bounded
-//! [`SharedPool`]; the winning answer (and the pool contents) flow back
-//! into the master solver so warm sessions keep benefiting from the
-//! race afterwards.
+//! through the existing [`Budget`]/[`muppet_sat::CancelToken`]
+//! machinery. Workers share learned clauses below an LBD threshold
+//! through a bounded [`SharedPool`]; the winning answer (and the pool
+//! contents) flow back into the master solver so warm sessions keep
+//! benefiting from the race afterwards.
 //!
 //! Two execution modes:
 //!

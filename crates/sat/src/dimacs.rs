@@ -36,7 +36,7 @@ pub enum DimacsError {
     VarOutOfRange(i64),
     /// A clause was not terminated by `0` before end of input.
     UnterminatedClause,
-    /// The declared variable count exceeds [`MAX_DIMACS_VARS`].
+    /// The declared variable count exceeds `MAX_DIMACS_VARS` (2^22).
     TooManyVars(usize),
 }
 

@@ -68,4 +68,4 @@ pub use lit::{LBool, Lit, Var};
 pub use luby::luby;
 pub use model::Model;
 pub use share::ClauseExchange;
-pub use solver::{ReduceStrategy, RestartPolicy, SolveResult, Solver, SolverStats};
+pub use solver::{ReduceStrategy, SolveResult, Solver, SolverStats};

@@ -132,37 +132,6 @@ pub enum ReduceStrategy {
     Tiered,
 }
 
-/// Restart scheduling policy.
-///
-/// `Luby` is the fixed universal schedule (restart_base-scaled Luby
-/// sequence) and the default: restart behaviour stays reproducible and
-/// robust across instance families. `Glucose` restarts when the recent
-/// learnt-clause LBD trend turns worse than the run's global average
-/// (with trail-depth blocking near models) — an adaptive policy whose
-/// aggressive trajectories pay off on refutation-heavy workloads but
-/// swing wildly on satisfiable ones; portfolio workers are the natural
-/// place to mix it in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum RestartPolicy {
-    /// Fixed Luby-sequence schedule (default).
-    #[default]
-    Luby,
-    /// Adaptive LBD-trend restarts with trail blocking.
-    Glucose,
-}
-
-/// Glucose restart trigger: recent-LBD EMA must exceed the global
-/// average by this factor.
-const GLUCOSE_K: f64 = 1.25;
-/// Smoothing window of the recent-LBD EMA (in conflicts).
-const GLUCOSE_EMA_WINDOW: f64 = 32.0;
-/// Glucose restart *blocking*: when the assignment trail at a conflict
-/// is this much deeper than its recent average, the solver is likely
-/// closing in on a model — suppress the pending restart.
-const GLUCOSE_BLOCK_R: f64 = 1.4;
-/// Smoothing window of the trail-depth EMA (in conflicts).
-const GLUCOSE_TRAIL_WINDOW: f64 = 5000.0;
-
 /// LBD at or below which a learnt clause is glue ([`Tier::Core`]).
 const CORE_LBD: u32 = 3;
 /// LBD at or below which a learnt clause is [`Tier::Mid`].
@@ -237,25 +206,14 @@ pub struct Solver {
     /// inprocessing), capped so a pass still fires now and then.
     inprocess_stretch: u64,
     conflict_budget: Option<u64>,
-    /// Base conflict interval for Luby restarts, and the minimum
-    /// conflicts between Glucose restarts (diversified per worker).
+    /// Base conflict interval for Luby restarts (diversified per
+    /// worker).
     restart_base: u64,
-    /// Restart scheduling policy.
-    restart_policy: RestartPolicy,
     /// Recursive learned-clause minimization (off = legacy one-step
     /// antecedent check only).
     ccmin_deep: bool,
     /// DFS worklist for [`Solver::lit_redundant`] (kept allocated).
     ccmin_stack: Vec<Lit>,
-    /// EMA of recent learnt-clause LBDs (Glucose policy; reset to 0 at
-    /// each restart so the window refills before the next trigger).
-    lbd_fast: f64,
-    /// EMA of the assignment-trail depth at conflicts (restart blocking).
-    trail_ema: f64,
-    /// Running sum of all learnt-clause LBDs this run.
-    lbd_sum: f64,
-    /// Number of LBD samples behind `lbd_sum`.
-    lbd_samples: u64,
     /// VSIDS decay factor (diversified per worker).
     var_decay: f64,
     /// Ramp `var_decay` toward [`VAR_DECAY_CAP`] at each restart (off =
@@ -332,14 +290,9 @@ impl Solver {
             inprocess_stretch: 1,
             conflict_budget: None,
             restart_base: RESTART_BASE,
-            restart_policy: RestartPolicy::default(),
             decay_ramp: true,
             ccmin_deep: true,
             ccmin_stack: Vec::new(),
-            lbd_fast: 0.0,
-            trail_ema: 0.0,
-            lbd_sum: 0.0,
-            lbd_samples: 0,
             var_decay: VAR_DECAY,
             rnd: None,
             exchange: None,
@@ -444,7 +397,7 @@ impl Solver {
     }
 
     /// Conflicts between inprocessing passes (clamped to ≥ 1; default
-    /// 4000). Small intervals make the pass fire on tiny instances —
+    /// 6000). Small intervals make the pass fire on tiny instances —
     /// useful for differential testing; production callers should keep
     /// the default.
     pub fn set_inprocess_interval(&mut self, conflicts: u64) {
@@ -479,13 +432,6 @@ impl Solver {
         self.restart_base = base.max(1);
     }
 
-    /// Choose the restart scheduling policy. The default `Glucose`
-    /// policy restarts when the recent learnt-LBD trend is worse than
-    /// the run's average; `Luby` restores the legacy fixed schedule.
-    pub fn set_restart_policy(&mut self, policy: RestartPolicy) {
-        self.restart_policy = policy;
-    }
-
     /// Enable or disable recursive learned-clause minimization (on by
     /// default). Off restores the legacy one-step antecedent check.
     pub fn set_deep_minimization(&mut self, on: bool) {
@@ -507,7 +453,6 @@ impl Solver {
     /// defaults are gated against.
     pub fn set_legacy_kernel(&mut self) {
         self.set_reduce_strategy(ReduceStrategy::Flat);
-        self.set_restart_policy(RestartPolicy::Luby);
         self.set_inprocessing(false);
         self.set_deep_minimization(false);
         self.set_decay_ramp(false);
@@ -1005,30 +950,13 @@ impl Solver {
         }
     }
 
-    /// Feed one learnt-clause LBD into the Glucose restart trend.
-    fn note_lbd(&mut self, lbd: u32) {
-        let l = f64::from(lbd);
-        self.lbd_fast += (l - self.lbd_fast) / GLUCOSE_EMA_WINDOW;
-        self.lbd_sum += l;
-        self.lbd_samples += 1;
-    }
-
-    /// `true` when the adaptive policy wants a restart: the recent-LBD
-    /// EMA runs `GLUCOSE_K` above the global average (current conflicts
-    /// are producing worse clauses than this run typically does).
-    fn glucose_restart_due(&self) -> bool {
-        self.lbd_samples > 0 && self.lbd_fast * self.lbd_samples as f64 > GLUCOSE_K * self.lbd_sum
-    }
-
     fn record_learnt(&mut self, learnt: Vec<Lit>) {
         self.stats.learned_clauses += 1;
         if learnt.len() == 1 {
-            self.note_lbd(1);
             self.export_learnt(&learnt, 1);
             self.enqueue(learnt[0], None);
         } else {
             let lbd = self.compute_lbd(&learnt);
-            self.note_lbd(lbd);
             self.export_learnt(&learnt, lbd);
             let asserting = learnt[0];
             let cref = self.db.alloc(learnt, true, lbd, Self::tier_for(lbd));
@@ -1675,12 +1603,7 @@ impl Solver {
                 self.cancel_until(0);
                 return SolveResult::Unknown;
             }
-            let budget = match self.restart_policy {
-                RestartPolicy::Luby => restarts.next_budget(),
-                // Glucose decides inside `search`, via the LBD trend.
-                RestartPolicy::Glucose => u64::MAX,
-            };
-            match self.search(budget, assumptions) {
+            match self.search(restarts.next_budget(), assumptions) {
                 SearchOutcome::Sat(m) => {
                     self.cancel_until(0);
                     return SolveResult::Sat(m);
@@ -1720,21 +1643,6 @@ impl Solver {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
                 conflicts_here += 1;
-                // Trail-depth trend for Glucose restart blocking: an
-                // unusually deep trail at conflict time suppresses the
-                // pending restart (the solver may be closing on a model).
-                let depth = self.trail.len() as f64;
-                self.trail_ema += (depth - self.trail_ema) / GLUCOSE_TRAIL_WINDOW;
-                // Blocking only after the trail average has warmed up:
-                // an unwarmed average reads every trail as "deep" and
-                // would suppress all early restarts.
-                if self.restart_policy == RestartPolicy::Glucose
-                    && self.stats.conflicts >= GLUCOSE_TRAIL_WINDOW as u64
-                    && self.glucose_restart_due()
-                    && depth > GLUCOSE_BLOCK_R * self.trail_ema
-                {
-                    self.lbd_fast = 0.0; // block: refill the window instead
-                }
                 if self.decision_level() == 0 {
                     self.ok = false;
                     return SearchOutcome::Unsat(Vec::new());
@@ -1752,17 +1660,7 @@ impl Solver {
                     return SearchOutcome::Budget;
                 }
             } else {
-                let restart_due = match self.restart_policy {
-                    RestartPolicy::Luby => conflicts_here >= budget,
-                    RestartPolicy::Glucose => {
-                        conflicts_here >= self.restart_base && self.glucose_restart_due()
-                    }
-                };
-                if restart_due {
-                    // Refill the recent-LBD window from scratch next run,
-                    // as Glucose empties its queue on restart. (No-op
-                    // bookkeeping under Luby.)
-                    self.lbd_fast = 0.0;
+                if conflicts_here >= budget {
                     return SearchOutcome::Restart;
                 }
                 // Conflict-free stretches still consume wall clock and

@@ -470,13 +470,18 @@ pub fn solver_verdict(entry: &CorpusEntry) -> Expected {
             of_success(rec.success)
         }
         Kind::PhpRelational { pigeons, holes } => {
-            use muppet_solver::{FormulaGroup, Outcome, Query};
+            use muppet_solver::{Budget, FormulaGroup, IncrementalQuery, Outcome};
             let (u, v, sits, formulas) = php_relational(pigeons, holes);
-            let mut q = Query::new(&v, &u);
-            q.free_rel(sits)
-                .set_minimize_cores(false)
-                .add_group(FormulaGroup::new("php", formulas));
-            match q.solve().expect("php solves within budget") {
+            let mut q = IncrementalQuery::new(
+                &v,
+                &u,
+                &[sits],
+                &muppet_logic::PartialInstance::new(),
+                muppet_logic::Instance::new(),
+            );
+            q.set_minimize_cores(false);
+            let groups = [FormulaGroup::new("php", formulas)];
+            match q.solve(&groups, Budget::unlimited()).expect("php solves within budget") {
                 Outcome::Sat { .. } => Expected::Sat,
                 Outcome::Unsat { .. } => Expected::Unsat,
                 other => panic!("php outcome {other:?}"),

@@ -19,7 +19,7 @@
 //! input totalizer first.
 
 use muppet_logic::{Domain, Formula, Instance, PartialInstance, PartyId, RelId, Term, Universe, Vocabulary};
-use muppet_solver::{Budget, FormulaGroup, IncrementalQuery};
+use muppet_solver::{FormulaGroup, IncrementalQuery};
 
 /// A self-contained minimal-edit instance with its known optimum.
 pub struct MinEditScenario {
@@ -40,21 +40,16 @@ pub struct MinEditScenario {
 }
 
 impl MinEditScenario {
-    /// A warm engine over this scenario with every goal group encoded;
-    /// returns the engine and the active group ids.
-    pub fn engine(&self) -> (IncrementalQuery, Vec<muppet_solver::GroupId>) {
-        let mut q = IncrementalQuery::new(
+    /// A fresh engine over this scenario; solve it with
+    /// [`MinEditScenario::groups`].
+    pub fn engine(&self) -> IncrementalQuery {
+        IncrementalQuery::new(
             &self.vocab,
             &self.universe,
             &[self.rel],
             &self.bounds,
             Instance::new(),
-        );
-        let mut active = Vec::with_capacity(self.groups.len());
-        for g in &self.groups {
-            active.push(q.ensure_group(g, &Budget::unlimited()).expect("groups ground"));
-        }
-        (q, active)
+        )
     }
 }
 
@@ -115,18 +110,20 @@ pub fn minedit(n: usize, k: usize, width: usize) -> MinEditScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muppet_solver::TargetStrategy;
+    use muppet_solver::{Budget, TargetStrategy};
 
     #[test]
     fn optimum_is_attained_and_strategy_independent() {
         let sc = minedit(12, 4, 2);
-        let (mut q, active) = sc.engine();
-        let (out, d) = q.solve_target(&active, &sc.target, Budget::unlimited());
+        let (out, d) = sc
+            .engine()
+            .solve_target(&sc.groups, &sc.target, Budget::unlimited())
+            .unwrap();
         assert!(out.is_sat());
         assert_eq!(d, sc.optimum);
-        let (mut lin, lactive) = sc.engine();
+        let mut lin = sc.engine();
         lin.set_target_strategy(TargetStrategy::Linear);
-        let (lout, ld) = lin.solve_target(&lactive, &sc.target, Budget::unlimited());
+        let (lout, ld) = lin.solve_target(&sc.groups, &sc.target, Budget::unlimited()).unwrap();
         assert_eq!(ld, sc.optimum);
         assert_eq!(out.solution(), lout.solution());
     }

@@ -102,7 +102,8 @@ pub fn php_relational(
 mod tests {
     use super::*;
     use muppet::ReconcileMode;
-    use muppet_solver::{FormulaGroup, Outcome, Query};
+    use muppet_logic::{Instance, PartialInstance};
+    use muppet_solver::{Budget, FormulaGroup, IncrementalQuery, Outcome};
 
     #[test]
     fn fig3_conflicts_fig4_reconciles() {
@@ -117,11 +118,11 @@ mod tests {
     fn php_relational_verdicts() {
         for (pigeons, holes, sat) in [(4usize, 3usize, false), (3, 3, true)] {
             let (u, v, sits, formulas) = php_relational(pigeons, holes);
-            let mut q = Query::new(&v, &u);
-            q.free_rel(sits)
-                .set_minimize_cores(false)
-                .add_group(FormulaGroup::new("php", formulas));
-            match q.solve().unwrap() {
+            let mut q =
+                IncrementalQuery::new(&v, &u, &[sits], &PartialInstance::new(), Instance::new());
+            q.set_minimize_cores(false);
+            let groups = [FormulaGroup::new("php", formulas)];
+            match q.solve(&groups, Budget::unlimited()).unwrap() {
                 Outcome::Sat { .. } => assert!(sat, "PHP({pigeons},{holes}) must be unsat"),
                 Outcome::Unsat { .. } => assert!(!sat, "PHP({pigeons},{holes}) must be sat"),
                 other => panic!("unexpected outcome {other:?}"),

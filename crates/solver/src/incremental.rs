@@ -26,9 +26,11 @@
 //! fires, and above it answers stay valid but the witness model is
 //! whichever the search produced.
 //!
-//! The one-shot [`crate::Query`] facade compiles into a fresh engine
-//! per call; [`crate::PreparedStore`] keeps warm engines keyed by
-//! query shape.
+//! Every solve call takes the formula groups it should run with:
+//! groups the engine has not seen are grounded and encoded on the way
+//! in, the rest are reused. A one-shot caller builds an engine, makes
+//! one call and drops it; [`crate::PreparedStore`] keeps warm engines
+//! keyed by query shape.
 
 use std::collections::HashMap;
 
@@ -38,38 +40,11 @@ use muppet_obs::{Counter, Gauge};
 use muppet_portfolio::{solve_portfolio, PortfolioConfig, PortfolioSummary};
 use muppet_sat::{mus, Budget, Lit, Model, ReduceStrategy, SolveResult, Solver, SolverStats, Var};
 
-use crate::ground::{ground, GroundError};
+use crate::ground::ground;
 use crate::query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, QueryStats};
 use crate::totalizer::Totalizer;
 use crate::tseitin::encode;
 use crate::varmap::VarMap;
-
-/// Handle to a formula group already grounded + encoded into an
-/// [`IncrementalQuery`]. Only meaningful for the engine that issued it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GroupId(usize);
-
-/// How [`IncrementalQuery::ensure_group`] can fail.
-#[derive(Debug)]
-pub enum PrepareError {
-    /// The group's formulas could not be grounded (free variables).
-    Ground(GroundError),
-    /// The budget fired while grounding or encoding the group.
-    Exhausted(Phase),
-}
-
-impl std::fmt::Display for PrepareError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PrepareError::Ground(e) => write!(f, "grounding failed: {e}"),
-            PrepareError::Exhausted(phase) => {
-                write!(f, "budget exhausted at phase {phase} while preparing group")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PrepareError {}
 
 /// Default free-variable cap under which satisfiable models are
 /// canonicalized (see the module docs). Covers every scenario in the
@@ -107,10 +82,11 @@ pub enum TargetStrategy {
 /// ever after. See the module docs for the reuse and canonicalization
 /// contracts.
 ///
-/// Restriction: [`IncrementalQuery::add_symmetry_breaking`] installs
-/// *permanent*, goal-set-dependent lex clauses, so it is only sound on
-/// an engine used once and dropped. Warm callers must not enable it —
-/// `Session` runs symmetry-breaking solves on a one-shot engine.
+/// Restriction: [`IncrementalQuery::add_symmetry_breaking`] makes the
+/// next solve install *permanent*, goal-set-dependent lex clauses, so
+/// it is only sound on an engine used once and dropped. Warm callers
+/// must not enable it — `Session` runs symmetry-breaking solves on a
+/// one-shot engine.
 pub struct IncrementalQuery {
     vocab: Vocabulary,
     universe: Universe,
@@ -127,6 +103,9 @@ pub struct IncrementalQuery {
     /// (permanent, one-sided, assumption-activated) totalizer clauses.
     totalizers: HashMap<u128, Totalizer>,
     minimize_cores: bool,
+    /// Set by [`IncrementalQuery::add_symmetry_breaking`]; the next
+    /// [`IncrementalQuery::solve`] installs the lex clauses and clears it.
+    lex_pending: bool,
     canonical_cap: usize,
     portfolio: Option<PortfolioConfig>,
     target_strategy: TargetStrategy,
@@ -153,8 +132,8 @@ pub struct IncrementalQuery {
 
 impl IncrementalQuery {
     /// Build the warm state: allocate the free-relation variables under
-    /// `bounds` against `fixed`. Groups are added lazily via
-    /// [`IncrementalQuery::ensure_group`].
+    /// `bounds` against `fixed`. Groups are encoded lazily, by the
+    /// first solve call that names them.
     ///
     /// The vocabulary and universe are cloned so the engine is
     /// self-contained (`'static`) and can be cached across sessions
@@ -183,6 +162,7 @@ impl IncrementalQuery {
             index: HashMap::new(),
             totalizers: HashMap::new(),
             minimize_cores: true,
+            lex_pending: false,
             canonical_cap: DEFAULT_CANONICAL_CAP,
             portfolio: None,
             target_strategy: TargetStrategy::default(),
@@ -278,31 +258,26 @@ impl IncrementalQuery {
         self
     }
 
-    /// Content fingerprint of a group — [`FormulaGroup::content_key`].
-    fn group_key(group: &FormulaGroup) -> u128 {
-        group.content_key()
-    }
-
     /// Ground + encode `group` if this engine has not seen its content
-    /// before; otherwise reuse the existing encoding. The returned id
-    /// activates the group in a later solve.
-    pub fn ensure_group(
-        &mut self,
-        group: &FormulaGroup,
-        budget: &Budget,
-    ) -> Result<GroupId, PrepareError> {
-        let key = Self::group_key(group);
+    /// ([`FormulaGroup::content_key`]) before; otherwise reuse the
+    /// existing encoding. Returns the group's selector literal.
+    fn ensure_group(&mut self, group: &FormulaGroup, budget: &Budget) -> Result<Lit, QueryError> {
+        let key = group.content_key();
         if let Some(&i) = self.index.get(&key) {
             self.reused_groups += 1;
             self.ctr_reused.inc();
-            return Ok(GroupId(i));
+            return Ok(self.selectors[i].1);
         }
+        let exhausted = |phase| QueryError::Exhausted {
+            phase,
+            stats: QueryStats::default(),
+        };
         #[cfg(any(test, feature = "fault-inject"))]
         if crate::fault::should_trip(Phase::Ground) {
-            return Err(PrepareError::Exhausted(Phase::Ground));
+            return Err(exhausted(Phase::Ground));
         }
         if budget.poll().is_some() {
-            return Err(PrepareError::Exhausted(Phase::Ground));
+            return Err(exhausted(Phase::Ground));
         }
         let mut ground_span = muppet_obs::span("ground");
         ground_span.record("groups", 1);
@@ -310,15 +285,14 @@ impl IncrementalQuery {
             .formulas
             .iter()
             .map(|f| ground(f, &self.varmap, &self.fixed, &self.universe))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(PrepareError::Ground)?;
+            .collect::<Result<Vec<_>, _>>()?;
         drop(ground_span);
         #[cfg(any(test, feature = "fault-inject"))]
         if crate::fault::should_trip(Phase::Encode) {
-            return Err(PrepareError::Exhausted(Phase::Encode));
+            return Err(exhausted(Phase::Encode));
         }
         if budget.poll().is_some() {
-            return Err(PrepareError::Exhausted(Phase::Encode));
+            return Err(exhausted(Phase::Encode));
         }
         // Encode phase: the group's selector implies each formula's
         // root literal (`¬sel ∨ lit_f` per formula — one-sided, so the
@@ -331,19 +305,38 @@ impl IncrementalQuery {
             self.solver.add_clause([!sel, lit]);
         }
         drop(encode_span);
-        let i = self.selectors.len();
+        self.index.insert(key, self.selectors.len());
         self.selectors.push((group.name.clone(), sel));
-        self.index.insert(key, i);
         self.encoded_groups += 1;
         self.ctr_encoded.inc();
-        Ok(GroupId(i))
+        Ok(sel)
     }
 
-    /// Install lex-leader symmetry-breaking clauses for the given goal
-    /// set. The clauses are **permanent** and goal-set dependent, so
-    /// this is only sound on an engine used as a one-shot (the
-    /// [`crate::Query`] facade); never call it on a warm engine.
-    pub fn add_symmetry_breaking(&mut self, groups: &[FormulaGroup]) {
+    /// The selector literals that activate `groups`, in submission
+    /// order, encoding each group this engine has not seen before. A
+    /// budget that fires while grounding or encoding gives
+    /// [`QueryError::Exhausted`] with empty stats.
+    fn prepare(
+        &mut self,
+        groups: &[FormulaGroup],
+        budget: &Budget,
+    ) -> Result<Vec<Lit>, QueryError> {
+        groups.iter().map(|g| self.ensure_group(g, budget)).collect()
+    }
+
+    /// Break symmetries on this one-shot engine: the next
+    /// [`IncrementalQuery::solve`] installs lex-leader clauses over the
+    /// interchangeable atoms of its goal set, after encoding its groups
+    /// and before searching. The clauses are **permanent** and goal-set
+    /// dependent, so this is only sound on an engine used once and
+    /// dropped; never call it on a warm engine. `solve_target` and
+    /// `enumerate` never install them: they must see the whole model
+    /// space.
+    pub fn add_symmetry_breaking(&mut self) {
+        self.lex_pending = true;
+    }
+
+    fn install_symmetry_breaking(&mut self, groups: &[FormulaGroup]) {
         let formulas: Vec<&Formula> = groups.iter().flat_map(|g| g.formulas.iter()).collect();
         let classes = crate::symmetry::interchangeable_classes(
             &self.vocab,
@@ -415,13 +408,6 @@ impl IncrementalQuery {
         self.gauge_tier_core.set(core as u64);
         self.gauge_tier_mid.set(mid as u64);
         self.gauge_tier_local.set(local as u64);
-    }
-
-    fn assumptions_for(&self, active: &[GroupId]) -> Vec<Lit> {
-        active
-            .iter()
-            .filter_map(|g| self.selectors.get(g.0).map(|(_, l)| *l))
-            .collect()
     }
 
     /// Group names of the core `lits`, ordered by the **current
@@ -604,24 +590,45 @@ impl IncrementalQuery {
         }
     }
 
-    /// Solve with exactly the given groups active, under `budget`.
-    /// Work counters in the outcome are the *delta* for this solve, not
-    /// the warm solver's lifetime totals. Satisfiable answers are the
-    /// canonical (lex-smallest) model up to the canonicalization cap;
-    /// UNSAT cores are minimized by ordered deletion — see the module
-    /// docs.
-    pub fn solve(&mut self, active: &[GroupId], budget: Budget) -> Outcome {
+    /// Solve with exactly `groups` active, under `budget`, encoding the
+    /// groups this engine has not seen before. Work counters in the
+    /// outcome are the *delta* for this solve, not the warm solver's
+    /// lifetime totals. Satisfiable answers are the canonical
+    /// (lex-smallest) model up to the canonicalization cap; UNSAT cores
+    /// are minimized by ordered deletion — see the module docs.
+    ///
+    /// Under a [`Budget`] this never hangs: on exhaustion it returns
+    /// [`Outcome::Unknown`] naming the phase that was running (with
+    /// empty stats when it fired while grounding or encoding), and —
+    /// when UNSAT was already established but the core was still being
+    /// minimized — the unminimized core as a partial artifact. A group
+    /// that cannot be grounded is a [`QueryError::Ground`].
+    pub fn solve(
+        &mut self,
+        groups: &[FormulaGroup],
+        budget: Budget,
+    ) -> Result<Outcome, QueryError> {
+        let assumptions = match self.prepare(groups, &budget) {
+            Ok(assumptions) => assumptions,
+            Err(QueryError::Exhausted { phase, stats }) => {
+                return Ok(Outcome::Unknown { phase, stats, partial: None })
+            }
+            Err(e) => return Err(e),
+        };
+        if std::mem::take(&mut self.lex_pending) {
+            self.install_symmetry_breaking(groups);
+        }
         let base = self.stats_base();
         self.solver.set_budget(budget);
-        let assumptions = self.assumptions_for(active);
         let outcome = self.run_search(&assumptions, &base);
         self.publish_kernel_metrics();
-        outcome
+        Ok(outcome)
     }
 
     /// Find the satisfying instance *closest to `target`* (fewest tuple
-    /// flips over the free relations) with the given groups active.
-    /// Returns the outcome and, when SAT, the achieved distance.
+    /// flips over the free relations) with exactly `groups` active,
+    /// encoding the groups this engine has not seen before. Returns the
+    /// outcome and, when SAT, the achieved distance.
     ///
     /// This reproduces Pardinus's target-oriented model finding over a
     /// cached totalizer cardinality network. The default
@@ -636,27 +643,35 @@ impl IncrementalQuery {
     /// models the canonical one (see [`Self::solve`]) is returned. On
     /// budget exhaustion the returned [`Outcome::Unknown`] carries the
     /// best model found so far as a [`PartialResult::Model`], so a
-    /// counter-offer can still be made.
+    /// counter-offer can still be made; a budget that fires while
+    /// grounding or encoding gives distance 0 and empty stats, as in
+    /// [`Self::solve`].
     pub fn solve_target(
         &mut self,
-        active: &[GroupId],
+        groups: &[FormulaGroup],
         target: &Instance,
         budget: Budget,
-    ) -> (Outcome, usize) {
-        let result = self.solve_target_inner(active, target, budget);
+    ) -> Result<(Outcome, usize), QueryError> {
+        let assumptions = match self.prepare(groups, &budget) {
+            Ok(assumptions) => assumptions,
+            Err(QueryError::Exhausted { phase, stats }) => {
+                return Ok((Outcome::Unknown { phase, stats, partial: None }, 0))
+            }
+            Err(e) => return Err(e),
+        };
+        let result = self.solve_target_inner(assumptions, target, budget);
         self.publish_kernel_metrics();
-        result
+        Ok(result)
     }
 
     fn solve_target_inner(
         &mut self,
-        active: &[GroupId],
+        assumptions: Vec<Lit>,
         target: &Instance,
         budget: Budget,
     ) -> (Outcome, usize) {
         let base = self.stats_base();
         self.solver.set_budget(budget);
-        let assumptions = self.assumptions_for(active);
         #[cfg(any(test, feature = "fault-inject"))]
         if crate::fault::should_trip(Phase::Search) {
             return (
@@ -1016,19 +1031,22 @@ impl IncrementalQuery {
     }
 
     /// Enumerate up to `limit` distinct solutions (distinct over the
-    /// free relations) with the given groups active, in canonical
-    /// lexicographic order. Intended for exhaustive verification on
-    /// small universes.
+    /// free relations) with exactly `groups` active, in canonical
+    /// lexicographic order, encoding the groups this engine has not
+    /// seen before. Intended for exhaustive verification on small
+    /// universes. A budget that fires at any phase is a
+    /// [`QueryError::Exhausted`]: a truncated list is no answer.
     ///
     /// Blocking clauses are gated behind a fresh per-call enumeration
     /// selector that is never assumed again afterwards, so enumeration
     /// leaves no trace in the warm engine.
     pub fn enumerate(
         &mut self,
-        active: &[GroupId],
+        groups: &[FormulaGroup],
         limit: usize,
         budget: Budget,
     ) -> Result<Vec<Instance>, QueryError> {
+        let mut assumptions = self.prepare(groups, &budget)?;
         let base = self.stats_base();
         self.solver.set_budget(budget);
         #[cfg(any(test, feature = "fault-inject"))]
@@ -1039,7 +1057,6 @@ impl IncrementalQuery {
             });
         }
         let esel = Lit::pos(self.solver.new_var());
-        let mut assumptions = self.assumptions_for(active);
         assumptions.push(esel);
         let mut out = Vec::new();
         while out.len() < limit {
@@ -1077,12 +1094,12 @@ impl IncrementalQuery {
         self.selectors.len()
     }
 
-    /// How many `ensure_group` calls did fresh ground/encode work.
+    /// How many group submissions did fresh ground/encode work.
     pub fn encoded_groups(&self) -> u64 {
         self.encoded_groups
     }
 
-    /// How many `ensure_group` calls reused an existing encoding.
+    /// How many group submissions reused an existing encoding.
     pub fn reused_groups(&self) -> u64 {
         self.reused_groups
     }
@@ -1096,12 +1113,14 @@ impl IncrementalQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muppet_logic::{Domain, PartyId, Term};
+    use muppet_logic::{evaluate_closed, Domain, PartyId, SortId, Term};
 
     struct Fix {
         u: Universe,
         v: Vocabulary,
+        s: SortId,
         allow: RelId,
+        listens: RelId,
         atoms: Vec<muppet_logic::AtomId>,
     }
 
@@ -1111,9 +1130,12 @@ mod tests {
         let atoms = vec![u.add_atom(s, "fe"), u.add_atom(s, "be"), u.add_atom(s, "db")];
         let mut v = Vocabulary::new();
         let allow = v.add_simple_rel("allow", vec![s, s], Domain::Party(PartyId(0)));
-        Fix { u, v, allow, atoms }
+        let listens = v.add_simple_rel("listens", vec![s], Domain::Structure);
+        Fix { u, v, s, allow, listens, atoms }
     }
 
+    /// An engine with `allow` free and unbounded over an empty fixed
+    /// instance.
     fn engine(f: &Fix) -> IncrementalQuery {
         IncrementalQuery::new(
             &f.v,
@@ -1129,6 +1151,318 @@ mod tests {
     }
 
     #[test]
+    fn synthesis_fills_free_relation() {
+        let mut f = fix();
+        let x = f.v.fresh_var();
+        let mut fixed = Instance::new();
+        fixed.insert(f.listens, vec![f.atoms[1]]);
+        // Goal: every listening service is allowed-from fe.
+        let goal = Formula::forall(
+            x,
+            f.s,
+            Formula::implies(
+                Formula::pred(f.listens, [Term::Var(x)]),
+                Formula::pred(f.allow, [Term::Const(f.atoms[0]), Term::Var(x)]),
+            ),
+        );
+        let mut q = IncrementalQuery::new(&f.v, &f.u, &[f.allow], &PartialInstance::new(), fixed);
+        let groups = [FormulaGroup::new("goal", vec![goal.clone()])];
+        match q.solve(&groups, Budget::unlimited()).unwrap() {
+            Outcome::Sat { solution, stats } => {
+                assert!(solution.holds(f.allow, &[f.atoms[0], f.atoms[1]]));
+                assert!(evaluate_closed(&goal, &solution, &f.u).unwrap());
+                assert_eq!(stats.free_tuple_vars, 9);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn unsat_core_names_minimal_groups() {
+        let f = fix();
+        let pos = tuple_pred(&f, 0, 1);
+        let neg = Formula::not(pos.clone());
+        let groups = [
+            FormulaGroup::new("require", vec![pos]),
+            FormulaGroup::new("forbid", vec![neg]),
+            FormulaGroup::new("irrelevant", vec![tuple_pred(&f, 2, 2)]),
+        ];
+        match engine(&f).solve(&groups, Budget::unlimited()).unwrap() {
+            Outcome::Unsat { core, .. } => {
+                let mut core = core;
+                core.sort();
+                assert_eq!(core, vec!["forbid".to_string(), "require".to_string()]);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn bounds_pin_choices() {
+        let f = fix();
+        let t_req = vec![f.atoms[0], f.atoms[0]];
+        let t_opt = vec![f.atoms[0], f.atoms[1]];
+        let mut bounds = PartialInstance::new();
+        bounds.require(f.allow, t_req.clone());
+        bounds.permit(f.allow, t_opt.clone());
+        let mut q = IncrementalQuery::new(&f.v, &f.u, &[f.allow], &bounds, Instance::new());
+        match q.solve(&[], Budget::unlimited()).unwrap() {
+            Outcome::Sat { solution, .. } => {
+                assert!(solution.holds(f.allow, &t_req));
+                // Upper bound excludes everything else except t_opt.
+                for a in &f.atoms {
+                    for b in &f.atoms {
+                        let t = vec![*a, *b];
+                        if t != t_req && t != t_opt {
+                            assert!(!solution.holds(f.allow, &t));
+                        }
+                    }
+                }
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn target_solving_returns_closest_model() {
+        let f = fix();
+        // Goal: allow(fe,be) must hold. Target: empty config. Minimal
+        // edit = 1 (add just that tuple).
+        let groups = [FormulaGroup::new("g", vec![tuple_pred(&f, 0, 1)])];
+        let target = Instance::new();
+        let (outcome, dist) = engine(&f)
+            .solve_target(&groups, &target, Budget::unlimited())
+            .unwrap();
+        match outcome {
+            Outcome::Sat { solution, .. } => {
+                assert_eq!(dist, 1);
+                assert_eq!(solution.distance(&target), 1);
+                assert!(solution.holds(f.allow, &[f.atoms[0], f.atoms[1]]));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn target_solving_prefers_keeping_existing_tuples() {
+        let f = fix();
+        // Target has allow(db,db); goals don't mention it; the closest
+        // model must keep it.
+        let groups = [FormulaGroup::new("g", vec![tuple_pred(&f, 0, 1)])];
+        let mut target = Instance::new();
+        target.insert(f.allow, vec![f.atoms[2], f.atoms[2]]);
+        let (outcome, dist) = engine(&f)
+            .solve_target(&groups, &target, Budget::unlimited())
+            .unwrap();
+        let solution = outcome.solution().unwrap().clone();
+        assert_eq!(dist, 1);
+        assert!(solution.holds(f.allow, &[f.atoms[2], f.atoms[2]]));
+        assert!(solution.holds(f.allow, &[f.atoms[0], f.atoms[1]]));
+    }
+
+    #[test]
+    fn target_base_distance_counts_pinned_disagreements() {
+        let f = fix();
+        let t = vec![f.atoms[0], f.atoms[0]];
+        let mut bounds = PartialInstance::new();
+        bounds.require(f.allow, t.clone()); // pinned true
+        // Target disagrees: does not contain t. Everything else outside
+        // the upper bound is pinned false and agrees with empty target.
+        let mut q = IncrementalQuery::new(&f.v, &f.u, &[f.allow], &bounds, Instance::new());
+        let (outcome, dist) = q.solve_target(&[], &Instance::new(), Budget::unlimited()).unwrap();
+        assert!(outcome.is_sat());
+        assert_eq!(dist, 1);
+    }
+
+    #[test]
+    fn enumerate_counts_models() {
+        let f = fix();
+        // allow(fe,fe) ∨ allow(fe,be), all other tuples excluded by upper
+        // bound ⇒ exactly 3 models (TT, TF, FT).
+        let t1 = vec![f.atoms[0], f.atoms[0]];
+        let t2 = vec![f.atoms[0], f.atoms[1]];
+        let mut bounds = PartialInstance::new();
+        bounds.permit(f.allow, t1.clone());
+        bounds.permit(f.allow, t2.clone());
+        let groups = [FormulaGroup::new(
+            "g",
+            vec![Formula::or([tuple_pred(&f, 0, 0), tuple_pred(&f, 0, 1)])],
+        )];
+        let mut q = IncrementalQuery::new(&f.v, &f.u, &[f.allow], &bounds, Instance::new());
+        let models = q.enumerate(&groups, 10, Budget::unlimited()).unwrap();
+        assert_eq!(models.len(), 3);
+        // All distinct and all satisfying.
+        for (i, m) in models.iter().enumerate() {
+            assert!(m.holds(f.allow, &t1) || m.holds(f.allow, &t2));
+            for m2 in &models[i + 1..] {
+                assert_ne!(m, m2);
+            }
+        }
+    }
+
+    #[test]
+    fn enumerate_respects_limit() {
+        let f = fix();
+        let models = engine(&f).enumerate(&[], 5, Budget::unlimited()).unwrap();
+        assert_eq!(models.len(), 5);
+    }
+
+    #[test]
+    fn no_groups_means_any_instance_works() {
+        let f = fix();
+        assert!(engine(&f).solve(&[], Budget::unlimited()).unwrap().is_sat());
+    }
+
+    #[test]
+    fn symmetry_breaking_preserves_verdicts() {
+        // ∃-style goal over interchangeable atoms: SAT with and without
+        // SB; an UNSAT variant stays UNSAT.
+        let f = fix();
+        // atoms[0] appears as a constant; atoms 1,2 are interchangeable.
+        let t1 = tuple_pred(&f, 0, 0);
+        let mut q = engine(&f);
+        q.add_symmetry_breaking();
+        let g = FormulaGroup::new("g", vec![t1.clone()]);
+        assert!(q.solve(std::slice::from_ref(&g), Budget::unlimited()).unwrap().is_sat());
+        let mut q2 = engine(&f);
+        q2.add_symmetry_breaking();
+        let groups = [g, FormulaGroup::new("ng", vec![Formula::not(t1)])];
+        match q2.solve(&groups, Budget::unlimited()).unwrap() {
+            Outcome::Unsat { core, .. } => assert_eq!(core.len(), 2),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn symmetry_breaking_skipped_for_target_and_enumerate() {
+        // enumerate must still see ALL models even with SB requested.
+        let f = fix();
+        let mut bounds = PartialInstance::new();
+        // Two interchangeable-atom tuples only.
+        bounds.permit(f.listens, vec![f.atoms[1]]);
+        bounds.permit(f.listens, vec![f.atoms[2]]);
+        let mut q = IncrementalQuery::new(&f.v, &f.u, &[f.listens], &bounds, Instance::new());
+        q.add_symmetry_breaking();
+        let models = q.enumerate(&[], 10, Budget::unlimited()).unwrap();
+        assert_eq!(models.len(), 4, "all 2^2 models, symmetric ones included");
+        // Target solving also ignores SB: nearest model to
+        // {listens(atom2)} is itself, not a canonical rotation.
+        let mut target = Instance::new();
+        target.insert(f.listens, vec![f.atoms[2]]);
+        let (out, dist) = q.solve_target(&[], &target, Budget::unlimited()).unwrap();
+        assert!(out.is_sat());
+        assert_eq!(dist, 0);
+    }
+
+    /// Relational pigeonhole: `sits ⊆ P×H`, every pigeon sits somewhere,
+    /// no hole holds two pigeons. Pure quantifiers — every atom is
+    /// interchangeable — so symmetry breaking should slash the conflict
+    /// count on the UNSAT instance.
+    fn php_query(pigeons: usize, holes: usize) -> (Universe, Vocabulary, RelId) {
+        let mut u = Universe::new();
+        let ps = u.add_sort("P");
+        let hs = u.add_sort("H");
+        for i in 0..pigeons {
+            u.add_atom(ps, format!("p{i}"));
+        }
+        for i in 0..holes {
+            u.add_atom(hs, format!("h{i}"));
+        }
+        let mut v = Vocabulary::new();
+        let sits = v.add_simple_rel("sits", vec![ps, hs], Domain::Party(PartyId(0)));
+        (u, v, sits)
+    }
+
+    fn php_formulas(v: &mut Vocabulary, sits: RelId) -> Vec<Formula> {
+        let ps = SortId(0);
+        let hs = SortId(1);
+        let p = v.fresh_var();
+        let p2 = v.fresh_var();
+        let h = v.fresh_var();
+        vec![
+            Formula::forall(
+                p,
+                ps,
+                Formula::exists(h, hs, Formula::pred(sits, [Term::Var(p), Term::Var(h)])),
+            ),
+            Formula::forall(
+                h,
+                hs,
+                Formula::forall(
+                    p,
+                    ps,
+                    Formula::forall(
+                        p2,
+                        ps,
+                        Formula::implies(
+                            Formula::and([
+                                Formula::pred(sits, [Term::Var(p), Term::Var(h)]),
+                                Formula::pred(sits, [Term::Var(p2), Term::Var(h)]),
+                            ]),
+                            Formula::Eq(Term::Var(p), Term::Var(p2)),
+                        ),
+                    ),
+                ),
+            ),
+        ]
+    }
+
+    fn php_engine(u: &Universe, v: &Vocabulary, sits: RelId) -> IncrementalQuery {
+        IncrementalQuery::new(v, u, &[sits], &PartialInstance::new(), Instance::new())
+    }
+
+    #[test]
+    fn symmetry_breaking_slashes_pigeonhole_conflicts() {
+        let (u, mut v, sits) = php_query(7, 6);
+        let groups = [FormulaGroup::new("php", php_formulas(&mut v, sits))];
+        let run = |sb: bool| {
+            let mut q = php_engine(&u, &v, sits);
+            q.set_minimize_cores(false);
+            if sb {
+                q.add_symmetry_breaking();
+            }
+            match q.solve(&groups, Budget::unlimited()).unwrap() {
+                Outcome::Unsat { stats, .. } => stats.conflicts,
+                other => panic!("PHP(7,6) must be unsat, got {other:?}"),
+            }
+        };
+        let without = run(false);
+        let with = run(true);
+        assert!(
+            with < without,
+            "SB should prune the symmetric search: {with} vs {without} conflicts"
+        );
+    }
+
+    #[test]
+    fn symmetry_breaking_keeps_satisfiable_php_satisfiable() {
+        let (u, mut v, sits) = php_query(5, 5);
+        let formulas = php_formulas(&mut v, sits);
+        let mut q = php_engine(&u, &v, sits);
+        q.add_symmetry_breaking();
+        let groups = [FormulaGroup::new("php", formulas.clone())];
+        let Outcome::Sat { solution, .. } = q.solve(&groups, Budget::unlimited()).unwrap() else {
+            panic!("PHP(5,5) is satisfiable");
+        };
+        // The model is a genuine perfect matching.
+        for f in &formulas {
+            assert!(evaluate_closed(f, &solution, &u).unwrap());
+        }
+    }
+
+    #[test]
+    fn open_formula_reports_ground_error() {
+        let mut f = fix();
+        let x = f.v.fresh_var();
+        let open = Formula::pred(f.allow, [Term::Var(x), Term::Var(x)]);
+        let groups = [FormulaGroup::new("open", vec![open])];
+        assert!(matches!(
+            engine(&f).solve(&groups, Budget::unlimited()),
+            Err(QueryError::Ground(_))
+        ));
+    }
+
+    #[test]
     fn groups_sharing_a_formula_stay_independent() {
         let f = fix();
         let shared = tuple_pred(&f, 0, 1);
@@ -1136,15 +1470,10 @@ mod tests {
         let g1 = FormulaGroup::new("g1", vec![shared.clone()]);
         let g2 = FormulaGroup::new("g2", vec![shared.clone(), own]);
         let mut q = engine(&f);
-        let b = Budget::unlimited();
-        let i1 = q.ensure_group(&g1, &b).unwrap();
-        let i2 = q.ensure_group(&g2, &b).unwrap();
-        assert_ne!(i1, i2, "distinct groups get distinct selectors");
-        assert_eq!(q.encoded_groups(), 2);
-        assert!(q.solve(&[i1, i2], Budget::unlimited()).is_sat());
+        assert!(q.solve(&[g1.clone(), g2], Budget::unlimited()).unwrap().is_sat());
+        assert_eq!(q.encoded_groups(), 2, "distinct groups get distinct selectors");
         let neg = FormulaGroup::new("neg", vec![Formula::not(shared)]);
-        let i3 = q.ensure_group(&neg, &b).unwrap();
-        match q.solve(&[i1, i3], Budget::unlimited()) {
+        match q.solve(&[g1, neg], Budget::unlimited()).unwrap() {
             Outcome::Unsat { mut core, .. } => {
                 core.sort();
                 assert_eq!(core, vec!["g1".to_string(), "neg".to_string()]);
@@ -1158,51 +1487,46 @@ mod tests {
         let f = fix();
         // allow(fe,fe) ∨ allow(fe,be): two minimal models; canonical
         // answer must be stable no matter what solved before.
-        let goal = FormulaGroup::new(
+        let goal = [FormulaGroup::new(
             "or",
             vec![Formula::or([tuple_pred(&f, 0, 0), tuple_pred(&f, 0, 1)])],
-        );
+        )];
         let mut warm = engine(&f);
-        let b = Budget::unlimited();
-        let id = warm.ensure_group(&goal, &b).unwrap();
-        let first = warm.solve(&[id], Budget::unlimited());
+        let first = warm.solve(&goal, Budget::unlimited()).unwrap();
         // Perturb the warm solver with an unrelated (UNSAT) solve.
-        let clash = FormulaGroup::new("clash", vec![tuple_pred(&f, 2, 2)]);
-        let nclash = FormulaGroup::new("nclash", vec![Formula::not(tuple_pred(&f, 2, 2))]);
-        let ic = warm.ensure_group(&clash, &b).unwrap();
-        let inc = warm.ensure_group(&nclash, &b).unwrap();
-        assert!(!warm.solve(&[ic, inc], Budget::unlimited()).is_sat());
-        let again = warm.solve(&[id], Budget::unlimited());
+        let clash = [
+            FormulaGroup::new("clash", vec![tuple_pred(&f, 2, 2)]),
+            FormulaGroup::new("nclash", vec![Formula::not(tuple_pred(&f, 2, 2))]),
+        ];
+        assert!(!warm.solve(&clash, Budget::unlimited()).unwrap().is_sat());
+        let again = warm.solve(&goal, Budget::unlimited()).unwrap();
         assert_eq!(
             first.solution(),
             again.solution(),
             "warm resolve must return the same canonical model"
         );
         // And a completely cold engine agrees byte-for-byte.
-        let mut cold = engine(&f);
-        let cid = cold.ensure_group(&goal, &b).unwrap();
-        let cold_out = cold.solve(&[cid], Budget::unlimited());
+        let cold_out = engine(&f).solve(&goal, Budget::unlimited()).unwrap();
         assert_eq!(first.solution(), cold_out.solution());
     }
 
     #[test]
     fn warm_solve_target_reuses_the_totalizer() {
         let f = fix();
-        let goal = FormulaGroup::new("g", vec![tuple_pred(&f, 0, 1)]);
+        let goal = [FormulaGroup::new("g", vec![tuple_pred(&f, 0, 1)])];
         let mut q = engine(&f);
-        let id = q.ensure_group(&goal, &Budget::unlimited()).unwrap();
         let target = Instance::new();
-        let (out1, d1) = q.solve_target(&[id], &target, Budget::unlimited());
+        let (out1, d1) = q.solve_target(&goal, &target, Budget::unlimited()).unwrap();
         assert!(out1.is_sat());
         assert_eq!(d1, 1);
         assert_eq!(q.totalizers.len(), 1);
-        let (out2, d2) = q.solve_target(&[id], &target, Budget::unlimited());
+        let (out2, d2) = q.solve_target(&goal, &target, Budget::unlimited()).unwrap();
         assert_eq!(d2, 1);
         assert_eq!(out1.solution(), out2.solution());
         assert_eq!(q.totalizers.len(), 1, "same target reuses the cardinality network");
         // A plain solve on the same warm engine is unaffected by the
         // (assumption-gated) totalizer clauses.
-        assert!(q.solve(&[id], Budget::unlimited()).is_sat());
+        assert!(q.solve(&goal, Budget::unlimited()).unwrap().is_sat());
     }
 
     #[test]
@@ -1212,24 +1536,21 @@ mod tests {
         // sees both singleton cores (the forced tuples) and a
         // multi-indicator core (the disjunction), which exercises the
         // relaxation-sum path.
-        let goal = FormulaGroup::new(
+        let goal = [FormulaGroup::new(
             "g",
             vec![
                 tuple_pred(&f, 0, 1),
                 tuple_pred(&f, 1, 2),
                 Formula::or([tuple_pred(&f, 0, 0), tuple_pred(&f, 2, 2)]),
             ],
-        );
+        )];
         let target = Instance::new();
-        let b = Budget::unlimited();
         let mut oll = engine(&f);
         assert_eq!(oll.target_strategy(), TargetStrategy::CoreGuided);
-        let id = oll.ensure_group(&goal, &b).unwrap();
-        let (out_oll, d_oll) = oll.solve_target(&[id], &target, Budget::unlimited());
+        let (out_oll, d_oll) = oll.solve_target(&goal, &target, Budget::unlimited()).unwrap();
         let mut lin = engine(&f);
         lin.set_target_strategy(TargetStrategy::Linear);
-        let lid = lin.ensure_group(&goal, &b).unwrap();
-        let (out_lin, d_lin) = lin.solve_target(&[lid], &target, Budget::unlimited());
+        let (out_lin, d_lin) = lin.solve_target(&goal, &target, Budget::unlimited()).unwrap();
         assert_eq!(d_oll, 3, "two forced tuples plus one disjunct");
         assert_eq!(d_lin, 3);
         assert_eq!(
@@ -1252,7 +1573,7 @@ mod tests {
         // Warm re-solve under the other strategy on the same engine
         // still agrees: the relaxation sums are assumption-gated.
         oll.set_target_strategy(TargetStrategy::Linear);
-        let (out_again, d_again) = oll.solve_target(&[id], &target, Budget::unlimited());
+        let (out_again, d_again) = oll.solve_target(&goal, &target, Budget::unlimited()).unwrap();
         assert_eq!(d_again, 3);
         assert_eq!(out_again.solution(), out_lin.solution());
     }
@@ -1265,18 +1586,68 @@ mod tests {
         let mut bounds = PartialInstance::new();
         bounds.permit(f.allow, t1.clone());
         bounds.permit(f.allow, t2.clone());
-        let goal = FormulaGroup::new(
+        let goal = [FormulaGroup::new(
             "or",
             vec![Formula::or([tuple_pred(&f, 0, 0), tuple_pred(&f, 0, 1)])],
-        );
+        )];
         let mut q = IncrementalQuery::new(&f.v, &f.u, &[f.allow], &bounds, Instance::new());
-        let id = q.ensure_group(&goal, &Budget::unlimited()).unwrap();
-        let models = q.enumerate(&[id], 10, Budget::unlimited()).unwrap();
+        let models = q.enumerate(&goal, 10, Budget::unlimited()).unwrap();
         assert_eq!(models.len(), 3);
         // The blocking clauses are gated off: solves still see all
         // three models, and a second enumeration repeats exactly.
-        assert!(q.solve(&[id], Budget::unlimited()).is_sat());
-        let again = q.enumerate(&[id], 10, Budget::unlimited()).unwrap();
+        assert!(q.solve(&goal, Budget::unlimited()).unwrap().is_sat());
+        let again = q.enumerate(&goal, 10, Budget::unlimited()).unwrap();
         assert_eq!(models, again, "canonical enumeration is deterministic");
+    }
+
+    /// A warm engine meeting a *new* group under an expired budget
+    /// aborts in the ground phase at every entry point — `Unknown`
+    /// with empty stats (distance 0 for targets), `Exhausted` for
+    /// enumeration — and afterwards answers exactly like a fresh
+    /// engine.
+    #[test]
+    fn new_group_under_expired_budget_aborts_then_answers_like_fresh() {
+        let f = fix();
+        let seen = FormulaGroup::new(
+            "seen",
+            vec![Formula::or([tuple_pred(&f, 0, 1), tuple_pred(&f, 1, 2)])],
+        );
+        let new = FormulaGroup::new("new", vec![Formula::not(tuple_pred(&f, 0, 1))]);
+        let groups = [seen.clone(), new];
+        let target = Instance::new();
+        let mut warm = engine(&f);
+        assert!(warm.solve(&[seen], Budget::unlimited()).unwrap().is_sat());
+        let expired = Budget::unlimited().with_timeout(std::time::Duration::from_millis(0));
+        let aborted = |out: &Outcome| {
+            matches!(
+                out,
+                Outcome::Unknown { phase: Phase::Ground, stats, partial: None }
+                    if *stats == QueryStats::default()
+            )
+        };
+        let out = warm.solve(&groups, expired.clone()).unwrap();
+        assert!(aborted(&out), "solve: {out:?}");
+        let (out, dist) = warm.solve_target(&groups, &target, expired.clone()).unwrap();
+        assert!(aborted(&out), "solve_target: {out:?}");
+        assert_eq!(dist, 0);
+        match warm.enumerate(&groups, 10, expired) {
+            Err(QueryError::Exhausted { phase: Phase::Ground, stats }) => {
+                assert_eq!(stats, QueryStats::default());
+            }
+            other => panic!("enumerate: {other:?}"),
+        }
+        assert_eq!(warm.num_groups(), 1, "the aborted group was never encoded");
+        // Byte for byte, work counters included.
+        let warm_out = warm.solve(&groups, Budget::unlimited()).unwrap();
+        let fresh_out = engine(&f).solve(&groups, Budget::unlimited()).unwrap();
+        assert!(warm_out.is_sat());
+        assert_eq!(format!("{warm_out:?}"), format!("{fresh_out:?}"));
+        let warm_t = warm.solve_target(&groups, &target, Budget::unlimited()).unwrap();
+        let fresh_t = engine(&f).solve_target(&groups, &target, Budget::unlimited()).unwrap();
+        assert_eq!(format!("{warm_t:?}"), format!("{fresh_t:?}"));
+        assert_eq!(
+            warm.enumerate(&groups, 10, Budget::unlimited()).unwrap(),
+            engine(&f).enumerate(&groups, 10, Budget::unlimited()).unwrap()
+        );
     }
 }

@@ -20,27 +20,29 @@
 //!   selector literal; UNSAT answers come back as a *minimal* set of group
 //!   names (via `muppet-sat`'s MUS extraction), giving the paper's "unsat
 //!   core with blame information".
-//! * **Target-oriented solving** ([`Query::solve_target`]): find the model
-//!   *closest to a target instance* (minimal symmetric-difference),
-//!   implemented as MaxSAT linear search over a [`totalizer`] cardinality
-//!   encoding. This is Pardinus's headline feature and powers Muppet's
-//!   minimal-edit counter-offers (Fig. 8).
-//! * **Model enumeration** ([`Query::enumerate`]): iterate distinct models
-//!   via blocking clauses; used by tests to verify envelope
-//!   necessity/sufficiency by exhaustion on small universes.
-//! * **Symmetry breaking** ([`symmetry`], opt-in via
-//!   [`Query::set_symmetry_breaking`]): Kodkod's interchangeable-atom
-//!   optimization — lex-leader constraints over atoms the problem cannot
-//!   tell apart (spare ports). Only legal for plain satisfiability
-//!   queries; target-oriented and enumeration queries keep the full
-//!   model space.
 //! * **One incremental engine** ([`IncrementalQuery`], DESIGN.md §13):
-//!   every path above runs on a single warm compilation engine —
-//!   selector-gated CNF groups deduplicated by content fingerprint,
-//!   persistent learned clauses — with [`Query`] as the one-shot facade
-//!   and [`PreparedStore`] holding warm engines per query shape.
-//!   Models and cores are canonicalized so a warm engine, a fresh one
-//!   and a portfolio run answer byte-identically.
+//!   the one query type. Each solve call takes the [`FormulaGroup`]s it
+//!   runs with, grounds and encodes the ones the engine has not seen
+//!   (selector-gated CNF groups deduplicated by content fingerprint),
+//!   and keeps learned clauses across calls. A one-shot query is a
+//!   fresh engine and one call; [`PreparedStore`] holds warm engines
+//!   per query shape. Models and cores are canonicalized so a warm
+//!   engine, a fresh one and a portfolio run answer byte-identically.
+//! * **Target-oriented solving** ([`IncrementalQuery::solve_target`]):
+//!   find the model *closest to a target instance* (minimal
+//!   symmetric-difference) over a [`totalizer`] cardinality encoding,
+//!   by core-guided (OLL) ascent by default or by linear search
+//!   ([`TargetStrategy`]). This is Pardinus's headline feature and
+//!   powers Muppet's minimal-edit counter-offers (Fig. 8).
+//! * **Model enumeration** ([`IncrementalQuery::enumerate`]): iterate
+//!   distinct models via blocking clauses; used by tests to verify
+//!   envelope necessity/sufficiency by exhaustion on small universes.
+//! * **Symmetry breaking** ([`symmetry`], opt-in via
+//!   [`IncrementalQuery::add_symmetry_breaking`]): Kodkod's
+//!   interchangeable-atom optimization — lex-leader constraints over
+//!   atoms the problem cannot tell apart (spare ports). Only legal for
+//!   plain satisfiability solves on a one-shot engine; target-oriented
+//!   and enumeration queries keep the full model space.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +61,7 @@ pub mod varmap;
 pub use incremental::{IncrementalQuery, TargetStrategy, DEFAULT_CANONICAL_CAP};
 pub use muppet_portfolio::{default_threads, PortfolioConfig, PortfolioSummary};
 pub use muppet_sat::{Budget, CancelToken, Exhaustion, ReduceStrategy, RetryPolicy};
-pub use prepared::{GroupId, PrepareError, PreparedStore};
-pub use query::{FormulaGroup, Outcome, PartialResult, Phase, Query, QueryError, QueryStats};
+pub use prepared::PreparedStore;
+pub use query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, QueryStats};
 pub use ground::{ground, GExpr};
 pub use varmap::VarMap;

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-pub use crate::incremental::{GroupId, IncrementalQuery, PrepareError};
+use crate::incremental::IncrementalQuery;
 
 /// A keyed store of warm [`IncrementalQuery`] engines. Keys are *base
 /// fingerprints* — everything that shapes the variable layout: vocab,
@@ -172,11 +172,8 @@ mod tests {
         let g_pos = FormulaGroup::new("require", vec![pos]);
         let g_neg = FormulaGroup::new("forbid", vec![neg]);
         let mut q = pq(&f);
-        let b = Budget::unlimited();
-        let id_pos = q.ensure_group(&g_pos, &b).unwrap();
-        let id_neg = q.ensure_group(&g_neg, &b).unwrap();
         // Both active: unsat, blaming exactly the two groups.
-        match q.solve(&[id_pos, id_neg], Budget::unlimited()) {
+        match q.solve(&[g_pos.clone(), g_neg], Budget::unlimited()).unwrap() {
             Outcome::Unsat { mut core, .. } => {
                 core.sort();
                 assert_eq!(core, vec!["forbid".to_string(), "require".to_string()]);
@@ -184,7 +181,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Only one active: sat — the other group's clauses are inert.
-        match q.solve(&[id_pos], Budget::unlimited()) {
+        match q.solve(&[g_pos], Budget::unlimited()).unwrap() {
             Outcome::Sat { solution, .. } => {
                 assert!(solution.holds(f.allow, &t));
             }
@@ -203,10 +200,7 @@ mod tests {
             )],
         );
         let mut q = pq(&f);
-        let b = Budget::unlimited();
-        let a = q.ensure_group(&g, &b).unwrap();
-        let bb = q.ensure_group(&g, &b).unwrap();
-        assert_eq!(a, bb);
+        assert!(q.solve(&[g.clone(), g], Budget::unlimited()).unwrap().is_sat());
         assert_eq!(q.encoded_groups(), 1);
         assert_eq!(q.reused_groups(), 1);
         assert_eq!(q.num_groups(), 1);
@@ -216,14 +210,13 @@ mod tests {
     fn per_solve_stats_are_deltas() {
         let f = fix();
         let x_pos = Formula::pred(f.allow, [Term::Const(f.atoms[0]), Term::Const(f.atoms[0])]);
-        let g1 = FormulaGroup::new("a", vec![x_pos.clone()]);
-        let g2 = FormulaGroup::new("b", vec![Formula::not(x_pos)]);
+        let groups = [
+            FormulaGroup::new("a", vec![x_pos.clone()]),
+            FormulaGroup::new("b", vec![Formula::not(x_pos)]),
+        ];
         let mut q = pq(&f);
-        let b = Budget::unlimited();
-        let i1 = q.ensure_group(&g1, &b).unwrap();
-        let i2 = q.ensure_group(&g2, &b).unwrap();
-        let first = q.solve(&[i1, i2], Budget::unlimited());
-        let second = q.solve(&[i1, i2], Budget::unlimited());
+        let first = q.solve(&groups, Budget::unlimited()).unwrap();
+        let second = q.solve(&groups, Budget::unlimited()).unwrap();
         // Delta accounting: the second run's counters must not include
         // the first run's work (non-decreasing totals would show up as
         // second >= first + first if they were absolute).
@@ -234,41 +227,47 @@ mod tests {
     #[test]
     fn exhausted_budget_reports_unknown() {
         let f = fix();
-        let g = FormulaGroup::new(
+        let g = [FormulaGroup::new(
             "g",
             vec![Formula::pred(
                 f.allow,
                 [Term::Const(f.atoms[0]), Term::Const(f.atoms[1])],
             )],
-        );
+        )];
         let mut q = pq(&f);
-        let id = q.ensure_group(&g, &Budget::unlimited()).unwrap();
+        assert!(q.solve(&g, Budget::unlimited()).unwrap().is_sat());
         let expired = Budget::unlimited().with_timeout(std::time::Duration::from_millis(0));
-        assert!(q.solve(&[id], expired).is_unknown());
+        assert!(q.solve(&g, expired).unwrap().is_unknown());
         // The same warm state still answers once the budget is lifted.
-        assert!(q.solve(&[id], Budget::unlimited()).is_sat());
+        assert!(q.solve(&g, Budget::unlimited()).unwrap().is_sat());
     }
 
     #[test]
-    fn ensure_group_respects_expired_budget() {
+    fn expired_budget_stops_grounding_but_not_reuse() {
         let f = fix();
-        let g = FormulaGroup::new(
+        let g = [FormulaGroup::new(
             "g",
             vec![Formula::pred(
                 f.allow,
                 [Term::Const(f.atoms[0]), Term::Const(f.atoms[1])],
             )],
-        );
+        )];
         let mut q = pq(&f);
         let expired = Budget::unlimited().with_timeout(std::time::Duration::from_millis(0));
-        match q.ensure_group(&g, &expired) {
-            Err(PrepareError::Exhausted(Phase::Ground)) => {}
+        match q.solve(&g, expired.clone()).unwrap() {
+            Outcome::Unknown { phase: Phase::Ground, .. } => {}
             other => panic!("expected ground exhaustion, got {other:?}"),
         }
+        assert_eq!(q.num_groups(), 0);
         // Already-encoded groups are still reusable under an expired
-        // budget (the reuse path does no work).
-        let id = q.ensure_group(&g, &Budget::unlimited()).unwrap();
-        assert_eq!(q.ensure_group(&g, &expired).unwrap(), id);
+        // budget (the reuse path does no work): the budget next fires
+        // in the search.
+        assert!(q.solve(&g, Budget::unlimited()).unwrap().is_sat());
+        match q.solve(&g, expired).unwrap() {
+            Outcome::Unknown { phase: Phase::Search, .. } => {}
+            other => panic!("expected search exhaustion, got {other:?}"),
+        }
+        assert_eq!((q.encoded_groups(), q.reused_groups()), (1, 1));
     }
 
     #[test]
@@ -300,13 +299,10 @@ mod tests {
         let b = Budget::unlimited();
         let mut store = PreparedStore::with_cap(1);
         // Warm up key 1: one encode + one reuse.
-        let id = {
+        {
             let q = store.get_or_build(1, || pq(&f));
-            let id = q.ensure_group(&g, &b).unwrap();
-            q.ensure_group(&g, &b).unwrap();
-            assert!(q.solve(&[id], Budget::unlimited()).is_sat());
-            id
-        };
+            assert!(q.solve(&[g.clone(), g.clone()], b.clone()).unwrap().is_sat());
+        }
         let before = store.group_counters();
         assert_eq!(before, (1, 1));
         // Key 2 evicts key 1 (cap is 1); totals must not shrink.
@@ -318,12 +314,10 @@ mod tests {
             "eviction retired key 1's counters instead of dropping them"
         );
         // Re-requesting key 1 mid-"negotiation" rebuilds transparently:
-        // a fresh cold build whose groups re-encode, and the old
-        // GroupId is meaningless for the new engine until re-ensured.
+        // a fresh cold build whose groups re-encode.
         let q = store.get_or_build(1, || pq(&f));
-        let id2 = q.ensure_group(&g, &b).unwrap();
-        assert_eq!(id, id2, "fresh engine hands out ids from zero again");
-        assert!(q.solve(&[id2], Budget::unlimited()).is_sat());
+        assert!(q.solve(&[g], b).unwrap().is_sat());
+        assert_eq!(q.encoded_groups(), 1, "the rebuilt engine encodes from scratch");
         assert_eq!(store.builds(), 3);
         let after = store.group_counters();
         assert!(after.0 > before.0, "rebuild re-encodes monotonically");

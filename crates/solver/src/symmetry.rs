@@ -15,7 +15,8 @@
 //! constraints are added as *hard* clauses outside all groups, so UNSAT
 //! cores remain sound. They do restrict *which* models are returned,
 //! which is why target-oriented and enumeration queries must not use
-//! them (the [`crate::Query`] API enforces this).
+//! them: [`crate::IncrementalQuery`] installs them only in `solve`,
+//! never in `solve_target` or `enumerate`.
 
 use std::collections::BTreeSet;
 

@@ -123,11 +123,9 @@ fn solve_target_with(
             ..PortfolioConfig::default()
         }));
     }
-    let mut active = Vec::new();
-    for g in groups_of(f, goals) {
-        active.push(q.ensure_group(&g, &Budget::unlimited()).unwrap());
-    }
-    let (out, dist) = q.solve_target(&active, target, Budget::unlimited());
+    let (out, dist) = q
+        .solve_target(&groups_of(f, goals), target, Budget::unlimited())
+        .unwrap();
     (sig(&out), dist)
 }
 
@@ -224,14 +222,9 @@ proptest! {
         let mut baseline = engine(&f);
         baseline.set_inprocessing(false);
         for goals in &rounds {
-            let mut a1 = Vec::new();
-            let mut a2 = Vec::new();
-            for g in groups_of(&f, goals) {
-                a1.push(upgraded.ensure_group(&g, &Budget::unlimited()).unwrap());
-                a2.push(baseline.ensure_group(&g, &Budget::unlimited()).unwrap());
-            }
-            let o1 = upgraded.solve(&a1, Budget::unlimited());
-            let o2 = baseline.solve(&a2, Budget::unlimited());
+            let groups = groups_of(&f, goals);
+            let o1 = upgraded.solve(&groups, Budget::unlimited()).unwrap();
+            let o2 = baseline.solve(&groups, Budget::unlimited()).unwrap();
             prop_assert_eq!(sig(&o1), sig(&o2), "warm round diverged");
         }
     }

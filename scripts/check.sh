@@ -114,6 +114,9 @@ run cargo test -q --offline --test nparty_differential --test nparty_props
 run cargo test -q --offline -p muppet-domain
 run cargo run --release --offline -q --bin muppet-harness -- m1
 test -s BENCH_domains.json || { echo "BENCH_domains.json missing"; exit 1; }
+# Rustdoc gate: broken, ambiguous or private intra-doc links fail the
+# build, so docs cannot keep pointing at deleted items.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # fault-inject is a non-default feature; make sure it keeps compiling.
 run cargo build -q --offline -p muppet-solver --features fault-inject
 if cargo clippy --version >/dev/null 2>&1; then

@@ -610,7 +610,8 @@ fn e8(t: &mut Table) {
 /// atom is interchangeable) it collapses the conflict count — the same
 /// trade Kodkod documents.
 fn a4(t: &mut Table) {
-    use muppet_solver::{FormulaGroup, Outcome, Query};
+    use muppet_logic::PartialInstance;
+    use muppet_solver::{FormulaGroup, IncrementalQuery, Outcome};
 
     // Easy-SAT mesh scenario: SB is overhead.
     let scenario = generate(ScenarioParams {
@@ -634,13 +635,15 @@ fn a4(t: &mut Table) {
     // Symmetric UNSAT: relational pigeonhole PHP(9,8), from the shared
     // corpus fixture (same instance `php-9-8` gates in the S1 lane).
     let (u, v, sits, formulas) = muppet_bench::paper::php_relational(9, 8);
+    let groups = [FormulaGroup::new("php", formulas)];
     let run = |sb: bool| {
-        let mut q = Query::new(&v, &u);
-        q.free_rel(sits)
-            .set_symmetry_breaking(sb)
-            .set_minimize_cores(false)
-            .add_group(FormulaGroup::new("php", formulas.clone()));
-        match q.solve().unwrap() {
+        let mut q =
+            IncrementalQuery::new(&v, &u, &[sits], &PartialInstance::new(), Instance::new());
+        q.set_minimize_cores(false);
+        if sb {
+            q.add_symmetry_breaking();
+        }
+        match q.solve(&groups, Budget::unlimited()).unwrap() {
             Outcome::Unsat { stats, .. } => stats.conflicts,
             other => panic!("PHP(9,8) must be unsat, got {other:?}"),
         }
@@ -790,7 +793,8 @@ fn a1(t: &mut Table) {
 
 /// A2 — core minimization ablation on a many-goal conflict.
 fn a2(t: &mut Table) {
-    use muppet_solver::{FormulaGroup, Outcome, Query};
+    use muppet_logic::PartialInstance;
+    use muppet_solver::{FormulaGroup, IncrementalQuery, Outcome};
     let scenario = generate(ScenarioParams {
         services: 8,
         istio_goals: 10,
@@ -800,14 +804,13 @@ fn a2(t: &mut Table) {
         ..ScenarioParams::default()
     });
     let sess = scenario.session(false);
-    let groups: Vec<FormulaGroup> = sess
-        .parties()
-        .iter()
-        .flat_map(|p| {
+    let axioms = FormulaGroup::new("axioms", sess.axioms().to_vec());
+    let groups: Vec<FormulaGroup> = std::iter::once(axioms)
+        .chain(sess.parties().iter().flat_map(|p| {
             p.goals
                 .iter()
                 .map(|g| FormulaGroup::new(g.name.clone(), vec![g.formula.clone()]))
-        })
+        }))
         .collect();
     let free: Vec<_> = scenario
         .mv
@@ -816,13 +819,15 @@ fn a2(t: &mut Table) {
         .chain(scenario.mv.istio_rels())
         .collect();
     let run = |minimize: bool| {
-        let mut q = Query::new(sess.vocab(), sess.universe());
-        q.free_rels(free.clone()).set_minimize_cores(minimize);
-        q.add_group(FormulaGroup::new("axioms", sess.axioms().to_vec()));
-        for g in &groups {
-            q.add_group(g.clone());
-        }
-        match q.solve().unwrap() {
+        let mut q = IncrementalQuery::new(
+            sess.vocab(),
+            sess.universe(),
+            &free,
+            &PartialInstance::new(),
+            Instance::new(),
+        );
+        q.set_minimize_cores(minimize);
+        match q.solve(&groups, Budget::unlimited()).unwrap() {
             Outcome::Unsat { core, .. } => core.len(),
             other => panic!("expected conflict, got {other:?}"),
         }
@@ -839,7 +844,7 @@ fn a2(t: &mut Table) {
 /// A3 — bounds tightness ablation: free-variable counts and solve time.
 fn a3(t: &mut Table) {
     use muppet_logic::PartialInstance;
-    use muppet_solver::{FormulaGroup, Query};
+    use muppet_solver::{FormulaGroup, IncrementalQuery};
     let mv = vocab();
     let mut s = session(&mv, IstioTable::Fig4);
     let rec = s.reconcile(ReconcileMode::HardBounds).unwrap();
@@ -853,24 +858,18 @@ fn a3(t: &mut Table) {
             }
         }
     }
-    let groups: Vec<FormulaGroup> = s
-        .parties()
-        .iter()
-        .flat_map(|p| {
+    let axioms = FormulaGroup::new("axioms", s.axioms().to_vec());
+    let groups: Vec<FormulaGroup> = std::iter::once(axioms)
+        .chain(s.parties().iter().flat_map(|p| {
             p.goals
                 .iter()
                 .map(|g| FormulaGroup::new(g.name.clone(), vec![g.formula.clone()]))
-        })
+        }))
         .collect();
+    let free: Vec<_> = mv.istio_rels().into_iter().chain(mv.k8s_rels()).collect();
     let run = |bounds: PartialInstance| {
-        let mut q = Query::new(s.vocab(), s.universe());
-        q.free_rels(mv.istio_rels().into_iter().chain(mv.k8s_rels()))
-            .set_bounds(bounds);
-        q.add_group(FormulaGroup::new("axioms", s.axioms().to_vec()));
-        for g in &groups {
-            q.add_group(g.clone());
-        }
-        match q.solve().unwrap() {
+        let mut q = IncrementalQuery::new(s.vocab(), s.universe(), &free, &bounds, Instance::new());
+        match q.solve(&groups, Budget::unlimited()).unwrap() {
             muppet_solver::Outcome::Sat { stats, .. } => stats.free_tuple_vars,
             _ => panic!("expected SAT"),
         }
@@ -2219,7 +2218,7 @@ fn k1(t: &mut Table) {
     let timed_run = |strategy: TargetStrategy| {
         let mut best: Option<(f64, usize, u64, u64, Json)> = None;
         for _ in 0..BEST_OF {
-            let (mut q, active) = sc.engine();
+            let mut q = sc.engine();
             q.set_target_strategy(strategy);
             q.set_canonical_cap(0);
             muppet_obs::clear_profilers();
@@ -2227,7 +2226,9 @@ fn k1(t: &mut Table) {
             muppet_obs::on_span_close(acc.callback());
             muppet_obs::set_enabled(true);
             let start = std::time::Instant::now();
-            let (out, d) = q.solve_target(&active, &sc.target, Budget::unlimited());
+            let (out, d) = q
+                .solve_target(&sc.groups, &sc.target, Budget::unlimited())
+                .expect("minedit groups ground");
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             let totals = acc.drain();
             muppet_obs::clear_profilers();
@@ -2266,10 +2267,12 @@ fn k1(t: &mut Table) {
     // past the default cap), so both strategies must land on the same
     // byte-identical distance-minimal model.
     let parity_run = |strategy: TargetStrategy| {
-        let (mut q, active) = sc.engine();
+        let mut q = sc.engine();
         q.set_target_strategy(strategy);
         q.set_canonical_cap(usize::MAX);
-        let (out, d) = q.solve_target(&active, &sc.target, Budget::unlimited());
+        let (out, d) = q
+            .solve_target(&sc.groups, &sc.target, Budget::unlimited())
+            .expect("minedit groups ground");
         format!("{:?} at distance {d}", out.solution())
     };
     let identical =

@@ -12,7 +12,7 @@ use muppet_logic::{
     evaluate_closed, Domain, Formula, Instance, PartialInstance, PartyId, Term, Universe,
     Vocabulary,
 };
-use muppet_solver::Query;
+use muppet_solver::{Budget, IncrementalQuery};
 
 /// A deliberately tiny two-party domain so recipient configurations can
 /// be enumerated exhaustively: sender owns `deny(S)`, recipient owns
@@ -205,9 +205,9 @@ fn envelope_agrees_with_goals_on_sampled_mesh_configs() {
     bounds.permit(mv.listens, vec![fe, p23]);
     bounds.permit(mv.listens, vec![be, p25]);
 
-    let mut q = Query::new(s.vocab(), s.universe());
-    q.free_rels(mv.istio_rels()).set_bounds(bounds);
-    let models = q.enumerate(4096).expect("enumerates");
+    let mut q =
+        IncrementalQuery::new(s.vocab(), s.universe(), &mv.istio_rels(), &bounds, Instance::new());
+    let models = q.enumerate(&[], 4096, Budget::unlimited()).expect("enumerates");
     assert!(models.len() > 100, "want a meaningful sample");
     let mut satisfying = 0;
     for c_b in &models {

@@ -9,7 +9,7 @@ use muppet_logic::{
     decompose, evaluate_closed, nnf, partial_eval, simplify, Domain, Formula, Instance,
     PartialInstance, PartyId, RelId, SortId, Term, Universe, VarId, Vocabulary,
 };
-use muppet_solver::{FormulaGroup, Query};
+use muppet_solver::{Budget, FormulaGroup, IncrementalQuery};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -211,11 +211,9 @@ proptest! {
         let (u, v, rels) = fixture();
         let formula = build(&f, &rels, &mut BTreeSet::new());
         // All three relations free and unbounded.
-        let mut q = Query::new(&v, &u);
-        q.free_rels(rels)
-            .set_bounds(PartialInstance::new())
-            .add_group(FormulaGroup::new("f", vec![formula.clone()]));
-        let solver_sat = q.solve().unwrap().is_sat();
+        let mut q = IncrementalQuery::new(&v, &u, &rels, &PartialInstance::new(), Instance::new());
+        let groups = [FormulaGroup::new("f", vec![formula.clone()])];
+        let solver_sat = q.solve(&groups, Budget::unlimited()).unwrap().is_sat();
         let brute_sat = (0u16..256).any(|mask| {
             let inst = instance_from_mask(mask as u8, &rels);
             evaluate_closed(&formula, &inst, &u).unwrap()
