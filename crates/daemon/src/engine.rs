@@ -1102,20 +1102,14 @@ fn obs_json() -> Json {
     ])
 }
 
-/// The `kernel` section of `stats`: the SAT kernel's inprocessing
-/// counters and tiered clause-DB gauges, pulled out of the obs registry
-/// (engines publish them after every solve) so operators don't have to
-/// fish prefixed names out of the raw `obs` dump.
+/// The `kernel` section of `stats`: the SAT kernel's inprocessing and
+/// OLL-core counters, pulled out of the obs registry (engines publish
+/// them after every solve) so operators don't have to fish prefixed
+/// names out of the raw `obs` dump.
 fn kernel_json() -> Json {
     let snap = registry().snapshot();
     let ctr = |name: &str| {
         snap.counters
-            .iter()
-            .find(|(k, _)| k.as_str() == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    let gauge = |name: &str| {
-        snap.gauges
             .iter()
             .find(|(k, _)| k.as_str() == name)
             .map_or(0, |(_, v)| *v)
@@ -1129,14 +1123,6 @@ fn kernel_json() -> Json {
         ),
         ("vivified_clauses", Json::num(ctr("kernel.vivified_clauses"))),
         ("oll_cores", Json::num(ctr("kernel.oll_cores"))),
-        (
-            "tiers",
-            Json::obj([
-                ("core", Json::num(gauge("kernel.tier.core"))),
-                ("mid", Json::num(gauge("kernel.tier.mid"))),
-                ("local", Json::num(gauge("kernel.tier.local"))),
-            ]),
-        ),
     ])
 }
 

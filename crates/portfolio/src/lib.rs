@@ -239,8 +239,6 @@ pub fn solve_portfolio(
     master.stats.subsumed_clauses += agg.subsumed_clauses;
     master.stats.strengthened_clauses += agg.strengthened_clauses;
     master.stats.vivified_clauses += agg.vivified_clauses;
-    master.stats.tier_demotions += agg.tier_demotions;
-    master.stats.tier_promotions += agg.tier_promotions;
 
     let summary = PortfolioSummary {
         workers: n as u32,
@@ -460,9 +458,9 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_mode_reproduces_stats_under_tier_pressure() {
-        // A tight learnt cap keeps the workers' tiered clause DB (and
-        // its reduction/demotion machinery) busy; lockstep replay must
+    fn deterministic_mode_reproduces_stats_under_reduction_pressure() {
+        // A tight learnt cap keeps the workers' clause-DB reduction
+        // busy; lockstep replay must
         // still reproduce the winner and every counter byte-for-byte,
         // including the master-drained kernel counters.
         let det = PortfolioConfig {
@@ -485,10 +483,8 @@ mod tests {
         assert_eq!(sum1, sum2, "deterministic runs must match exactly");
         assert_eq!(
             stats1.deleted_clauses, stats2.deleted_clauses,
-            "tiered eviction must replay deterministically"
+            "clause-DB reduction must replay deterministically"
         );
-        assert_eq!(stats1.tier_demotions, stats2.tier_demotions);
-        assert_eq!(stats1.tier_promotions, stats2.tier_promotions);
         assert_eq!(stats1.inprocessings, stats2.inprocessings);
         assert_eq!(stats1.subsumed_clauses, stats2.subsumed_clauses);
         assert_eq!(stats1.strengthened_clauses, stats2.strengthened_clauses);

@@ -11,21 +11,6 @@ use crate::lit::Lit;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub(crate) struct ClauseRef(pub(crate) u32);
 
-/// Retention tier of a learnt clause (Chanseok-Oh style three-tier DB).
-///
-/// Ordered by value: `Core < Mid < Local`, so "promote" means moving to
-/// a *smaller* tier. Problem clauses carry `Core` but are never counted
-/// or evicted.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub(crate) enum Tier {
-    /// Glue clauses (lowest LBD): kept forever.
-    Core,
-    /// Medium-LBD clauses: bounded; stale ones are demoted to Local.
-    Mid,
-    /// Everything else: aggressively evicted by activity.
-    Local,
-}
-
 /// A single clause plus the metadata CDCL bookkeeping needs.
 #[derive(Clone, Debug)]
 pub(crate) struct Clause {
@@ -39,8 +24,6 @@ pub(crate) struct Clause {
     pub lbd: u32,
     /// Bump-and-decay activity for the reduction heuristic.
     pub activity: f64,
-    /// Retention tier (meaningful for learnt clauses only).
-    pub tier: Tier,
     /// Tombstone flag; set by deletion, slot recycled later.
     pub deleted: bool,
 }
@@ -58,12 +41,6 @@ pub(crate) struct ClauseDb {
     pending: Vec<u32>,
     /// Number of live learnt clauses (for the reduction trigger).
     pub num_learnt: usize,
-    /// Live learnt clauses currently in [`Tier::Core`].
-    pub num_core: usize,
-    /// Live learnt clauses currently in [`Tier::Mid`].
-    pub num_mid: usize,
-    /// Live learnt clauses currently in [`Tier::Local`].
-    pub num_local: usize,
 }
 
 impl ClauseDb {
@@ -71,22 +48,16 @@ impl ClauseDb {
         ClauseDb::default()
     }
 
-    pub fn alloc(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32, tier: Tier) -> ClauseRef {
+    pub fn alloc(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "unit/empty clauses are not stored");
         if learnt {
             self.num_learnt += 1;
-            match tier {
-                Tier::Core => self.num_core += 1,
-                Tier::Mid => self.num_mid += 1,
-                Tier::Local => self.num_local += 1,
-            }
         }
         let clause = Clause {
             lits,
             learnt,
             lbd,
             activity: 0.0,
-            tier,
             deleted: false,
         };
         if let Some(slot) = self.free.pop() {
@@ -114,11 +85,6 @@ impl ClauseDb {
         debug_assert!(!c.deleted);
         if c.learnt {
             self.num_learnt -= 1;
-            match c.tier {
-                Tier::Core => self.num_core -= 1,
-                Tier::Mid => self.num_mid -= 1,
-                Tier::Local => self.num_local -= 1,
-            }
         }
         c.deleted = true;
         c.lits.clear();
@@ -135,27 +101,6 @@ impl ClauseDb {
     /// still references them.
     pub fn collect_garbage(&mut self) {
         self.free.append(&mut self.pending);
-    }
-
-    /// Move a live learnt clause to a new tier, keeping the per-tier
-    /// counts in sync.
-    pub fn retier(&mut self, cref: ClauseRef, tier: Tier) {
-        let c = &mut self.clauses[cref.0 as usize];
-        debug_assert!(c.learnt && !c.deleted);
-        if c.tier == tier {
-            return;
-        }
-        match c.tier {
-            Tier::Core => self.num_core -= 1,
-            Tier::Mid => self.num_mid -= 1,
-            Tier::Local => self.num_local -= 1,
-        }
-        match tier {
-            Tier::Core => self.num_core += 1,
-            Tier::Mid => self.num_mid += 1,
-            Tier::Local => self.num_local += 1,
-        }
-        c.tier = tier;
     }
 
     /// Iterate over the refs of all live learnt clauses.
@@ -202,8 +147,8 @@ mod tests {
     #[test]
     fn alloc_get_delete_recycles_slots() {
         let mut db = ClauseDb::new();
-        let c1 = db.alloc(lits(&[0, 1]), false, 0, Tier::Core);
-        let c2 = db.alloc(lits(&[1, 2]), true, 2, Tier::Core);
+        let c1 = db.alloc(lits(&[0, 1]), false, 0);
+        let c2 = db.alloc(lits(&[1, 2]), true, 2);
         assert_eq!(db.get(c1).lits.len(), 2);
         assert!(db.get(c2).learnt);
         assert_eq!(db.num_learnt, 1);
@@ -212,12 +157,12 @@ mod tests {
         assert_eq!(db.num_live(), 1);
         // Slot is not recycled until garbage collection...
         assert!(db.has_pending_garbage());
-        let c3 = db.alloc(lits(&[2, 3]), false, 0, Tier::Core);
+        let c3 = db.alloc(lits(&[2, 3]), false, 0);
         assert_ne!(c3, c2);
         // ...and is recycled after.
         db.collect_garbage();
         assert!(!db.has_pending_garbage());
-        let c4 = db.alloc(lits(&[3, 4]), false, 0, Tier::Core);
+        let c4 = db.alloc(lits(&[3, 4]), false, 0);
         assert_eq!(c4, c2);
         assert!(!db.get(c4).deleted);
     }
@@ -225,33 +170,10 @@ mod tests {
     #[test]
     fn learnt_refs_skips_deleted_and_problem_clauses() {
         let mut db = ClauseDb::new();
-        let _p = db.alloc(lits(&[0, 1]), false, 0, Tier::Core);
-        let l1 = db.alloc(lits(&[1, 2]), true, 2, Tier::Mid);
-        let l2 = db.alloc(lits(&[2, 3]), true, 3, Tier::Local);
+        let _p = db.alloc(lits(&[0, 1]), false, 0);
+        let l1 = db.alloc(lits(&[1, 2]), true, 2);
+        let l2 = db.alloc(lits(&[2, 3]), true, 3);
         db.delete(l1);
         assert_eq!(db.learnt_refs(), vec![l2]);
-    }
-
-    #[test]
-    fn tier_counts_track_alloc_delete_retier() {
-        let mut db = ClauseDb::new();
-        // Problem clauses never count toward any tier.
-        let _p = db.alloc(lits(&[0, 1]), false, 0, Tier::Core);
-        assert_eq!((db.num_core, db.num_mid, db.num_local), (0, 0, 0));
-        let a = db.alloc(lits(&[1, 2]), true, 2, Tier::Core);
-        let b = db.alloc(lits(&[2, 3]), true, 5, Tier::Mid);
-        let c = db.alloc(lits(&[3, 4]), true, 9, Tier::Local);
-        assert_eq!((db.num_core, db.num_mid, db.num_local), (1, 1, 1));
-        // Demotion and promotion move the counts, not the total.
-        db.retier(b, Tier::Local);
-        assert_eq!((db.num_core, db.num_mid, db.num_local), (1, 0, 2));
-        db.retier(c, Tier::Core);
-        assert_eq!((db.num_core, db.num_mid, db.num_local), (2, 0, 1));
-        db.retier(c, Tier::Core); // no-op
-        assert_eq!((db.num_core, db.num_mid, db.num_local), (2, 0, 1));
-        db.delete(a);
-        db.delete(c);
-        assert_eq!((db.num_core, db.num_mid, db.num_local), (0, 0, 1));
-        assert_eq!(db.num_learnt, 1);
     }
 }

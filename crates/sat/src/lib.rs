@@ -15,9 +15,10 @@
 //! * Two-literal watched propagation.
 //! * VSIDS decision heuristic (indexed max-heap) with phase saving.
 //! * Luby-sequence restarts.
-//! * Three-tier (core/mid/local) learned-clause database keyed by LBD
-//!   (glue level), with demotion/eviction and on-use promotion; a flat
-//!   single-cap policy remains available as a baseline.
+//! * One learned-clause retention policy keyed by LBD (glue level): when
+//!   the DB outgrows its cap, the worse half by LBD then activity is
+//!   deleted, glue clauses (LBD ≤ 3) are always kept, and the cap grows
+//!   by a third.
 //! * Budget-bounded inprocessing at restart boundaries: clause
 //!   subsumption, self-subsuming resolution and vivification over the
 //!   learnt DB.
@@ -68,4 +69,4 @@ pub use lit::{LBool, Lit, Var};
 pub use luby::luby;
 pub use model::Model;
 pub use share::ClauseExchange;
-pub use solver::{ReduceStrategy, SolveResult, Solver, SolverStats};
+pub use solver::{SolveResult, Solver, SolverStats};

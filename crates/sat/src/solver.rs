@@ -6,7 +6,7 @@
 //! assumption-based incremental solving with core extraction.
 
 use crate::budget::Budget;
-use crate::clause::{ClauseDb, ClauseRef, Tier};
+use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::ActivityHeap;
 use crate::lit::{LBool, Lit, Var};
 use crate::luby::LubyRestarts;
@@ -72,11 +72,6 @@ pub struct SolverStats {
     pub strengthened_clauses: u64,
     /// Learnt clauses shortened by vivification.
     pub vivified_clauses: u64,
-    /// Learnt clauses demoted Mid → Local by tiered reduction.
-    pub tier_demotions: u64,
-    /// Learnt clauses promoted to a better tier after their LBD
-    /// improved during conflict analysis.
-    pub tier_promotions: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -117,24 +112,10 @@ struct ExchangeLink {
 /// help other workers and would churn the byte-bounded pool.
 const EXPORT_MAX_LEN: usize = 32;
 
-/// Learned-clause retention policy.
-///
-/// `Flat` is the legacy single-cap policy (delete the worse half of the
-/// learnt DB whenever it exceeds `max_learnt`); `Tiered` is the
-/// Chanseok-Oh style three-tier policy (glue clauses kept forever,
-/// mid-LBD clauses demoted when stale, the rest evicted by activity).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ReduceStrategy {
-    /// Single retention cap over the whole learnt DB (legacy policy).
-    Flat,
-    /// Three-tier core/mid/local DB keyed by LBD (default).
-    #[default]
-    Tiered,
-}
-
-/// LBD at or below which a learnt clause is glue ([`Tier::Core`]).
+/// LBD at or below which a learnt clause is glue: reduction never
+/// deletes it.
 const CORE_LBD: u32 = 3;
-/// LBD at or below which a learnt clause is [`Tier::Mid`].
+/// Learnt clauses with LBD above this are not vivified.
 const MID_LBD: u32 = 6;
 /// Conflicts between inprocessing passes.
 const INPROCESS_INTERVAL: u64 = 6000;
@@ -189,12 +170,6 @@ pub struct Solver {
     lbd_marks: Vec<u64>,
     lbd_stamp: u64,
     max_learnt: usize,
-    /// Retention policy for learnt clauses.
-    reduce_strategy: ReduceStrategy,
-    /// Retention cap for [`Tier::Mid`] (tiered policy only).
-    mid_budget: usize,
-    /// Retention cap for [`Tier::Local`] (tiered policy only).
-    local_budget: usize,
     /// Whether inprocessing runs at restart boundaries.
     inprocess_on: bool,
     /// Conflict count at the last inprocessing pass.
@@ -281,9 +256,6 @@ impl Solver {
             lbd_marks: vec![0],
             lbd_stamp: 0,
             max_learnt: 4000,
-            reduce_strategy: ReduceStrategy::Tiered,
-            mid_budget: 2000,
-            local_budget: 2000,
             inprocess_on: true,
             inprocess_base: 0,
             inprocess_interval: INPROCESS_INTERVAL,
@@ -365,28 +337,11 @@ impl Solver {
 
     /// Lower the learned-clause retention threshold. Exposed for tests
     /// that need to exercise database reduction and garbage collection
-    /// deterministically on small instances.
-    ///
-    /// Under [`ReduceStrategy::Tiered`] the single knob maps onto the
-    /// tier budgets deterministically: `mid = max / 2`,
-    /// `local = max - max / 2` (the core tier is never bounded).
+    /// deterministically on small instances. Each reduction grows the
+    /// threshold by a third.
     #[doc(hidden)]
     pub fn set_max_learnt(&mut self, max: usize) {
         self.max_learnt = max;
-        self.mid_budget = max / 2;
-        self.local_budget = max - max / 2;
-    }
-
-    /// Select the learned-clause retention policy. The default is
-    /// [`ReduceStrategy::Tiered`]; [`ReduceStrategy::Flat`] restores the
-    /// legacy single-cap behaviour (useful as a baseline oracle).
-    pub fn set_reduce_strategy(&mut self, strategy: ReduceStrategy) {
-        self.reduce_strategy = strategy;
-    }
-
-    /// The active learned-clause retention policy.
-    pub fn reduce_strategy(&self) -> ReduceStrategy {
-        self.reduce_strategy
     }
 
     /// Enable or disable the inprocessing pass (subsumption,
@@ -402,11 +357,6 @@ impl Solver {
     /// the default.
     pub fn set_inprocess_interval(&mut self, conflicts: u64) {
         self.inprocess_interval = conflicts.max(1);
-    }
-
-    /// Live learnt clauses per tier: `(core, mid, local)`.
-    pub fn tier_sizes(&self) -> (usize, usize, usize) {
-        (self.db.num_core, self.db.num_mid, self.db.num_local)
     }
 
     /// Reset the statistics counters *and* the schedule bookkeeping that
@@ -446,13 +396,11 @@ impl Solver {
         self.decay_ramp = on;
     }
 
-    /// Configure this solver as the pre-tiered-DB legacy kernel: flat
-    /// clause-DB reduction, Luby restarts, no inprocessing, one-step
-    /// clause minimization. The harness K1 lane uses this as the
-    /// sequential baseline ("pre-change oracle") that the modern
-    /// defaults are gated against.
+    /// Configure this solver as the legacy kernel: no inprocessing,
+    /// one-step clause minimization, fixed VSIDS decay. The harness K1
+    /// lane uses this as the sequential baseline ("pre-change oracle")
+    /// that the modern defaults are gated against.
     pub fn set_legacy_kernel(&mut self) {
-        self.set_reduce_strategy(ReduceStrategy::Flat);
         self.set_inprocessing(false);
         self.set_deep_minimization(false);
         self.set_decay_ramp(false);
@@ -573,7 +521,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.db.alloc(simplified, false, 0, Tier::Core);
+                let cref = self.db.alloc(simplified, false, 0);
                 self.attach(cref);
                 true
             }
@@ -754,30 +702,6 @@ impl Solver {
             self.analyze_tmp.clear();
             self.analyze_tmp
                 .extend(self.db.get(confl).lits.iter().copied());
-            // A learnt clause used in conflict analysis gets its LBD
-            // refreshed; improvements promote it toward the core tier
-            // (tiered policy only — the flat baseline never re-scores).
-            // Core clauses are already in the best tier and their stored
-            // LBD no longer matters, so skip the recount for them: they
-            // are exactly the clauses conflict analysis touches most,
-            // and the walk would dominate per-conflict cost.
-            if self.reduce_strategy == ReduceStrategy::Tiered
-                && self.db.get(confl).learnt
-                && self.db.get(confl).lbd > CORE_LBD
-            {
-                let tmp = std::mem::take(&mut self.analyze_tmp);
-                let lbd = self.compute_lbd(&tmp);
-                self.analyze_tmp = tmp;
-                let c = self.db.get_mut(confl);
-                if lbd < c.lbd {
-                    c.lbd = lbd;
-                    let tier = Self::tier_for(lbd);
-                    if tier < c.tier {
-                        self.db.retier(confl, tier);
-                        self.stats.tier_promotions += 1;
-                    }
-                }
-            }
             let start = usize::from(p.is_some());
             for k in start..self.analyze_tmp.len() {
                 let q = self.analyze_tmp[k];
@@ -939,17 +863,6 @@ impl Solver {
         distinct.max(1)
     }
 
-    /// The retention tier a learnt clause of the given LBD starts in.
-    fn tier_for(lbd: u32) -> Tier {
-        if lbd <= CORE_LBD {
-            Tier::Core
-        } else if lbd <= MID_LBD {
-            Tier::Mid
-        } else {
-            Tier::Local
-        }
-    }
-
     fn record_learnt(&mut self, learnt: Vec<Lit>) {
         self.stats.learned_clauses += 1;
         if learnt.len() == 1 {
@@ -959,7 +872,7 @@ impl Solver {
             let lbd = self.compute_lbd(&learnt);
             self.export_learnt(&learnt, lbd);
             let asserting = learnt[0];
-            let cref = self.db.alloc(learnt, true, lbd, Self::tier_for(lbd));
+            let cref = self.db.alloc(learnt, true, lbd);
             self.attach(cref);
             self.bump_clause(cref);
             self.enqueue(asserting, Some(cref));
@@ -1053,7 +966,7 @@ impl Solver {
                 // below the exporter's LBD; a clause of n literals can
                 // span at most n levels, so clamp before storing.
                 let lbd = lbd.min(simplified.len() as u32).max(1);
-                let cref = self.db.alloc(simplified, true, lbd, Self::tier_for(lbd));
+                let cref = self.db.alloc(simplified, true, lbd);
                 self.attach(cref);
             }
         }
@@ -1065,11 +978,11 @@ impl Solver {
         self.reason[v.index()] == Some(cref) && self.assigns[v.index()].is_assigned()
     }
 
-    /// Legacy flat reduction: delete roughly half of the learned
+    /// Clause-DB reduction: delete roughly half of the learned
     /// clauses, preferring to keep low-LBD ("glue") and high-activity
     /// clauses. Deletion is lazy: stale watchers are dropped during
     /// propagation and fully collected at the next restart.
-    fn reduce_db_flat(&mut self) {
+    fn reduce_db(&mut self) {
         let mut refs: Vec<ClauseRef> = self
             .db
             .learnt_refs()
@@ -1092,62 +1005,6 @@ impl Solver {
             self.stats.deleted_clauses += 1;
         }
         self.max_learnt += self.max_learnt / 3;
-    }
-
-    /// Tiered reduction, mid tier: demote the staler half (highest LBD,
-    /// lowest activity) to [`Tier::Local`], where activity-based
-    /// eviction will deal with it. Nothing is deleted here, so glue-ish
-    /// clauses that get used again can still be promoted back.
-    fn reduce_mid(&mut self) {
-        let mut refs: Vec<ClauseRef> = self
-            .db
-            .learnt_refs()
-            .into_iter()
-            .filter(|&r| self.db.get(r).tier == Tier::Mid)
-            .collect();
-        refs.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            ca.lbd
-                .cmp(&cb.lbd)
-                .then(cb.activity.partial_cmp(&ca.activity).unwrap_or(std::cmp::Ordering::Equal))
-        });
-        let keep = refs.len() / 2;
-        for &r in &refs[keep..] {
-            self.db.retier(r, Tier::Local);
-            self.stats.tier_demotions += 1;
-        }
-        self.mid_budget += self.mid_budget / 3;
-    }
-
-    /// Tiered reduction, local tier: delete the colder half by activity
-    /// (ties broken toward higher LBD). Locked and binary clauses are
-    /// exempt, as in the flat policy.
-    fn reduce_local(&mut self) {
-        let mut refs: Vec<ClauseRef> = self
-            .db
-            .learnt_refs()
-            .into_iter()
-            .filter(|&r| {
-                self.db.get(r).tier == Tier::Local
-                    && !self.locked(r)
-                    && self.db.get(r).lits.len() > 2
-            })
-            .collect();
-        refs.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            cb.activity
-                .partial_cmp(&ca.activity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(ca.lbd.cmp(&cb.lbd))
-        });
-        let keep = refs.len() / 2;
-        for &r in &refs[keep..] {
-            self.db.delete(r);
-            self.stats.deleted_clauses += 1;
-        }
-        self.local_budget += self.local_budget / 3;
     }
 
     /// `true` when enough conflicts have accumulated since the last
@@ -1221,7 +1078,7 @@ impl Solver {
             },
             _ => {
                 let lbd = old_lbd.min(kept.len() as u32).max(1);
-                let cref = self.db.alloc(kept, true, lbd, Self::tier_for(lbd));
+                let cref = self.db.alloc(kept, true, lbd);
                 self.attach(cref);
                 self.db.get_mut(cref).activity = activity;
             }
@@ -1409,7 +1266,7 @@ impl Solver {
             {
                 let c = self.db.get(r);
                 if c.deleted
-                    || c.tier == Tier::Local
+                    || c.lbd > MID_LBD
                     || c.lits.len() < 3
                     || c.lits.len() > VIVIFY_MAX_LEN
                 {
@@ -1669,20 +1526,8 @@ impl Solver {
                 if self.stats.decisions & 0xFF == 0 && self.budget_exhausted().is_some() {
                     return SearchOutcome::Budget;
                 }
-                match self.reduce_strategy {
-                    ReduceStrategy::Flat => {
-                        if self.db.num_learnt > self.max_learnt {
-                            self.reduce_db_flat();
-                        }
-                    }
-                    ReduceStrategy::Tiered => {
-                        if self.db.num_mid > self.mid_budget {
-                            self.reduce_mid();
-                        }
-                        if self.db.num_local > self.local_budget {
-                            self.reduce_local();
-                        }
-                    }
+                if self.db.num_learnt > self.max_learnt {
+                    self.reduce_db();
                 }
                 // Place assumptions as the first decisions.
                 let mut next = None;
@@ -2047,52 +1892,16 @@ mod tests {
         s.cancel_until(0);
     }
 
-    #[test]
-    fn tiered_reduction_under_pressure_proves_unsat() {
-        // Same instance and pressure as the flat-mode test: the tiered
-        // policy must demote and evict yet still prove UNSAT.
-        let mut s = Solver::new();
-        s.set_reduce_strategy(ReduceStrategy::Tiered);
-        s.set_max_learnt(25);
-        let p: Vec<Vec<Var>> = (0..7).map(|_| s.new_vars(6)).collect();
-        for row in &p {
-            s.add_clause(row.iter().map(|&v| Lit::pos(v)));
-        }
-        for j in 0..6 {
-            for i1 in 0..7 {
-                for i2 in (i1 + 1)..7 {
-                    s.add_clause([Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
-                }
-            }
-        }
-        assert!(s.solve().is_unsat());
-        let (core, mid, local) = s.tier_sizes();
-        assert_eq!(core + mid + local, s.db.num_learnt, "tier counts cover the learnt DB");
-        assert!(
-            s.stats.tier_demotions > 0 || s.stats.deleted_clauses > 0,
-            "tiered reduction engaged: {:?}",
-            s.stats
-        );
-    }
-
-    #[test]
-    fn set_max_learnt_maps_tier_budgets_deterministically() {
-        let mut s = Solver::new();
-        s.set_max_learnt(25);
-        assert_eq!(s.mid_budget, 12);
-        assert_eq!(s.local_budget, 13);
-        s.set_max_learnt(4000);
-        assert_eq!(s.mid_budget, 2000);
-        assert_eq!(s.local_budget, 2000);
-    }
-
-    /// Force an inprocessing pass on a solver with a learnt DB and check
-    /// it only ever shrinks clauses while preserving the verdict.
+    /// Force inprocessing passes on a solver with a learnt DB and check
+    /// they shrink it while preserving the verdict. PHP(8,7) finishes
+    /// below the default 6000-conflict interval, so a short interval
+    /// makes the passes fire.
     #[test]
     fn inprocessing_preserves_verdict_and_shrinks_db() {
         let build = |inprocess: bool| {
             let mut s = Solver::new();
             s.set_inprocessing(inprocess);
+            s.set_inprocess_interval(500);
             let p: Vec<Vec<Var>> = (0..8).map(|_| s.new_vars(7)).collect();
             for row in &p {
                 s.add_clause(row.iter().map(|&v| Lit::pos(v)));
@@ -2110,16 +1919,14 @@ mod tests {
         let mut without = build(false);
         assert!(with.solve().is_unsat());
         assert!(without.solve().is_unsat());
-        if with.stats.inprocessings > 0 {
-            assert!(
-                with.stats.subsumed_clauses
-                    + with.stats.strengthened_clauses
-                    + with.stats.vivified_clauses
-                    > 0,
-                "an inprocessing pass on PHP(8,7) finds work: {:?}",
-                with.stats
-            );
-        }
+        assert_eq!(without.stats.inprocessings, 0);
+        assert!(with.stats.inprocessings > 0, "{:?}", with.stats);
+        assert!(
+            with.stats.subsumed_clauses + with.stats.strengthened_clauses + with.stats.vivified_clauses
+                > 0,
+            "an inprocessing pass on PHP(8,7) finds work: {:?}",
+            with.stats
+        );
     }
 
     /// Subsumption + strengthening directly: seed a learnt DB by hand
@@ -2132,17 +1939,13 @@ mod tests {
         // Problem clause keeps the vars alive.
         s.add_clause([l(0), l(1), l(2), l(3), l(4)]);
         // A learnt clause strictly subsumed by a problem clause...
-        let sub = s.db.alloc(vec![l(0), l(1)], false, 0, Tier::Core);
+        let sub = s.db.alloc(vec![l(0), l(1)], false, 0);
         s.attach(sub);
-        let dup = s
-            .db
-            .alloc(vec![l(0), l(1), l(2)], true, 2, Tier::Core);
+        let dup = s.db.alloc(vec![l(0), l(1), l(2)], true, 2);
         s.attach(dup);
         // ...and one strengthenable by self-subsuming resolution with
         // {l0, l1}: {¬l1, l3, l0} → {l3, l0}.
-        let strengthen = s
-            .db
-            .alloc(vec![!l(1), l(3), l(0)], true, 3, Tier::Core);
+        let strengthen = s.db.alloc(vec![!l(1), l(3), l(0)], true, 3);
         s.attach(strengthen);
         assert!(s.subsume_pass());
         assert!(s.db.get(dup).deleted, "{:?}", s.stats);

@@ -36,9 +36,9 @@ use std::collections::HashMap;
 
 use muppet_logic::fingerprint::Fingerprinter;
 use muppet_logic::{Formula, Instance, PartialInstance, RelId, Universe, Vocabulary};
-use muppet_obs::{Counter, Gauge};
+use muppet_obs::Counter;
 use muppet_portfolio::{solve_portfolio, PortfolioConfig, PortfolioSummary};
-use muppet_sat::{mus, Budget, Lit, Model, ReduceStrategy, SolveResult, Solver, SolverStats, Var};
+use muppet_sat::{mus, Budget, Lit, Model, SolveResult, Solver, SolverStats, Var};
 
 use crate::ground::ground;
 use crate::query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, QueryStats};
@@ -125,9 +125,6 @@ pub struct IncrementalQuery {
     ctr_strengthened: Counter,
     ctr_vivified: Counter,
     ctr_oll_cores: Counter,
-    gauge_tier_core: Gauge,
-    gauge_tier_mid: Gauge,
-    gauge_tier_local: Gauge,
 }
 
 impl IncrementalQuery {
@@ -177,9 +174,6 @@ impl IncrementalQuery {
             ctr_strengthened: metrics.counter("kernel.strengthened_clauses"),
             ctr_vivified: metrics.counter("kernel.vivified_clauses"),
             ctr_oll_cores: metrics.counter("kernel.oll_cores"),
-            gauge_tier_core: metrics.gauge("kernel.tier.core"),
-            gauge_tier_mid: metrics.gauge("kernel.tier.mid"),
-            gauge_tier_local: metrics.gauge("kernel.tier.local"),
         }
     }
 
@@ -211,14 +205,6 @@ impl IncrementalQuery {
     /// instances.
     pub fn set_inprocess_interval(&mut self, conflicts: u64) -> &mut Self {
         self.solver.set_inprocess_interval(conflicts);
-        self
-    }
-
-    /// Select the kernel's learnt-clause retention policy. Passthrough
-    /// to [`muppet_sat::Solver::set_reduce_strategy`]; the tiered DB is
-    /// the default, the flat cap is the pre-change baseline.
-    pub fn set_reduce_strategy(&mut self, strategy: ReduceStrategy) -> &mut Self {
-        self.solver.set_reduce_strategy(strategy);
         self
     }
 
@@ -389,8 +375,7 @@ impl IncrementalQuery {
     }
 
     /// Push the kernel's inprocessing counters to the metrics registry
-    /// as deltas since the last publish, and refresh the tier-size
-    /// gauges. Called at the end of every solve entry point so the
+    /// as deltas since the last publish. Called at the end of every solve entry point so the
     /// daemon's `stats` op sees live kernel numbers.
     fn publish_kernel_metrics(&mut self) {
         let s = self.solver.stats;
@@ -404,10 +389,6 @@ impl IncrementalQuery {
         self.ctr_vivified
             .add(s.vivified_clauses.saturating_sub(p.vivified_clauses));
         self.kernel_published = s;
-        let (core, mid, local) = self.solver.tier_sizes();
-        self.gauge_tier_core.set(core as u64);
-        self.gauge_tier_mid.set(mid as u64);
-        self.gauge_tier_local.set(local as u64);
     }
 
     /// Group names of the core `lits`, ordered by the **current

@@ -60,7 +60,7 @@ pub mod varmap;
 
 pub use incremental::{IncrementalQuery, TargetStrategy, DEFAULT_CANONICAL_CAP};
 pub use muppet_portfolio::{default_threads, PortfolioConfig, PortfolioSummary};
-pub use muppet_sat::{Budget, CancelToken, Exhaustion, ReduceStrategy, RetryPolicy};
+pub use muppet_sat::{Budget, CancelToken, Exhaustion, RetryPolicy};
 pub use prepared::PreparedStore;
 pub use query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, QueryStats};
 pub use ground::{ground, GExpr};

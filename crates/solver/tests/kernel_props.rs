@@ -6,15 +6,17 @@
 //!   must return byte-identical outcomes and distances to the linear
 //!   search baseline on random instances, sequentially and with a
 //!   4-thread portfolio configured on the engine.
-//! * **Inprocessing is invisible** — with the pass forced to fire
-//!   (tiny interval), verdicts, canonical models and minimized cores
-//!   must match a kernel running the flat pre-change configuration
-//!   (no inprocessing, flat clause cap), both on random CNFs at the
-//!   `muppet-sat` level and on warm `IncrementalQuery` stores solved
-//!   over several rounds.
+//! * **Kernel upgrades are invisible** — with inprocessing forced to
+//!   fire (tiny interval) and the learnt DB under reduction pressure,
+//!   verdicts and minimized cores on random CNFs must match the legacy
+//!   kernel ([`Solver::set_legacy_kernel`]: no inprocessing, one-step
+//!   minimization, fixed VSIDS decay) at the `muppet-sat` level; and
+//!   on warm `IncrementalQuery` stores solved over several rounds,
+//!   verdicts, canonical models and minimized cores must match an
+//!   engine with inprocessing off.
 
 use muppet_logic::{Domain, Formula, Instance, PartialInstance, PartyId, Term, Universe, Vocabulary};
-use muppet_sat::{mus, Budget, Lit, ReduceStrategy, SolveResult, Solver, Var};
+use muppet_sat::{mus, Budget, Lit, SolveResult, Solver, Var};
 use muppet_solver::{
     FormulaGroup, IncrementalQuery, Outcome, PortfolioConfig, TargetStrategy,
 };
@@ -150,10 +152,11 @@ proptest! {
         }
     }
 
-    /// Inprocessing (forced to fire with a 1-conflict interval) plus
-    /// the tiered clause DB preserve the verdict of the flat,
-    /// no-inprocessing baseline kernel on random 3-CNFs, and produce
-    /// the identical deterministic minimized core under assumptions.
+    /// The tuned kernel — inprocessing forced to fire with a 1-conflict
+    /// interval, recursive minimization, the decay ramp and a small
+    /// learnt cap — preserves the legacy kernel's verdict on random
+    /// 3-CNFs, and produces the identical deterministic minimized core
+    /// under assumptions.
     #[test]
     fn inprocessing_preserves_random_cnf_verdicts(
         nvars in 8usize..24,
@@ -161,16 +164,13 @@ proptest! {
             prop::collection::vec((0u32..24, any::<bool>()), 3), 20..120),
         assumed in prop::collection::vec((0u32..24, any::<bool>()), 0..4),
     ) {
-        let build = |tiered: bool| {
+        let build = |tuned: bool| {
             let mut s = Solver::new();
-            if tiered {
-                s.set_inprocessing(true);
+            if tuned {
                 s.set_inprocess_interval(1);
-                s.set_reduce_strategy(ReduceStrategy::Tiered);
-                s.set_max_learnt(30); // keep the tier machinery busy
+                s.set_max_learnt(30); // keep clause-DB reduction busy
             } else {
-                s.set_inprocessing(false);
-                s.set_reduce_strategy(ReduceStrategy::Flat);
+                s.set_legacy_kernel();
             }
             let vars: Vec<Var> = (0..nvars).map(|_| s.new_var()).collect();
             for c in &seed_clauses {
@@ -187,10 +187,10 @@ proptest! {
             (s, assumptions)
         };
         let (mut base, assms) = build(false);
-        let (mut tiered, assms2) = build(true);
+        let (mut tuned, assms2) = build(true);
         prop_assert_eq!(&assms, &assms2);
         let r1 = base.solve_with_assumptions(&assms);
-        let r2 = tiered.solve_with_assumptions(&assms);
+        let r2 = tuned.solve_with_assumptions(&assms);
         prop_assert_eq!(r1.is_sat(), r2.is_sat(), "verdicts diverged");
         prop_assert_eq!(r1.is_unsat(), r2.is_unsat());
         if r1.is_unsat() && !assms.is_empty() {
@@ -200,18 +200,18 @@ proptest! {
                 mus::ShrinkResult::Minimal(c) => c,
                 other => panic!("baseline shrink: {other:?}"),
             };
-            let c2 = match mus::shrink_core_ordered(&mut tiered, &assms) {
+            let c2 = match mus::shrink_core_ordered(&mut tuned, &assms) {
                 mus::ShrinkResult::Minimal(c) => c,
-                other => panic!("tiered shrink: {other:?}"),
+                other => panic!("tuned shrink: {other:?}"),
             };
             prop_assert_eq!(c1, c2, "minimized cores diverged");
         }
     }
 
     /// On a warm engine solved over several rounds (so learnt state,
-    /// tier churn and inprocessing accumulate across solves), verdicts,
-    /// canonical models and minimized cores match an engine with the
-    /// kernel upgrades disabled.
+    /// clause-DB reduction and inprocessing accumulate across solves),
+    /// verdicts, canonical models and minimized cores match an engine
+    /// with inprocessing disabled.
     #[test]
     fn inprocessing_is_invisible_on_warm_stores(
         rounds in prop::collection::vec(goal_set(), 2..=3),
@@ -257,9 +257,8 @@ fn pigeonhole_verdict_survives_aggressive_kernel_settings() {
     s.set_max_learnt(40);
     php(&mut s, 7);
     assert!(matches!(s.solve(), SolveResult::Unsat(_)));
-    let mut flat = Solver::new();
-    flat.set_inprocessing(false);
-    flat.set_reduce_strategy(ReduceStrategy::Flat);
-    php(&mut flat, 7);
-    assert!(matches!(flat.solve(), SolveResult::Unsat(_)));
+    let mut legacy = Solver::new();
+    legacy.set_legacy_kernel();
+    php(&mut legacy, 7);
+    assert!(matches!(legacy.solve(), SolveResult::Unsat(_)));
 }

@@ -25,7 +25,8 @@ run cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 # cache-soundness properties.
 run cargo test -q --offline --test daemon --test daemon_cache_props
 # Daemon bench lane: asserts the >= 10x cached-vs-cold speedup and
-# emits BENCH_daemon.json / BENCH_e2e.json.
+# emits BENCH_daemon.json. (Only an unfiltered harness run writes
+# BENCH_e2e.json; lane-selected runs like this one leave it alone.)
 run cargo run --release --offline -q --bin muppet-harness -- d1
 # Portfolio lane: differential properties (4-thread verdicts == the
 # sequential ones), the D1/E2E harness slice at --threads 4, and the
@@ -89,10 +90,11 @@ run cargo run --release --offline -q --features fault-inject --bin muppet-harnes
 test -s BENCH_robustness.json || { echo "BENCH_robustness.json missing"; exit 1; }
 # SAT-kernel speed lane (DESIGN.md §17): differential kernel
 # properties (core-guided == linear solve_target at 1 and 4 threads;
-# inprocessing + the tiered clause DB invisible next to the flat
-# baseline kernel), then the K1 harness lane — the hard-tier CNF
-# corpus under the legacy pre-change kernel profile vs the tuned
-# defaults (verdict parity on every entry, <= 0.8x wall on the gated
+# the tuned kernel, inprocessing forced on, invisible next to the
+# legacy kernel), then the K1 harness lane — the hard-tier CNF corpus
+# under the legacy pre-change kernel profile, the tuned defaults and
+# three one-feature-off ablations (verdict parity on every entry under
+# every profile, <= 0.8x tuned-vs-legacy wall on the gated
 # refutation) and the committed minimal-edit scenario (core-guided
 # solve_target >= 2x less solver work than linear, byte-identical
 # canonical models). BENCH_kernel.json existence is checked before the

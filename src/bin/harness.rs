@@ -7,6 +7,10 @@
 //! cargo run --release --bin muppet-harness -- e4      # one experiment
 //! ```
 //!
+//! An unfiltered run also writes `BENCH_e2e.json` (per-experiment wall
+//! clock and status plus the whole table); a run restricted to some
+//! experiment ids leaves that file alone.
+//!
 //! Resource governance flags (applied to every session-based
 //! experiment): `--timeout-ms <n>` caps each session's wall clock,
 //! `--conflict-budget <n>` caps solver conflicts per attempt, and
@@ -220,7 +224,11 @@ fn main() {
     } else {
         print!("{}", table.render());
     }
-    write_bench_e2e(&table, &runs, g);
+    // A lane-selected run covers only part of the table, so only an
+    // unfiltered run may replace BENCH_e2e.json.
+    if filter.is_empty() {
+        write_bench_e2e(&table, &runs, g);
+    }
     // Flush the --trace-json sink before exiting either way.
     muppet_obs::clear_json_sink();
     if runs.iter().any(|(_, _, s)| *s == "panicked") {
@@ -228,8 +236,9 @@ fn main() {
     }
 }
 
-/// Always emit `BENCH_e2e.json`: per-experiment wall-clock + verdict
-/// plus the full result table, machine-readable for CI trend lines.
+/// Emit `BENCH_e2e.json` after an unfiltered run: per-experiment
+/// wall-clock + verdict plus the full result table, machine-readable
+/// for CI trend lines.
 fn write_bench_e2e(table: &Table, runs: &[(String, f64, &'static str)], g: Gov) {
     use muppet_daemon::json::Json;
     let experiments = Json::Arr(
@@ -2087,13 +2096,15 @@ fn w1(t: &mut Table) {
 /// under two in-binary kernel profiles: the legacy pre-change kernel
 /// ([`muppet_sat::Solver::set_legacy_kernel`] — flat reduction, Luby
 /// schedule, no inprocessing, one-step minimization, fixed decay: the
-/// pre-upgrade oracle) and the tuned defaults (tiered clause DB,
-/// inprocessing with geometric backoff, recursive minimization, decay
-/// ramp). Work counters are deterministic per profile; wall clock is
-/// not, so timings are best-of-3. Both profiles must reproduce the
-/// committed verdict on every entry, and on `hard-pup-unsat-5` — the
-/// refutation the speed program is gated on — the tuned kernel must
-/// finish in ≤ 0.8x the legacy wall time.
+/// pre-upgrade oracle) and the tuned defaults (inprocessing with
+/// geometric backoff, recursive minimization, decay ramp). Each entry
+/// is also solved under three ablation profiles, the tuned kernel with
+/// exactly one of those features switched off, so the table shows what
+/// each kept feature buys. Work counters are deterministic per
+/// profile; wall clock is not, so timings are best-of-3. Every profile
+/// must reproduce the committed verdict on every entry, and on
+/// `hard-pup-unsat-5` — the refutation the speed program is gated on —
+/// the tuned kernel must finish in ≤ 0.8x the legacy wall time.
 ///
 /// **Part B** solves the committed minimal-edit scenario
 /// (`minedit(400, 50, 8)`: optimal distance 50 by construction, 800
@@ -2108,8 +2119,8 @@ fn w1(t: &mut Table) {
 ///
 /// `BENCH_kernel.json` — per-entry walls + verdicts + kernel work
 /// counters (conflicts, inprocessing passes, subsumed / strengthened /
-/// vivified clauses, tier churn) and per-phase minedit timings — is
-/// always written before any gate fires.
+/// vivified clauses), per-entry ablation walls and work, and per-phase
+/// minedit timings — is always written before any gate fires.
 fn k1(t: &mut Table) {
     use muppet_bench::scenario::corpus::{self, Tier};
     use muppet_bench::scenario::minedit::minedit;
@@ -2135,22 +2146,26 @@ fn k1(t: &mut Table) {
             ("subsumed", Json::num(s.subsumed_clauses)),
             ("strengthened", Json::num(s.strengthened_clauses)),
             ("vivified", Json::num(s.vivified_clauses)),
-            ("tier_demotions", Json::num(s.tier_demotions)),
-            ("tier_promotions", Json::num(s.tier_promotions)),
         ])
     };
+    // The tuned kernel with exactly one kept feature switched off:
+    // (BENCH_kernel.json key, table label, knob).
+    type Ablation = (&'static str, &'static str, fn(&mut Solver));
+    let ablations: [Ablation; 3] = [
+        ("no_deep_minimization", "minimization off", |s| s.set_deep_minimization(false)),
+        ("no_decay_ramp", "decay ramp off", |s| s.set_decay_ramp(false)),
+        ("no_inprocessing", "inprocessing off", |s| s.set_inprocessing(false)),
+    ];
     let mut entries: Vec<Json> = Vec::new();
     let mut parity_failures: Vec<String> = Vec::new();
     let mut gated_ratio: Option<f64> = None;
     for entry in corpus::entries(Tier::Hard) {
         let inst = corpus::cnf_instance(entry.kind).expect("hard tier is CNF-backed");
-        let profile = |legacy: bool| -> (f64, bool, SolverStats) {
+        let profile = |configure: fn(&mut Solver)| -> (f64, bool, SolverStats) {
             let mut best: Option<(f64, bool, SolverStats)> = None;
             for _ in 0..BEST_OF {
                 let mut s: Solver = inst.solver();
-                if legacy {
-                    s.set_legacy_kernel();
-                }
+                configure(&mut s);
                 let start = std::time::Instant::now();
                 let sat = matches!(s.solve(), SolveResult::Sat(_));
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -2160,10 +2175,22 @@ fn k1(t: &mut Table) {
             }
             best.expect("BEST_OF > 0")
         };
-        let (legacy_ms, legacy_sat, legacy_stats) = profile(true);
-        let (tuned_ms, tuned_sat, tuned_stats) = profile(false);
-        for (kernel, sat) in [("legacy", legacy_sat), ("tuned", tuned_sat)] {
+        let (legacy_ms, legacy_sat, legacy_stats) = profile(Solver::set_legacy_kernel);
+        let (tuned_ms, tuned_sat, tuned_stats) = profile(|_| {});
+        let ablated: Vec<(&'static str, &str, f64, bool, SolverStats)> = ablations
+            .iter()
+            .map(|&(key, label, configure)| {
+                let (ms, sat, stats) = profile(configure);
+                (key, label, ms, sat, stats)
+            })
+            .collect();
+        let verdicts = [("legacy", legacy_sat), ("tuned", tuned_sat)]
+            .into_iter()
+            .chain(ablated.iter().map(|a| (a.0, a.3)));
+        let mut parity = true;
+        for (kernel, sat) in verdicts {
             if !entry.expected.matches_success(sat) {
+                parity = false;
                 parity_failures.push(format!(
                     "{} under the {kernel} kernel: expected {}, got {}",
                     entry.name,
@@ -2192,19 +2219,43 @@ fn k1(t: &mut Table) {
                 "verdict parity"
             },
         );
+        row(
+            t,
+            "K1",
+            entry.name,
+            "ablations (one feature off)",
+            ablated
+                .iter()
+                .map(|(_, label, ms, _, st)| {
+                    format!("{label} {ms:.0} ms / {} conflicts", st.conflicts)
+                })
+                .collect::<Vec<_>>()
+                .join("; "),
+            "verdict parity",
+        );
         entries.push(Json::obj([
             ("name", Json::str(entry.name)),
             ("expected", Json::str(entry.expected.label())),
-            ("verdict_parity", Json::Bool(
-                entry.expected.matches_success(legacy_sat)
-                    && entry.expected.matches_success(tuned_sat),
-            )),
+            ("verdict_parity", Json::Bool(parity)),
             ("legacy_wall_ms", Json::Num(legacy_ms)),
             ("tuned_wall_ms", Json::Num(tuned_ms)),
             ("ratio", Json::Num(ratio)),
             ("gated", Json::Bool(entry.name == GATED)),
             ("legacy", stats_json(&legacy_stats)),
             ("tuned", stats_json(&tuned_stats)),
+            (
+                "ablations",
+                Json::obj(ablated.iter().map(|&(key, _, ms, _, st)| {
+                    (
+                        key,
+                        Json::obj([
+                            ("wall_ms", Json::Num(ms)),
+                            ("conflicts", Json::num(st.conflicts)),
+                            ("propagations", Json::num(st.propagations)),
+                        ]),
+                    )
+                })),
+            ),
         ]));
     }
 

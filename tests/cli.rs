@@ -1,6 +1,6 @@
 //! Integration tests for the `muppet-cli` binary: drive the actual
 //! executable over the paper's files and check verdicts, exit codes and
-//! output shape.
+//! output shape. One test drives `muppet-harness` the same way.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -383,4 +383,19 @@ fn bad_inputs_give_exit_2() {
     let out = f.run(&["help"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(stdout(&out).contains("USAGE"));
+}
+
+/// A harness run restricted to some lanes covers only part of the
+/// result table, so it must leave `BENCH_e2e.json` alone.
+#[test]
+fn lane_selected_harness_run_writes_no_bench_e2e() {
+    let f = Fixture::new("harness-lane");
+    let out = Command::new(env!("CARGO_BIN_EXE_muppet-harness"))
+        .args(["--timeout-ms", "0", "e1"])
+        .current_dir(&f.dir)
+        .output()
+        .expect("run muppet-harness");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(stdout(&out).contains("budget exhausted"), "{}", stdout(&out));
+    assert!(!f.dir.join("BENCH_e2e.json").exists());
 }
