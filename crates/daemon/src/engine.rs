@@ -1058,6 +1058,8 @@ fn stream_stats_json(s: &StreamStats) -> Json {
         ("dirtied", Json::strs(&s.dirtied)),
         ("groups_encoded", Json::num(s.groups_encoded)),
         ("groups_reused", Json::num(s.groups_reused)),
+        ("engine_vars", Json::num(s.engine_vars)),
+        ("compacted", Json::Bool(s.compacted)),
         ("vocab_rebuilt", Json::Bool(s.vocab_rebuilt)),
         ("delta_us", Json::num(s.elapsed_us)),
     ])
@@ -1602,6 +1604,8 @@ mod tests {
         assert!(r2.ok, "{:?}", r2.error);
         assert_eq!(r2.result.get("flipped").and_then(Json::as_bool), Some(true));
         assert!(r2.result.get("groups_reused").and_then(Json::as_u64).unwrap() > 0);
+        assert!(r2.result.get("engine_vars").and_then(Json::as_u64).is_some());
+        assert!(r2.result.get("compacted").and_then(Json::as_bool).is_some());
 
         // A malformed delta is rejected without touching the watch.
         push.delta = Some("remove-service no-such-svc".into());

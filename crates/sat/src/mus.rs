@@ -104,28 +104,37 @@ pub fn shrink_core(solver: &mut Solver, assumptions: &[Lit]) -> ShrinkResult {
 /// independent of the solver's heuristic state (learned clauses,
 /// activities, restarts).
 ///
-/// Starts from the *full ordered assumption list* — not the
-/// solver-reported core, whose membership depends on search history —
-/// and deletes left to right, never adopting reported sub-cores. The
-/// warm incremental engine relies on this to return byte-identical
-/// cores from warm, cold and portfolio runs; the price is `O(n)` probes
-/// over all `n` assumptions rather than `O(k)` over the first core's
-/// `k` members, which is fine at Muppet scale.
-pub fn shrink_core_ordered(solver: &mut Solver, assumptions: &[Lit]) -> ShrinkResult {
-    // Establish (or confirm) UNSAT; the reported core is discarded.
-    match solver.solve_with_assumptions(assumptions) {
-        SolveResult::Unsat(core) => {
-            if core.is_empty() {
-                // Formula unsat on its own: the empty core is minimal.
-                return ShrinkResult::Minimal(Vec::new());
-            }
-        }
-        SolveResult::Sat(_) => return ShrinkResult::Sat,
-        SolveResult::Unknown => return ShrinkResult::Exhausted { best: None },
-    }
+/// The result is exactly what plain left-to-right ordered deletion over
+/// the *full* ordered assumption list gives: drop each element in turn
+/// when the rest stays UNSAT. The warm incremental engine relies on
+/// this to return byte-identical cores from warm, cold and portfolio
+/// runs.
+///
+/// `first_core` is the core the search that established UNSAT already
+/// reported (a subset of `assumptions`), so there is no confirming
+/// re-solve and this never returns [`ShrinkResult::Sat`]. It seeds a
+/// *witness*: a known-UNSAT subset of the elements still kept. An
+/// element outside the witness is dropped without a probe — the rest
+/// still contains the witness, so plain deletion's probe would have
+/// answered UNSAT — and each UNSAT probe's reported sub-core becomes
+/// the new witness. Probes are spent only on witness members, so the
+/// cost is close to `O(k)` solves for a `k`-member core, not `O(n)`
+/// over all `n` assumptions: on a live edit stream with ~20 goal groups
+/// per solve that is ~4 probes per unsat answer instead of ~21.
+pub fn shrink_core_ordered(
+    solver: &mut Solver,
+    assumptions: &[Lit],
+    first_core: &[Lit],
+) -> ShrinkResult {
+    let mut witness: Vec<Lit> = first_core.to_vec();
     let mut core: Vec<Lit> = assumptions.to_vec();
     let mut i = 0;
     while i < core.len() {
+        if !witness.contains(&core[i]) {
+            // The rest still contains the witness, so it stays UNSAT.
+            core.remove(i);
+            continue;
+        }
         let candidate: Vec<Lit> = core
             .iter()
             .enumerate()
@@ -133,7 +142,7 @@ pub fn shrink_core_ordered(solver: &mut Solver, assumptions: &[Lit]) -> ShrinkRe
             .map(|(_, &l)| l)
             .collect();
         match solver.solve_with_assumptions(&candidate) {
-            SolveResult::Unsat(_) => {
+            SolveResult::Unsat(sub) => {
                 // Still unsat without core[i]: drop it. The index now
                 // points at the next element; every element left of `i`
                 // has already been proven necessary *given the current
@@ -141,12 +150,18 @@ pub fn shrink_core_ordered(solver: &mut Solver, assumptions: &[Lit]) -> ShrinkRe
                 // earlier one droppable once it was necessary, so no
                 // rescan is needed.
                 core.remove(i);
+                witness = sub;
             }
             SolveResult::Sat(_) => {
                 // core[i] is necessary.
                 i += 1;
             }
-            SolveResult::Unknown => return ShrinkResult::Exhausted { best: Some(core) },
+            SolveResult::Unknown => {
+                // The witness is the smallest UNSAT set established so
+                // far; report it in assumption order.
+                core.retain(|l| witness.contains(l));
+                return ShrinkResult::Exhausted { best: Some(core) };
+            }
         }
     }
     ShrinkResult::Minimal(core)
@@ -273,7 +288,7 @@ mod tests {
         };
         let mut cold = Solver::new();
         let assumptions = build(&mut cold);
-        let cold_core = shrink_core_ordered(&mut cold, &assumptions).minimal().unwrap();
+        let cold_core = ordered(&mut cold, &assumptions).minimal().unwrap();
         // {s0, s3} is the left-to-right deletion fixpoint.
         assert_eq!(cold_core, vec![assumptions[0], assumptions[3]]);
         assert!(is_minimal_core(&mut cold, &cold_core));
@@ -287,7 +302,90 @@ mod tests {
                 .solve_with_assumptions(&[assumptions[0], assumptions[3]])
                 .is_unsat());
         }
-        let warm_core = shrink_core_ordered(&mut warm, &assumptions).minimal().unwrap();
+        let warm_core = ordered(&mut warm, &assumptions).minimal().unwrap();
         assert_eq!(warm_core, vec![assumptions[0], assumptions[3]]);
+    }
+
+    /// [`shrink_core_ordered`] seeded with the search's own core.
+    fn ordered(s: &mut Solver, assumptions: &[Lit]) -> ShrinkResult {
+        match s.solve_with_assumptions(assumptions) {
+            SolveResult::Unsat(first) => shrink_core_ordered(s, assumptions, &first),
+            other => panic!("assumptions must be UNSAT, got {other:?}"),
+        }
+    }
+
+    /// Plain left-to-right ordered deletion: one probe per element.
+    fn plain_ordered(s: &mut Solver, assumptions: &[Lit]) -> Vec<Lit> {
+        let mut core = assumptions.to_vec();
+        let mut i = 0;
+        while i < core.len() {
+            let mut candidate = core.clone();
+            candidate.remove(i);
+            if s.solve_with_assumptions(&candidate).is_unsat() {
+                core = candidate;
+            } else {
+                i += 1;
+            }
+        }
+        core
+    }
+
+    /// Seeding with the search's core skips probes but never changes
+    /// the answer: on random selector-gated CNFs the seeded shrink
+    /// equals plain ordered deletion, on a fresh solver and on one
+    /// whose heuristic state the plain pass has already churned.
+    #[test]
+    fn seeded_shrink_equals_plain_ordered_deletion() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5345_4544);
+        let mut unsat_rounds = 0;
+        for _ in 0..200 {
+            let n = rng.random_range(3..=6);
+            let groups = rng.random_range(2..=10);
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            let mut fresh = Solver::new();
+            let vars = fresh.new_vars(n);
+            let sels = fresh.new_vars(groups);
+            for &sel in &sels {
+                for _ in 0..rng.random_range(1..=3) {
+                    let mut c = vec![Lit::neg(sel)];
+                    for _ in 0..rng.random_range(1..=2) {
+                        c.push(Lit::new(vars[rng.random_range(0..n)], rng.random_bool(0.5)));
+                    }
+                    clauses.push(c);
+                }
+            }
+            let mut warm = Solver::new();
+            warm.new_vars(n + groups);
+            for c in &clauses {
+                fresh.add_clause(c.iter().copied());
+                warm.add_clause(c.iter().copied());
+            }
+            let assumptions: Vec<Lit> = sels.iter().map(|&v| Lit::pos(v)).collect();
+            if !fresh.solve_with_assumptions(&assumptions).is_unsat() {
+                continue;
+            }
+            unsat_rounds += 1;
+            let expect = plain_ordered(&mut warm, &assumptions);
+            assert_eq!(ordered(&mut fresh, &assumptions), ShrinkResult::Minimal(expect.clone()));
+            assert_eq!(ordered(&mut warm, &assumptions), ShrinkResult::Minimal(expect));
+        }
+        assert!(unsat_rounds >= 50, "only {unsat_rounds} unsat instances");
+    }
+
+    /// A formula that is UNSAT on its own gives the empty core (plain
+    /// deletion drops every element).
+    #[test]
+    fn seeded_shrink_of_unsat_formula_is_empty() {
+        let mut s = Solver::new();
+        let x = s.new_var();
+        let sel = s.new_var();
+        s.add_clause([Lit::pos(x)]);
+        s.add_clause([Lit::neg(x)]);
+        assert_eq!(
+            shrink_core_ordered(&mut s, &[Lit::pos(sel)], &[]),
+            ShrinkResult::Minimal(Vec::new())
+        );
     }
 }

@@ -32,7 +32,7 @@
 //! one call and drops it; [`crate::PreparedStore`] keeps warm engines
 //! keyed by query shape.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use muppet_logic::fingerprint::Fingerprinter;
 use muppet_logic::{Formula, Instance, PartialInstance, RelId, Universe, Vocabulary};
@@ -96,8 +96,8 @@ pub struct IncrementalQuery {
     solver: Solver,
     varmap: VarMap,
     selectors: Vec<(String, Lit)>,
-    /// Group content fingerprint → index into `selectors`.
-    index: HashMap<u128, usize>,
+    /// Group content fingerprint → where its encoding lives.
+    index: HashMap<u128, EncodedGroup>,
     /// Difference-input fingerprint → cardinality network, so repeated
     /// target-oriented solves against the same target reuse the
     /// (permanent, one-sided, assumption-activated) totalizer clauses.
@@ -125,6 +125,15 @@ pub struct IncrementalQuery {
     ctr_strengthened: Counter,
     ctr_vivified: Counter,
     ctr_oll_cores: Counter,
+}
+
+/// An encoded group's slot in [`IncrementalQuery::selectors`] and the
+/// number of solver variables its encoding owns: the selector and the
+/// Tseitin gates, allocated contiguously by `ensure_group` and never
+/// shared with another group.
+struct EncodedGroup {
+    slot: usize,
+    vars: usize,
 }
 
 impl IncrementalQuery {
@@ -249,10 +258,10 @@ impl IncrementalQuery {
     /// existing encoding. Returns the group's selector literal.
     fn ensure_group(&mut self, group: &FormulaGroup, budget: &Budget) -> Result<Lit, QueryError> {
         let key = group.content_key();
-        if let Some(&i) = self.index.get(&key) {
+        if let Some(g) = self.index.get(&key) {
             self.reused_groups += 1;
             self.ctr_reused.inc();
-            return Ok(self.selectors[i].1);
+            return Ok(self.selectors[g.slot].1);
         }
         let exhausted = |phase| QueryError::Exhausted {
             phase,
@@ -285,13 +294,18 @@ impl IncrementalQuery {
         // clauses are inert whenever `sel` is not assumed).
         let mut encode_span = muppet_obs::span("encode");
         encode_span.record("groups", 1);
+        let vars_before = self.solver.num_vars();
         let sel = Lit::pos(self.solver.new_var());
         for expr in &exprs {
             let lit = encode(expr, &mut self.solver);
             self.solver.add_clause([!sel, lit]);
         }
         drop(encode_span);
-        self.index.insert(key, self.selectors.len());
+        let owned = EncodedGroup {
+            slot: self.selectors.len(),
+            vars: self.solver.num_vars() - vars_before,
+        };
+        self.index.insert(key, owned);
         self.selectors.push((group.name.clone(), sel));
         self.encoded_groups += 1;
         self.ctr_encoded.inc();
@@ -530,7 +544,8 @@ impl IncrementalQuery {
                 let core_lits = if self.minimize_cores {
                     let mut minimize_span = muppet_obs::span("minimize");
                     let pre_conflicts = self.solver.stats.conflicts;
-                    let shrunk = mus::shrink_core_ordered(&mut self.solver, assumptions);
+                    let shrunk =
+                        mus::shrink_core_ordered(&mut self.solver, assumptions, &first_core);
                     minimize_span.record(
                         "conflicts",
                         self.solver.stats.conflicts.saturating_sub(pre_conflicts),
@@ -538,8 +553,8 @@ impl IncrementalQuery {
                     drop(minimize_span);
                     match shrunk {
                         mus::ShrinkResult::Minimal(core) => core,
-                        // The assumptions were just proved UNSAT, so a
-                        // Sat answer here cannot happen; fall back to
+                        // Seeded shrinking never re-solves the full
+                        // set, so it never answers Sat; fall back to
                         // the first core rather than panic.
                         mus::ShrinkResult::Sat => first_core,
                         mus::ShrinkResult::Exhausted { best } => {
@@ -705,7 +720,8 @@ impl IncrementalQuery {
                 drop(search_span);
                 // Infeasible at any distance: produce a core.
                 let _minimize_span = muppet_obs::span("minimize");
-                let core = match mus::shrink_core_ordered(&mut self.solver, &assumptions) {
+                let core = match mus::shrink_core_ordered(&mut self.solver, &assumptions, &first_core)
+                {
                     mus::ShrinkResult::Minimal(core) => self.names_of_in(&assumptions, &core),
                     mus::ShrinkResult::Sat => self.names_of_in(&assumptions, &first_core),
                     mus::ShrinkResult::Exhausted { best } => {
@@ -1073,6 +1089,22 @@ impl IncrementalQuery {
     /// Groups grounded + encoded by this engine so far.
     pub fn num_groups(&self) -> usize {
         self.selectors.len()
+    }
+
+    /// Solver variables allocated so far: the free-tuple layout, every
+    /// encoded group, and any totalizer or enumeration selectors.
+    pub fn num_vars(&self) -> usize {
+        self.solver.num_vars()
+    }
+
+    /// Solver variables owned by encoded groups whose content key
+    /// ([`FormulaGroup::content_key`]) is not in `live`.
+    pub(crate) fn vars_outside(&self, live: &BTreeSet<u128>) -> usize {
+        self.index
+            .iter()
+            .filter(|(key, _)| !live.contains(key))
+            .map(|(_, g)| g.vars)
+            .sum()
     }
 
     /// How many group submissions did fresh ground/encode work.

@@ -9,7 +9,7 @@
 //! callers with several distinct query shapes (per-party consistency
 //! checks vs. joint reconciliation) each get their own warm state.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::incremental::IncrementalQuery;
 
@@ -66,14 +66,7 @@ impl PreparedStore {
     ) -> &mut IncrementalQuery {
         if !self.map.contains_key(&key) {
             if self.order.len() >= self.cap {
-                let evict = self.order.remove(0);
-                if let Some(old) = self.map.remove(&evict) {
-                    // Retire the evicted engine's counters so the
-                    // store-level totals stay monotone.
-                    self.evictions += 1;
-                    self.retired_encoded += old.encoded_groups();
-                    self.retired_reused += old.reused_groups();
-                }
+                self.evict(self.order[0]);
             }
             self.map.insert(key, build());
             self.order.push(key);
@@ -87,6 +80,46 @@ impl PreparedStore {
         })
     }
 
+    /// Drop the engine under `key`, retiring its counters into the
+    /// store-level totals so they stay monotone.
+    fn evict(&mut self, key: u128) {
+        self.order.retain(|&k| k != key);
+        if let Some(old) = self.map.remove(&key) {
+            self.evictions += 1;
+            self.retired_encoded += old.encoded_groups();
+            self.retired_reused += old.reused_groups();
+        }
+    }
+
+    /// Evict every engine in which the groups whose content keys are
+    /// not in `live` own more solver variables than everything else in
+    /// it (the live groups plus the free-tuple layout). A caller that
+    /// will never submit those groups again hands over the keys it
+    /// still submits; an evicted engine is rebuilt from the live groups
+    /// on its next use, so no engine grows past about twice what a
+    /// fresh one needs. Returns how many engines were evicted.
+    pub fn compact(&mut self, live: &BTreeSet<u128>) -> usize {
+        let bloated: Vec<u128> = self
+            .order
+            .iter()
+            .copied()
+            .filter(|key| {
+                let q = &self.map[key];
+                let dead = q.vars_outside(live);
+                dead > q.num_vars() - dead
+            })
+            .collect();
+        for &key in &bloated {
+            self.evict(key);
+        }
+        bloated.len()
+    }
+
+    /// Solver variables held across every engine in the store.
+    pub fn num_vars(&self) -> usize {
+        self.map.values().map(IncrementalQuery::num_vars).sum()
+    }
+
     /// Cold builds performed.
     pub fn builds(&self) -> u64 {
         self.builds
@@ -97,7 +130,7 @@ impl PreparedStore {
         self.hits
     }
 
-    /// Engines evicted to stay within the cap.
+    /// Engines evicted to stay within the cap or by [`Self::compact`].
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -321,5 +354,50 @@ mod tests {
         assert_eq!(store.builds(), 3);
         let after = store.group_counters();
         assert!(after.0 > before.0, "rebuild re-encodes monotonically");
+    }
+
+    /// `compact` evicts an engine once its retired groups own more
+    /// variables than the rest of it, keeps it otherwise, and the
+    /// rebuilt engine answers from the live groups alone.
+    #[test]
+    fn compact_evicts_engines_dominated_by_retired_groups() {
+        let f = fix();
+        let pred = |i: usize, j: usize| {
+            Formula::pred(f.allow, [Term::Const(f.atoms[i]), Term::Const(f.atoms[j])])
+        };
+        let live = FormulaGroup::new("live", vec![pred(0, 1)]);
+        // Pairwise disjunctions over all nine tuples: one Tseitin gate
+        // each, far more variables than the nine-tuple layout.
+        let tuples: Vec<(usize, usize)> = (0..3).flat_map(|i| (0..3).map(move |j| (i, j))).collect();
+        let mut wide = Vec::new();
+        for (n, &(a, b)) in tuples.iter().enumerate() {
+            for &(c, d) in &tuples[n + 1..] {
+                wide.push(Formula::or(vec![pred(a, b), pred(c, d)]));
+            }
+        }
+        let retired = FormulaGroup::new("retired", wide);
+        let b = Budget::unlimited();
+        let mut store = PreparedStore::new();
+        let q = store.get_or_build(1, || pq(&f));
+        assert!(q.solve(&[live.clone(), retired.clone()], b.clone()).unwrap().is_sat());
+        let both: BTreeSet<u128> = [live.content_key(), retired.content_key()].into();
+        let only_live: BTreeSet<u128> = [live.content_key()].into();
+        let (total, dead) = (q.num_vars(), q.vars_outside(&only_live));
+        assert_eq!(q.vars_outside(&both), 0);
+        assert!(dead > total - dead, "retired group owns {dead} of {total} vars");
+        assert_eq!(store.num_vars(), total);
+
+        assert_eq!(store.compact(&both), 0, "nothing retired, nothing evicted");
+        let before = store.group_counters();
+        assert_eq!(store.compact(&only_live), 1);
+        assert!(store.is_empty());
+        assert_eq!(store.num_vars(), 0);
+        assert_eq!(store.evictions(), 1);
+        assert_eq!(store.group_counters(), before, "eviction keeps counters monotone");
+
+        let q = store.get_or_build(1, || pq(&f));
+        assert!(q.solve(&[live], b).unwrap().is_sat());
+        assert_eq!(q.num_vars(), total - dead, "the rebuild holds only the live groups");
+        assert_eq!(store.builds(), 2);
     }
 }

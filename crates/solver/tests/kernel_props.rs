@@ -193,14 +193,15 @@ proptest! {
         let r2 = tuned.solve_with_assumptions(&assms);
         prop_assert_eq!(r1.is_sat(), r2.is_sat(), "verdicts diverged");
         prop_assert_eq!(r1.is_unsat(), r2.is_unsat());
-        if r1.is_unsat() && !assms.is_empty() {
+        if let (SolveResult::Unsat(first1), SolveResult::Unsat(first2)) = (&r1, &r2) {
             // Ordered deletion is deterministic and semantic, so the
-            // minimized cores must be byte-identical too.
-            let c1 = match mus::shrink_core_ordered(&mut base, &assms) {
+            // minimized cores must be byte-identical too, whatever
+            // first core each kernel's search reported.
+            let c1 = match mus::shrink_core_ordered(&mut base, &assms, first1) {
                 mus::ShrinkResult::Minimal(c) => c,
                 other => panic!("baseline shrink: {other:?}"),
             };
-            let c2 = match mus::shrink_core_ordered(&mut tuned, &assms) {
+            let c2 = match mus::shrink_core_ordered(&mut tuned, &assms, first2) {
                 mus::ShrinkResult::Minimal(c) => c,
                 other => panic!("tuned shrink: {other:?}"),
             };

@@ -19,8 +19,15 @@
 //!    borrows the stream's store — unchanged groups are reused from the
 //!    engine's content index, only dirtied ones are re-grounded and
 //!    re-encoded — and
-//! 4. reports a per-delta [`StreamStats`]: verdict, whether it flipped,
-//!    dirtied group names, groups re-encoded vs reused, and latency.
+//! 4. hands the store the content keys the current state submits, so
+//!    an engine whose retired groups own most of its variables is
+//!    evicted and rebuilt from the live groups by the next delta
+//!    ([`PreparedStore::compact`]) — without this, every group a ban
+//!    toggle retires stays encoded forever and each solve pays for it,
+//!    and
+//! 5. reports a per-delta [`StreamStats`]: verdict, whether it flipped,
+//!    dirtied group names, groups re-encoded vs reused, the warm
+//!    engine's size, whether it was compacted, and latency.
 //!
 //! Warm verdicts are **byte-identical** to re-solves of every
 //! intermediate snapshot on a fresh session (canonical lex-min models +
@@ -227,6 +234,12 @@ pub struct StreamStats {
     pub groups_reused: u64,
     /// Did the delta force a vocabulary (universe) rebuild?
     pub vocab_rebuilt: bool,
+    /// Solver variables the warm store holds after this delta,
+    /// compaction included (0 right after its only engine was evicted).
+    pub engine_vars: u64,
+    /// Did this delta evict a warm engine dominated by retired groups
+    /// (the next delta rebuilds it from the live groups)?
+    pub compacted: bool,
     /// Wall-clock latency of apply + solve, in microseconds.
     pub elapsed_us: u64,
 }
@@ -258,6 +271,7 @@ pub struct StreamSession {
     ctr_flips: Counter,
     ctr_reused: Counter,
     ctr_encoded: Counter,
+    ctr_compactions: Counter,
     hist: Arc<Histogram>,
 }
 
@@ -288,6 +302,7 @@ impl StreamSession {
             ctr_flips: registry.counter("stream.verdict_flips"),
             ctr_reused: registry.counter("stream.groups.reused"),
             ctr_encoded: registry.counter("stream.groups.encoded"),
+            ctr_compactions: registry.counter("stream.compactions"),
             hist: registry.histogram("stream.delta_us"),
         };
         let stats = session.solve_current(Instant::now(), "initial", true)?;
@@ -348,6 +363,11 @@ impl StreamSession {
         }
         self.ctr_encoded.add(enc_after - enc_before);
         self.ctr_reused.add(reuse_after - reuse_before);
+        self.prev_keys = sigs.into_iter().map(|(_, k)| k).collect();
+        let compacted = self.store.compact(&self.prev_keys) > 0;
+        if compacted {
+            self.ctr_compactions.inc();
+        }
         let elapsed_us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.hist.observe_us(elapsed_us);
         let stats = StreamStats {
@@ -359,9 +379,10 @@ impl StreamSession {
             groups_encoded: enc_after - enc_before,
             groups_reused: reuse_after - reuse_before,
             vocab_rebuilt,
+            engine_vars: self.store.num_vars() as u64,
+            compacted,
             elapsed_us,
         };
-        self.prev_keys = sigs.into_iter().map(|(_, k)| k).collect();
         self.verdict = verdict;
         self.seq += 1;
         Ok(stats)
@@ -460,6 +481,45 @@ mod tests {
         let (_, reused) = session.group_counters();
         assert!(reused > 0, "no warm group reuse across 20 deltas");
         let _ = flips_seen; // mixed streams may or may not flip; counted for debug
+    }
+
+    /// Ban churn over an unbounded mesh retires a group with every
+    /// toggle, so the warm engine must compact — and compacting must
+    /// change no verdict and keep the engine within twice the size a
+    /// fresh engine needs for the same state.
+    #[test]
+    fn compaction_bounds_the_engine_and_keeps_verdicts() {
+        for seed in 0..3 {
+            let stream = generate_stream(StreamParams {
+                base: ScenarioParams {
+                    services: 4,
+                    ..small_params()
+                },
+                profile: StreamProfile::PolicyChurn,
+                deltas: 60,
+                target_services: 0,
+                seed,
+            });
+            let (mut session, _) = StreamSession::new(StreamSpec::from(&stream.base)).unwrap();
+            let mut cold = generate(stream.params.base);
+            let mut compactions = 0;
+            for d in &stream.deltas {
+                let warm = session.push(d).unwrap();
+                d.apply(&mut cold).unwrap();
+                let mut fresh = cold.session(false);
+                let cold_rec = fresh.reconcile(ReconcileMode::HardBounds).unwrap();
+                assert_eq!(warm.verdict, verdict_line(&cold_rec), "seed {seed} delta {}", warm.seq);
+                let fresh_vars = fresh.store().num_vars() as u64;
+                assert!(
+                    warm.engine_vars <= 2 * fresh_vars,
+                    "seed {seed} delta {}: warm engine holds {} vars, a fresh one {fresh_vars}",
+                    warm.seq,
+                    warm.engine_vars
+                );
+                compactions += u32::from(warm.compacted);
+            }
+            assert!(compactions >= 1, "seed {seed}: the engine never compacted");
+        }
     }
 
     #[test]

@@ -37,7 +37,9 @@
 //! it replays a committed edit stream through one warm multi-shot
 //! `StreamSession` and a cold re-solve-from-scratch oracle in
 //! lockstep, gating byte-identical verdicts at every delta plus a 5x
-//! amortized warm-vs-cold speedup floor, and emits `BENCH_stream.json`.
+//! amortized warm-vs-cold speedup floor; a second, unbounded replay
+//! gates that the warm engine stays within twice a fresh engine's
+//! size; it emits `BENCH_stream.json`.
 //! `R1` is the overload/chaos lane (DESIGN.md §14):
 //! it floods a real socket daemon past its admission limits with
 //! misbehaving clients (plus injected solver faults under
@@ -1924,14 +1926,19 @@ fn n1(t: &mut Table) {
 ///   state is rebuilt and re-solved on a fresh `Session` (fresh
 ///   vocabulary, fresh grounding, fresh encoding, fresh solver).
 ///
-/// Two gates, applied only after `BENCH_stream.json` is on disk:
+/// It then replays the unbounded `stream-policy-churn` entry the same
+/// way ([`w1_unbounded`]). Three gates, applied only after
+/// `BENCH_stream.json` is on disk:
 ///
 /// 1. *Byte identity*: the warm verdict line (canonical lex-min model
 ///    or ordered-deletion minimal core) equals the cold oracle's at
 ///    the initial state and after every one of the >= 200 deltas;
 /// 2. *Amortized speedup*: total cold wall over total warm wall must
 ///    be >= 5x — multi-shot solving has to beat re-solving from
-///    scratch by a wide margin, not a rounding error.
+///    scratch by a wide margin, not a rounding error;
+/// 3. *Bounded warm state* on the unbounded replay: identical unsat
+///    cores, same-class sat verdicts, and a warm engine never holding
+///    more than twice a fresh engine's variables.
 fn w1(t: &mut Table) {
     use muppet_bench::scenario::corpus::{self, Kind};
     use muppet_daemon::json::Json;
@@ -1956,10 +1963,14 @@ fn w1(t: &mut Table) {
     let mut warm_verdicts: Vec<String> = vec![initial.verdict.clone()];
     let mut flips = 0u64;
     let mut max_delta_us = initial.elapsed_us;
+    let mut engine_vars_max = initial.engine_vars;
+    let mut compactions = 0u64;
     for d in &stream.deltas {
         let s = warm.push(d).expect("committed stream replays warm");
         flips += u64::from(s.flipped);
         max_delta_us = max_delta_us.max(s.elapsed_us);
+        engine_vars_max = engine_vars_max.max(s.engine_vars);
+        compactions += u64::from(s.compacted);
         warm_verdicts.push(s.verdict);
     }
     let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -2033,6 +2044,7 @@ fn w1(t: &mut Table) {
         format!("{encoded} / {reused}"),
         "reuse dominates",
     );
+    let (unbounded, unbounded_failures) = w1_unbounded(t);
 
     // The artifact is written before any gate fires, so CI trend lines
     // survive a red run.
@@ -2059,6 +2071,8 @@ fn w1(t: &mut Table) {
                 ("max_delta_us", Json::num(max_delta_us)),
                 ("groups_encoded", Json::num(encoded)),
                 ("groups_reused", Json::num(reused)),
+                ("engine_vars_max", Json::num(engine_vars_max)),
+                ("compactions", Json::num(compactions)),
             ]),
         ),
         (
@@ -2070,6 +2084,7 @@ fn w1(t: &mut Table) {
         ),
         ("amortized_speedup", Json::Num(speedup)),
         ("gate_speedup", Json::Num(5.0)),
+        ("unbounded", unbounded),
     ]);
     if let Err(e) = std::fs::write("BENCH_stream.json", doc.to_line() + "\n") {
         eprintln!("muppet-harness: cannot write BENCH_stream.json: {e}");
@@ -2088,6 +2103,101 @@ fn w1(t: &mut Table) {
         "multi-shot solving must amortize >= 5x over cold re-solves: \
          warm {warm_ms:.0} ms vs cold {cold_ms:.0} ms over {solves} solves"
     );
+    assert!(
+        unbounded_failures.is_empty(),
+        "unbounded stream replay failed:\n  {}",
+        unbounded_failures.join("\n  ")
+    );
+}
+
+/// W1's bounded-warm-state check: replay the unbounded
+/// `stream-policy-churn` entry (the stream the repo benchmark drives
+/// through the daemon) on one warm [`muppet_stream::StreamSession`],
+/// re-solving every state on a fresh session. Each ban toggle retires
+/// a formula group, so this is the stream on which an engine that
+/// never drops retired groups grows without bound. The mesh is above
+/// the canonicalization cap, so unsat verdicts (ordered-deletion
+/// cores) must match byte for byte and sat verdicts by class; after
+/// every delta the warm store may hold at most twice the solver
+/// variables the fresh session's engine needs. Returns the
+/// `BENCH_stream.json` block and the gate failures.
+fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
+    use muppet_bench::scenario::corpus::{self, Kind};
+    use muppet_daemon::json::Json;
+    use muppet_stream::{verdict_line, StreamSession, StreamSpec};
+
+    let entry = corpus::entry("stream-policy-churn").expect("committed stream entry");
+    let Kind::Stream(params) = entry.kind else {
+        panic!("stream-policy-churn must be a stream corpus entry")
+    };
+    assert!(!params.base.bounded, "the leak check needs the unbounded entry");
+    let stream = muppet_bench::scenario::generate_stream(params);
+    let (mut warm, initial) =
+        StreamSession::new(StreamSpec::from(&stream.base)).expect("initial state solves");
+    let mut spec = StreamSpec::from(&stream.base);
+    let mut failures = Vec::new();
+    let (mut unsat, mut unsat_identical, mut sat, mut sat_same_class) = (0u64, 0u64, 0u64, 0u64);
+    let (mut engine_vars_max, mut compactions, mut worst_ratio) = (0u64, 0u64, 0f64);
+    for (seq, delta) in std::iter::once(None).chain(stream.deltas.iter().map(Some)).enumerate() {
+        let stats = match delta {
+            None => initial.clone(),
+            Some(d) => {
+                d.apply_parts(&mut spec.mesh, &mut spec.k8s_goals, &mut spec.istio_goals)
+                    .expect("committed stream replays cold");
+                warm.push(d).expect("committed stream replays warm")
+            }
+        };
+        let mv = spec.vocab();
+        let mut fresh = spec.session(&mv).expect("cold session builds");
+        let rec = fresh.reconcile(ReconcileMode::HardBounds).expect("cold reconcile");
+        assert!(rec.exhausted.is_none(), "cold oracle must not exhaust");
+        let cold = verdict_line(&rec);
+        if rec.success {
+            sat += 1;
+            if stats.verdict.starts_with("sat") {
+                sat_same_class += 1;
+            } else if failures.len() < 3 {
+                failures.push(format!("seq {seq}: cold sat, warm {:.120}", stats.verdict));
+            }
+        } else {
+            unsat += 1;
+            if stats.verdict == cold {
+                unsat_identical += 1;
+            } else if failures.len() < 3 {
+                failures.push(format!("seq {seq}: warm {:.120} vs cold {cold:.120}", stats.verdict));
+            }
+        }
+        let fresh_vars = fresh.store().num_vars() as u64;
+        worst_ratio = worst_ratio.max(stats.engine_vars as f64 / fresh_vars.max(1) as f64);
+        if stats.engine_vars > 2 * fresh_vars && failures.len() < 3 {
+            failures.push(format!(
+                "seq {seq}: warm engine holds {} vars, a fresh one {fresh_vars}",
+                stats.engine_vars
+            ));
+        }
+        engine_vars_max = engine_vars_max.max(stats.engine_vars);
+        compactions += u64::from(stats.compacted);
+    }
+
+    let inst = format!("{} ({} deltas)", entry.name, stream.deltas.len());
+    row(t, "W1", &inst, "unsat cores byte-identical", format!("{unsat_identical}/{unsat}"), "all");
+    row(t, "W1", &inst, "sat verdicts same class", format!("{sat_same_class}/{sat}"), "all");
+    row(t, "W1", &inst, "max warm/fresh engine vars", format!("{worst_ratio:.2}"), "<= 2");
+    row(t, "W1", &inst, "warm engine vars max", engine_vars_max.to_string(), "-");
+    row(t, "W1", &inst, "compactions", compactions.to_string(), "-");
+    let doc = Json::obj([
+        ("entry", Json::str(entry.name)),
+        ("deltas", Json::num(stream.deltas.len() as u64)),
+        ("unsat", Json::num(unsat)),
+        ("unsat_identical", Json::num(unsat_identical)),
+        ("sat", Json::num(sat)),
+        ("sat_same_class", Json::num(sat_same_class)),
+        ("engine_vars_max", Json::num(engine_vars_max)),
+        ("max_warm_fresh_vars_ratio", Json::Num(worst_ratio)),
+        ("gate_warm_fresh_vars_ratio", Json::Num(2.0)),
+        ("compactions", Json::num(compactions)),
+    ]);
+    (doc, failures)
 }
 
 /// K1 — the SAT-kernel speed lane (DESIGN.md §17).
