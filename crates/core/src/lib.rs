@@ -66,8 +66,7 @@ mod session;
 pub use envelope::{Envelope, EnvelopePredicate, LeakageReport};
 pub use fingerprint::Fingerprinter;
 pub use muppet_solver::{
-    default_threads, Budget, CancelToken, Exhaustion, Phase, PortfolioConfig, PortfolioSummary,
-    PreparedStore, QueryStats, RetryPolicy,
+    Budget, CancelToken, Exhaustion, Phase, PreparedStore, QueryStats, RetryPolicy,
 };
 pub use party::{NamedGoal, Party};
 pub use session::{

@@ -8,8 +8,8 @@ use muppet_logic::{
     RelId, Term, Universe, Vocabulary,
 };
 use muppet_solver::{
-    Budget, FormulaGroup, IncrementalQuery, Outcome, PartialResult, Phase, PortfolioConfig,
-    PreparedStore, QueryError, QueryStats, RetryPolicy,
+    Budget, FormulaGroup, IncrementalQuery, Outcome, PartialResult, Phase, PreparedStore,
+    QueryError, QueryStats, RetryPolicy,
 };
 
 use crate::envelope::{Envelope, EnvelopePredicate};
@@ -184,7 +184,6 @@ pub struct Session<'a> {
     symmetry_breaking: bool,
     budget: Budget,
     retry: RetryPolicy,
-    portfolio: Option<PortfolioConfig>,
     store: PreparedStore,
 }
 
@@ -201,7 +200,6 @@ impl<'a> Session<'a> {
             symmetry_breaking: false,
             budget: Budget::unlimited(),
             retry: RetryPolicy::default(),
-            portfolio: None,
             store: PreparedStore::new(),
         }
     }
@@ -231,32 +229,6 @@ impl<'a> Session<'a> {
     /// The session's retry policy.
     pub fn retry_policy(&self) -> &RetryPolicy {
         &self.retry
-    }
-
-    /// Run the search phase of satisfiability queries on a parallel
-    /// portfolio of `n` diversified solvers racing over a shared
-    /// learned-clause pool. `n <= 1` restores plain sequential solving.
-    /// Verdicts are identical either way; only wall-clock time and the
-    /// reported work counters differ. Grounding, encoding, core
-    /// shrinking, target optimization and enumeration stay sequential.
-    pub fn set_threads(&mut self, n: usize) {
-        self.portfolio = if n > 1 {
-            Some(PortfolioConfig::with_threads(n))
-        } else {
-            None
-        };
-    }
-
-    /// Full control over the portfolio configuration (worker count,
-    /// deterministic mode, clause-sharing thresholds). `None` or a
-    /// non-parallel config solves sequentially.
-    pub fn set_portfolio(&mut self, portfolio: Option<PortfolioConfig>) {
-        self.portfolio = portfolio.filter(PortfolioConfig::is_parallel);
-    }
-
-    /// The session's portfolio configuration, if parallel search is on.
-    pub fn portfolio(&self) -> Option<&PortfolioConfig> {
-        self.portfolio.as_ref()
     }
 
     /// Enable interchangeable-atom symmetry breaking for the session's
@@ -641,7 +613,6 @@ impl<'a> Session<'a> {
                 &mut one_shot
             }
         };
-        pq.set_portfolio(self.portfolio);
         let attempts = self.retry.max_attempts.max(1);
         let mut attempt = 1;
         loop {

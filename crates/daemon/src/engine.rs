@@ -33,7 +33,6 @@ use muppet::{
     Budget, CancelToken, ConsistencyReport, Envelope, ExhaustionReport, MuppetError,
     QueryStats, Reconciliation, ReconcileMode, RetryPolicy, Session,
 };
-use muppet::default_threads;
 use muppet_logic::{Instance, PartyId, Universe, Vocabulary};
 use muppet_scenario::ConfigDelta;
 use muppet_stream::{StreamSession, StreamSpec, StreamStats};
@@ -54,11 +53,6 @@ pub struct EngineConfig {
     pub cache_cap: usize,
     /// Maximum number of warm sessions kept resident.
     pub max_sessions: usize,
-    /// Portfolio workers for the search phase of each solve (1 =
-    /// sequential). A request's `threads` field overrides this; either
-    /// way the queue accounting charges one slot per request, however
-    /// many solver workers it fans out to.
-    pub threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -66,7 +60,6 @@ impl Default for EngineConfig {
         EngineConfig {
             cache_cap: 1024,
             max_sessions: 64,
-            threads: default_threads(),
         }
     }
 }
@@ -179,11 +172,6 @@ pub struct Engine {
     /// The server's admission limits, when it registered them.
     overload_limits: Mutex<Option<OverloadConfig>>,
     latencies: Mutex<HashMap<&'static str, OpLatency>>,
-    /// Portfolio aggregates across all solves (for `stats`).
-    pf_solves: AtomicU64,
-    pf_exported: AtomicU64,
-    pf_imported: AtomicU64,
-    pf_restarts: AtomicU64,
     /// Global-registry handles, fetched once so the per-request path
     /// ticks atomics without touching the registry's maps.
     obs_requests: Counter,
@@ -271,10 +259,6 @@ impl Engine {
             drain_cancelled: AtomicU64::new(0),
             overload_limits: Mutex::new(None),
             latencies: Mutex::new(HashMap::new()),
-            pf_solves: AtomicU64::new(0),
-            pf_exported: AtomicU64::new(0),
-            pf_imported: AtomicU64::new(0),
-            pf_restarts: AtomicU64::new(0),
             obs_requests: registry().counter("daemon.requests"),
             obs_errors: registry().counter("daemon.errors"),
             obs_shed: registry().counter("daemon.shed"),
@@ -599,11 +583,6 @@ impl Engine {
             budget = budget.with_cancel(tok.clone());
         }
         session.set_budget(budget);
-        let threads = req
-            .threads
-            .map(|t| t.min(64) as usize)
-            .unwrap_or(self.config.threads);
-        session.set_threads(threads);
         if req.conflict_budget.is_some() || req.retries.is_some() {
             session.set_retry_policy(RetryPolicy::new(
                 req.conflict_budget.unwrap_or(u64::MAX),
@@ -615,7 +594,6 @@ impl Engine {
                 let party = self.party_from(req.party.as_deref(), "party", core)?;
                 let report = session.local_consistency(party).map_err(describe_err)?;
                 let definite = report.exhausted.is_none();
-                self.note_portfolio(&report.stats);
                 Ok((consistency_json(session, party, &report), definite))
             }
             Op::Reconcile => {
@@ -626,7 +604,6 @@ impl Engine {
                 };
                 let rec = session.reconcile(mode).map_err(describe_err)?;
                 let definite = rec.exhausted.is_none();
-                self.note_portfolio(&rec.stats);
                 Ok((reconciliation_json(session, &rec), definite))
             }
             Op::ExtractEnvelope => {
@@ -700,17 +677,6 @@ impl Engine {
             | Op::PushDelta | Op::Subscribe | Op::Unwatch => {
                 unreachable!("handled earlier")
             }
-        }
-    }
-
-    /// Fold one solve's portfolio summary (when the search actually
-    /// fanned out) into the daemon-wide aggregates.
-    fn note_portfolio(&self, stats: &QueryStats) {
-        if let Some(p) = stats.portfolio {
-            self.pf_solves.fetch_add(1, Ordering::Relaxed);
-            self.pf_exported.fetch_add(p.exported, Ordering::Relaxed);
-            self.pf_imported.fetch_add(p.imported, Ordering::Relaxed);
-            self.pf_restarts.fetch_add(p.restarts, Ordering::Relaxed);
         }
     }
 
@@ -798,14 +764,10 @@ impl Engine {
         let texts = spec.goal_texts();
         let stream_spec =
             StreamSpec::from_wire(&spec.manifests, &texts[0], &texts[1], &spec.extra_ports)?;
-        let threads = req
-            .threads
-            .map(|t| t.clamp(1, 64) as usize)
-            .unwrap_or(self.config.threads);
         // Build outside the registry lock — the initial solve grounds
         // and encodes the full formula set.
         let (session, initial) =
-            StreamSession::with_threads(stream_spec, threads).map_err(|e| e.to_string())?;
+            StreamSession::new(stream_spec).map_err(|e| e.to_string())?;
         let mut reg = relock(&self.watches);
         let id = format!("w-{}", reg.next_id);
         reg.next_id += 1;
@@ -985,16 +947,6 @@ impl Engine {
             ),
             ("obs", obs_json()),
             ("kernel", kernel_json()),
-            (
-                "portfolio",
-                Json::obj([
-                    ("threads", Json::num(self.config.threads as u64)),
-                    ("solves", Json::num(self.pf_solves.load(Ordering::Relaxed))),
-                    ("shared_exported", Json::num(self.pf_exported.load(Ordering::Relaxed))),
-                    ("shared_imported", Json::num(self.pf_imported.load(Ordering::Relaxed))),
-                    ("restarts", Json::num(self.pf_restarts.load(Ordering::Relaxed))),
-                ]),
-            ),
             ("latency", Json::Obj(per_op)),
         ])
     }
@@ -1178,33 +1130,13 @@ fn tuples_json(vocab: &Vocabulary, universe: &Universe, inst: &Instance) -> Json
 }
 
 fn stats_obj(stats: &QueryStats) -> Json {
-    let mut fields = vec![
+    Json::obj([
         ("free_tuple_vars", Json::num(stats.free_tuple_vars as u64)),
         ("conflicts", Json::num(stats.conflicts)),
         ("decisions", Json::num(stats.decisions)),
         ("propagations", Json::num(stats.propagations)),
         ("restarts", Json::num(stats.restarts)),
-    ];
-    if let Some(p) = stats.portfolio {
-        fields.push((
-            "portfolio",
-            Json::obj([
-                ("workers", Json::num(u64::from(p.workers))),
-                (
-                    "winner",
-                    match p.winner {
-                        Some(w) => Json::num(u64::from(w)),
-                        None => Json::Null,
-                    },
-                ),
-                ("shared_exported", Json::num(p.exported)),
-                ("shared_imported", Json::num(p.imported)),
-                ("restarts", Json::num(p.restarts)),
-                ("conflicts", Json::num(p.conflicts)),
-            ]),
-        ));
-    }
-    Json::obj(fields)
+    ])
 }
 
 fn exhaustion_json(ex: &Option<ExhaustionReport>) -> Json {
@@ -1638,7 +1570,6 @@ mod tests {
         let eng = Engine::new(EngineConfig {
             cache_cap: 64,
             max_sessions: 1,
-            ..EngineConfig::default()
         });
         let strict = SessionSpec::paper_strict();
         let r = eng.handle_op(Op::Reconcile, &strict);

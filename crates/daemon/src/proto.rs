@@ -115,7 +115,7 @@ impl Op {
 }
 
 /// A parsed request line.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response.
     pub id: Option<String>,
@@ -141,9 +141,6 @@ pub struct Request {
     pub conflict_budget: Option<u64>,
     /// Solve attempts (Luby-escalated conflict caps).
     pub retries: Option<u32>,
-    /// Portfolio workers for this request's search phase (overrides the
-    /// daemon's configured default; 1 = sequential).
-    pub threads: Option<u64>,
     /// `trace`: how many recent span trees to return (default 8).
     pub n: Option<u64>,
     /// `push_delta`/`subscribe`/`unwatch`: the watch id from `watch`.
@@ -169,7 +166,6 @@ impl Request {
             timeout_ms: None,
             conflict_budget: None,
             retries: None,
-            threads: None,
             n: None,
             watch: None,
             delta: None,
@@ -231,7 +227,6 @@ impl Request {
             timeout_ms: num_field("timeout_ms")?,
             conflict_budget: num_field("conflict_budget")?,
             retries: num_field("retries")?.map(|n| n.min(u64::from(u32::MAX)) as u32),
-            threads: num_field("threads")?,
             n: num_field("n")?,
             watch: str_field("watch"),
             delta: str_field("delta"),
@@ -264,7 +259,6 @@ impl Request {
             ("max_rounds", self.max_rounds),
             ("timeout_ms", self.timeout_ms),
             ("conflict_budget", self.conflict_budget),
-            ("threads", self.threads),
             ("n", self.n),
         ] {
             if let Some(n) = val {
@@ -424,15 +418,23 @@ mod tests {
         req.mode = Some("blameable".into());
         req.timeout_ms = Some(500);
         req.retries = Some(3);
-        req.threads = Some(4);
         let back = Request::from_line(&req.to_line()).unwrap();
         assert_eq!(back.op, Op::Reconcile);
         assert_eq!(back.id.as_deref(), Some("r-7"));
         assert_eq!(back.mode.as_deref(), Some("blameable"));
         assert_eq!(back.timeout_ms, Some(500));
         assert_eq!(back.retries, Some(3));
-        assert_eq!(back.threads, Some(4));
         assert_eq!(back.spec.unwrap(), SessionSpec::paper_strict());
+    }
+
+    #[test]
+    fn threads_field_is_accepted_and_ignored() {
+        let plain = r#"{"v":1,"op":"reconcile","id":"r-1","timeout_ms":500}"#;
+        let with_threads = r#"{"v":1,"op":"reconcile","id":"r-1","timeout_ms":500,"threads":4}"#;
+        assert_eq!(
+            Request::from_line(with_threads).unwrap(),
+            Request::from_line(plain).unwrap()
+        );
     }
 
     #[test]

@@ -532,7 +532,7 @@ fn handle_line(
     // happen inside the queue lock: admission is atomic, a shed request
     // registers nothing, and a worker cannot observe (and decrement
     // for) the job before its increment landed. One request is one
-    // slot, however many portfolio workers its solve later fans out to.
+    // slot.
     let admitted = {
         let mut jobs = relock(&queue.jobs);
         if overload.max_queue_depth > 0 && jobs.len() >= overload.max_queue_depth {

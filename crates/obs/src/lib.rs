@@ -23,7 +23,7 @@
 //! performs exactly one relaxed atomic load and returns an inert guard
 //! — no allocation, no clock read, no lock. The harness `o1` lane
 //! micro-benches this path and gates the implied overhead at ≤ 2% of
-//! the P1 portfolio lane.
+//! an untraced paper reconcile.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +45,7 @@ pub use span::{
 ///
 /// ```
 /// let mut g = muppet_obs::span("search");
-/// g.attr("mode", "portfolio");
+/// g.attr("result", "unsat");
 /// g.record("conflicts", 42);
 /// drop(g); // close: records elapsed, fires sinks
 /// ```

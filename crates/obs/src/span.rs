@@ -255,24 +255,6 @@ impl SpanGuard {
         });
     }
 
-    /// Attach a zero-duration child event (per-worker telemetry and
-    /// other point facts) to this span.
-    pub fn child_event(&mut self, name: &'static str, counters: &[(&'static str, u64)]) {
-        let Some(idx) = self.idx else { return };
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let Some(active) = stack.get_mut(idx) else { return };
-            let start_us = active
-                .started
-                .duration_since(active.epoch)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
-            let mut child = SpanNode::new(name, start_us);
-            child.counters = counters.to_vec();
-            active.node.children.push(child);
-        });
-    }
-
     /// Is this guard actually recording (tracing was enabled when it
     /// was opened)?
     pub fn is_recording(&self) -> bool {
@@ -456,7 +438,6 @@ mod tests {
                 child.record("conflicts", 3);
                 let _grand = span_named("grandchild");
             }
-            root.child_event("worker", &[("imported", 7)]);
         }
         set_enabled(false);
         let traces = recent_traces(4);
@@ -465,11 +446,10 @@ mod tests {
             .find(|t| t.name == "root-test")
             .expect("root trace in ring");
         assert_eq!(root.attr("fingerprint"), Some("00ff"));
-        assert_eq!(root.span_count(), 4);
+        assert_eq!(root.span_count(), 3);
         let child = root.find("child").expect("child span");
         assert_eq!(child.counter("conflicts"), Some(3));
         assert!(child.find("grandchild").is_some());
-        assert_eq!(root.find("worker").unwrap().counter("imported"), Some(7));
         // The tree serializes to parseable-looking JSON.
         let json = root.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

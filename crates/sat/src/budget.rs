@@ -77,10 +77,8 @@ pub struct Budget {
     deadline: Option<Instant>,
     conflicts: Option<u64>,
     propagations: Option<u64>,
-    /// Cancellation tokens; any one of them firing exhausts the budget.
-    /// More than one arises when a portfolio race adds its
-    /// loser-cancellation token on top of a caller's token.
-    cancels: Vec<CancelToken>,
+    /// Cancellation token; firing it exhausts the budget.
+    cancel: Option<CancelToken>,
 }
 
 impl Budget {
@@ -116,10 +114,10 @@ impl Budget {
         self
     }
 
-    /// Attach a cooperative-cancellation token. May be called more than
-    /// once; every attached token is observed (first one to fire wins).
+    /// Attach a cooperative-cancellation token, replacing any earlier
+    /// one.
     pub fn with_cancel(mut self, token: CancelToken) -> Budget {
-        self.cancels.push(token);
+        self.cancel = Some(token);
         self
     }
 
@@ -140,20 +138,20 @@ impl Budget {
         self.deadline.is_none()
             && self.conflicts.is_none()
             && self.propagations.is_none()
-            && self.cancels.is_empty()
+            && self.cancel.is_none()
     }
 
     /// `true` if a deadline or cancellation token is configured (the
     /// limits that remain meaningful across retry attempts).
     pub fn has_deadline_or_cancel(&self) -> bool {
-        self.deadline.is_some() || !self.cancels.is_empty()
+        self.deadline.is_some() || self.cancel.is_some()
     }
 
     /// Cheap check of the non-counter limits: cancellation and (at the
     /// caller's discretion) the deadline. Counter caps are checked by
     /// [`Budget::check`] with the current totals.
     pub fn poll(&self) -> Option<Exhaustion> {
-        if self.cancels.iter().any(CancelToken::is_cancelled) {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Some(Exhaustion::Cancelled);
         }
         if let Some(deadline) = self.deadline {
@@ -306,22 +304,18 @@ mod tests {
     }
 
     #[test]
-    fn stacked_cancel_tokens_all_observed() {
-        let caller = CancelToken::new();
-        let race = CancelToken::new();
+    fn a_later_cancel_token_replaces_the_earlier_one() {
+        let first = CancelToken::new();
+        let second = CancelToken::new();
         let b = Budget::unlimited()
-            .with_cancel(caller.clone())
-            .with_cancel(race.clone());
+            .with_cancel(first.clone())
+            .with_cancel(second.clone());
         assert!(!b.is_unlimited());
-        assert_eq!(b.poll(), None);
-        race.cancel();
+        assert!(b.has_deadline_or_cancel());
+        first.cancel();
+        assert_eq!(b.poll(), None, "a replaced token no longer limits the budget");
+        second.cancel();
         assert_eq!(b.poll(), Some(Exhaustion::Cancelled));
-        // Cloning shares the tokens, and the caller token alone is
-        // also enough.
-        let b2 = Budget::unlimited().with_cancel(caller.clone());
-        assert_eq!(b2.poll(), None);
-        caller.cancel();
-        assert_eq!(b2.poll(), Some(Exhaustion::Cancelled));
     }
 
     #[test]

@@ -60,7 +60,6 @@ mod lit;
 mod luby;
 mod model;
 pub mod mus;
-pub mod share;
 mod solver;
 
 pub use budget::{Budget, CancelToken, Exhaustion, RetryPolicy};
@@ -68,5 +67,4 @@ pub use dimacs::{parse_dimacs, write_dimacs, DimacsError, DimacsProblem};
 pub use lit::{LBool, Lit, Var};
 pub use luby::luby;
 pub use model::Model;
-pub use share::ClauseExchange;
 pub use solver::{SolveResult, Solver, SolverStats};

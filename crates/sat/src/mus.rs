@@ -107,8 +107,7 @@ pub fn shrink_core(solver: &mut Solver, assumptions: &[Lit]) -> ShrinkResult {
 /// The result is exactly what plain left-to-right ordered deletion over
 /// the *full* ordered assumption list gives: drop each element in turn
 /// when the rest stays UNSAT. The warm incremental engine relies on
-/// this to return byte-identical cores from warm, cold and portfolio
-/// runs.
+/// this to return byte-identical cores from warm and cold runs.
 ///
 /// `first_core` is the core the search that established UNSAT already
 /// reported (a subset of `assumptions`), so there is no confirming

@@ -11,8 +11,6 @@ use crate::heap::ActivityHeap;
 use crate::lit::{LBool, Lit, Var};
 use crate::luby::LubyRestarts;
 use crate::model::Model;
-use crate::share::ClauseExchange;
-use std::sync::Arc;
 
 /// Result of a [`Solver::solve`] call.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,10 +56,6 @@ pub struct SolverStats {
     pub learned_clauses: u64,
     /// Learned clauses deleted by database reduction.
     pub deleted_clauses: u64,
-    /// Learned clauses exported to a shared portfolio pool.
-    pub exported_clauses: u64,
-    /// Foreign clauses imported from a shared portfolio pool.
-    pub imported_clauses: u64,
     /// Inprocessing passes run at restart boundaries.
     pub inprocessings: u64,
     /// Learnt clauses removed by inprocessing (root-satisfied or
@@ -79,38 +73,6 @@ struct Watcher {
     cref: ClauseRef,
     blocker: Lit,
 }
-
-/// Seeded xorshift64 state driving occasional random decisions
-/// (portfolio tie-breaking diversification).
-#[derive(Clone, Copy, Debug)]
-struct RandomBranching {
-    state: u64,
-    /// A random decision is attempted with probability ~`1/inv_freq`.
-    inv_freq: u32,
-}
-
-impl RandomBranching {
-    fn next(&mut self) -> u64 {
-        // xorshift64: full-period, allocation-free, deterministic.
-        self.state ^= self.state << 13;
-        self.state ^= self.state >> 7;
-        self.state ^= self.state << 17;
-        self.state
-    }
-}
-
-/// A worker's connection to a shared portfolio clause pool.
-#[derive(Clone, Debug)]
-struct ExchangeLink {
-    worker: usize,
-    pool: Arc<dyn ClauseExchange>,
-    /// Only clauses with LBD at or below this are exported.
-    export_lbd_max: u32,
-}
-
-/// Clauses longer than this are never exported: they are unlikely to
-/// help other workers and would churn the byte-bounded pool.
-const EXPORT_MAX_LEN: usize = 32;
 
 /// LBD at or below which a learnt clause is glue: reduction never
 /// deletes it.
@@ -132,13 +94,6 @@ const VIVIFY_MAX_LEN: usize = 40;
 const VIVIFY_PROP_CAP: u64 = 20_000;
 
 /// A CDCL SAT solver. See the [crate docs](crate) for an overview.
-///
-/// `Solver` is `Clone`: a portfolio clones one master solver per worker
-/// so every worker starts from the full incremental clause state, then
-/// diversifies via [`Solver::set_restart_base`],
-/// [`Solver::set_var_decay`], [`Solver::set_default_polarity`] /
-/// [`Solver::randomize_polarities`] and
-/// [`Solver::set_random_branching`].
 #[derive(Clone, Debug)]
 pub struct Solver {
     db: ClauseDb,
@@ -181,23 +136,16 @@ pub struct Solver {
     /// inprocessing), capped so a pass still fires now and then.
     inprocess_stretch: u64,
     conflict_budget: Option<u64>,
-    /// Base conflict interval for Luby restarts (diversified per
-    /// worker).
-    restart_base: u64,
     /// Recursive learned-clause minimization (off = legacy one-step
     /// antecedent check only).
     ccmin_deep: bool,
     /// DFS worklist for [`Solver::lit_redundant`] (kept allocated).
     ccmin_stack: Vec<Lit>,
-    /// VSIDS decay factor (diversified per worker).
+    /// VSIDS decay factor (ramped at restarts, see `decay_ramp`).
     var_decay: f64,
     /// Ramp `var_decay` toward [`VAR_DECAY_CAP`] at each restart (off =
     /// legacy fixed decay).
     decay_ramp: bool,
-    /// Occasional random decisions, when configured.
-    rnd: Option<RandomBranching>,
-    /// Shared learned-clause pool, when part of a portfolio.
-    exchange: Option<ExchangeLink>,
     /// Resource budget for subsequent solves (deadline / caps /
     /// cancellation). Caps are measured against `budget_base`.
     budget: Budget,
@@ -261,13 +209,10 @@ impl Solver {
             inprocess_interval: INPROCESS_INTERVAL,
             inprocess_stretch: 1,
             conflict_budget: None,
-            restart_base: RESTART_BASE,
             decay_ramp: true,
             ccmin_deep: true,
             ccmin_stack: Vec::new(),
             var_decay: VAR_DECAY,
-            rnd: None,
-            exchange: None,
             budget: Budget::unlimited(),
             budget_base: (0, 0),
             stats: SolverStats::default(),
@@ -359,27 +304,10 @@ impl Solver {
         self.inprocess_interval = conflicts.max(1);
     }
 
-    /// Reset the statistics counters *and* the schedule bookkeeping that
-    /// is derived from them (the inprocessing interval). Portfolio
-    /// workers cloned from a warm master call this so their counters —
-    /// and therefore their deterministic replay — start from zero.
-    pub fn reset_stats(&mut self) {
-        self.stats = SolverStats::default();
-        self.inprocess_base = 0;
-        self.inprocess_stretch = 1;
-    }
-
     /// `false` once the clause set has been proved unsatisfiable at the
     /// top level (every future `solve` returns `Unsat`).
     pub fn is_ok(&self) -> bool {
         self.ok
-    }
-
-    /// Set the base conflict interval of the Luby restart schedule
-    /// (clamped to ≥ 1). Distinct bases give portfolio workers distinct
-    /// restart sequences.
-    pub fn set_restart_base(&mut self, base: u64) {
-        self.restart_base = base.max(1);
     }
 
     /// Enable or disable recursive learned-clause minimization (on by
@@ -404,69 +332,6 @@ impl Solver {
         self.set_inprocessing(false);
         self.set_deep_minimization(false);
         self.set_decay_ramp(false);
-    }
-
-    /// Set the VSIDS activity decay factor, clamped to `[0.5, 0.999]`.
-    /// Lower values focus harder on recent conflicts.
-    pub fn set_var_decay(&mut self, decay: f64) {
-        self.var_decay = decay.clamp(0.5, 0.999);
-    }
-
-    /// Reset every variable's saved phase to `polarity` (the phase used
-    /// the next time the variable is decided, until search overwrites
-    /// it). The solver's own default is `false`.
-    pub fn set_default_polarity(&mut self, polarity: bool) {
-        for p in &mut self.polarity {
-            *p = polarity;
-        }
-    }
-
-    /// Randomize every variable's saved phase from `seed`
-    /// (deterministically — the same seed gives the same phases).
-    pub fn randomize_polarities(&mut self, seed: u64) {
-        let mut rng = RandomBranching {
-            state: seed | 1,
-            inv_freq: 0,
-        };
-        for p in &mut self.polarity {
-            *p = rng.next() & 1 == 1;
-        }
-    }
-
-    /// Make roughly one in `inv_freq` branching decisions pick a random
-    /// unassigned variable instead of the VSIDS maximum, seeded
-    /// deterministically. `inv_freq == 0` disables random branching.
-    pub fn set_random_branching(&mut self, seed: u64, inv_freq: u32) {
-        self.rnd = if inv_freq == 0 {
-            None
-        } else {
-            Some(RandomBranching {
-                state: seed | 1,
-                inv_freq,
-            })
-        };
-    }
-
-    /// Connect this solver to a shared portfolio clause pool as worker
-    /// `worker`. Clauses learned with LBD ≤ `export_lbd_max` (and at
-    /// most 32 literals) are exported as they are learned; foreign
-    /// clauses are imported at every restart boundary.
-    pub fn set_clause_exchange(
-        &mut self,
-        worker: usize,
-        pool: Arc<dyn ClauseExchange>,
-        export_lbd_max: u32,
-    ) {
-        self.exchange = Some(ExchangeLink {
-            worker,
-            pool,
-            export_lbd_max,
-        });
-    }
-
-    /// Disconnect from any shared clause pool.
-    pub fn clear_clause_exchange(&mut self) {
-        self.exchange = None;
     }
 
     fn lit_value(&self, lit: Lit) -> LBool {
@@ -866,109 +731,14 @@ impl Solver {
     fn record_learnt(&mut self, learnt: Vec<Lit>) {
         self.stats.learned_clauses += 1;
         if learnt.len() == 1 {
-            self.export_learnt(&learnt, 1);
             self.enqueue(learnt[0], None);
         } else {
             let lbd = self.compute_lbd(&learnt);
-            self.export_learnt(&learnt, lbd);
             let asserting = learnt[0];
             let cref = self.db.alloc(learnt, true, lbd);
             self.attach(cref);
             self.bump_clause(cref);
             self.enqueue(asserting, Some(cref));
-        }
-    }
-
-    /// Offer a freshly learned clause to the shared pool, if this
-    /// solver is a portfolio worker and the clause is glue-y enough.
-    fn export_learnt(&mut self, lits: &[Lit], lbd: u32) {
-        let exported = match &self.exchange {
-            Some(link) if lbd <= link.export_lbd_max && lits.len() <= EXPORT_MAX_LEN => {
-                link.pool.export(link.worker, lits, lbd);
-                true
-            }
-            _ => false,
-        };
-        if exported {
-            self.stats.exported_clauses += 1;
-        }
-    }
-
-    /// Integrate clauses learned by other portfolio workers. Must be
-    /// called at decision level 0; returns `false` if an import proved
-    /// the formula unsatisfiable outright.
-    fn import_shared(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        let Some(link) = self.exchange.clone() else {
-            return true;
-        };
-        for (lits, lbd) in link.pool.import(link.worker) {
-            if !self.ok {
-                return false;
-            }
-            self.add_shared(lits, lbd);
-        }
-        self.ok
-    }
-
-    /// Integrate a batch of foreign learned clauses, e.g. a portfolio
-    /// pool drained back into the master solver after a race. Cancels
-    /// any in-progress search state (like [`Solver::add_clause`]); the
-    /// clauses are stored as learnt, so database reduction can evict
-    /// them again if they never help.
-    pub fn absorb_shared(&mut self, clauses: Vec<(Vec<Lit>, u32)>) {
-        if !self.ok {
-            return;
-        }
-        self.cancel_until(0);
-        if self.propagate().is_some() {
-            self.ok = false;
-            return;
-        }
-        for (lits, lbd) in clauses {
-            if !self.ok {
-                return;
-            }
-            self.add_shared(lits, lbd);
-        }
-    }
-
-    /// Add a foreign learned clause. Mirrors the level-0 simplification
-    /// of [`Solver::add_clause`], but stores the clause as *learnt* so
-    /// database reduction can evict it again if it never helps.
-    fn add_shared(&mut self, lits: Vec<Lit>, lbd: u32) {
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut clause = lits;
-        clause.sort_unstable();
-        clause.dedup();
-        let mut simplified = Vec::with_capacity(clause.len());
-        for (i, &l) in clause.iter().enumerate() {
-            if i + 1 < clause.len() && clause[i + 1] == !l {
-                return; // tautology
-            }
-            match self.lit_value(l) {
-                LBool::True => return, // already satisfied at level 0
-                LBool::False => continue,
-                LBool::Undef => simplified.push(l),
-            }
-        }
-        self.stats.imported_clauses += 1;
-        match simplified.len() {
-            0 => self.ok = false,
-            1 => {
-                self.enqueue(simplified[0], None);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                }
-            }
-            _ => {
-                // Level-0 simplification may have shortened the clause
-                // below the exporter's LBD; a clause of n literals can
-                // span at most n levels, so clamp before storing.
-                let lbd = lbd.min(simplified.len() as u32).max(1);
-                let cref = self.db.alloc(simplified, true, lbd);
-                self.attach(cref);
-            }
         }
     }
 
@@ -1008,8 +778,8 @@ impl Solver {
     }
 
     /// `true` when enough conflicts have accumulated since the last
-    /// inprocessing pass. Pure function of solver state, so lockstep
-    /// portfolio workers inprocess at identical points.
+    /// inprocessing pass. Pure function of solver state, so a replayed
+    /// solve inprocesses at identical points.
     fn inprocess_due(&self) -> bool {
         let due = self.inprocess_interval.saturating_mul(self.inprocess_stretch);
         self.inprocess_on && self.stats.conflicts.saturating_sub(self.inprocess_base) >= due
@@ -1342,21 +1112,6 @@ impl Solver {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
-        // Occasional random decision for portfolio diversification: a
-        // random unassigned variable instead of the VSIDS maximum. The
-        // variable stays in the heap; assigned entries are skipped (and
-        // re-inserted on backtrack) by the normal path below.
-        if let Some(r) = &mut self.rnd {
-            if !self.assigns.is_empty() {
-                let roll = r.next();
-                if roll % u64::from(r.inv_freq) == 0 {
-                    let idx = (r.next() >> 16) as usize % self.assigns.len();
-                    if !self.assigns[idx].is_assigned() {
-                        return Some(Lit::new(Var::from_index(idx), self.polarity[idx]));
-                    }
-                }
-            }
-        }
         while let Some(v) = self.heap.pop(&self.activity) {
             if !self.assigns[v.index()].is_assigned() {
                 return Some(Lit::new(v, self.polarity[v.index()]));
@@ -1451,10 +1206,7 @@ impl Solver {
             return SolveResult::Unsat(Vec::new());
         }
         self.collect_garbage();
-        if !self.import_shared() {
-            return SolveResult::Unsat(Vec::new());
-        }
-        let mut restarts = LubyRestarts::new(self.restart_base);
+        let mut restarts = LubyRestarts::new(RESTART_BASE);
         loop {
             if self.budget_exhausted().is_some() {
                 self.cancel_until(0);
@@ -1481,9 +1233,6 @@ impl Solver {
                             return SolveResult::Unsat(Vec::new());
                         }
                         self.collect_garbage();
-                    }
-                    if !self.import_shared() {
-                        return SolveResult::Unsat(Vec::new());
                     }
                 }
                 SearchOutcome::Budget => {

@@ -364,7 +364,7 @@ pub const CORPUS: &[CorpusEntry] = &[
             holes: 7,
         },
         expected: Expected::Unsat,
-        note: "propositional pigeonhole (P1 portfolio shape)",
+        note: "propositional pigeonhole (symmetric UNSAT refutation)",
     },
     CorpusEntry {
         name: "hard-pup-sat-40",

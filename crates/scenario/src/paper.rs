@@ -1,7 +1,7 @@
 //! The paper's fixed walkthrough instances (Figs. 1–4) and the
 //! relational pigeonhole family, packaged for benches, the harness and
 //! the examples. One definition — every lane that used to hand-build
-//! these fixtures (E1/E2/E5, the portfolio and incremental lanes, the
+//! these fixtures (E1/E2/E5, the incremental lane, the
 //! A4 ablation) consumes them from here, byte-identically.
 
 use muppet::{NamedGoal, Party, Session};

@@ -10,7 +10,7 @@
 //!
 //! For chaos testing there is additionally a **process-global**
 //! probabilistic failpoint ([`arm_global`]): solver work happens on
-//! daemon worker threads and portfolio threads the test never touches
+//! daemon worker threads the test never touches
 //! directly, so a thread-local trigger cannot reach it. The global
 //! failpoint trips every N-th matching poll process-wide, either
 //! reporting exhaustion ([`Mode::Exhaust`]) or panicking outright

@@ -17,8 +17,8 @@
 //! every satisfiable answer is **canonicalized** to the
 //! lexicographically smallest model over the free tuple variables (in
 //! ascending variable order, `false < true`) and every minimized core
-//! is shrunk by deterministic ordered deletion — so warm, cold and
-//! portfolio runs return byte-identical verdicts, models and cores.
+//! is shrunk by deterministic ordered deletion — so warm and cold runs
+//! return byte-identical verdicts, models and cores.
 //! Canonicalization costs one incremental solve per `true` variable,
 //! so it applies below a free-variable cap
 //! ([`DEFAULT_CANONICAL_CAP`], adjustable per engine): the cap is a
@@ -37,7 +37,6 @@ use std::collections::{BTreeSet, HashMap};
 use muppet_logic::fingerprint::Fingerprinter;
 use muppet_logic::{Formula, Instance, PartialInstance, RelId, Universe, Vocabulary};
 use muppet_obs::Counter;
-use muppet_portfolio::{solve_portfolio, PortfolioConfig, PortfolioSummary};
 use muppet_sat::{mus, Budget, Lit, Model, SolveResult, Solver, SolverStats, Var};
 
 use crate::ground::ground;
@@ -107,7 +106,6 @@ pub struct IncrementalQuery {
     /// [`IncrementalQuery::solve`] installs the lex clauses and clears it.
     lex_pending: bool,
     canonical_cap: usize,
-    portfolio: Option<PortfolioConfig>,
     target_strategy: TargetStrategy,
     /// Lifetime count of OLL cores consumed by core-guided target
     /// solves on this engine; [`QueryStats::oll_cores`] reports the
@@ -170,7 +168,6 @@ impl IncrementalQuery {
             minimize_cores: true,
             lex_pending: false,
             canonical_cap: DEFAULT_CANONICAL_CAP,
-            portfolio: None,
             target_strategy: TargetStrategy::default(),
             oll_rounds: 0,
             kernel_published: SolverStats::default(),
@@ -239,17 +236,6 @@ impl IncrementalQuery {
     /// byte-for-byte.
     pub fn set_canonical_cap(&mut self, cap: usize) -> &mut Self {
         self.canonical_cap = cap;
-        self
-    }
-
-    /// Fan the search phase of [`IncrementalQuery::solve`] out across a
-    /// portfolio of diversified workers. `None` (the default) or a
-    /// config with `threads <= 1` keeps the search sequential. The
-    /// shared proofs flow back into the warm solver, so later solves on
-    /// this engine benefit from earlier races. Target-oriented solving
-    /// and enumeration stay sequential either way.
-    pub fn set_portfolio(&mut self, portfolio: Option<PortfolioConfig>) -> &mut Self {
-        self.portfolio = portfolio;
         self
     }
 
@@ -367,11 +353,10 @@ impl IncrementalQuery {
             restarts: self.solver.stats.restarts,
             inprocessings: self.solver.stats.inprocessings,
             oll_cores: self.oll_rounds,
-            portfolio: None,
         }
     }
 
-    fn delta_stats(&self, base: &QueryStats, summary: Option<PortfolioSummary>) -> QueryStats {
+    fn delta_stats(&self, base: &QueryStats) -> QueryStats {
         QueryStats {
             free_tuple_vars: self.varmap.num_free_vars(),
             conflicts: self.solver.stats.conflicts.saturating_sub(base.conflicts),
@@ -384,7 +369,6 @@ impl IncrementalQuery {
                 .inprocessings
                 .saturating_sub(base.inprocessings),
             oll_cores: self.oll_rounds.saturating_sub(base.oll_cores),
-            portfolio: summary,
         }
     }
 
@@ -411,7 +395,7 @@ impl IncrementalQuery {
     /// carries selectors from earlier solves in whatever order history
     /// created them, so ordering by `self.selectors` would make core
     /// order depend on engine history; ordering by `assumptions` makes
-    /// warm, cold and portfolio cores byte-identical. (The shrinker
+    /// warm and cold cores byte-identical. (The shrinker
     /// already returns an ordered subsequence of the assumptions; this
     /// also normalizes raw solver-reported cores, whose order is
     /// heuristic-dependent.)
@@ -435,8 +419,8 @@ impl IncrementalQuery {
     ///
     /// Each variable's final value is a pure function of the problem
     /// semantics and the variable order — independent of solver
-    /// heuristic state — which is what makes warm, cold and portfolio
-    /// answers byte-identical. Costs at most one incremental solve per
+    /// heuristic state — which is what makes warm and cold answers
+    /// byte-identical. Costs at most one incremental solve per
     /// variable the intermediate models assign `true`, so instances
     /// with more than [`Self::canonical_cap`] free variables skip the
     /// walk (the cap itself is a pure function of the instance, so the
@@ -486,32 +470,20 @@ impl IncrementalQuery {
     }
 
     /// The shared search → minimize tail: run the CDCL search under the
-    /// already-installed budget (fanning out across a portfolio when
-    /// configured), canonicalize satisfiable models, shrink cores by
-    /// ordered deletion, and report work counters as the delta from
-    /// `base`.
+    /// already-installed budget, canonicalize satisfiable models, shrink
+    /// cores by ordered deletion, and report work counters as the delta
+    /// from `base`.
     fn run_search(&mut self, assumptions: &[Lit], base: &QueryStats) -> Outcome {
-        // Failpoints are thread-local: check on the calling thread
-        // before any portfolio fan-out, so fault-injected queries
-        // always degrade on the sequential path.
         #[cfg(any(test, feature = "fault-inject"))]
         if crate::fault::should_trip(Phase::Search) {
             return Outcome::Unknown {
                 phase: Phase::Search,
-                stats: self.delta_stats(base, None),
+                stats: self.delta_stats(base),
                 partial: None,
             };
         }
-        let mut summary: Option<PortfolioSummary> = None;
         let mut search_span = muppet_obs::span("search");
-        let search_result = match self.portfolio {
-            Some(cfg) if cfg.is_parallel() => {
-                let (result, s) = solve_portfolio(&mut self.solver, assumptions, &cfg);
-                summary = Some(s);
-                result
-            }
-            _ => self.solver.solve_with_assumptions(assumptions),
-        };
+        let search_result = self.solver.solve_with_assumptions(assumptions);
         // Canonicalize inside the search span so its probes are
         // attributed to the search phase.
         let search_result = match search_result {
@@ -519,7 +491,7 @@ impl IncrementalQuery {
             other => other,
         };
         if search_span.is_recording() {
-            let d = self.delta_stats(base, summary);
+            let d = self.delta_stats(base);
             search_span.record("conflicts", d.conflicts);
             search_span.record("decisions", d.decisions);
             search_span.record("propagations", d.propagations);
@@ -537,7 +509,7 @@ impl IncrementalQuery {
         match search_result {
             SolveResult::Sat(model) => {
                 let solution = self.fixed.union(&self.varmap.decode(&model));
-                let stats = self.delta_stats(base, summary);
+                let stats = self.delta_stats(base);
                 Outcome::Sat { solution, stats }
             }
             SolveResult::Unsat(first_core) => {
@@ -560,7 +532,7 @@ impl IncrementalQuery {
                         mus::ShrinkResult::Exhausted { best } => {
                             // UNSAT is established; surface the best
                             // (unminimized) core as a partial artifact.
-                            let stats = self.delta_stats(base, summary);
+                            let stats = self.delta_stats(base);
                             let partial = Some(PartialResult::Core(
                                 self.names_of_in(assumptions, &best.unwrap_or(first_core)),
                             ));
@@ -575,12 +547,12 @@ impl IncrementalQuery {
                     first_core
                 };
                 let core = self.names_of_in(assumptions, &core_lits);
-                let stats = self.delta_stats(base, summary);
+                let stats = self.delta_stats(base);
                 Outcome::Unsat { core, stats }
             }
             SolveResult::Unknown => Outcome::Unknown {
                 phase: Phase::Search,
-                stats: self.delta_stats(base, None),
+                stats: self.delta_stats(base),
                 partial: None,
             },
         }
@@ -673,7 +645,7 @@ impl IncrementalQuery {
             return (
                 Outcome::Unknown {
                     phase: Phase::Search,
-                    stats: self.delta_stats(&base, None),
+                    stats: self.delta_stats(&base),
                     partial: None,
                 },
                 0,
@@ -725,7 +697,7 @@ impl IncrementalQuery {
                     mus::ShrinkResult::Minimal(core) => self.names_of_in(&assumptions, &core),
                     mus::ShrinkResult::Sat => self.names_of_in(&assumptions, &first_core),
                     mus::ShrinkResult::Exhausted { best } => {
-                        let stats = self.delta_stats(&base, None);
+                        let stats = self.delta_stats(&base);
                         let partial = Some(PartialResult::Core(
                             self.names_of_in(&assumptions, &best.unwrap_or(first_core)),
                         ));
@@ -739,14 +711,14 @@ impl IncrementalQuery {
                         );
                     }
                 };
-                let stats = self.delta_stats(&base, None);
+                let stats = self.delta_stats(&base);
                 return (Outcome::Unsat { core, stats }, 0);
             }
             SolveResult::Unknown => {
                 return (
                     Outcome::Unknown {
                         phase: Phase::Search,
-                        stats: self.delta_stats(&base, None),
+                        stats: self.delta_stats(&base),
                         partial: None,
                     },
                     0,
@@ -791,7 +763,7 @@ impl IncrementalQuery {
                             let model = self.canonicalize(model, &assms);
                             let solution = self.fixed.union(&self.varmap.decode(&model));
                             drop(search_span);
-                            let stats = self.delta_stats(&base, None);
+                            let stats = self.delta_stats(&base);
                             return (Outcome::Sat { solution, stats }, dist_base + k);
                         }
                         SolveResult::Unsat(_) => continue,
@@ -799,7 +771,7 @@ impl IncrementalQuery {
                             // Budget fired mid-search: the probe model is
                             // still a valid (if non-minimal) counter-offer.
                             drop(search_span);
-                            let stats = self.delta_stats(&base, None);
+                            let stats = self.delta_stats(&base);
                             let partial = Some(PartialResult::Model {
                                 solution: best_solution,
                                 distance: dist_base + best_dist,
@@ -925,7 +897,7 @@ impl IncrementalQuery {
                                         SolveResult::Unsat(_) => k += 1,
                                         SolveResult::Unknown => {
                                             drop(search_span);
-                                            let stats = self.delta_stats(&base, None);
+                                            let stats = self.delta_stats(&base);
                                             let partial = Some(PartialResult::Model {
                                                 solution: best_solution,
                                                 distance: dist_base + best_dist,
@@ -952,7 +924,7 @@ impl IncrementalQuery {
                             // Budget fired mid-ascent: same best-so-far
                             // semantics as the linear strategy.
                             drop(search_span);
-                            let stats = self.delta_stats(&base, None);
+                            let stats = self.delta_stats(&base);
                             let partial = Some(PartialResult::Model {
                                 solution: best_solution,
                                 distance: dist_base + best_dist,
@@ -1007,7 +979,7 @@ impl IncrementalQuery {
                 // derived: report the probe model as best-so-far rather
                 // than a Sat answer whose distance we cannot witness.
                 drop(search_span);
-                let stats = self.delta_stats(&base, None);
+                let stats = self.delta_stats(&base);
                 let partial = Some(PartialResult::Model {
                     solution: best_solution,
                     distance: dist_base + best_dist,
@@ -1023,7 +995,7 @@ impl IncrementalQuery {
             }
         };
         drop(search_span);
-        let stats = self.delta_stats(&base, None);
+        let stats = self.delta_stats(&base);
         (Outcome::Sat { solution, stats }, dist_base + optimum)
     }
 
@@ -1050,7 +1022,7 @@ impl IncrementalQuery {
         if crate::fault::should_trip(Phase::Search) {
             return Err(QueryError::Exhausted {
                 phase: Phase::Search,
-                stats: self.delta_stats(&base, None),
+                stats: self.delta_stats(&base),
             });
         }
         let esel = Lit::pos(self.solver.new_var());
@@ -1078,7 +1050,7 @@ impl IncrementalQuery {
                 SolveResult::Unknown => {
                     return Err(QueryError::Exhausted {
                         phase: Phase::Search,
-                        stats: self.delta_stats(&base, None),
+                        stats: self.delta_stats(&base),
                     })
                 }
             }

@@ -27,7 +27,7 @@
 //!   and keeps learned clauses across calls. A one-shot query is a
 //!   fresh engine and one call; [`PreparedStore`] holds warm engines
 //!   per query shape. Models and cores are canonicalized so a warm
-//!   engine, a fresh one and a portfolio run answer byte-identically.
+//!   engine and a fresh one answer byte-identically.
 //! * **Target-oriented solving** ([`IncrementalQuery::solve_target`]):
 //!   find the model *closest to a target instance* (minimal
 //!   symmetric-difference) over a [`totalizer`] cardinality encoding,
@@ -59,7 +59,6 @@ pub mod tseitin;
 pub mod varmap;
 
 pub use incremental::{IncrementalQuery, TargetStrategy, DEFAULT_CANONICAL_CAP};
-pub use muppet_portfolio::{default_threads, PortfolioConfig, PortfolioSummary};
 pub use muppet_sat::{Budget, CancelToken, Exhaustion, RetryPolicy};
 pub use prepared::PreparedStore;
 pub use query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, QueryStats};

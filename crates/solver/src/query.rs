@@ -14,7 +14,6 @@
 use std::fmt;
 
 use muppet_logic::{Formula, Instance};
-use muppet_portfolio::PortfolioSummary;
 
 use crate::ground::GroundError;
 
@@ -87,9 +86,6 @@ pub struct QueryStats {
     /// UNSAT cores consumed by core-guided (OLL) target optimization
     /// during the run; zero for plain solves and linear-search targets.
     pub oll_cores: u64,
-    /// Portfolio aggregates when the search phase fanned out across
-    /// diversified workers (`None` for a sequential solve).
-    pub portfolio: Option<PortfolioSummary>,
 }
 
 impl fmt::Display for QueryStats {
@@ -104,16 +100,6 @@ impl fmt::Display for QueryStats {
         }
         if self.oll_cores > 0 {
             write!(f, " oll_cores={}", self.oll_cores)?;
-        }
-        if let Some(p) = &self.portfolio {
-            write!(
-                f,
-                " workers={} winner={} shared_out={} shared_in={}",
-                p.workers,
-                p.winner.map_or_else(|| "-".to_string(), |w| w.to_string()),
-                p.exported,
-                p.imported
-            )?;
         }
         Ok(())
     }

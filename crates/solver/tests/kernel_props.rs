@@ -4,8 +4,7 @@
 //!
 //! * **Target strategies agree** — core-guided (OLL) `solve_target`
 //!   must return byte-identical outcomes and distances to the linear
-//!   search baseline on random instances, sequentially and with a
-//!   4-thread portfolio configured on the engine.
+//!   search baseline on random instances.
 //! * **Kernel upgrades are invisible** — with inprocessing forced to
 //!   fire (tiny interval) and the learnt DB under reduction pressure,
 //!   verdicts and minimized cores on random CNFs must match the legacy
@@ -17,9 +16,7 @@
 
 use muppet_logic::{Domain, Formula, Instance, PartialInstance, PartyId, Term, Universe, Vocabulary};
 use muppet_sat::{mus, Budget, Lit, SolveResult, Solver, Var};
-use muppet_solver::{
-    FormulaGroup, IncrementalQuery, Outcome, PortfolioConfig, TargetStrategy,
-};
+use muppet_solver::{FormulaGroup, IncrementalQuery, Outcome, TargetStrategy};
 use proptest::prelude::*;
 
 const N_ATOMS: usize = 4;
@@ -114,17 +111,9 @@ fn solve_target_with(
     goals: &[Vec<GoalLit>],
     target: &Instance,
     strategy: TargetStrategy,
-    threads: usize,
 ) -> (String, usize) {
     let mut q = engine(f);
     q.set_target_strategy(strategy);
-    if threads > 1 {
-        q.set_portfolio(Some(PortfolioConfig {
-            threads,
-            deterministic: true,
-            ..PortfolioConfig::default()
-        }));
-    }
     let (out, dist) = q
         .solve_target(&groups_of(f, goals), target, Budget::unlimited())
         .unwrap();
@@ -136,20 +125,16 @@ proptest! {
 
     /// OLL core-guided optimization and the linear-search baseline are
     /// observationally identical: same verdict, same canonical model,
-    /// same minimized core, same optimal distance — with and without a
-    /// portfolio configured on the engine.
+    /// same minimized core, same optimal distance.
     #[test]
     fn oll_matches_linear_search(goals in goal_set(), tuples in target_tuples()) {
         let f = fix();
         let target = target_of(&f, &tuples);
-        let (lin_sig, lin_dist) =
-            solve_target_with(&f, &goals, &target, TargetStrategy::Linear, 1);
-        for threads in [1usize, 4] {
-            let (oll_sig, oll_dist) =
-                solve_target_with(&f, &goals, &target, TargetStrategy::CoreGuided, threads);
-            prop_assert_eq!(&oll_sig, &lin_sig, "threads={}", threads);
-            prop_assert_eq!(oll_dist, lin_dist, "threads={}", threads);
-        }
+        let (lin_sig, lin_dist) = solve_target_with(&f, &goals, &target, TargetStrategy::Linear);
+        let (oll_sig, oll_dist) =
+            solve_target_with(&f, &goals, &target, TargetStrategy::CoreGuided);
+        prop_assert_eq!(&oll_sig, &lin_sig);
+        prop_assert_eq!(oll_dist, lin_dist);
     }
 
     /// The tuned kernel — inprocessing forced to fire with a 1-conflict

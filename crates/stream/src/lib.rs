@@ -263,7 +263,6 @@ pub struct StreamSession {
     spec: StreamSpec,
     mv: MeshVocab,
     store: PreparedStore,
-    threads: usize,
     seq: u64,
     verdict: String,
     prev_keys: BTreeSet<u128>,
@@ -279,22 +278,12 @@ impl StreamSession {
     /// Open a session: builds the vocabulary, solves the initial state
     /// (seq 0, kind `"initial"`) and leaves the engine warm.
     pub fn new(spec: StreamSpec) -> Result<(StreamSession, StreamStats), StreamError> {
-        StreamSession::with_threads(spec, 1)
-    }
-
-    /// [`StreamSession::new`] with a portfolio worker count (`<= 1`
-    /// solves sequentially). Verdicts are identical either way.
-    pub fn with_threads(
-        spec: StreamSpec,
-        threads: usize,
-    ) -> Result<(StreamSession, StreamStats), StreamError> {
         let registry = muppet_obs::registry();
         let mv = spec.vocab();
         let mut session = StreamSession {
             spec,
             mv,
             store: PreparedStore::new(),
-            threads,
             seq: 0,
             verdict: String::new(),
             prev_keys: BTreeSet::new(),
@@ -338,7 +327,6 @@ impl StreamSession {
         vocab_rebuilt: bool,
     ) -> Result<StreamStats, StreamError> {
         let mut session = self.spec.session(&self.mv)?;
-        session.set_threads(self.threads);
         let sigs = session.reconcile_group_signatures(ReconcileMode::HardBounds);
         let dirtied: Vec<String> = sigs
             .iter()

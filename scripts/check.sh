@@ -28,14 +28,6 @@ run cargo test -q --offline --test daemon --test daemon_cache_props
 # emits BENCH_daemon.json. (Only an unfiltered harness run writes
 # BENCH_e2e.json; lane-selected runs like this one leave it alone.)
 run cargo run --release --offline -q --bin muppet-harness -- d1
-# Portfolio lane: differential properties (4-thread verdicts == the
-# sequential ones), the D1/E2E harness slice at --threads 4, and the
-# P1 bench which asserts byte-identical reconcile verdicts across
-# thread counts and always emits BENCH_portfolio.json.
-run cargo test -q --offline --test portfolio_properties
-run cargo run --release --offline -q --bin muppet-harness -- --threads 4 d1 e1 e4
-run cargo run --release --offline -q --bin muppet-harness -- p1
-test -s BENCH_portfolio.json || { echo "BENCH_portfolio.json missing"; exit 1; }
 # Observability lane: traced paper scenarios with per-phase breakdowns,
 # span-schema validation of the trace ring, and the <= 2% disabled-
 # tracing overhead gate — all asserted inside O1, which also emits
@@ -69,8 +61,8 @@ test -s BENCH_incremental.json || { echo "BENCH_incremental.json missing"; exit 
 # like the same call on a fresh Session (negotiation + conformance).
 run cargo test -q --offline --test incremental_diff
 # Streaming-reconfiguration lane (DESIGN.md §16): differential
-# proptests (warm StreamSession replay == fresh-Session snapshot solves,
-# 1 and 4 threads), then the W1 harness lane replaying a committed
+# proptests (warm StreamSession replay == fresh-Session snapshot
+# solves), then the W1 harness lane replaying a committed
 # ≥200-delta edit stream against the fresh-Session oracle —
 # byte-identical verdicts and a >= 5x amortized warm speedup, recorded
 # in BENCH_stream.json (written before the gates fire, so trend lines
@@ -89,7 +81,7 @@ run cargo test -q --offline --test daemon_overload
 run cargo run --release --offline -q --features fault-inject --bin muppet-harness -- r1
 test -s BENCH_robustness.json || { echo "BENCH_robustness.json missing"; exit 1; }
 # SAT-kernel speed lane (DESIGN.md §17): differential kernel
-# properties (core-guided == linear solve_target at 1 and 4 threads;
+# properties (core-guided == linear solve_target;
 # the tuned kernel, inprocessing forced on, invisible next to the
 # legacy kernel), then the K1 harness lane — the hard-tier CNF corpus
 # under the legacy pre-change kernel profile, the tuned defaults and
@@ -104,7 +96,7 @@ run cargo run --release --offline -q --bin muppet-harness -- k1
 test -s BENCH_kernel.json || { echo "BENCH_kernel.json missing"; exit 1; }
 # ConfigDomain plugin lane (DESIGN.md §18): N-party differential gate
 # (the generalized engine must stay byte-identical to the committed
-# pre-refactor N=2 golden at 1 and 4 threads), N∈{2..5} round-robin
+# pre-refactor N=2 golden), N∈{2..5} round-robin
 # order-invariance proptests, the Linkerd manifest round-trip /
 # adversarial-input properties, then the M1 harness lane — the
 # committed linkerd-shop scenario end to end through the daemon

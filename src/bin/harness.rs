@@ -58,7 +58,7 @@ use std::time::Duration;
 
 use muppet::conformance::run_conformance;
 use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
-use muppet::{baseline, Budget, ExhaustionReport, ReconcileMode, Reconciliation, RetryPolicy, Session};
+use muppet::{baseline, Budget, ExhaustionReport, ReconcileMode, RetryPolicy, Session};
 use muppet_bench::paper::{session, vocab, IstioTable};
 use muppet_bench::scenario::{generate, ScenarioParams};
 use muppet_bench::timing::{ms, timed_median, Table};
@@ -73,7 +73,6 @@ struct Gov {
     timeout_ms: Option<u64>,
     conflict_budget: Option<u64>,
     retries: Option<u32>,
-    threads: Option<usize>,
 }
 
 static GOV: OnceLock<Gov> = OnceLock::new();
@@ -94,9 +93,6 @@ fn govern(s: &mut Session<'_>) {
         budget = budget.with_timeout(Duration::from_millis(t));
     }
     s.set_budget(budget);
-    if let Some(n) = g.threads {
-        s.set_threads(n);
-    }
     if g.conflict_budget.is_some() || g.retries.is_some() {
         s.set_retry_policy(RetryPolicy::new(
             g.conflict_budget.unwrap_or(u64::MAX),
@@ -130,7 +126,7 @@ fn main() {
         eprintln!("muppet-harness: {msg}");
         eprintln!(
             "usage: muppet-harness [--csv] [--timeout-ms <n>] [--conflict-budget <n>] \
-             [--retries <n>] [--threads <n>] [--trace-json <path>] [experiment-id-prefix...]"
+             [--retries <n>] [--trace-json <path>] [experiment-id-prefix...]"
         );
         std::process::exit(2);
     };
@@ -152,16 +148,10 @@ fn main() {
                 g.conflict_budget = Some(num("--conflict-budget", value("--conflict-budget")))
             }
             "--retries" => g.retries = Some(num("--retries", value("--retries")) as u32),
-            "--threads" => g.threads = Some(num("--threads", value("--threads")) as usize),
             "--trace-json" => trace_json = Some(value("--trace-json")),
             other if other.starts_with("--") => usage(format!("unknown flag {other:?}")),
             _ => filter.push(a),
         }
-    }
-    if g.threads.is_none() {
-        g.threads = std::env::var("MUPPET_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok());
     }
     GOV.set(g).ok();
     if let Some(path) = &trace_json {
@@ -197,7 +187,6 @@ fn main() {
         ("X1", x1),
         ("X2", x2),
         ("D1", d1),
-        ("P1", p1),
         ("O1", o1),
         ("S1", s1),
         ("N1", n1),
@@ -502,7 +491,6 @@ fn e6(t: &mut Table) {
     let mv = vocab();
     let mut strict = session(&mv, IstioTable::Fig3);
     govern(&mut strict);
-    let mut strict = strict;
     let preferred = mv.structure_instance();
     let (report, d) = timed_median(REPS, || {
         run_conformance(&mut strict, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap()
@@ -521,7 +509,6 @@ fn e6(t: &mut Table) {
 
     let mut relaxed = session(&mv, IstioTable::Fig4);
     govern(&mut relaxed);
-    let mut relaxed = relaxed;
     let (report, d) = timed_median(REPS, || {
         run_conformance(&mut relaxed, mv.k8s_party, mv.istio_party, None).unwrap()
     });
@@ -536,7 +523,6 @@ fn e7(t: &mut Table) {
     let mv = vocab();
     let mut s = session(&mv, IstioTable::Fig3);
     govern(&mut s);
-    let mut s = s;
     let env = s
         .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
         .unwrap();
@@ -1013,7 +999,7 @@ fn r1(t: &mut Table) {
 
     // Sequential oracle: the same engine code, in-process, one request
     // at a time, no admission control in the way.
-    let oracle = Engine::new(EngineConfig { threads: 1, ..EngineConfig::default() });
+    let oracle = Engine::new(EngineConfig::default());
     let expected: Vec<bool> = variants
         .iter()
         .map(|s| {
@@ -1040,7 +1026,7 @@ fn r1(t: &mut Table) {
         socket: Some(sock.clone()),
         tcp: None,
         workers: 2,
-        engine: EngineConfig { threads: 1, ..EngineConfig::default() },
+        engine: EngineConfig::default(),
         overload,
     })
     .expect("serve");
@@ -1301,156 +1287,6 @@ fn r1(t: &mut Table) {
         drain_ms <= drain_budget_ms,
         "drain took {drain_ms:.0} ms, budget {drain_budget_ms:.0} ms"
     );
-}
-
-/// P1 — the portfolio lane. Three honest measurements, always written
-/// to `BENCH_portfolio.json`:
-///
-/// 1. *Verdict parity*: the hardest UNSAT reconcile in the suite runs
-///    sequentially and with a 4-worker portfolio; the rendered verdicts
-///    (success, minimal blame core, degradation marker, configs) must
-///    be byte-identical.
-/// 2. *Search behaviour*: a symmetric UNSAT CNF (pigeonhole) solved by
-///    `solve_portfolio` at 1 and 4 workers, with wall clock and clause-
-///    sharing counters. The speedup field reports whatever the host
-///    actually delivers — on a single hardware thread, 4 workers are
-///    legitimately *slower* (diversification without parallelism).
-/// 3. *Determinism*: two lockstep-mode runs must agree on verdict,
-///    winner and every aggregate counter.
-fn p1(t: &mut Table) {
-    use muppet_daemon::json::Json;
-    use muppet_portfolio::{solve_portfolio, PortfolioConfig};
-
-    // 1. Verdict parity on a fully-conflicted (UNSAT) scenario.
-    // Blameable mode so the minimal core is part of the verdict.
-    let scenario = generate(ScenarioParams {
-        services: 12,
-        istio_goals: 14,
-        k8s_goals: 3,
-        conflict_fraction: 1.0,
-        seed: 11,
-        ..ScenarioParams::default()
-    });
-    let render = |rec: &Reconciliation| {
-        format!(
-            "success={} core={:?} exhausted={} configs={:?}",
-            rec.success,
-            rec.core,
-            rec.exhausted.is_some(),
-            rec.configs,
-        )
-    };
-    let run = |threads: usize| {
-        let mut sess = scenario.session(false);
-        govern(&mut sess);
-        sess.set_threads(threads);
-        timed_median(3, || sess.reconcile(ReconcileMode::Blameable).unwrap())
-    };
-    let (seq, d_seq) = run(1);
-    let (par, d_par) = run(4);
-    assert!(!seq.success, "parity scenario must be UNSAT");
-    let identical = render(&seq) == render(&par);
-    assert!(identical, "thread counts diverged:\n  1: {}\n  4: {}", render(&seq), render(&par));
-    let rec_speedup = d_seq.as_secs_f64() / d_par.as_secs_f64().max(1e-9);
-    row(t, "P1", "UNSAT reconcile (12 svc)", "verdicts byte-identical", identical.to_string(), "true");
-    row(t, "P1", "UNSAT reconcile (12 svc)", "threads=1 (ms)", ms(d_seq), "-");
-    row(t, "P1", "UNSAT reconcile (12 svc)", "threads=4 (ms)", ms(d_par), "host-dependent");
-    let pf = par.stats.portfolio;
-
-    // 2. Portfolio search on symmetric UNSAT CNF: pigeonhole PHP(8,7),
-    // the shared corpus instance `hard-php-8-7`.
-    let base = muppet_bench::scenario::hard::php_cnf(8, 7).solver();
-    let search = |threads: usize| {
-        timed_median(3, || {
-            let mut s = base.clone();
-            let (r, summary) = solve_portfolio(&mut s, &[], &PortfolioConfig::with_threads(threads));
-            assert!(r.is_unsat(), "PHP(8,7) must be UNSAT");
-            summary
-        })
-    };
-    let (_, d_s1) = search(1);
-    let (sum4, d_s4) = search(4);
-    let search_speedup = d_s1.as_secs_f64() / d_s4.as_secs_f64().max(1e-9);
-    row(t, "P1", "PHP(8,7) UNSAT", "threads=1 (ms)", ms(d_s1), "-");
-    row(t, "P1", "PHP(8,7) UNSAT", "threads=4 (ms)", ms(d_s4), ">= 1.5x faster on >= 4 cores");
-    row(
-        t,
-        "P1",
-        "PHP(8,7) UNSAT",
-        "shared clauses exported/imported",
-        format!("{} / {}", sum4.exported, sum4.imported),
-        "> 0 (pool is live)",
-    );
-
-    // 3. Deterministic lockstep mode: bitwise-reproducible statistics.
-    let det_cfg = PortfolioConfig {
-        deterministic: true,
-        slice_conflicts: 256,
-        ..PortfolioConfig::with_threads(3)
-    };
-    let det = || {
-        let mut s = base.clone();
-        let (r, summary) = solve_portfolio(&mut s, &[], &det_cfg);
-        assert!(r.is_unsat());
-        summary
-    };
-    let (da, db) = (det(), det());
-    assert_eq!(da, db, "deterministic mode must reproduce exactly");
-    row(t, "P1", "PHP(8,7) deterministic", "two runs identical", (da == db).to_string(), "true");
-
-    let threads_obj = |s: &muppet::PortfolioSummary| {
-        Json::obj([
-            ("workers", Json::num(u64::from(s.workers))),
-            (
-                "winner",
-                s.winner.map(|w| Json::num(u64::from(w))).unwrap_or(Json::Null),
-            ),
-            ("exported", Json::num(s.exported)),
-            ("imported", Json::num(s.imported)),
-            ("restarts", Json::num(s.restarts)),
-            ("conflicts", Json::num(s.conflicts)),
-        ])
-    };
-    let doc = Json::obj([
-        ("schema", Json::str("muppet-bench-portfolio-v1")),
-        ("host_cores", Json::num(std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1))),
-        (
-            "reconcile_parity",
-            Json::obj([
-                ("instance", Json::str("12 services, fully conflicted, blameable")),
-                ("verdicts_identical", Json::Bool(identical)),
-                ("verdict", Json::str(render(&seq))),
-                ("threads1_ms", Json::Num(d_seq.as_secs_f64() * 1e3)),
-                ("threads4_ms", Json::Num(d_par.as_secs_f64() * 1e3)),
-                ("speedup", Json::Num(rec_speedup)),
-                (
-                    "portfolio",
-                    pf.as_ref().map(threads_obj).unwrap_or(Json::Null),
-                ),
-            ]),
-        ),
-        (
-            "search",
-            Json::obj([
-                ("instance", Json::str("PHP(8,7)")),
-                ("threads1_ms", Json::Num(d_s1.as_secs_f64() * 1e3)),
-                ("threads4_ms", Json::Num(d_s4.as_secs_f64() * 1e3)),
-                ("speedup", Json::Num(search_speedup)),
-                ("threads4", threads_obj(&sum4)),
-            ]),
-        ),
-        (
-            "deterministic",
-            Json::obj([
-                ("instance", Json::str("PHP(8,7), 3 workers, lockstep")),
-                ("reproducible", Json::Bool(da == db)),
-                ("summary", threads_obj(&da)),
-            ]),
-        ),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_portfolio.json", doc.to_line() + "\n") {
-        eprintln!("muppet-harness: cannot write BENCH_portfolio.json: {e}");
-    }
 }
 
 /// O1 — the observability lane (DESIGN.md §12). Four honest checks,
@@ -1977,13 +1813,12 @@ fn w1(t: &mut Table) {
     let (encoded, reused) = warm.group_counters();
 
     // Cold oracle: the identical state sequence, each solved from
-    // scratch. Same session construction and thread count as the warm
-    // path, so any divergence is the multi-shot engine's fault.
+    // scratch. Same session construction as the warm path, so any
+    // divergence is the multi-shot engine's fault.
     let mut cold_spec = StreamSpec::from(&stream.base);
     let cold_solve = |spec: &StreamSpec| -> String {
         let mv = spec.vocab();
         let mut s = spec.session(&mv).expect("cold session builds");
-        s.set_threads(1);
         let rec = s.reconcile(ReconcileMode::HardBounds).expect("cold reconcile");
         assert!(rec.exhausted.is_none(), "cold oracle must not exhaust");
         verdict_line(&rec)

@@ -33,7 +33,7 @@
 
 use std::process::ExitCode;
 
-use muppet::{default_threads, Budget, ReconcileMode, Reconciliation, RetryPolicy, Session};
+use muppet::{Budget, ReconcileMode, Reconciliation, RetryPolicy, Session};
 use muppet_domain::{ConfigDomain, DomainModel};
 use muppet_goals::IstioGoal;
 use muppet_logic::PartyId;
@@ -64,7 +64,6 @@ struct Opts {
     timeout_ms: Option<u64>,
     conflict_budget: Option<u64>,
     retries: Option<u32>,
-    threads: Option<usize>,
     // Daemon-mode flags (`serve` / `client`).
     socket: Option<String>,
     tcp: Option<String>,
@@ -109,7 +108,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         timeout_ms: None,
         conflict_budget: None,
         retries: None,
-        threads: None,
         socket: None,
         tcp: None,
         workers: None,
@@ -179,12 +177,12 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                         .map_err(|_| "--retries needs an attempt count".to_string())?,
                 )
             }
+            // Accepted for compatibility and ignored: search is
+            // sequential.
             "--threads" => {
-                opts.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|_| "--threads needs a worker count".to_string())?,
-                )
+                value("--threads")?
+                    .parse::<usize>()
+                    .map_err(|_| "--threads needs a worker count".to_string())?;
             }
             "--socket" => opts.socket = Some(value("--socket")?),
             "--tcp" => opts.tcp = Some(value("--tcp")?),
@@ -293,23 +291,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// Portfolio width: `--threads` wins, then the `MUPPET_THREADS`
-/// environment variable, then the machine default (cores, capped).
-/// `None` means nothing was given anywhere — callers that forward the
-/// count to a daemon leave the request field unset in that case so the
-/// server's own default applies.
-fn requested_threads(opts: &Opts) -> Option<usize> {
-    opts.threads.or_else(|| {
-        std::env::var("MUPPET_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-    })
-}
-
-fn effective_threads(opts: &Opts) -> usize {
-    requested_threads(opts).unwrap_or_else(default_threads).clamp(1, 64)
-}
-
 /// The loaded inputs of a subcommand: the wire-level spec (shared with
 /// the daemon, so CLI and daemon verdicts come from one pipeline) and
 /// the domain-built model.
@@ -358,7 +339,6 @@ fn build_session<'a>(l: &'a Loaded, opts: &Opts) -> Result<Session<'a>, String> 
         budget = budget.with_timeout(std::time::Duration::from_millis(t));
     }
     session.set_budget(budget);
-    session.set_threads(effective_threads(opts));
     if opts.conflict_budget.is_some() || opts.retries.is_some() {
         session.set_retry_policy(RetryPolicy::new(
             opts.conflict_budget.unwrap_or(u64::MAX),
@@ -486,11 +466,7 @@ FLAGS:
   --conflict-budget <n>  solver conflict cap per attempt (default: none)
   --retries <n>          total solve attempts; each retry escalates the
                          conflict cap by the Luby sequence (default: 1)
-  --threads <n>          portfolio solver workers per query; 1 = plain
-                         sequential CDCL (default: $MUPPET_THREADS, else
-                         available cores capped at 8); on serve this sets
-                         the daemon-wide default, on client it overrides
-                         per request
+  --threads <n>          accepted and ignored (search is sequential)
   --socket <path>        daemon Unix socket (serve: listen; client: connect)
   --tcp <addr>           daemon TCP address, e.g. 127.0.0.1:7878
   --workers <n>          serve: worker threads (default: 4)
@@ -956,7 +932,6 @@ fn serve_cmd(opts: &Opts) -> Result<ExitCode, String> {
         workers: opts.workers.unwrap_or(4),
         engine: muppet_daemon::EngineConfig {
             cache_cap: opts.cache_cap.unwrap_or(1024),
-            threads: effective_threads(opts),
             ..muppet_daemon::EngineConfig::default()
         },
         overload: muppet_daemon::OverloadConfig {
@@ -1066,7 +1041,6 @@ fn watch_cmd(opts: &Opts) -> Result<ExitCode, String> {
 
     let mut req = muppet_daemon::Request::new(muppet_daemon::Op::Watch);
     req.spec = Some(spec);
-    req.threads = requested_threads(opts).map(|t| t.clamp(1, 64) as u64);
     client.send(&req)?;
     let resp = pump_until_response(&mut client)?;
     println!("{}", resp.to_line());
@@ -1158,7 +1132,6 @@ fn client_cmd(op_name: &str, opts: &Opts) -> Result<ExitCode, String> {
     req.timeout_ms = opts.timeout_ms;
     req.conflict_budget = opts.conflict_budget;
     req.retries = opts.retries;
-    req.threads = requested_threads(opts).map(|t| t.clamp(1, 64) as u64);
     req.n = opts.trace_n;
     let policy = muppet_daemon::RetryPolicy {
         attempts: if opts.no_retry { 1 } else { opts.retry_attempts.unwrap_or(5) },

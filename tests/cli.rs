@@ -125,6 +125,20 @@ fn reconcile_detects_the_paper_conflict() {
     assert!(text.contains("UNSAT"));
     assert!(text.contains("DENY port 23"));
     assert!(text.contains("test-backend -> test-frontend"));
+    // `--threads` is accepted and ignored: search is sequential.
+    let threads = f.run(&[
+        "reconcile",
+        "--manifests",
+        &f.path("mesh.yaml"),
+        "--k8s-goals",
+        &f.path("k8s.csv"),
+        "--istio-goals",
+        &f.path("istio.csv"),
+        "--threads",
+        "4",
+    ]);
+    assert_eq!(threads.status.code(), Some(1), "{threads:?}");
+    assert_eq!(stdout(&threads), text);
 }
 
 #[test]
@@ -371,6 +385,19 @@ fn bad_inputs_give_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = f.run(&["frobnicate", "--manifests", &f.path("mesh.yaml")]);
     assert_eq!(out.status.code(), Some(2));
+    let out = f.run(&[
+        "reconcile",
+        "--manifests",
+        &f.path("mesh.yaml"),
+        "--k8s-goals",
+        &f.path("k8s.csv"),
+        "--istio-goals",
+        &f.path("istio.csv"),
+        "--threads",
+        "many",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads needs a worker count"));
     let out = f.run(&[
         "reconcile",
         "--manifests",

@@ -29,10 +29,7 @@ fn start(
         socket: Some(path.clone()),
         tcp: None,
         workers,
-        engine: muppet_daemon::EngineConfig {
-            threads: 1,
-            ..muppet_daemon::EngineConfig::default()
-        },
+        engine: muppet_daemon::EngineConfig::default(),
         overload,
     })
     .expect("serve");

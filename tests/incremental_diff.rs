@@ -4,9 +4,9 @@
 //! store) must answer **byte-identically** to the same call on a fresh
 //! session, on every semantic output — verdicts, models, cores,
 //! counter-offer sequences — across randomized multi-round
-//! negotiations, with and without portfolio threads.
+//! negotiations.
 //!
-//! Stats (conflicts, encode counters, portfolio summaries) are
+//! Stats (conflicts, encode counters) are
 //! deliberately *excluded*: the two sides do different amounts of work
 //! by design; what they may never do is give different answers.
 
@@ -32,14 +32,13 @@ struct G {
 }
 
 /// A full random scenario: goals per party, who holds firm, the
-/// tenant's preferred configuration, and the portfolio width.
+/// tenant's preferred configuration, and the round limit.
 #[derive(Clone, Debug)]
 struct Scenario {
     a_goals: Vec<G>,
     b_goals: Vec<G>,
     stubborn_a: bool,
     preferred_atoms: Vec<bool>,
-    threads: usize,
     max_rounds: usize,
 }
 
@@ -58,16 +57,14 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         prop::collection::vec(goal_strategy(), 1..=3),
         any::<bool>(),
         prop::collection::vec(any::<bool>(), N_ATOMS),
-        prop_oneof![Just(1usize), Just(4usize)],
         2..=4usize,
     )
         .prop_map(
-            |(a_goals, b_goals, stubborn_a, preferred_atoms, threads, max_rounds)| Scenario {
+            |(a_goals, b_goals, stubborn_a, preferred_atoms, max_rounds)| Scenario {
                 a_goals,
                 b_goals,
                 stubborn_a,
                 preferred_atoms,
-                threads,
                 max_rounds,
             },
         )
@@ -75,8 +72,8 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
 
 /// The shared two-party fixture: sort F with three atoms, each party
 /// owning one unary relation over it. Small enough that every query
-/// stays far below the engine's canonicalization cap, so warm, cold
-/// and portfolio models are all the canonical lex-min witness.
+/// stays far below the engine's canonicalization cap, so warm and
+/// cold models are both the canonical lex-min witness.
 struct Fixture {
     universe: Universe,
     vocab: Vocabulary,
@@ -142,7 +139,6 @@ fn build_session<'a>(f: &'a Fixture, sc: &Scenario) -> Session<'a> {
         Party::new(f.parties[1], "B")
             .with_goals(sc.b_goals.iter().enumerate().map(|(i, g)| named("b", i, g))),
     );
-    s.set_threads(sc.threads);
     s
 }
 

@@ -4,9 +4,9 @@
 //! captured from the two-party engine immediately **before** the
 //! ConfigDomain / N-party refactor. The generalized engine must
 //! reproduce those verdicts, counter-offers, envelopes and negotiation
-//! traces byte-identically on the paper fixtures, at 1 and 4 portfolio
-//! threads (lex-min canonical models and ordered-deletion cores make
-//! both thread counts comparable).
+//! traces byte-identically on the paper fixtures (lex-min canonical
+//! models and ordered-deletion cores make the answers independent of
+//! solver heuristic state).
 //!
 //! Re-bless — only for a deliberate, reviewed behavior change — with:
 //! `BLESS_NPARTY=1 cargo test --test nparty_differential`.
@@ -27,7 +27,7 @@ fn pick(result: &Json, keys: &[&str]) -> String {
     Json::Obj(filtered).to_line()
 }
 
-fn dump(threads: u64) -> String {
+fn dump() -> String {
     let eng = Engine::new(EngineConfig::default());
     let fixtures = [
         ("strict", SessionSpec::paper_strict()),
@@ -43,11 +43,7 @@ fn dump(threads: u64) -> String {
             };
             out.push_str(&format!("{label}/{tag}: {line}\n"));
         };
-        let base = |op: Op| {
-            let mut r = Request::new(op).with_spec(spec.clone());
-            r.threads = Some(threads);
-            r
-        };
+        let base = |op: Op| Request::new(op).with_spec(spec.clone());
         for party in ["k8s", "istio"] {
             let mut req = base(Op::CheckConsistency);
             req.party = Some(party.into());
@@ -108,8 +104,8 @@ fn dump(threads: u64) -> String {
 }
 
 #[test]
-fn n2_matches_pre_refactor_golden_at_1_and_4_threads() {
-    let cold = dump(1);
+fn n2_matches_pre_refactor_golden() {
+    let cold = dump();
     if std::env::var("BLESS_NPARTY").is_ok() {
         std::fs::create_dir_all(
             std::path::Path::new(GOLDEN_PATH).parent().unwrap(),
@@ -123,12 +119,7 @@ fn n2_matches_pre_refactor_golden_at_1_and_4_threads() {
         .expect("missing golden; run with BLESS_NPARTY=1 to capture");
     assert_eq!(
         cold, golden,
-        "1-thread verdicts/traces diverge from the pre-refactor engine"
-    );
-    let wide = dump(4);
-    assert_eq!(
-        wide, golden,
-        "4-thread verdicts/traces diverge from the pre-refactor engine"
+        "verdicts/traces diverge from the pre-refactor engine"
     );
 }
 
@@ -136,5 +127,5 @@ fn n2_matches_pre_refactor_golden_at_1_and_4_threads() {
 /// same bytes: nothing about the dump depends on process-local state.
 #[test]
 fn dump_is_reproducible_within_a_process() {
-    assert_eq!(dump(1), dump(1));
+    assert_eq!(dump(), dump());
 }

@@ -85,7 +85,6 @@ proptest! {
         let engine = Arc::new(Engine::new(EngineConfig {
             cache_cap: 2,
             max_sessions: 16,
-            ..EngineConfig::default()
         }));
         let before = cache_counters();
 

@@ -1,26 +1,18 @@
 //! Differential testing of streaming reconfiguration: a warm
 //! [`StreamSession`] replaying a random edit stream must produce
 //! **byte-identical** verdict lines to cold-solving every intermediate
-//! snapshot from scratch, at 1 and 4 portfolio threads.
+//! snapshot from scratch.
 //!
 //! Bases are kept small enough (or bounded, which collapses the free
 //! tuple count) that every solve stays under the engine's
-//! canonicalization cap — warm, cold and portfolio models are all the
-//! canonical lex-min witness, so string equality is the right oracle.
+//! canonicalization cap — warm and cold models are both the canonical
+//! lex-min witness, so string equality is the right oracle.
 
 use muppet::ReconcileMode;
 use muppet_scenario::stream::{generate_stream, StreamParams, StreamProfile};
 use muppet_scenario::{generate, ScenarioParams};
 use muppet_stream::{verdict_line, StreamSession, StreamSpec};
 use proptest::prelude::*;
-
-/// A random stream workload: base shape, edit profile, length, seed,
-/// portfolio width.
-#[derive(Clone, Debug)]
-struct Workload {
-    params: StreamParams,
-    threads: usize,
-}
 
 /// Base shapes that keep every intermediate snapshot canonicalizable:
 /// unbounded meshes must stay tiny (free tuple vars grow quadratically
@@ -52,12 +44,10 @@ fn base_strategy() -> impl Strategy<Value = ScenarioParams> {
         })
 }
 
-fn workload_strategy() -> impl Strategy<Value = Workload> {
-    (base_strategy(), 0..4u8, 6..=14usize, 0..10_000u64, prop_oneof![
-        Just(1usize),
-        Just(4usize)
-    ])
-        .prop_map(|(base, profile, deltas, seed, threads)| {
+/// A random stream workload: base shape, edit profile, length, seed.
+fn workload_strategy() -> impl Strategy<Value = StreamParams> {
+    (base_strategy(), 0..4u8, 6..=14usize, 0..10_000u64)
+        .prop_map(|(base, profile, deltas, seed)| {
             // Growth and Mixed edits add services; on an unbounded base
             // that walks the free tuple count over the canonicalization
             // cap, so unbounded workloads stick to fixed-mesh churn.
@@ -67,15 +57,12 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
                 2 => StreamProfile::GoalChurn,
                 _ => StreamProfile::PolicyChurn,
             };
-            Workload {
-                params: StreamParams {
-                    base,
-                    profile,
-                    deltas,
-                    target_services: 0,
-                    seed,
-                },
-                threads,
+            StreamParams {
+                base,
+                profile,
+                deltas,
+                target_services: 0,
+                seed,
             }
         })
 }
@@ -84,20 +71,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Warm multi-shot replay == cold re-solve of every intermediate
-    /// snapshot, on the canonical verdict line (model or core), at the
-    /// sampled portfolio width.
+    /// snapshot, on the canonical verdict line (model or core).
     #[test]
-    fn warm_stream_equals_cold_snapshots(w in workload_strategy()) {
-        let stream = generate_stream(w.params);
+    fn warm_stream_equals_cold_snapshots(params in workload_strategy()) {
+        let stream = generate_stream(params);
 
         let (mut warm, initial) =
-            StreamSession::with_threads(StreamSpec::from(&stream.base), w.threads)
-                .expect("initial state solves");
+            StreamSession::new(StreamSpec::from(&stream.base)).expect("initial state solves");
 
-        let mut cold = generate(w.params.base);
+        let mut cold = generate(params.base);
         let cold_solve = |sc: &muppet_scenario::Scenario| -> String {
             let mut s = sc.session(false);
-            s.set_threads(w.threads);
             let rec = s
                 .reconcile(ReconcileMode::HardBounds)
                 .expect("cold snapshot reconciles");
@@ -116,23 +100,5 @@ proptest! {
             prev = stats.verdict;
         }
         prop_assert_eq!(warm.solves(), stream.deltas.len() as u64 + 1);
-    }
-
-    /// Portfolio width never changes answers: the same stream replayed
-    /// at 1 and 4 threads yields byte-identical verdict sequences.
-    #[test]
-    fn thread_count_is_answer_invariant(w in workload_strategy()) {
-        let stream = generate_stream(w.params);
-        let replay = |threads: usize| -> Vec<String> {
-            let (mut s, initial) =
-                StreamSession::with_threads(StreamSpec::from(&stream.base), threads)
-                    .expect("initial state solves");
-            let mut verdicts = vec![initial.verdict];
-            for d in &stream.deltas {
-                verdicts.push(s.push(d).expect("delta replays").verdict);
-            }
-            verdicts
-        };
-        prop_assert_eq!(replay(1), replay(4));
     }
 }
