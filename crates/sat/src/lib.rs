@@ -25,6 +25,13 @@
 //! * Incremental solving under **assumptions**, returning an assumption
 //!   *core* on UNSAT — the mechanism behind the paper's "unsatisfiable core
 //!   with blame information" feedback (Sec. 4.3).
+//! * Lex-min solving ([`Solver::solve_lex_min`]): the lexicographically
+//!   smallest model over a variable order under assumptions — the
+//!   ordinary search, then a second one from its assumption levels that
+//!   decides the order first. This is what makes warm and cold answers
+//!   byte-identical upstream.
+//! * Variables that occur in no clause are never decided; they read
+//!   `false` in models.
 //! * Deletion-based MUS (minimal unsatisfiable subset) extraction over
 //!   named clause groups ([`mus::shrink_core`]), following Torlak et al.'s
 //!   minimal-core approach the paper cites.

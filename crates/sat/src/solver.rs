@@ -2,8 +2,9 @@
 //!
 //! A MiniSat-lineage solver: two-watched-literal propagation, first-UIP
 //! conflict analysis with basic learned-clause minimization, VSIDS + phase
-//! saving, Luby restarts, LBD-aware clause-database reduction, and
-//! assumption-based incremental solving with core extraction.
+//! saving, Luby restarts, LBD-aware clause-database reduction,
+//! assumption-based incremental solving with core extraction, and
+//! lex-min solving over a variable order.
 
 use crate::budget::Budget;
 use crate::clause::{ClauseDb, ClauseRef};
@@ -152,6 +153,9 @@ pub struct Solver {
     /// `(conflicts, propagations)` totals at the moment the budget was
     /// installed, so its caps count only work done under it.
     budget_base: (u64, u64),
+    /// Whether each variable occurs in some added clause (see
+    /// [`Solver::decidable`]).
+    occurs: Vec<bool>,
     /// Statistics since construction.
     pub stats: SolverStats,
 }
@@ -215,6 +219,7 @@ impl Solver {
             var_decay: VAR_DECAY,
             budget: Budget::unlimited(),
             budget_base: (0, 0),
+            occurs: Vec::new(),
             stats: SolverStats::default(),
         }
     }
@@ -228,6 +233,7 @@ impl Solver {
         self.reason.push(None);
         self.level.push(0);
         self.seen.push(false);
+        self.occurs.push(false);
         self.lbd_marks.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -361,6 +367,11 @@ impl Solver {
         let mut clause: Vec<Lit> = lits.into_iter().collect();
         clause.sort_unstable();
         clause.dedup();
+        for &l in &clause {
+            // Back in the heap if it was dropped while in no clause.
+            self.occurs[l.var().index()] = true;
+            self.heap.insert(l.var(), &self.activity);
+        }
         // Tautology / root simplification.
         let mut simplified = Vec::with_capacity(clause.len());
         for (i, &l) in clause.iter().enumerate() {
@@ -1111,9 +1122,16 @@ impl Solver {
         self.db.collect_garbage();
     }
 
+    /// An unassigned variable that occurs in some clause. A variable in
+    /// no clause cannot affect satisfiability, so it is never decided;
+    /// it reads `false` in models.
+    fn decidable(&self, v: Var) -> bool {
+        self.occurs[v.index()] && !self.assigns[v.index()].is_assigned()
+    }
+
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap.pop(&self.activity) {
-            if !self.assigns[v.index()].is_assigned() {
+            if self.decidable(v) {
                 return Some(Lit::new(v, self.polarity[v.index()]));
             }
         }
@@ -1127,9 +1145,7 @@ impl Solver {
             .map(|a| match a {
                 LBool::True => true,
                 LBool::False => false,
-                // Unconstrained variables may remain unassigned only if
-                // they were never entered into the heap, which new_var
-                // prevents; default defensively.
+                // Only variables in no clause stay unassigned.
                 LBool::Undef => false,
             })
             .collect();
@@ -1192,6 +1208,48 @@ impl Solver {
     /// jointly inconsistent with the clause set (not necessarily minimal —
     /// see [`crate::mus`] for minimization).
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
+        let result = self.run(assumptions, &[]);
+        self.cancel_until(0);
+        result
+    }
+
+    /// Solve under `assumptions` for the lexicographically smallest
+    /// model over `order` (`order[0]` most significant, `false <
+    /// true`).
+    ///
+    /// First the ordinary search runs, exactly as
+    /// [`Self::solve_with_assumptions`] would: an `Unsat` or `Unknown`
+    /// answer, and the work spent reaching it, are that call's. If it
+    /// finds a model, the search keeps the assumption levels and runs
+    /// again from there, learning and restarts included, except that it
+    /// decides the `order` variables first, in order, each `false`;
+    /// VSIDS picks every later decision. Every literal on the trail is a
+    /// decision or implied by the decisions before it, so an `order`
+    /// variable that ends `true` is implied by the assumptions and the
+    /// values of the variables before it: no model agrees with that
+    /// prefix and has it `false`. The model returned is therefore the
+    /// lex-smallest one under the assumptions, whatever the solver's
+    /// heuristic state. If the budget fires during the second search,
+    /// the first search's (valid, possibly larger) model is returned.
+    pub fn solve_lex_min(&mut self, assumptions: &[Lit], order: &[Var]) -> SolveResult {
+        let result = match self.run(assumptions, &[]) {
+            SolveResult::Sat(found) if !order.is_empty() => {
+                self.cancel_until(assumptions.len() as u32);
+                match self.run(assumptions, order) {
+                    SolveResult::Sat(lex_min) => SolveResult::Sat(lex_min),
+                    _ => SolveResult::Sat(found),
+                }
+            }
+            other => other,
+        };
+        self.cancel_until(0);
+        result
+    }
+
+    /// The restart loop, from decision level 0 or from the assumption
+    /// levels a satisfiable run kept. Leaves the trail where the search
+    /// ended; the caller cancels.
+    fn run(&mut self, assumptions: &[Lit], order: &[Var]) -> SolveResult {
         if !self.ok {
             return SolveResult::Unsat(Vec::new());
         }
@@ -1200,27 +1258,21 @@ impl Solver {
         if self.budget_exhausted().is_some() {
             return SolveResult::Unknown;
         }
-        self.cancel_until(0);
-        if self.propagate().is_some() {
-            self.ok = false;
-            return SolveResult::Unsat(Vec::new());
+        if self.decision_level() == 0 {
+            if self.propagate().is_some() {
+                self.ok = false;
+                return SolveResult::Unsat(Vec::new());
+            }
+            self.collect_garbage();
         }
-        self.collect_garbage();
         let mut restarts = LubyRestarts::new(RESTART_BASE);
         loop {
             if self.budget_exhausted().is_some() {
-                self.cancel_until(0);
                 return SolveResult::Unknown;
             }
-            match self.search(restarts.next_budget(), assumptions) {
-                SearchOutcome::Sat(m) => {
-                    self.cancel_until(0);
-                    return SolveResult::Sat(m);
-                }
-                SearchOutcome::Unsat(core) => {
-                    self.cancel_until(0);
-                    return SolveResult::Unsat(core);
-                }
+            match self.search(restarts.next_budget(), assumptions, order) {
+                SearchOutcome::Sat(m) => return SolveResult::Sat(m),
+                SearchOutcome::Unsat(core) => return SolveResult::Unsat(core),
                 SearchOutcome::Restart => {
                     self.stats.restarts += 1;
                     if self.decay_ramp {
@@ -1235,16 +1287,22 @@ impl Solver {
                         self.collect_garbage();
                     }
                 }
-                SearchOutcome::Budget => {
-                    self.cancel_until(0);
-                    return SolveResult::Unknown;
-                }
+                SearchOutcome::Budget => return SolveResult::Unknown,
             }
         }
     }
 
-    fn search(&mut self, budget: u64, assumptions: &[Lit]) -> SearchOutcome {
+    /// One restart's worth of search from the current decision level.
+    /// After the assumptions, the first unassigned `order` variable that
+    /// occurs in a clause is decided `false` before VSIDS picks
+    /// anything. Every `order` variable before `cursor` is assigned. A
+    /// backjump sends the cursor back to the start, from where it skips
+    /// the variables still assigned: conflicts after the first model are
+    /// rare (none in either benchmark workload), so one scan per
+    /// backjump costs less than recording the cursor at every level.
+    fn search(&mut self, budget: u64, assumptions: &[Lit], order: &[Var]) -> SearchOutcome {
         let mut conflicts_here: u64 = 0;
+        let mut cursor = 0usize;
         loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
@@ -1255,6 +1313,7 @@ impl Solver {
                 }
                 let (learnt, bt) = self.analyze(confl);
                 self.cancel_until(bt);
+                cursor = 0;
                 self.record_learnt(learnt);
                 self.decay_activities();
                 if let Some(limit) = self.conflict_budget {
@@ -1299,7 +1358,13 @@ impl Solver {
                     }
                 }
                 if next.is_none() {
-                    next = self.pick_branch();
+                    while order.get(cursor).is_some_and(|&v| !self.decidable(v)) {
+                        cursor += 1;
+                    }
+                    next = match order.get(cursor) {
+                        Some(&v) => Some(Lit::neg(v)),
+                        None => self.pick_branch(),
+                    };
                     if next.is_none() {
                         return SearchOutcome::Sat(self.extract_model());
                     }
@@ -1543,6 +1608,127 @@ mod tests {
                     assert!(m.satisfies_clause(c), "clause {c:?} unsatisfied");
                 }
             }
+        }
+    }
+
+    /// Brute-force reference for [`Solver::solve_lex_min`]: the
+    /// lex-smallest projection onto `order` of the assignments to
+    /// `n` variables satisfying `clauses` and `assumptions`.
+    fn brute_lex_min(
+        n: usize,
+        clauses: &[Vec<Lit>],
+        assumptions: &[Lit],
+        order: &[Var],
+    ) -> Option<Vec<bool>> {
+        let holds = |bits: u32, l: Lit| (bits >> l.var().index() & 1 == 1) == l.is_positive();
+        (0u32..1 << n)
+            .filter(|&bits| {
+                assumptions.iter().all(|&a| holds(bits, a))
+                    && clauses.iter().all(|c| c.iter().any(|&l| holds(bits, l)))
+            })
+            .map(|bits| order.iter().map(|&v| holds(bits, Lit::pos(v))).collect())
+            .min()
+    }
+
+    #[test]
+    fn lex_min_matches_brute_force_random() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x4c45_584d);
+        let (mut sat, mut unsat, mut unknown) = (0, 0, 0);
+        for round in 0..400 {
+            let n = 4 + round % 9;
+            let mut s = Solver::new();
+            if round % 2 == 0 {
+                // Fire inprocessing on these tiny instances too.
+                s.set_inprocess_interval(1);
+            }
+            let vars = s.new_vars(n);
+            let mut clauses = Vec::new();
+            for _ in 0..rng.random_range(n..=4 * n) {
+                let c: Vec<Lit> = (0..rng.random_range(2..=3))
+                    .map(|_| Lit::new(vars[rng.random_range(0..n)], rng.random_bool(0.5)))
+                    .collect();
+                clauses.push(c.clone());
+                s.add_clause(c);
+            }
+            let pick = |rng: &mut StdRng| -> Vec<Lit> {
+                (0..rng.random_range(0..=3))
+                    .map(|_| Lit::new(vars[rng.random_range(0..n)], rng.random_bool(0.5)))
+                    .collect()
+            };
+            // A warm solver: earlier solves under other assumptions
+            // leave learnt clauses, activities and saved phases behind.
+            for _ in 0..rng.random_range(0..3) {
+                let warm = pick(&mut rng);
+                s.solve_with_assumptions(&warm);
+            }
+            let assumptions = pick(&mut rng);
+            let mut order: Vec<Var> = vars.clone();
+            for i in (1..n).rev() {
+                order.swap(i, rng.random_range(0..=i));
+            }
+            order.truncate(rng.random_range(0..=n));
+            // Every fifth round runs under a conflict budget of 0–2.
+            let limit = (round % 5 == 4).then(|| s.stats.conflicts + rng.random_range(0..3u64));
+            s.set_conflict_budget(limit.map(|l| l - s.stats.conflicts));
+            let want = brute_lex_min(n, &clauses, &assumptions, &order);
+            let result = s.solve_lex_min(&assumptions, &order);
+            let fired = limit.is_some_and(|l| s.stats.conflicts >= l);
+            match (result, want) {
+                (SolveResult::Sat(m), Some(want)) => {
+                    sat += 1;
+                    for c in &clauses {
+                        assert!(
+                            m.satisfies_clause(c),
+                            "round {round}: clause {c:?} unsatisfied"
+                        );
+                    }
+                    assert!(assumptions.iter().all(|&a| m.lit_value(a)), "round {round}");
+                    let got: Vec<bool> = order.iter().map(|&v| m.value(v)).collect();
+                    // A budget that fires in the second search keeps the
+                    // first search's model.
+                    if !fired {
+                        assert_eq!(got, want, "round {round}: not the lex-min model");
+                    }
+                }
+                (SolveResult::Unsat(core), None) => {
+                    unsat += 1;
+                    assert!(
+                        core.iter().all(|l| assumptions.contains(l)),
+                        "round {round}"
+                    );
+                }
+                (SolveResult::Unknown, _) if fired => unknown += 1,
+                (got, want) => panic!("round {round}: solver {got:?}, reference {want:?}"),
+            }
+        }
+        assert!(
+            sat > 50 && unsat > 50 && unknown > 0,
+            "{sat} sat, {unsat} unsat, {unknown} unknown"
+        );
+    }
+
+    #[test]
+    fn variables_in_no_clause_are_never_decided() {
+        let mut s = Solver::new();
+        let (a, b, c) = (s.new_var(), s.new_var(), s.new_var());
+        match s.solve() {
+            SolveResult::Sat(m) => assert!(!m.value(a) && !m.value(b) && !m.value(c)),
+            r => panic!("{r:?}"),
+        }
+        assert_eq!(s.stats.decisions, 0);
+        // A clause over variables the search already skipped makes them
+        // decidable again.
+        let ab = [Lit::pos(a), Lit::pos(b)];
+        s.add_clause(ab);
+        match s.solve() {
+            SolveResult::Sat(m) => assert!(m.satisfies_clause(&ab)),
+            r => panic!("{r:?}"),
+        }
+        match s.solve_lex_min(&[], &[a, b, c]) {
+            SolveResult::Sat(m) => assert!(!m.value(a) && m.value(b) && !m.value(c)),
+            r => panic!("{r:?}"),
         }
     }
 

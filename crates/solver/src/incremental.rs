@@ -18,13 +18,11 @@
 //! lexicographically smallest model over the free tuple variables (in
 //! ascending variable order, `false < true`) and every minimized core
 //! is shrunk by deterministic ordered deletion — so warm and cold runs
-//! return byte-identical verdicts, models and cores.
-//! Canonicalization costs one incremental solve per `true` variable,
-//! so it applies below a free-variable cap
-//! ([`DEFAULT_CANONICAL_CAP`], adjustable per engine): the cap is a
-//! pure function of the instance, so warm and cold agree on whether it
-//! fires, and above it answers stay valid but the witness model is
-//! whichever the search produced.
+//! return byte-identical verdicts, models and cores at every instance
+//! size. Each search is one [`Solver::solve_lex_min`] call: the
+//! ordinary VSIDS search, then, if it finds a model, a second search
+//! from its assumption levels that decides the free tuple variables
+//! first.
 //!
 //! Every solve call takes the formula groups it should run with:
 //! groups the engine has not seen are grounded and encoded on the way
@@ -44,14 +42,6 @@ use crate::query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, Quer
 use crate::totalizer::Totalizer;
 use crate::tseitin::encode;
 use crate::varmap::VarMap;
-
-/// Default free-variable cap under which satisfiable models are
-/// canonicalized (see the module docs). Covers every scenario in the
-/// paper — the Fig. 1–4 mesh reconcile sits at 390 free tuple
-/// variables — with headroom for moderately larger meshes; big
-/// synthetic instances skip the canonical walk rather than pay
-/// `O(free vars)` extra solves per answer.
-pub const DEFAULT_CANONICAL_CAP: usize = 768;
 
 /// Fingerprint tag separating OLL relaxation-sum totalizers from the
 /// difference-indicator totalizers in the shared cache: the two kinds
@@ -94,6 +84,9 @@ pub struct IncrementalQuery {
     fixed: Instance,
     solver: Solver,
     varmap: VarMap,
+    /// The free tuple variables in ascending order: the significance
+    /// order of canonical models.
+    free: Vec<Var>,
     selectors: Vec<(String, Lit)>,
     /// Group content fingerprint → where its encoding lives.
     index: HashMap<u128, EncodedGroup>,
@@ -105,7 +98,6 @@ pub struct IncrementalQuery {
     /// Set by [`IncrementalQuery::add_symmetry_breaking`]; the next
     /// [`IncrementalQuery::solve`] installs the lex clauses and clears it.
     lex_pending: bool,
-    canonical_cap: usize,
     target_strategy: TargetStrategy,
     /// Lifetime count of OLL cores consumed by core-guided target
     /// solves on this engine; [`QueryStats::oll_cores`] reports the
@@ -153,6 +145,7 @@ impl IncrementalQuery {
         let universe = universe.clone();
         let mut solver = Solver::new();
         let varmap = VarMap::build(&vocab, &universe, free_rels, bounds, &mut solver);
+        let free = varmap.free_tuples().map(|(v, _, _)| v).collect();
         let metrics = muppet_obs::registry();
         IncrementalQuery {
             vocab,
@@ -162,12 +155,12 @@ impl IncrementalQuery {
             fixed,
             solver,
             varmap,
+            free,
             selectors: Vec::new(),
             index: HashMap::new(),
             totalizers: HashMap::new(),
             minimize_cores: true,
             lex_pending: false,
-            canonical_cap: DEFAULT_CANONICAL_CAP,
             target_strategy: TargetStrategy::default(),
             oll_rounds: 0,
             kernel_published: SolverStats::default(),
@@ -221,21 +214,6 @@ impl IncrementalQuery {
     /// state.
     pub fn set_minimize_cores(&mut self, minimize: bool) -> &mut Self {
         self.minimize_cores = minimize;
-        self
-    }
-
-    /// Free-variable cap under which satisfiable models are
-    /// canonicalized (default [`DEFAULT_CANONICAL_CAP`]).
-    pub fn canonical_cap(&self) -> usize {
-        self.canonical_cap
-    }
-
-    /// Adjust the canonicalization cap. `usize::MAX` canonicalizes
-    /// unconditionally; `0` disables the canonical walk. Must be set
-    /// identically on every engine whose answers are compared
-    /// byte-for-byte.
-    pub fn set_canonical_cap(&mut self, cap: usize) -> &mut Self {
-        self.canonical_cap = cap;
         self
     }
 
@@ -412,48 +390,26 @@ impl IncrementalQuery {
             .collect()
     }
 
-    /// Reduce `model` to the canonical (lexicographically smallest)
-    /// model under `assumptions`: walk the free tuple variables in
-    /// ascending variable order, fixing each to `false` when some model
-    /// agrees with the prefix built so far and to `true` otherwise.
-    ///
-    /// Each variable's final value is a pure function of the problem
-    /// semantics and the variable order — independent of solver
-    /// heuristic state — which is what makes warm and cold answers
-    /// byte-identical. Costs at most one incremental solve per
-    /// variable the intermediate models assign `true`, so instances
-    /// with more than [`Self::canonical_cap`] free variables skip the
-    /// walk (the cap itself is a pure function of the instance, so the
-    /// skip is identical warm and cold); a budget firing mid-walk
-    /// returns the current (valid, possibly non-canonical) model rather
-    /// than losing the answer.
-    fn canonicalize(&mut self, mut model: Model, assumptions: &[Lit]) -> Model {
-        if self.varmap.num_free_vars() > self.canonical_cap {
-            return model;
+    /// Search under `assumptions`; a model comes back canonical: the
+    /// lexicographically smallest over the free tuple variables. The
+    /// canonical model is a pure function of the problem semantics and
+    /// the variable order, independent of solver heuristic state, which
+    /// is what makes warm and cold answers byte-identical. The first
+    /// search is the ordinary VSIDS one, so unsat answers and their
+    /// cores are unaffected; a budget firing while canonicalizing keeps
+    /// that search's (valid, possibly non-canonical) model rather than
+    /// losing the answer.
+    fn search_canonical(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.solver.solve_lex_min(assumptions, &self.free)
+    }
+
+    /// The canonical model under `assumptions`, or `fallback`, a model
+    /// at the same distance, if the budget fires first.
+    fn canonical_or(&mut self, assumptions: &[Lit], fallback: Model) -> Model {
+        match self.search_canonical(assumptions) {
+            SolveResult::Sat(model) => model,
+            _ => fallback,
         }
-        let free: Vec<Var> = self.varmap.free_tuples().map(|(v, _, _)| v).collect();
-        let mut assms = assumptions.to_vec();
-        let base_len = assms.len();
-        let mut prefix: Vec<Lit> = Vec::with_capacity(free.len());
-        for v in free {
-            if !model.value(v) {
-                // `model` satisfies prefix ∪ {¬v}: no probe needed.
-                prefix.push(Lit::neg(v));
-                continue;
-            }
-            assms.truncate(base_len);
-            assms.extend_from_slice(&prefix);
-            assms.push(Lit::neg(v));
-            match self.solver.solve_with_assumptions(&assms) {
-                SolveResult::Sat(better) => {
-                    model = better;
-                    prefix.push(Lit::neg(v));
-                }
-                SolveResult::Unsat(_) => prefix.push(Lit::pos(v)),
-                SolveResult::Unknown => return model,
-            }
-        }
-        model
     }
 
     /// Ensure the global difference-count totalizer for a
@@ -461,7 +417,13 @@ impl IncrementalQuery {
     /// (`&outputs[k..]` assumes "at most k differences"). Cached by the
     /// difference-indicator fingerprint, so warm engines re-solving
     /// against the same target reuse the clauses.
-    fn target_totalizer(&mut self, diff_inputs: &[Lit], tkey: u128) -> Vec<Lit> {
+    fn target_totalizer(&mut self, diff_inputs: &[Lit]) -> Vec<Lit> {
+        let mut fp = Fingerprinter::new();
+        for &l in diff_inputs {
+            fp.add_u64(l.var().index() as u64);
+            fp.add_bool(l.is_positive());
+        }
+        let tkey = fp.digest();
         if !self.totalizers.contains_key(&tkey) {
             let tot = Totalizer::build(diff_inputs, &mut self.solver);
             self.totalizers.insert(tkey, tot);
@@ -470,9 +432,9 @@ impl IncrementalQuery {
     }
 
     /// The shared search → minimize tail: run the CDCL search under the
-    /// already-installed budget, canonicalize satisfiable models, shrink
-    /// cores by ordered deletion, and report work counters as the delta
-    /// from `base`.
+    /// already-installed budget (satisfiable models come back
+    /// canonical), shrink cores by ordered deletion, and report work
+    /// counters as the delta from `base`.
     fn run_search(&mut self, assumptions: &[Lit], base: &QueryStats) -> Outcome {
         #[cfg(any(test, feature = "fault-inject"))]
         if crate::fault::should_trip(Phase::Search) {
@@ -483,13 +445,7 @@ impl IncrementalQuery {
             };
         }
         let mut search_span = muppet_obs::span("search");
-        let search_result = self.solver.solve_with_assumptions(assumptions);
-        // Canonicalize inside the search span so its probes are
-        // attributed to the search phase.
-        let search_result = match search_result {
-            SolveResult::Sat(model) => SolveResult::Sat(self.canonicalize(model, assumptions)),
-            other => other,
-        };
+        let search_result = self.search_canonical(assumptions);
         if search_span.is_recording() {
             let d = self.delta_stats(base);
             search_span.record("conflicts", d.conflicts);
@@ -562,8 +518,8 @@ impl IncrementalQuery {
     /// groups this engine has not seen before. Work counters in the
     /// outcome are the *delta* for this solve, not the warm solver's
     /// lifetime totals. Satisfiable answers are the canonical
-    /// (lex-smallest) model up to the canonicalization cap; UNSAT cores
-    /// are minimized by ordered deletion — see the module docs.
+    /// (lex-smallest) model; UNSAT cores are minimized by ordered
+    /// deletion — see the module docs.
     ///
     /// Under a [`Budget`] this never hangs: on exhaustion it returns
     /// [`Outcome::Unknown`] naming the phase that was running (with
@@ -683,11 +639,8 @@ impl IncrementalQuery {
         // upper bound on the distance.
         let mut search_span = muppet_obs::span("search");
         search_span.attr("mode", "target");
-        let (best_solution, best_dist) = match self.solver.solve_with_assumptions(&assumptions) {
-            SolveResult::Sat(model) => {
-                let dist = diff_inputs.iter().filter(|&&l| model.lit_value(l)).count();
-                (self.fixed.union(&self.varmap.decode(&model)), dist)
-            }
+        let probe = match self.solver.solve_with_assumptions(&assumptions) {
+            SolveResult::Sat(model) => model,
             SolveResult::Unsat(first_core) => {
                 drop(search_span);
                 // Infeasible at any distance: produce a core.
@@ -725,69 +678,57 @@ impl IncrementalQuery {
                 );
             }
         };
-
-        // Cardinality network over the difference indicators, cached by
-        // their content so repeated solves against the same target (and
-        // bound set) reuse the clauses. Built lazily: the linear arm
-        // and the bounded finisher need it, but a core-guided ascent
-        // that ends holding a witness (and skips the canonical walk)
-        // never pays for the O(n log n) global network — its cores see
-        // only the small per-core relaxation sums.
-        let mut fp = Fingerprinter::new();
-        for &l in &diff_inputs {
-            fp.add_u64(l.var().index() as u64);
-            fp.add_bool(l.is_positive());
-        }
-        let tkey = fp.digest();
+        let best_dist = diff_inputs.iter().filter(|&&l| probe.lit_value(l)).count();
+        // A budget that fires past the probe keeps the probe model as a
+        // valid (if non-minimal) counter-offer.
+        let best_so_far = |this: &Self, probe: &Model| {
+            let partial = Some(PartialResult::Model {
+                solution: this.fixed.union(&this.varmap.decode(probe)),
+                distance: dist_base + best_dist,
+            });
+            let stats = this.delta_stats(&base);
+            (
+                Outcome::Unknown {
+                    phase: Phase::Search,
+                    stats,
+                    partial,
+                },
+                0,
+            )
+        };
 
         // Prove the minimal number of true difference indicators
-        // (`optimum <= best_dist`). Strategy-dependent: both arms either
-        // return early (Sat found in the Linear loop, budget fired) or
-        // fall through to the shared finisher below with a proven
-        // optimum — and, for the core-guided arm, a witness model at
-        // that optimum when one is in hand.
-        let optimum: usize;
-        let mut witness: Option<Model> = None;
-        match self.target_strategy {
+        // (`optimum <= best_dist`). Each arm ends with the canonical
+        // model under an assumption set admitting exactly the
+        // distance-minimal models, so both strategies return the same
+        // byte-identical answer. The global difference totalizer, whose
+        // root merge alone has about n²/4 clauses, is built only by the
+        // linear arm and the defensive empty-core branch: the
+        // core-guided path never builds it.
+        let (optimum, model) = match self.target_strategy {
             TargetStrategy::Linear => {
                 // Linear search upward from distance 0, bounded above by
                 // the probe's distance: minimal edits are small in
                 // practice, so this touches few bounds.
-                let neg_outputs = self.target_totalizer(&diff_inputs, tkey);
-                let at_most = |k: usize| &neg_outputs[k.min(neg_outputs.len())..];
+                let neg_outputs = self.target_totalizer(&diff_inputs);
+                let at_most = |k: usize| {
+                    [&assumptions[..], &neg_outputs[k.min(neg_outputs.len())..]].concat()
+                };
+                let mut found = None;
                 for k in 0..best_dist {
-                    let mut assms = assumptions.clone();
-                    assms.extend_from_slice(at_most(k));
-                    match self.solver.solve_with_assumptions(&assms) {
+                    match self.search_canonical(&at_most(k)) {
                         SolveResult::Sat(model) => {
-                            let model = self.canonicalize(model, &assms);
-                            let solution = self.fixed.union(&self.varmap.decode(&model));
-                            drop(search_span);
-                            let stats = self.delta_stats(&base);
-                            return (Outcome::Sat { solution, stats }, dist_base + k);
+                            found = Some((k, model));
+                            break;
                         }
                         SolveResult::Unsat(_) => continue,
-                        SolveResult::Unknown => {
-                            // Budget fired mid-search: the probe model is
-                            // still a valid (if non-minimal) counter-offer.
-                            drop(search_span);
-                            let stats = self.delta_stats(&base);
-                            let partial = Some(PartialResult::Model {
-                                solution: best_solution,
-                                distance: dist_base + best_dist,
-                            });
-                            return (
-                                Outcome::Unknown {
-                                    phase: Phase::Search,
-                                    stats,
-                                    partial,
-                                },
-                                0,
-                            );
-                        }
+                        SolveResult::Unknown => return best_so_far(self, &probe),
                     }
                 }
-                optimum = best_dist;
+                match found {
+                    Some(found) => found,
+                    None => (best_dist, self.canonical_or(&at_most(best_dist), probe)),
+                }
             }
             TargetStrategy::CoreGuided => {
                 // OLL-style ascent. Every difference indicator `d` gets
@@ -799,6 +740,10 @@ impl IncrementalQuery {
                 // blames its current bound output. The loop ends when
                 // the softs-plus-bounds state is satisfiable (cost
                 // exactly `lb`) or `lb` meets the probe's upper bound.
+                // Either way every hard-satisfying model costs `lb`
+                // plus the number of softs and bounds it violates, so
+                // the final softs-plus-bounds set admits exactly the
+                // distance-minimal models.
                 let mut softs: Vec<Lit> = diff_inputs.iter().map(|&d| !d).collect();
                 // Live relaxation sums: (totalizer cache key, current
                 // bound, input count). The one-sided tree forces
@@ -806,13 +751,7 @@ impl IncrementalQuery {
                 // literal `¬output(bound)` enforces "≤ bound".
                 let mut sums: Vec<(u128, usize, usize)> = Vec::new();
                 let mut lb = 0usize;
-                loop {
-                    if lb >= best_dist {
-                        // The probe model already attains the proven
-                        // lower bound.
-                        optimum = best_dist;
-                        break;
-                    }
+                'ascent: loop {
                     let mut assms = assumptions.clone();
                     assms.extend_from_slice(&softs);
                     for &(key, bound, _) in &sums {
@@ -820,14 +759,15 @@ impl IncrementalQuery {
                             assms.push(!o);
                         }
                     }
-                    match self.solver.solve_with_assumptions(&assms) {
-                        SolveResult::Sat(model) => {
-                            // Cost of this model is exactly `lb`, which
-                            // the cores prove minimal.
-                            optimum = lb;
-                            witness = Some(model);
-                            break;
-                        }
+                    if lb >= best_dist {
+                        // The probe model already attains the proven
+                        // lower bound.
+                        break (best_dist, self.canonical_or(&assms, probe));
+                    }
+                    match self.search_canonical(&assms) {
+                        // Cost of this model is exactly `lb`, which the
+                        // cores prove minimal.
+                        SolveResult::Sat(model) => break (lb, model),
                         SolveResult::Unsat(core) => {
                             self.oll_rounds += 1;
                             self.ctr_oll_cores.inc();
@@ -881,119 +821,30 @@ impl IncrementalQuery {
                                 // every core must blame a soft. Degrade
                                 // to linear search from the bound the
                                 // genuine cores proved.
-                                let neg_outputs =
-                                    self.target_totalizer(&diff_inputs, tkey);
-                                let at_most =
-                                    |k: usize| &neg_outputs[k.min(neg_outputs.len())..];
-                                let mut k = lb.saturating_sub(1);
-                                loop {
-                                    if k >= best_dist {
-                                        break;
-                                    }
-                                    let mut assms = assumptions.clone();
-                                    assms.extend_from_slice(at_most(k));
-                                    match self.solver.solve_with_assumptions(&assms) {
-                                        SolveResult::Sat(_) => break,
-                                        SolveResult::Unsat(_) => k += 1,
-                                        SolveResult::Unknown => {
-                                            drop(search_span);
-                                            let stats = self.delta_stats(&base);
-                                            let partial = Some(PartialResult::Model {
-                                                solution: best_solution,
-                                                distance: dist_base + best_dist,
-                                            });
-                                            return (
-                                                Outcome::Unknown {
-                                                    phase: Phase::Search,
-                                                    stats,
-                                                    partial,
-                                                },
-                                                0,
-                                            );
-                                        }
+                                let neg_outputs = self.target_totalizer(&diff_inputs);
+                                let at_most = |k: usize| {
+                                    [&assumptions[..], &neg_outputs[k.min(neg_outputs.len())..]]
+                                        .concat()
+                                };
+                                for k in lb.saturating_sub(1)..best_dist {
+                                    match self.search_canonical(&at_most(k)) {
+                                        SolveResult::Sat(model) => break 'ascent (k, model),
+                                        SolveResult::Unsat(_) => continue,
+                                        SolveResult::Unknown => return best_so_far(self, &probe),
                                     }
                                 }
-                                optimum = k.min(best_dist);
-                                break;
+                                break (best_dist, self.canonical_or(&at_most(best_dist), probe));
                             }
                             // A single blamed indicator needs no sum:
                             // one Boolean can only be violated once, and
                             // its unit of cost is now counted in `lb`.
                         }
-                        SolveResult::Unknown => {
-                            // Budget fired mid-ascent: same best-so-far
-                            // semantics as the linear strategy.
-                            drop(search_span);
-                            let stats = self.delta_stats(&base);
-                            let partial = Some(PartialResult::Model {
-                                solution: best_solution,
-                                distance: dist_base + best_dist,
-                            });
-                            return (
-                                Outcome::Unknown {
-                                    phase: Phase::Search,
-                                    stats,
-                                    partial,
-                                },
-                                0,
-                            );
-                        }
+                        SolveResult::Unknown => return best_so_far(self, &probe),
                     }
                 }
             }
-        }
-        // Shared finisher: (re-)derive a model at the proven optimal
-        // distance and canonicalize among the distance-minimal models,
-        // so both strategies return the same byte-identical answer. The
-        // core-guided Sat exit already holds such a model and skips the
-        // extra solve. The distance bound is needed to derive a missing
-        // witness and to pin the canonical walk to distance-minimal
-        // models; a witness-holding run with canonicalization skipped
-        // (cap exceeded or disabled) needs no bound — and so never
-        // builds the global totalizer at all.
-        let will_canonicalize = self.canonical_cap >= self.varmap.num_free_vars();
-        let mut assms = assumptions.clone();
-        if witness.is_none() || will_canonicalize {
-            let neg_outputs = self.target_totalizer(&diff_inputs, tkey);
-            assms.extend_from_slice(&neg_outputs[optimum.min(neg_outputs.len())..]);
-        }
-        let found = match witness {
-            Some(model) => Some(model),
-            None => match self.solver.solve_with_assumptions(&assms) {
-                SolveResult::Sat(model) => Some(model),
-                // For `optimum == best_dist` the probe model witnesses
-                // satisfiability at this distance; keep it if the budget
-                // fires (or the defensive unreachable Unsat arm) here.
-                _ => None,
-            },
         };
-        let solution = match found {
-            Some(model) => {
-                let model = self.canonicalize(model, &assms);
-                self.fixed.union(&self.varmap.decode(&model))
-            }
-            None if optimum == best_dist => best_solution,
-            None => {
-                // The optimum is proven below the probe's distance but
-                // the budget fired before a model at it could be
-                // derived: report the probe model as best-so-far rather
-                // than a Sat answer whose distance we cannot witness.
-                drop(search_span);
-                let stats = self.delta_stats(&base);
-                let partial = Some(PartialResult::Model {
-                    solution: best_solution,
-                    distance: dist_base + best_dist,
-                });
-                return (
-                    Outcome::Unknown {
-                        phase: Phase::Search,
-                        stats,
-                        partial,
-                    },
-                    0,
-                );
-            }
-        };
+        let solution = self.fixed.union(&self.varmap.decode(&model));
         drop(search_span);
         let stats = self.delta_stats(&base);
         (Outcome::Sat { solution, stats }, dist_base + optimum)
@@ -1029,17 +880,13 @@ impl IncrementalQuery {
         assumptions.push(esel);
         let mut out = Vec::new();
         while out.len() < limit {
-            match self.solver.solve_with_assumptions(&assumptions) {
+            match self.search_canonical(&assumptions) {
                 SolveResult::Sat(model) => {
-                    let model = self.canonicalize(model, &assumptions);
                     out.push(self.fixed.union(&self.varmap.decode(&model)));
                     // Block this assignment of the free tuple vars,
                     // gated on the enumeration selector.
-                    let mut blocking: Vec<Lit> = self
-                        .varmap
-                        .free_tuples()
-                        .map(|(v, _, _)| Lit::new(v, !model.value(v)))
-                        .collect();
+                    let mut blocking: Vec<Lit> =
+                        self.free.iter().map(|&v| Lit::new(v, !model.value(v))).collect();
                     if blocking.is_empty() {
                         break; // unique model
                     }
@@ -1500,6 +1347,9 @@ mod tests {
         let f = fix();
         let goal = [FormulaGroup::new("g", vec![tuple_pred(&f, 0, 1)])];
         let mut q = engine(&f);
+        // The linear strategy runs over the global difference
+        // totalizer; the core-guided path never builds it.
+        q.set_target_strategy(TargetStrategy::Linear);
         let target = Instance::new();
         let (out1, d1) = q.solve_target(&goal, &target, Budget::unlimited()).unwrap();
         assert!(out1.is_sat());
@@ -1561,6 +1411,113 @@ mod tests {
         let (out_again, d_again) = oll.solve_target(&goal, &target, Budget::unlimited()).unwrap();
         assert_eq!(d_again, 3);
         assert_eq!(out_again.solution(), out_lin.solution());
+    }
+
+    /// The minimal-edit instance of `muppet-scenario`'s `minedit(400,
+    /// 50, 8)`: a ring of 400 atoms whose self-loops and ring edges are
+    /// the 800 free tuples, and 50 goals each needing one of its 16
+    /// tuples. Returns the engine inputs and the goal groups.
+    fn minedit_800() -> (
+        Universe,
+        Vocabulary,
+        RelId,
+        PartialInstance,
+        Vec<FormulaGroup>,
+    ) {
+        let (n, k, width) = (400, 50, 8);
+        let mut u = Universe::new();
+        let s = u.add_sort("Node");
+        let atoms: Vec<_> = (0..n).map(|i| u.add_atom(s, format!("n{i}"))).collect();
+        let mut v = Vocabulary::new();
+        let rel = v.add_simple_rel("link", vec![s, s], Domain::Party(PartyId(0)));
+        let mut bounds = PartialInstance::new();
+        let pred =
+            |i: usize, j: usize| Formula::pred(rel, [Term::Const(atoms[i]), Term::Const(atoms[j])]);
+        for i in 0..n {
+            bounds.permit(rel, vec![atoms[i], atoms[i]]);
+            bounds.permit(rel, vec![atoms[i], atoms[(i + 1) % n]]);
+        }
+        let groups = (0..k)
+            .map(|j| {
+                let options = (0..width).flat_map(|o| {
+                    let i = j * (n / k) + o;
+                    [pred(i, i), pred(i, (i + 1) % n)]
+                });
+                FormulaGroup::new(format!("goal-{j}"), vec![Formula::or(options)])
+            })
+            .collect();
+        (u, v, rel, bounds, groups)
+    }
+
+    /// On an engine with 800 free variables, a warm engine that first
+    /// solved other group sets answers
+    /// `solve`, both `solve_target` strategies and `enumerate` byte for
+    /// byte like fresh engines, and a core-guided `solve_target` never
+    /// builds the global difference totalizer.
+    #[test]
+    fn warm_answers_equal_fresh_above_800_free_vars() {
+        let (u, v, rel, bounds, groups) = minedit_800();
+        let new = || IncrementalQuery::new(&v, &u, &[rel], &bounds, Instance::new());
+        let render = |i: &Instance| format!("{i:?}");
+        let target = Instance::new();
+        let solve = |q: &mut IncrementalQuery| match q.solve(&groups, Budget::unlimited()).unwrap()
+        {
+            Outcome::Sat { solution, .. } => render(&solution),
+            other => panic!("{other:?}"),
+        };
+        let solve_target = |q: &mut IncrementalQuery, strategy| {
+            q.set_target_strategy(strategy);
+            let (out, d) = q
+                .solve_target(&groups, &target, Budget::unlimited())
+                .unwrap();
+            assert_eq!(d, 50);
+            format!("{} at {d}", render(out.solution().expect("sat")))
+        };
+        let enumerate = |q: &mut IncrementalQuery| {
+            let models = q.enumerate(&groups, 3, Budget::unlimited()).unwrap();
+            assert_eq!(models.len(), 3);
+            models.iter().map(render).collect::<Vec<_>>()
+        };
+
+        let mut oll = new();
+        let fresh_oll = solve_target(&mut oll, TargetStrategy::CoreGuided);
+        assert!(
+            oll.totalizers.values().all(|t| t.len() < oll.free.len()),
+            "a core-guided solve_target ending at a witness built the global totalizer"
+        );
+        let mut lin = new();
+        let fresh_lin = solve_target(&mut lin, TargetStrategy::Linear);
+        assert!(lin.totalizers.values().any(|t| t.len() == lin.free.len()));
+        assert_eq!(fresh_oll, fresh_lin, "strategies must agree byte for byte");
+        let fresh_solve = solve(&mut new());
+        let fresh_enum = enumerate(&mut new());
+
+        let mut warm = new();
+        assert!(warm
+            .solve(&groups[..25], Budget::unlimited())
+            .unwrap()
+            .is_sat());
+        let mut shifted = Instance::new();
+        for t in bounds.upper(rel).take(40) {
+            shifted.insert(rel, t.clone());
+        }
+        let (out, _) = warm
+            .solve_target(&groups[10..], &shifted, Budget::unlimited())
+            .unwrap();
+        assert!(out.is_sat());
+        assert_eq!(
+            warm.enumerate(&groups[..5], 2, Budget::unlimited())
+                .unwrap()
+                .len(),
+            2
+        );
+        assert_eq!(solve(&mut warm), fresh_solve);
+        assert_eq!(
+            solve_target(&mut warm, TargetStrategy::CoreGuided),
+            fresh_oll
+        );
+        assert_eq!(solve_target(&mut warm, TargetStrategy::Linear), fresh_oll);
+        assert_eq!(enumerate(&mut warm), fresh_enum);
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   (selector-gated CNF groups deduplicated by content fingerprint),
 //!   and keeps learned clauses across calls. A one-shot query is a
 //!   fresh engine and one call; [`PreparedStore`] holds warm engines
-//!   per query shape. Models and cores are canonicalized so a warm
+//!   per query shape. Models are canonicalized by one lex-min solve at
+//!   every instance size and cores by ordered deletion, so a warm
 //!   engine and a fresh one answer byte-identically.
 //! * **Target-oriented solving** ([`IncrementalQuery::solve_target`]):
 //!   find the model *closest to a target instance* (minimal
@@ -58,7 +59,7 @@ pub mod totalizer;
 pub mod tseitin;
 pub mod varmap;
 
-pub use incremental::{IncrementalQuery, TargetStrategy, DEFAULT_CANONICAL_CAP};
+pub use incremental::{IncrementalQuery, TargetStrategy};
 pub use muppet_sat::{Budget, CancelToken, Exhaustion, RetryPolicy};
 pub use prepared::PreparedStore;
 pub use query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, QueryStats};

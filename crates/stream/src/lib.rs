@@ -246,10 +246,11 @@ pub struct StreamStats {
 
 /// The canonical verdict line of a reconciliation: `sat` plus the
 /// per-party configurations, or `unsat` plus the blamed core. Debug
-/// formatting over `BTreeMap`s is deterministic, and warm solves
-/// produce canonical (lex-min) models and ordered-deletion cores, so
-/// equal states render byte-identical lines warm or cold — the W1 lane
-/// and the differential proptests compare exactly these strings.
+/// formatting over `BTreeMap`s is deterministic, and every solve
+/// produces the canonical (lex-min) model or ordered-deletion core at
+/// every instance size, so equal states render byte-identical lines
+/// warm or cold — the W1 lane and the differential proptests compare
+/// exactly these strings.
 pub fn verdict_line(rec: &Reconciliation) -> String {
     if rec.success {
         format!("sat {:?}", rec.configs)

@@ -62,11 +62,12 @@ test -s BENCH_incremental.json || { echo "BENCH_incremental.json missing"; exit 
 run cargo test -q --offline --test incremental_diff
 # Streaming-reconfiguration lane (DESIGN.md §16): differential
 # proptests (warm StreamSession replay == fresh-Session snapshot
-# solves), then the W1 harness lane replaying a committed
-# ≥200-delta edit stream against the fresh-Session oracle —
-# byte-identical verdicts and a >= 5x amortized warm speedup, recorded
-# in BENCH_stream.json (written before the gates fire, so trend lines
-# survive a red run).
+# solves), then the W1 harness lane replaying committed ≥200-delta
+# edit streams against the fresh-Session oracle — byte-identical sat
+# and unsat verdicts on the bounded and the unbounded replay, a warm
+# engine at most 2x a fresh one's variables, and a >= 5x amortized
+# warm speedup, recorded in BENCH_stream.json (written before the
+# gates fire, so trend lines survive a red run).
 run cargo test -q --offline --test stream_props
 run cargo run --release --offline -q --bin muppet-harness -- w1
 test -s BENCH_stream.json || { echo "BENCH_stream.json missing"; exit 1; }

@@ -1772,19 +1772,17 @@ fn n1(t: &mut Table) {
 /// 2. *Amortized speedup*: total cold wall over total warm wall must
 ///    be >= 5x — multi-shot solving has to beat re-solving from
 ///    scratch by a wide margin, not a rounding error;
-/// 3. *Bounded warm state* on the unbounded replay: identical unsat
-///    cores, same-class sat verdicts, and a warm engine never holding
-///    more than twice a fresh engine's variables.
+/// 3. *Bounded warm state* on the unbounded replay: byte-identical
+///    verdicts, sat and unsat, and a warm engine never holding more
+///    than twice a fresh engine's variables.
 fn w1(t: &mut Table) {
     use muppet_bench::scenario::corpus::{self, Kind};
     use muppet_daemon::json::Json;
     use muppet_stream::{verdict_line, StreamSession, StreamSpec};
 
     // The bounded-offer churn entry: tight offers keep the free tuple
-    // count under the solver's canonicalization cap, so warm and cold
-    // SAT answers are both canonical (byte-comparable) — and grounding
-    // plus encoding dominate each cold solve, which is exactly the work
-    // the multi-shot session amortizes.
+    // count small, so grounding plus encoding dominate each cold solve,
+    // which is exactly the work the multi-shot session amortizes.
     let entry = corpus::entry("stream-bounded-churn").expect("committed stream entry");
     let Kind::Stream(params) = entry.kind else {
         panic!("stream-bounded-churn must be a stream corpus entry")
@@ -1950,12 +1948,11 @@ fn w1(t: &mut Table) {
 /// through the daemon) on one warm [`muppet_stream::StreamSession`],
 /// re-solving every state on a fresh session. Each ban toggle retires
 /// a formula group, so this is the stream on which an engine that
-/// never drops retired groups grows without bound. The mesh is above
-/// the canonicalization cap, so unsat verdicts (ordered-deletion
-/// cores) must match byte for byte and sat verdicts by class; after
-/// every delta the warm store may hold at most twice the solver
-/// variables the fresh session's engine needs. Returns the
-/// `BENCH_stream.json` block and the gate failures.
+/// never drops retired groups grows without bound. Verdicts (canonical
+/// models and ordered-deletion cores) must match byte for byte, sat
+/// and unsat alike; after every delta the warm store may hold at most
+/// twice the solver variables the fresh session's engine needs.
+/// Returns the `BENCH_stream.json` block and the gate failures.
 fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
     use muppet_bench::scenario::corpus::{self, Kind};
     use muppet_daemon::json::Json;
@@ -1971,7 +1968,7 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
         StreamSession::new(StreamSpec::from(&stream.base)).expect("initial state solves");
     let mut spec = StreamSpec::from(&stream.base);
     let mut failures = Vec::new();
-    let (mut unsat, mut unsat_identical, mut sat, mut sat_same_class) = (0u64, 0u64, 0u64, 0u64);
+    let (mut unsat, mut unsat_identical, mut sat, mut sat_identical) = (0u64, 0u64, 0u64, 0u64);
     let (mut engine_vars_max, mut compactions, mut worst_ratio) = (0u64, 0u64, 0f64);
     for (seq, delta) in std::iter::once(None).chain(stream.deltas.iter().map(Some)).enumerate() {
         let stats = match delta {
@@ -1987,20 +1984,16 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
         let rec = fresh.reconcile(ReconcileMode::HardBounds).expect("cold reconcile");
         assert!(rec.exhausted.is_none(), "cold oracle must not exhaust");
         let cold = verdict_line(&rec);
+        let identical = u64::from(stats.verdict == cold);
         if rec.success {
             sat += 1;
-            if stats.verdict.starts_with("sat") {
-                sat_same_class += 1;
-            } else if failures.len() < 3 {
-                failures.push(format!("seq {seq}: cold sat, warm {:.120}", stats.verdict));
-            }
+            sat_identical += identical;
         } else {
             unsat += 1;
-            if stats.verdict == cold {
-                unsat_identical += 1;
-            } else if failures.len() < 3 {
-                failures.push(format!("seq {seq}: warm {:.120} vs cold {cold:.120}", stats.verdict));
-            }
+            unsat_identical += identical;
+        }
+        if identical == 0 && failures.len() < 3 {
+            failures.push(format!("seq {seq}: warm {:.120} vs cold {cold:.120}", stats.verdict));
         }
         let fresh_vars = fresh.store().num_vars() as u64;
         worst_ratio = worst_ratio.max(stats.engine_vars as f64 / fresh_vars.max(1) as f64);
@@ -2016,7 +2009,7 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
 
     let inst = format!("{} ({} deltas)", entry.name, stream.deltas.len());
     row(t, "W1", &inst, "unsat cores byte-identical", format!("{unsat_identical}/{unsat}"), "all");
-    row(t, "W1", &inst, "sat verdicts same class", format!("{sat_same_class}/{sat}"), "all");
+    row(t, "W1", &inst, "sat verdicts byte-identical", format!("{sat_identical}/{sat}"), "all");
     row(t, "W1", &inst, "max warm/fresh engine vars", format!("{worst_ratio:.2}"), "<= 2");
     row(t, "W1", &inst, "warm engine vars max", engine_vars_max.to_string(), "-");
     row(t, "W1", &inst, "compactions", compactions.to_string(), "-");
@@ -2026,7 +2019,7 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
         ("unsat", Json::num(unsat)),
         ("unsat_identical", Json::num(unsat_identical)),
         ("sat", Json::num(sat)),
-        ("sat_same_class", Json::num(sat_same_class)),
+        ("sat_identical", Json::num(sat_identical)),
         ("engine_vars_max", Json::num(engine_vars_max)),
         ("max_warm_fresh_vars_ratio", Json::Num(worst_ratio)),
         ("gate_warm_fresh_vars_ratio", Json::Num(2.0)),
@@ -2055,12 +2048,10 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
 /// (`minedit(400, 50, 8)`: optimal distance 50 by construction, 800
 /// free tuples, one-of-16 goals) with the core-guided (OLL) and
 /// linear-search `solve_target` strategies. Two measurements: a
-/// *timed* pass with the canonical walk disabled (it costs the same in
-/// both arms and would only blur the optimization-search comparison)
-/// gating core-guided at ≥ 2x less deterministic solver work
-/// (propagations) than linear, wall clock reported best-of-3; and a
-/// *parity* pass with unconditional canonicalization gating
-/// byte-identical solutions at the constructed optimum.
+/// *timed* pass gating core-guided at ≥ 2x less deterministic solver
+/// work (propagations) than linear, wall clock reported best-of-3; and
+/// a *parity* pass gating byte-identical canonical solutions at the
+/// constructed optimum.
 ///
 /// `BENCH_kernel.json` — per-entry walls + verdicts + kernel work
 /// counters (conflicts, inprocessing passes, subsumed / strengthened /
@@ -2208,15 +2199,12 @@ fn k1(t: &mut Table) {
     let sc = minedit(400, 50, 8);
     const MINEDIT: &str = "minedit-400-50x8";
     let was_enabled = muppet_obs::tracing_enabled();
-    // Timed pass: canonical walk off (it costs the same in both arms),
-    // so wall + work counters measure the optimization search alone.
-    // Work counters are deterministic; wall is best-of-3.
+    // Timed pass: work counters are deterministic; wall is best-of-3.
     let timed_run = |strategy: TargetStrategy| {
         let mut best: Option<(f64, usize, u64, u64, Json)> = None;
         for _ in 0..BEST_OF {
             let mut q = sc.engine();
             q.set_target_strategy(strategy);
-            q.set_canonical_cap(0);
             muppet_obs::clear_profilers();
             let acc = PhaseAccumulator::new();
             muppet_obs::on_span_close(acc.callback());
@@ -2259,13 +2247,11 @@ fn k1(t: &mut Table) {
         timed_run(TargetStrategy::Linear);
     let wall_speedup = lin_ms / oll_ms.max(1e-9);
     let work_speedup = lin_props as f64 / oll_props.max(1) as f64;
-    // Parity pass: unconditional canonicalization (800 free tuples is
-    // past the default cap), so both strategies must land on the same
-    // byte-identical distance-minimal model.
+    // Parity pass: both strategies must land on the same
+    // byte-identical (canonical) distance-minimal model.
     let parity_run = |strategy: TargetStrategy| {
         let mut q = sc.engine();
         q.set_target_strategy(strategy);
-        q.set_canonical_cap(usize::MAX);
         let (out, d) = q
             .solve_target(&sc.groups, &sc.target, Budget::unlimited())
             .expect("minedit groups ground");

@@ -71,9 +71,8 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
 }
 
 /// The shared two-party fixture: sort F with three atoms, each party
-/// owning one unary relation over it. Small enough that every query
-/// stays far below the engine's canonicalization cap, so warm and
-/// cold models are both the canonical lex-min witness.
+/// owning one unary relation over it. Warm and cold models are both
+/// the canonical lex-min witness, so answers compare byte for byte.
 struct Fixture {
     universe: Universe,
     vocab: Vocabulary,
