@@ -483,22 +483,20 @@ impl<'a> Session<'a> {
         Ok(self.reconciliation_report(outcome, attempts))
     }
 
-    /// The `(name, content_key)` signature of every formula group a
+    /// The `(name, encoding key)` signature of every formula group a
     /// [`Session::reconcile`] call would submit, in submission order.
-    /// Diffing two sessions' signatures predicts exactly which groups a
-    /// shared warm engine will re-encode — unchanged keys are reused
-    /// from the incremental engine's content index — which is how the
-    /// stream session maps a config delta to its dirtied groups without
-    /// touching the solver (DESIGN.md §16).
+    /// The keys come from [`FormulaGroup::encoding_keys`], the function
+    /// the incremental engine itself dedups by, so diffing two
+    /// sessions' signatures predicts exactly which groups a shared warm
+    /// engine will ground and encode: a group whose meaning is
+    /// unchanged keeps its key even when its name or its bound
+    /// variables' ids moved. This is how the stream session maps a
+    /// config delta to its dirtied groups without touching the solver
+    /// (DESIGN.md §16).
     pub fn reconcile_group_signatures(&self, mode: ReconcileMode) -> Vec<(String, u128)> {
-        self.reconcile_input(mode)
-            .1
-            .into_iter()
-            .map(|g| {
-                let key = g.content_key();
-                (g.name, key)
-            })
-            .collect()
+        let groups = self.reconcile_input(mode).1;
+        let keys = FormulaGroup::encoding_keys(&groups);
+        groups.into_iter().map(|g| g.name).zip(keys).collect()
     }
 
     /// Map a solve outcome onto the Alg. 2 report shape.

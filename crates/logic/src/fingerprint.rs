@@ -20,12 +20,10 @@
 //! so that solver-layer caches can key on [`Formula`] content without
 //! depending on `muppet` core; core re-exports it and layers on
 //! goal/party walks.
-//!
-//! [`Formula`]: crate::Formula
 
 use std::hash::{Hash, Hasher};
 
-use crate::{Instance, PartialInstance, RelId, Universe, Vocabulary};
+use crate::{Formula, Instance, PartialInstance, RelId, Term, Universe, VarId, Vocabulary};
 
 const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
@@ -100,6 +98,80 @@ impl Fingerprinter {
     pub fn add_hash<T: Hash + ?Sized>(&mut self, value: &T) -> &mut Self {
         value.hash(self);
         self
+    }
+
+    /// Fold in a formula up to α-equivalence. The stream names every
+    /// node kind, relation, sort and constant, but a bound variable
+    /// only by the depth of the binder that captures it (the innermost
+    /// binder of that id, so shadowing resolves as grounding does), so
+    /// renaming bound variables leaves the digest unchanged while
+    /// swapping two argument positions changes it. A free variable is
+    /// folded in under its own tag with its raw id.
+    pub fn add_formula(&mut self, f: &Formula) -> &mut Self {
+        self.formula_node(f, &mut Vec::new());
+        self
+    }
+
+    fn formula_node(&mut self, f: &Formula, binders: &mut Vec<VarId>) {
+        match f {
+            Formula::True => self.write_u8(0),
+            Formula::False => self.write_u8(1),
+            Formula::Pred(rel, args) => {
+                self.write_u8(2);
+                self.write_u32(rel.0);
+                self.add_u64(args.len() as u64);
+                for &t in args {
+                    self.term(t, binders);
+                }
+            }
+            Formula::Eq(a, b) => {
+                self.write_u8(3);
+                self.term(*a, binders);
+                self.term(*b, binders);
+            }
+            Formula::Not(g) => {
+                self.write_u8(4);
+                self.formula_node(g, binders);
+            }
+            Formula::And(fs) | Formula::Or(fs) => {
+                self.write_u8(if matches!(f, Formula::And(_)) { 5 } else { 6 });
+                self.add_u64(fs.len() as u64);
+                for g in fs {
+                    self.formula_node(g, binders);
+                }
+            }
+            Formula::Implies(a, b) | Formula::Iff(a, b) => {
+                self.write_u8(if matches!(f, Formula::Implies(..)) { 7 } else { 8 });
+                self.formula_node(a, binders);
+                self.formula_node(b, binders);
+            }
+            Formula::Forall(v, sort, body) | Formula::Exists(v, sort, body) => {
+                self.write_u8(if matches!(f, Formula::Forall(..)) { 9 } else { 10 });
+                self.write_u32(sort.0);
+                binders.push(*v);
+                self.formula_node(body, binders);
+                binders.pop();
+            }
+        }
+    }
+
+    fn term(&mut self, t: Term, binders: &[VarId]) {
+        match t {
+            Term::Const(a) => {
+                self.write_u8(0);
+                self.write_u32(a.0);
+            }
+            Term::Var(v) => match binders.iter().rposition(|&b| b == v) {
+                Some(depth) => {
+                    self.write_u8(1);
+                    self.write_u32(depth as u32);
+                }
+                None => {
+                    self.write_u8(2);
+                    self.write_u32(v.0);
+                }
+            },
+        }
     }
 
     /// Fold in a total instance: relations and tuples in canonical
@@ -190,7 +262,7 @@ pub fn parse_hex(s: &str) -> Option<u128> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Domain, Formula, PartyId, Term};
+    use crate::{Domain, PartyId};
 
     #[test]
     fn formula_fingerprints_are_deterministic_and_sensitive() {
@@ -210,6 +282,44 @@ mod tests {
         assert_eq!(fp(&fa), fp(&fa.clone()), "same content, same digest");
         assert_ne!(fp(&fa), fp(&fb), "different atom must differ");
         assert_ne!(fp(&fa), fp(&Formula::not(fa.clone())), "negation must differ");
+    }
+
+    /// The α-equivalence walk: bound-variable names do not matter,
+    /// argument positions, shadowing and free variables do.
+    #[test]
+    fn formula_digest_is_alpha_invariant() {
+        let mut u = Universe::new();
+        let s = u.add_sort("S");
+        let a = u.add_atom(s, "a");
+        let mut v = Vocabulary::new();
+        let r = v.add_simple_rel("r", vec![s, s], Domain::Party(PartyId(0)));
+        let (x, y, z, w) = (v.fresh_var(), v.fresh_var(), v.fresh_var(), v.fresh_var());
+        let fp = |f: &Formula| {
+            let mut h = Fingerprinter::new();
+            h.add_formula(f);
+            h.digest()
+        };
+        let pred = |p: VarId, q: VarId| Formula::pred(r, [Term::Var(p), Term::Var(q)]);
+        let all2 = |p, q, body| Formula::forall(p, s, Formula::forall(q, s, body));
+        // ∀x∀y r(x,y) ≡α ∀z∀w r(z,w), but ≢ ∀x∀y r(y,x).
+        assert_eq!(fp(&all2(x, y, pred(x, y))), fp(&all2(z, w, pred(z, w))));
+        assert_ne!(fp(&all2(x, y, pred(x, y))), fp(&all2(x, y, pred(y, x))));
+        // Shadowing: in ∀x∀x r(x,x) both occurrences are the inner x.
+        let shadowed = all2(x, x, pred(x, x));
+        assert_eq!(fp(&shadowed), fp(&all2(z, w, pred(w, w))));
+        assert_ne!(fp(&shadowed), fp(&all2(z, w, pred(z, w))));
+        // A free variable is not a bound one, and its id matters.
+        let open_x = Formula::forall(y, s, pred(x, y));
+        assert_ne!(fp(&open_x), fp(&Formula::forall(y, s, pred(y, y))));
+        assert_ne!(fp(&open_x), fp(&Formula::forall(y, s, pred(z, y))));
+        assert_eq!(fp(&open_x), fp(&Formula::forall(w, s, pred(x, w))));
+        // Quantifier kind, sort and constants are part of the digest.
+        assert_ne!(
+            fp(&Formula::forall(x, s, pred(x, x))),
+            fp(&Formula::exists(x, s, pred(x, x)))
+        );
+        let c = Formula::pred(r, [Term::Const(a), Term::Var(x)]);
+        assert_ne!(fp(&Formula::forall(x, s, c.clone())), fp(&Formula::forall(x, s, pred(x, x))));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use muppet_logic::{AtomId, Formula, Instance, Term, Universe, VarId};
-use muppet_sat::Lit;
+use muppet_sat::{Budget, Lit};
 
 use crate::varmap::{TupleState, VarMap};
 
@@ -71,17 +71,23 @@ impl GExpr {
 pub enum GroundError {
     /// The formula has a free variable.
     UnboundVar(VarId),
+    /// The budget fired before the formula was ground.
+    Exhausted,
 }
 
 impl std::fmt::Display for GroundError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GroundError::UnboundVar(v) => write!(f, "unbound variable {v:?} while grounding"),
+            GroundError::Exhausted => write!(f, "budget exhausted while grounding"),
         }
     }
 }
 
 impl std::error::Error for GroundError {}
+
+/// How many formula nodes grounding visits between budget polls.
+pub(crate) const POLL_EVERY: usize = 4096;
 
 /// Ground a closed formula.
 ///
@@ -91,147 +97,149 @@ impl std::error::Error for GroundError {}
 ///   (closed-world: absent relation = empty).
 /// * Quantifiers expand over the universe; `positive` tracks polarity so
 ///   the output is in negation normal form.
+///
+/// `budget` is polled every 4,096 visited nodes; when it fires
+/// the result is [`GroundError::Exhausted`].
 pub fn ground(
     formula: &Formula,
     varmap: &VarMap,
     fixed: &Instance,
     universe: &Universe,
+    budget: &Budget,
 ) -> Result<GExpr, GroundError> {
-    let mut env = BTreeMap::new();
-    go(formula, varmap, fixed, universe, &mut env, true)
+    let mut g = Grounder {
+        varmap,
+        fixed,
+        universe,
+        budget,
+        env: BTreeMap::new(),
+        visited: 0,
+    };
+    g.go(formula, true)
 }
 
-fn resolve(t: Term, env: &BTreeMap<VarId, AtomId>) -> Result<AtomId, GroundError> {
-    match t {
-        Term::Const(a) => Ok(a),
-        Term::Var(v) => env.get(&v).copied().ok_or(GroundError::UnboundVar(v)),
+/// The walk's inputs and state: the quantifier environment and the
+/// node count that paces budget polls.
+struct Grounder<'a> {
+    varmap: &'a VarMap,
+    fixed: &'a Instance,
+    universe: &'a Universe,
+    budget: &'a Budget,
+    env: BTreeMap<VarId, AtomId>,
+    visited: usize,
+}
+
+impl Grounder<'_> {
+    fn resolve(&self, t: Term) -> Result<AtomId, GroundError> {
+        match t {
+            Term::Const(a) => Ok(a),
+            Term::Var(v) => self.env.get(&v).copied().ok_or(GroundError::UnboundVar(v)),
+        }
     }
-}
 
-fn go(
-    f: &Formula,
-    varmap: &VarMap,
-    fixed: &Instance,
-    universe: &Universe,
-    env: &mut BTreeMap<VarId, AtomId>,
-    positive: bool,
-) -> Result<GExpr, GroundError> {
-    Ok(match f {
-        Formula::True => GExpr::Const(positive),
-        Formula::False => GExpr::Const(!positive),
-        Formula::Pred(rel, args) => {
-            let mut tuple = Vec::with_capacity(args.len());
-            for &t in args {
-                tuple.push(resolve(t, env)?);
-            }
-            let truth = match varmap.state(*rel, &tuple) {
-                Some(TupleState::True) => GExpr::Const(true),
-                Some(TupleState::False) => GExpr::Const(false),
-                Some(TupleState::Free(v)) => GExpr::Lit(Lit::pos(v)),
-                None => GExpr::Const(fixed.holds(*rel, &tuple)),
-            };
-            negate_if(truth, !positive)
+    fn go(&mut self, f: &Formula, positive: bool) -> Result<GExpr, GroundError> {
+        self.visited += 1;
+        if self.visited.is_multiple_of(POLL_EVERY) && self.budget.poll().is_some() {
+            return Err(GroundError::Exhausted);
         }
-        Formula::Eq(a, b) => {
-            let av = resolve(*a, env)?;
-            let bv = resolve(*b, env)?;
-            GExpr::Const((av == bv) == positive)
-        }
-        Formula::Not(g) => go(g, varmap, fixed, universe, env, !positive)?,
-        Formula::And(fs) => {
-            let parts = fs
-                .iter()
-                .map(|g| go(g, varmap, fixed, universe, env, positive))
-                .collect::<Result<Vec<_>, _>>()?;
-            if positive {
-                GExpr::and(parts)
-            } else {
-                GExpr::or(parts)
-            }
-        }
-        Formula::Or(fs) => {
-            let parts = fs
-                .iter()
-                .map(|g| go(g, varmap, fixed, universe, env, positive))
-                .collect::<Result<Vec<_>, _>>()?;
-            if positive {
-                GExpr::or(parts)
-            } else {
-                GExpr::and(parts)
-            }
-        }
-        Formula::Implies(a, b) => {
-            // a ⇒ b ≡ ¬a ∨ b
-            let na = go(a, varmap, fixed, universe, env, !positive)?;
-            let pb = go(b, varmap, fixed, universe, env, positive)?;
-            if positive {
-                GExpr::or(vec![na, pb])
-            } else {
-                // ¬(a ⇒ b) ≡ a ∧ ¬b; note `na` above was grounded with
-                // polarity `!positive == true`, i.e. it is `a`; and `pb`
-                // with polarity false, i.e. `¬b`.
-                GExpr::and(vec![na, pb])
-            }
-        }
-        Formula::Iff(a, b) => {
-            // a ⇔ b ≡ (a ⇒ b) ∧ (b ⇒ a); under negation:
-            // ¬(a ⇔ b) ≡ (a ∨ b) ∧ (¬a ∨ ¬b).
-            let pa = go(a, varmap, fixed, universe, env, true)?;
-            let na = go(a, varmap, fixed, universe, env, false)?;
-            let pb = go(b, varmap, fixed, universe, env, true)?;
-            let nb = go(b, varmap, fixed, universe, env, false)?;
-            if positive {
-                GExpr::and(vec![
-                    GExpr::or(vec![na.clone(), pb.clone()]),
-                    GExpr::or(vec![nb, pa]),
-                ])
-            } else {
-                GExpr::and(vec![GExpr::or(vec![pa, pb]), GExpr::or(vec![na, nb])])
-            }
-        }
-        Formula::Forall(v, sort, body) => {
-            let saved = env.get(v).copied();
-            let mut parts = Vec::new();
-            for &atom in universe.atoms_of(*sort) {
-                env.insert(*v, atom);
-                parts.push(go(body, varmap, fixed, universe, env, positive)?);
-            }
-            match saved {
-                Some(a) => {
-                    env.insert(*v, a);
+        Ok(match f {
+            Formula::True => GExpr::Const(positive),
+            Formula::False => GExpr::Const(!positive),
+            Formula::Pred(rel, args) => {
+                let mut tuple = Vec::with_capacity(args.len());
+                for &t in args {
+                    tuple.push(self.resolve(t)?);
                 }
-                None => {
-                    env.remove(v);
+                let truth = match self.varmap.state(*rel, &tuple) {
+                    Some(TupleState::True) => GExpr::Const(true),
+                    Some(TupleState::False) => GExpr::Const(false),
+                    Some(TupleState::Free(v)) => GExpr::Lit(Lit::pos(v)),
+                    None => GExpr::Const(self.fixed.holds(*rel, &tuple)),
+                };
+                negate_if(truth, !positive)
+            }
+            Formula::Eq(a, b) => {
+                let av = self.resolve(*a)?;
+                let bv = self.resolve(*b)?;
+                GExpr::Const((av == bv) == positive)
+            }
+            Formula::Not(g) => self.go(g, !positive)?,
+            Formula::And(fs) => {
+                let parts = fs
+                    .iter()
+                    .map(|g| self.go(g, positive))
+                    .collect::<Result<Vec<_>, _>>()?;
+                if positive {
+                    GExpr::and(parts)
+                } else {
+                    GExpr::or(parts)
                 }
             }
-            if positive {
-                GExpr::and(parts)
-            } else {
-                GExpr::or(parts)
-            }
-        }
-        Formula::Exists(v, sort, body) => {
-            let saved = env.get(v).copied();
-            let mut parts = Vec::new();
-            for &atom in universe.atoms_of(*sort) {
-                env.insert(*v, atom);
-                parts.push(go(body, varmap, fixed, universe, env, positive)?);
-            }
-            match saved {
-                Some(a) => {
-                    env.insert(*v, a);
-                }
-                None => {
-                    env.remove(v);
+            Formula::Or(fs) => {
+                let parts = fs
+                    .iter()
+                    .map(|g| self.go(g, positive))
+                    .collect::<Result<Vec<_>, _>>()?;
+                if positive {
+                    GExpr::or(parts)
+                } else {
+                    GExpr::and(parts)
                 }
             }
-            if positive {
-                GExpr::or(parts)
-            } else {
-                GExpr::and(parts)
+            Formula::Implies(a, b) => {
+                // a ⇒ b ≡ ¬a ∨ b
+                let na = self.go(a, !positive)?;
+                let pb = self.go(b, positive)?;
+                if positive {
+                    GExpr::or(vec![na, pb])
+                } else {
+                    // ¬(a ⇒ b) ≡ a ∧ ¬b; note `na` above was grounded with
+                    // polarity `!positive == true`, i.e. it is `a`; and `pb`
+                    // with polarity false, i.e. `¬b`.
+                    GExpr::and(vec![na, pb])
+                }
             }
-        }
-    })
+            Formula::Iff(a, b) => {
+                // a ⇔ b ≡ (a ⇒ b) ∧ (b ⇒ a); under negation:
+                // ¬(a ⇔ b) ≡ (a ∨ b) ∧ (¬a ∨ ¬b).
+                let pa = self.go(a, true)?;
+                let na = self.go(a, false)?;
+                let pb = self.go(b, true)?;
+                let nb = self.go(b, false)?;
+                if positive {
+                    GExpr::and(vec![
+                        GExpr::or(vec![na.clone(), pb.clone()]),
+                        GExpr::or(vec![nb, pa]),
+                    ])
+                } else {
+                    GExpr::and(vec![GExpr::or(vec![pa, pb]), GExpr::or(vec![na, nb])])
+                }
+            }
+            Formula::Forall(v, sort, body) | Formula::Exists(v, sort, body) => {
+                let saved = self.env.get(v).copied();
+                let mut parts = Vec::new();
+                for &atom in self.universe.atoms_of(*sort) {
+                    self.env.insert(*v, atom);
+                    parts.push(self.go(body, positive)?);
+                }
+                match saved {
+                    Some(a) => {
+                        self.env.insert(*v, a);
+                    }
+                    None => {
+                        self.env.remove(v);
+                    }
+                }
+                // ∀ is a conjunction of its instances and ∃ a
+                // disjunction; negative polarity swaps the two.
+                if matches!(f, Formula::Forall(..)) == positive {
+                    GExpr::and(parts)
+                } else {
+                    GExpr::or(parts)
+                }
+            }
+        })
+    }
 }
 
 fn negate_if(e: GExpr, negate: bool) -> GExpr {
@@ -271,19 +279,33 @@ mod tests {
         Fix { u, v, s, free, fixed_rel, atoms }
     }
 
+    fn varmap(f: &Fix) -> VarMap {
+        let bounds = PartialInstance::new();
+        VarMap::build(&f.v, &f.u, &[f.free], &bounds, &mut Solver::new(), &Budget::unlimited())
+            .unwrap()
+    }
+
+    fn unlimited(
+        g: &Formula,
+        vm: &VarMap,
+        fixed: &Instance,
+        u: &Universe,
+    ) -> Result<GExpr, GroundError> {
+        ground(g, vm, fixed, u, &Budget::unlimited())
+    }
+
     #[test]
     fn fixed_atoms_fold_to_constants() {
         let f = fix();
-        let mut solver = Solver::new();
-        let vm = VarMap::build(&f.v, &f.u, &[f.free], &PartialInstance::new(), &mut solver);
+        let vm = varmap(&f);
         let mut fixed = Instance::new();
         fixed.insert(f.fixed_rel, vec![f.atoms[0]]);
         let g_true = Formula::pred(f.fixed_rel, [Term::Const(f.atoms[0])]);
         let g_false = Formula::pred(f.fixed_rel, [Term::Const(f.atoms[1])]);
-        assert_eq!(ground(&g_true, &vm, &fixed, &f.u).unwrap(), GExpr::Const(true));
-        assert_eq!(ground(&g_false, &vm, &fixed, &f.u).unwrap(), GExpr::Const(false));
+        assert_eq!(unlimited(&g_true, &vm, &fixed, &f.u).unwrap(), GExpr::Const(true));
+        assert_eq!(unlimited(&g_false, &vm, &fixed, &f.u).unwrap(), GExpr::Const(false));
         assert_eq!(
-            ground(&Formula::not(g_true), &vm, &fixed, &f.u).unwrap(),
+            unlimited(&Formula::not(g_true), &vm, &fixed, &f.u).unwrap(),
             GExpr::Const(false)
         );
     }
@@ -291,12 +313,11 @@ mod tests {
     #[test]
     fn free_atoms_become_literals_with_polarity() {
         let f = fix();
-        let mut solver = Solver::new();
-        let vm = VarMap::build(&f.v, &f.u, &[f.free], &PartialInstance::new(), &mut solver);
+        let vm = varmap(&f);
         let fixed = Instance::new();
         let g = Formula::pred(f.free, [Term::Const(f.atoms[0])]);
-        let pos = ground(&g, &vm, &fixed, &f.u).unwrap();
-        let neg = ground(&Formula::not(g), &vm, &fixed, &f.u).unwrap();
+        let pos = unlimited(&g, &vm, &fixed, &f.u).unwrap();
+        let neg = unlimited(&Formula::not(g), &vm, &fixed, &f.u).unwrap();
         match (pos, neg) {
             (GExpr::Lit(p), GExpr::Lit(n)) => assert_eq!(!p, n),
             other => panic!("{other:?}"),
@@ -306,8 +327,7 @@ mod tests {
     #[test]
     fn quantifiers_expand_with_nnf_polarity() {
         let mut f = fix();
-        let mut solver = Solver::new();
-        let vm = VarMap::build(&f.v, &f.u, &[f.free], &PartialInstance::new(), &mut solver);
+        let vm = varmap(&f);
         let fixed = Instance::new();
         let x = f.v.fresh_var();
         // ¬∃x. free(x)  ≡  ∧_atoms ¬free(atom)
@@ -316,7 +336,7 @@ mod tests {
             f.s,
             Formula::pred(f.free, [Term::Var(x)]),
         ));
-        match ground(&g, &vm, &fixed, &f.u).unwrap() {
+        match unlimited(&g, &vm, &fixed, &f.u).unwrap() {
             GExpr::And(parts) => {
                 assert_eq!(parts.len(), 2);
                 for p in parts {
@@ -330,8 +350,7 @@ mod tests {
     #[test]
     fn implies_and_iff_polarity() {
         let f = fix();
-        let mut solver = Solver::new();
-        let vm = VarMap::build(&f.v, &f.u, &[f.free], &PartialInstance::new(), &mut solver);
+        let vm = varmap(&f);
         let fixed = Instance::new();
         let a = Formula::pred(f.free, [Term::Const(f.atoms[0])]);
         let b = Formula::pred(f.free, [Term::Const(f.atoms[1])]);
@@ -339,15 +358,15 @@ mod tests {
         // (¬a ∨ a) which the or-builder doesn't collapse — check the
         // constant-folding cases instead.
         let g = Formula::implies(Formula::False, a.clone());
-        assert_eq!(ground(&g, &vm, &fixed, &f.u).unwrap(), GExpr::Const(true));
+        assert_eq!(unlimited(&g, &vm, &fixed, &f.u).unwrap(), GExpr::Const(true));
         let g = Formula::not(Formula::implies(a.clone(), Formula::False));
         // ¬(a ⇒ ⊥) ≡ a
         assert!(matches!(
-            ground(&g, &vm, &fixed, &f.u).unwrap(),
+            unlimited(&g, &vm, &fixed, &f.u).unwrap(),
             GExpr::Lit(l) if l.is_positive()
         ));
         let g = Formula::iff(a, b);
-        match ground(&g, &vm, &fixed, &f.u).unwrap() {
+        match unlimited(&g, &vm, &fixed, &f.u).unwrap() {
             GExpr::And(parts) => assert_eq!(parts.len(), 2),
             other => panic!("{other:?}"),
         }
@@ -356,24 +375,45 @@ mod tests {
     #[test]
     fn equality_folds() {
         let f = fix();
-        let mut solver = Solver::new();
-        let vm = VarMap::build(&f.v, &f.u, &[f.free], &PartialInstance::new(), &mut solver);
+        let vm = varmap(&f);
         let fixed = Instance::new();
         let eq = Formula::Eq(Term::Const(f.atoms[0]), Term::Const(f.atoms[0]));
         let ne = Formula::Eq(Term::Const(f.atoms[0]), Term::Const(f.atoms[1]));
-        assert_eq!(ground(&eq, &vm, &fixed, &f.u).unwrap(), GExpr::Const(true));
-        assert_eq!(ground(&ne, &vm, &fixed, &f.u).unwrap(), GExpr::Const(false));
+        assert_eq!(unlimited(&eq, &vm, &fixed, &f.u).unwrap(), GExpr::Const(true));
+        assert_eq!(unlimited(&ne, &vm, &fixed, &f.u).unwrap(), GExpr::Const(false));
+    }
+
+    /// The walk polls the budget as it goes: an expired one stops a
+    /// formula of more than `POLL_EVERY` nodes.
+    #[test]
+    fn expired_budget_stops_grounding() {
+        let mut u = Universe::new();
+        let s = u.add_sort("S");
+        for i in 0..20 {
+            u.add_atom(s, format!("a{i}"));
+        }
+        let mut v = Vocabulary::new();
+        let r = v.add_simple_rel("r", vec![s, s, s], Domain::Structure);
+        let [x, y, z] = [(); 3].map(|_| v.fresh_var());
+        let body = Formula::pred(r, [x, y, z].map(Term::Var));
+        let g = Formula::forall(x, s, Formula::forall(y, s, Formula::exists(z, s, body)));
+        let bounds = PartialInstance::new();
+        let vm = VarMap::build(&v, &u, &[], &bounds, &mut Solver::new(), &Budget::unlimited())
+            .unwrap();
+        let expired = Budget::unlimited().with_timeout(std::time::Duration::from_millis(0));
+        let fixed = Instance::new();
+        assert_eq!(ground(&g, &vm, &fixed, &u, &expired), Err(GroundError::Exhausted));
+        assert_eq!(unlimited(&g, &vm, &fixed, &u), Ok(GExpr::Const(false)));
     }
 
     #[test]
     fn open_formula_is_an_error() {
         let mut f = fix();
-        let mut solver = Solver::new();
-        let vm = VarMap::build(&f.v, &f.u, &[f.free], &PartialInstance::new(), &mut solver);
+        let vm = varmap(&f);
         let x = f.v.fresh_var();
         let g = Formula::pred(f.free, [Term::Var(x)]);
         assert_eq!(
-            ground(&g, &vm, &Instance::new(), &f.u),
+            unlimited(&g, &vm, &Instance::new(), &f.u),
             Err(GroundError::UnboundVar(x))
         );
     }

@@ -26,7 +26,12 @@
 //!
 //! Every solve call takes the formula groups it should run with:
 //! groups the engine has not seen are grounded and encoded on the way
-//! in, the rest are reused. A one-shot caller builds an engine, makes
+//! in, the rest are reused. "Seen" means same meaning
+//! ([`FormulaGroup::encoding_keys`]): the formulas up to α-equivalence
+//! and the group's tag, not its name. The engine keeps no names; a
+//! core names its groups by what the current call submitted. The
+//! first call also lays out the free-tuple variables, under its
+//! budget. A one-shot caller builds an engine, makes
 //! one call and drops it; [`crate::PreparedStore`] keeps warm engines
 //! keyed by query shape.
 
@@ -37,10 +42,10 @@ use muppet_logic::{Formula, Instance, PartialInstance, RelId, Universe, Vocabula
 use muppet_obs::Counter;
 use muppet_sat::{mus, Budget, Lit, Model, SolveResult, Solver, SolverStats, Var};
 
-use crate::ground::ground;
+use crate::ground::{ground, GExpr};
 use crate::query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, QueryStats};
 use crate::totalizer::Totalizer;
-use crate::tseitin::encode;
+use crate::tseitin::{encode, fresh_vars};
 use crate::varmap::VarMap;
 
 /// Fingerprint tag separating OLL relaxation-sum totalizers from the
@@ -83,12 +88,14 @@ pub struct IncrementalQuery {
     bounds: PartialInstance,
     fixed: Instance,
     solver: Solver,
-    varmap: VarMap,
+    /// The free-tuple layout, built under the budget of the first call
+    /// (see [`Self::lay_out`]).
+    varmap: Option<VarMap>,
     /// The free tuple variables in ascending order: the significance
     /// order of canonical models.
     free: Vec<Var>,
-    selectors: Vec<(String, Lit)>,
-    /// Group content fingerprint → where its encoding lives.
+    /// Group encoding key ([`FormulaGroup::encoding_keys`]) → its
+    /// encoding.
     index: HashMap<u128, EncodedGroup>,
     /// Difference-input fingerprint → cardinality network, so repeated
     /// target-oriented solves against the same target reuse the
@@ -117,19 +124,21 @@ pub struct IncrementalQuery {
     ctr_oll_cores: Counter,
 }
 
-/// An encoded group's slot in [`IncrementalQuery::selectors`] and the
-/// number of solver variables its encoding owns: the selector and the
-/// Tseitin gates, allocated contiguously by `ensure_group` and never
-/// shared with another group.
+/// An encoded group's selector literal and the number of solver
+/// variables its encoding owns: the selector and the Tseitin gates,
+/// allocated contiguously by `ensure_group` and never shared with
+/// another group. The group's name is not kept: cores name groups by
+/// what the current call submitted.
 struct EncodedGroup {
-    slot: usize,
+    sel: Lit,
     vars: usize,
 }
 
 impl IncrementalQuery {
-    /// Build the warm state: allocate the free-relation variables under
-    /// `bounds` against `fixed`. Groups are encoded lazily, by the
-    /// first solve call that names them.
+    /// Build the warm state for the free relations under `bounds`
+    /// against `fixed`. Nothing is allocated yet: the first solve call
+    /// lays out the free-tuple variables under its budget, and groups
+    /// are encoded by the first call that names them.
     ///
     /// The vocabulary and universe are cloned so the engine is
     /// self-contained (`'static`) and can be cached across sessions
@@ -143,9 +152,6 @@ impl IncrementalQuery {
     ) -> IncrementalQuery {
         let vocab = vocab.clone();
         let universe = universe.clone();
-        let mut solver = Solver::new();
-        let varmap = VarMap::build(&vocab, &universe, free_rels, bounds, &mut solver);
-        let free = varmap.free_tuples().map(|(v, _, _)| v).collect();
         let metrics = muppet_obs::registry();
         IncrementalQuery {
             vocab,
@@ -153,10 +159,9 @@ impl IncrementalQuery {
             free_rels: free_rels.to_vec(),
             bounds: bounds.clone(),
             fixed,
-            solver,
-            varmap,
-            free,
-            selectors: Vec::new(),
+            solver: Solver::new(),
+            varmap: None,
+            free: Vec::new(),
             index: HashMap::new(),
             totalizers: HashMap::new(),
             minimize_cores: true,
@@ -217,15 +222,46 @@ impl IncrementalQuery {
         self
     }
 
-    /// Ground + encode `group` if this engine has not seen its content
-    /// ([`FormulaGroup::content_key`]) before; otherwise reuse the
-    /// existing encoding. Returns the group's selector literal.
-    fn ensure_group(&mut self, group: &FormulaGroup, budget: &Budget) -> Result<Lit, QueryError> {
-        let key = group.content_key();
+    /// The free-tuple layout; every public entry point lays it out
+    /// (through [`Self::prepare`]) before anything reads it.
+    fn varmap(&self) -> &VarMap {
+        self.varmap.as_ref().expect("free-tuple layout built by prepare")
+    }
+
+    /// Allocate the free-tuple variables on the first call, polling
+    /// `budget` while the map is built; a budget that fires leaves the
+    /// engine unbuilt and gives [`QueryError::Exhausted`] at
+    /// [`Phase::Ground`], and the next call starts over.
+    fn lay_out(&mut self, budget: &Budget) -> Result<(), QueryError> {
+        if self.varmap.is_none() {
+            let varmap = VarMap::build(
+                &self.vocab,
+                &self.universe,
+                &self.free_rels,
+                &self.bounds,
+                &mut self.solver,
+                budget,
+            )?;
+            self.free = varmap.free_tuples().map(|(v, _, _)| v).collect();
+            self.varmap = Some(varmap);
+        }
+        Ok(())
+    }
+
+    /// Ground + encode `group` if this engine holds no encoding under
+    /// `key` (its [`FormulaGroup::encoding_keys`] entry); otherwise
+    /// reuse the existing encoding. Returns the group's selector
+    /// literal.
+    fn ensure_group(
+        &mut self,
+        group: &FormulaGroup,
+        key: u128,
+        budget: &Budget,
+    ) -> Result<Lit, QueryError> {
         if let Some(g) = self.index.get(&key) {
             self.reused_groups += 1;
             self.ctr_reused.inc();
-            return Ok(self.selectors[g.slot].1);
+            return Ok(g.sel);
         }
         let exhausted = |phase| QueryError::Exhausted {
             phase,
@@ -243,8 +279,16 @@ impl IncrementalQuery {
         let exprs = group
             .formulas
             .iter()
-            .map(|f| ground(f, &self.varmap, &self.fixed, &self.universe))
+            .map(|f| ground(f, self.varmap(), &self.fixed, &self.universe, budget))
             .collect::<Result<Vec<_>, _>>()?;
+        if ground_span.is_recording() {
+            ground_span.attr("group", group.name.clone());
+            ground_span.record("nodes", exprs.iter().map(GExpr::size).sum::<usize>() as u64);
+            // What the encode below allocates: the selector plus
+            // `fresh_vars` per formula.
+            let vars = 1 + exprs.iter().map(fresh_vars).sum::<usize>();
+            ground_span.record("vars", vars as u64);
+        }
         drop(ground_span);
         #[cfg(any(test, feature = "fault-inject"))]
         if crate::fault::should_trip(Phase::Encode) {
@@ -265,27 +309,30 @@ impl IncrementalQuery {
             self.solver.add_clause([!sel, lit]);
         }
         drop(encode_span);
-        let owned = EncodedGroup {
-            slot: self.selectors.len(),
-            vars: self.solver.num_vars() - vars_before,
-        };
-        self.index.insert(key, owned);
-        self.selectors.push((group.name.clone(), sel));
+        let vars = self.solver.num_vars() - vars_before;
+        self.index.insert(key, EncodedGroup { sel, vars });
         self.encoded_groups += 1;
         self.ctr_encoded.inc();
         Ok(sel)
     }
 
     /// The selector literals that activate `groups`, in submission
-    /// order, encoding each group this engine has not seen before. A
-    /// budget that fires while grounding or encoding gives
+    /// order, laying out the free tuples on the first call and encoding
+    /// each group this engine has not seen before. A budget that fires
+    /// while laying out, grounding or encoding gives
     /// [`QueryError::Exhausted`] with empty stats.
     fn prepare(
         &mut self,
         groups: &[FormulaGroup],
         budget: &Budget,
     ) -> Result<Vec<Lit>, QueryError> {
-        groups.iter().map(|g| self.ensure_group(g, budget)).collect()
+        self.lay_out(budget)?;
+        let keys = FormulaGroup::encoding_keys(groups);
+        groups
+            .iter()
+            .zip(keys)
+            .map(|(g, key)| self.ensure_group(g, key, budget))
+            .collect()
     }
 
     /// Break symmetries on this one-shot engine: the next
@@ -314,7 +361,7 @@ impl IncrementalQuery {
             &self.free_rels,
             &self.vocab,
             &self.universe,
-            &self.varmap,
+            self.varmap.as_ref().expect("free-tuple layout built by prepare"),
             &mut self.solver,
             crate::symmetry::DEFAULT_MAX_PAIRS,
         );
@@ -336,7 +383,7 @@ impl IncrementalQuery {
 
     fn delta_stats(&self, base: &QueryStats) -> QueryStats {
         QueryStats {
-            free_tuple_vars: self.varmap.num_free_vars(),
+            free_tuple_vars: self.varmap().num_free_vars(),
             conflicts: self.solver.stats.conflicts.saturating_sub(base.conflicts),
             decisions: self.solver.stats.decisions.saturating_sub(base.decisions),
             propagations: self.solver.stats.propagations.saturating_sub(base.propagations),
@@ -367,26 +414,22 @@ impl IncrementalQuery {
         self.kernel_published = s;
     }
 
-    /// Group names of the core `lits`, ordered by the **current
-    /// solve's assumption order** (= the caller's group submission
-    /// order), not the engine's selector-creation order. A warm engine
-    /// carries selectors from earlier solves in whatever order history
-    /// created them, so ordering by `self.selectors` would make core
-    /// order depend on engine history; ordering by `assumptions` makes
-    /// warm and cold cores byte-identical. (The shrinker
-    /// already returns an ordered subsequence of the assumptions; this
-    /// also normalizes raw solver-reported cores, whose order is
+    /// Group names of the core `lits`: the names `groups` (the current
+    /// call's submission, parallel to `assumptions`) gives the blamed
+    /// selectors, in submission order. Naming by the current call
+    /// rather than by whatever name a group had when this engine first
+    /// encoded it makes a renamed group's blame carry its new name, and
+    /// ordering by the assumptions rather than by encoding history
+    /// makes warm and cold cores byte-identical. (The shrinker already
+    /// returns an ordered subsequence of the assumptions; this also
+    /// normalizes raw solver-reported cores, whose order is
     /// heuristic-dependent.)
-    fn names_of_in(&self, assumptions: &[Lit], lits: &[Lit]) -> Vec<String> {
+    fn names_of_in(groups: &[FormulaGroup], assumptions: &[Lit], lits: &[Lit]) -> Vec<String> {
         assumptions
             .iter()
-            .filter(|l| lits.contains(l))
-            .filter_map(|l| {
-                self.selectors
-                    .iter()
-                    .find(|(_, sl)| sl == l)
-                    .map(|(n, _)| n.clone())
-            })
+            .zip(groups)
+            .filter(|(l, _)| lits.contains(l))
+            .map(|(_, g)| g.name.clone())
             .collect()
     }
 
@@ -435,7 +478,12 @@ impl IncrementalQuery {
     /// already-installed budget (satisfiable models come back
     /// canonical), shrink cores by ordered deletion, and report work
     /// counters as the delta from `base`.
-    fn run_search(&mut self, assumptions: &[Lit], base: &QueryStats) -> Outcome {
+    fn run_search(
+        &mut self,
+        groups: &[FormulaGroup],
+        assumptions: &[Lit],
+        base: &QueryStats,
+    ) -> Outcome {
         #[cfg(any(test, feature = "fault-inject"))]
         if crate::fault::should_trip(Phase::Search) {
             return Outcome::Unknown {
@@ -464,7 +512,7 @@ impl IncrementalQuery {
         drop(search_span);
         match search_result {
             SolveResult::Sat(model) => {
-                let solution = self.fixed.union(&self.varmap.decode(&model));
+                let solution = self.fixed.union(&self.varmap().decode(&model));
                 let stats = self.delta_stats(base);
                 Outcome::Sat { solution, stats }
             }
@@ -490,7 +538,7 @@ impl IncrementalQuery {
                             // (unminimized) core as a partial artifact.
                             let stats = self.delta_stats(base);
                             let partial = Some(PartialResult::Core(
-                                self.names_of_in(assumptions, &best.unwrap_or(first_core)),
+                                Self::names_of_in(groups, assumptions, &best.unwrap_or(first_core)),
                             ));
                             return Outcome::Unknown {
                                 phase: Phase::Minimize,
@@ -502,7 +550,7 @@ impl IncrementalQuery {
                 } else {
                     first_core
                 };
-                let core = self.names_of_in(assumptions, &core_lits);
+                let core = Self::names_of_in(groups, assumptions, &core_lits);
                 let stats = self.delta_stats(base);
                 Outcome::Unsat { core, stats }
             }
@@ -544,7 +592,7 @@ impl IncrementalQuery {
         }
         let base = self.stats_base();
         self.solver.set_budget(budget);
-        let outcome = self.run_search(&assumptions, &base);
+        let outcome = self.run_search(groups, &assumptions, &base);
         self.publish_kernel_metrics();
         Ok(outcome)
     }
@@ -583,13 +631,14 @@ impl IncrementalQuery {
             }
             Err(e) => return Err(e),
         };
-        let result = self.solve_target_inner(assumptions, target, budget);
+        let result = self.solve_target_inner(groups, assumptions, target, budget);
         self.publish_kernel_metrics();
         Ok(result)
     }
 
     fn solve_target_inner(
         &mut self,
+        groups: &[FormulaGroup],
         assumptions: Vec<Lit>,
         target: &Instance,
         budget: Budget,
@@ -611,7 +660,7 @@ impl IncrementalQuery {
         // Difference indicators: literal true iff the tuple's value in
         // the model differs from its value in the target.
         let mut diff_inputs = Vec::new();
-        for (var, rel, tuple) in self.varmap.free_tuples() {
+        for (var, rel, tuple) in self.varmap().free_tuples() {
             let in_target = target.holds(rel, tuple);
             diff_inputs.push(Lit::new(var, !in_target));
         }
@@ -623,13 +672,13 @@ impl IncrementalQuery {
         // together count exactly the disagreeing pins.
         let mut dist_base = 0usize;
         for &rel in &self.free_rels {
-            for (tuple, state) in self.varmap.rel_states(rel) {
+            for (tuple, state) in self.varmap().rel_states(rel) {
                 if state == crate::varmap::TupleState::True && !target.holds(rel, tuple) {
                     dist_base += 1;
                 }
             }
             for tuple in target.tuples(rel) {
-                if self.varmap.state(rel, tuple) == Some(crate::varmap::TupleState::False) {
+                if self.varmap().state(rel, tuple) == Some(crate::varmap::TupleState::False) {
                     dist_base += 1;
                 }
             }
@@ -647,12 +696,14 @@ impl IncrementalQuery {
                 let _minimize_span = muppet_obs::span("minimize");
                 let core = match mus::shrink_core_ordered(&mut self.solver, &assumptions, &first_core)
                 {
-                    mus::ShrinkResult::Minimal(core) => self.names_of_in(&assumptions, &core),
-                    mus::ShrinkResult::Sat => self.names_of_in(&assumptions, &first_core),
+                    mus::ShrinkResult::Minimal(core) => {
+                        Self::names_of_in(groups, &assumptions, &core)
+                    }
+                    mus::ShrinkResult::Sat => Self::names_of_in(groups, &assumptions, &first_core),
                     mus::ShrinkResult::Exhausted { best } => {
                         let stats = self.delta_stats(&base);
                         let partial = Some(PartialResult::Core(
-                            self.names_of_in(&assumptions, &best.unwrap_or(first_core)),
+                            Self::names_of_in(groups, &assumptions, &best.unwrap_or(first_core)),
                         ));
                         return (
                             Outcome::Unknown {
@@ -683,7 +734,7 @@ impl IncrementalQuery {
         // valid (if non-minimal) counter-offer.
         let best_so_far = |this: &Self, probe: &Model| {
             let partial = Some(PartialResult::Model {
-                solution: this.fixed.union(&this.varmap.decode(probe)),
+                solution: this.fixed.union(&this.varmap().decode(probe)),
                 distance: dist_base + best_dist,
             });
             let stats = this.delta_stats(&base);
@@ -844,7 +895,7 @@ impl IncrementalQuery {
                 }
             }
         };
-        let solution = self.fixed.union(&self.varmap.decode(&model));
+        let solution = self.fixed.union(&self.varmap().decode(&model));
         drop(search_span);
         let stats = self.delta_stats(&base);
         (Outcome::Sat { solution, stats }, dist_base + optimum)
@@ -882,7 +933,7 @@ impl IncrementalQuery {
         while out.len() < limit {
             match self.search_canonical(&assumptions) {
                 SolveResult::Sat(model) => {
-                    out.push(self.fixed.union(&self.varmap.decode(&model)));
+                    out.push(self.fixed.union(&self.varmap().decode(&model)));
                     // Block this assignment of the free tuple vars,
                     // gated on the enumeration selector.
                     let mut blocking: Vec<Lit> =
@@ -907,7 +958,7 @@ impl IncrementalQuery {
 
     /// Groups grounded + encoded by this engine so far.
     pub fn num_groups(&self) -> usize {
-        self.selectors.len()
+        self.index.len()
     }
 
     /// Solver variables allocated so far: the free-tuple layout, every
@@ -916,8 +967,8 @@ impl IncrementalQuery {
         self.solver.num_vars()
     }
 
-    /// Solver variables owned by encoded groups whose content key
-    /// ([`FormulaGroup::content_key`]) is not in `live`.
+    /// Solver variables owned by encoded groups whose encoding key
+    /// ([`FormulaGroup::encoding_keys`]) is not in `live`.
     pub(crate) fn vars_outside(&self, live: &BTreeSet<u128>) -> usize {
         self.index
             .iter()
@@ -945,7 +996,7 @@ impl IncrementalQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muppet_logic::{evaluate_closed, Domain, PartyId, SortId, Term};
+    use muppet_logic::{evaluate_closed, Domain, PartyId, SortId, Term, VarId};
 
     struct Fix {
         u: Universe,
@@ -1294,6 +1345,84 @@ mod tests {
         ));
     }
 
+    /// `∀a∀b allow(a,b)` over the given binder and argument variables.
+    fn all_allow(f: &Fix, binders: [VarId; 2], args: [VarId; 2]) -> Formula {
+        let body = Formula::pred(f.allow, args.map(Term::Var));
+        Formula::forall(binders[0], f.s, Formula::forall(binders[1], f.s, body))
+    }
+
+    /// Encoding keys see meaning only: α-equivalent groups share one
+    /// encoding whatever their names, a swapped argument order or a
+    /// shadowed binder is different content, and the tag separates
+    /// owners.
+    #[test]
+    fn alpha_equivalent_groups_share_one_encoding() {
+        let mut f = fix();
+        let [x, y, z, w] = [(); 4].map(|_| f.v.fresh_var());
+        let g = |name: &str, formula: Formula| FormulaGroup::new(name, vec![formula]);
+        let mut q = engine(&f);
+        let encodes = |q: &mut IncrementalQuery, group: FormulaGroup| {
+            let before = q.encoded_groups();
+            assert!(q.solve(&[group], Budget::unlimited()).unwrap().is_sat());
+            q.encoded_groups() - before
+        };
+        assert_eq!(encodes(&mut q, g("xy", all_allow(&f, [x, y], [x, y]))), 1);
+        assert_eq!(encodes(&mut q, g("zw", all_allow(&f, [z, w], [z, w]))), 0, "α-equivalent");
+        assert_eq!(encodes(&mut q, g("yx", all_allow(&f, [x, y], [y, x]))), 1, "swapped args");
+        // ∀x∀x allow(x,x) binds both arguments to the inner x: the
+        // diagonal, not ∀z∀w allow(z,w).
+        assert_eq!(encodes(&mut q, g("shadow", all_allow(&f, [x, x], [x, x]))), 1);
+        assert_eq!(encodes(&mut q, g("diag", all_allow(&f, [z, w], [w, w]))), 0);
+        let tagged = g("xy", all_allow(&f, [x, y], [x, y])).with_tag(7);
+        assert_eq!(encodes(&mut q, tagged), 1, "another owner's group");
+        assert_eq!(q.num_groups(), 4);
+    }
+
+    /// A warm engine answers with the names of the current call: a
+    /// renamed group reuses its encoding and is blamed under its new
+    /// name, byte for byte like a fresh engine.
+    #[test]
+    fn renamed_group_reuses_its_encoding_and_blames_the_new_name() {
+        let f = fix();
+        let pos = tuple_pred(&f, 0, 1);
+        let neg = FormulaGroup::new("forbid", vec![Formula::not(pos.clone())]);
+        let mut warm = engine(&f);
+        let old = [FormulaGroup::new("require v1", vec![pos.clone()]), neg.clone()];
+        assert_eq!(warm.solve(&old, Budget::unlimited()).unwrap().core().unwrap().len(), 2);
+        let renamed = [FormulaGroup::new("require v2", vec![pos]), neg];
+        let out = warm.solve(&renamed, Budget::unlimited()).unwrap();
+        assert_eq!(warm.encoded_groups(), 2, "the rename re-encoded a group");
+        let fresh = engine(&f).solve(&renamed, Budget::unlimited()).unwrap();
+        assert_eq!(out.core(), Some(&["require v2".to_string(), "forbid".to_string()][..]));
+        assert_eq!(format!("{:?}", out.core()), format!("{:?}", fresh.core()));
+    }
+
+    /// Differently named groups with equal content in one call keep
+    /// separate selectors, so blame names the one ordered deletion
+    /// keeps, exactly as on a fresh engine, also when the engine
+    /// already encoded that content under another name.
+    #[test]
+    fn equal_content_under_two_names_blames_like_a_fresh_engine() {
+        let f = fix();
+        let pos = tuple_pred(&f, 0, 1);
+        let neg = FormulaGroup::new("forbid", vec![Formula::not(pos.clone())]);
+        let groups = [
+            FormulaGroup::new("b", vec![pos.clone()]),
+            FormulaGroup::new("a", vec![pos.clone()]),
+            neg,
+        ];
+        let keys = FormulaGroup::encoding_keys(&groups);
+        assert_ne!(keys[0], keys[1]);
+        let mut warm = engine(&f);
+        let warmup = [FormulaGroup::new("a", vec![pos])];
+        assert!(warm.solve(&warmup, Budget::unlimited()).unwrap().is_sat());
+        let out = warm.solve(&groups, Budget::unlimited()).unwrap();
+        let fresh = engine(&f).solve(&groups, Budget::unlimited()).unwrap();
+        assert_eq!(out.core(), Some(&["a".to_string(), "forbid".to_string()][..]));
+        assert_eq!(format!("{:?}", out.core()), format!("{:?}", fresh.core()));
+        assert_eq!(warm.num_groups(), 3);
+    }
+
     #[test]
     fn groups_sharing_a_formula_stay_independent() {
         let f = fix();
@@ -1540,6 +1669,38 @@ mod tests {
         assert!(q.solve(&goal, Budget::unlimited()).unwrap().is_sat());
         let again = q.enumerate(&goal, 10, Budget::unlimited()).unwrap();
         assert_eq!(models, again, "canonical enumeration is deterministic");
+    }
+
+    /// The free-tuple layout is built under the first call's budget:
+    /// an expired one stops it at the ground phase with nothing
+    /// allocated, and the next call builds it and answers like a fresh
+    /// engine.
+    #[test]
+    fn layout_under_expired_budget_aborts_at_ground() {
+        let mut u = Universe::new();
+        let s = u.add_sort("Node");
+        let atoms: Vec<_> = (0..20).map(|i| u.add_atom(s, format!("n{i}"))).collect();
+        let mut v = Vocabulary::new();
+        let rel = v.add_simple_rel("edge", vec![s, s, s], Domain::Party(PartyId(0)));
+        let bounds = PartialInstance::new();
+        let new = || IncrementalQuery::new(&v, &u, &[rel], &bounds, Instance::new());
+        let groups = [FormulaGroup::new(
+            "g",
+            vec![Formula::pred(rel, [atoms[1], atoms[2], atoms[3]].map(Term::Const))],
+        )];
+        let mut q = new();
+        let expired = Budget::unlimited().with_timeout(std::time::Duration::from_millis(0));
+        match q.solve(&groups, expired).unwrap() {
+            Outcome::Unknown { phase: Phase::Ground, stats, partial: None } => {
+                assert_eq!(stats, QueryStats::default());
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!((q.num_vars(), q.num_groups()), (0, 0));
+        let warm = q.solve(&groups, Budget::unlimited()).unwrap();
+        let fresh = new().solve(&groups, Budget::unlimited()).unwrap();
+        assert_eq!(warm.stats().free_tuple_vars, 8000);
+        assert_eq!(format!("{warm:?}"), format!("{fresh:?}"));
     }
 
     /// A warm engine meeting a *new* group under an expired budget

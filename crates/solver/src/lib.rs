@@ -23,8 +23,10 @@
 //! * **One incremental engine** ([`IncrementalQuery`], DESIGN.md §13):
 //!   the one query type. Each solve call takes the [`FormulaGroup`]s it
 //!   runs with, grounds and encodes the ones the engine has not seen
-//!   (selector-gated CNF groups deduplicated by content fingerprint),
-//!   and keeps learned clauses across calls. A one-shot query is a
+//!   (selector-gated CNF groups deduplicated by meaning: the formulas
+//!   up to α-equivalence, not the group's name — see
+//!   [`FormulaGroup::encoding_keys`]), and keeps learned clauses across
+//!   calls. A one-shot query is a
 //!   fresh engine and one call; [`PreparedStore`] holds warm engines
 //!   per query shape. Models are canonicalized by one lex-min solve at
 //!   every instance size and cores by ordered deletion, so a warm

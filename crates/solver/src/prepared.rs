@@ -91,9 +91,10 @@ impl PreparedStore {
         }
     }
 
-    /// Evict every engine in which the groups whose content keys are
-    /// not in `live` own more solver variables than everything else in
-    /// it (the live groups plus the free-tuple layout). A caller that
+    /// Evict every engine in which the groups whose encoding keys
+    /// ([`crate::FormulaGroup::encoding_keys`]) are not in `live` own
+    /// more solver variables than everything else in it (the live
+    /// groups plus the free-tuple layout). A caller that
     /// will never submit those groups again hands over the keys it
     /// still submits; an evicted engine is rebuilt from the live groups
     /// on its next use, so no engine grows past about twice what a
@@ -380,8 +381,10 @@ mod tests {
         let mut store = PreparedStore::new();
         let q = store.get_or_build(1, || pq(&f));
         assert!(q.solve(&[live.clone(), retired.clone()], b.clone()).unwrap().is_sat());
-        let both: BTreeSet<u128> = [live.content_key(), retired.content_key()].into();
-        let only_live: BTreeSet<u128> = [live.content_key()].into();
+        let both: BTreeSet<u128> =
+            FormulaGroup::encoding_keys(&[live.clone(), retired.clone()]).into_iter().collect();
+        let only_live: BTreeSet<u128> =
+            FormulaGroup::encoding_keys(std::slice::from_ref(&live)).into_iter().collect();
         let (total, dead) = (q.num_vars(), q.vars_outside(&only_live));
         assert_eq!(q.vars_outside(&both), 0);
         assert!(dead > total - dead, "retired group owns {dead} of {total} vars");

@@ -11,6 +11,7 @@
 //! questions (Fig. 8 minimal edits), and `enumerate` lists models for
 //! exhaustive checks.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use muppet_logic::{Formula, Instance};
@@ -23,15 +24,17 @@ use crate::ground::GroundError;
 /// one per structural axiom.
 #[derive(Clone, Debug)]
 pub struct FormulaGroup {
-    /// Display name used in cores and feedback.
+    /// Display name used in cores and feedback. It is not part of the
+    /// group's encoding key: an engine names a core's groups by what
+    /// the current call submitted.
     pub name: String,
     /// The group's formulas (conjoined).
     pub formulas: Vec<Formula>,
-    /// Identity tag folded into [`FormulaGroup::content_key`] alongside
-    /// the display name. Callers that derive group names from mutable
-    /// labels (party display names) set this to the stable id (the
-    /// `PartyId`) so renaming a party cannot alias another party's
-    /// cached encodings. Zero for groups whose name is the identity.
+    /// Identity tag folded into [`FormulaGroup::content_key`]. Callers
+    /// whose groups belong to a party set this to the stable id (the
+    /// `PartyId`), so two parties' groups with equal formulas never
+    /// share an encoding, whatever the parties are called. Zero for
+    /// groups without an owner.
     pub tag: u64,
 }
 
@@ -51,19 +54,59 @@ impl FormulaGroup {
         self
     }
 
-    /// Content fingerprint of the group (tag + name + formulas) via the
-    /// stable cross-process hasher. This is the incremental engine's
-    /// dedup key: two groups with identical content share one encoding,
-    /// so diffing these keys across two group sets predicts exactly
-    /// which groups a warm engine will re-encode (the stream session's
-    /// dirty-group report, DESIGN.md §16).
+    /// Fingerprint of the group's meaning: the tag plus the formulas up
+    /// to α-equivalence ([`Fingerprinter::add_formula`]: bound
+    /// variables hashed by binder depth, free ones under a separate
+    /// tag). The display name is left out, so renumbering the bound
+    /// variables of a re-translated goal table or renaming a goal row
+    /// keeps the key. [`FormulaGroup::encoding_keys`] derives the
+    /// incremental engine's dedup key from it.
+    ///
+    /// [`Fingerprinter::add_formula`]: muppet_logic::fingerprint::Fingerprinter::add_formula
     pub fn content_key(&self) -> u128 {
         let mut fp = muppet_logic::fingerprint::Fingerprinter::new();
         fp.add_u64(self.tag);
-        fp.add_str(&self.name);
         fp.add_u64(self.formulas.len() as u64);
-        fp.add_hash(&self.formulas);
+        for f in &self.formulas {
+            fp.add_formula(f);
+        }
         fp.digest()
+    }
+
+    /// The incremental engine's encoding key of each group one call
+    /// submits, in submission order. A group's key is its
+    /// [`FormulaGroup::content_key`], refined by the rank of its name
+    /// among the distinct names that carry the same content in this
+    /// call (in order of first appearance; rank 0 keeps the content
+    /// key). So two differently named groups with equal content in one
+    /// call keep separate selectors and blame, an exact duplicate
+    /// shares one encoding, and a group renamed between calls reuses
+    /// its encoding. Diffing these keys across two calls predicts
+    /// exactly which groups a warm engine will ground and encode (the
+    /// stream session's dirty-group report, DESIGN.md §16).
+    pub fn encoding_keys(groups: &[FormulaGroup]) -> Vec<u128> {
+        let mut names: HashMap<u128, Vec<&str>> = HashMap::new();
+        groups
+            .iter()
+            .map(|g| {
+                let key = g.content_key();
+                let seen = names.entry(key).or_default();
+                let rank = match seen.iter().position(|&n| n == g.name) {
+                    Some(rank) => rank,
+                    None => {
+                        seen.push(&g.name);
+                        seen.len() - 1
+                    }
+                };
+                if rank == 0 {
+                    key
+                } else {
+                    let mut fp = muppet_logic::fingerprint::Fingerprinter::new();
+                    fp.add_bytes(&key.to_le_bytes()).add_u64(rank as u64);
+                    fp.digest()
+                }
+            })
+            .collect()
     }
 }
 
@@ -247,7 +290,16 @@ impl fmt::Display for QueryError {
 impl std::error::Error for QueryError {}
 
 impl From<GroundError> for QueryError {
+    /// A budget that fired while grounding is exhaustion at
+    /// [`Phase::Ground`], with empty stats; every other ground error is
+    /// [`QueryError::Ground`].
     fn from(e: GroundError) -> QueryError {
-        QueryError::Ground(e)
+        match e {
+            GroundError::Exhausted => QueryError::Exhausted {
+                phase: Phase::Ground,
+                stats: QueryStats::default(),
+            },
+            e => QueryError::Ground(e),
+        }
     }
 }

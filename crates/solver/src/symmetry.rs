@@ -248,7 +248,9 @@ mod tests {
         // in canonical positions for k = 0..3).
         let f = fix(3);
         let mut solver = Solver::new();
-        let varmap = VarMap::build(&f.v, &f.u, &[f.r], &PartialInstance::new(), &mut solver);
+        let bounds = PartialInstance::new();
+        let budget = muppet_sat::Budget::unlimited();
+        let varmap = VarMap::build(&f.v, &f.u, &[f.r], &bounds, &mut solver, &budget).unwrap();
         let classes = vec![f.atoms.clone()];
         let broken = add_symmetry_breaking(
             &classes,

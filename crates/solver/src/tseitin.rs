@@ -41,6 +41,16 @@ pub fn encode(expr: &GExpr, solver: &mut Solver) -> Lit {
     }
 }
 
+/// The solver variables [`encode`] allocates for `expr`: one per gate
+/// and per constant, none per literal.
+pub(crate) fn fresh_vars(expr: &GExpr) -> usize {
+    match expr {
+        GExpr::Const(_) => 1,
+        GExpr::Lit(_) => 0,
+        GExpr::And(parts) | GExpr::Or(parts) => 1 + parts.iter().map(fresh_vars).sum::<usize>(),
+    }
+}
+
 /// A literal that is constrained to the given constant value.
 fn constant_lit(solver: &mut Solver, value: bool) -> Lit {
     let l = Lit::pos(solver.new_var());
@@ -159,6 +169,26 @@ mod tests {
                 assert!(m.lit_value(c));
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn fresh_vars_counts_what_encode_allocates() {
+        let mut s = Solver::new();
+        let ls = lits(&mut s, 3);
+        let exprs = [
+            GExpr::Const(true),
+            GExpr::Lit(ls[0]),
+            GExpr::And(vec![
+                GExpr::Lit(ls[0]),
+                GExpr::Or(vec![GExpr::Lit(!ls[1]), GExpr::Lit(ls[2])]),
+                GExpr::Or(vec![GExpr::Lit(ls[1]), GExpr::Lit(ls[2])]),
+            ]),
+        ];
+        for e in &exprs {
+            let before = s.num_vars();
+            encode(e, &mut s);
+            assert_eq!(s.num_vars() - before, fresh_vars(e), "{e:?}");
         }
     }
 

@@ -3,7 +3,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use muppet_logic::{AtomId, Instance, PartialInstance, RelId, Universe, Vocabulary};
-use muppet_sat::{Model, Solver, Var};
+use muppet_sat::{Budget, Model, Solver, Var};
+
+use crate::ground::{GroundError, POLL_EVERY};
 
 /// The truth status of one ground tuple after bounds are applied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,17 +52,32 @@ impl VarMap {
     /// * `fixed` — concrete values for every *other* relation mentioned by
     ///   the query formulas.
     ///
-    /// Fresh SAT variables are allocated in `solver`.
+    /// Fresh SAT variables are allocated in `solver` once the map is
+    /// complete. `budget` is polled every few thousand tuples; when it
+    /// fires the result is [`GroundError::Exhausted`] and `solver` is
+    /// left untouched.
     pub fn build(
         vocab: &Vocabulary,
         universe: &Universe,
         free_rels: &[RelId],
         bounds: &PartialInstance,
         solver: &mut Solver,
-    ) -> VarMap {
+        budget: &Budget,
+    ) -> Result<VarMap, GroundError> {
         let mut states: BTreeMap<RelId, BTreeMap<Vec<AtomId>, TupleState>> = BTreeMap::new();
         let mut sparse = BTreeSet::new();
         let mut by_var = BTreeMap::new();
+        let base = solver.num_vars();
+        let mut visited = 0usize;
+        let mut free_var = |rel: RelId, tuple: &[AtomId]| -> Result<TupleState, GroundError> {
+            visited += 1;
+            if visited.is_multiple_of(POLL_EVERY) && budget.poll().is_some() {
+                return Err(GroundError::Exhausted);
+            }
+            let v = Var::from_index(base + by_var.len());
+            by_var.insert(v, (rel, tuple.to_vec()));
+            Ok(TupleState::Free(v))
+        };
         for &rel in free_rels {
             let per = states.entry(rel).or_default();
             if bounds.is_bounded(rel) {
@@ -76,27 +93,25 @@ impl VarMap {
                     let state = if bounds.is_required(rel, tuple) {
                         TupleState::True
                     } else {
-                        let v = solver.new_var();
-                        by_var.insert(v, (rel, tuple.clone()));
-                        TupleState::Free(v)
+                        free_var(rel, tuple)?
                     };
                     per.insert(tuple.clone(), state);
                 }
             } else {
                 let decl = vocab.rel(rel);
                 for tuple in tuple_product(universe, &decl.arg_sorts) {
-                    let v = solver.new_var();
-                    by_var.insert(v, (rel, tuple.clone()));
-                    per.insert(tuple, TupleState::Free(v));
+                    let state = free_var(rel, &tuple)?;
+                    per.insert(tuple, state);
                 }
             }
         }
-        VarMap {
+        solver.new_vars(by_var.len());
+        Ok(VarMap {
             free_rels: free_rels.to_vec(),
             states,
             sparse,
             by_var,
-        }
+        })
     }
 
     /// The state of a ground tuple of a *free* relation. `None` when the
@@ -204,7 +219,7 @@ mod tests {
         bounds.permit(r, vec![a[0], a[1]]);
         // (a,a) required; (a,b) free; (b,*) outside upper bound → false.
         let mut solver = Solver::new();
-        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver);
+        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver, &Budget::unlimited()).unwrap();
         assert_eq!(vm.state(r, &[a[0], a[0]]), Some(TupleState::True));
         assert!(matches!(vm.state(r, &[a[0], a[1]]), Some(TupleState::Free(_))));
         assert_eq!(vm.state(r, &[a[1], a[0]]), Some(TupleState::False));
@@ -218,7 +233,7 @@ mod tests {
         bounds.require(r, vec![a[0], a[0]]);
         bounds.permit(r, vec![a[0], a[1]]);
         let mut solver = Solver::new();
-        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver);
+        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver, &Budget::unlimited()).unwrap();
         // Only the two bound tuples are materialized; the rest of the
         // 2×2 product is implicit.
         assert_eq!(vm.rel_states(r).count(), 2);
@@ -231,7 +246,7 @@ mod tests {
         let mut bounds = PartialInstance::new();
         bounds.bound(r);
         let mut solver = Solver::new();
-        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver);
+        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver, &Budget::unlimited()).unwrap();
         assert_eq!(vm.num_free_vars(), 0);
         assert_eq!(vm.rel_states(r).count(), 0);
         assert_eq!(vm.state(r, &[a[0], a[1]]), Some(TupleState::False));
@@ -243,9 +258,30 @@ mod tests {
         let (u, v, r, _) = setup();
         let bounds = PartialInstance::new();
         let mut solver = Solver::new();
-        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver);
+        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver, &Budget::unlimited()).unwrap();
         assert_eq!(vm.num_free_vars(), 4);
         assert!(vm.is_free(r));
+    }
+
+    /// An expired budget stops a large build before it allocates a
+    /// single solver variable.
+    #[test]
+    fn expired_budget_stops_the_build() {
+        let mut u = Universe::new();
+        let s = u.add_sort("S");
+        for i in 0..20 {
+            u.add_atom(s, format!("a{i}"));
+        }
+        let mut v = Vocabulary::new();
+        let r = v.add_simple_rel("r", vec![s, s, s], Domain::Structure);
+        let mut solver = Solver::new();
+        let expired = Budget::unlimited().with_timeout(std::time::Duration::from_millis(0));
+        let bounds = PartialInstance::new();
+        let built = VarMap::build(&v, &u, &[r], &bounds, &mut solver, &expired);
+        assert_eq!(built.err(), Some(GroundError::Exhausted));
+        assert_eq!(solver.num_vars(), 0);
+        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver, &Budget::unlimited()).unwrap();
+        assert_eq!((vm.num_free_vars(), solver.num_vars()), (8000, 8000));
     }
 
     #[test]
@@ -255,7 +291,7 @@ mod tests {
         bounds.require(r, vec![a[0], a[0]]);
         bounds.permit(r, vec![a[0], a[1]]);
         let mut solver = Solver::new();
-        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver);
+        let vm = VarMap::build(&v, &u, &[r], &bounds, &mut solver, &Budget::unlimited()).unwrap();
         // Force the free tuple true and solve.
         let (var, _, _) = vm.free_tuples().next().unwrap();
         solver.add_clause([muppet_sat::Lit::pos(var)]);

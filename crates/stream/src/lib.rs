@@ -11,20 +11,25 @@
 //!    vocabulary only when the edit touched the mesh — the vocabulary
 //!    rebuild is content-driven, so an unchanged universe keeps the
 //!    warm engine's variable layout byte-identical),
-//! 2. predicts the dirtied CNF groups by diffing the content
-//!    fingerprints of the groups a reconcile would submit against the
-//!    previous delta's set ([`muppet::Session::reconcile_group_signatures`]),
+//! 2. predicts the dirtied CNF groups by diffing the encoding keys of
+//!    the groups a reconcile would submit against the previous delta's
+//!    set ([`muppet::Session::reconcile_group_signatures`]). Keys are a
+//!    group's meaning, not its name or its bound-variable ids
+//!    ([`muppet_solver::FormulaGroup::encoding_keys`]): re-translating
+//!    the goal tables after a ban edit renumbers the bound variables of
+//!    every later row and of the well-formedness axioms, and renames
+//!    every later `k8s goal N` row, yet dirties only the edited row,
 //! 3. re-runs reconciliation multi-shot through
 //!    [`muppet::Session::reconcile`] on a per-delta session that
-//!    borrows the stream's store — unchanged groups are reused from the
-//!    engine's content index, only dirtied ones are re-grounded and
-//!    re-encoded — and
-//! 4. hands the store the content keys the current state submits, so
+//!    borrows the stream's store — groups the engine holds are reused
+//!    from its key index, only new content is ground and encoded, so a
+//!    ban toggled back encodes nothing — and
+//! 4. hands the store the encoding keys the current state submits, so
 //!    an engine whose retired groups own most of its variables is
 //!    evicted and rebuilt from the live groups by the next delta
-//!    ([`PreparedStore::compact`]) — without this, every group a ban
-//!    toggle retires stays encoded forever and each solve pays for it,
-//!    and
+//!    ([`PreparedStore::compact`]) — without this, a stream that keeps
+//!    retiring content it never brings back keeps every such group
+//!    encoded forever and each solve pays for it, and
 //! 5. reports a per-delta [`StreamStats`]: verdict, whether it flipped,
 //!    dirtied group names, groups re-encoded vs reused, the warm
 //!    engine's size, whether it was compacted, and latency.
@@ -225,12 +230,14 @@ pub struct StreamStats {
     pub verdict: String,
     /// Did the verdict change relative to the previous state?
     pub flipped: bool,
-    /// Names of the formula groups whose content changed (what the
-    /// warm engine had to re-encode, predicted from fingerprints).
+    /// Names of the formula groups whose meaning the previous state did
+    /// not submit (encoding keys absent from its set). The warm engine
+    /// grounds and encodes those it does not already hold;
+    /// `groups_encoded` counts what it did.
     pub dirtied: Vec<String>,
     /// Groups ground+encoded by this solve.
     pub groups_encoded: u64,
-    /// Groups reused from the warm engine's content index.
+    /// Groups reused from the warm engine's key index.
     pub groups_reused: u64,
     /// Did the delta force a vocabulary (universe) rebuild?
     pub vocab_rebuilt: bool,
@@ -472,27 +479,59 @@ mod tests {
         let _ = flips_seen; // mixed streams may or may not flip; counted for debug
     }
 
-    /// Ban churn over an unbounded mesh retires a group with every
-    /// toggle, so the warm engine must compact — and compacting must
+    /// Every port of the scenario's universe: the services' ports and
+    /// the spare ones.
+    fn universe_ports(sc: &muppet_scenario::Scenario) -> BTreeSet<u16> {
+        let mut ports: BTreeSet<u16> = sc.extra_port_list().into_iter().collect();
+        for svc in sc.mesh.services() {
+            ports.extend(svc.ports.iter().copied());
+        }
+        ports
+    }
+
+    /// Ban upserts and drops whose every retired group is content the
+    /// stream has not seen: for each port of the universe, a ban on
+    /// each of `All` and every single service, dropped again straight
+    /// away. (A ban on a port or selector that was banned before
+    /// reuses its earlier encoding.)
+    fn novel_ban_toggles(sc: &muppet_scenario::Scenario) -> Vec<ConfigDelta> {
+        use muppet_mesh::Selector;
+        let selectors: Vec<Selector> = std::iter::once(Selector::All)
+            .chain(sc.mesh.services().iter().map(|s| Selector::Name(s.name.clone())))
+            .collect();
+        let mut deltas = Vec::new();
+        for port in universe_ports(sc) {
+            for selector in &selectors {
+                if sc.k8s_goals.iter().any(|g| g.port == port && &g.selector == selector) {
+                    continue;
+                }
+                deltas.push(ConfigDelta::UpsertBan {
+                    port,
+                    selector: selector.clone(),
+                });
+                deltas.push(ConfigDelta::DropBan { port });
+            }
+        }
+        deltas
+    }
+
+    /// Ban toggles over an unbounded mesh that keep retiring new
+    /// content make the warm engine compact — and compacting must
     /// change no verdict and keep the engine within twice the size a
     /// fresh engine needs for the same state.
     #[test]
     fn compaction_bounds_the_engine_and_keeps_verdicts() {
         for seed in 0..3 {
-            let stream = generate_stream(StreamParams {
-                base: ScenarioParams {
-                    services: 4,
-                    ..small_params()
-                },
-                profile: StreamProfile::PolicyChurn,
-                deltas: 60,
-                target_services: 0,
+            let params = ScenarioParams {
+                services: 4,
                 seed,
-            });
-            let (mut session, _) = StreamSession::new(StreamSpec::from(&stream.base)).unwrap();
-            let mut cold = generate(stream.params.base);
+                ..small_params()
+            };
+            let mut cold = generate(params);
+            let deltas = novel_ban_toggles(&cold);
+            let (mut session, _) = StreamSession::new(StreamSpec::from(&cold)).unwrap();
             let mut compactions = 0;
-            for d in &stream.deltas {
+            for d in &deltas {
                 let warm = session.push(d).unwrap();
                 d.apply(&mut cold).unwrap();
                 let mut fresh = cold.session(false);
@@ -509,6 +548,45 @@ mod tests {
             }
             assert!(compactions >= 1, "seed {seed}: the engine never compacted");
         }
+    }
+
+    /// A ban toggled on and back off returns the stream to a state it
+    /// has solved before, and so does moving a ban row to the end of
+    /// the table, which renames it and every row after it: neither
+    /// return delta encodes a group.
+    #[test]
+    fn toggling_a_ban_back_encodes_nothing() {
+        use muppet_mesh::Selector;
+        let sc = generate(small_params());
+        let (mut session, _) = StreamSession::new(StreamSpec::from(&sc)).unwrap();
+        let free: Vec<u16> = universe_ports(&sc)
+            .into_iter()
+            .filter(|&p| sc.k8s_goals.iter().all(|g| g.port != p))
+            .collect();
+        let ban = |port| ConfigDelta::UpsertBan {
+            port,
+            selector: Selector::All,
+        };
+        // A second row, so that moving the first renames both.
+        let before = session.push(&ban(free[0])).unwrap();
+        let first = sc.k8s_goals[0].clone();
+        let deltas = [
+            ban(free[1]),
+            ConfigDelta::DropBan { port: free[1] },
+            ConfigDelta::DropBan { port: first.port },
+            ConfigDelta::UpsertBan {
+                port: first.port,
+                selector: first.selector.clone(),
+            },
+        ];
+        let stats: Vec<StreamStats> = deltas.iter().map(|d| session.push(d).unwrap()).collect();
+        assert!(stats[0].groups_encoded >= 1, "a ban on a new port is new content");
+        assert_eq!(stats[1].verdict, before.verdict);
+        for s in &stats[1..] {
+            assert_eq!(s.groups_encoded, 0, "delta {} encoded {:?}", s.seq, s.dirtied);
+        }
+        let ports: Vec<u16> = session.spec().k8s_goals.iter().map(|g| g.port).collect();
+        assert_eq!(ports, [free[0], first.port], "the first row moved to the end");
     }
 
     #[test]

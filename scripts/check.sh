@@ -65,9 +65,10 @@ run cargo test -q --offline --test incremental_diff
 # solves), then the W1 harness lane replaying committed ≥200-delta
 # edit streams against the fresh-Session oracle — byte-identical sat
 # and unsat verdicts on the bounded and the unbounded replay, a warm
-# engine at most 2x a fresh one's variables, and a >= 5x amortized
-# warm speedup, recorded in BENCH_stream.json (written before the
-# gates fire, so trend lines survive a red run).
+# engine at most 2x a fresh one's variables, no ban or goal-row delta
+# dirtying the structural axioms, and a >= 5x amortized warm speedup,
+# recorded in BENCH_stream.json (written by W1 only, before the gates
+# fire, so trend lines survive a red run).
 run cargo test -q --offline --test stream_props
 run cargo run --release --offline -q --bin muppet-harness -- w1
 test -s BENCH_stream.json || { echo "BENCH_stream.json missing"; exit 1; }

@@ -39,7 +39,8 @@
 //! lockstep, gating byte-identical verdicts at every delta plus a 5x
 //! amortized warm-vs-cold speedup floor; a second, unbounded replay
 //! gates that the warm engine stays within twice a fresh engine's
-//! size; it emits `BENCH_stream.json`.
+//! size and that no ban or goal-row delta dirties the structural
+//! axioms; it emits `BENCH_stream.json`.
 //! `R1` is the overload/chaos lane (DESIGN.md §14):
 //! it floods a real socket daemon past its admission limits with
 //! misbehaving clients (plus injected solver faults under
@@ -1773,8 +1774,9 @@ fn n1(t: &mut Table) {
 ///    be >= 5x — multi-shot solving has to beat re-solving from
 ///    scratch by a wide margin, not a rounding error;
 /// 3. *Bounded warm state* on the unbounded replay: byte-identical
-///    verdicts, sat and unsat, and a warm engine never holding more
-///    than twice a fresh engine's variables.
+///    verdicts, sat and unsat, a warm engine never holding more than
+///    twice a fresh engine's variables, and no ban or goal-row delta
+///    dirtying the structural axioms.
 fn w1(t: &mut Table) {
     use muppet_bench::scenario::corpus::{self, Kind};
     use muppet_daemon::json::Json;
@@ -1946,13 +1948,15 @@ fn w1(t: &mut Table) {
 /// W1's bounded-warm-state check: replay the unbounded
 /// `stream-policy-churn` entry (the stream the repo benchmark drives
 /// through the daemon) on one warm [`muppet_stream::StreamSession`],
-/// re-solving every state on a fresh session. Each ban toggle retires
-/// a formula group, so this is the stream on which an engine that
-/// never drops retired groups grows without bound. Verdicts (canonical
+/// re-solving every state on a fresh session. Verdicts (canonical
 /// models and ordered-deletion cores) must match byte for byte, sat
 /// and unsat alike; after every delta the warm store may hold at most
-/// twice the solver variables the fresh session's engine needs.
-/// Returns the `BENCH_stream.json` block and the gate failures.
+/// twice the solver variables the fresh session's engine needs; and
+/// no ban or goal-row delta may dirty the `structural axioms` group,
+/// whose meaning such an edit never changes (group keys ignore names
+/// and bound-variable ids, so re-translating the goal tables must not
+/// re-ground the axioms). Returns the `BENCH_stream.json` block and
+/// the gate failures.
 fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
     use muppet_bench::scenario::corpus::{self, Kind};
     use muppet_daemon::json::Json;
@@ -1970,6 +1974,7 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
     let mut failures = Vec::new();
     let (mut unsat, mut unsat_identical, mut sat, mut sat_identical) = (0u64, 0u64, 0u64, 0u64);
     let (mut engine_vars_max, mut compactions, mut worst_ratio) = (0u64, 0u64, 0f64);
+    let mut axioms_dirtied = 0u64;
     for (seq, delta) in std::iter::once(None).chain(stream.deltas.iter().map(Some)).enumerate() {
         let stats = match delta {
             None => initial.clone(),
@@ -2005,6 +2010,14 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
         }
         engine_vars_max = engine_vars_max.max(stats.engine_vars);
         compactions += u64::from(stats.compacted);
+        let table_edit = delta.is_some_and(|d| !d.touches_mesh());
+        if table_edit && stats.dirtied.iter().any(|n| n == "structural axioms") {
+            axioms_dirtied += 1;
+            if failures.len() < 3 {
+                let kind = stats.kind;
+                failures.push(format!("seq {seq}: {kind} delta dirtied the structural axioms"));
+            }
+        }
     }
 
     let inst = format!("{} ({} deltas)", entry.name, stream.deltas.len());
@@ -2013,6 +2026,14 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
     row(t, "W1", &inst, "max warm/fresh engine vars", format!("{worst_ratio:.2}"), "<= 2");
     row(t, "W1", &inst, "warm engine vars max", engine_vars_max.to_string(), "-");
     row(t, "W1", &inst, "compactions", compactions.to_string(), "-");
+    row(
+        t,
+        "W1",
+        &inst,
+        "ban/goal deltas dirtying the axioms",
+        axioms_dirtied.to_string(),
+        "0",
+    );
     let doc = Json::obj([
         ("entry", Json::str(entry.name)),
         ("deltas", Json::num(stream.deltas.len() as u64)),
@@ -2024,6 +2045,7 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
         ("max_warm_fresh_vars_ratio", Json::Num(worst_ratio)),
         ("gate_warm_fresh_vars_ratio", Json::Num(2.0)),
         ("compactions", Json::num(compactions)),
+        ("axioms_dirtied_by_table_edits", Json::num(axioms_dirtied)),
     ]);
     (doc, failures)
 }

@@ -469,7 +469,9 @@ fn cli_serve_and_client_subprocesses() {
 /// A client that disconnects mid-solve must have its request cancelled
 /// (the reader thread's per-request `CancelToken` sits in the solve's
 /// budget, so one `cancel()` stops the solve). Uncancelled, the
-/// scenario below takes about 5 s in a debug build on a 2-vCPU host.
+/// 80-service scenario below takes about 45 s in a debug build on a
+/// 2-vCPU host, more than half of it laying out the free-tuple
+/// variables, which polls the budget like grounding and search do.
 /// The worker must come back promptly, and the result cache must stay
 /// empty: only a definite answer is cached, so an empty cache proves
 /// the solve was cut short rather than finished. Also checks the queue
@@ -480,7 +482,7 @@ fn cli_serve_and_client_subprocesses() {
 fn client_disconnect_cancels_in_flight_solve() {
     use muppet_bench::scenario::{generate, ScenarioParams};
     let sc = generate(ScenarioParams {
-        services: 40,
+        services: 80,
         istio_goals: 48,
         k8s_goals: 4,
         conflict_fraction: 0.0,
