@@ -70,5 +70,6 @@ pub use muppet_solver::{
 };
 pub use party::{NamedGoal, Party};
 pub use session::{
-    ConsistencyReport, ExhaustionReport, MuppetError, Reconciliation, ReconcileMode, Session,
+    ConsistencyReport, ExhaustionReport, GroupSignature, MuppetError, Reconciliation,
+    ReconcileMode, Session,
 };

@@ -121,6 +121,19 @@ pub struct Reconciliation {
     pub exhausted: Option<ExhaustionReport>,
 }
 
+/// One formula group a [`Session::reconcile`] call would submit
+/// ([`Session::reconcile_group_signatures`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GroupSignature {
+    /// The group's display name.
+    pub name: String,
+    /// Its encoding key ([`FormulaGroup::encoding_keys`]).
+    pub key: u128,
+    /// Does the session's warm engine for the reconcile shape already
+    /// hold this encoding? If not, the reconcile grounds and encodes it.
+    pub encoded: bool,
+}
+
 /// How offers' hard settings enter the reconciliation query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReconcileMode {
@@ -483,20 +496,33 @@ impl<'a> Session<'a> {
         Ok(self.reconciliation_report(outcome, attempts))
     }
 
-    /// The `(name, encoding key)` signature of every formula group a
+    /// The [`GroupSignature`] of every formula group a
     /// [`Session::reconcile`] call would submit, in submission order.
     /// The keys come from [`FormulaGroup::encoding_keys`], the function
-    /// the incremental engine itself dedups by, so diffing two
-    /// sessions' signatures predicts exactly which groups a shared warm
-    /// engine will ground and encode: a group whose meaning is
-    /// unchanged keeps its key even when its name or its bound
-    /// variables' ids moved. This is how the stream session maps a
-    /// config delta to its dirtied groups without touching the solver
-    /// (DESIGN.md §16).
-    pub fn reconcile_group_signatures(&self, mode: ReconcileMode) -> Vec<(String, u128)> {
-        let groups = self.reconcile_input(mode).1;
+    /// the incremental engine itself dedups by: a group whose meaning
+    /// is unchanged keeps its key even when its name or its bound
+    /// variables' ids moved. Each signature also says whether the
+    /// store's warm engine for the reconcile shape already holds the
+    /// encoding, so the groups that do not are exactly the ones the
+    /// next reconcile grounds and encodes. This is how the stream
+    /// session reports a config delta's dirtied groups without touching
+    /// the solver (DESIGN.md §16).
+    pub fn reconcile_group_signatures(&self, mode: ReconcileMode) -> Vec<GroupSignature> {
+        let (bounds, groups) = self.reconcile_input(mode);
         let keys = FormulaGroup::encoding_keys(&groups);
-        groups.into_iter().map(|g| g.name).zip(keys).collect()
+        // Symmetry-breaking sessions solve on one-shot engines, which
+        // hold nothing.
+        let engine = (!self.symmetry_breaking)
+            .then(|| self.warm_key(&bounds, &self.all_party_rels(), &self.structure));
+        groups
+            .into_iter()
+            .zip(keys)
+            .map(|(g, key)| GroupSignature {
+                name: g.name,
+                key,
+                encoded: engine.is_some_and(|e| self.store.holds_group(e, key)),
+            })
+            .collect()
     }
 
     /// Map a solve outcome onto the Alg. 2 report shape.
@@ -624,7 +650,13 @@ impl<'a> Session<'a> {
             }
             let mut attempt_span = muppet_obs::span("attempt");
             attempt_span.record("attempt", u64::from(attempt));
+            let (reused, laid_out) = (pq.answers_reused(), pq.layout_vars());
             let out = op(pq, groups, budget)?;
+            if attempt_span.is_recording() {
+                let answer = if pq.answers_reused() > reused { "reused" } else { "searched" };
+                attempt_span.attr("answer", answer);
+                attempt_span.record("layout_vars", (pq.layout_vars() - laid_out) as u64);
+            }
             drop(attempt_span);
             if out.is_unknown() && attempt < attempts && self.budget.poll().is_none() {
                 attempt += 1;
@@ -1365,8 +1397,9 @@ mod tests {
     }
 
     /// A fresh session's reconcile encodes exactly one group per
-    /// distinct signature key, so the stream session's dirty-group
-    /// prediction matches what reconcile submits.
+    /// distinct signature key, and afterwards every signature reports
+    /// its encoding held, so the stream session's dirty-group report
+    /// matches what reconcile encodes.
     #[test]
     fn reconcile_encodes_one_group_per_signature_key() {
         let mv = MeshVocab::paper_example();
@@ -1377,14 +1410,14 @@ mod tests {
                 .unwrap()
                 .offer
                 .require(mv.istio_eg_guard, vec![fe]);
-            let keys: std::collections::BTreeSet<u128> = s
-                .reconcile_group_signatures(mode)
-                .into_iter()
-                .map(|(_, k)| k)
-                .collect();
+            let sigs = s.reconcile_group_signatures(mode);
+            assert!(sigs.iter().all(|sig| !sig.encoded), "a fresh session holds nothing");
+            let keys: std::collections::BTreeSet<u128> = sigs.iter().map(|sig| sig.key).collect();
             s.reconcile(mode).unwrap();
             let (encoded, _) = s.store().group_counters();
             assert_eq!(encoded, keys.len() as u64, "{mode:?}");
+            let again = s.reconcile_group_signatures(mode);
+            assert!(again.iter().all(|sig| sig.encoded), "{mode:?}: the engine holds every group");
         }
     }
 

@@ -1010,6 +1010,7 @@ fn stream_stats_json(s: &StreamStats) -> Json {
         ("dirtied", Json::strs(&s.dirtied)),
         ("groups_encoded", Json::num(s.groups_encoded)),
         ("groups_reused", Json::num(s.groups_reused)),
+        ("answer_reused", Json::Bool(s.answer_reused)),
         ("engine_vars", Json::num(s.engine_vars)),
         ("compacted", Json::Bool(s.compacted)),
         ("vocab_rebuilt", Json::Bool(s.vocab_rebuilt)),
@@ -1530,12 +1531,17 @@ mod tests {
             .unwrap()
             .starts_with("unsat"));
 
-        // …and dropping it flips back, reusing the warm groups.
+        assert_eq!(r.result.get("answer_reused").and_then(Json::as_bool), Some(false));
+
+        // …and dropping it flips back to the opening state, reusing the
+        // warm groups and the opening answer: nothing is dirtied.
         push.delta = Some("drop-ban 16000".into());
         let r2 = eng.handle(&push, None);
         assert!(r2.ok, "{:?}", r2.error);
         assert_eq!(r2.result.get("flipped").and_then(Json::as_bool), Some(true));
         assert!(r2.result.get("groups_reused").and_then(Json::as_u64).unwrap() > 0);
+        assert_eq!(r2.result.get("answer_reused").and_then(Json::as_bool), Some(true));
+        assert_eq!(r2.result.get("dirtied"), Some(&Json::Arr(Vec::new())));
         assert!(r2.result.get("engine_vars").and_then(Json::as_u64).is_some());
         assert!(r2.result.get("compacted").and_then(Json::as_bool).is_some());
 

@@ -34,8 +34,17 @@
 //! budget. A one-shot caller builds an engine, makes
 //! one call and drops it; [`crate::PreparedStore`] keeps warm engines
 //! keyed by query shape.
+//!
+//! Because an answer is canonical, it is a pure function of the
+//! engine's clauses and the ordered selector list a call assumes, and
+//! nothing a later call adds changes it: new groups are
+//! selector-guarded, learnt clauses are implied, and totalizer and
+//! enumeration clauses are definitional or gated. So [`IncrementalQuery::solve`]
+//! keeps the answer of each call under its assumption list and answers
+//! a repeat of that list without searching (the answer memo, DESIGN.md
+//! §13).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use muppet_logic::fingerprint::Fingerprinter;
 use muppet_logic::{Formula, Instance, PartialInstance, RelId, Universe, Vocabulary};
@@ -47,6 +56,15 @@ use crate::query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, Quer
 use crate::totalizer::Totalizer;
 use crate::tseitin::{encode, fresh_vars};
 use crate::varmap::VarMap;
+
+/// Most answers one engine's memo keeps, oldest out first. An entry
+/// is its assumption list (one selector per submitted group) plus the
+/// true free variables of a lex-min model or the selectors of a core,
+/// 4 bytes each. Measured on the `stream-policy-churn` replay: at most
+/// 24 selectors and 16 true variables (of 29,760 free ones), under
+/// 200 bytes with the vectors' headers, so a full memo costs an engine
+/// about 13 KiB.
+const MEMO_CAP: usize = 64;
 
 /// Fingerprint tag separating OLL relaxation-sum totalizers from the
 /// difference-indicator totalizers in the shared cache: the two kinds
@@ -105,6 +123,13 @@ pub struct IncrementalQuery {
     /// Set by [`IncrementalQuery::add_symmetry_breaking`]; the next
     /// [`IncrementalQuery::solve`] installs the lex clauses and clears it.
     lex_pending: bool,
+    /// Lex clauses are installed: they are permanent and goal-set
+    /// dependent, so no answer is memoized from then on.
+    lex_installed: bool,
+    /// Canonical answers of earlier [`IncrementalQuery::solve`] calls,
+    /// keyed by their assumption lists, oldest first.
+    memo: VecDeque<(Vec<Lit>, Answer)>,
+    answers_reused: u64,
     target_strategy: TargetStrategy,
     /// Lifetime count of OLL cores consumed by core-guided target
     /// solves on this engine; [`QueryStats::oll_cores`] reports the
@@ -117,11 +142,20 @@ pub struct IncrementalQuery {
     reused_groups: u64,
     ctr_encoded: Counter,
     ctr_reused: Counter,
+    ctr_answers_reused: Counter,
     ctr_inprocessings: Counter,
     ctr_subsumed: Counter,
     ctr_strengthened: Counter,
     ctr_vivified: Counter,
     ctr_oll_cores: Counter,
+}
+
+/// A memoized canonical answer.
+enum Answer {
+    /// The true free variables of the lex-min model, ascending.
+    Sat(Vec<Var>),
+    /// The selectors of the ordered-deletion core.
+    Unsat(Vec<Lit>),
 }
 
 /// An encoded group's selector literal and the number of solver
@@ -166,6 +200,9 @@ impl IncrementalQuery {
             totalizers: HashMap::new(),
             minimize_cores: true,
             lex_pending: false,
+            lex_installed: false,
+            memo: VecDeque::new(),
+            answers_reused: 0,
             target_strategy: TargetStrategy::default(),
             oll_rounds: 0,
             kernel_published: SolverStats::default(),
@@ -173,6 +210,7 @@ impl IncrementalQuery {
             reused_groups: 0,
             ctr_encoded: metrics.counter("engine.groups.encoded"),
             ctr_reused: metrics.counter("engine.groups.reused"),
+            ctr_answers_reused: metrics.counter("engine.answers.reused"),
             ctr_inprocessings: metrics.counter("kernel.inprocessings"),
             ctr_subsumed: metrics.counter("kernel.subsumed_clauses"),
             ctr_strengthened: metrics.counter("kernel.strengthened_clauses"),
@@ -216,7 +254,7 @@ impl IncrementalQuery {
     /// Shrinking uses deterministic ordered deletion, so minimized
     /// cores are identical warm and cold; with minimization off the
     /// solver's first core is returned, which *does* depend on search
-    /// state.
+    /// state, and [`Self::solve`] memoizes no answer.
     pub fn set_minimize_cores(&mut self, minimize: bool) -> &mut Self {
         self.minimize_cores = minimize;
         self
@@ -242,7 +280,7 @@ impl IncrementalQuery {
                 &mut self.solver,
                 budget,
             )?;
-            self.free = varmap.free_tuples().map(|(v, _, _)| v).collect();
+            self.free = varmap.free_vars().collect();
             self.varmap = Some(varmap);
         }
         Ok(())
@@ -348,6 +386,8 @@ impl IncrementalQuery {
     }
 
     fn install_symmetry_breaking(&mut self, groups: &[FormulaGroup]) {
+        self.lex_installed = true;
+        self.memo.clear();
         let formulas: Vec<&Formula> = groups.iter().flat_map(|g| g.formulas.iter()).collect();
         let classes = crate::symmetry::interchangeable_classes(
             &self.vocab,
@@ -474,10 +514,59 @@ impl IncrementalQuery {
         self.totalizers[&tkey].at_most(0)
     }
 
-    /// The shared search → minimize tail: run the CDCL search under the
-    /// already-installed budget (satisfiable models come back
-    /// canonical), shrink cores by ordered deletion, and report work
-    /// counters as the delta from `base`.
+    /// Does this engine memoize answers? Not with core minimization
+    /// off (a first core is not canonical) and not once lex clauses
+    /// are installed.
+    fn memoizes(&self) -> bool {
+        self.minimize_cores && !self.lex_installed
+    }
+
+    /// The memoized answer to `assumptions`, as an outcome named by the
+    /// current call's `groups`, with zero work counters.
+    fn recall(&mut self, groups: &[FormulaGroup], assumptions: &[Lit]) -> Option<Outcome> {
+        if !self.memoizes() {
+            return None;
+        }
+        let (_, answer) = self.memo.iter().find(|(key, _)| key == assumptions)?;
+        let stats = QueryStats {
+            free_tuple_vars: self.varmap().num_free_vars(),
+            ..QueryStats::default()
+        };
+        let outcome = match answer {
+            Answer::Sat(trues) => {
+                let free = self.varmap().decode_with(|v| trues.binary_search(&v).is_ok());
+                Outcome::Sat { solution: self.fixed.union(&free), stats }
+            }
+            Answer::Unsat(core) => Outcome::Unsat {
+                core: Self::names_of_in(groups, assumptions, core),
+                stats,
+            },
+        };
+        self.answers_reused += 1;
+        self.ctr_answers_reused.inc();
+        Some(outcome)
+    }
+
+    /// Keep the canonical `answer` to `assumptions`, dropping the
+    /// oldest entry beyond [`MEMO_CAP`].
+    fn remember(&mut self, assumptions: &[Lit], answer: Answer) {
+        if !self.memoizes() {
+            return;
+        }
+        if self.memo.len() >= MEMO_CAP {
+            self.memo.pop_front();
+        }
+        self.memo.push_back((assumptions.to_vec(), answer));
+    }
+
+    /// The shared search → minimize tail: answer from the memo when
+    /// this engine has answered `assumptions` before, else run the CDCL
+    /// search under the already-installed budget (satisfiable models
+    /// come back canonical) and shrink cores by ordered deletion,
+    /// memoizing the canonical answer; report work counters as the
+    /// delta from `base`. The failpoint and the budget are checked
+    /// before the memo, so an expired budget is `Unknown` at
+    /// [`Phase::Search`] whether or not the answer is known.
     fn run_search(
         &mut self,
         groups: &[FormulaGroup],
@@ -485,12 +574,18 @@ impl IncrementalQuery {
         base: &QueryStats,
     ) -> Outcome {
         #[cfg(any(test, feature = "fault-inject"))]
-        if crate::fault::should_trip(Phase::Search) {
+        let tripped = crate::fault::should_trip(Phase::Search);
+        #[cfg(not(any(test, feature = "fault-inject")))]
+        let tripped = false;
+        if tripped || self.solver.budget_exhausted().is_some() {
             return Outcome::Unknown {
                 phase: Phase::Search,
                 stats: self.delta_stats(base),
                 partial: None,
             };
+        }
+        if let Some(outcome) = self.recall(groups, assumptions) {
+            return outcome;
         }
         let mut search_span = muppet_obs::span("search");
         let search_result = self.search_canonical(assumptions);
@@ -514,6 +609,12 @@ impl IncrementalQuery {
             SolveResult::Sat(model) => {
                 let solution = self.fixed.union(&self.varmap().decode(&model));
                 let stats = self.delta_stats(base);
+                // A budget that fired during the lex-min pass left the
+                // first search's model, which is not canonical.
+                if self.solver.budget_exhausted().is_none() {
+                    let trues = self.free.iter().copied().filter(|&v| model.value(v)).collect();
+                    self.remember(assumptions, Answer::Sat(trues));
+                }
                 Outcome::Sat { solution, stats }
             }
             SolveResult::Unsat(first_core) => {
@@ -528,7 +629,10 @@ impl IncrementalQuery {
                     );
                     drop(minimize_span);
                     match shrunk {
-                        mus::ShrinkResult::Minimal(core) => core,
+                        mus::ShrinkResult::Minimal(core) => {
+                            self.remember(assumptions, Answer::Unsat(core.clone()));
+                            core
+                        }
                         // Seeded shrinking never re-solves the full
                         // set, so it never answers Sat; fall back to
                         // the first core rather than panic.
@@ -661,22 +765,22 @@ impl IncrementalQuery {
         // the model differs from its value in the target.
         let mut diff_inputs = Vec::new();
         for (var, rel, tuple) in self.varmap().free_tuples() {
-            let in_target = target.holds(rel, tuple);
+            let in_target = target.holds(rel, &tuple);
             diff_inputs.push(Lit::new(var, !in_target));
         }
         // Pinned tuples that disagree with the target contribute a
         // fixed base distance no model can avoid. Walk the varmap's
-        // stored states (pinned-true vs target) plus the target's own
-        // tuples (pinned-false, stored or implicit outside a sparse
-        // bound) instead of the full tuple product — the two sweeps
-        // together count exactly the disagreeing pins.
+        // pinned-true tuples not in the target plus the target's own
+        // tuples that are pinned false (stored or implicit outside a
+        // sparse bound) instead of the full tuple product — the two
+        // sweeps together count exactly the disagreeing pins.
         let mut dist_base = 0usize;
         for &rel in &self.free_rels {
-            for (tuple, state) in self.varmap().rel_states(rel) {
-                if state == crate::varmap::TupleState::True && !target.holds(rel, tuple) {
-                    dist_base += 1;
-                }
-            }
+            dist_base += self
+                .varmap()
+                .pinned_true(rel)
+                .filter(|tuple| !target.holds(rel, tuple))
+                .count();
             for tuple in target.tuples(rel) {
                 if self.varmap().state(rel, tuple) == Some(crate::varmap::TupleState::False) {
                     dist_base += 1;
@@ -967,6 +1071,12 @@ impl IncrementalQuery {
         self.solver.num_vars()
     }
 
+    /// Does this engine hold an encoding under the group encoding key
+    /// `key` ([`FormulaGroup::encoding_keys`])?
+    pub fn holds_group(&self, key: u128) -> bool {
+        self.index.contains_key(&key)
+    }
+
     /// Solver variables owned by encoded groups whose encoding key
     /// ([`FormulaGroup::encoding_keys`]) is not in `live`.
     pub(crate) fn vars_outside(&self, live: &BTreeSet<u128>) -> usize {
@@ -985,6 +1095,18 @@ impl IncrementalQuery {
     /// How many group submissions reused an existing encoding.
     pub fn reused_groups(&self) -> u64 {
         self.reused_groups
+    }
+
+    /// How many [`Self::solve`] calls were answered from the memo,
+    /// without searching.
+    pub fn answers_reused(&self) -> u64 {
+        self.answers_reused
+    }
+
+    /// Free-tuple variables laid out so far: 0 until the first call
+    /// builds the layout, constant after.
+    pub fn layout_vars(&self) -> usize {
+        self.free.len()
     }
 
     /// The owned vocabulary (for decoding / debugging).
@@ -1392,6 +1514,7 @@ mod tests {
         let renamed = [FormulaGroup::new("require v2", vec![pos]), neg];
         let out = warm.solve(&renamed, Budget::unlimited()).unwrap();
         assert_eq!(warm.encoded_groups(), 2, "the rename re-encoded a group");
+        assert_eq!(warm.answers_reused(), 1, "same selectors, same answer");
         let fresh = engine(&f).solve(&renamed, Budget::unlimited()).unwrap();
         assert_eq!(out.core(), Some(&["require v2".to_string(), "forbid".to_string()][..]));
         assert_eq!(format!("{:?}", out.core()), format!("{:?}", fresh.core()));
@@ -1752,5 +1875,108 @@ mod tests {
             warm.enumerate(&groups, 10, Budget::unlimited()).unwrap(),
             engine(&f).enumerate(&groups, 10, Budget::unlimited()).unwrap()
         );
+    }
+
+    /// A warm engine that answers S1, then S2 (which encodes a new
+    /// group), then S1 again answers the revisit from its memo, without
+    /// searching, byte for byte like a fresh engine: the lex-min model
+    /// for a sat state, the ordered-deletion core for an unsat one.
+    #[test]
+    fn revisited_state_is_answered_without_search_like_a_fresh_engine() {
+        let f = fix();
+        let or = FormulaGroup::new(
+            "or",
+            vec![Formula::or([tuple_pred(&f, 1, 1), tuple_pred(&f, 0, 2)])],
+        );
+        let pos = FormulaGroup::new("pos", vec![tuple_pred(&f, 0, 1)]);
+        let neg = FormulaGroup::new("neg", vec![Formula::not(tuple_pred(&f, 0, 1))]);
+        let extra = FormulaGroup::new("extra", vec![tuple_pred(&f, 2, 0)]);
+        let sat = [or.clone(), pos.clone()];
+        let unsat = [or.clone(), pos, neg];
+        for s1 in [&sat[..], &unsat[..]] {
+            let s2: Vec<FormulaGroup> = s1.iter().cloned().chain([extra.clone()]).collect();
+            let mut warm = engine(&f);
+            let first = warm.solve(s1, Budget::unlimited()).unwrap();
+            warm.solve(&s2, Budget::unlimited()).unwrap();
+            assert_eq!(warm.num_groups(), s1.len() + 1, "S2 encoded a new group");
+            let (encoded, props) = (warm.encoded_groups(), warm.solver.stats.propagations);
+            let again = warm.solve(s1, Budget::unlimited()).unwrap();
+            assert_eq!(warm.answers_reused(), 1);
+            assert_eq!(warm.encoded_groups(), encoded);
+            assert_eq!(warm.solver.stats.propagations, props, "the revisit searched");
+            assert_eq!(*again.stats(), QueryStats { free_tuple_vars: 9, ..QueryStats::default() });
+            let fresh = engine(&f).solve(s1, Budget::unlimited()).unwrap();
+            for out in [&first, &again] {
+                assert_eq!(format!("{:?}", out.solution()), format!("{:?}", fresh.solution()));
+                assert_eq!(format!("{:?}", out.core()), format!("{:?}", fresh.core()));
+            }
+        }
+    }
+
+    /// A budget that fires during the lex-min pass leaves the first
+    /// search's model, which is not canonical: nothing is memoized,
+    /// and the next call searches again and answers like a fresh
+    /// engine.
+    #[test]
+    fn a_lex_min_pass_cut_short_memoizes_nothing() {
+        let (u, v, rel, bounds, groups) = minedit_800();
+        let new = || IncrementalQuery::new(&v, &u, &[rel], &bounds, Instance::new());
+        let mut cap = 1;
+        let mut q = loop {
+            let mut q = new();
+            let budget = Budget::unlimited().with_propagation_cap(cap);
+            if q.solve(&groups, budget).unwrap().is_sat() {
+                break q;
+            }
+            cap *= 2;
+        };
+        assert!(q.solver.budget_exhausted().is_some(), "the lex-min pass ran to completion");
+        assert!(q.memo.is_empty());
+        let again = q.solve(&groups, Budget::unlimited()).unwrap();
+        assert_eq!(q.answers_reused(), 0);
+        let fresh = new().solve(&groups, Budget::unlimited()).unwrap();
+        assert_eq!(again.solution(), fresh.solution());
+    }
+
+    /// Probe one-shots (first cores, not minimized) and symmetry-breaking
+    /// one-shots (permanent lex clauses) never answer from the memo.
+    #[test]
+    fn probe_and_symmetry_breaking_engines_never_reuse_an_answer() {
+        let f = fix();
+        let groups = [
+            FormulaGroup::new("pos", vec![tuple_pred(&f, 0, 1)]),
+            FormulaGroup::new("neg", vec![Formula::not(tuple_pred(&f, 0, 1))]),
+        ];
+        let mut probe = engine(&f);
+        probe.set_minimize_cores(false);
+        let mut sb = engine(&f);
+        sb.add_symmetry_breaking();
+        for q in [&mut probe, &mut sb] {
+            for groups in [&groups[..], &groups[..1], &groups[..], &groups[..1]] {
+                assert!(!q.solve(groups, Budget::unlimited()).unwrap().is_unknown());
+            }
+            assert_eq!(q.answers_reused(), 0);
+            assert!(q.memo.is_empty());
+        }
+    }
+
+    /// The memo keeps at most `MEMO_CAP` answers and drops the oldest
+    /// first.
+    #[test]
+    fn the_memo_cap_holds_and_drops_the_oldest() {
+        let (u, v, rel, bounds, groups) = minedit_800();
+        let mut q = IncrementalQuery::new(&v, &u, &[rel], &bounds, Instance::new());
+        // Distinct states: one goal, then pairs of adjacent goals.
+        let state = |k: usize| &groups[k % 50..][..1 + k / 50];
+        let calls = MEMO_CAP + 3;
+        for k in 0..calls {
+            assert!(q.solve(state(k), Budget::unlimited()).unwrap().is_sat());
+        }
+        assert_eq!(q.memo.len(), MEMO_CAP);
+        assert_eq!(q.answers_reused(), 0, "every call was a new state");
+        q.solve(state(calls - 1), Budget::unlimited()).unwrap();
+        assert_eq!(q.answers_reused(), 1, "the newest answer is kept");
+        q.solve(state(0), Budget::unlimited()).unwrap();
+        assert_eq!(q.answers_reused(), 1, "the oldest answer was dropped");
     }
 }

@@ -13,7 +13,10 @@
 //!   [`muppet_logic::PartialInstance`] pin tuples true (lower bound) or
 //!   false (outside the upper bound) — exactly Kodkod's partial-instance
 //!   mechanism, which is how `C??` holes and soft settings reach the
-//!   solver.
+//!   solver. An unbounded relation's tuples are numbered arithmetically
+//!   (a base plus the mixed-radix index of the atoms' positions), as
+//!   Kodkod numbers them from its bounds, so nothing is stored per
+//!   tuple.
 //! * **CNF conversion** ([`tseitin`]): one-sided (Plaisted–Greenbaum
 //!   style) Tseitin encoding, sound and complete for NNF inputs.
 //! * **Named groups and cores**: every formula group is guarded by a
@@ -30,7 +33,9 @@
 //!   fresh engine and one call; [`PreparedStore`] holds warm engines
 //!   per query shape. Models are canonicalized by one lex-min solve at
 //!   every instance size and cores by ordered deletion, so a warm
-//!   engine and a fresh one answer byte-identically.
+//!   engine and a fresh one answer byte-identically — and an engine
+//!   answers a group list it has already solved from its memo,
+//!   without searching.
 //! * **Target-oriented solving** ([`IncrementalQuery::solve_target`]):
 //!   find the model *closest to a target instance* (minimal
 //!   symmetric-difference) over a [`totalizer`] cardinality encoding,

@@ -18,10 +18,11 @@ use crate::incremental::IncrementalQuery;
 /// universe, fixed instance, bounds and free relations. Distinct keys
 /// get distinct warm states; hitting an existing key is the warm path.
 ///
-/// Counter discipline: `builds`, `hits` and the group counters are
-/// **monotone over the store's lifetime** — evicting an engine retires
-/// its counters into store-level accumulators instead of forgetting
-/// them, so dashboards never see totals go backwards.
+/// Counter discipline: `builds`, `hits`, the group counters and the
+/// reused-answer counter are **monotone over the store's lifetime** —
+/// evicting an engine retires its counters into store-level
+/// accumulators instead of forgetting them, so dashboards never see
+/// totals go backwards.
 pub struct PreparedStore {
     map: HashMap<u128, IncrementalQuery>,
     order: Vec<u128>,
@@ -31,6 +32,7 @@ pub struct PreparedStore {
     evictions: u64,
     retired_encoded: u64,
     retired_reused: u64,
+    retired_answers: u64,
 }
 
 impl PreparedStore {
@@ -51,6 +53,7 @@ impl PreparedStore {
             evictions: 0,
             retired_encoded: 0,
             retired_reused: 0,
+            retired_answers: 0,
         }
     }
 
@@ -88,6 +91,7 @@ impl PreparedStore {
             self.evictions += 1;
             self.retired_encoded += old.encoded_groups();
             self.retired_reused += old.reused_groups();
+            self.retired_answers += old.answers_reused();
         }
     }
 
@@ -153,6 +157,23 @@ impl PreparedStore {
             (self.retired_encoded, self.retired_reused),
             |(e, r), q| (e + q.encoded_groups(), r + q.reused_groups()),
         )
+    }
+
+    /// Solves answered from an engine's memo without searching
+    /// ([`IncrementalQuery::answers_reused`]), summed across the store's
+    /// whole lifetime.
+    pub fn answers_reused(&self) -> u64 {
+        self.map
+            .values()
+            .fold(self.retired_answers, |n, q| n + q.answers_reused())
+    }
+
+    /// Whether the engine under `key` holds an encoding under the group
+    /// encoding key `group` ([`crate::FormulaGroup::encoding_keys`]):
+    /// a solve on that engine submitting the group grounds and encodes
+    /// it exactly when this is `false`.
+    pub fn holds_group(&self, key: u128, group: u128) -> bool {
+        self.map.get(&key).is_some_and(|q| q.holds_group(group))
     }
 }
 
@@ -339,6 +360,9 @@ mod tests {
         }
         let before = store.group_counters();
         assert_eq!(before, (1, 1));
+        store.get_or_build(1, || pq(&f)).solve(&[g.clone(), g.clone()], b.clone()).unwrap();
+        assert_eq!(store.answers_reused(), 1, "the repeat was answered from the memo");
+        let before = store.group_counters();
         // Key 2 evicts key 1 (cap is 1); totals must not shrink.
         store.get_or_build(2, || pq(&f));
         assert_eq!(store.evictions(), 1);
@@ -347,6 +371,7 @@ mod tests {
             before,
             "eviction retired key 1's counters instead of dropping them"
         );
+        assert_eq!(store.answers_reused(), 1);
         // Re-requesting key 1 mid-"negotiation" rebuilds transparently:
         // a fresh cold build whose groups re-encode.
         let q = store.get_or_build(1, || pq(&f));

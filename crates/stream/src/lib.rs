@@ -11,19 +11,22 @@
 //!    vocabulary only when the edit touched the mesh — the vocabulary
 //!    rebuild is content-driven, so an unchanged universe keeps the
 //!    warm engine's variable layout byte-identical),
-//! 2. predicts the dirtied CNF groups by diffing the encoding keys of
-//!    the groups a reconcile would submit against the previous delta's
-//!    set ([`muppet::Session::reconcile_group_signatures`]). Keys are a
+//! 2. names the dirtied CNF groups: those of the groups a reconcile
+//!    would submit whose encoding keys the warm engine does not hold
+//!    ([`muppet::Session::reconcile_group_signatures`]). Keys are a
 //!    group's meaning, not its name or its bound-variable ids
 //!    ([`muppet_solver::FormulaGroup::encoding_keys`]): re-translating
 //!    the goal tables after a ban edit renumbers the bound variables of
 //!    every later row and of the well-formedness axioms, and renames
-//!    every later `k8s goal N` row, yet dirties only the edited row,
+//!    every later `k8s goal N` row, yet dirties at most the edited row,
 //! 3. re-runs reconciliation multi-shot through
 //!    [`muppet::Session::reconcile`] on a per-delta session that
 //!    borrows the stream's store — groups the engine holds are reused
-//!    from its key index, only new content is ground and encoded, so a
-//!    ban toggled back encodes nothing — and
+//!    from its key index, only new content is ground and encoded, and a
+//!    group list the engine has solved before is answered from its
+//!    memo without searching, so a ban toggled back, or a label or
+//!    replica edit that leaves every goal as it was, costs neither
+//!    encoding nor search — and
 //! 4. hands the store the encoding keys the current state submits, so
 //!    an engine whose retired groups own most of its variables is
 //!    evicted and rebuilt from the live groups by the next delta
@@ -31,8 +34,9 @@
 //!    retiring content it never brings back keeps every such group
 //!    encoded forever and each solve pays for it, and
 //! 5. reports a per-delta [`StreamStats`]: verdict, whether it flipped,
-//!    dirtied group names, groups re-encoded vs reused, the warm
-//!    engine's size, whether it was compacted, and latency.
+//!    dirtied group names, groups re-encoded vs reused, whether the
+//!    answer was reused, the warm engine's size, whether it was
+//!    compacted, and latency.
 //!
 //! Warm verdicts are **byte-identical** to re-solves of every
 //! intermediate snapshot on a fresh session (canonical lex-min models +
@@ -230,15 +234,18 @@ pub struct StreamStats {
     pub verdict: String,
     /// Did the verdict change relative to the previous state?
     pub flipped: bool,
-    /// Names of the formula groups whose meaning the previous state did
-    /// not submit (encoding keys absent from its set). The warm engine
-    /// grounds and encodes those it does not already hold;
-    /// `groups_encoded` counts what it did.
+    /// Names of the formula groups this delta's solve ground and
+    /// encoded: those whose encoding key the warm engine did not hold
+    /// (each key once). A state the stream has been in before dirties
+    /// nothing.
     pub dirtied: Vec<String>,
     /// Groups ground+encoded by this solve.
     pub groups_encoded: u64,
     /// Groups reused from the warm engine's key index.
     pub groups_reused: u64,
+    /// Was the verdict the warm engine's memoized answer to a group
+    /// list it had already solved, given without searching?
+    pub answer_reused: bool,
     /// Did the delta force a vocabulary (universe) rebuild?
     pub vocab_rebuilt: bool,
     /// Solver variables the warm store holds after this delta,
@@ -335,18 +342,22 @@ impl StreamSession {
         vocab_rebuilt: bool,
     ) -> Result<StreamStats, StreamError> {
         let mut session = self.spec.session(&self.mv)?;
-        let sigs = session.reconcile_group_signatures(ReconcileMode::HardBounds);
-        let dirtied: Vec<String> = sigs
-            .iter()
-            .filter(|(_, key)| !self.prev_keys.contains(key))
-            .map(|(name, _)| name.clone())
-            .collect();
         // Lend the warm store to this delta's session and take it back
         // before looking at the result, so an error keeps it too.
         std::mem::swap(session.store_mut(), &mut self.store);
+        let sigs = session.reconcile_group_signatures(ReconcileMode::HardBounds);
+        // An exact duplicate shares its encoding: name it once.
+        let mut new_keys = BTreeSet::new();
+        let dirtied: Vec<String> = sigs
+            .iter()
+            .filter(|sig| !sig.encoded && new_keys.insert(sig.key))
+            .map(|sig| sig.name.clone())
+            .collect();
         let (enc_before, reuse_before) = session.store().group_counters();
+        let answers_before = session.store().answers_reused();
         let rec = session.reconcile(ReconcileMode::HardBounds);
         let (enc_after, reuse_after) = session.store().group_counters();
+        let answer_reused = session.store().answers_reused() > answers_before;
         std::mem::swap(session.store_mut(), &mut self.store);
         let rec = rec.map_err(StreamError::Engine)?;
         if let Some(ex) = &rec.exhausted {
@@ -359,7 +370,7 @@ impl StreamSession {
         }
         self.ctr_encoded.add(enc_after - enc_before);
         self.ctr_reused.add(reuse_after - reuse_before);
-        self.prev_keys = sigs.into_iter().map(|(_, k)| k).collect();
+        self.prev_keys = sigs.into_iter().map(|sig| sig.key).collect();
         let compacted = self.store.compact(&self.prev_keys) > 0;
         if compacted {
             self.ctr_compactions.inc();
@@ -374,6 +385,7 @@ impl StreamSession {
             dirtied,
             groups_encoded: enc_after - enc_before,
             groups_reused: reuse_after - reuse_before,
+            answer_reused,
             vocab_rebuilt,
             engine_vars: self.store.num_vars() as u64,
             compacted,
@@ -581,9 +593,12 @@ mod tests {
         ];
         let stats: Vec<StreamStats> = deltas.iter().map(|d| session.push(d).unwrap()).collect();
         assert!(stats[0].groups_encoded >= 1, "a ban on a new port is new content");
+        assert_eq!(stats[0].dirtied.len() as u64, stats[0].groups_encoded);
         assert_eq!(stats[1].verdict, before.verdict);
+        assert!(stats[1].answer_reused, "the state before the ban was solved already");
         for s in &stats[1..] {
             assert_eq!(s.groups_encoded, 0, "delta {} encoded {:?}", s.seq, s.dirtied);
+            assert!(s.dirtied.is_empty(), "delta {} dirtied {:?}", s.seq, s.dirtied);
         }
         let ports: Vec<u16> = session.spec().k8s_goals.iter().map(|g| g.port).collect();
         assert_eq!(ports, [free[0], first.port], "the first row moved to the end");

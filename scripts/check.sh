@@ -66,7 +66,9 @@ run cargo test -q --offline --test incremental_diff
 # edit streams against the fresh-Session oracle — byte-identical sat
 # and unsat verdicts on the bounded and the unbounded replay, a warm
 # engine at most 2x a fresh one's variables, no ban or goal-row delta
-# dirtying the structural axioms, and a >= 5x amortized warm speedup,
+# dirtying the structural axioms, every delta that repeats the previous
+# delta's group-key list answered from the engine's memo without
+# search, and a >= 5x amortized warm speedup,
 # recorded in BENCH_stream.json (written by W1 only, before the gates
 # fire, so trend lines survive a red run).
 run cargo test -q --offline --test stream_props

@@ -621,11 +621,17 @@ fn a4(t: &mut Table) {
         extra_ports: 8,
         ..ScenarioParams::default()
     });
-    let mut sess = scenario.session(false);
-    let (r, d_off) = timed_median(3, || sess.reconcile(ReconcileMode::HardBounds).unwrap());
+    // A fresh session per run on both sides: a repeat on one session
+    // is answered from its warm engine's memo without searching, and
+    // symmetry-breaking solves run on one-shot engines anyway.
+    let reconcile = |sb: bool| {
+        let mut sess = scenario.session(false);
+        sess.set_symmetry_breaking(sb);
+        sess.reconcile(ReconcileMode::HardBounds).unwrap()
+    };
+    let (r, d_off) = timed_median(3, || reconcile(false));
     assert!(r.success);
-    sess.set_symmetry_breaking(true);
-    let (r, d_on) = timed_median(3, || sess.reconcile(ReconcileMode::HardBounds).unwrap());
+    let (r, d_on) = timed_median(3, || reconcile(true));
     assert!(r.success);
     row(t, "A4", "easy-SAT mesh (12 svc)", "SB off (ms)", ms(d_off), "-");
     row(t, "A4", "easy-SAT mesh (12 svc)", "SB on (ms)", ms(d_on), "overhead on easy SAT");
@@ -1801,9 +1807,11 @@ fn w1(t: &mut Table) {
     let mut max_delta_us = initial.elapsed_us;
     let mut engine_vars_max = initial.engine_vars;
     let mut compactions = 0u64;
+    let mut answers_reused = 0u64;
     for d in &stream.deltas {
         let s = warm.push(d).expect("committed stream replays warm");
         flips += u64::from(s.flipped);
+        answers_reused += u64::from(s.answer_reused);
         max_delta_us = max_delta_us.max(s.elapsed_us);
         engine_vars_max = engine_vars_max.max(s.engine_vars);
         compactions += u64::from(s.compacted);
@@ -1879,6 +1887,7 @@ fn w1(t: &mut Table) {
         format!("{encoded} / {reused}"),
         "reuse dominates",
     );
+    row(t, "W1", &inst, "answers reused", answers_reused.to_string(), "-");
     let (unbounded, unbounded_failures) = w1_unbounded(t);
 
     // The artifact is written before any gate fires, so CI trend lines
@@ -1908,6 +1917,7 @@ fn w1(t: &mut Table) {
                 ("groups_reused", Json::num(reused)),
                 ("engine_vars_max", Json::num(engine_vars_max)),
                 ("compactions", Json::num(compactions)),
+                ("answers_reused", Json::num(answers_reused)),
             ]),
         ),
         (
@@ -1951,12 +1961,17 @@ fn w1(t: &mut Table) {
 /// re-solving every state on a fresh session. Verdicts (canonical
 /// models and ordered-deletion cores) must match byte for byte, sat
 /// and unsat alike; after every delta the warm store may hold at most
-/// twice the solver variables the fresh session's engine needs; and
-/// no ban or goal-row delta may dirty the `structural axioms` group,
-/// whose meaning such an edit never changes (group keys ignore names
-/// and bound-variable ids, so re-translating the goal tables must not
-/// re-ground the axioms). Returns the `BENCH_stream.json` block and
-/// the gate failures.
+/// twice the solver variables the fresh session's engine needs; no ban
+/// or goal-row delta may dirty the `structural axioms` group, whose
+/// meaning such an edit never changes (group keys ignore names and
+/// bound-variable ids, so re-translating the goal tables must not
+/// re-ground the axioms; a delta right after a compaction rebuilds the
+/// axioms with the engine and is not counted); and every delta that
+/// submits the same encoding-key list as the delta before it must be
+/// answered from the warm engine's memo, without searching (again
+/// except right after a compaction, which drops the memo with the
+/// engine). Returns the `BENCH_stream.json` block and the gate
+/// failures.
 fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
     use muppet_bench::scenario::corpus::{self, Kind};
     use muppet_daemon::json::Json;
@@ -1975,6 +1990,9 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
     let (mut unsat, mut unsat_identical, mut sat, mut sat_identical) = (0u64, 0u64, 0u64, 0u64);
     let (mut engine_vars_max, mut compactions, mut worst_ratio) = (0u64, 0u64, 0f64);
     let mut axioms_dirtied = 0u64;
+    let (mut answers_reused, mut repeats, mut repeats_reused) = (0u64, 0u64, 0u64);
+    let mut prev_keys: Vec<u128> = Vec::new();
+    let mut prev_compacted = false;
     for (seq, delta) in std::iter::once(None).chain(stream.deltas.iter().map(Some)).enumerate() {
         let stats = match delta {
             None => initial.clone(),
@@ -1986,6 +2004,21 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
         };
         let mv = spec.vocab();
         let mut fresh = spec.session(&mv).expect("cold session builds");
+        let keys: Vec<u128> = fresh
+            .reconcile_group_signatures(ReconcileMode::HardBounds)
+            .into_iter()
+            .map(|sig| sig.key)
+            .collect();
+        answers_reused += u64::from(stats.answer_reused);
+        if delta.is_some() && !prev_compacted && keys == prev_keys {
+            repeats += 1;
+            repeats_reused += u64::from(stats.answer_reused);
+            if !stats.answer_reused && failures.len() < 3 {
+                let kind = stats.kind;
+                failures.push(format!("seq {seq}: {kind} delta repeated its state but searched"));
+            }
+        }
+        prev_keys = keys;
         let rec = fresh.reconcile(ReconcileMode::HardBounds).expect("cold reconcile");
         assert!(rec.exhausted.is_none(), "cold oracle must not exhaust");
         let cold = verdict_line(&rec);
@@ -2010,7 +2043,8 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
         }
         engine_vars_max = engine_vars_max.max(stats.engine_vars);
         compactions += u64::from(stats.compacted);
-        let table_edit = delta.is_some_and(|d| !d.touches_mesh());
+        let table_edit = delta.is_some_and(|d| !d.touches_mesh()) && !prev_compacted;
+        prev_compacted = stats.compacted;
         if table_edit && stats.dirtied.iter().any(|n| n == "structural axioms") {
             axioms_dirtied += 1;
             if failures.len() < 3 {
@@ -2034,6 +2068,14 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
         axioms_dirtied.to_string(),
         "0",
     );
+    row(
+        t,
+        "W1",
+        &inst,
+        "repeated states answered without search",
+        format!("{repeats_reused}/{repeats}"),
+        "all",
+    );
     let doc = Json::obj([
         ("entry", Json::str(entry.name)),
         ("deltas", Json::num(stream.deltas.len() as u64)),
@@ -2046,6 +2088,9 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
         ("gate_warm_fresh_vars_ratio", Json::Num(2.0)),
         ("compactions", Json::num(compactions)),
         ("axioms_dirtied_by_table_edits", Json::num(axioms_dirtied)),
+        ("answers_reused", Json::num(answers_reused)),
+        ("repeated_states", Json::num(repeats)),
+        ("repeated_states_reused", Json::num(repeats_reused)),
     ]);
     (doc, failures)
 }
