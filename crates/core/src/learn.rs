@@ -440,6 +440,9 @@ mod tests {
         assert_eq!(learned.cubes[0].positive.len(), 1);
         // Far fewer queries than the 2^4 assignments.
         assert!(learned.queries <= 8, "{}", learned.queries);
+        // The generalization probes ran on one-shot engines: the store
+        // holds only the find loop's warm engine.
+        assert_eq!(session.store().len(), 1);
     }
 
     #[test]

@@ -146,19 +146,15 @@ pub enum ReconcileMode {
     Blameable,
 }
 
-/// Which engine a solve runs on. The two one-shot kinds are fresh
-/// engines dropped after the call, for queries whose clauses must not
-/// outlive them.
+/// Which engine a solve runs on.
 #[derive(Clone, Copy)]
 pub(crate) enum Engine {
     /// The session store's warm engine for the query's shape.
     Warm,
-    /// One-shot, with lex-leader symmetry breaking over the query's
-    /// groups: the lex clauses are permanent and depend on the goal set.
-    SymmetryBreaking,
-    /// One-shot, without core minimization: envelope learning's
-    /// generalization probes change their bounds (and with them the
-    /// engine shape) on every probe, and need only the verdict.
+    /// A fresh engine, dropped after the call, without core
+    /// minimization: envelope learning's generalization probes change
+    /// their bounds (and with them the engine shape) on every probe,
+    /// and need only the verdict.
     Probe,
 }
 
@@ -194,7 +190,6 @@ pub struct Session<'a> {
     structure: Instance,
     axioms: Vec<Formula>,
     parties: Vec<Party>,
-    symmetry_breaking: bool,
     budget: Budget,
     retry: RetryPolicy,
     store: PreparedStore,
@@ -210,7 +205,6 @@ impl<'a> Session<'a> {
             structure,
             axioms: Vec::new(),
             parties: Vec::new(),
-            symmetry_breaking: false,
             budget: Budget::unlimited(),
             retry: RetryPolicy::default(),
             store: PreparedStore::new(),
@@ -242,16 +236,6 @@ impl<'a> Session<'a> {
     /// The session's retry policy.
     pub fn retry_policy(&self) -> &RetryPolicy {
         &self.retry
-    }
-
-    /// Enable interchangeable-atom symmetry breaking for the session's
-    /// satisfiability queries (Alg. 1/2 and envelope-side synthesis).
-    /// Minimal-edit queries are unaffected — they must see the full
-    /// model space. Most useful when the universe carries spare ports
-    /// for ∃-port goals. The lex clauses are permanent, so these
-    /// queries run on one-shot engines and bypass the warm store.
-    pub fn set_symmetry_breaking(&mut self, enable: bool) {
-        self.symmetry_breaking = enable;
     }
 
     /// The session's warm engine store.
@@ -510,17 +494,14 @@ impl<'a> Session<'a> {
     pub fn reconcile_group_signatures(&self, mode: ReconcileMode) -> Vec<GroupSignature> {
         let (bounds, groups) = self.reconcile_input(mode);
         let keys = FormulaGroup::encoding_keys(&groups);
-        // Symmetry-breaking sessions solve on one-shot engines, which
-        // hold nothing.
-        let engine = (!self.symmetry_breaking)
-            .then(|| self.warm_key(&bounds, &self.all_party_rels(), &self.structure));
+        let engine = self.warm_key(&bounds, &self.all_party_rels(), &self.structure);
         groups
             .into_iter()
             .zip(keys)
             .map(|(g, key)| GroupSignature {
                 name: g.name,
                 key,
-                encoded: engine.is_some_and(|e| self.store.holds_group(e, key)),
+                encoded: self.store.holds_group(engine, key),
             })
             .collect()
     }
@@ -582,15 +563,14 @@ impl<'a> Session<'a> {
     }
 
     /// Fingerprint of the session's full semantic content — universe,
-    /// vocabulary, structure, axioms, every party's goals and offer,
-    /// and the symmetry flag. Daemon-level caches key on this.
+    /// vocabulary, structure, axioms, and every party's goals and
+    /// offer. Daemon-level caches key on this.
     pub fn content_fingerprint(&self) -> u128 {
         let mut fp = Fingerprinter::new();
         fp.add_universe(self.universe)
             .add_vocab(&self.vocab)
             .add_instance(&self.structure)
-            .add_hash(&self.axioms)
-            .add_bool(self.symmetry_breaking);
+            .add_hash(&self.axioms);
         fp.add_u64(self.parties.len() as u64);
         for p in &self.parties {
             fp.add_party(p);
@@ -625,11 +605,6 @@ impl<'a> Session<'a> {
             Engine::Warm => {
                 let key = self.warm_key(bounds, free, fixed);
                 self.store.get_or_build(key, build)
-            }
-            Engine::SymmetryBreaking => {
-                one_shot = build();
-                one_shot.add_symmetry_breaking();
-                &mut one_shot
             }
             Engine::Probe => {
                 one_shot = build();
@@ -668,19 +643,14 @@ impl<'a> Session<'a> {
 
     /// A satisfiability solve over every party's relations against the
     /// structure — the shape of Alg. 1/2, synthesis and the monolithic
-    /// baseline. Symmetry-breaking sessions solve on a one-shot engine.
+    /// baseline, on the store's warm engine.
     pub(crate) fn solve(
         &mut self,
         bounds: &PartialInstance,
         groups: &[FormulaGroup],
     ) -> Result<(Outcome, u32), MuppetError> {
-        let engine = if self.symmetry_breaking {
-            Engine::SymmetryBreaking
-        } else {
-            Engine::Warm
-        };
         let free = self.all_party_rels();
-        self.run(engine, &free, bounds, None, groups, |pq, groups, budget| {
+        self.run(Engine::Warm, &free, bounds, None, groups, |pq, groups, budget| {
             pq.solve(groups, budget)
         })
     }
@@ -833,8 +803,7 @@ impl<'a> Session<'a> {
     /// current or preferred configuration) that satisfies the envelope.
     /// Returns the edited configuration and the edit distance (tuple
     /// flips over the party's relations). The query ranges over the
-    /// party's own relations with no symmetry breaking (lex-leader
-    /// pruning would hide the true nearest model); its warm engine keeps
+    /// party's own relations; its warm engine keeps
     /// the cardinality encoding and learned clauses, so a negotiation's
     /// counter-offer queries get cheaper round over round.
     pub fn minimal_edit(
@@ -1419,18 +1388,6 @@ mod tests {
             let again = s.reconcile_group_signatures(mode);
             assert!(again.iter().all(|sig| sig.encoded), "{mode:?}: the engine holds every group");
         }
-    }
-
-    /// Symmetry-breaking solves run on one-shot engines: the permanent
-    /// lex clauses must never enter the warm store.
-    #[test]
-    fn symmetry_breaking_solves_bypass_the_store() {
-        let mv = MeshVocab::paper_example();
-        let mut s = paper_session(&mv, &IstioGoal::fig4());
-        s.set_symmetry_breaking(true);
-        let rec = s.reconcile(ReconcileMode::HardBounds).unwrap();
-        assert!(rec.success);
-        assert!(s.store().is_empty(), "one-shot solves must not populate the store");
     }
 
     /// An expired deadline (no fault injection at all) also yields the

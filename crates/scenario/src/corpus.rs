@@ -4,8 +4,8 @@
 //!
 //! * **smoke** — seconds-scale mesh scenarios; run everywhere.
 //! * **paper** — the paper's walkthrough instances (Figs. 1–4) plus
-//!   paper-scale generated meshes and the relational pigeonhole the A4
-//!   ablation uses.
+//!   paper-scale generated meshes and a relational pigeonhole, an
+//!   UNSAT verdict gate with a fully symmetric search space.
 //! * **large** — ≥1000-service generated meshes with tight offers; the
 //!   harness S1 scale lane runs the headline entries end to end and the
 //!   rest behind `MUPPET_SCALE=full`.
@@ -260,7 +260,7 @@ pub const CORPUS: &[CorpusEntry] = &[
             holes: 8,
         },
         expected: Expected::Unsat,
-        note: "relational pigeonhole (A4 symmetry ablation)",
+        note: "relational pigeonhole (symmetric UNSAT verdict gate)",
     },
     CorpusEntry {
         name: "stream-policy-churn",

@@ -1,8 +1,8 @@
 //! The paper's fixed walkthrough instances (Figs. 1–4) and the
 //! relational pigeonhole family, packaged for benches, the harness and
 //! the examples. One definition — every lane that used to hand-build
-//! these fixtures (E1/E2/E5, the incremental lane, the
-//! A4 ablation) consumes them from here, byte-identically.
+//! these fixtures (E1/E2/E5, the incremental lane, the S1 corpus)
+//! consumes them from here, byte-identically.
 
 use muppet::{NamedGoal, Party, Session};
 use muppet_goals::{fig2, translate_istio_goals, translate_k8s_goals, IstioGoal};
@@ -48,8 +48,9 @@ pub fn session(mv: &MeshVocab, table: IstioTable) -> Session<'_> {
 
 /// The relational pigeonhole principle PHP(`pigeons`, `holes`): every
 /// pigeon sits in a hole, no hole holds two pigeons. Unsatisfiable iff
-/// `pigeons > holes`, with a fully symmetric search space — the
-/// symmetry-breaking ablation's worst case. Returns the universe,
+/// `pigeons > holes`, with a fully symmetric search space that no
+/// Muppet workflow produces; the corpus keeps it as an UNSAT verdict
+/// gate for the relational pipeline. Returns the universe,
 /// vocabulary, the free `sits` relation and the two axioms.
 pub fn php_relational(
     pigeons: usize,

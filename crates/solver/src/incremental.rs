@@ -47,7 +47,7 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use muppet_logic::fingerprint::Fingerprinter;
-use muppet_logic::{Formula, Instance, PartialInstance, RelId, Universe, Vocabulary};
+use muppet_logic::{Instance, PartialInstance, RelId, Universe, Vocabulary};
 use muppet_obs::Counter;
 use muppet_sat::{mus, Budget, Lit, Model, SolveResult, Solver, SolverStats, Var};
 
@@ -93,12 +93,6 @@ pub enum TargetStrategy {
 /// groups encoded on first use and activated by selector assumptions
 /// ever after. See the module docs for the reuse and canonicalization
 /// contracts.
-///
-/// Restriction: [`IncrementalQuery::add_symmetry_breaking`] makes the
-/// next solve install *permanent*, goal-set-dependent lex clauses, so
-/// it is only sound on an engine used once and dropped. Warm callers
-/// must not enable it — `Session` runs symmetry-breaking solves on a
-/// one-shot engine.
 pub struct IncrementalQuery {
     vocab: Vocabulary,
     universe: Universe,
@@ -120,12 +114,6 @@ pub struct IncrementalQuery {
     /// (permanent, one-sided, assumption-activated) totalizer clauses.
     totalizers: HashMap<u128, Totalizer>,
     minimize_cores: bool,
-    /// Set by [`IncrementalQuery::add_symmetry_breaking`]; the next
-    /// [`IncrementalQuery::solve`] installs the lex clauses and clears it.
-    lex_pending: bool,
-    /// Lex clauses are installed: they are permanent and goal-set
-    /// dependent, so no answer is memoized from then on.
-    lex_installed: bool,
     /// Canonical answers of earlier [`IncrementalQuery::solve`] calls,
     /// keyed by their assumption lists, oldest first.
     memo: VecDeque<(Vec<Lit>, Answer)>,
@@ -199,8 +187,6 @@ impl IncrementalQuery {
             index: HashMap::new(),
             totalizers: HashMap::new(),
             minimize_cores: true,
-            lex_pending: false,
-            lex_installed: false,
             memo: VecDeque::new(),
             answers_reused: 0,
             target_strategy: TargetStrategy::default(),
@@ -373,40 +359,6 @@ impl IncrementalQuery {
             .collect()
     }
 
-    /// Break symmetries on this one-shot engine: the next
-    /// [`IncrementalQuery::solve`] installs lex-leader clauses over the
-    /// interchangeable atoms of its goal set, after encoding its groups
-    /// and before searching. The clauses are **permanent** and goal-set
-    /// dependent, so this is only sound on an engine used once and
-    /// dropped; never call it on a warm engine. `solve_target` and
-    /// `enumerate` never install them: they must see the whole model
-    /// space.
-    pub fn add_symmetry_breaking(&mut self) {
-        self.lex_pending = true;
-    }
-
-    fn install_symmetry_breaking(&mut self, groups: &[FormulaGroup]) {
-        self.lex_installed = true;
-        self.memo.clear();
-        let formulas: Vec<&Formula> = groups.iter().flat_map(|g| g.formulas.iter()).collect();
-        let classes = crate::symmetry::interchangeable_classes(
-            &self.vocab,
-            &self.universe,
-            &formulas,
-            &self.fixed,
-            &self.bounds,
-        );
-        crate::symmetry::add_symmetry_breaking(
-            &classes,
-            &self.free_rels,
-            &self.vocab,
-            &self.universe,
-            self.varmap.as_ref().expect("free-tuple layout built by prepare"),
-            &mut self.solver,
-            crate::symmetry::DEFAULT_MAX_PAIRS,
-        );
-    }
-
     /// Counters snapshot before a solve; [`Self::delta_stats`] reports
     /// the work done since.
     fn stats_base(&self) -> QueryStats {
@@ -514,17 +466,12 @@ impl IncrementalQuery {
         self.totalizers[&tkey].at_most(0)
     }
 
-    /// Does this engine memoize answers? Not with core minimization
-    /// off (a first core is not canonical) and not once lex clauses
-    /// are installed.
-    fn memoizes(&self) -> bool {
-        self.minimize_cores && !self.lex_installed
-    }
-
     /// The memoized answer to `assumptions`, as an outcome named by the
-    /// current call's `groups`, with zero work counters.
+    /// current call's `groups`, with zero work counters. An engine with
+    /// core minimization off memoizes nothing: a first core is not
+    /// canonical.
     fn recall(&mut self, groups: &[FormulaGroup], assumptions: &[Lit]) -> Option<Outcome> {
-        if !self.memoizes() {
+        if !self.minimize_cores {
             return None;
         }
         let (_, answer) = self.memo.iter().find(|(key, _)| key == assumptions)?;
@@ -550,7 +497,7 @@ impl IncrementalQuery {
     /// Keep the canonical `answer` to `assumptions`, dropping the
     /// oldest entry beyond [`MEMO_CAP`].
     fn remember(&mut self, assumptions: &[Lit], answer: Answer) {
-        if !self.memoizes() {
+        if !self.minimize_cores {
             return;
         }
         if self.memo.len() >= MEMO_CAP {
@@ -691,9 +638,6 @@ impl IncrementalQuery {
             }
             Err(e) => return Err(e),
         };
-        if std::mem::take(&mut self.lex_pending) {
-            self.install_symmetry_breaking(groups);
-        }
         let base = self.stats_base();
         self.solver.set_budget(budget);
         let outcome = self.run_search(groups, &assumptions, &base);
@@ -1118,7 +1062,7 @@ impl IncrementalQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muppet_logic::{evaluate_closed, Domain, PartyId, SortId, Term, VarId};
+    use muppet_logic::{evaluate_closed, Domain, Formula, PartyId, SortId, Term, VarId};
 
     struct Fix {
         u: Universe,
@@ -1316,143 +1260,6 @@ mod tests {
     fn no_groups_means_any_instance_works() {
         let f = fix();
         assert!(engine(&f).solve(&[], Budget::unlimited()).unwrap().is_sat());
-    }
-
-    #[test]
-    fn symmetry_breaking_preserves_verdicts() {
-        // ∃-style goal over interchangeable atoms: SAT with and without
-        // SB; an UNSAT variant stays UNSAT.
-        let f = fix();
-        // atoms[0] appears as a constant; atoms 1,2 are interchangeable.
-        let t1 = tuple_pred(&f, 0, 0);
-        let mut q = engine(&f);
-        q.add_symmetry_breaking();
-        let g = FormulaGroup::new("g", vec![t1.clone()]);
-        assert!(q.solve(std::slice::from_ref(&g), Budget::unlimited()).unwrap().is_sat());
-        let mut q2 = engine(&f);
-        q2.add_symmetry_breaking();
-        let groups = [g, FormulaGroup::new("ng", vec![Formula::not(t1)])];
-        match q2.solve(&groups, Budget::unlimited()).unwrap() {
-            Outcome::Unsat { core, .. } => assert_eq!(core.len(), 2),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn symmetry_breaking_skipped_for_target_and_enumerate() {
-        // enumerate must still see ALL models even with SB requested.
-        let f = fix();
-        let mut bounds = PartialInstance::new();
-        // Two interchangeable-atom tuples only.
-        bounds.permit(f.listens, vec![f.atoms[1]]);
-        bounds.permit(f.listens, vec![f.atoms[2]]);
-        let mut q = IncrementalQuery::new(&f.v, &f.u, &[f.listens], &bounds, Instance::new());
-        q.add_symmetry_breaking();
-        let models = q.enumerate(&[], 10, Budget::unlimited()).unwrap();
-        assert_eq!(models.len(), 4, "all 2^2 models, symmetric ones included");
-        // Target solving also ignores SB: nearest model to
-        // {listens(atom2)} is itself, not a canonical rotation.
-        let mut target = Instance::new();
-        target.insert(f.listens, vec![f.atoms[2]]);
-        let (out, dist) = q.solve_target(&[], &target, Budget::unlimited()).unwrap();
-        assert!(out.is_sat());
-        assert_eq!(dist, 0);
-    }
-
-    /// Relational pigeonhole: `sits ⊆ P×H`, every pigeon sits somewhere,
-    /// no hole holds two pigeons. Pure quantifiers — every atom is
-    /// interchangeable — so symmetry breaking should slash the conflict
-    /// count on the UNSAT instance.
-    fn php_query(pigeons: usize, holes: usize) -> (Universe, Vocabulary, RelId) {
-        let mut u = Universe::new();
-        let ps = u.add_sort("P");
-        let hs = u.add_sort("H");
-        for i in 0..pigeons {
-            u.add_atom(ps, format!("p{i}"));
-        }
-        for i in 0..holes {
-            u.add_atom(hs, format!("h{i}"));
-        }
-        let mut v = Vocabulary::new();
-        let sits = v.add_simple_rel("sits", vec![ps, hs], Domain::Party(PartyId(0)));
-        (u, v, sits)
-    }
-
-    fn php_formulas(v: &mut Vocabulary, sits: RelId) -> Vec<Formula> {
-        let ps = SortId(0);
-        let hs = SortId(1);
-        let p = v.fresh_var();
-        let p2 = v.fresh_var();
-        let h = v.fresh_var();
-        vec![
-            Formula::forall(
-                p,
-                ps,
-                Formula::exists(h, hs, Formula::pred(sits, [Term::Var(p), Term::Var(h)])),
-            ),
-            Formula::forall(
-                h,
-                hs,
-                Formula::forall(
-                    p,
-                    ps,
-                    Formula::forall(
-                        p2,
-                        ps,
-                        Formula::implies(
-                            Formula::and([
-                                Formula::pred(sits, [Term::Var(p), Term::Var(h)]),
-                                Formula::pred(sits, [Term::Var(p2), Term::Var(h)]),
-                            ]),
-                            Formula::Eq(Term::Var(p), Term::Var(p2)),
-                        ),
-                    ),
-                ),
-            ),
-        ]
-    }
-
-    fn php_engine(u: &Universe, v: &Vocabulary, sits: RelId) -> IncrementalQuery {
-        IncrementalQuery::new(v, u, &[sits], &PartialInstance::new(), Instance::new())
-    }
-
-    #[test]
-    fn symmetry_breaking_slashes_pigeonhole_conflicts() {
-        let (u, mut v, sits) = php_query(7, 6);
-        let groups = [FormulaGroup::new("php", php_formulas(&mut v, sits))];
-        let run = |sb: bool| {
-            let mut q = php_engine(&u, &v, sits);
-            q.set_minimize_cores(false);
-            if sb {
-                q.add_symmetry_breaking();
-            }
-            match q.solve(&groups, Budget::unlimited()).unwrap() {
-                Outcome::Unsat { stats, .. } => stats.conflicts,
-                other => panic!("PHP(7,6) must be unsat, got {other:?}"),
-            }
-        };
-        let without = run(false);
-        let with = run(true);
-        assert!(
-            with < without,
-            "SB should prune the symmetric search: {with} vs {without} conflicts"
-        );
-    }
-
-    #[test]
-    fn symmetry_breaking_keeps_satisfiable_php_satisfiable() {
-        let (u, mut v, sits) = php_query(5, 5);
-        let formulas = php_formulas(&mut v, sits);
-        let mut q = php_engine(&u, &v, sits);
-        q.add_symmetry_breaking();
-        let groups = [FormulaGroup::new("php", formulas.clone())];
-        let Outcome::Sat { solution, .. } = q.solve(&groups, Budget::unlimited()).unwrap() else {
-            panic!("PHP(5,5) is satisfiable");
-        };
-        // The model is a genuine perfect matching.
-        for f in &formulas {
-            assert!(evaluate_closed(f, &solution, &u).unwrap());
-        }
     }
 
     #[test]
@@ -1938,10 +1745,10 @@ mod tests {
         assert_eq!(again.solution(), fresh.solution());
     }
 
-    /// Probe one-shots (first cores, not minimized) and symmetry-breaking
-    /// one-shots (permanent lex clauses) never answer from the memo.
+    /// Probe one-shots (first cores, not minimized) never answer from
+    /// the memo.
     #[test]
-    fn probe_and_symmetry_breaking_engines_never_reuse_an_answer() {
+    fn probe_engines_never_reuse_an_answer() {
         let f = fix();
         let groups = [
             FormulaGroup::new("pos", vec![tuple_pred(&f, 0, 1)]),
@@ -1949,15 +1756,11 @@ mod tests {
         ];
         let mut probe = engine(&f);
         probe.set_minimize_cores(false);
-        let mut sb = engine(&f);
-        sb.add_symmetry_breaking();
-        for q in [&mut probe, &mut sb] {
-            for groups in [&groups[..], &groups[..1], &groups[..], &groups[..1]] {
-                assert!(!q.solve(groups, Budget::unlimited()).unwrap().is_unknown());
-            }
-            assert_eq!(q.answers_reused(), 0);
-            assert!(q.memo.is_empty());
+        for groups in [&groups[..], &groups[..1], &groups[..], &groups[..1]] {
+            assert!(!probe.solve(groups, Budget::unlimited()).unwrap().is_unknown());
         }
+        assert_eq!(probe.answers_reused(), 0);
+        assert!(probe.memo.is_empty());
     }
 
     /// The memo keeps at most `MEMO_CAP` answers and drops the oldest

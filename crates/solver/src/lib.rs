@@ -45,12 +45,6 @@
 //! * **Model enumeration** ([`IncrementalQuery::enumerate`]): iterate
 //!   distinct models via blocking clauses; used by tests to verify
 //!   envelope necessity/sufficiency by exhaustion on small universes.
-//! * **Symmetry breaking** ([`symmetry`], opt-in via
-//!   [`IncrementalQuery::add_symmetry_breaking`]): Kodkod's
-//!   interchangeable-atom optimization — lex-leader constraints over
-//!   atoms the problem cannot tell apart (spare ports). Only legal for
-//!   plain satisfiability solves on a one-shot engine; target-oriented
-//!   and enumeration queries keep the full model space.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +55,6 @@ pub mod ground;
 pub mod incremental;
 pub mod prepared;
 pub mod query;
-pub mod symmetry;
 pub mod totalizer;
 pub mod tseitin;
 pub mod varmap;

@@ -24,8 +24,8 @@ enum Layout {
     /// Unbounded: every tuple of the product is free. Tuple
     /// `(a₁…a_k)` is variable `base + index`, where `index` is the
     /// mixed-radix number whose digits are the atoms' positions in
-    /// their sorts, the first argument most significant: the position
-    /// [`tuple_product`] lists the tuple at.
+    /// their sorts, the first argument most significant: the tuple's
+    /// position in the lexicographic product of its sorts.
     Range {
         base: usize,
         sorts: Vec<SortId>,
@@ -296,29 +296,30 @@ impl VarMap {
     }
 }
 
-/// Enumerate the full tuple product of the given argument sorts.
-pub(crate) fn tuple_product(universe: &Universe, arg_sorts: &[SortId]) -> Vec<Vec<AtomId>> {
-    let mut out: Vec<Vec<AtomId>> = vec![Vec::new()];
-    for &sort in arg_sorts {
-        let atoms = universe.atoms_of(sort);
-        let mut next = Vec::with_capacity(out.len() * atoms.len().max(1));
-        for prefix in &out {
-            for &a in atoms {
-                let mut t = prefix.clone();
-                t.push(a);
-                next.push(t);
-            }
-        }
-        out = next;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use muppet_logic::Domain;
     use proptest::prelude::*;
+
+    /// The full tuple product of the given argument sorts, in the order
+    /// the layout numbers unbounded tuples.
+    fn tuple_product(universe: &Universe, arg_sorts: &[SortId]) -> Vec<Vec<AtomId>> {
+        let mut out: Vec<Vec<AtomId>> = vec![Vec::new()];
+        for &sort in arg_sorts {
+            let atoms = universe.atoms_of(sort);
+            let mut next = Vec::with_capacity(out.len() * atoms.len().max(1));
+            for prefix in &out {
+                for &a in atoms {
+                    let mut t = prefix.clone();
+                    t.push(a);
+                    next.push(t);
+                }
+            }
+            out = next;
+        }
+        out
+    }
 
     fn setup() -> (Universe, Vocabulary, RelId, Vec<AtomId>) {
         let mut u = Universe::new();

@@ -62,7 +62,7 @@ use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedu
 use muppet::{baseline, Budget, ExhaustionReport, ReconcileMode, RetryPolicy, Session};
 use muppet_bench::paper::{session, vocab, IstioTable};
 use muppet_bench::scenario::{generate, ScenarioParams};
-use muppet_bench::timing::{ms, timed_median, Table};
+use muppet_bench::timing::{ms, timed, timed_median, Table};
 use muppet_logic::{Formula, Instance};
 
 const REPS: usize = 5;
@@ -100,6 +100,32 @@ fn govern(s: &mut Session<'_>) {
             g.retries.unwrap_or(1),
         ));
     }
+}
+
+/// Run `op` on a freshly built, governed session `reps` times and
+/// return the last session and result with the median time of `op`
+/// alone. A repeat on one session is answered from its warm engine's
+/// memo without searching, so each run gets its own session, and each
+/// session must have recalled no answer: a row times solves, never a
+/// recall.
+fn timed_fresh<'u, T>(
+    reps: usize,
+    build: impl Fn() -> Session<'u>,
+    mut op: impl FnMut(&mut Session<'u>) -> T,
+) -> (Session<'u>, T, Duration) {
+    let mut durations = Vec::with_capacity(reps);
+    let mut last = None;
+    for _ in 0..reps {
+        let mut s = build();
+        govern(&mut s);
+        let (out, d) = timed(|| op(&mut s));
+        assert_eq!(s.store().answers_reused(), 0, "a timed run recalled a memoized answer");
+        durations.push(d);
+        last = Some((s, out));
+    }
+    durations.sort();
+    let (s, out) = last.expect("reps >= 1");
+    (s, out, durations[reps / 2])
 }
 
 /// Structured exhaustion row: where the budget died and what it cost.
@@ -184,7 +210,6 @@ fn main() {
         ("A1", a1),
         ("A2", a2),
         ("A3", a3),
-        ("A4", a4),
         ("X1", x1),
         ("X2", x2),
         ("D1", d1),
@@ -196,6 +221,9 @@ fn main() {
         ("K1", k1),
         ("M1", m1),
     ];
+    if !experiments.iter().any(|(id, _)| want(id)) {
+        usage(format!("no experiment id starts with any of {filter:?}"));
+    }
     let mut runs: Vec<(String, f64, &'static str)> = Vec::new();
     for (id, f) in experiments {
         if !want(id) {
@@ -285,9 +313,11 @@ fn row(t: &mut Table, exp: &str, instance: &str, metric: &str, value: String, pa
 /// exactly the ban and the backend→frontend:23 goal.
 fn e1(t: &mut Table) {
     let mv = vocab();
-    let mut s = session(&mv, IstioTable::Fig3);
-    govern(&mut s);
-    let (rec, d) = timed_median(REPS, || s.reconcile(ReconcileMode::Blameable).unwrap());
+    let (_, rec, d) = timed_fresh(
+        REPS,
+        || session(&mv, IstioTable::Fig3),
+        |s| s.reconcile(ReconcileMode::Blameable).unwrap(),
+    );
     if let Some(ex) = &rec.exhausted {
         exhausted_row(t, "E1", "fig2+fig3", ex);
         return;
@@ -309,9 +339,11 @@ fn e1(t: &mut Table) {
 /// against the delivered configurations.
 fn e2(t: &mut Table) {
     let mv = vocab();
-    let mut s = session(&mv, IstioTable::Fig4);
-    govern(&mut s);
-    let (rec, d) = timed_median(REPS, || s.reconcile(ReconcileMode::HardBounds).unwrap());
+    let (s, rec, d) = timed_fresh(
+        REPS,
+        || session(&mv, IstioTable::Fig4),
+        |s| s.reconcile(ReconcileMode::HardBounds).unwrap(),
+    );
     if let Some(ex) = &rec.exhausted {
         exhausted_row(t, "E2", "fig2+fig4", ex);
         return;
@@ -385,8 +417,6 @@ fn e4(t: &mut Table) {
             conflict_fraction: 0.0,
             ..ScenarioParams::default()
         });
-        let mut sess = scenario.session(false);
-        govern(&mut sess);
         let reps = if n >= 24 { 3 } else { REPS };
         let inst = format!("{n} services");
         let expect = if n <= 8 {
@@ -395,16 +425,22 @@ fn e4(t: &mut Table) {
             "graceful growth"
         };
 
-        let (r, d) = timed_median(reps, || {
-            sess.local_consistency(scenario.mv.istio_party).unwrap()
-        });
+        let (_, r, d) = timed_fresh(
+            reps,
+            || scenario.session(false),
+            |s| s.local_consistency(scenario.mv.istio_party).unwrap(),
+        );
         if let Some(ex) = &r.exhausted {
             exhausted_row(t, "E4", &inst, ex);
             continue;
         }
         assert!(r.ok);
         row(t, "E4", &inst, "local consistency (ms)", ms(d), expect);
-        let (r, d) = timed_median(reps, || sess.reconcile(ReconcileMode::HardBounds).unwrap());
+        let (sess, r, d) = timed_fresh(
+            reps,
+            || scenario.session(false),
+            |s| s.reconcile(ReconcileMode::HardBounds).unwrap(),
+        );
         if let Some(ex) = &r.exhausted {
             exhausted_row(t, "E4", &inst, ex);
             continue;
@@ -442,9 +478,11 @@ fn e4(t: &mut Table) {
         conflict_fraction: 0.0,
         ..ScenarioParams::default()
     });
-    let mut sess = scenario.session(false);
-    govern(&mut sess);
-    let (r, d) = timed_median(3, || sess.reconcile(ReconcileMode::HardBounds).unwrap());
+    let (_, r, d) = timed_fresh(
+        3,
+        || scenario.session(false),
+        |s| s.reconcile(ReconcileMode::HardBounds).unwrap(),
+    );
     if let Some(ex) = &r.exhausted {
         exhausted_row(t, "E4", "12 services, 3 namespaces", ex);
         return;
@@ -464,10 +502,9 @@ fn e4(t: &mut Table) {
 /// premium Muppet pays for blame.
 fn e5(t: &mut Table) {
     let mv = vocab();
-    let mut s = session(&mv, IstioTable::Fig3);
-    govern(&mut s);
-    let (b, db) = timed_median(REPS, || baseline::monolithic_synthesis(&mut s).unwrap());
-    let (m, dm) = timed_median(REPS, || s.reconcile(ReconcileMode::Blameable).unwrap());
+    let fig3 = || session(&mv, IstioTable::Fig3);
+    let (_, b, db) = timed_fresh(REPS, fig3, |s| baseline::monolithic_synthesis(s).unwrap());
+    let (_, m, dm) = timed_fresh(REPS, fig3, |s| s.reconcile(ReconcileMode::Blameable).unwrap());
     if let Some(ex) = &m.exhausted {
         exhausted_row(t, "E5", "fig2+fig3", ex);
         return;
@@ -490,12 +527,12 @@ fn e5(t: &mut Table) {
 /// E6 — Fig. 7 conformance workflow episodes.
 fn e6(t: &mut Table) {
     let mv = vocab();
-    let mut strict = session(&mv, IstioTable::Fig3);
-    govern(&mut strict);
     let preferred = mv.structure_instance();
-    let (report, d) = timed_median(REPS, || {
-        run_conformance(&mut strict, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap()
-    });
+    let (_, report, d) = timed_fresh(
+        REPS,
+        || session(&mv, IstioTable::Fig3),
+        |s| run_conformance(s, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap(),
+    );
     assert!(!report.success);
     row(t, "E6", "strict tenant", "outcome", "rejected".into(), "tenant must revise");
     row(
@@ -508,11 +545,11 @@ fn e6(t: &mut Table) {
     );
     row(t, "E6", "strict tenant", "time (ms)", ms(d), "< 1000");
 
-    let mut relaxed = session(&mv, IstioTable::Fig4);
-    govern(&mut relaxed);
-    let (report, d) = timed_median(REPS, || {
-        run_conformance(&mut relaxed, mv.k8s_party, mv.istio_party, None).unwrap()
-    });
+    let (_, report, d) = timed_fresh(
+        REPS,
+        || session(&mv, IstioTable::Fig4),
+        |s| run_conformance(s, mv.k8s_party, mv.istio_party, None).unwrap(),
+    );
     assert!(report.success);
     row(t, "E6", "relaxed tenant", "outcome", "conforming config".into(), "success");
     row(t, "E6", "relaxed tenant", "time (ms)", ms(d), "< 1000");
@@ -522,15 +559,15 @@ fn e6(t: &mut Table) {
 /// resynthesis.
 fn e7(t: &mut Table) {
     let mv = vocab();
-    let mut s = session(&mv, IstioTable::Fig3);
-    govern(&mut s);
-    let env = s
+    let env = session(&mv, IstioTable::Fig3)
         .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
         .unwrap();
     let target = mv.structure_instance();
-    let ((out, dist), d) = timed_median(REPS, || {
-        s.minimal_edit(mv.istio_party, &env, &target).unwrap()
-    });
+    let (_, (out, dist), d) = timed_fresh(
+        REPS,
+        || session(&mv, IstioTable::Fig3),
+        |s| s.minimal_edit(mv.istio_party, &env, &target).unwrap(),
+    );
     if let muppet_solver::Outcome::Unknown { phase, stats, .. } = &out {
         row(
             t,
@@ -546,10 +583,11 @@ fn e7(t: &mut Table) {
     row(t, "E7", "paper deployment", "minimal edit distance", dist.to_string(), "1 tuple");
     row(t, "E7", "paper deployment", "target-oriented time (ms)", ms(d), "< 1000");
 
-    let mut s4 = session(&mv, IstioTable::Fig4);
-    let (out, d) = timed_median(REPS, || {
-        s4.synthesize_against(mv.istio_party, &env).unwrap()
-    });
+    let (s4, out, d) = timed_fresh(
+        REPS,
+        || session(&mv, IstioTable::Fig4),
+        |s| s.synthesize_against(mv.istio_party, &env).unwrap(),
+    );
     let free_dist = out
         .solution()
         .map(|sol| {
@@ -602,75 +640,11 @@ fn e8(t: &mut Table) {
     }
 }
 
-/// A4 — symmetry-breaking ablation. Two honest measurements: on
-/// easily-satisfiable mesh scenarios the lex-leader overhead is pure
-/// loss; on symmetric UNSAT search (relational pigeonhole, where every
-/// atom is interchangeable) it collapses the conflict count — the same
-/// trade Kodkod documents.
-fn a4(t: &mut Table) {
-    use muppet_logic::PartialInstance;
-    use muppet_solver::{FormulaGroup, IncrementalQuery, Outcome};
-
-    // Easy-SAT mesh scenario: SB is overhead.
-    let scenario = generate(ScenarioParams {
-        services: 12,
-        istio_goals: 12,
-        k8s_goals: 1,
-        conflict_fraction: 0.0,
-        flexible_fraction: 0.5,
-        extra_ports: 8,
-        ..ScenarioParams::default()
-    });
-    // A fresh session per run on both sides: a repeat on one session
-    // is answered from its warm engine's memo without searching, and
-    // symmetry-breaking solves run on one-shot engines anyway.
-    let reconcile = |sb: bool| {
-        let mut sess = scenario.session(false);
-        sess.set_symmetry_breaking(sb);
-        sess.reconcile(ReconcileMode::HardBounds).unwrap()
-    };
-    let (r, d_off) = timed_median(3, || reconcile(false));
-    assert!(r.success);
-    let (r, d_on) = timed_median(3, || reconcile(true));
-    assert!(r.success);
-    row(t, "A4", "easy-SAT mesh (12 svc)", "SB off (ms)", ms(d_off), "-");
-    row(t, "A4", "easy-SAT mesh (12 svc)", "SB on (ms)", ms(d_on), "overhead on easy SAT");
-
-    // Symmetric UNSAT: relational pigeonhole PHP(9,8), from the shared
-    // corpus fixture (same instance `php-9-8` gates in the S1 lane).
-    let (u, v, sits, formulas) = muppet_bench::paper::php_relational(9, 8);
-    let groups = [FormulaGroup::new("php", formulas)];
-    let run = |sb: bool| {
-        let mut q =
-            IncrementalQuery::new(&v, &u, &[sits], &PartialInstance::new(), Instance::new());
-        q.set_minimize_cores(false);
-        if sb {
-            q.add_symmetry_breaking();
-        }
-        match q.solve(&groups, Budget::unlimited()).unwrap() {
-            Outcome::Unsat { stats, .. } => stats.conflicts,
-            other => panic!("PHP(9,8) must be unsat, got {other:?}"),
-        }
-    };
-    let ((c_off, c_on), d) = timed_median(1, || (run(false), run(true)));
-    let _ = d;
-    row(t, "A4", "PHP(9,8) UNSAT", "conflicts, SB off", c_off.to_string(), "large");
-    row(
-        t,
-        "A4",
-        "PHP(9,8) UNSAT",
-        "conflicts, SB on",
-        c_on.to_string(),
-        "far fewer (symmetry pruned)",
-    );
-}
-
 /// X1 — Sec. 7 extension: learned envelopes (opaque-goal oracle) agree
 /// with the syntactic Alg. 3 envelope.
 fn x1(t: &mut Table) {
     use muppet::learn::{learn_envelope, Scope};
     let mv = vocab();
-    let mut s = session(&mv, IstioTable::Fig3);
     let fe = mv.svc_atom("test-frontend").unwrap();
     let be = mv.svc_atom("test-backend").unwrap();
     let db = mv.svc_atom("test-db").unwrap();
@@ -685,10 +659,25 @@ fn x1(t: &mut Table) {
         (mv.istio_in_deny, vec![fe, be]),
         (mv.istio_in_deny, vec![fe, db]),
     ]);
-    let (learned, d) = timed_median(3, || {
-        learn_envelope(&mut s, mv.k8s_party, &Instance::new(), mv.istio_party, &scope, 128)
-            .unwrap()
-    });
+    let (s, learned, d) = timed_fresh(
+        3,
+        || session(&mv, IstioTable::Fig3),
+        |s| learn_envelope(s, mv.k8s_party, &Instance::new(), mv.istio_party, &scope, 128),
+    );
+    let learned = match learned {
+        Err(muppet::MuppetError::Exhausted { phase, stats }) => {
+            row(
+                t,
+                "X1",
+                "8-tuple scope",
+                "budget exhausted",
+                format!("phase {phase}; {stats}"),
+                "raise --timeout-ms / --conflict-budget / --retries",
+            );
+            return;
+        }
+        learned => learned.unwrap(),
+    };
     assert!(learned.complete);
     let syntactic = s
         .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
@@ -1380,10 +1369,11 @@ fn o1(t: &mut Table) {
         drop(std::hint::black_box(muppet_obs::span("overhead-probe")));
     }
     let disabled_ns = t0.elapsed().as_nanos() as f64 / probes as f64;
-    let mut sess = session(&mv, IstioTable::Fig4);
-    govern(&mut sess);
-    let (rec, d_solve) =
-        timed_median(REPS, || sess.reconcile(ReconcileMode::HardBounds).unwrap());
+    let (_, rec, d_solve) = timed_fresh(
+        REPS,
+        || session(&mv, IstioTable::Fig4),
+        |s| s.reconcile(ReconcileMode::HardBounds).unwrap(),
+    );
     assert!(rec.success);
     let overhead_pct =
         spans_per_solve as f64 * disabled_ns / (d_solve.as_secs_f64() * 1e9).max(1.0) * 100.0;

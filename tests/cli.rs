@@ -426,3 +426,20 @@ fn lane_selected_harness_run_writes_no_bench_e2e() {
     assert!(stdout(&out).contains("budget exhausted"), "{}", stdout(&out));
     assert!(!f.dir.join("BENCH_e2e.json").exists());
 }
+
+/// A lane filter that selects no experiment is a usage error, not an
+/// empty table: a typo'd or deleted lane must not pass silently.
+#[test]
+fn harness_lane_filter_matching_nothing_gives_exit_2() {
+    let f = Fixture::new("harness-no-lane");
+    let out = Command::new(env!("CARGO_BIN_EXE_muppet-harness"))
+        .arg("a4")
+        .current_dir(&f.dir)
+        .output()
+        .expect("run muppet-harness");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert!(!f.dir.join("BENCH_e2e.json").exists());
+}
