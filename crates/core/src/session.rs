@@ -564,7 +564,10 @@ impl<'a> Session<'a> {
 
     /// Fingerprint of the session's full semantic content — universe,
     /// vocabulary, structure, axioms, and every party's goals and
-    /// offer. Daemon-level caches key on this.
+    /// offer. Two sessions with equal fingerprints pose the same
+    /// problems; a stream unit test uses this to check that the stream's
+    /// session builder mirrors the scenario's. The daemon's caches key
+    /// on their own spec and request fingerprints instead.
     pub fn content_fingerprint(&self) -> u128 {
         let mut fp = Fingerprinter::new();
         fp.add_universe(self.universe)

@@ -1360,6 +1360,28 @@ mod tests {
         assert!(reused2 > reused, "same-shape request must reuse warm groups");
     }
 
+    /// Daemon sessions carry no offers, so a consistency check of
+    /// either party and a hard reconcile submit the same bounds and
+    /// free relations: all three share one warm engine key, and the
+    /// session's store lays out one engine for them.
+    #[test]
+    fn consistency_and_hard_reconcile_share_one_warm_engine() {
+        let eng = engine();
+        let spec = SessionSpec::paper_strict();
+        for party in ["k8s", "istio"] {
+            let mut req = Request::new(Op::CheckConsistency).with_spec(spec.clone());
+            req.party = Some(party.into());
+            let r = eng.handle(&req, None);
+            assert!(r.ok && !r.cached, "{:?}", r.error);
+        }
+        let r = eng.handle_op(Op::Reconcile, &spec);
+        assert!(r.ok && !r.cached, "{:?}", r.error);
+        let registry = relock(&eng.sessions);
+        let ws = relock(&registry.map[&spec.fingerprint()]);
+        assert_eq!(ws.prepared.builds(), 1, "the three solves must share one engine");
+        assert_eq!(ws.prepared.len(), 1);
+    }
+
     #[test]
     fn tenant_goal_edit_keeps_provider_envelope_hot() {
         let eng = engine();

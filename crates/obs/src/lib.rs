@@ -14,8 +14,8 @@
 //! * [`metrics`] — a process-global [`MetricsRegistry`] of atomic
 //!   counters, gauges and fixed-bucket latency histograms, aggregated
 //!   into the daemon's `stats` response.
-//! * [`profiler`] — phase-boundary callbacks; the bench crate uses
-//!   them to accumulate per-phase breakdowns for `BENCH_obs.json`.
+//! * [`profiler`] — phase-boundary callbacks; the harness's O1, S1
+//!   and K1 lanes use them to record per-phase breakdowns.
 //!
 //! ## Overhead contract
 //!

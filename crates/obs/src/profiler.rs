@@ -2,10 +2,10 @@
 //!
 //! Callbacks registered with [`on_span_close`] fire synchronously at
 //! every span close (only when tracing is enabled — a disabled
-//! pipeline never reaches them). The bench crate registers a
-//! [`PhaseAccumulator`] to build per-phase breakdowns for
-//! `BENCH_obs.json`; embedders can hook anything else that wants
-//! phase timings without touching the pipeline.
+//! pipeline never reaches them). The harness lanes register a
+//! [`PhaseAccumulator`] to build per-phase breakdowns; embedders can
+//! hook anything else that wants phase timings without touching the
+//! pipeline.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -47,7 +47,7 @@ pub fn on_span_close(f: impl Fn(&SpanEvent<'_>) + Send + Sync + 'static) {
     cbs.push(Arc::new(f));
 }
 
-/// Remove every registered callback (bench lanes install theirs,
+/// Remove every registered callback (harness lanes install theirs,
 /// drain, then clear).
 pub fn clear_profilers() {
     let mut cbs = match callbacks().write() {

@@ -8,8 +8,8 @@
 //!
 //! * **Paper scale** (the defaults): every service gets its own port
 //!   range, relations are unbounded, and sessions look exactly like the
-//!   hand-built paper fixtures — byte-identical to what `muppet-bench`
-//!   generated before this crate existed.
+//!   hand-built paper fixtures — byte-identical to what the generator
+//!   produced before it moved into this crate.
 //! * **Large scale** (`port_pool > 0`, `bounded = true`): services draw
 //!   from a small shared port pool (so the port sort stays small while
 //!   the service sort grows to the thousands) and both parties attach

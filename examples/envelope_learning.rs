@@ -16,8 +16,8 @@
 
 use muppet::explain::explain_predicate;
 use muppet::learn::{learn_envelope, Scope};
-use muppet_bench::paper::{session, vocab, IstioTable};
 use muppet_logic::Instance;
+use muppet_scenario::paper::{session, vocab, IstioTable};
 
 fn main() {
     let mv = vocab();

@@ -18,9 +18,9 @@
 //!    cross-team debugging into a one-line answer.
 
 use muppet::ReconcileMode;
-use muppet_bench::paper::{session, vocab, IstioTable};
 use muppet_logic::Instance;
 use muppet_mesh::{evaluate_flow, Flow, Mesh, NetworkPolicy};
+use muppet_scenario::paper::{session, vocab, IstioTable};
 
 fn main() {
     let mesh = Mesh::paper_example();

@@ -21,10 +21,10 @@ use std::collections::BTreeMap;
 
 use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
 use muppet::{NamedGoal, Party, Session};
-use muppet_bench::paper::vocab;
 use muppet_goals::{fig2, translate_istio_goals, translate_k8s_goals, IstioGoal};
 use muppet_logic::{Instance, PartyId};
 use muppet_mesh::MeshVocab;
+use muppet_scenario::paper::vocab;
 
 fn build_session(mv: &MeshVocab, soft_istio: bool) -> Session<'_> {
     let mut vocab = mv.vocab.clone();

@@ -10,8 +10,8 @@
 //! compatible.
 
 use muppet::ReconcileMode;
-use muppet_bench::paper::{session, vocab, IstioTable};
 use muppet_logic::Instance;
+use muppet_scenario::paper::{session, vocab, IstioTable};
 
 fn main() {
     // The Fig. 1 mesh: frontend, backend, database.

@@ -2,9 +2,9 @@
 # The full local gate: everything CI runs, in the same order.
 #
 # Offline-friendly by design: the workspace has no registry
-# dependencies (rand/proptest/criterion are vendored under
-# third_party/), so `--offline` always works and is forced here to
-# catch accidental registry deps early.
+# dependencies (rand and proptest are vendored under third_party/), so
+# `--offline` always works and is forced here to catch accidental
+# registry deps early.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,6 +112,18 @@ run cargo test -q --offline --test nparty_differential --test nparty_props
 run cargo test -q --offline -p muppet-domain
 run cargo run --release --offline -q --bin muppet-harness -- m1
 test -s BENCH_domains.json || { echo "BENCH_domains.json missing"; exit 1; }
+# Every bench file the lanes above wrote is one bench record (one
+# schema, one writer) and names the same commit.
+lane_files="BENCH_daemon.json BENCH_obs.json BENCH_scale.json BENCH_incremental.json
+  BENCH_stream.json BENCH_robustness.json BENCH_kernel.json BENCH_domains.json"
+for f in $lane_files; do
+    grep -q '^{"schema":"muppet-harness-record-v1",' "$f" || { echo "$f is not a bench record"; exit 1; }
+done
+commits=$(grep -ho '"commit":"[^"]*"' $lane_files | sort -u)
+if [ "$(echo "$commits" | wc -l)" -ne 1 ]; then
+    echo "bench records name different commits: $commits"
+    exit 1
+fi
 # Rustdoc gate: broken, ambiguous or private intra-doc links fail the
 # build, so docs cannot keep pointing at deleted items.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

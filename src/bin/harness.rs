@@ -7,9 +7,16 @@
 //! cargo run --release --bin muppet-harness -- e4      # one experiment
 //! ```
 //!
-//! An unfiltered run also writes `BENCH_e2e.json` (per-experiment wall
-//! clock and status plus the whole table); a run restricted to some
-//! experiment ids leaves that file alone.
+//! Every lane pushes rows — instance, metric, a value (a number with a
+//! unit, or a verdict string) and the paper's expectation — into its
+//! [`Record`]. The text table, the `--csv` output and the lane's bench
+//! file are three renderings of those rows. [`LANES`] names the file
+//! each lane's record goes to, and [`write_record`] writes it, once the
+//! lane has returned or panicked, as
+//! `{schema, lane, commit, host_cores, profile, governance, status,
+//! rows}`. The E/A/X lanes share `BENCH_e2e.json`, so only a run that
+//! includes all of them (an unfiltered run) writes it; each gated lane
+//! owns one file and writes it whenever it runs.
 //!
 //! Resource governance flags (applied to every session-based
 //! experiment): `--timeout-ms <n>` caps each session's wall clock,
@@ -21,18 +28,19 @@
 //! Observability (DESIGN.md §12): `--trace-json <path>` streams one
 //! JSON-Lines event per closed span to a file, and the `O1` lane runs
 //! the paper scenarios traced, validates span trees against the
-//! schema, gates the disabled-tracing overhead at ≤ 2%, and emits
-//! `BENCH_obs.json` with per-phase breakdowns.
+//! schema, gates the disabled-tracing overhead at ≤ 2%, and records
+//! per-phase breakdowns.
 //!
 //! Experiment ids follow `DESIGN.md` §4 and `EXPERIMENTS.md`:
 //! E1 conflict detection, E2 relaxation synthesis, E3 envelope shape,
 //! E4 latency sweep (the Sec. 5 "< 1 s" claim), E5 baseline comparison,
 //! E6 conformance workflow, E7 minimal edits, E8 negotiation rounds,
-//! A1–A3 ablations. `S1` is the scale lane (DESIGN.md §15): the
+//! A1–A3 ablations, X1–X3 the Sec. 7 extensions. `S1` is the scale
+//! lane (DESIGN.md §15): the
 //! committed scenario corpus end to end — verdicts gated against
 //! committed labels on up-to-2500-service generated meshes
 //! (`MUPPET_SCALE=full` for the full large + hard tiers), per-phase
-//! timings in `BENCH_scale.json`, and a byte-identical regeneration
+//! timings per scenario, and a byte-identical regeneration
 //! gate. `W1` is the streaming-reconfiguration lane (DESIGN.md §16):
 //! it replays a committed edit stream through one warm multi-shot
 //! `StreamSession` and a cold re-solve-from-scratch oracle in
@@ -40,32 +48,69 @@
 //! amortized warm-vs-cold speedup floor; a second, unbounded replay
 //! gates that the warm engine stays within twice a fresh engine's
 //! size and that no ban or goal-row delta dirties the structural
-//! axioms; it emits `BENCH_stream.json`.
+//! axioms.
 //! `R1` is the overload/chaos lane (DESIGN.md §14):
 //! it floods a real socket daemon past its admission limits with
 //! misbehaving clients (plus injected solver faults under
 //! `--features fault-inject`) and gates on verdict integrity, shed
-//! accounting and drain latency, emitting `BENCH_robustness.json`.
+//! accounting and drain latency.
 //! `K1` is the SAT-kernel speed lane (DESIGN.md §17): the hard-tier
 //! CNF corpus solved under the legacy pre-change kernel profile vs the
 //! tuned defaults (verdict parity on every entry, a 0.8x wall-clock
 //! floor on the gated UNSAT instance), plus the committed minimal-edit
 //! scenario solved core-guided vs linear (byte-identical outcomes, a
-//! 2x speedup floor), emitting `BENCH_kernel.json` before any gate.
+//! 2x speedup floor).
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use muppet::conformance::run_conformance;
 use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
-use muppet::{baseline, Budget, ExhaustionReport, ReconcileMode, RetryPolicy, Session};
-use muppet_bench::paper::{session, vocab, IstioTable};
-use muppet_bench::scenario::{generate, ScenarioParams};
-use muppet_bench::timing::{ms, timed, timed_median, Table};
+use muppet::{baseline, Budget, MuppetError, ReconcileMode, RetryPolicy, Session};
+use muppet_daemon::json::Json;
 use muppet_logic::{Formula, Instance};
+use muppet_obs::PhaseTotals;
+use muppet_scenario::paper::{session, vocab, IstioTable};
+use muppet_scenario::{corpus, generate, ScenarioParams};
 
 const REPS: usize = 5;
+
+/// The one schema every bench file carries.
+const SCHEMA: &str = "muppet-harness-record-v1";
+
+/// The file the E/A/X lanes share.
+const E2E: &str = "BENCH_e2e.json";
+
+/// One harness lane: pushes its rows into its record.
+type Lane = fn(&mut Record);
+
+/// Every lane in run order, with the bench file its record goes to.
+const LANES: &[(&str, Lane, &str)] = &[
+    ("E1", e1, E2E),
+    ("E2", e2, E2E),
+    ("E3", e3, E2E),
+    ("E4", e4, E2E),
+    ("E5", e5, E2E),
+    ("E6", e6, E2E),
+    ("E7", e7, E2E),
+    ("E8", e8, E2E),
+    ("A1", a1, E2E),
+    ("A2", a2, E2E),
+    ("A3", a3, E2E),
+    ("X1", x1, E2E),
+    ("X2", x2, E2E),
+    ("X3", x3, E2E),
+    ("D1", d1, "BENCH_daemon.json"),
+    ("O1", o1, "BENCH_obs.json"),
+    ("S1", s1, "BENCH_scale.json"),
+    ("N1", n1, "BENCH_incremental.json"),
+    ("W1", w1, "BENCH_stream.json"),
+    ("R1", r1, "BENCH_robustness.json"),
+    ("K1", k1, "BENCH_kernel.json"),
+    ("M1", m1, "BENCH_domains.json"),
+];
 
 /// Resource-governance knobs parsed from the command line, applied to
 /// every session-based experiment via [`govern`].
@@ -77,9 +122,6 @@ struct Gov {
 }
 
 static GOV: OnceLock<Gov> = OnceLock::new();
-
-/// One harness lane: fills its rows into the shared result table.
-type Experiment = fn(&mut Table);
 
 fn gov() -> Gov {
     GOV.get().copied().unwrap_or_default()
@@ -100,6 +142,37 @@ fn govern(s: &mut Session<'_>) {
             g.retries.unwrap_or(1),
         ));
     }
+}
+
+/// Why a governed workflow (conformance, negotiation) ended without
+/// its answer: the first "budget exhausted" line of its log, else the
+/// session budget's own deadline or cancellation. `None` means the
+/// budget was not the cause.
+fn exhaustion(s: &Session<'_>, log: &[String]) -> Option<String> {
+    log.iter()
+        .find(|l| l.contains("budget exhausted"))
+        .cloned()
+        .or_else(|| s.budget().poll().map(|e| format!("session budget: {e}")))
+}
+
+/// Run `f` once and return its result with the wall-clock duration.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
+/// Run `f` `n` times and return the last result with the median duration.
+fn timed_median<T>(n: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
+    let mut durations = Vec::with_capacity(n);
+    let mut last = None;
+    for _ in 0..n {
+        let (out, d) = timed(&mut f);
+        durations.push(d);
+        last = Some(out);
+    }
+    durations.sort();
+    (last.expect("n >= 1"), durations[n / 2])
 }
 
 /// Run `op` on a freshly built, governed session `reps` times and
@@ -128,19 +201,151 @@ fn timed_fresh<'u, T>(
     (s, out, durations[reps / 2])
 }
 
-/// Structured exhaustion row: where the budget died and what it cost.
-fn exhausted_row(t: &mut Table, exp: &str, instance: &str, ex: &ExhaustionReport) {
-    row(
-        t,
-        exp,
-        instance,
-        "budget exhausted",
-        format!(
-            "phase {} after {} attempt(s); {}",
-            ex.phase, ex.attempts, ex.stats
-        ),
-        "raise --timeout-ms / --conflict-budget / --retries",
-    );
+/// Milliseconds, for a row.
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// Run `f` traced with a phase accumulator attached and return its
+/// result with the per-phase totals; tracing is restored afterwards.
+fn profiled<T>(f: impl FnOnce() -> T) -> (T, BTreeMap<&'static str, PhaseTotals>) {
+    let was_enabled = muppet_obs::tracing_enabled();
+    muppet_obs::clear_profilers();
+    let acc = muppet_obs::PhaseAccumulator::new();
+    muppet_obs::on_span_close(acc.callback());
+    muppet_obs::set_enabled(true);
+    let out = f();
+    let totals = acc.drain();
+    muppet_obs::clear_profilers();
+    muppet_obs::set_enabled(was_enabled);
+    (out, totals)
+}
+
+/// A measured value: a number with its unit, or a verdict string.
+enum Value {
+    Num(f64, &'static str),
+    Text(String),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Text(s) => f.write_str(s),
+            Value::Num(v, unit) => {
+                if v.fract() == 0.0 {
+                    write!(f, "{v:.0}")?;
+                } else {
+                    write!(f, "{v:.3}")?;
+                }
+                if !unit.is_empty() {
+                    write!(f, " {unit}")?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// One row of a lane's record.
+struct Row {
+    lane: &'static str,
+    instance: String,
+    metric: String,
+    value: Value,
+    paper: String,
+}
+
+impl Row {
+    fn cells(&self) -> [String; 5] {
+        [
+            self.lane.to_string(),
+            self.instance.clone(),
+            self.metric.clone(),
+            self.value.to_string(),
+            self.paper.clone(),
+        ]
+    }
+
+    fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            ("lane", Json::str(self.lane)),
+            ("instance", Json::str(&self.instance)),
+            ("metric", Json::str(&self.metric)),
+        ];
+        match &self.value {
+            Value::Num(v, unit) => {
+                pairs.push(("value", Json::Num(*v)));
+                pairs.push(("unit", Json::str(*unit)));
+            }
+            Value::Text(s) => pairs.push(("value", Json::str(s))),
+        }
+        pairs.push(("paper", Json::str(&self.paper)));
+        Json::obj(pairs)
+    }
+}
+
+/// What one lane measured, and whether it finished.
+struct Record {
+    lane: &'static str,
+    rows: Vec<Row>,
+    panicked: bool,
+}
+
+impl Record {
+    fn push(&mut self, instance: &str, metric: &str, value: Value, paper: &str) {
+        self.rows.push(Row {
+            lane: self.lane,
+            instance: instance.to_string(),
+            metric: metric.to_string(),
+            value,
+            paper: paper.to_string(),
+        });
+    }
+
+    /// A number with its unit (`""` for a plain count).
+    fn num(&mut self, instance: &str, metric: &str, value: f64, unit: &'static str, paper: &str) {
+        self.push(instance, metric, Value::Num(value, unit), paper);
+    }
+
+    /// A verdict string.
+    fn text(&mut self, instance: &str, metric: &str, value: impl fmt::Display, paper: &str) {
+        self.push(instance, metric, Value::Text(value.to_string()), paper);
+    }
+
+    /// The governed lane's budget ran out: one row saying where,
+    /// instead of results.
+    fn exhausted(&mut self, instance: &str, why: impl fmt::Display) {
+        self.text(
+            instance,
+            "budget exhausted",
+            why,
+            "raise --timeout-ms / --conflict-budget / --retries",
+        );
+    }
+
+    /// Per-phase span totals: calls, total and slowest span.
+    fn phases(&mut self, instance: &str, totals: &BTreeMap<&'static str, PhaseTotals>) {
+        for (name, p) in totals {
+            self.num(instance, &format!("{name} calls"), p.count as f64, "", "-");
+            self.num(instance, &format!("{name} total"), p.total_us as f64, "us", "-");
+            self.num(instance, &format!("{name} max"), p.max_us as f64, "us", "-");
+        }
+    }
+
+    /// Every number and flag in `json`, one row each, named by its
+    /// dotted path under `path`.
+    fn leaves(&mut self, instance: &str, path: &str, json: &Json) {
+        match json {
+            Json::Num(v) => self.num(instance, path, *v, "", "-"),
+            Json::Bool(b) => self.text(instance, path, b, "-"),
+            Json::Obj(pairs) => {
+                for (key, v) in pairs {
+                    self.leaves(instance, &format!("{path}.{key}"), v);
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 fn main() {
@@ -193,93 +398,99 @@ fn main() {
                 .iter()
                 .any(|f| id.to_lowercase().starts_with(&f.to_lowercase()))
     };
-
-    let mut table = Table::new(&["exp", "instance", "metric", "value", "paper-expectation"]);
-
-    // Every experiment runs under catch_unwind so one failing lane
-    // still leaves a machine-readable record of the rest.
-    let experiments: &[(&str, Experiment)] = &[
-        ("E1", e1),
-        ("E2", e2),
-        ("E3", e3),
-        ("E4", e4),
-        ("E5", e5),
-        ("E6", e6),
-        ("E7", e7),
-        ("E8", e8),
-        ("A1", a1),
-        ("A2", a2),
-        ("A3", a3),
-        ("X1", x1),
-        ("X2", x2),
-        ("D1", d1),
-        ("O1", o1),
-        ("S1", s1),
-        ("N1", n1),
-        ("W1", w1),
-        ("R1", r1),
-        ("K1", k1),
-        ("M1", m1),
-    ];
-    if !experiments.iter().any(|(id, _)| want(id)) {
+    if !LANES.iter().any(|(id, ..)| want(id)) {
         usage(format!("no experiment id starts with any of {filter:?}"));
     }
-    let mut runs: Vec<(String, f64, &'static str)> = Vec::new();
-    for (id, f) in experiments {
+
+    // Every lane runs under catch_unwind so one failing lane still
+    // leaves its own record and the rest of the table.
+    let commit = git_commit();
+    let mut records: Vec<Record> = Vec::new();
+    for (i, &(id, run, file)) in LANES.iter().enumerate() {
         if !want(id) {
             continue;
         }
-        let start = std::time::Instant::now();
-        let status = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            f(&mut table)
-        })) {
-            Ok(()) => "ok",
-            Err(_) => "panicked",
-        };
-        runs.push((id.to_string(), start.elapsed().as_secs_f64() * 1e3, status));
+        let mut record = Record { lane: id, rows: Vec::new(), panicked: false };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut record)));
+        record.panicked = caught.is_err();
+        // A daemon engine switches tracing on for the whole process;
+        // restore what the flags asked for, so no lane is measured
+        // under the tracing state an earlier lane left behind.
+        muppet_obs::set_enabled(trace_json.is_some());
+        records.push(record);
+        // A file is written once the last lane that owns it has run,
+        // and only if every lane that owns it ran.
+        let owners = || LANES.iter().filter(|l| l.2 == file);
+        if owners().all(|l| want(l.0)) && LANES[i + 1..].iter().all(|l| l.2 != file) {
+            let mine: Vec<&Record> =
+                records.iter().filter(|r| owners().any(|l| l.0 == r.lane)).collect();
+            write_record(file, &mine, &commit, g);
+        }
     }
 
+    let rows: Vec<[String; 5]> = records
+        .iter()
+        .flat_map(|r| &r.rows)
+        .map(Row::cells)
+        .collect();
+    let headers = ["lane", "instance", "metric", "value", "paper-expectation"].map(String::from);
     if csv {
-        print!("{}", table.render_csv());
+        print!("{}", render_csv(&headers, &rows));
     } else {
-        print!("{}", table.render());
-    }
-    // A lane-selected run covers only part of the table, so only an
-    // unfiltered run may replace BENCH_e2e.json.
-    if filter.is_empty() {
-        write_bench_e2e(&table, &runs, g);
+        print!("{}", render_table(&headers, &rows));
     }
     // Flush the --trace-json sink before exiting either way.
     muppet_obs::clear_json_sink();
-    if runs.iter().any(|(_, _, s)| *s == "panicked") {
+    if records.iter().any(|r| r.panicked) {
         std::process::exit(1);
     }
 }
 
-/// Emit `BENCH_e2e.json` after an unfiltered run: per-experiment
-/// wall-clock + verdict plus the full result table, machine-readable
-/// for CI trend lines.
-fn write_bench_e2e(table: &Table, runs: &[(String, f64, &'static str)], g: Gov) {
-    use muppet_daemon::json::Json;
-    let experiments = Json::Arr(
-        runs.iter()
-            .map(|(id, wall_ms, status)| {
-                Json::obj([
-                    ("id", Json::str(id)),
-                    ("wall_ms", Json::Num(*wall_ms)),
-                    ("status", Json::str(*status)),
-                ])
-            })
-            .collect(),
-    );
-    let headers = Json::strs(table.headers());
-    let rows = Json::Arr(table.rows().iter().map(Json::strs).collect());
-    let opt_num = |v: Option<u64>| match v {
-        Some(n) => Json::num(n),
-        None => Json::Null,
+/// The commit the harness was built from, `-dirty` when its build
+/// inputs differ from it, or `"unknown"` without git. The BENCH files
+/// themselves are not build inputs, so the lanes rewriting them do not
+/// change the answer mid-run.
+fn git_commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(env!("CARGO_MANIFEST_DIR"))
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
     };
+    let Some(head) = git(&["rev-parse", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let mut status = vec!["status", "--porcelain", "--untracked-files=no", "--"];
+    status.extend(["Cargo.toml", "Cargo.lock", "crates", "src", "third_party"]);
+    match git(&status) {
+        Some(changes) if changes.is_empty() => head,
+        Some(_) => format!("{head}-dirty"),
+        None => "unknown".to_string(),
+    }
+}
+
+/// The one place the harness writes a file: the bench record of the
+/// lanes that own `file`.
+fn write_record(file: &str, records: &[&Record], commit: &str, g: Gov) {
+    let opt_num = |v: Option<u64>| v.map_or(Json::Null, Json::num);
+    let lanes: Vec<&str> = records.iter().map(|r| r.lane).collect();
+    let panicked: Vec<&str> = records.iter().filter(|r| r.panicked).map(|r| r.lane).collect();
+    let status = if panicked.is_empty() {
+        "ok".to_string()
+    } else {
+        format!("panicked: {}", panicked.join(" "))
+    };
+    let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get() as u64);
     let doc = Json::obj([
-        ("schema", Json::str("muppet-bench-e2e-v1")),
+        ("schema", Json::str(SCHEMA)),
+        ("lane", Json::str(lanes.join(" "))),
+        ("commit", Json::str(commit)),
+        ("host_cores", Json::num(host_cores)),
+        ("profile", Json::str(if cfg!(debug_assertions) { "debug" } else { "release" })),
         (
             "governance",
             Json::obj([
@@ -288,30 +499,64 @@ fn write_bench_e2e(table: &Table, runs: &[(String, f64, &'static str)], g: Gov) 
                 ("retries", opt_num(g.retries.map(u64::from))),
             ]),
         ),
-        ("experiments", experiments),
+        ("status", Json::str(status)),
         (
-            "table",
-            Json::obj([("headers", headers), ("rows", rows)]),
+            "rows",
+            Json::Arr(records.iter().flat_map(|r| &r.rows).map(Row::to_json).collect()),
         ),
     ]);
-    if let Err(e) = std::fs::write("BENCH_e2e.json", doc.to_line() + "\n") {
-        eprintln!("muppet-harness: cannot write BENCH_e2e.json: {e}");
+    if let Err(e) = std::fs::write(file, doc.to_line() + "\n") {
+        eprintln!("muppet-harness: cannot write {file}: {e}");
     }
 }
 
-fn row(t: &mut Table, exp: &str, instance: &str, metric: &str, value: String, paper: &str) {
-    t.row(&[
-        exp.to_string(),
-        instance.to_string(),
-        metric.to_string(),
-        value,
-        paper.to_string(),
-    ]);
+/// Render rows as a text table with aligned columns.
+fn render_table(headers: &[String; 5], rows: &[[String; 5]]) -> String {
+    let mut widths = headers.clone().map(|h| h.len());
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let line = |cells: &[String; 5]| {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(widths)
+            .map(|(c, w)| format!("{c:w$}"))
+            .collect();
+        padded.join("  ").trim_end().to_string() + "\n"
+    };
+    let mut out = line(headers);
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    out.push('\n');
+    for row in rows {
+        out.push_str(&line(row));
+    }
+    out
+}
+
+/// Render rows as CSV, quoting cells that hold a comma or a quote.
+fn render_csv(headers: &[String; 5], rows: &[[String; 5]]) -> String {
+    let line = |cells: &[String; 5]| {
+        let quoted: Vec<String> = cells
+            .iter()
+            .map(|c| {
+                if c.contains([',', '"']) {
+                    format!("\"{}\"", c.replace('"', "\"\""))
+                } else {
+                    c.clone()
+                }
+            })
+            .collect();
+        quoted.join(",") + "\n"
+    };
+    std::iter::once(headers).chain(rows).map(line).collect()
 }
 
 /// E1 — Figs. 1–3: the strict goal tables conflict; the core blames
 /// exactly the ban and the backend→frontend:23 goal.
-fn e1(t: &mut Table) {
+fn e1(r: &mut Record) {
+    const INST: &str = "fig2+fig3";
     let mv = vocab();
     let (_, rec, d) = timed_fresh(
         REPS,
@@ -319,25 +564,18 @@ fn e1(t: &mut Table) {
         |s| s.reconcile(ReconcileMode::Blameable).unwrap(),
     );
     if let Some(ex) = &rec.exhausted {
-        exhausted_row(t, "E1", "fig2+fig3", ex);
-        return;
+        return r.exhausted(INST, ex);
     }
     assert!(!rec.success);
-    row(t, "E1", "fig2+fig3", "reconcile verdict", "UNSAT".into(), "UNSAT (conflict)");
-    row(
-        t,
-        "E1",
-        "fig2+fig3",
-        "minimal core size",
-        rec.core.len().to_string(),
-        "2 (ban vs goal row 2)",
-    );
-    row(t, "E1", "fig2+fig3", "time (ms)", ms(d), "< 1000");
+    r.text(INST, "reconcile verdict", "UNSAT", "UNSAT (conflict)");
+    r.num(INST, "minimal core size", rec.core.len() as f64, "goals", "2 (ban vs goal row 2)");
+    r.num(INST, "time", ms(d), "ms", "< 1000");
 }
 
 /// E2 — Fig. 4: relaxation makes synthesis succeed; every goal verifies
 /// against the delivered configurations.
-fn e2(t: &mut Table) {
+fn e2(r: &mut Record) {
+    const INST: &str = "fig2+fig4";
     let mv = vocab();
     let (s, rec, d) = timed_fresh(
         REPS,
@@ -345,8 +583,7 @@ fn e2(t: &mut Table) {
         |s| s.reconcile(ReconcileMode::HardBounds).unwrap(),
     );
     if let Some(ex) = &rec.exhausted {
-        exhausted_row(t, "E2", "fig2+fig4", ex);
-        return;
+        return r.exhausted(INST, ex);
     }
     assert!(rec.success);
     let mut combined = s.structure().clone();
@@ -354,61 +591,48 @@ fn e2(t: &mut Table) {
         combined = combined.union(c);
     }
     let verified = s.check_goals(&combined).into_iter().all(|(_, h)| h);
-    row(t, "E2", "fig2+fig4", "synthesis verdict", "SAT".into(), "SAT (relaxed goals)");
-    row(
-        t,
-        "E2",
-        "fig2+fig4",
-        "goals verified",
-        verified.to_string(),
-        "true",
-    );
-    row(t, "E2", "fig2+fig4", "time (ms)", ms(d), "< 1000");
+    r.text(INST, "synthesis verdict", "SAT", "SAT (relaxed goals)");
+    r.text(INST, "goals verified", verified, "true");
+    r.num(INST, "time", ms(d), "ms", "< 1000");
+}
+
+/// The number of top-level disjuncts under an envelope predicate's
+/// universal quantifiers, with the quantifier count.
+fn envelope_shape(mut f: &Formula) -> (usize, usize) {
+    let mut quantifiers = 0;
+    while let Formula::Forall(_, _, body) = f {
+        quantifiers += 1;
+        f = body;
+    }
+    let disjuncts = match f {
+        Formula::Or(ds) => ds.len(),
+        _ => 1,
+    };
+    (disjuncts, quantifiers)
 }
 
 /// E3 — Fig. 5: the envelope has exactly the paper's five disjunct
 /// families and reveals only port 23.
-fn e3(t: &mut Table) {
+fn e3(r: &mut Record) {
+    const INST: &str = "E_{k8s->istio}";
     let mv = vocab();
     let s = session(&mv, IstioTable::Fig3);
     let (env, d) = timed_median(REPS, || {
         s.compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
             .unwrap()
     });
-    let mut inner: &Formula = &env.predicates[0].formula;
-    let mut quantifiers = 0;
-    while let Formula::Forall(_, _, body) = inner {
-        quantifiers += 1;
-        inner = body;
-    }
-    let disjuncts = match inner {
-        Formula::Or(ds) => ds.len(),
-        _ => 1,
-    };
-    row(t, "E3", "E_{k8s->istio}", "predicates", env.predicates.len().to_string(), "1");
-    row(
-        t,
-        "E3",
-        "E_{k8s->istio}",
-        "universal quantifiers",
-        quantifiers.to_string(),
-        "2 (src; dst)",
-    );
-    row(t, "E3", "E_{k8s->istio}", "disjunct families", disjuncts.to_string(), "5 (Fig. 5)");
-    row(
-        t,
-        "E3",
-        "E_{k8s->istio}",
-        "atoms revealed",
-        format!("{:?}", env.leakage(s.universe()).revealed_atoms),
-        "only port 23",
-    );
-    row(t, "E3", "E_{k8s->istio}", "time (ms)", ms(d), "< 1000");
+    let (disjuncts, quantifiers) = envelope_shape(&env.predicates[0].formula);
+    r.num(INST, "predicates", env.predicates.len() as f64, "", "1");
+    r.num(INST, "universal quantifiers", quantifiers as f64, "", "2 (src; dst)");
+    r.num(INST, "disjunct families", disjuncts as f64, "", "5 (Fig. 5)");
+    let revealed = env.leakage(s.universe()).revealed_atoms;
+    r.text(INST, "atoms revealed", format!("{revealed:?}"), "only port 23");
+    r.num(INST, "time", ms(d), "ms", "< 1000");
 }
 
 /// E4 — Sec. 5: the latency sweep. Modest (paper-scale) rows must stay
 /// under 1 second.
-fn e4(t: &mut Table) {
+fn e4(r: &mut Record) {
     for &n in &[3usize, 6, 12, 24, 48] {
         let scenario = generate(ScenarioParams {
             services: n,
@@ -425,36 +649,31 @@ fn e4(t: &mut Table) {
             "graceful growth"
         };
 
-        let (_, r, d) = timed_fresh(
+        let (_, lc, d) = timed_fresh(
             reps,
             || scenario.session(false),
             |s| s.local_consistency(scenario.mv.istio_party).unwrap(),
         );
-        if let Some(ex) = &r.exhausted {
-            exhausted_row(t, "E4", &inst, ex);
+        if let Some(ex) = &lc.exhausted {
+            r.exhausted(&inst, ex);
             continue;
         }
-        assert!(r.ok);
-        row(t, "E4", &inst, "local consistency (ms)", ms(d), expect);
-        let (sess, r, d) = timed_fresh(
+        assert!(lc.ok);
+        r.num(&inst, "local consistency", ms(d), "ms", expect);
+        let (sess, rec, d) = timed_fresh(
             reps,
             || scenario.session(false),
             |s| s.reconcile(ReconcileMode::HardBounds).unwrap(),
         );
-        if let Some(ex) = &r.exhausted {
-            exhausted_row(t, "E4", &inst, ex);
+        if let Some(ex) = &rec.exhausted {
+            r.exhausted(&inst, ex);
             continue;
         }
-        assert!(r.success);
-        row(t, "E4", &inst, "reconcile+synthesize (ms)", ms(d), expect);
-        row(
-            t,
-            "E4",
-            &inst,
-            "free tuple vars / conflicts",
-            format!("{} / {}", r.stats.free_tuple_vars, r.stats.conflicts),
-            "grows with |Svc|²·|Port|",
-        );
+        assert!(rec.success);
+        r.num(&inst, "reconcile+synthesize", ms(d), "ms", expect);
+        let growth = "grows with |Svc|²·|Port|";
+        r.num(&inst, "free tuple vars", rec.stats.free_tuple_vars as f64, "", growth);
+        r.num(&inst, "conflicts", rec.stats.conflicts as f64, "", "-");
         let (_, d) = timed_median(reps, || {
             sess.compute_envelope(
                 scenario.mv.k8s_party,
@@ -463,13 +682,14 @@ fn e4(t: &mut Table) {
             )
             .unwrap()
         });
-        row(t, "E4", &inst, "envelope (ms)", ms(d), expect);
+        r.num(&inst, "envelope", ms(d), "ms", expect);
         if n <= 8 {
             assert!(d < Duration::from_secs(1), "modest scenario over budget");
         }
     }
     // A multi-tenant variant: 12 services over 3 namespaces with
     // namespace-scoped bans (the Sec. 1 motivation shape).
+    const INST: &str = "12 services, 3 namespaces";
     let scenario = generate(ScenarioParams {
         services: 12,
         istio_goals: 12,
@@ -478,86 +698,78 @@ fn e4(t: &mut Table) {
         conflict_fraction: 0.0,
         ..ScenarioParams::default()
     });
-    let (_, r, d) = timed_fresh(
+    let (_, rec, d) = timed_fresh(
         3,
         || scenario.session(false),
         |s| s.reconcile(ReconcileMode::HardBounds).unwrap(),
     );
-    if let Some(ex) = &r.exhausted {
-        exhausted_row(t, "E4", "12 services, 3 namespaces", ex);
-        return;
+    if let Some(ex) = &rec.exhausted {
+        return r.exhausted(INST, ex);
     }
-    assert!(r.success);
-    row(
-        t,
-        "E4",
-        "12 services, 3 namespaces",
-        "reconcile+synthesize (ms)",
-        ms(d),
-        "graceful growth",
-    );
+    assert!(rec.success);
+    r.num(INST, "reconcile+synthesize", ms(d), "ms", "graceful growth");
 }
 
 /// E5 — Fig. 6 baseline: same verdicts, no localization, and the cost
 /// premium Muppet pays for blame.
-fn e5(t: &mut Table) {
+fn e5(r: &mut Record) {
+    const INST: &str = "fig2+fig3";
     let mv = vocab();
     let fig3 = || session(&mv, IstioTable::Fig3);
-    let (_, b, db) = timed_fresh(REPS, fig3, |s| baseline::monolithic_synthesis(s).unwrap());
+    let (_, b, db) = timed_fresh(REPS, fig3, baseline::monolithic_synthesis);
+    let b = match b {
+        Err(ex @ MuppetError::Exhausted { .. }) => return r.exhausted(INST, ex),
+        b => b.unwrap(),
+    };
     let (_, m, dm) = timed_fresh(REPS, fig3, |s| s.reconcile(ReconcileMode::Blameable).unwrap());
     if let Some(ex) = &m.exhausted {
-        exhausted_row(t, "E5", "fig2+fig3", ex);
-        return;
+        return r.exhausted(INST, ex);
     }
     assert_eq!(b.success, m.success);
-    row(t, "E5", "fig2+fig3", "baseline verdict", "UNSAT".into(), "UNSAT; no information");
-    row(t, "E5", "fig2+fig3", "baseline core", "(none)".into(), "opaque failure");
-    row(
-        t,
-        "E5",
-        "fig2+fig3",
-        "muppet core",
-        format!("{} goals", m.core.len()),
-        "2 goals blamed",
-    );
-    row(t, "E5", "fig2+fig3", "baseline time (ms)", ms(db), "-");
-    row(t, "E5", "fig2+fig3", "muppet time (ms)", ms(dm), "small premium for blame");
+    r.text(INST, "baseline verdict", "UNSAT", "UNSAT; no information");
+    r.text(INST, "baseline core", "(none)", "opaque failure");
+    r.num(INST, "muppet core", m.core.len() as f64, "goals", "2 goals blamed");
+    r.num(INST, "baseline time", ms(db), "ms", "-");
+    r.num(INST, "muppet time", ms(dm), "ms", "small premium for blame");
 }
 
 /// E6 — Fig. 7 conformance workflow episodes.
-fn e6(t: &mut Table) {
+fn e6(r: &mut Record) {
     let mv = vocab();
     let preferred = mv.structure_instance();
-    let (_, report, d) = timed_fresh(
+    const STRICT: &str = "strict tenant";
+    let (s, report, d) = timed_fresh(
         REPS,
         || session(&mv, IstioTable::Fig3),
         |s| run_conformance(s, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap(),
     );
     assert!(!report.success);
-    row(t, "E6", "strict tenant", "outcome", "rejected".into(), "tenant must revise");
-    row(
-        t,
-        "E6",
-        "strict tenant",
-        "counter-offer distance",
-        report.counter_offer_distance.unwrap().to_string(),
-        "1 edit",
-    );
-    row(t, "E6", "strict tenant", "time (ms)", ms(d), "< 1000");
+    let Some(distance) = report.counter_offer_distance else {
+        let why = exhaustion(&s, &report.log).expect("a rejected tenant gets a counter-offer");
+        return r.exhausted(STRICT, why);
+    };
+    r.text(STRICT, "outcome", "rejected", "tenant must revise");
+    r.num(STRICT, "counter-offer distance", distance as f64, "edits", "1 edit");
+    r.num(STRICT, "time", ms(d), "ms", "< 1000");
 
-    let (_, report, d) = timed_fresh(
+    const RELAXED: &str = "relaxed tenant";
+    let (s, report, d) = timed_fresh(
         REPS,
         || session(&mv, IstioTable::Fig4),
         |s| run_conformance(s, mv.k8s_party, mv.istio_party, None).unwrap(),
     );
-    assert!(report.success);
-    row(t, "E6", "relaxed tenant", "outcome", "conforming config".into(), "success");
-    row(t, "E6", "relaxed tenant", "time (ms)", ms(d), "< 1000");
+    if !report.success {
+        let why = exhaustion(&s, &report.log).expect("the relaxed tenant conforms");
+        return r.exhausted(RELAXED, why);
+    }
+    r.text(RELAXED, "outcome", "conforming config", "success");
+    r.num(RELAXED, "time", ms(d), "ms", "< 1000");
 }
 
 /// E7 — Fig. 8 minimal edits: distance of the counter-offer vs free
 /// resynthesis.
-fn e7(t: &mut Table) {
+fn e7(r: &mut Record) {
+    const INST: &str = "paper deployment";
     let mv = vocab();
     let env = session(&mv, IstioTable::Fig3)
         .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
@@ -569,19 +781,11 @@ fn e7(t: &mut Table) {
         |s| s.minimal_edit(mv.istio_party, &env, &target).unwrap(),
     );
     if let muppet_solver::Outcome::Unknown { phase, stats, .. } = &out {
-        row(
-            t,
-            "E7",
-            "paper deployment",
-            "budget exhausted",
-            format!("phase {phase}; {stats}"),
-            "raise --timeout-ms / --conflict-budget / --retries",
-        );
-        return;
+        return r.exhausted(INST, format!("phase {phase}; {stats}"));
     }
     assert!(out.is_sat());
-    row(t, "E7", "paper deployment", "minimal edit distance", dist.to_string(), "1 tuple");
-    row(t, "E7", "paper deployment", "target-oriented time (ms)", ms(d), "< 1000");
+    r.num(INST, "minimal edit distance", dist as f64, "tuples", "1 tuple");
+    r.num(INST, "target-oriented time", ms(d), "ms", "< 1000");
 
     let (s4, out, d) = timed_fresh(
         REPS,
@@ -595,19 +799,12 @@ fn e7(t: &mut Table) {
                 .distance(&target)
         })
         .unwrap_or(0);
-    row(
-        t,
-        "E7",
-        "paper deployment",
-        "free synthesis distance",
-        free_dist.to_string(),
-        ">= minimal edit",
-    );
-    row(t, "E7", "paper deployment", "free synthesis time (ms)", ms(d), "-");
+    r.num(INST, "free synthesis distance", free_dist as f64, "tuples", ">= minimal edit");
+    r.num(INST, "free synthesis time", ms(d), "ms", "-");
 }
 
 /// E8 — Fig. 9 negotiation: rounds to convergence vs conflict count.
-fn e8(t: &mut Table) {
+fn e8(r: &mut Record) {
     for &bans in &[1usize, 2, 3] {
         let scenario = generate(ScenarioParams {
             services: 6,
@@ -618,32 +815,32 @@ fn e8(t: &mut Table) {
             ..ScenarioParams::default()
         });
         let conflicts = scenario.conflicting_ports().len();
-        let (report, d) = timed_median(3, || {
+        let inst = format!("{bans} ban(s); {conflicts} conflict(s)");
+        // Each episode runs on its own session; rounds within one
+        // episode may recall answers, as the negotiation does.
+        let ((report, why), d) = timed_median(3, || {
             let mut sess = scenario.session(true);
             govern(&mut sess);
             let mut negs: BTreeMap<muppet_logic::PartyId, Box<dyn Negotiator>> = BTreeMap::new();
             negs.insert(scenario.mv.k8s_party, Box::new(Stubborn));
             negs.insert(scenario.mv.istio_party, Box::new(DropBlamedSoftGoals));
-            run_negotiation(&mut sess, &mut negs, 40, Schedule::RoundRobin).unwrap()
+            let report = run_negotiation(&mut sess, &mut negs, 40, Schedule::RoundRobin).unwrap();
+            let why = exhaustion(&sess, &report.trace);
+            (report, why)
         });
-        assert!(report.success);
-        let inst = format!("{bans} ban(s); {conflicts} conflict(s)");
-        row(
-            t,
-            "E8",
-            &inst,
-            "rounds to agreement",
-            report.rounds.to_string(),
-            "grows with conflicts",
-        );
-        row(t, "E8", &inst, "time (ms)", ms(d), "< 1000 per episode");
+        if !report.success {
+            return r.exhausted(&inst, why.expect("the negotiation converges"));
+        }
+        r.num(&inst, "rounds to agreement", report.rounds as f64, "rounds", "grows with conflicts");
+        r.num(&inst, "time", ms(d), "ms", "< 1000 per episode");
     }
 }
 
 /// X1 — Sec. 7 extension: learned envelopes (opaque-goal oracle) agree
 /// with the syntactic Alg. 3 envelope.
-fn x1(t: &mut Table) {
+fn x1(r: &mut Record) {
     use muppet::learn::{learn_envelope, Scope};
+    const INST: &str = "8-tuple scope";
     let mv = vocab();
     let fe = mv.svc_atom("test-frontend").unwrap();
     let be = mv.svc_atom("test-backend").unwrap();
@@ -665,17 +862,7 @@ fn x1(t: &mut Table) {
         |s| learn_envelope(s, mv.k8s_party, &Instance::new(), mv.istio_party, &scope, 128),
     );
     let learned = match learned {
-        Err(muppet::MuppetError::Exhausted { phase, stats }) => {
-            row(
-                t,
-                "X1",
-                "8-tuple scope",
-                "budget exhausted",
-                format!("phase {phase}; {stats}"),
-                "raise --timeout-ms / --conflict-budget / --retries",
-            );
-            return;
-        }
+        Err(ex @ MuppetError::Exhausted { .. }) => return r.exhausted(INST, ex),
         learned => learned.unwrap(),
     };
     assert!(learned.complete);
@@ -694,25 +881,24 @@ fn x1(t: &mut Table) {
             agree += 1;
         }
     }
-    row(t, "X1", "8-tuple scope", "prime implicant cubes", learned.cubes.len().to_string(), "few, general");
-    row(t, "X1", "8-tuple scope", "solver queries", learned.queries.to_string(), "≪ 2^8 configs");
-    row(
-        t,
-        "X1",
-        "8-tuple scope",
+    r.num(INST, "prime implicant cubes", learned.cubes.len() as f64, "", "few, general");
+    r.num(INST, "solver queries", learned.queries as f64, "", "≪ 2^8 configs");
+    r.text(
+        INST,
         "agreement with Alg. 3",
         format!("{agree}/256"),
         "256/256 (both are the envelope)",
     );
-    row(t, "X1", "8-tuple scope", "time (ms)", ms(d), "< 1000");
+    r.num(INST, "time", ms(d), "ms", "< 1000");
 }
 
 /// X2 — Sec. 7 extension: mTLS/PeerAuthentication adds a sixth escape
 /// hatch to the Fig. 5 envelope.
-fn x2(t: &mut Table) {
-    use muppet::{NamedGoal, Party, Session};
+fn x2(r: &mut Record) {
+    use muppet::{NamedGoal, Party};
     use muppet_goals::{translate_k8s_goals, K8sGoal};
     use muppet_mesh::{Mesh, MeshVocab, Service};
+    const INST: &str = "mTLS extension on";
     let mut mesh = Mesh::paper_example();
     mesh.add_service(Service::new("legacy-batch", [9000]).without_sidecar());
     let mv = MeshVocab::new_with_features(
@@ -739,20 +925,37 @@ fn x2(t: &mut Table) {
             .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
             .unwrap()
     });
-    let mut inner = &env.predicates[0].formula;
-    while let Formula::Forall(_, _, body) = inner {
-        inner = body;
-    }
-    let disjuncts = match inner {
-        Formula::Or(ds) => ds.len(),
-        _ => 1,
-    };
-    row(t, "X2", "mTLS extension on", "disjunct families", disjuncts.to_string(), "6 (Fig. 5 + mTLS)");
-    row(t, "X2", "mTLS extension on", "time (ms)", ms(d), "< 1000");
+    let (disjuncts, _) = envelope_shape(&env.predicates[0].formula);
+    r.num(INST, "disjunct families", disjuncts as f64, "", "6 (Fig. 5 + mTLS)");
+    r.num(INST, "time", ms(d), "ms", "< 1000");
+}
+
+/// X3 — Sec. 7 extension: why-not explanation of the deployed
+/// configuration against the Fig. 5 envelope, from a fresh session
+/// (envelope extraction plus the explanation).
+fn x3(r: &mut Record) {
+    use muppet::explain::explain_predicate;
+    const INST: &str = "paper deployment";
+    let mv = vocab();
+    let deployment = mv.structure_instance();
+    let (_, explanation, d) = timed_fresh(
+        REPS,
+        || session(&mv, IstioTable::Fig3),
+        |s| {
+            let env = s
+                .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
+                .unwrap();
+            explain_predicate(&env.predicates[0], &deployment, s.vocab(), s.universe(), 10)
+        },
+    );
+    assert!(!explanation.holds, "the deployment violates the Fig. 5 envelope");
+    r.text(INST, "envelope holds", explanation.holds, "false (port 23 reachable)");
+    r.num(INST, "violating witnesses", explanation.witnesses.len() as f64, "", ">= 1");
+    r.num(INST, "time", ms(d), "ms", "< 1000");
 }
 
 /// A1 — envelope simplification ablation.
-fn a1(t: &mut Table) {
+fn a1(r: &mut Record) {
     let mv = vocab();
     let s = session(&mv, IstioTable::Fig3);
     let senders = [(mv.k8s_party, Instance::new())];
@@ -764,30 +967,18 @@ fn a1(t: &mut Table) {
         .unwrap();
     let lk_on = on.leakage(s.universe());
     let lk_off = off.leakage(s.universe());
-    row(t, "A1", "simplify=on", "formula size", lk_on.formula_size.to_string(), "smaller");
-    row(t, "A1", "simplify=off", "formula size", lk_off.formula_size.to_string(), "larger");
-    row(
-        t,
-        "A1",
-        "simplify=on",
-        "atoms revealed",
-        lk_on.revealed_atoms.len().to_string(),
-        "<= unsimplified",
-    );
-    row(
-        t,
-        "A1",
-        "simplify=off",
-        "atoms revealed",
-        lk_off.revealed_atoms.len().to_string(),
-        "-",
-    );
+    r.num("simplify=on", "formula size", lk_on.formula_size as f64, "nodes", "smaller");
+    r.num("simplify=off", "formula size", lk_off.formula_size as f64, "nodes", "larger");
+    let revealed = "atoms revealed";
+    r.num("simplify=on", revealed, lk_on.revealed_atoms.len() as f64, "", "<= unsimplified");
+    r.num("simplify=off", revealed, lk_off.revealed_atoms.len() as f64, "", "-");
 }
 
 /// A2 — core minimization ablation on a many-goal conflict.
-fn a2(t: &mut Table) {
+fn a2(r: &mut Record) {
     use muppet_logic::PartialInstance;
     use muppet_solver::{FormulaGroup, IncrementalQuery, Outcome};
+    const INST: &str = "10-goal conflict";
     let scenario = generate(ScenarioParams {
         services: 8,
         istio_goals: 10,
@@ -828,14 +1019,14 @@ fn a2(t: &mut Table) {
     let (min_size, d_min) = timed_median(3, || run(true));
     let (raw_size, d_raw) = timed_median(3, || run(false));
     assert!(min_size <= raw_size);
-    row(t, "A2", "10-goal conflict", "minimized core size", min_size.to_string(), "minimal");
-    row(t, "A2", "10-goal conflict", "first core size", raw_size.to_string(), ">= minimized");
-    row(t, "A2", "10-goal conflict", "minimized time (ms)", ms(d_min), "slower");
-    row(t, "A2", "10-goal conflict", "first-core time (ms)", ms(d_raw), "faster");
+    r.num(INST, "minimized core size", min_size as f64, "goals", "minimal");
+    r.num(INST, "first core size", raw_size as f64, "goals", ">= minimized");
+    r.num(INST, "minimized time", ms(d_min), "ms", "slower");
+    r.num(INST, "first-core time", ms(d_raw), "ms", "faster");
 }
 
 /// A3 — bounds tightness ablation: free-variable counts and solve time.
-fn a3(t: &mut Table) {
+fn a3(r: &mut Record) {
     use muppet_logic::PartialInstance;
     use muppet_solver::{FormulaGroup, IncrementalQuery};
     let mv = vocab();
@@ -869,25 +1060,27 @@ fn a3(t: &mut Table) {
     };
     let (vars_loose, d_loose) = timed_median(REPS, || run(PartialInstance::new()));
     let (vars_tight, d_tight) = timed_median(REPS, || run(tight.clone()));
-    row(t, "A3", "holes (unbounded)", "free tuple vars", vars_loose.to_string(), "large");
-    row(t, "A3", "tight upper bounds", "free tuple vars", vars_tight.to_string(), "small");
-    row(t, "A3", "holes (unbounded)", "time (ms)", ms(d_loose), "-");
-    row(t, "A3", "tight upper bounds", "time (ms)", ms(d_tight), "<= unbounded");
+    const LOOSE: &str = "holes (unbounded)";
+    const TIGHT: &str = "tight upper bounds";
+    r.num(LOOSE, "free tuple vars", vars_loose as f64, "", "large");
+    r.num(TIGHT, "free tuple vars", vars_tight as f64, "", "small");
+    r.num(LOOSE, "time", ms(d_loose), "ms", "-");
+    r.num(TIGHT, "time", ms(d_tight), "ms", "<= unbounded");
 }
 
 /// D1 — daemon mode: warm sessions + the content-addressed result
 /// cache. Drives the `muppetd` engine in-process (no sockets, so the
-/// numbers isolate the caching layers), measures a cold conformance
-/// solve against cached hits, and emits `BENCH_daemon.json`.
-fn d1(t: &mut Table) {
-    use muppet_daemon::json::Json;
+/// numbers isolate the caching layers) and measures a cold conformance
+/// solve against cached hits.
+fn d1(r: &mut Record) {
     use muppet_daemon::{Engine, EngineConfig, Op, Request, SessionSpec};
+    const INST: &str = "paper (fig4)";
 
     let engine = Engine::new(EngineConfig::default());
     let spec = SessionSpec::paper_relaxed();
 
     // Cold: load + ground + encode + solve.
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let cold = engine.handle(&Request::new(Op::CheckConformance).with_spec(spec.clone()), None);
     let cold_us = t0.elapsed().as_micros().max(1) as u64;
     assert!(cold.ok, "daemon conformance failed: {:?}", cold.error);
@@ -896,7 +1089,7 @@ fn d1(t: &mut Table) {
     // Cached: the identical request, median of several hits.
     let mut hits = Vec::new();
     for _ in 0..9 {
-        let t1 = std::time::Instant::now();
+        let t1 = Instant::now();
         let hit = engine.handle(&Request::new(Op::CheckConformance).with_spec(spec.clone()), None);
         hits.push(t1.elapsed().as_micros().max(1) as u64);
         assert!(hit.cached, "repeat request must hit the cache");
@@ -916,35 +1109,27 @@ fn d1(t: &mut Table) {
 
     // Cached-hit throughput over a short burst.
     let burst = 500u64;
-    let t2 = std::time::Instant::now();
+    let t2 = Instant::now();
     for _ in 0..burst {
         let hit = engine.handle(&Request::new(Op::CheckConformance).with_spec(spec.clone()), None);
         assert!(hit.cached);
     }
-    let burst_s = t2.elapsed().as_secs_f64().max(1e-9);
-    let rps = burst as f64 / burst_s;
+    let rps = burst as f64 / t2.elapsed().as_secs_f64().max(1e-9);
 
+    r.num(INST, "cold conformance", cold_us as f64 / 1e3, "ms", "-");
+    r.num(INST, "cached hit", hit_us as f64 / 1e3, "ms", "-");
+    r.num(INST, "cache speedup", speedup, "x", ">= 10x");
+    r.num(INST, "cached throughput", rps, "req/s", "-");
     let stats = engine.stats_json();
-    row(t, "D1", "paper (fig4)", "cold conformance (ms)", format!("{:.3}", cold_us as f64 / 1e3), "-");
-    row(t, "D1", "paper (fig4)", "cached hit (ms)", format!("{:.3}", hit_us as f64 / 1e3), "-");
-    row(t, "D1", "paper (fig4)", "cache speedup", format!("{speedup:.0}x"), ">= 10x");
-    row(t, "D1", "paper (fig4)", "cached throughput (req/s)", format!("{rps:.0}"), "-");
+    for key in ["requests", "errors", "sessions", "cache", "warm_groups"] {
+        if let Some(v) = stats.get(key) {
+            r.leaves("daemon stats", key, v);
+        }
+    }
     assert!(
         speedup >= 10.0,
         "cache hit must be >= 10x faster than cold: cold {cold_us}us vs hit {hit_us}us"
     );
-
-    let doc = Json::obj([
-        ("schema", Json::str("muppet-bench-daemon-v1")),
-        ("cold_us", Json::num(cold_us)),
-        ("cached_us_median", Json::num(hit_us)),
-        ("speedup", Json::Num(speedup)),
-        ("cached_rps", Json::Num(rps)),
-        ("stats", stats),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_daemon.json", doc.to_line() + "\n") {
-        eprintln!("muppet-harness: cannot write BENCH_daemon.json: {e}");
-    }
 }
 
 /// R1 — the robustness / chaos lane (DESIGN.md §14). Runs a real
@@ -967,10 +1152,8 @@ fn d1(t: &mut Table) {
 ///
 /// Finally the server drains: `stop()` plus `wait()` must return
 /// within the drain deadline (+ scheduling slack) even with work in
-/// flight. Emits `BENCH_robustness.json` before gating so the
-/// artifact exists even on a failed gate.
-fn r1(t: &mut Table) {
-    use muppet_daemon::json::Json;
+/// flight.
+fn r1(r: &mut Record) {
     use muppet_daemon::{
         serve, Endpoint, Engine, EngineConfig, Op, OverloadConfig, Request, RetryPolicy,
         ServerConfig, SessionSpec,
@@ -1143,7 +1326,7 @@ fn r1(t: &mut Table) {
         raw.write_all(b"{\"op\":\"stats\"").expect("stall write");
         raw.flush().ok();
         raw.set_read_timeout(Some(Duration::from_secs(5))).ok();
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let mut buf = Vec::new();
         // The server writes one failure line, then closes; read_to_end
         // returns once the close lands.
@@ -1198,8 +1381,7 @@ fn r1(t: &mut Table) {
     let stats = ep
         .roundtrip(&Request::new(Op::Stats), io_timeout)
         .expect("stats roundtrip");
-    let overload_stats =
-        stats.result.get("overload").cloned().unwrap_or(Json::Null);
+    let overload_stats = stats.result.get("overload").cloned().unwrap_or(Json::Null);
 
     // Phase 4: graceful drain with work still in flight. Park fresh
     // requests in the queue, never read them, then stop: wait() must
@@ -1210,10 +1392,10 @@ fn r1(t: &mut Table) {
         req.id = Some(format!("drain-{i}"));
         parked.send(&req).expect("drain send");
     }
-    let t_drain = std::time::Instant::now();
+    let t_drain = Instant::now();
     handle.stop();
     handle.wait();
-    let drain_ms = t_drain.elapsed().as_secs_f64() * 1e3;
+    let drain_ms = ms(t_drain.elapsed());
     drop(parked);
     let _ = std::fs::remove_file(&sock);
 
@@ -1226,49 +1408,18 @@ fn r1(t: &mut Table) {
     let drain_budget_ms = (overload.drain_deadline_ms + 2_000) as f64;
 
     let inst = "paper conformance variants under chaos";
-    row(t, "R1", inst, "good-client requests", total_good.to_string(), "-");
-    row(t, "R1", inst, "completed with a verdict", completed.to_string(), "-");
-    row(t, "R1", inst, "wrong verdicts", wrong.to_string(), "0");
-    row(t, "R1", inst, "retry attempts (total)", attempts.to_string(), ">= requests");
-    row(t, "R1", inst, "pipelined requests unanswered", unanswered.to_string(), "0");
-    row(t, "R1", inst, "sheds observed by flooders", sheds.to_string(), ">= 1");
-    row(t, "R1", inst, "slow-loris killed at timeout", stall_killed.to_string(), "true");
-    row(t, "R1", inst, "fault: exhaustion stays terminal", fault_exhausted_terminal.to_string(), "true");
-    row(t, "R1", inst, "fault: worker panic answered", fault_panic_terminal.to_string(), "true");
-    row(t, "R1", inst, "drain wall (ms)", format!("{drain_ms:.0}"), &format!("<= {drain_budget_ms:.0}"));
-
-    // The artifact is written before any gate fires, so CI trend lines
-    // survive a red run.
-    let doc = Json::obj([
-        ("schema", Json::str("muppet-bench-robustness-v1")),
-        ("instance", Json::str(inst)),
-        (
-            "limits",
-            Json::obj([
-                ("max_queue_depth", Json::num(overload.max_queue_depth as u64)),
-                ("max_inflight_per_conn", Json::num(overload.max_inflight_per_conn as u64)),
-                ("retry_after_ms", Json::num(overload.retry_after_ms)),
-                ("drain_deadline_ms", Json::num(overload.drain_deadline_ms)),
-                ("read_timeout_ms", Json::num(overload.read_timeout_ms)),
-            ]),
-        ),
-        ("good_requests", Json::num(total_good)),
-        ("completed", Json::num(completed)),
-        ("wrong_verdicts", Json::num(wrong)),
-        ("retry_attempts", Json::num(attempts)),
-        ("pipelined_unanswered", Json::num(unanswered)),
-        ("sheds_seen_by_flooders", Json::num(sheds)),
-        ("stall_killed", Json::Bool(stall_killed)),
-        ("fault_exhaustion_terminal", Json::Bool(fault_exhausted_terminal)),
-        ("fault_panic_terminal", Json::Bool(fault_panic_terminal)),
-        ("fault_inject_compiled", Json::Bool(cfg!(feature = "fault-inject"))),
-        ("drain_ms", Json::Num(drain_ms)),
-        ("drain_budget_ms", Json::Num(drain_budget_ms)),
-        ("overload_stats", overload_stats),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_robustness.json", doc.to_line() + "\n") {
-        eprintln!("muppet-harness: cannot write BENCH_robustness.json: {e}");
-    }
+    r.num(inst, "good-client requests", total_good as f64, "", "-");
+    r.num(inst, "completed with a verdict", completed as f64, "", "-");
+    r.num(inst, "wrong verdicts", wrong as f64, "", "0");
+    r.num(inst, "retry attempts (total)", attempts as f64, "", ">= requests");
+    r.num(inst, "pipelined requests unanswered", unanswered as f64, "", "0");
+    r.num(inst, "sheds observed by flooders", sheds as f64, "", ">= 1");
+    r.text(inst, "slow-loris killed at timeout", stall_killed, "true");
+    r.text(inst, "fault injection compiled", cfg!(feature = "fault-inject"), "-");
+    r.text(inst, "fault: exhaustion stays terminal", fault_exhausted_terminal, "true");
+    r.text(inst, "fault: worker panic answered", fault_panic_terminal, "true");
+    r.num(inst, "drain wall", drain_ms, "ms", &format!("<= {drain_budget_ms:.0}"));
+    r.leaves(inst, "overload", &overload_stats);
 
     assert_eq!(wrong, 0, "chaos must never produce a wrong verdict");
     assert!(
@@ -1285,13 +1436,12 @@ fn r1(t: &mut Table) {
     );
 }
 
-/// O1 — the observability lane (DESIGN.md §12). Four honest checks,
-/// always written to `BENCH_obs.json`:
+/// O1 — the observability lane (DESIGN.md §12). Three honest checks:
 ///
 /// 1. *Traced scenarios*: the paper tables run end-to-end with
 ///    tracing on and a [`muppet_obs::PhaseAccumulator`] registered;
 ///    the profiler must see every solve phase (`ground` → `encode` →
-///    `search`) and the per-phase totals become the breakdown table.
+///    `search`) and the per-phase totals become rows.
 /// 2. *Schema validation*: every span tree in the ring round-trips
 ///    through the daemon's hardened JSON parser and carries the
 ///    `name`/`start_us`/`elapsed_us`/`counters`/`attrs` fields at
@@ -1300,32 +1450,43 @@ fn r1(t: &mut Table) {
 ///    micro-benched (it must cost one relaxed atomic load); the
 ///    implied per-solve overhead against an untraced paper reconcile
 ///    must stay ≤ 2%.
-/// 4. The per-phase breakdown lands in `BENCH_obs.json`.
-fn o1(t: &mut Table) {
-    use muppet_daemon::json::{parse, Json};
-    use muppet_obs::PhaseAccumulator;
-
-    let was_enabled = muppet_obs::tracing_enabled();
-    muppet_obs::clear_profilers();
-    let acc = PhaseAccumulator::new();
-    muppet_obs::on_span_close(acc.callback());
-    muppet_obs::set_enabled(true);
+fn o1(r: &mut Record) {
+    use muppet_daemon::json::parse;
+    const SCENARIOS: &str = "paper scenarios";
 
     // 1. Traced scenario set: the paper tables, end to end.
     let mv = vocab();
-    let mut strict = session(&mv, IstioTable::Fig3);
-    govern(&mut strict);
-    let rec = strict.reconcile(ReconcileMode::Blameable).unwrap();
-    assert!(!rec.success, "strict paper tables must conflict");
-    let mut relaxed = session(&mv, IstioTable::Fig4);
-    govern(&mut relaxed);
-    let rec = relaxed.reconcile(ReconcileMode::HardBounds).unwrap();
-    assert!(rec.success, "relaxed paper tables must synthesize");
-    let lc = relaxed.local_consistency(mv.istio_party).unwrap();
-    assert!(lc.ok);
-    strict
-        .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
-        .unwrap();
+    let (exhausted, totals) = profiled(|| {
+        let mut strict = session(&mv, IstioTable::Fig3);
+        govern(&mut strict);
+        let rec = strict.reconcile(ReconcileMode::Blameable).unwrap();
+        if rec.exhausted.is_some() {
+            return rec.exhausted;
+        }
+        assert!(!rec.success, "strict paper tables must conflict");
+        let mut relaxed = session(&mv, IstioTable::Fig4);
+        govern(&mut relaxed);
+        let rec = relaxed.reconcile(ReconcileMode::HardBounds).unwrap();
+        if rec.exhausted.is_some() {
+            return rec.exhausted;
+        }
+        assert!(rec.success, "relaxed paper tables must synthesize");
+        let lc = relaxed.local_consistency(mv.istio_party).unwrap();
+        if lc.exhausted.is_some() {
+            return lc.exhausted;
+        }
+        assert!(lc.ok);
+        strict
+            .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
+            .unwrap();
+        None
+    });
+    if let Some(ex) = exhausted {
+        return r.exhausted(SCENARIOS, ex);
+    }
+    for phase in ["reconcile", "ground", "encode", "search"] {
+        assert!(totals.contains_key(phase), "profiler must see phase {phase:?}");
+    }
 
     // 2. Schema validation through the daemon's own JSON parser.
     let traces = muppet_obs::recent_traces(muppet_obs::ring_capacity());
@@ -1354,17 +1515,12 @@ fn o1(t: &mut Table) {
         .map(|tr| tr.span_count() as u64)
         .expect("ring must hold a reconcile trace");
 
-    let totals = acc.drain();
-    muppet_obs::clear_profilers();
-    for phase in ["reconcile", "ground", "encode", "search"] {
-        assert!(totals.contains_key(phase), "profiler must see phase {phase:?}");
-    }
-
     // 3. Overhead gate: with tracing disabled a span call is one
     // relaxed atomic load + an inert guard drop.
+    let was_enabled = muppet_obs::tracing_enabled();
     muppet_obs::set_enabled(false);
     let probes = 4_000_000u64;
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     for _ in 0..probes {
         drop(std::hint::black_box(muppet_obs::span("overhead-probe")));
     }
@@ -1374,183 +1530,61 @@ fn o1(t: &mut Table) {
         || session(&mv, IstioTable::Fig4),
         |s| s.reconcile(ReconcileMode::HardBounds).unwrap(),
     );
+    muppet_obs::set_enabled(was_enabled);
     assert!(rec.success);
     let overhead_pct =
         spans_per_solve as f64 * disabled_ns / (d_solve.as_secs_f64() * 1e9).max(1.0) * 100.0;
+
+    r.phases(SCENARIOS, &totals);
+    const SCHEMA_INST: &str = "span schema";
+    r.num(SCHEMA_INST, "trees validated", traces.len() as f64, "", "all ring trees parse");
+    r.num(SCHEMA_INST, "spans validated", spans_validated as f64, "", "-");
+    r.num(SCHEMA_INST, "ring capacity", muppet_obs::ring_capacity() as f64, "", "-");
+    r.num("overhead", "disabled span", disabled_ns, "ns", "one relaxed atomic load");
+    r.num("overhead", "spans per solve", spans_per_solve as f64, "", "-");
+    r.num("overhead", "untraced solve", ms(d_solve), "ms", "-");
+    r.num("overhead", "implied per-solve", overhead_pct, "%", "<= 2");
     assert!(
         overhead_pct <= 2.0,
         "disabled-tracing overhead {overhead_pct:.4}% breaks the 2% budget: \
          {spans_per_solve} spans x {disabled_ns:.1}ns against a {:.1}ms solve",
-        d_solve.as_secs_f64() * 1e3
+        ms(d_solve)
     );
-    muppet_obs::set_enabled(was_enabled);
-
-    for (name, p) in &totals {
-        row(
-            t,
-            "O1",
-            "paper scenarios",
-            &format!("phase {name}"),
-            format!("{}x / {}us total / {}us max", p.count, p.total_us, p.max_us),
-            "per-phase breakdown",
-        );
-    }
-    row(
-        t,
-        "O1",
-        "span schema",
-        "trees / spans validated",
-        format!("{} / {spans_validated}", traces.len()),
-        "all ring trees parse",
-    );
-    row(
-        t,
-        "O1",
-        "overhead",
-        "disabled span (ns)",
-        format!("{disabled_ns:.1}"),
-        "one relaxed atomic load",
-    );
-    row(
-        t,
-        "O1",
-        "overhead",
-        "implied per-solve (%)",
-        format!("{overhead_pct:.4}"),
-        "<= 2",
-    );
-
-    let phases = Json::Obj(
-        totals
-            .iter()
-            .map(|(name, p)| {
-                (
-                    (*name).to_string(),
-                    Json::obj([
-                        ("count", Json::num(p.count)),
-                        ("total_us", Json::num(p.total_us)),
-                        ("max_us", Json::num(p.max_us)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let doc = Json::obj([
-        ("schema", Json::str("muppet-bench-obs-v1")),
-        ("phases", phases),
-        (
-            "traces",
-            Json::obj([
-                ("trees", Json::num(traces.len() as u64)),
-                ("spans_validated", Json::num(spans_validated)),
-                ("ring_capacity", Json::num(muppet_obs::ring_capacity() as u64)),
-            ]),
-        ),
-        (
-            "overhead",
-            Json::obj([
-                ("disabled_span_ns", Json::Num(disabled_ns)),
-                ("spans_per_solve", Json::num(spans_per_solve)),
-                ("solve_ms", Json::Num(d_solve.as_secs_f64() * 1e3)),
-                ("overhead_pct", Json::Num(overhead_pct)),
-                ("budget_pct", Json::Num(2.0)),
-            ]),
-        ),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_obs.json", doc.to_line() + "\n") {
-        eprintln!("muppet-harness: cannot write BENCH_obs.json: {e}");
-    }
 }
 
 /// S1 — the scale lane (DESIGN.md §15). Runs the committed scenario
 /// corpus end to end and gates every observed verdict against its
 /// committed label: always the `smoke` + `paper` tiers plus the two
 /// headline 1000-service `large` entries; the full `large` and `hard`
-/// tiers when `MUPPET_SCALE=full`. Mesh entries run the whole
-/// ground → encode → search pipeline with the obs profiler attached,
-/// so `BENCH_scale.json` carries per-phase timings for every scenario.
-/// The lane also regenerates the headline scenario twice and gates
-/// byte-identical output (manifests, goal tables, provenance JSON).
-/// `BENCH_scale.json` is always written before any gate fires.
-fn s1(t: &mut Table) {
-    use muppet_bench::scenario::corpus::{self, Kind, Tier};
-    use muppet_daemon::json::Json;
-    use muppet_obs::PhaseAccumulator;
+/// tiers when `MUPPET_SCALE=full`. Every entry runs with the obs
+/// profiler attached, so each carries per-phase timings. The lane also
+/// regenerates the headline scenario twice and gates byte-identical
+/// output (manifests, goal tables, provenance JSON).
+fn s1(r: &mut Record) {
+    use corpus::{Kind, Tier};
 
     let full = std::env::var("MUPPET_SCALE").map(|v| v == "full").unwrap_or(false);
     let headline = ["large-1000-sat", "large-1000-unsat"];
-    let selected: Vec<&corpus::CorpusEntry> = corpus::CORPUS
-        .iter()
-        .filter(|e| match e.tier {
-            Tier::Smoke | Tier::Paper => true,
-            Tier::Large => full || headline.contains(&e.name),
-            Tier::Hard => full,
-        })
-        .collect();
-
-    let was_enabled = muppet_obs::tracing_enabled();
-    let mut scenarios: Vec<Json> = Vec::new();
+    r.text("corpus", "mode", if full { "full" } else { "headline" }, "-");
     let mut mismatches: Vec<String> = Vec::new();
-    let mut largest_phases: Option<(String, BTreeMap<&'static str, muppet_obs::PhaseTotals>)> =
-        None;
-    let mut largest_services = 0usize;
-    for entry in &selected {
-        muppet_obs::clear_profilers();
-        let acc = PhaseAccumulator::new();
-        muppet_obs::on_span_close(acc.callback());
-        muppet_obs::set_enabled(true);
-        let start = std::time::Instant::now();
-        let got = corpus::solver_verdict(entry);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let totals = acc.drain();
-        muppet_obs::clear_profilers();
-        muppet_obs::set_enabled(was_enabled);
-
-        let ok = got == entry.expected;
-        if !ok {
-            mismatches.push(format!(
-                "{}: expected {}, got {got}",
-                entry.name, entry.expected
-            ));
+    let mut largest: Option<(usize, &str, BTreeMap<&'static str, PhaseTotals>)> = None;
+    for entry in corpus::CORPUS.iter().filter(|e| match e.tier {
+        Tier::Smoke | Tier::Paper => true,
+        Tier::Large => full || headline.contains(&e.name),
+        Tier::Hard => full,
+    }) {
+        let ((got, wall), totals) = profiled(|| timed(|| corpus::solver_verdict(entry)));
+        if got != entry.expected {
+            mismatches.push(format!("{}: expected {}, got {got}", entry.name, entry.expected));
         }
-        row(
-            t,
-            "S1",
-            entry.name,
-            "verdict",
-            format!("{got} in {wall_ms:.0} ms"),
-            entry.expected.label(),
-        );
+        r.text(entry.name, "verdict", got.label(), entry.expected.label());
+        r.num(entry.name, "wall", ms(wall), "ms", "-");
+        r.phases(entry.name, &totals);
         if let Kind::Mesh(params) = entry.kind {
-            if params.services > largest_services {
-                largest_services = params.services;
-                largest_phases = Some((entry.name.to_string(), totals.clone()));
+            if largest.as_ref().is_none_or(|l| params.services > l.0) {
+                largest = Some((params.services, entry.name, totals));
             }
         }
-        let phases = Json::Obj(
-            totals
-                .iter()
-                .map(|(name, p)| {
-                    (
-                        (*name).to_string(),
-                        Json::obj([
-                            ("count", Json::num(p.count)),
-                            ("total_us", Json::num(p.total_us)),
-                            ("max_us", Json::num(p.max_us)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        scenarios.push(Json::obj([
-            ("name", Json::str(entry.name)),
-            ("tier", Json::str(entry.tier.name())),
-            ("expected", Json::str(entry.expected.label())),
-            ("got", Json::str(got.label())),
-            ("ok", Json::Bool(ok)),
-            ("wall_ms", Json::Num(wall_ms)),
-            ("phases", phases),
-        ]));
     }
 
     // Determinism gate: the headline scenario regenerated from scratch
@@ -1559,50 +1593,18 @@ fn s1(t: &mut Table) {
     let Kind::Mesh(params) = head.kind else {
         panic!("headline entry must be a mesh scenario")
     };
-    let a = muppet_bench::scenario::generate(params);
-    let b = muppet_bench::scenario::generate(params);
+    let a = generate(params);
+    let b = generate(params);
     let regen_identical = a.wire_content() == b.wire_content()
         && a.provenance_json(head.name) == b.provenance_json(head.name);
-    row(
-        t,
-        "S1",
-        head.name,
-        "regeneration byte-identical",
-        regen_identical.to_string(),
-        "true (seeded determinism)",
-    );
+    r.text(head.name, "regeneration byte-identical", regen_identical, "true (seeded determinism)");
 
-    let doc = Json::obj([
-        ("schema", Json::str("muppet-bench-scale-v1")),
-        ("mode", Json::str(if full { "full" } else { "headline" })),
-        ("regeneration_identical", Json::Bool(regen_identical)),
-        ("scenarios", Json::Arr(scenarios)),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_scale.json", doc.to_line() + "\n") {
-        eprintln!("muppet-harness: cannot write BENCH_scale.json: {e}");
-    }
-
-    // Gates fire only after BENCH_scale.json is on disk.
     assert!(mismatches.is_empty(), "corpus label mismatches: {mismatches:?}");
     assert!(regen_identical, "same seed + params must regenerate byte-identically");
-    let (largest_name, phases) = largest_phases.expect("lane must run a mesh scenario");
-    assert!(
-        largest_services >= 1000,
-        "scale lane must solve a >= 1000-service mesh (got {largest_services})"
-    );
+    let (services, name, phases) = largest.expect("lane must run a mesh scenario");
+    assert!(services >= 1000, "scale lane must solve a >= 1000-service mesh (got {services})");
     for phase in ["ground", "encode", "search"] {
-        let p = match phases.get(phase) {
-            Some(p) => p,
-            None => panic!("{largest_name}: no {phase} phase recorded"),
-        };
-        row(
-            t,
-            "S1",
-            &largest_name,
-            &format!("phase {phase}"),
-            format!("{}x / {}us total / {}us max", p.count, p.total_us, p.max_us),
-            "per-phase breakdown",
-        );
+        assert!(phases.contains_key(phase), "{name}: no {phase} phase recorded");
     }
 }
 
@@ -1611,8 +1613,7 @@ fn s1(t: &mut Table) {
 /// so blamed ones can be conceded) runs as repeated episodes the way
 /// the daemon replays `NegotiateRound`: the **warm** path lends one
 /// `PreparedStore` to every episode's session, the **cold** path runs
-/// every episode on a fresh `Session`. Two gates, always written to
-/// `BENCH_incremental.json`:
+/// every episode on a fresh `Session`. Two gates:
 ///
 /// 1. *Byte identity*: every episode's verdict, round count, delivered
 ///    configs and full trace (the counter-offer sequence) must be
@@ -1620,8 +1621,7 @@ fn s1(t: &mut Table) {
 /// 2. *Work ratio*: the fresh sessions must re-encode >= 3x more CNF
 ///    groups than the shared store, measured as deltas of the global
 ///    `engine.groups.encoded` counter around each phase.
-fn n1(t: &mut Table) {
-    use muppet_daemon::json::Json;
+fn n1(r: &mut Record) {
     use muppet_solver::PreparedStore;
 
     const EPISODES: usize = 4;
@@ -1656,29 +1656,31 @@ fn n1(t: &mut Table) {
     // Warm: one store lent to every episode, the daemon's lifetime shape.
     let mut store = PreparedStore::new();
     let warm_before = encoded();
-    let t0 = std::time::Instant::now();
-    let warm_reports: Vec<_> = (0..EPISODES)
-        .map(|_| {
-            let mut s = build();
-            std::mem::swap(s.store_mut(), &mut store);
-            let report =
-                run_negotiation(&mut s, &mut negs(), MAX_ROUNDS, Schedule::RoundRobin).unwrap();
-            std::mem::swap(s.store_mut(), &mut store);
-            report
-        })
-        .collect();
-    let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (warm_reports, warm_wall) = timed(|| {
+        (0..EPISODES)
+            .map(|_| {
+                let mut s = build();
+                std::mem::swap(s.store_mut(), &mut store);
+                let report =
+                    run_negotiation(&mut s, &mut negs(), MAX_ROUNDS, Schedule::RoundRobin)
+                        .unwrap();
+                std::mem::swap(s.store_mut(), &mut store);
+                report
+            })
+            .collect::<Vec<_>>()
+    });
     let warm_encoded = encoded() - warm_before;
 
     // Cold: identical episodes, each on a fresh session.
     let cold_before = encoded();
-    let t1 = std::time::Instant::now();
-    let cold_reports: Vec<_> = (0..EPISODES)
-        .map(|_| {
-            run_negotiation(&mut build(), &mut negs(), MAX_ROUNDS, Schedule::RoundRobin).unwrap()
-        })
-        .collect();
-    let cold_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let (cold_reports, cold_wall) = timed(|| {
+        (0..EPISODES)
+            .map(|_| {
+                run_negotiation(&mut build(), &mut negs(), MAX_ROUNDS, Schedule::RoundRobin)
+                    .unwrap()
+            })
+            .collect::<Vec<_>>()
+    });
     let cold_encoded = encoded() - cold_before;
 
     // Gate 1: byte-identical verdicts and counter-offer sequences.
@@ -1705,46 +1707,18 @@ fn n1(t: &mut Table) {
     // Gate 2: fresh sessions re-encode >= 3x more groups.
     let ratio = cold_encoded as f64 / (warm_encoded.max(1)) as f64;
     let inst = format!("paper fig2/fig3, {EPISODES} episodes");
-    row(t, "N1", &inst, "verdicts + traces byte-identical", identical.to_string(), "true");
-    row(t, "N1", &inst, "rounds per episode", warm_reports[0].rounds.to_string(), "-");
-    row(t, "N1", &inst, "groups encoded (warm)", warm_encoded.to_string(), "-");
-    row(t, "N1", &inst, "groups encoded (cold)", cold_encoded.to_string(), "-");
-    row(t, "N1", &inst, "cold/warm encode ratio", format!("{ratio:.1}x"), ">= 3x");
-    row(t, "N1", &inst, "warm wall (ms)", format!("{warm_ms:.1}"), "-");
-    row(t, "N1", &inst, "cold wall (ms)", format!("{cold_ms:.1}"), "-");
+    r.text(&inst, "verdicts + traces byte-identical", identical, "true");
+    r.num(&inst, "rounds per episode", warm_reports[0].rounds as f64, "rounds", "-");
+    r.num(&inst, "groups encoded (warm)", warm_encoded as f64, "", "-");
+    r.num(&inst, "groups encoded (cold)", cold_encoded as f64, "", "-");
+    r.num(&inst, "cold/warm encode ratio", ratio, "x", ">= 3x");
+    r.num(&inst, "warm wall", ms(warm_wall), "ms", "-");
+    r.num(&inst, "cold wall", ms(cold_wall), "ms", "-");
     assert!(
         ratio >= 3.0,
         "fresh sessions must re-encode >= 3x more groups than a shared store: \
          cold {cold_encoded} vs warm {warm_encoded}"
     );
-
-    let doc = Json::obj([
-        ("schema", Json::str("muppet-bench-incremental-v1")),
-        ("instance", Json::str("paper fig2 vs fig3, istio rows soft")),
-        ("episodes", Json::num(EPISODES as u64)),
-        ("rounds_per_episode", Json::num(warm_reports[0].rounds as u64)),
-        ("verdicts_identical", Json::Bool(identical)),
-        ("verdict", Json::str(render(&warm_reports[0]))),
-        (
-            "warm",
-            Json::obj([
-                ("groups_encoded", Json::num(warm_encoded)),
-                ("wall_ms", Json::Num(warm_ms)),
-            ]),
-        ),
-        (
-            "cold",
-            Json::obj([
-                ("groups_encoded", Json::num(cold_encoded)),
-                ("wall_ms", Json::Num(cold_ms)),
-            ]),
-        ),
-        ("encode_ratio", Json::Num(ratio)),
-        ("gate_ratio", Json::Num(3.0)),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_incremental.json", doc.to_line() + "\n") {
-        eprintln!("muppet-harness: cannot write BENCH_incremental.json: {e}");
-    }
 }
 
 /// W1 — the streaming-reconfiguration lane (DESIGN.md §16). Replays
@@ -1760,8 +1734,7 @@ fn n1(t: &mut Table) {
 ///   vocabulary, fresh grounding, fresh encoding, fresh solver).
 ///
 /// It then replays the unbounded `stream-policy-churn` entry the same
-/// way ([`w1_unbounded`]). Three gates, applied only after
-/// `BENCH_stream.json` is on disk:
+/// way ([`w1_unbounded`]). Three gates:
 ///
 /// 1. *Byte identity*: the warm verdict line (canonical lex-min model
 ///    or ordered-deletion minimal core) equals the cold oracle's at
@@ -1773,23 +1746,21 @@ fn n1(t: &mut Table) {
 ///    verdicts, sat and unsat, a warm engine never holding more than
 ///    twice a fresh engine's variables, and no ban or goal-row delta
 ///    dirtying the structural axioms.
-fn w1(t: &mut Table) {
-    use muppet_bench::scenario::corpus::{self, Kind};
-    use muppet_daemon::json::Json;
+fn w1(r: &mut Record) {
     use muppet_stream::{verdict_line, StreamSession, StreamSpec};
 
     // The bounded-offer churn entry: tight offers keep the free tuple
     // count small, so grounding plus encoding dominate each cold solve,
     // which is exactly the work the multi-shot session amortizes.
     let entry = corpus::entry("stream-bounded-churn").expect("committed stream entry");
-    let Kind::Stream(params) = entry.kind else {
+    let corpus::Kind::Stream(params) = entry.kind else {
         panic!("stream-bounded-churn must be a stream corpus entry")
     };
     assert!(params.deltas >= 200, "the speedup gate needs a >= 200-delta stream");
-    let stream = muppet_bench::scenario::generate_stream(params);
+    let stream = muppet_scenario::generate_stream(params);
 
     // Warm: one multi-shot session across the whole stream.
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let (mut warm, initial) =
         StreamSession::new(StreamSpec::from(&stream.base)).expect("initial state solves");
     let mut warm_verdicts: Vec<String> = vec![initial.verdict.clone()];
@@ -1807,7 +1778,7 @@ fn w1(t: &mut Table) {
         compactions += u64::from(s.compacted);
         warm_verdicts.push(s.verdict);
     }
-    let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let warm_ms = ms(t0.elapsed());
     let (encoded, reused) = warm.group_counters();
 
     // Cold oracle: the identical state sequence, each solved from
@@ -1821,7 +1792,7 @@ fn w1(t: &mut Table) {
         assert!(rec.exhausted.is_none(), "cold oracle must not exhaust");
         verdict_line(&rec)
     };
-    let t1 = std::time::Instant::now();
+    let t1 = Instant::now();
     let mut cold_verdicts: Vec<String> = vec![cold_solve(&cold_spec)];
     for d in &stream.deltas {
         d.apply_parts(
@@ -1832,7 +1803,7 @@ fn w1(t: &mut Table) {
         .expect("committed stream replays cold");
         cold_verdicts.push(cold_solve(&cold_spec));
     }
-    let cold_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let cold_ms = ms(t1.elapsed());
 
     let solves = warm_verdicts.len();
     let identical = warm_verdicts
@@ -1845,85 +1816,25 @@ fn w1(t: &mut Table) {
         .zip(&cold_verdicts)
         .position(|(w, c)| w != c);
     let speedup = cold_ms / warm_ms.max(1e-9);
-    let warm_amortized_us = warm_ms * 1e3 / solves as f64;
-    let cold_amortized_us = cold_ms * 1e3 / solves as f64;
 
     let inst = format!("{} ({} deltas)", entry.name, stream.deltas.len());
-    row(t, "W1", &inst, "verdicts byte-identical", format!("{identical}/{solves}"), "all");
-    row(t, "W1", &inst, "amortized speedup", format!("{speedup:.1}x"), ">= 5x");
-    row(
-        t,
-        "W1",
-        &inst,
-        "warm amortized per delta (ms)",
-        format!("{:.2}", warm_amortized_us / 1e3),
-        "-",
-    );
-    row(
-        t,
-        "W1",
-        &inst,
-        "cold amortized per delta (ms)",
-        format!("{:.2}", cold_amortized_us / 1e3),
-        "-",
-    );
-    row(t, "W1", &inst, "warm max delta (ms)", format!("{:.2}", max_delta_us as f64 / 1e3), "-");
-    row(t, "W1", &inst, "verdict flips observed", flips.to_string(), "-");
-    row(
-        t,
-        "W1",
-        &inst,
-        "groups encoded / reused",
-        format!("{encoded} / {reused}"),
-        "reuse dominates",
-    );
-    row(t, "W1", &inst, "answers reused", answers_reused.to_string(), "-");
-    let (unbounded, unbounded_failures) = w1_unbounded(t);
-
-    // The artifact is written before any gate fires, so CI trend lines
-    // survive a red run.
-    let doc = Json::obj([
-        ("schema", Json::str("muppet-bench-stream-v1")),
-        ("entry", Json::str(entry.name)),
-        ("profile", Json::str(params.profile.name())),
-        ("deltas", Json::num(stream.deltas.len() as u64)),
-        ("solves", Json::num(solves as u64)),
-        ("verdicts_identical", Json::num(identical as u64)),
-        (
-            "first_divergence_seq",
-            match first_divergence {
-                Some(i) => Json::num(i as u64),
-                None => Json::Null,
-            },
-        ),
-        ("verdict_flips", Json::num(flips)),
-        (
-            "warm",
-            Json::obj([
-                ("wall_ms", Json::Num(warm_ms)),
-                ("amortized_us_per_delta", Json::Num(warm_amortized_us)),
-                ("max_delta_us", Json::num(max_delta_us)),
-                ("groups_encoded", Json::num(encoded)),
-                ("groups_reused", Json::num(reused)),
-                ("engine_vars_max", Json::num(engine_vars_max)),
-                ("compactions", Json::num(compactions)),
-                ("answers_reused", Json::num(answers_reused)),
-            ]),
-        ),
-        (
-            "cold",
-            Json::obj([
-                ("wall_ms", Json::Num(cold_ms)),
-                ("amortized_us_per_delta", Json::Num(cold_amortized_us)),
-            ]),
-        ),
-        ("amortized_speedup", Json::Num(speedup)),
-        ("gate_speedup", Json::Num(5.0)),
-        ("unbounded", unbounded),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_stream.json", doc.to_line() + "\n") {
-        eprintln!("muppet-harness: cannot write BENCH_stream.json: {e}");
-    }
+    r.text(&inst, "profile", params.profile.name(), "-");
+    r.text(&inst, "verdicts byte-identical", format!("{identical}/{solves}"), "all");
+    let divergence = first_divergence.map_or("none".to_string(), |i| format!("seq {i}"));
+    r.text(&inst, "first divergence", divergence, "none");
+    r.num(&inst, "amortized speedup", speedup, "x", ">= 5x");
+    r.num(&inst, "warm wall", warm_ms, "ms", "-");
+    r.num(&inst, "cold wall", cold_ms, "ms", "-");
+    r.num(&inst, "warm amortized per delta", warm_ms / solves as f64, "ms", "-");
+    r.num(&inst, "cold amortized per delta", cold_ms / solves as f64, "ms", "-");
+    r.num(&inst, "warm max delta", max_delta_us as f64 / 1e3, "ms", "-");
+    r.num(&inst, "verdict flips observed", flips as f64, "", "-");
+    r.num(&inst, "groups encoded", encoded as f64, "", "-");
+    r.num(&inst, "groups reused", reused as f64, "", "reuse dominates");
+    r.num(&inst, "warm engine vars max", engine_vars_max as f64, "", "-");
+    r.num(&inst, "compactions", compactions as f64, "", "-");
+    r.num(&inst, "answers reused", answers_reused as f64, "", "-");
+    let unbounded_failures = w1_unbounded(r);
 
     assert_eq!(
         identical,
@@ -1960,19 +1871,16 @@ fn w1(t: &mut Table) {
 /// submits the same encoding-key list as the delta before it must be
 /// answered from the warm engine's memo, without searching (again
 /// except right after a compaction, which drops the memo with the
-/// engine). Returns the `BENCH_stream.json` block and the gate
-/// failures.
-fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
-    use muppet_bench::scenario::corpus::{self, Kind};
-    use muppet_daemon::json::Json;
+/// engine). Returns the gate failures.
+fn w1_unbounded(r: &mut Record) -> Vec<String> {
     use muppet_stream::{verdict_line, StreamSession, StreamSpec};
 
     let entry = corpus::entry("stream-policy-churn").expect("committed stream entry");
-    let Kind::Stream(params) = entry.kind else {
+    let corpus::Kind::Stream(params) = entry.kind else {
         panic!("stream-policy-churn must be a stream corpus entry")
     };
     assert!(!params.base.bounded, "the leak check needs the unbounded entry");
-    let stream = muppet_bench::scenario::generate_stream(params);
+    let stream = muppet_scenario::generate_stream(params);
     let (mut warm, initial) =
         StreamSession::new(StreamSpec::from(&stream.base)).expect("initial state solves");
     let mut spec = StreamSpec::from(&stream.base);
@@ -2045,44 +1953,20 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
     }
 
     let inst = format!("{} ({} deltas)", entry.name, stream.deltas.len());
-    row(t, "W1", &inst, "unsat cores byte-identical", format!("{unsat_identical}/{unsat}"), "all");
-    row(t, "W1", &inst, "sat verdicts byte-identical", format!("{sat_identical}/{sat}"), "all");
-    row(t, "W1", &inst, "max warm/fresh engine vars", format!("{worst_ratio:.2}"), "<= 2");
-    row(t, "W1", &inst, "warm engine vars max", engine_vars_max.to_string(), "-");
-    row(t, "W1", &inst, "compactions", compactions.to_string(), "-");
-    row(
-        t,
-        "W1",
-        &inst,
-        "ban/goal deltas dirtying the axioms",
-        axioms_dirtied.to_string(),
-        "0",
-    );
-    row(
-        t,
-        "W1",
+    r.text(&inst, "unsat cores byte-identical", format!("{unsat_identical}/{unsat}"), "all");
+    r.text(&inst, "sat verdicts byte-identical", format!("{sat_identical}/{sat}"), "all");
+    r.num(&inst, "max warm/fresh engine vars", worst_ratio, "x", "<= 2");
+    r.num(&inst, "warm engine vars max", engine_vars_max as f64, "", "-");
+    r.num(&inst, "compactions", compactions as f64, "", "-");
+    r.num(&inst, "ban/goal deltas dirtying the axioms", axioms_dirtied as f64, "", "0");
+    r.num(&inst, "answers reused", answers_reused as f64, "", "-");
+    r.text(
         &inst,
         "repeated states answered without search",
         format!("{repeats_reused}/{repeats}"),
         "all",
     );
-    let doc = Json::obj([
-        ("entry", Json::str(entry.name)),
-        ("deltas", Json::num(stream.deltas.len() as u64)),
-        ("unsat", Json::num(unsat)),
-        ("unsat_identical", Json::num(unsat_identical)),
-        ("sat", Json::num(sat)),
-        ("sat_identical", Json::num(sat_identical)),
-        ("engine_vars_max", Json::num(engine_vars_max)),
-        ("max_warm_fresh_vars_ratio", Json::Num(worst_ratio)),
-        ("gate_warm_fresh_vars_ratio", Json::Num(2.0)),
-        ("compactions", Json::num(compactions)),
-        ("axioms_dirtied_by_table_edits", Json::num(axioms_dirtied)),
-        ("answers_reused", Json::num(answers_reused)),
-        ("repeated_states", Json::num(repeats)),
-        ("repeated_states_reused", Json::num(repeats_reused)),
-    ]);
-    (doc, failures)
+    failures
 }
 
 /// K1 — the SAT-kernel speed lane (DESIGN.md §17).
@@ -2094,7 +1978,7 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
 /// pre-upgrade oracle) and the tuned defaults (inprocessing with
 /// geometric backoff, recursive minimization, decay ramp). Each entry
 /// is also solved under three ablation profiles, the tuned kernel with
-/// exactly one of those features switched off, so the table shows what
+/// exactly one of those features switched off, so the rows show what
 /// each kept feature buys. Work counters are deterministic per
 /// profile; wall clock is not, so timings are best-of-3. Every profile
 /// must reproduce the committed verdict on every entry, and on
@@ -2109,18 +1993,10 @@ fn w1_unbounded(t: &mut Table) -> (muppet_daemon::json::Json, Vec<String>) {
 /// work (propagations) than linear, wall clock reported best-of-3; and
 /// a *parity* pass gating byte-identical canonical solutions at the
 /// constructed optimum.
-///
-/// `BENCH_kernel.json` — per-entry walls + verdicts + kernel work
-/// counters (conflicts, inprocessing passes, subsumed / strengthened /
-/// vivified clauses), per-entry ablation walls and work, and per-phase
-/// minedit timings — is always written before any gate fires.
-fn k1(t: &mut Table) {
-    use muppet_bench::scenario::corpus::{self, Tier};
-    use muppet_bench::scenario::minedit::minedit;
-    use muppet_daemon::json::Json;
-    use muppet_obs::PhaseAccumulator;
+fn k1(r: &mut Record) {
     use muppet_sat::{SolveResult, Solver, SolverStats};
-    use muppet_solver::TargetStrategy;
+    use muppet_scenario::minedit::minedit;
+    use muppet_solver::{QueryStats, TargetStrategy};
 
     const BEST_OF: usize = 3;
     const GATED: &str = "hard-pup-unsat-5";
@@ -2128,58 +2004,56 @@ fn k1(t: &mut Table) {
     const OLL_FLOOR: f64 = 2.0;
 
     // ---- Part A: hard-tier CNF corpus, legacy vs tuned kernel ----
-    let stats_json = |s: &SolverStats| {
-        Json::obj([
-            ("conflicts", Json::num(s.conflicts)),
-            ("propagations", Json::num(s.propagations)),
-            ("restarts", Json::num(s.restarts)),
-            ("learned", Json::num(s.learned_clauses)),
-            ("deleted", Json::num(s.deleted_clauses)),
-            ("inprocessings", Json::num(s.inprocessings)),
-            ("subsumed", Json::num(s.subsumed_clauses)),
-            ("strengthened", Json::num(s.strengthened_clauses)),
-            ("vivified", Json::num(s.vivified_clauses)),
-        ])
+    let counters = |r: &mut Record, inst: &str, kernel: &str, s: &SolverStats| {
+        for (name, v) in [
+            ("conflicts", s.conflicts),
+            ("propagations", s.propagations),
+            ("restarts", s.restarts),
+            ("learned", s.learned_clauses),
+            ("deleted", s.deleted_clauses),
+            ("inprocessings", s.inprocessings),
+            ("subsumed", s.subsumed_clauses),
+            ("strengthened", s.strengthened_clauses),
+            ("vivified", s.vivified_clauses),
+        ] {
+            r.num(inst, &format!("{kernel} {name}"), v as f64, "", "-");
+        }
     };
-    // The tuned kernel with exactly one kept feature switched off:
-    // (BENCH_kernel.json key, table label, knob).
-    type Ablation = (&'static str, &'static str, fn(&mut Solver));
+    // The tuned kernel with exactly one kept feature switched off.
+    type Ablation = (&'static str, fn(&mut Solver));
     let ablations: [Ablation; 3] = [
-        ("no_deep_minimization", "minimization off", |s| s.set_deep_minimization(false)),
-        ("no_decay_ramp", "decay ramp off", |s| s.set_decay_ramp(false)),
-        ("no_inprocessing", "inprocessing off", |s| s.set_inprocessing(false)),
+        ("minimization off", |s| s.set_deep_minimization(false)),
+        ("decay ramp off", |s| s.set_decay_ramp(false)),
+        ("inprocessing off", |s| s.set_inprocessing(false)),
     ];
-    let mut entries: Vec<Json> = Vec::new();
     let mut parity_failures: Vec<String> = Vec::new();
     let mut gated_ratio: Option<f64> = None;
-    for entry in corpus::entries(Tier::Hard) {
+    for entry in corpus::entries(corpus::Tier::Hard) {
         let inst = corpus::cnf_instance(entry.kind).expect("hard tier is CNF-backed");
         let profile = |configure: fn(&mut Solver)| -> (f64, bool, SolverStats) {
             let mut best: Option<(f64, bool, SolverStats)> = None;
             for _ in 0..BEST_OF {
                 let mut s: Solver = inst.solver();
                 configure(&mut s);
-                let start = std::time::Instant::now();
-                let sat = matches!(s.solve(), SolveResult::Sat(_));
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                if best.as_ref().is_none_or(|(w, _, _)| wall_ms < *w) {
-                    best = Some((wall_ms, sat, s.stats));
+                let (sat, wall) = timed(|| matches!(s.solve(), SolveResult::Sat(_)));
+                if best.as_ref().is_none_or(|(w, _, _)| ms(wall) < *w) {
+                    best = Some((ms(wall), sat, s.stats));
                 }
             }
             best.expect("BEST_OF > 0")
         };
         let (legacy_ms, legacy_sat, legacy_stats) = profile(Solver::set_legacy_kernel);
         let (tuned_ms, tuned_sat, tuned_stats) = profile(|_| {});
-        let ablated: Vec<(&'static str, &str, f64, bool, SolverStats)> = ablations
+        let ablated: Vec<(&str, f64, bool, SolverStats)> = ablations
             .iter()
-            .map(|&(key, label, configure)| {
+            .map(|&(label, configure)| {
                 let (ms, sat, stats) = profile(configure);
-                (key, label, ms, sat, stats)
+                (label, ms, sat, stats)
             })
             .collect();
         let verdicts = [("legacy", legacy_sat), ("tuned", tuned_sat)]
             .into_iter()
-            .chain(ablated.iter().map(|a| (a.0, a.3)));
+            .chain(ablated.iter().map(|a| (a.0, a.2)));
         let mut parity = true;
         for (kernel, sat) in verdicts {
             if !entry.expected.matches_success(sat) {
@@ -2196,114 +2070,47 @@ fn k1(t: &mut Table) {
         if entry.name == GATED {
             gated_ratio = Some(ratio);
         }
-        row(
-            t,
-            "K1",
-            entry.name,
-            "tuned vs legacy kernel",
-            format!(
-                "{tuned_ms:.0} ms vs {legacy_ms:.0} ms (ratio {ratio:.2}, \
-                 {} vs {} conflicts)",
-                tuned_stats.conflicts, legacy_stats.conflicts
-            ),
-            if entry.name == GATED {
-                "ratio <= 0.8 (speed gate)"
-            } else {
-                "verdict parity"
-            },
-        );
-        row(
-            t,
-            "K1",
-            entry.name,
-            "ablations (one feature off)",
-            ablated
-                .iter()
-                .map(|(_, label, ms, _, st)| {
-                    format!("{label} {ms:.0} ms / {} conflicts", st.conflicts)
-                })
-                .collect::<Vec<_>>()
-                .join("; "),
-            "verdict parity",
-        );
-        entries.push(Json::obj([
-            ("name", Json::str(entry.name)),
-            ("expected", Json::str(entry.expected.label())),
-            ("verdict_parity", Json::Bool(parity)),
-            ("legacy_wall_ms", Json::Num(legacy_ms)),
-            ("tuned_wall_ms", Json::Num(tuned_ms)),
-            ("ratio", Json::Num(ratio)),
-            ("gated", Json::Bool(entry.name == GATED)),
-            ("legacy", stats_json(&legacy_stats)),
-            ("tuned", stats_json(&tuned_stats)),
-            (
-                "ablations",
-                Json::obj(ablated.iter().map(|&(key, _, ms, _, st)| {
-                    (
-                        key,
-                        Json::obj([
-                            ("wall_ms", Json::Num(ms)),
-                            ("conflicts", Json::num(st.conflicts)),
-                            ("propagations", Json::num(st.propagations)),
-                        ]),
-                    )
-                })),
-            ),
-        ]));
+        let name = entry.name;
+        r.text(name, "verdict parity", parity, &format!("{} under every kernel", entry.expected));
+        r.num(name, "legacy wall", legacy_ms, "ms", "-");
+        r.num(name, "tuned wall", tuned_ms, "ms", "-");
+        let gate = if name == GATED { "<= 0.8 (speed gate)" } else { "-" };
+        r.num(name, "tuned/legacy wall", ratio, "x", gate);
+        counters(r, name, "legacy", &legacy_stats);
+        counters(r, name, "tuned", &tuned_stats);
+        for (label, ms, _, st) in &ablated {
+            r.num(name, &format!("{label} wall"), *ms, "ms", "-");
+            r.num(name, &format!("{label} conflicts"), st.conflicts as f64, "", "-");
+            r.num(name, &format!("{label} propagations"), st.propagations as f64, "", "-");
+        }
     }
 
     // ---- Part B: minedit, core-guided vs linear solve_target ----
     let sc = minedit(400, 50, 8);
     const MINEDIT: &str = "minedit-400-50x8";
-    let was_enabled = muppet_obs::tracing_enabled();
     // Timed pass: work counters are deterministic; wall is best-of-3.
     let timed_run = |strategy: TargetStrategy| {
-        let mut best: Option<(f64, usize, u64, u64, Json)> = None;
+        let mut best: Option<(f64, usize, QueryStats, BTreeMap<&'static str, PhaseTotals>)> = None;
         for _ in 0..BEST_OF {
             let mut q = sc.engine();
             q.set_target_strategy(strategy);
-            muppet_obs::clear_profilers();
-            let acc = PhaseAccumulator::new();
-            muppet_obs::on_span_close(acc.callback());
-            muppet_obs::set_enabled(true);
-            let start = std::time::Instant::now();
-            let (out, d) = q
-                .solve_target(&sc.groups, &sc.target, Budget::unlimited())
-                .expect("minedit groups ground");
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            let totals = acc.drain();
-            muppet_obs::clear_profilers();
-            muppet_obs::set_enabled(was_enabled);
-            let stats = out.stats();
-            let (props, confl) = (stats.propagations, stats.conflicts);
+            let (((out, d), wall), totals) = profiled(|| {
+                timed(|| {
+                    q.solve_target(&sc.groups, &sc.target, Budget::unlimited())
+                        .expect("minedit groups ground")
+                })
+            });
             assert!(out.is_sat(), "minedit must be satisfiable");
-            let phases = Json::Obj(
-                totals
-                    .iter()
-                    .map(|(name, p)| {
-                        (
-                            (*name).to_string(),
-                            Json::obj([
-                                ("count", Json::num(p.count)),
-                                ("total_us", Json::num(p.total_us)),
-                                ("max_us", Json::num(p.max_us)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            );
-            if best.as_ref().is_none_or(|(w, _, _, _, _)| wall_ms < *w) {
-                best = Some((wall_ms, d, props, confl, phases));
+            if best.as_ref().is_none_or(|b| ms(wall) < b.0) {
+                best = Some((ms(wall), d, *out.stats(), totals));
             }
         }
         best.expect("BEST_OF > 0")
     };
-    let (oll_ms, oll_d, oll_props, oll_confl, oll_phases) =
-        timed_run(TargetStrategy::CoreGuided);
-    let (lin_ms, lin_d, lin_props, lin_confl, lin_phases) =
-        timed_run(TargetStrategy::Linear);
-    let wall_speedup = lin_ms / oll_ms.max(1e-9);
-    let work_speedup = lin_props as f64 / oll_props.max(1) as f64;
+    let oll = timed_run(TargetStrategy::CoreGuided);
+    let lin = timed_run(TargetStrategy::Linear);
+    let wall_speedup = lin.0 / oll.0.max(1e-9);
+    let work_speedup = lin.2.propagations as f64 / oll.2.propagations.max(1) as f64;
     // Parity pass: both strategies must land on the same
     // byte-identical (canonical) distance-minimal model.
     let parity_run = |strategy: TargetStrategy| {
@@ -2316,68 +2123,19 @@ fn k1(t: &mut Table) {
     };
     let identical =
         parity_run(TargetStrategy::CoreGuided) == parity_run(TargetStrategy::Linear);
-    row(
-        t,
-        "K1",
-        MINEDIT,
-        "core-guided vs linear",
-        format!(
-            "{oll_ms:.0} ms / {oll_props} props vs {lin_ms:.0} ms / {lin_props} \
-             props ({work_speedup:.1}x work, {wall_speedup:.1}x wall), \
-             distance {oll_d} vs {lin_d}, canonical-identical {identical}"
-        ),
-        "work >= 2x, distance 50, byte-identical",
-    );
-
-    // BENCH_kernel.json lands before any gate fires, so a red gate
-    // still leaves the full measurement on disk.
-    let doc = Json::obj([
-        ("schema", Json::str("muppet-bench-kernel-v1")),
-        ("best_of", Json::num(BEST_OF as u64)),
-        ("entries", Json::Arr(entries)),
-        (
-            "minedit",
-            Json::obj([
-                ("name", Json::str(MINEDIT)),
-                ("optimum", Json::num(sc.optimum as u64)),
-                (
-                    "core_guided",
-                    Json::obj([
-                        ("wall_ms", Json::Num(oll_ms)),
-                        ("distance", Json::num(oll_d as u64)),
-                        ("propagations", Json::num(oll_props)),
-                        ("conflicts", Json::num(oll_confl)),
-                        ("phases", oll_phases),
-                    ]),
-                ),
-                (
-                    "linear",
-                    Json::obj([
-                        ("wall_ms", Json::Num(lin_ms)),
-                        ("distance", Json::num(lin_d as u64)),
-                        ("propagations", Json::num(lin_props)),
-                        ("conflicts", Json::num(lin_confl)),
-                        ("phases", lin_phases),
-                    ]),
-                ),
-                ("wall_speedup", Json::Num(wall_speedup)),
-                ("work_speedup", Json::Num(work_speedup)),
-                ("identical", Json::Bool(identical)),
-            ]),
-        ),
-        (
-            "gates",
-            Json::obj([
-                ("wall_ceiling", Json::Num(WALL_CEILING)),
-                ("oll_floor", Json::Num(OLL_FLOOR)),
-            ]),
-        ),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_kernel.json", doc.to_line() + "\n") {
-        eprintln!("muppet-harness: cannot write BENCH_kernel.json: {e}");
+    r.num(MINEDIT, "optimum", sc.optimum as f64, "tuples", "-");
+    for (label, (wall, d, stats, totals)) in [("core-guided", &oll), ("linear", &lin)] {
+        let inst = format!("{MINEDIT} {label}");
+        r.num(&inst, "wall", *wall, "ms", "-");
+        r.num(&inst, "distance", *d as f64, "tuples", "50");
+        r.num(&inst, "propagations", stats.propagations as f64, "", "-");
+        r.num(&inst, "conflicts", stats.conflicts as f64, "", "-");
+        r.phases(&inst, totals);
     }
+    r.num(MINEDIT, "linear/core-guided work", work_speedup, "x", ">= 2x");
+    r.num(MINEDIT, "linear/core-guided wall", wall_speedup, "x", "-");
+    r.text(MINEDIT, "canonical models identical", identical, "true");
 
-    // Gates fire only after BENCH_kernel.json is on disk.
     assert!(
         parity_failures.is_empty(),
         "hard-tier verdicts diverged: {parity_failures:?}"
@@ -2388,14 +2146,15 @@ fn k1(t: &mut Table) {
         "tuned kernel must finish {GATED} in <= {WALL_CEILING}x the legacy \
          wall time, measured {ratio:.2}x"
     );
-    assert_eq!(oll_d, sc.optimum, "core-guided missed the constructed optimum");
-    assert_eq!(lin_d, sc.optimum, "linear search missed the constructed optimum");
+    assert_eq!(oll.1, sc.optimum, "core-guided missed the constructed optimum");
+    assert_eq!(lin.1, sc.optimum, "linear search missed the constructed optimum");
     assert!(identical, "strategies must canonicalize to the same model");
     assert!(
         work_speedup >= OLL_FLOOR,
         "core-guided solve_target must do >= {OLL_FLOOR}x less solver work than \
-         linear on minedit, measured {work_speedup:.1}x ({oll_props} vs {lin_props} \
-         propagations)"
+         linear on minedit, measured {work_speedup:.1}x ({} vs {} propagations)",
+        oll.2.propagations,
+        lin.2.propagations
     );
 }
 
@@ -2410,11 +2169,7 @@ fn k1(t: &mut Table) {
 /// * **Part B** runs an N=3 round-robin negotiation (Fig. 9
 ///   generalized) to its fixpoint: converge, then re-negotiate and
 ///   verify the second run is a one-round no-op.
-///
-/// `BENCH_domains.json` is always written before any gate fires.
-fn m1(t: &mut Table) {
-    use muppet_bench::scenario::corpus;
-    use muppet_daemon::json::Json;
+fn m1(r: &mut Record) {
     use muppet_daemon::{Engine, EngineConfig, Op, Request, SessionSpec};
 
     const INST: &str = "linkerd-shop";
@@ -2424,9 +2179,8 @@ fn m1(t: &mut Table) {
     let engine = Engine::new(EngineConfig::default());
     let spec = SessionSpec::linkerd_example();
 
-    let t0 = std::time::Instant::now();
-    let open = engine.handle(&Request::new(Op::OpenSession).with_spec(spec.clone()), None);
-    let open_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (open, open_wall) =
+        timed(|| engine.handle(&Request::new(Op::OpenSession).with_spec(spec.clone()), None));
     assert!(open.ok, "open_session failed: {:?}", open.error);
     let domain = open
         .result
@@ -2445,17 +2199,12 @@ fn m1(t: &mut Table) {
     let platform_ok = consistent("platform");
     let linkerd_ok = consistent("linkerd");
 
-    let t1 = std::time::Instant::now();
     let mut rec_req = Request::new(Op::Reconcile).with_spec(spec.clone());
     rec_req.mode = Some("blameable".to_string());
-    let rec = engine.handle(&rec_req, None);
-    let rec_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let (rec, rec_wall) = timed(|| engine.handle(&rec_req, None));
     assert!(rec.ok, "reconcile failed: {:?}", rec.error);
     let rec_success = rec.result.get("success").and_then(Json::as_bool) == Some(true);
-    let core_len = match rec.result.get("core") {
-        Some(Json::Arr(items)) => items.len(),
-        _ => 0,
-    };
+    let core_len = rec.result.get("core").and_then(Json::as_arr).map_or(0, <[Json]>::len);
     let core_text = rec
         .result
         .get("core")
@@ -2464,11 +2213,9 @@ fn m1(t: &mut Table) {
     let blames_both =
         core_text.contains("platform-admin") && core_text.contains("linkerd-admin");
 
-    let t2 = std::time::Instant::now();
     let mut neg_req = Request::new(Op::NegotiateRound).with_spec(spec.clone());
     neg_req.max_rounds = Some(12);
-    let neg = engine.handle(&neg_req, None);
-    let neg_ms = t2.elapsed().as_secs_f64() * 1e3;
+    let (neg, neg_wall) = timed(|| engine.handle(&neg_req, None));
     assert!(neg.ok, "negotiate_round failed: {:?}", neg.error);
     let neg_success = neg.result.get("success").and_then(Json::as_bool) == Some(true);
     let neg_rounds = neg
@@ -2477,42 +2224,24 @@ fn m1(t: &mut Table) {
         .and_then(Json::as_u64)
         .unwrap_or(0);
 
-    row(t, "M1", INST, "domain (open_session)", domain.clone(), "linkerd");
-    row(
-        t,
-        "M1",
-        INST,
-        "per-party consistency",
-        format!("platform {platform_ok}, linkerd {linkerd_ok}"),
-        "both true",
-    );
-    row(
-        t,
-        "M1",
-        INST,
-        "reconcile verdict",
-        format!(
-            "{} in {rec_ms:.0} ms, core {core_len} goals, blames both {blames_both}",
-            if rec_success { "sat" } else { "unsat" }
-        ),
-        &format!("{} (committed label), blame both admins", entry.expected.label()),
-    );
-    row(
-        t,
-        "M1",
-        INST,
-        "negotiation (soft linkerd rows)",
-        format!(
-            "{} after {neg_rounds} round(s) in {neg_ms:.0} ms",
-            if neg_success { "converged" } else { "stuck" }
-        ),
-        "converges",
-    );
+    let verdict = |sat: bool| if sat { "sat" } else { "unsat" };
+    let converged = |ok: bool| if ok { "converged" } else { "stuck" };
+    r.text(INST, "domain (open_session)", &domain, "linkerd");
+    r.num(INST, "open_session", ms(open_wall), "ms", "-");
+    r.text(INST, "platform consistent", platform_ok, "true");
+    r.text(INST, "linkerd consistent", linkerd_ok, "true");
+    let label = format!("{} (committed label)", entry.expected.label());
+    r.text(INST, "reconcile verdict", verdict(rec_success), &label);
+    r.num(INST, "reconcile", ms(rec_wall), "ms", "-");
+    r.num(INST, "core size", core_len as f64, "goals", "-");
+    r.text(INST, "core blames both admins", blames_both, "true");
+    r.text(INST, "negotiation (soft linkerd rows)", converged(neg_success), "converges");
+    r.num(INST, "negotiation rounds", neg_rounds as f64, "rounds", "-");
+    r.num(INST, "negotiation", ms(neg_wall), "ms", "-");
 
     // ---- Part B: N=3 round-robin negotiation to fixpoint ----
     use muppet::{NamedGoal, Party};
     use muppet_logic::{Domain, PartyId, Term, Universe, Vocabulary};
-    use std::collections::BTreeMap;
 
     let mut universe = Universe::new();
     let sort = universe.add_sort("F");
@@ -2540,66 +2269,21 @@ fn m1(t: &mut Table) {
     negs.insert(parties[0], Box::new(Stubborn));
     negs.insert(parties[1], Box::new(Stubborn));
     negs.insert(parties[2], Box::new(DropBlamedSoftGoals));
-    let t3 = std::time::Instant::now();
-    let first = run_negotiation(&mut s, &mut negs, 12, Schedule::RoundRobin)
-        .expect("3-party negotiation runs");
-    let neg3_ms = t3.elapsed().as_secs_f64() * 1e3;
+    let (first, neg3_wall) = timed(|| {
+        run_negotiation(&mut s, &mut negs, 12, Schedule::RoundRobin)
+            .expect("3-party negotiation runs")
+    });
     // Fixpoint: negotiating again from the converged goal state must
     // agree immediately (one round, nothing revised).
     let second = run_negotiation(&mut s, &mut negs, 12, Schedule::RoundRobin)
         .expect("fixpoint negotiation runs");
-    row(
-        t,
-        "M1",
-        "three-party",
-        "round-robin convergence",
-        format!(
-            "{} after {} round(s) in {neg3_ms:.0} ms; re-run {} in {} round(s)",
-            if first.success { "converged" } else { "stuck" },
-            first.rounds,
-            if second.success { "agreed" } else { "stuck" },
-            second.rounds
-        ),
-        "converges; re-run is a 1-round fixpoint",
-    );
+    const THREE: &str = "three-party";
+    r.text(THREE, "round-robin negotiation", converged(first.success), "converges");
+    r.num(THREE, "rounds", first.rounds as f64, "rounds", "-");
+    r.num(THREE, "negotiation", ms(neg3_wall), "ms", "-");
+    r.text(THREE, "re-run", converged(second.success), "converged");
+    r.num(THREE, "re-run rounds", second.rounds as f64, "rounds", "1 (fixpoint)");
 
-    // BENCH_domains.json lands before any gate fires.
-    let doc = Json::obj([
-        ("schema", Json::str("muppet-bench-domains-v1")),
-        (
-            "linkerd",
-            Json::obj([
-                ("entry", Json::str(entry.name)),
-                ("expected", Json::str(entry.expected.label())),
-                ("domain", Json::str(&domain)),
-                ("open_ms", Json::Num(open_ms)),
-                ("platform_consistent", Json::Bool(platform_ok)),
-                ("linkerd_consistent", Json::Bool(linkerd_ok)),
-                ("reconcile_success", Json::Bool(rec_success)),
-                ("reconcile_ms", Json::Num(rec_ms)),
-                ("core_goals", Json::num(core_len as u64)),
-                ("blames_both_admins", Json::Bool(blames_both)),
-                ("negotiate_success", Json::Bool(neg_success)),
-                ("negotiate_rounds", Json::num(neg_rounds)),
-                ("negotiate_ms", Json::Num(neg_ms)),
-            ]),
-        ),
-        (
-            "three_party",
-            Json::obj([
-                ("success", Json::Bool(first.success)),
-                ("rounds", Json::num(first.rounds as u64)),
-                ("wall_ms", Json::Num(neg3_ms)),
-                ("fixpoint_success", Json::Bool(second.success)),
-                ("fixpoint_rounds", Json::num(second.rounds as u64)),
-            ]),
-        ),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_domains.json", doc.to_line() + "\n") {
-        eprintln!("muppet-harness: cannot write BENCH_domains.json: {e}");
-    }
-
-    // Gates (after the bench file is on disk).
     assert_eq!(domain, "linkerd", "open_session must dispatch through the registry");
     assert!(platform_ok && linkerd_ok, "each party must be self-consistent");
     assert!(
@@ -2614,4 +2298,51 @@ fn m1(t: &mut Table) {
         "converged state must be a fixpoint (got {} round(s))",
         second.rounds
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record() -> Record {
+        let mut r = Record { lane: "T1", rows: Vec::new(), panicked: false };
+        r.num("inst", "time", 1.5, "ms", "-");
+        r.text("inst", "verdict", "a, b", "-");
+        r.num("inst", "ratio", 4.0, "x", ">= 3x");
+        r
+    }
+
+    #[test]
+    fn values_render_with_their_unit() {
+        assert_eq!(Value::Num(2.0, "ms").to_string(), "2 ms");
+        assert_eq!(Value::Num(0.5126, "ms").to_string(), "0.513 ms");
+        assert_eq!(Value::Num(7.0, "").to_string(), "7");
+        assert_eq!(Value::Text("UNSAT".into()).to_string(), "UNSAT");
+    }
+
+    #[test]
+    fn table_and_csv_render_the_same_rows() {
+        let rows: Vec<[String; 5]> = record().rows.iter().map(Row::cells).collect();
+        let headers = ["lane", "instance", "metric", "value", "paper"].map(String::from);
+        let text = render_table(&headers, &rows);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5);
+        assert_eq!(lines[2].find("1.500 ms"), lines[3].find("a, b"), "aligned columns");
+        let csv = render_csv(&headers, &rows);
+        assert_eq!(csv.lines().next(), Some("lane,instance,metric,value,paper"));
+        assert_eq!(csv.lines().nth(2), Some("T1,inst,verdict,\"a, b\",-"));
+    }
+
+    #[test]
+    fn rows_serialize_numbers_as_numbers() {
+        let r = record();
+        assert_eq!(
+            r.rows[2].to_json().to_line(),
+            r#"{"lane":"T1","instance":"inst","metric":"ratio","value":4,"unit":"x","paper":">= 3x"}"#
+        );
+        assert_eq!(
+            r.rows[1].to_json().to_line(),
+            r#"{"lane":"T1","instance":"inst","metric":"verdict","value":"a, b","paper":"-"}"#
+        );
+    }
 }

@@ -11,15 +11,16 @@
 //! * [`muppet_solver`] / [`muppet_logic`] / [`muppet_sat`] — the
 //!   model-finding stack.
 //! * [`muppet_yaml`] — manifest ingestion.
-//! * [`muppet_bench`] — scenario generation and harness helpers.
+//! * [`muppet_scenario`] — the paper fixtures, the seeded scenario
+//!   generator and the graded corpus.
 
 #![forbid(unsafe_code)]
 
 pub use muppet;
-pub use muppet_bench;
 pub use muppet_goals;
 pub use muppet_logic;
 pub use muppet_mesh;
 pub use muppet_sat;
+pub use muppet_scenario;
 pub use muppet_solver;
 pub use muppet_yaml;

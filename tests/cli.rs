@@ -1,6 +1,6 @@
 //! Integration tests for the `muppet-cli` binary: drive the actual
 //! executable over the paper's files and check verdicts, exit codes and
-//! output shape. One test drives `muppet-harness` the same way.
+//! output shape. The harness tests drive `muppet-harness` the same way.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -95,6 +95,25 @@ impl Fixture {
             .args(args)
             .output()
             .expect("run muppet-cli")
+    }
+
+    /// Run `muppet-harness` with the fixture directory as its working
+    /// directory, where it writes its bench files.
+    fn harness(&self, args: &[&str]) -> Output {
+        Command::new(env!("CARGO_BIN_EXE_muppet-harness"))
+            .args(args)
+            .current_dir(&self.dir)
+            .output()
+            .expect("run muppet-harness")
+    }
+
+    fn files(&self) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&self.dir)
+            .expect("read fixture dir")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 }
 
@@ -417,14 +436,52 @@ fn bad_inputs_give_exit_2() {
 #[test]
 fn lane_selected_harness_run_writes_no_bench_e2e() {
     let f = Fixture::new("harness-lane");
-    let out = Command::new(env!("CARGO_BIN_EXE_muppet-harness"))
-        .args(["--timeout-ms", "0", "e1"])
-        .current_dir(&f.dir)
-        .output()
-        .expect("run muppet-harness");
+    let out = f.harness(&["--timeout-ms", "0", "e1"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert!(stdout(&out).contains("budget exhausted"), "{}", stdout(&out));
     assert!(!f.dir.join("BENCH_e2e.json").exists());
+}
+
+/// A gated lane writes its own bench record and nothing else: the
+/// record names its lane, the commit, the host and the build profile,
+/// and carries the lane's measured numbers as numbers.
+#[test]
+fn lane_selected_harness_run_writes_only_its_own_bench_file() {
+    use muppet_daemon::json::{parse, Json};
+    let f = Fixture::new("harness-n1");
+    let before = f.files();
+    let out = f.harness(&["n1"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let added: Vec<String> = f.files().into_iter().filter(|n| !before.contains(n)).collect();
+    assert_eq!(added, ["BENCH_incremental.json"]);
+    let text = std::fs::read_to_string(f.dir.join("BENCH_incremental.json")).unwrap();
+    let record = parse(&text).expect("the bench record is JSON");
+    assert_eq!(record.get("lane").and_then(Json::as_str), Some("N1"));
+    assert_eq!(record.get("status").and_then(Json::as_str), Some("ok"));
+    assert!(record.get("commit").and_then(Json::as_str).is_some_and(|c| !c.is_empty()));
+    assert!(record.get("host_cores").and_then(Json::as_u64).is_some_and(|n| n >= 1));
+    assert!(record.get("profile").and_then(Json::as_str).is_some());
+    let rows = record.get("rows").and_then(Json::as_arr).expect("rows");
+    let ratio = rows
+        .iter()
+        .find(|r| r.get("metric").and_then(Json::as_str) == Some("cold/warm encode ratio"))
+        .expect("the encode-ratio row");
+    assert!(ratio.get("value").and_then(Json::as_f64).is_some_and(|v| v >= 3.0), "{ratio:?}");
+}
+
+/// Under an exhausted budget every governed lane renders one "budget
+/// exhausted" row instead of results, and the run still succeeds.
+#[test]
+fn exhausted_budget_gives_one_row_per_lane() {
+    let f = Fixture::new("harness-exhausted");
+    let out = f.harness(&["--csv", "--timeout-ms", "0", "e5", "e6", "e8", "o1"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let csv = stdout(&out);
+    for lane in ["E5", "E6", "E8", "O1"] {
+        let rows: Vec<&str> = csv.lines().filter(|l| l.starts_with(&format!("{lane},"))).collect();
+        assert_eq!(rows.len(), 1, "{lane}: {rows:?}");
+        assert!(rows[0].contains(",budget exhausted,"), "{lane}: {rows:?}");
+    }
 }
 
 /// A lane filter that selects no experiment is a usage error, not an
@@ -432,11 +489,7 @@ fn lane_selected_harness_run_writes_no_bench_e2e() {
 #[test]
 fn harness_lane_filter_matching_nothing_gives_exit_2() {
     let f = Fixture::new("harness-no-lane");
-    let out = Command::new(env!("CARGO_BIN_EXE_muppet-harness"))
-        .arg("a4")
-        .current_dir(&f.dir)
-        .output()
-        .expect("run muppet-harness");
+    let out = f.harness(&["a4"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage:"), "{stderr}");

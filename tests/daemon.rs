@@ -480,7 +480,7 @@ fn cli_serve_and_client_subprocesses() {
 /// accepts and ignores.
 #[test]
 fn client_disconnect_cancels_in_flight_solve() {
-    use muppet_bench::scenario::{generate, ScenarioParams};
+    use muppet_scenario::{generate, ScenarioParams};
     let sc = generate(ScenarioParams {
         services: 80,
         istio_goals: 48,

@@ -170,7 +170,7 @@ fn envelope_is_necessary_and_sufficient_exhaustively() {
 /// envelope violate the goals.
 #[test]
 fn envelope_agrees_with_goals_on_sampled_mesh_configs() {
-    use muppet_bench::paper::{session, vocab, IstioTable};
+    use muppet_scenario::paper::{session, vocab, IstioTable};
     let mv = vocab();
     let s = session(&mv, IstioTable::Fig3);
     let c_a = Instance::new(); // provider fixed config (pre-push)

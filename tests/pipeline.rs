@@ -1,15 +1,20 @@
 //! End-to-end pipeline tests spanning every crate, plus the paper-scale
 //! latency gate (experiment E4's "modest scenarios … under 1 second").
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use muppet::conformance::run_conformance;
 use muppet::{baseline, ReconcileMode};
-use muppet_bench::paper::{session, vocab, IstioTable};
-use muppet_bench::scenario::{generate, ScenarioParams};
-use muppet_bench::timing::timed;
 use muppet_logic::Instance;
 use muppet_mesh::{evaluate_flow, Flow};
+use muppet_scenario::paper::{session, vocab, IstioTable};
+use muppet_scenario::{generate, ScenarioParams};
+
+/// Run `f` once and return its result with the wall-clock duration.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    (f(), start.elapsed())
+}
 
 /// E1 + E2 + E5 in one sweep: the strict instance conflicts with a
 /// 2-element core that the baseline cannot produce; the relaxed instance
