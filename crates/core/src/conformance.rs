@@ -9,7 +9,7 @@
 //! counter-offers) on their side.
 
 use muppet_logic::{Domain, Instance, PartyId};
-use muppet_solver::{Outcome, PartialResult};
+use muppet_solver::{Outcome, PartialResult, Phase};
 
 use crate::envelope::Envelope;
 use crate::session::{MuppetError, Session};
@@ -22,6 +22,7 @@ fn counter_offer_distance(
     (outcome, dist): (Outcome, usize),
     tname: &str,
     log: &mut Vec<String>,
+    exhausted: &mut Option<Phase>,
 ) -> Option<usize> {
     match outcome {
         Outcome::Sat { .. } => {
@@ -39,12 +40,14 @@ fn counter_offer_distance(
                 "{tname}: budget exhausted at phase {phase} while minimizing; \
                  an envelope-satisfying config exists within {distance} edit(s)"
             ));
+            exhausted.get_or_insert(phase);
             Some(distance)
         }
         Outcome::Unknown { phase, .. } => {
             log.push(format!(
                 "{tname}: budget exhausted at phase {phase}; no counter-offer"
             ));
+            exhausted.get_or_insert(phase);
             None
         }
         Outcome::Unsat { .. } => None,
@@ -72,6 +75,10 @@ pub struct ConformanceReport {
     pub counter_offer_distance: Option<usize>,
     /// Human-readable log of the workflow steps.
     pub log: Vec<String>,
+    /// Where the first step that ran out of budget stopped. The report
+    /// is then no verdict: a `false` above means "not proven", and the
+    /// log names the step.
+    pub exhausted: Option<Phase>,
 }
 
 /// Run the Fig. 7 conformance workflow: `provider` computes an envelope
@@ -96,10 +103,13 @@ pub fn run_conformance(
     // Step 1 (Alg. 1): provider's local consistency.
     let lc = session.local_consistency(provider)?;
     if !lc.ok {
-        log.push(format!(
-            "{pname}: offer is locally inconsistent; blame: {:?}",
-            lc.core
-        ));
+        match &lc.exhausted {
+            Some(ex) => log.push(format!("{pname}: consistency check {ex}; no verdict")),
+            None => log.push(format!(
+                "{pname}: offer is locally inconsistent; blame: {:?}",
+                lc.core
+            )),
+        }
         return Ok(ConformanceReport {
             provider_consistent: false,
             provider_config: None,
@@ -109,6 +119,7 @@ pub fn run_conformance(
             blame: lc.core,
             counter_offer_distance: None,
             log,
+            exhausted: lc.exhausted.map(|ex| ex.phase),
         });
     }
     let provider_config = lc.witness.expect("consistent check returns a witness");
@@ -151,14 +162,8 @@ fn tenant_step(
     tenant_preferred: Option<&Instance>,
     mut log: Vec<String>,
 ) -> Result<ConformanceReport, MuppetError> {
-    let synth = session.synthesize_against(tenant, &envelope)?;
-    let mut counter_offer = |target: &Instance,
-                             log: &mut Vec<String>|
-     -> Result<Option<usize>, MuppetError> {
-        let edit = session.minimal_edit(tenant, &envelope, target)?;
-        Ok(counter_offer_distance(edit, tname, log))
-    };
-    match synth {
+    let mut exhausted = None;
+    let (tenant_config, blame) = match session.synthesize_against(tenant, &envelope)? {
         Outcome::Sat { solution, .. } => {
             let tenant_config =
                 solution.restrict_to_domain(session.vocab(), Domain::Party(tenant));
@@ -166,64 +171,47 @@ fn tenant_step(
                 "{tname}: synthesized a conforming configuration ({} settings)",
                 tenant_config.total_tuples()
             ));
-            Ok(ConformanceReport {
-                provider_consistent: true,
-                provider_config: Some(provider_config),
-                envelope: Some(envelope),
-                success: true,
-                tenant_config: Some(tenant_config),
-                blame: Vec::new(),
-                counter_offer_distance: None,
-                log,
-            })
+            (Some(tenant_config), Vec::new())
         }
         Outcome::Unsat { core, .. } => {
             log.push(format!("{tname}: synthesis failed; blame: {core:?}"));
-            // Fig. 8 counter-offer: minimal edit of the preferred config
-            // that satisfies the envelope alone.
-            let counter = match tenant_preferred {
-                Some(target) => counter_offer(target, &mut log)?,
-                None => None,
-            };
-            Ok(ConformanceReport {
-                provider_consistent: true,
-                provider_config: Some(provider_config),
-                envelope: Some(envelope),
-                success: false,
-                tenant_config: None,
-                blame: core,
-                counter_offer_distance: counter,
-                log,
-            })
+            (None, core)
         }
         Outcome::Unknown { phase, stats, partial } => {
             // Degraded: no verdict within budget. Surface where the
-            // budget went and any partial core, and still try the
-            // (independently budgeted) counter-offer query.
+            // budget went and any partial core.
             log.push(format!(
                 "{tname}: synthesis budget exhausted at phase {phase} ({stats}); \
                  raise the session budget or retry policy for a verdict"
             ));
-            let blame = match partial {
-                Some(PartialResult::Core(core)) => core,
-                _ => Vec::new(),
-            };
-            let counter = match tenant_preferred {
-                Some(target) => counter_offer(target, &mut log)?,
-                None => None,
-            };
-            Ok(ConformanceReport {
-                provider_consistent: true,
-                provider_config: Some(provider_config),
-                envelope: Some(envelope),
-                success: false,
-                tenant_config: None,
-                blame,
-                counter_offer_distance: counter,
-                log,
-            })
+            exhausted = Some(phase);
+            match partial {
+                Some(PartialResult::Core(core)) => (None, core),
+                _ => (None, Vec::new()),
+            }
         }
-    }
+    };
+    // Fig. 8 counter-offer on failure: the minimal edit of the preferred
+    // config that satisfies the envelope alone (an independently
+    // budgeted query, tried even when synthesis ran out).
+    let counter_offer_distance = match tenant_preferred {
+        Some(target) if tenant_config.is_none() => {
+            let edit = session.minimal_edit(tenant, &envelope, target)?;
+            counter_offer_distance(edit, tname, &mut log, &mut exhausted)
+        }
+        _ => None,
+    };
+    Ok(ConformanceReport {
+        provider_consistent: true,
+        provider_config: Some(provider_config),
+        envelope: Some(envelope),
+        success: tenant_config.is_some(),
+        tenant_config,
+        blame,
+        counter_offer_distance,
+        log,
+        exhausted,
+    })
 }
 
 /// One tenant's line in a [`MultiTenantReport`].
@@ -237,6 +225,9 @@ pub struct TenantOutcome {
     pub config: Option<Instance>,
     /// Blame on failure.
     pub blame: Vec<String>,
+    /// Where this tenant's synthesis, or the provider check it rests
+    /// on, ran out of budget: the outcome is then no verdict.
+    pub exhausted: Option<Phase>,
 }
 
 /// The outcome of provider-to-many-tenants conformance.
@@ -279,6 +270,7 @@ pub fn run_conformance_multi_tenant(
                     success: false,
                     config: None,
                     blame: lc.core.clone(),
+                    exhausted: lc.exhausted.as_ref().map(|ex| ex.phase),
                 })
                 .collect(),
         });
@@ -296,16 +288,18 @@ pub fn run_conformance_multi_tenant(
                     solution.restrict_to_domain(session.vocab(), Domain::Party(tenant)),
                 ),
                 blame: Vec::new(),
+                exhausted: None,
             },
             Outcome::Unsat { core, .. } => TenantOutcome {
                 tenant,
                 success: false,
                 config: None,
                 blame: core,
+                exhausted: None,
             },
             // One tenant's exhausted budget must not abort the other
             // tenants' runs: record a degraded (unproven) failure.
-            Outcome::Unknown { partial, .. } => TenantOutcome {
+            Outcome::Unknown { phase, partial, .. } => TenantOutcome {
                 tenant,
                 success: false,
                 config: None,
@@ -313,6 +307,7 @@ pub fn run_conformance_multi_tenant(
                     Some(PartialResult::Core(core)) => core,
                     _ => Vec::new(),
                 },
+                exhausted: Some(phase),
             },
         };
         envelopes.insert(tenant, envelope);
@@ -364,19 +359,19 @@ pub fn run_conformance_with_revisions(
                     )),
                     // Budget fired mid-minimization: the best-so-far model
                     // is still envelope-satisfying, just maybe not minimal.
-                    (
-                        muppet_solver::Outcome::Unknown {
-                            partial: Some(PartialResult::Model { solution, distance }),
-                            ..
-                        },
-                        _,
-                    ) => Some((
-                        solution.restrict_to_domain(
-                            session.vocab(),
-                            muppet_logic::Domain::Party(tenant),
-                        ),
-                        distance,
-                    )),
+                    (muppet_solver::Outcome::Unknown { phase, partial, .. }, _) => {
+                        report.exhausted.get_or_insert(phase);
+                        match partial {
+                            Some(PartialResult::Model { solution, distance }) => Some((
+                                solution.restrict_to_domain(
+                                    session.vocab(),
+                                    muppet_logic::Domain::Party(tenant),
+                                ),
+                                distance,
+                            )),
+                            _ => None,
+                        }
+                    }
                     _ => None,
                 }
             }
@@ -420,6 +415,8 @@ pub fn run_conformance_with_revisions(
         let mut log = report.log;
         log.extend(next.log.clone());
         next.log = log;
+        // A revision that followed degraded feedback is not definite.
+        next.exhausted = report.exhausted.or(next.exhausted);
         report = next;
     }
     Ok(report)
@@ -449,6 +446,18 @@ mod tests {
                 .with_goals(istio_goals.into_iter().map(NamedGoal::from)),
         );
         s
+    }
+
+    #[test]
+    fn exhausted_steps_are_reported_not_refuted() {
+        let mv = MeshVocab::paper_example();
+        let mut s = session(&mv, &IstioGoal::fig4());
+        s.set_budget(crate::Budget::unlimited().with_timeout(std::time::Duration::ZERO));
+        let report = run_conformance(&mut s, mv.k8s_party, mv.istio_party, None).unwrap();
+        assert!(report.exhausted.is_some(), "log: {:?}", report.log);
+        assert!(!report.log.iter().any(|l| l.contains("inconsistent")), "{:?}", report.log);
+        let multi = run_conformance_multi_tenant(&mut s, mv.k8s_party, &[mv.istio_party]).unwrap();
+        assert!(multi.tenants[0].exhausted.is_some());
     }
 
     #[test]

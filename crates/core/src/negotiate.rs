@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 
 use muppet_logic::{Instance, PartyId};
+use muppet_solver::Phase;
 
 use crate::envelope::Envelope;
 use crate::party::Party;
@@ -223,6 +224,10 @@ pub struct NegotiationReport {
     pub configs: BTreeMap<PartyId, Instance>,
     /// Step-by-step log (who revised, what was blamed).
     pub trace: Vec<String>,
+    /// Where the first step that ran out of budget stopped: a round's
+    /// reconciliation, a sender's consistency check or a counter-offer.
+    /// The outcome then depends on the budget and is no verdict.
+    pub exhausted: Option<Phase>,
 }
 
 /// Run the Fig. 9 negotiation under a [`Schedule`] (the paper's is
@@ -250,9 +255,13 @@ pub fn run_negotiation(
     let turn_cycle = schedule.turn_cycle(&party_ids);
     let names = session.party_names();
     let mut unchanged_streak = 0usize;
+    let mut exhausted = None;
 
     for round in 0..max_rounds {
         let rec = session.reconcile(ReconcileMode::Blameable)?;
+        if let Some(ex) = &rec.exhausted {
+            exhausted.get_or_insert(ex.phase);
+        }
         if rec.success {
             trace.push(format!("round {}: reconciliation succeeded", round + 1));
             return Ok(NegotiationReport {
@@ -260,6 +269,7 @@ pub fn run_negotiation(
                 rounds: round + 1,
                 configs: rec.configs,
                 trace,
+                exhausted,
             });
         }
         let turn = turn_cycle[round % turn_cycle.len()];
@@ -289,6 +299,9 @@ pub fn run_negotiation(
         let mut senders = Vec::new();
         for &other in party_ids.iter().filter(|&&p| p != turn) {
             let lc = session.local_consistency(other)?;
+            if let Some(ex) = &lc.exhausted {
+                exhausted.get_or_insert(ex.phase);
+            }
             senders.push((other, lc.witness.unwrap_or_default()));
         }
         let envelope = session.compute_multi_envelope(&senders, turn)?;
@@ -319,19 +332,18 @@ pub fn run_negotiation(
                 }
                 // Exhausted mid-minimization: degrade to the best-so-far
                 // model as a (possibly non-minimal) counter-offer.
-                (
-                    muppet_solver::Outcome::Unknown {
-                        partial:
-                            Some(muppet_solver::PartialResult::Model { solution, distance }),
-                        ..
-                    },
-                    _,
-                ) => {
-                    let cfg = solution.restrict_to_domain(
-                        session.vocab(),
-                        muppet_logic::Domain::Party(turn),
-                    );
-                    Some((cfg, distance))
+                (muppet_solver::Outcome::Unknown { phase, partial, .. }, _) => {
+                    exhausted.get_or_insert(phase);
+                    match partial {
+                        Some(muppet_solver::PartialResult::Model { solution, distance }) => {
+                            let cfg = solution.restrict_to_domain(
+                                session.vocab(),
+                                muppet_logic::Domain::Party(turn),
+                            );
+                            Some((cfg, distance))
+                        }
+                        _ => None,
+                    }
                 }
                 _ => None,
             }
@@ -361,6 +373,7 @@ pub fn run_negotiation(
                     rounds: round + 1,
                     configs: BTreeMap::new(),
                     trace,
+                    exhausted,
                 });
             }
         }
@@ -371,6 +384,7 @@ pub fn run_negotiation(
         rounds: max_rounds,
         configs: BTreeMap::new(),
         trace,
+        exhausted,
     })
 }
 

@@ -13,7 +13,7 @@ use muppet_solver::{
 };
 
 use crate::envelope::{Envelope, EnvelopePredicate};
-use crate::fingerprint::{FingerprintExt, Fingerprinter};
+use crate::fingerprint::Fingerprinter;
 use crate::party::Party;
 
 /// Errors from session operations.
@@ -559,25 +559,6 @@ impl<'a> Session<'a> {
             .add_instance(fixed)
             .add_partial(bounds)
             .add_hash(&free);
-        fp.digest()
-    }
-
-    /// Fingerprint of the session's full semantic content — universe,
-    /// vocabulary, structure, axioms, and every party's goals and
-    /// offer. Two sessions with equal fingerprints pose the same
-    /// problems; a stream unit test uses this to check that the stream's
-    /// session builder mirrors the scenario's. The daemon's caches key
-    /// on their own spec and request fingerprints instead.
-    pub fn content_fingerprint(&self) -> u128 {
-        let mut fp = Fingerprinter::new();
-        fp.add_universe(self.universe)
-            .add_vocab(&self.vocab)
-            .add_instance(&self.structure)
-            .add_hash(&self.axioms);
-        fp.add_u64(self.parties.len() as u64);
-        for p in &self.parties {
-            fp.add_party(p);
-        }
         fp.digest()
     }
 

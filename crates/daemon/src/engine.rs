@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use muppet::conformance::run_conformance;
 use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
 use muppet::{
-    Budget, CancelToken, ConsistencyReport, Envelope, ExhaustionReport, MuppetError,
+    Budget, CancelToken, ConsistencyReport, Envelope, ExhaustionReport, MuppetError, Phase,
     QueryStats, Reconciliation, ReconcileMode, RetryPolicy, Session,
 };
 use muppet_logic::{Instance, PartyId, Universe, Vocabulary};
@@ -626,7 +626,8 @@ impl Engine {
                 let preferred = core.deployed(tenant)?;
                 let report = run_conformance(session, provider, tenant, Some(&preferred))
                     .map_err(describe_err)?;
-                Ok((conformance_json(session, &report), true))
+                let definite = report.exhausted.is_none();
+                Ok((conformance_json(session, &report), definite))
             }
             Op::NegotiateRound => {
                 let rounds = req.max_rounds.unwrap_or(4).min(64) as usize;
@@ -669,8 +670,9 @@ impl Engine {
                         ("rounds", Json::num(report.rounds as u64)),
                         ("configs", configs),
                         ("trace", Json::strs(&report.trace)),
+                        ("exhausted", phase_json(report.exhausted)),
                     ]),
-                    true,
+                    report.exhausted.is_none(),
                 ))
             }
             Op::OpenSession | Op::Stats | Op::Trace | Op::Shutdown | Op::Watch
@@ -1247,7 +1249,13 @@ fn conformance_json(session: &Session<'_>, report: &muppet::conformance::Conform
             },
         ),
         ("log", Json::strs(&report.log)),
+        ("exhausted", phase_json(report.exhausted)),
     ])
+}
+
+/// The phase a workflow step ran out of budget in, or `null`.
+fn phase_json(phase: Option<Phase>) -> Json {
+    phase.map_or(Json::Null, |p| Json::str(p.to_string()))
 }
 
 #[cfg(test)]
@@ -1462,18 +1470,28 @@ mod tests {
 
     #[test]
     fn exhausted_results_are_not_cached() {
-        let eng = engine();
-        let mut req = Request::new(Op::Reconcile).with_spec(SessionSpec::paper_strict());
-        req.timeout_ms = Some(0); // fires immediately
-        let r = eng.handle(&req, None);
-        // Whether it surfaces as a degraded report or an error, the
-        // follow-up full-budget request must be a cache miss that then
-        // computes the real verdict.
-        assert!(!r.cached);
-        let full = eng.handle_op(Op::Reconcile, &SessionSpec::paper_strict());
-        assert!(full.ok, "{:?}", full.error);
-        assert!(!full.cached, "degraded result must not have been cached");
-        assert_eq!(full.result.get("success").and_then(Json::as_bool), Some(false));
+        // Whether an exhausted solve surfaces as a degraded report or an
+        // error, the follow-up full-budget request must be a cache miss
+        // that then computes the real verdict.
+        for (op, key, want) in [
+            (Op::Reconcile, "success", false),
+            (Op::CheckConformance, "provider_consistent", true),
+            (Op::NegotiateRound, "success", true),
+        ] {
+            let eng = engine();
+            let mut req = Request::new(op).with_spec(SessionSpec::paper_strict());
+            req.timeout_ms = Some(0); // fires immediately
+            let r = eng.handle(&req, None);
+            assert!(!r.cached);
+            if r.ok {
+                let ex = r.result.get("exhausted");
+                assert!(ex.is_some_and(|e| *e != Json::Null), "{op:?}: {}", r.result.to_line());
+            }
+            let full = eng.handle_op(op, &SessionSpec::paper_strict());
+            assert!(full.ok, "{op:?}: {:?}", full.error);
+            assert!(!full.cached, "{op:?}: degraded result must not have been cached");
+            assert_eq!(full.result.get(key).and_then(Json::as_bool), Some(want), "{op:?}");
+        }
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! The paper's K8s/Istio service-mesh domain, as a [`ConfigDomain`].
+//! The paper's K8s/Istio service-mesh domain, as a [`ConfigDomain`],
+//! and the one place a two-party K8s/Istio session is assembled.
 //!
-//! This is the load pipeline that used to live inside
-//! `muppet-daemon`'s `SessionSpec::load` and `muppet-cli`, moved behind
-//! the trait: parse the manifest bundle, derive the port universe from
-//! goals + policies + extras, build [`MeshVocab`], translate both goal
-//! tables and collect well-formedness axioms. Roles, display names,
-//! goal names and the universe derivation are all byte-identical to the
-//! pre-plugin pipeline — the N=2 differential gate
-//! (`tests/nparty_differential.rs`) holds the refactor to that.
+//! [`MeshWire::parse`] reads wire content (manifests plus both goal
+//! tables) and derives the universe's port set; [`session`] assembles the
+//! session over a [`MeshVocab`] from typed goal rows: goal translation
+//! order, well-formedness axioms, structure, party ids and display
+//! names, and the tight offers of bounded runs. The daemon's sessions
+//! ([`MeshDomain`]), its `watch` streams (`muppet-stream`), the
+//! scenario generator and the paper fixtures all go through these two
+//! functions, so the same configuration poses the same problem on
+//! every path.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use muppet::NamedGoal;
+use muppet::{NamedGoal, Party, Session};
 use muppet_goals::{translate_istio_goals, translate_k8s_goals, IstioGoal, K8sGoal};
-use muppet_logic::{Instance, PartyId};
+use muppet_logic::{Instance, PartialInstance, PartyId};
 use muppet_mesh::manifest::{emit_bundle, parse_manifests, ManifestBundle};
 use muppet_mesh::MeshVocab;
 
@@ -40,6 +42,116 @@ pub fn payload(model: &DomainModel) -> Option<&MeshPayload> {
     model.payload.downcast_ref::<MeshPayload>()
 }
 
+/// Mesh wire content, parsed: what a mesh session is assembled from.
+pub struct MeshWire {
+    /// The manifest documents.
+    pub bundle: ManifestBundle,
+    /// The K8s admin's goal rows.
+    pub k8s_goals: Vec<K8sGoal>,
+    /// The Istio admin's goal rows.
+    pub istio_goals: Vec<IstioGoal>,
+    /// The ports the universe needs besides the services' own: every
+    /// goal port, every port a deployed policy names, and the spare
+    /// ports.
+    pub ports: BTreeSet<u16>,
+}
+
+impl MeshWire {
+    /// Parse manifests and both goal tables, and derive the universe's
+    /// port set from them and `extra_ports`. A port named only by a
+    /// deployed policy still widens the universe, so a goal with an
+    /// existential port can be met there.
+    pub fn parse(
+        manifests: &str,
+        k8s_csv: &str,
+        istio_csv: &str,
+        extra_ports: &[u16],
+    ) -> Result<MeshWire, String> {
+        let bundle = parse_manifests(manifests).map_err(|e| e.to_string())?;
+        if bundle.mesh.services().is_empty() {
+            return Err("no Service documents found in the manifests".into());
+        }
+        let k8s_goals = K8sGoal::parse_csv(k8s_csv).map_err(|e| e.to_string())?;
+        let istio_goals = IstioGoal::parse_csv(istio_csv).map_err(|e| e.to_string())?;
+        let mut ports = muppet_goals::collect_goal_ports(&k8s_goals, &istio_goals);
+        ports.extend(extra_ports);
+        for rule in bundle.k8s_policies.iter().flat_map(|p| &p.rules) {
+            ports.extend(&rule.ports);
+        }
+        for rule in bundle.istio_policies.iter().flat_map(|p| &p.rules) {
+            ports.extend(&rule.ports);
+        }
+        Ok(MeshWire {
+            bundle,
+            k8s_goals,
+            istio_goals,
+            ports,
+        })
+    }
+}
+
+/// Assemble the two-party K8s/Istio session over `mv`: the K8s rows'
+/// goals, then the Istio rows' goals, then the well-formedness axioms
+/// are translated into one vocabulary; the structure is
+/// [`MeshVocab::sidecar_instance`]; `k8s-admin` and `istio-admin` hold
+/// their rows as hard goals. With `spare_ports`, both parties also
+/// carry the tight offers of a bounded run: no policy relation may
+/// gain a tuple, and `listens` only on declared or spare ports.
+pub fn session<'a>(
+    mv: &'a MeshVocab,
+    k8s_goals: &[K8sGoal],
+    istio_goals: &[IstioGoal],
+    spare_ports: Option<&[u16]>,
+) -> Result<Session<'a>, String> {
+    let mut vocab = mv.vocab.clone();
+    let k8s = translate_k8s_goals(k8s_goals, mv, &mut vocab).map_err(|e| e.to_string())?;
+    let istio = translate_istio_goals(istio_goals, mv, &mut vocab).map_err(|e| e.to_string())?;
+    let axioms = mv.well_formedness_axioms(&mut vocab);
+    let mut k8s_party =
+        Party::new(mv.k8s_party, DISPLAYS[0]).with_goals(k8s.into_iter().map(NamedGoal::from));
+    let mut istio_party =
+        Party::new(mv.istio_party, DISPLAYS[1]).with_goals(istio.into_iter().map(NamedGoal::from));
+    if let Some(spare) = spare_ports {
+        (k8s_party.offer, istio_party.offer) = tight_offers(mv, spare);
+    }
+    let mut s = Session::new(&mv.universe, vocab, mv.sidecar_instance());
+    s.add_axioms(axioms);
+    s.add_party(k8s_party);
+    s.add_party(istio_party);
+    Ok(s)
+}
+
+/// Tight Kodkod-style offers for a scale run: `(k8s, istio)`.
+///
+/// The cluster admin offers to add **no** network policies (all six
+/// `k8s_*` relations bounded empty); the mesh admin offers to add no
+/// authorization policies and to only expose ports a service declares
+/// or one of the `spare` ports (`listens` upper-bounded to that
+/// support, nothing required). Upper bounds only remove models, so
+/// conflicts stay conflicts; the no-policy / declared-exposure witness
+/// keeps conflict-free scenarios satisfiable.
+fn tight_offers(mv: &MeshVocab, spare: &[u16]) -> (PartialInstance, PartialInstance) {
+    let mut k8s = PartialInstance::new();
+    for rel in mv.k8s_rels() {
+        k8s.bound(rel);
+    }
+    let mut istio = PartialInstance::new();
+    for rel in mv.istio_rels() {
+        istio.bound(rel);
+    }
+    for svc in mv.mesh().services() {
+        let s = mv.svc_atom(&svc.name).expect("mesh service has an atom");
+        for &p in svc.ports.iter().chain(spare) {
+            let pa = mv.port_atom(p).expect("mesh port has an atom");
+            istio.permit(mv.listens, vec![s, pa]);
+        }
+    }
+    (k8s, istio)
+}
+
+/// The mesh parties' display names, in slot order.
+const DISPLAYS: [&str; 2] = ["k8s-admin", "istio-admin"];
+
 /// The K8s/Istio pair (roles `k8s`, `istio`).
 pub struct MeshDomain;
 
@@ -53,78 +165,51 @@ impl ConfigDomain for MeshDomain {
     }
 
     fn displays(&self) -> &'static [&'static str] {
-        &["k8s-admin", "istio-admin"]
+        &DISPLAYS
     }
 
     fn build(&self, input: &DomainInput) -> Result<DomainModel, String> {
-        let bundle = parse_manifests(&input.manifests).map_err(|e| e.to_string())?;
-        if bundle.mesh.services().is_empty() {
-            return Err("no Service documents found in the manifests".into());
-        }
-        let k8s_rows = K8sGoal::parse_csv(input.goal_text(0)).map_err(|e| e.to_string())?;
-        let istio_rows = IstioGoal::parse_csv(input.goal_text(1)).map_err(|e| e.to_string())?;
-        // The universe's port set derives from BOTH goal tables, the
-        // deployed policies and the explicit extras — anything touching
-        // it invalidates every per-op cache key (see the Engine docs).
-        let mut ports: BTreeSet<u16> = muppet_goals::collect_goal_ports(&k8s_rows, &istio_rows);
-        ports.extend(&input.extra_ports);
-        for p in &bundle.k8s_policies {
-            for r in &p.rules {
-                ports.extend(&r.ports);
-            }
-        }
-        for p in &bundle.istio_policies {
-            for r in &p.rules {
-                ports.extend(&r.ports);
-            }
-        }
-        let port_list: Vec<u16> = ports.iter().copied().collect();
+        let wire = MeshWire::parse(
+            &input.manifests,
+            input.goal_text(0),
+            input.goal_text(1),
+            &input.extra_ports,
+        )?;
+        let port_list: Vec<u16> = wire.ports.iter().copied().collect();
         let mv = MeshVocab::new_with_features(
-            &bundle.mesh,
-            ports,
+            &wire.bundle.mesh,
+            wire.ports,
             PartyId(0),
             PartyId(1),
             input.mtls,
         );
-        let mut vocab = mv.vocab.clone();
-        let k8s_goals: Vec<NamedGoal> = translate_k8s_goals(&k8s_rows, &mv, &mut vocab)
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .map(NamedGoal::from)
+        let s = session(&mv, &wire.k8s_goals, &wire.istio_goals, None)?;
+        let parties = s
+            .parties()
+            .iter()
+            .zip(self.roles())
+            .enumerate()
+            .map(|(slot, (p, role))| DomainParty {
+                id: p.id,
+                role: role.to_string(),
+                display: p.name.clone(),
+                goals: p.goals.clone(),
+                goals_text: input.goal_text(slot).to_string(),
+            })
             .collect();
-        let istio_goals: Vec<NamedGoal> = translate_istio_goals(&istio_rows, &mv, &mut vocab)
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .map(NamedGoal::from)
-            .collect();
-        let axioms = mv.well_formedness_axioms(&mut vocab);
-        let services = bundle.mesh.services().len();
-        let parties = vec![
-            DomainParty {
-                id: mv.k8s_party,
-                role: "k8s".into(),
-                display: "k8s-admin".into(),
-                goals: k8s_goals,
-                goals_text: input.goal_text(0).to_string(),
-            },
-            DomainParty {
-                id: mv.istio_party,
-                role: "istio".into(),
-                display: "istio-admin".into(),
-                goals: istio_goals,
-                goals_text: input.goal_text(1).to_string(),
-            },
-        ];
         Ok(DomainModel {
             domain: "mesh",
             universe: mv.universe.clone(),
-            structure: mv.sidecar_instance(),
-            vocab,
-            axioms,
+            structure: s.structure().clone(),
+            vocab: s.vocab().clone(),
+            axioms: s.axioms().to_vec(),
             parties,
             ports: port_list,
-            services,
-            payload: Box::new(MeshPayload { bundle, mv }),
+            services: wire.bundle.mesh.services().len(),
+            payload: Box::new(MeshPayload {
+                bundle: wire.bundle,
+                mv,
+            }),
         })
     }
 

@@ -20,9 +20,8 @@
 //!   generator's `Sat` witness (services listen on their declared ports,
 //!   no extra policies) lies inside the bounds by construction.
 
-use muppet::{NamedGoal, Party, Session};
-use muppet_goals::{translate_istio_goals, translate_k8s_goals, IstioGoal, K8sGoal, PortSpec};
-use muppet_logic::PartialInstance;
+use muppet::Session;
+use muppet_goals::{IstioGoal, K8sGoal, PortSpec};
 use muppet_mesh::{Mesh, MeshVocab, Selector, Service};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -266,79 +265,27 @@ pub fn conflicting_ports_of(
 }
 
 impl Scenario {
-    /// Build a two-party Muppet session for this scenario. `soft_istio`
-    /// marks the Istio goals droppable (for negotiation experiments).
-    /// With `params.bounded`, both parties carry the tight offers from
-    /// [`Scenario::offers`].
+    /// Build a two-party Muppet session for this scenario with the mesh
+    /// domain's builder ([`muppet_domain::mesh::session`]).
+    /// `soft_istio` marks the Istio goals droppable (for negotiation
+    /// experiments). With `params.bounded`, both parties carry the
+    /// builder's tight offers over the spare ports.
     pub fn session(&self, soft_istio: bool) -> Session<'_> {
-        let mut vocab = self.mv.vocab.clone();
-        let k8s_goals =
-            translate_k8s_goals(&self.k8s_goals, &self.mv, &mut vocab).expect("generated goals");
-        let istio_goals = translate_istio_goals(&self.istio_goals, &self.mv, &mut vocab)
-            .expect("generated goals");
-        let axioms = self.mv.well_formedness_axioms(&mut vocab);
-        let mut session = Session::new(
-            &self.mv.universe,
-            vocab,
-            muppet_logic::Instance::new(),
-        );
-        session.add_axioms(axioms);
-        let (k8s_offer, istio_offer) = if self.params.bounded {
-            let (k, i) = self.offers();
-            (Some(k), Some(i))
-        } else {
-            (None, None)
-        };
-        let mut k8s_party = Party::new(self.mv.k8s_party, "k8s-admin")
-            .with_goals(k8s_goals.into_iter().map(NamedGoal::from));
-        if let Some(offer) = k8s_offer {
-            k8s_party = k8s_party.with_offer(offer);
-        }
-        session.add_party(k8s_party);
-        let mut istio_party = Party::new(self.mv.istio_party, "istio-admin").with_goals(
-            istio_goals.into_iter().map(|g| {
-                let mut g = NamedGoal::from(g);
-                g.hard = !soft_istio;
-                g
-            }),
-        );
-        if let Some(offer) = istio_offer {
-            istio_party = istio_party.with_offer(offer);
-        }
-        session.add_party(istio_party);
-        session
-    }
-
-    /// Tight Kodkod-style offers for a scale run: `(k8s, istio)`.
-    ///
-    /// The cluster admin offers to add **no** network policies (all six
-    /// `k8s_*` relations bounded empty); the mesh admin offers to add no
-    /// authorization policies and to only expose ports a service
-    /// declares or one of the spare ports (`listens` upper-bounded to
-    /// that support, nothing required). Upper bounds only remove models,
-    /// so conflicts stay conflicts; the no-policy / declared-exposure
-    /// witness keeps conflict-free scenarios satisfiable.
-    pub fn offers(&self) -> (PartialInstance, PartialInstance) {
-        let mv = &self.mv;
-        let mut k8s = PartialInstance::new();
-        for rel in mv.k8s_rels() {
-            k8s.bound(rel);
-        }
-        let mut istio = PartialInstance::new();
-        for rel in mv.istio_rels() {
-            istio.bound(rel);
-        }
-        let extras: Vec<u16> = (0..self.params.extra_ports)
-            .map(|j| 20000 + j as u16)
-            .collect();
-        for svc in self.mesh.services() {
-            let s = mv.svc_atom(&svc.name).expect("mesh service has an atom");
-            for &p in svc.ports.iter().chain(extras.iter()) {
-                let pa = mv.port_atom(p).expect("mesh port has an atom");
-                istio.permit(mv.listens, vec![s, pa]);
+        let spare = self.params.bounded.then(|| self.extra_port_list());
+        let mut session = muppet_domain::mesh::session(
+            &self.mv,
+            &self.k8s_goals,
+            &self.istio_goals,
+            spare.as_deref(),
+        )
+        .expect("generated goals");
+        if soft_istio {
+            let istio = session.party_mut(self.mv.istio_party).expect("istio party");
+            for g in &mut istio.goals {
+                g.hard = false;
             }
         }
-        (k8s, istio)
+        session
     }
 
     /// Render the scenario as daemon wire content: `(manifests YAML,
@@ -353,10 +300,7 @@ impl Scenario {
         });
         let k8s = k8s_goals_csv(&self.k8s_goals);
         let istio = istio_goals_csv(&self.istio_goals);
-        let extras: Vec<u16> = (0..self.params.extra_ports)
-            .map(|j| 20000 + j as u16)
-            .collect();
-        (manifests, k8s, istio, extras)
+        (manifests, k8s, istio, self.extra_port_list())
     }
 
     /// The ports banned by the K8s goals that some concrete Istio goal

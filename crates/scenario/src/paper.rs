@@ -4,8 +4,8 @@
 //! these fixtures (E1/E2/E5, the incremental lane, the S1 corpus)
 //! consumes them from here, byte-identically.
 
-use muppet::{NamedGoal, Party, Session};
-use muppet_goals::{fig2, translate_istio_goals, translate_k8s_goals, IstioGoal};
+use muppet::Session;
+use muppet_goals::{fig2, IstioGoal};
 use muppet_logic::{Domain, Formula, PartyId, RelId, Term, Universe, Vocabulary};
 use muppet_mesh::MeshVocab;
 
@@ -23,27 +23,14 @@ pub fn vocab() -> MeshVocab {
     MeshVocab::paper_example()
 }
 
-/// Build the paper's two-party session over a given vocabulary.
+/// Build the paper's two-party session over a given vocabulary: the
+/// Fig. 2 ban against the chosen Istio table.
 pub fn session(mv: &MeshVocab, table: IstioTable) -> Session<'_> {
     let rows = match table {
         IstioTable::Fig3 => IstioGoal::fig3(),
         IstioTable::Fig4 => IstioGoal::fig4(),
     };
-    let mut vocab = mv.vocab.clone();
-    let k8s_goals = translate_k8s_goals(&fig2(), mv, &mut vocab).expect("fig2 translates");
-    let istio_goals = translate_istio_goals(&rows, mv, &mut vocab).expect("rows translate");
-    let axioms = mv.well_formedness_axioms(&mut vocab);
-    let mut s = Session::new(&mv.universe, vocab, muppet_logic::Instance::new());
-    s.add_axioms(axioms);
-    s.add_party(
-        Party::new(mv.k8s_party, "k8s-admin")
-            .with_goals(k8s_goals.into_iter().map(NamedGoal::from)),
-    );
-    s.add_party(
-        Party::new(mv.istio_party, "istio-admin")
-            .with_goals(istio_goals.into_iter().map(NamedGoal::from)),
-    );
-    s
+    muppet_domain::mesh::session(mv, &fig2(), &rows, None).expect("paper goals translate")
 }
 
 /// The relational pigeonhole principle PHP(`pigeons`, `holes`): every

@@ -51,9 +51,10 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use muppet::{MuppetError, NamedGoal, Party, Reconciliation, ReconcileMode, Session};
-use muppet_goals::{translate_istio_goals, translate_k8s_goals, IstioGoal, K8sGoal};
-use muppet_logic::{Instance, PartialInstance, PartyId};
+use muppet::{MuppetError, ReconcileMode, Reconciliation, Session};
+use muppet_domain::mesh::MeshWire;
+use muppet_goals::{IstioGoal, K8sGoal};
+use muppet_logic::PartyId;
 use muppet_mesh::{Mesh, MeshVocab};
 use muppet_obs::{Counter, Histogram};
 use muppet_scenario::stream::{ConfigDelta, DeltaError};
@@ -61,10 +62,10 @@ use muppet_scenario::Scenario;
 use muppet_solver::PreparedStore;
 
 /// The configuration state a stream session evolves: the mesh plus both
-/// parties' goal tables. [`StreamSpec::session`] builds exactly the
-/// session [`Scenario::session`] builds (hard goals, offers iff
-/// `bounded`), which is what makes warm stream verdicts byte-comparable
-/// to a cold [`Scenario`]-based oracle.
+/// parties' goal tables. [`StreamSpec::session`] assembles its session
+/// with the mesh domain's one builder ([`muppet_domain::mesh::session`]),
+/// as [`Scenario::session`] and the daemon's `open_session` do, which is
+/// what makes warm stream verdicts byte-comparable to a cold oracle.
 #[derive(Clone, Debug)]
 pub struct StreamSpec {
     /// The service mesh.
@@ -94,32 +95,24 @@ impl From<&Scenario> for StreamSpec {
 impl StreamSpec {
     /// Build a stream spec from wire content: concatenated YAML
     /// manifests plus the *raw* CSV goal tables (a stream edits rows,
-    /// so it keeps them untranslated). Goal-table ports are folded into
-    /// the extras so every referenced port is in the stream universe,
-    /// mirroring the daemon's warm-session port derivation. This is the
-    /// daemon `watch` entry point; deployed-policy documents in the
-    /// manifests are ignored (a stream solves goals, not conformance).
+    /// so it keeps them untranslated). The spare ports are the port set
+    /// [`MeshWire::parse`] derives — goal ports,
+    /// deployed-policy ports and `extra_ports` — the same universe the
+    /// daemon's `open_session` builds. This is the daemon `watch` entry
+    /// point; deployed policies widen the universe but are not solved
+    /// against (a stream solves goals, as `reconcile` does).
     pub fn from_wire(
         manifests: &str,
         k8s_csv: &str,
         istio_csv: &str,
         extra_ports: &[u16],
     ) -> Result<StreamSpec, String> {
-        let bundle =
-            muppet_mesh::manifest::parse_manifests(manifests).map_err(|e| e.to_string())?;
-        if bundle.mesh.services().is_empty() {
-            return Err("no Service documents found in the manifests".into());
-        }
-        let k8s_goals = K8sGoal::parse_csv(k8s_csv).map_err(|e| e.to_string())?;
-        let istio_goals = IstioGoal::parse_csv(istio_csv).map_err(|e| e.to_string())?;
-        let mut ports: BTreeSet<u16> =
-            muppet_goals::collect_goal_ports(&k8s_goals, &istio_goals);
-        ports.extend(extra_ports);
+        let wire = MeshWire::parse(manifests, k8s_csv, istio_csv, extra_ports)?;
         Ok(StreamSpec {
-            mesh: bundle.mesh,
-            k8s_goals,
-            istio_goals,
-            extra_ports: ports.into_iter().collect(),
+            mesh: wire.bundle.mesh,
+            k8s_goals: wire.k8s_goals,
+            istio_goals: wire.istio_goals,
+            extra_ports: wire.ports.into_iter().collect(),
             bounded: false,
         })
     }
@@ -134,58 +127,12 @@ impl StreamSpec {
         )
     }
 
-    /// Build the two-party session over a prebuilt vocabulary
-    /// (mirrors [`Scenario::session`] with hard Istio goals).
+    /// Build the two-party session over a prebuilt vocabulary, with
+    /// tight offers iff `bounded`.
     pub fn session<'a>(&self, mv: &'a MeshVocab) -> Result<Session<'a>, StreamError> {
-        let mut vocab = mv.vocab.clone();
-        let k8s_goals = translate_k8s_goals(&self.k8s_goals, mv, &mut vocab)
-            .map_err(|e| StreamError::Goals(e.to_string()))?;
-        let istio_goals = translate_istio_goals(&self.istio_goals, mv, &mut vocab)
-            .map_err(|e| StreamError::Goals(e.to_string()))?;
-        let axioms = mv.well_formedness_axioms(&mut vocab);
-        let mut session = Session::new(&mv.universe, vocab, Instance::new());
-        session.add_axioms(axioms);
-        let (k8s_offer, istio_offer) = if self.bounded {
-            let (k, i) = self.offers(mv);
-            (Some(k), Some(i))
-        } else {
-            (None, None)
-        };
-        let mut k8s_party = Party::new(mv.k8s_party, "k8s-admin")
-            .with_goals(k8s_goals.into_iter().map(NamedGoal::from));
-        if let Some(offer) = k8s_offer {
-            k8s_party = k8s_party.with_offer(offer);
-        }
-        session.add_party(k8s_party);
-        let mut istio_party = Party::new(mv.istio_party, "istio-admin")
-            .with_goals(istio_goals.into_iter().map(NamedGoal::from));
-        if let Some(offer) = istio_offer {
-            istio_party = istio_party.with_offer(offer);
-        }
-        session.add_party(istio_party);
-        Ok(session)
-    }
-
-    /// Tight offers (mirrors [`Scenario::offers`]): the cluster admin
-    /// offers no network policies, the mesh admin no authorization
-    /// policies and only declared-or-spare exposure.
-    fn offers(&self, mv: &MeshVocab) -> (PartialInstance, PartialInstance) {
-        let mut k8s = PartialInstance::new();
-        for rel in mv.k8s_rels() {
-            k8s.bound(rel);
-        }
-        let mut istio = PartialInstance::new();
-        for rel in mv.istio_rels() {
-            istio.bound(rel);
-        }
-        for svc in self.mesh.services() {
-            let s = mv.svc_atom(&svc.name).expect("mesh service has an atom");
-            for &p in svc.ports.iter().chain(self.extra_ports.iter()) {
-                let pa = mv.port_atom(p).expect("mesh port has an atom");
-                istio.permit(mv.listens, vec![s, pa]);
-            }
-        }
-        (k8s, istio)
+        let spare = self.bounded.then_some(self.extra_ports.as_slice());
+        muppet_domain::mesh::session(mv, &self.k8s_goals, &self.istio_goals, spare)
+            .map_err(StreamError::Goals)
     }
 }
 
@@ -433,24 +380,6 @@ mod tests {
             port_pool: 4,
             ..ScenarioParams::default()
         }
-    }
-
-    #[test]
-    fn spec_session_matches_scenario_session() {
-        // The mirrored session builder must agree with the original
-        // byte for byte — same fingerprint, same verdict line.
-        let sc = generate(small_params());
-        let spec = StreamSpec::from(&sc);
-        let mv = spec.vocab();
-        let mut mirrored = spec.session(&mv).unwrap();
-        let mut original = sc.session(false);
-        assert_eq!(
-            mirrored.content_fingerprint(),
-            original.content_fingerprint()
-        );
-        let a = mirrored.reconcile(ReconcileMode::HardBounds).unwrap();
-        let b = original.reconcile(ReconcileMode::HardBounds).unwrap();
-        assert_eq!(verdict_line(&a), verdict_line(&b));
     }
 
     #[test]

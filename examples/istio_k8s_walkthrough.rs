@@ -13,8 +13,8 @@
 //!
 //! Run with `cargo run --example istio_k8s_walkthrough`.
 
-use muppet::{NamedGoal, Party, ReconcileMode, Session};
-use muppet_goals::{translate_istio_goals, translate_k8s_goals, IstioGoal, K8sGoal};
+use muppet::{ReconcileMode, Session};
+use muppet_goals::{IstioGoal, K8sGoal};
 use muppet_logic::{Instance, PartyId};
 use muppet_mesh::manifest::{emit_authorization_policy, emit_network_policy, parse_manifests};
 use muppet_mesh::{evaluate_flow, Flow, MeshVocab};
@@ -79,21 +79,7 @@ test-db,test-backend,10000,12000
 fn build_session<'a>(mv: &'a MeshVocab, istio_csv: &str) -> Session<'a> {
     let k8s_rows = K8sGoal::parse_csv(K8S_GOALS_CSV).expect("fig2 parses");
     let istio_rows = IstioGoal::parse_csv(istio_csv).expect("istio goals parse");
-    let mut vocab = mv.vocab.clone();
-    let k8s_goals = translate_k8s_goals(&k8s_rows, mv, &mut vocab).expect("translate");
-    let istio_goals = translate_istio_goals(&istio_rows, mv, &mut vocab).expect("translate");
-    let axioms = mv.well_formedness_axioms(&mut vocab);
-    let mut s = Session::new(&mv.universe, vocab, Instance::new());
-    s.add_axioms(axioms);
-    s.add_party(
-        Party::new(mv.k8s_party, "k8s-admin")
-            .with_goals(k8s_goals.into_iter().map(NamedGoal::from)),
-    );
-    s.add_party(
-        Party::new(mv.istio_party, "istio-admin")
-            .with_goals(istio_goals.into_iter().map(NamedGoal::from)),
-    );
-    s
+    muppet_domain::mesh::session(mv, &k8s_rows, &istio_rows, None).expect("translate")
 }
 
 fn main() {

@@ -20,31 +20,16 @@
 use std::collections::BTreeMap;
 
 use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
-use muppet::{NamedGoal, Party, Session};
-use muppet_goals::{fig2, translate_istio_goals, translate_k8s_goals, IstioGoal};
-use muppet_logic::{Instance, PartyId};
+use muppet::Session;
+use muppet_logic::PartyId;
 use muppet_mesh::MeshVocab;
-use muppet_scenario::paper::vocab;
+use muppet_scenario::paper::{session, vocab, IstioTable};
 
 fn build_session(mv: &MeshVocab, soft_istio: bool) -> Session<'_> {
-    let mut vocab = mv.vocab.clone();
-    let k8s_goals = translate_k8s_goals(&fig2(), mv, &mut vocab).expect("translate");
-    let istio_goals =
-        translate_istio_goals(&IstioGoal::fig3(), mv, &mut vocab).expect("translate");
-    let axioms = mv.well_formedness_axioms(&mut vocab);
-    let mut s = Session::new(&mv.universe, vocab, Instance::new());
-    s.add_axioms(axioms);
-    s.add_party(
-        Party::new(mv.k8s_party, "k8s-admin")
-            .with_goals(k8s_goals.into_iter().map(NamedGoal::from)),
-    );
-    s.add_party(Party::new(mv.istio_party, "istio-admin").with_goals(
-        istio_goals.into_iter().map(|g| {
-            let mut g = NamedGoal::from(g);
-            g.hard = !soft_istio;
-            g
-        }),
-    ));
+    let mut s = session(mv, IstioTable::Fig3);
+    for g in &mut s.party_mut(mv.istio_party).expect("istio party").goals {
+        g.hard = !soft_istio;
+    }
     s
 }
 
@@ -81,25 +66,13 @@ fn episode(name: &str, soft_istio: bool, istio_strategy: Box<dyn Negotiator>) {
 
 fn counter_offer_episode() {
     use muppet::negotiate::AcceptCounterOffer;
-    use muppet_goals::{translate_k8s_goals, K8sGoal};
+    use muppet_goals::K8sGoal;
     println!("=== episode: mediator counter-offers against hard commitments ===");
     let mv = vocab();
-    let mut vocab2 = mv.vocab.clone();
     // K8s requirement it cannot enforce alone: backend:25 stays open.
-    let k8s_goals = translate_k8s_goals(
-        &K8sGoal::parse_csv("25,ALLOW,test-backend\n").unwrap(),
-        &mv,
-        &mut vocab2,
-    )
-    .expect("goal translates");
-    let axioms = mv.well_formedness_axioms(&mut vocab2);
-    let mut session = Session::new(&mv.universe, vocab2, Instance::new());
-    session.add_axioms(axioms);
-    session.add_party(
-        Party::new(mv.k8s_party, "k8s-admin")
-            .with_goals(k8s_goals.into_iter().map(NamedGoal::from)),
-    );
-    session.add_party(Party::new(mv.istio_party, "istio-admin"));
+    let k8s_rows = K8sGoal::parse_csv("25,ALLOW,test-backend\n").unwrap();
+    let mut session =
+        muppet_domain::mesh::session(&mv, &k8s_rows, &[], None).expect("goal translates");
     // The Istio admin's commitments: current exposure plus an egress
     // lockdown on the frontend (fe may send nothing), everything else
     // fixed off.

@@ -63,7 +63,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use muppet::conformance::run_conformance;
@@ -142,17 +143,6 @@ fn govern(s: &mut Session<'_>) {
             g.retries.unwrap_or(1),
         ));
     }
-}
-
-/// Why a governed workflow (conformance, negotiation) ended without
-/// its answer: the first "budget exhausted" line of its log, else the
-/// session budget's own deadline or cancellation. `None` means the
-/// budget was not the cause.
-fn exhaustion(s: &Session<'_>, log: &[String]) -> Option<String> {
-    log.iter()
-        .find(|l| l.contains("budget exhausted"))
-        .cloned()
-        .or_else(|| s.budget().poll().map(|e| format!("session budget: {e}")))
 }
 
 /// Run `f` once and return its result with the wall-clock duration.
@@ -738,30 +728,30 @@ fn e6(r: &mut Record) {
     let mv = vocab();
     let preferred = mv.structure_instance();
     const STRICT: &str = "strict tenant";
-    let (s, report, d) = timed_fresh(
+    let (_, report, d) = timed_fresh(
         REPS,
         || session(&mv, IstioTable::Fig3),
         |s| run_conformance(s, mv.k8s_party, mv.istio_party, Some(&preferred)).unwrap(),
     );
+    if let Some(phase) = report.exhausted {
+        return r.exhausted(STRICT, format!("phase {phase}"));
+    }
     assert!(!report.success);
-    let Some(distance) = report.counter_offer_distance else {
-        let why = exhaustion(&s, &report.log).expect("a rejected tenant gets a counter-offer");
-        return r.exhausted(STRICT, why);
-    };
+    let distance = report.counter_offer_distance.expect("a rejected tenant gets a counter-offer");
     r.text(STRICT, "outcome", "rejected", "tenant must revise");
     r.num(STRICT, "counter-offer distance", distance as f64, "edits", "1 edit");
     r.num(STRICT, "time", ms(d), "ms", "< 1000");
 
     const RELAXED: &str = "relaxed tenant";
-    let (s, report, d) = timed_fresh(
+    let (_, report, d) = timed_fresh(
         REPS,
         || session(&mv, IstioTable::Fig4),
         |s| run_conformance(s, mv.k8s_party, mv.istio_party, None).unwrap(),
     );
-    if !report.success {
-        let why = exhaustion(&s, &report.log).expect("the relaxed tenant conforms");
-        return r.exhausted(RELAXED, why);
+    if let Some(phase) = report.exhausted {
+        return r.exhausted(RELAXED, format!("phase {phase}"));
     }
+    assert!(report.success, "the relaxed tenant conforms");
     r.text(RELAXED, "outcome", "conforming config", "success");
     r.num(RELAXED, "time", ms(d), "ms", "< 1000");
 }
@@ -818,19 +808,18 @@ fn e8(r: &mut Record) {
         let inst = format!("{bans} ban(s); {conflicts} conflict(s)");
         // Each episode runs on its own session; rounds within one
         // episode may recall answers, as the negotiation does.
-        let ((report, why), d) = timed_median(3, || {
+        let (report, d) = timed_median(3, || {
             let mut sess = scenario.session(true);
             govern(&mut sess);
             let mut negs: BTreeMap<muppet_logic::PartyId, Box<dyn Negotiator>> = BTreeMap::new();
             negs.insert(scenario.mv.k8s_party, Box::new(Stubborn));
             negs.insert(scenario.mv.istio_party, Box::new(DropBlamedSoftGoals));
-            let report = run_negotiation(&mut sess, &mut negs, 40, Schedule::RoundRobin).unwrap();
-            let why = exhaustion(&sess, &report.trace);
-            (report, why)
+            run_negotiation(&mut sess, &mut negs, 40, Schedule::RoundRobin).unwrap()
         });
-        if !report.success {
-            return r.exhausted(&inst, why.expect("the negotiation converges"));
+        if let Some(phase) = report.exhausted {
+            return r.exhausted(&inst, format!("phase {phase}"));
         }
+        assert!(report.success, "the negotiation converges");
         r.num(&inst, "rounds to agreement", report.rounds as f64, "rounds", "grows with conflicts");
         r.num(&inst, "time", ms(d), "ms", "< 1000 per episode");
     }
@@ -895,8 +884,7 @@ fn x1(r: &mut Record) {
 /// X2 — Sec. 7 extension: mTLS/PeerAuthentication adds a sixth escape
 /// hatch to the Fig. 5 envelope.
 fn x2(r: &mut Record) {
-    use muppet::{NamedGoal, Party};
-    use muppet_goals::{translate_k8s_goals, K8sGoal};
+    use muppet_goals::K8sGoal;
     use muppet_mesh::{Mesh, MeshVocab, Service};
     const INST: &str = "mTLS extension on";
     let mut mesh = Mesh::paper_example();
@@ -908,18 +896,8 @@ fn x2(r: &mut Record) {
         muppet_logic::PartyId(1),
         true,
     );
-    let mut vocab = mv.vocab.clone();
-    let k8s_goals =
-        translate_k8s_goals(&K8sGoal::parse_csv("23,DENY,*\n").unwrap(), &mv, &mut vocab)
-            .unwrap();
-    let axioms = mv.well_formedness_axioms(&mut vocab);
-    let mut session = Session::new(&mv.universe, vocab, mv.sidecar_instance());
-    session.add_axioms(axioms);
-    session.add_party(
-        Party::new(mv.k8s_party, "k8s-admin")
-            .with_goals(k8s_goals.into_iter().map(NamedGoal::from)),
-    );
-    session.add_party(Party::new(mv.istio_party, "istio-admin"));
+    let ban = K8sGoal::parse_csv("23,DENY,*\n").unwrap();
+    let session = muppet_domain::mesh::session(&mv, &ban, &[], None).unwrap();
     let (env, d) = timed_median(REPS, || {
         session
             .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
@@ -1454,9 +1432,18 @@ fn o1(r: &mut Record) {
     use muppet_daemon::json::parse;
     const SCENARIOS: &str = "paper scenarios";
 
-    // 1. Traced scenario set: the paper tables, end to end.
+    // 1. Traced scenario set: the paper tables, end to end. The span
+    // ring is process-wide and may hold earlier lanes' trees, so count
+    // the root spans these solves close: those are the trees to check.
     let mv = vocab();
+    let roots = Arc::new(AtomicUsize::new(0));
     let (exhausted, totals) = profiled(|| {
+        let own = Arc::clone(&roots);
+        muppet_obs::on_span_close(move |e| {
+            if e.depth == 0 {
+                own.fetch_add(1, Ordering::Relaxed);
+            }
+        });
         let mut strict = session(&mv, IstioTable::Fig3);
         govern(&mut strict);
         let rec = strict.reconcile(ReconcileMode::Blameable).unwrap();
@@ -1489,7 +1476,7 @@ fn o1(r: &mut Record) {
     }
 
     // 2. Schema validation through the daemon's own JSON parser.
-    let traces = muppet_obs::recent_traces(muppet_obs::ring_capacity());
+    let traces = muppet_obs::recent_traces(roots.load(Ordering::Relaxed));
     assert!(!traces.is_empty(), "traced run must record span trees");
     fn validate(node: &Json, validated: &mut u64) {
         for key in ["name", "start_us", "elapsed_us", "counters", "attrs"] {
@@ -1537,7 +1524,7 @@ fn o1(r: &mut Record) {
 
     r.phases(SCENARIOS, &totals);
     const SCHEMA_INST: &str = "span schema";
-    r.num(SCHEMA_INST, "trees validated", traces.len() as f64, "", "all ring trees parse");
+    r.num(SCHEMA_INST, "trees validated", traces.len() as f64, "", "each solve's tree parses");
     r.num(SCHEMA_INST, "spans validated", spans_validated as f64, "", "-");
     r.num(SCHEMA_INST, "ring capacity", muppet_obs::ring_capacity() as f64, "", "-");
     r.num("overhead", "disabled span", disabled_ns, "ns", "one relaxed atomic load");
@@ -1682,6 +1669,10 @@ fn n1(r: &mut Record) {
             .collect::<Vec<_>>()
     });
     let cold_encoded = encoded() - cold_before;
+    let inst = format!("paper fig2/fig3, {EPISODES} episodes");
+    if let Some(phase) = warm_reports.iter().chain(&cold_reports).find_map(|r| r.exhausted) {
+        return r.exhausted(&inst, format!("phase {phase}"));
+    }
 
     // Gate 1: byte-identical verdicts and counter-offer sequences.
     let render = |r: &muppet::negotiate::NegotiationReport| {
@@ -1706,7 +1697,6 @@ fn n1(r: &mut Record) {
 
     // Gate 2: fresh sessions re-encode >= 3x more groups.
     let ratio = cold_encoded as f64 / (warm_encoded.max(1)) as f64;
-    let inst = format!("paper fig2/fig3, {EPISODES} episodes");
     r.text(&inst, "verdicts + traces byte-identical", identical, "true");
     r.num(&inst, "rounds per episode", warm_reports[0].rounds as f64, "rounds", "-");
     r.num(&inst, "groups encoded (warm)", warm_encoded as f64, "", "-");
@@ -2224,21 +2214,6 @@ fn m1(r: &mut Record) {
         .and_then(Json::as_u64)
         .unwrap_or(0);
 
-    let verdict = |sat: bool| if sat { "sat" } else { "unsat" };
-    let converged = |ok: bool| if ok { "converged" } else { "stuck" };
-    r.text(INST, "domain (open_session)", &domain, "linkerd");
-    r.num(INST, "open_session", ms(open_wall), "ms", "-");
-    r.text(INST, "platform consistent", platform_ok, "true");
-    r.text(INST, "linkerd consistent", linkerd_ok, "true");
-    let label = format!("{} (committed label)", entry.expected.label());
-    r.text(INST, "reconcile verdict", verdict(rec_success), &label);
-    r.num(INST, "reconcile", ms(rec_wall), "ms", "-");
-    r.num(INST, "core size", core_len as f64, "goals", "-");
-    r.text(INST, "core blames both admins", blames_both, "true");
-    r.text(INST, "negotiation (soft linkerd rows)", converged(neg_success), "converges");
-    r.num(INST, "negotiation rounds", neg_rounds as f64, "rounds", "-");
-    r.num(INST, "negotiation", ms(neg_wall), "ms", "-");
-
     // ---- Part B: N=3 round-robin negotiation to fixpoint ----
     use muppet::{NamedGoal, Party};
     use muppet_logic::{Domain, PartyId, Term, Universe, Vocabulary};
@@ -2278,6 +2253,25 @@ fn m1(r: &mut Record) {
     let second = run_negotiation(&mut s, &mut negs, 12, Schedule::RoundRobin)
         .expect("fixpoint negotiation runs");
     const THREE: &str = "three-party";
+    if let Some(phase) = first.exhausted.or(second.exhausted) {
+        return r.exhausted(THREE, format!("phase {phase}"));
+    }
+
+    let verdict = |sat: bool| if sat { "sat" } else { "unsat" };
+    let converged = |ok: bool| if ok { "converged" } else { "stuck" };
+    r.text(INST, "domain (open_session)", &domain, "linkerd");
+    r.num(INST, "open_session", ms(open_wall), "ms", "-");
+    r.text(INST, "platform consistent", platform_ok, "true");
+    r.text(INST, "linkerd consistent", linkerd_ok, "true");
+    let label = format!("{} (committed label)", entry.expected.label());
+    r.text(INST, "reconcile verdict", verdict(rec_success), &label);
+    r.num(INST, "reconcile", ms(rec_wall), "ms", "-");
+    r.num(INST, "core size", core_len as f64, "goals", "-");
+    r.text(INST, "core blames both admins", blames_both, "true");
+    r.text(INST, "negotiation (soft linkerd rows)", converged(neg_success), "converges");
+    r.num(INST, "negotiation rounds", neg_rounds as f64, "rounds", "-");
+    r.num(INST, "negotiation", ms(neg_wall), "ms", "-");
+
     r.text(THREE, "round-robin negotiation", converged(first.success), "converges");
     r.num(THREE, "rounds", first.rounds as f64, "rounds", "-");
     r.num(THREE, "negotiation", ms(neg3_wall), "ms", "-");

@@ -474,14 +474,32 @@ fn lane_selected_harness_run_writes_only_its_own_bench_file() {
 #[test]
 fn exhausted_budget_gives_one_row_per_lane() {
     let f = Fixture::new("harness-exhausted");
-    let out = f.harness(&["--csv", "--timeout-ms", "0", "e5", "e6", "e8", "o1"]);
+    let out = f.harness(&["--csv", "--timeout-ms", "0", "e5", "e6", "e8", "o1", "n1", "m1"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let csv = stdout(&out);
-    for lane in ["E5", "E6", "E8", "O1"] {
+    for lane in ["E5", "E6", "E8", "O1", "N1", "M1"] {
         let rows: Vec<&str> = csv.lines().filter(|l| l.starts_with(&format!("{lane},"))).collect();
         assert_eq!(rows.len(), 1, "{lane}: {rows:?}");
         assert!(rows[0].contains(",budget exhausted,"), "{lane}: {rows:?}");
     }
+}
+
+/// O1 validates the span trees of its own solves only: the row reads
+/// the same alone and after D1, whose daemon engine leaves its request
+/// trees in the process-wide span ring.
+#[test]
+fn o1_counts_only_its_own_span_trees() {
+    let f = Fixture::new("harness-o1-trees");
+    let trees = |lanes: &[&str]| {
+        let out = f.harness(&[&["--csv"], lanes].concat());
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        stdout(&out)
+            .lines()
+            .find(|l| l.starts_with("O1,span schema,trees validated,"))
+            .expect("the trees-validated row")
+            .to_string()
+    };
+    assert_eq!(trees(&["o1"]), trees(&["d1", "o1"]));
 }
 
 /// A lane filter that selects no experiment is a usage error, not an

@@ -636,6 +636,64 @@ fn watch_subscribers_get_verdict_flip_events() {
     handle.wait();
 }
 
+/// `watch` derives its universe as `open_session` does: a port that
+/// only a deployed policy names (8080 here) is in both, so the stream's
+/// initial verdict and `reconcile` agree. With 80 banned, `a` reaches
+/// `b` only if `b` may listen on 8080.
+#[test]
+fn watch_and_reconcile_agree_on_policy_ports() {
+    let (handle, path) = start("watch-universe", 1);
+    let ep = Endpoint::Unix(path);
+    let spec = SessionSpec {
+        manifests: "\
+apiVersion: v1
+kind: Service
+metadata:
+  name: a
+spec:
+  ports:
+  - port: 80
+---
+apiVersion: v1
+kind: Service
+metadata:
+  name: b
+spec:
+  ports:
+  - port: 80
+---
+apiVersion: networking.k8s.io/v1
+kind: NetworkPolicy
+metadata:
+  name: allow-8080
+spec:
+  podSelector: {}
+  ingress:
+  - ports:
+    - port: 8080
+"
+        .to_string(),
+        k8s_goals: "port,perm,selector\n80,DENY,*\n".to_string(),
+        istio_goals: "srcService,dstService,srcPort,dstPort\na,b,?w,?x\n".to_string(),
+        ..SessionSpec::default()
+    };
+    let t = Some(Duration::from_secs(60));
+    let rec = ep.roundtrip(&Request::new(Op::Reconcile).with_spec(spec.clone()), t).unwrap();
+    assert!(rec.ok, "{:?}", rec.error);
+    let watched = ep.roundtrip(&Request::new(Op::Watch).with_spec(spec), t).unwrap();
+    assert!(watched.ok, "{:?}", watched.error);
+    let verdict = watched
+        .result
+        .get("initial")
+        .and_then(|i| i.get("verdict"))
+        .and_then(Json::as_str)
+        .expect("initial verdict");
+    assert_eq!(rec.result.get("success").and_then(Json::as_bool), Some(true));
+    assert!(verdict.starts_with("sat"), "watch: {verdict:.200}");
+    handle.stop();
+    handle.wait();
+}
+
 /// Verdicts from the daemon must be identical whether served cold,
 /// warm, or from cache — spot-checked here over the socket; the
 /// exhaustive randomized version lives in `daemon_cache_props.rs`.

@@ -3,8 +3,8 @@
 //! as authentication"), exercised end to end: dataplane semantics,
 //! logical encoding (differential), envelopes and manifests.
 
-use muppet::{NamedGoal, Party, ReconcileMode, Session};
-use muppet_goals::{translate_istio_goals, translate_k8s_goals, IstioGoal, K8sGoal};
+use muppet::{NamedGoal, ReconcileMode};
+use muppet_goals::{IstioGoal, K8sGoal};
 use muppet_logic::{evaluate_closed, Instance, PartyId, Term};
 use muppet_mesh::{
     evaluate_flow_full, Flow, Mesh, MeshVocab, MtlsMode, PeerAuthentication, Selector, Service,
@@ -153,18 +153,8 @@ fn feature_off_rejects_peer_auth() {
 fn envelope_gains_the_mtls_disjunct() {
     let mesh = mesh_with_legacy_client();
     let mv = mv(&mesh);
-    let mut vocab = mv.vocab.clone();
-    let k8s_goals =
-        translate_k8s_goals(&K8sGoal::parse_csv("23,DENY,*\n").unwrap(), &mv, &mut vocab)
-            .unwrap();
-    let axioms = mv.well_formedness_axioms(&mut vocab);
-    let mut session = Session::new(&mv.universe, vocab, mv.sidecar_instance());
-    session.add_axioms(axioms);
-    session.add_party(
-        Party::new(mv.k8s_party, "k8s-admin")
-            .with_goals(k8s_goals.into_iter().map(NamedGoal::from)),
-    );
-    session.add_party(Party::new(mv.istio_party, "istio-admin"));
+    let ban = K8sGoal::parse_csv("23,DENY,*\n").unwrap();
+    let session = muppet_domain::mesh::session(&mv, &ban, &[], None).unwrap();
 
     let env = session
         .compute_envelope(mv.k8s_party, mv.istio_party, &Instance::new())
@@ -195,19 +185,17 @@ fn synthesis_can_pick_mtls_as_the_mechanism() {
     let mut mesh = Mesh::paper_example();
     mesh.add_service(Service::new("legacy-batch", [9000]).without_sidecar());
     let mv = MeshVocab::new_with_features(&mesh, [14000], PartyId(0), PartyId(1), true);
-    let mut vocab = mv.vocab.clone();
-    // K8s admin: deny legacy-batch → db traffic on the db port, via a
-    // goal over the db port.
     let istio_rows = IstioGoal::parse_csv(
         "srcService,dstService,srcPort,dstPort\n\
          test-backend,test-db,14000,16000\n",
     )
     .unwrap();
-    let istio_goals = translate_istio_goals(&istio_rows, &mv, &mut vocab).unwrap();
-    // Hand-written K8s goal: legacy-batch must not reach the db at all.
+    let mut session = muppet_domain::mesh::session(&mv, &[], &istio_rows, None).unwrap();
+    // Hand-written K8s goal: legacy-batch must not reach the db at all,
+    // over a variable no translated goal binds.
     let src = mv.svc_atom("legacy-batch").unwrap();
     let dst = mv.svc_atom("test-db").unwrap();
-    let p = vocab.fresh_var();
+    let p = session.vocab().clone().fresh_var();
     let ban = muppet_logic::Formula::forall(
         p,
         mv.port_sort,
@@ -217,16 +205,8 @@ fn synthesis_can_pick_mtls_as_the_mechanism() {
             Term::Var(p),
         )),
     );
-    let axioms = mv.well_formedness_axioms(&mut vocab);
-    let mut session = Session::new(&mv.universe, vocab, mv.sidecar_instance());
-    session.add_axioms(axioms);
-    session.add_party(
-        Party::new(mv.k8s_party, "k8s-admin").with_goals([NamedGoal::hard("ban legacy→db", ban)]),
-    );
-    session.add_party(
-        Party::new(mv.istio_party, "istio-admin")
-            .with_goals(istio_goals.into_iter().map(NamedGoal::from)),
-    );
+    let k8s = session.party_mut(mv.k8s_party).unwrap();
+    k8s.goals.push(NamedGoal::hard("ban legacy→db", ban));
     let rec = session.reconcile(ReconcileMode::HardBounds).unwrap();
     assert!(rec.success, "core: {:?}", rec.core);
     // Verify on the dataplane: decompile everything and run the flows.

@@ -7,9 +7,9 @@
 //! (K8s) administrator states namespace-scoped goals, and envelopes and
 //! synthesis respect the tenancy boundary.
 
-use muppet::{NamedGoal, Party, ReconcileMode, Session};
-use muppet_goals::{translate_istio_goals, translate_k8s_goals, IstioGoal, K8sGoal};
-use muppet_logic::{Instance, PartyId};
+use muppet::ReconcileMode;
+use muppet_goals::{IstioGoal, K8sGoal};
+use muppet_logic::PartyId;
 use muppet_mesh::{
     evaluate_flow, AuthPolicyRule, AuthorizationPolicy, Flow, Mesh, MeshVocab, Selector, Service,
 };
@@ -80,37 +80,16 @@ fn namespace_goal_selector_scopes_the_ban() {
     // business.
     let mesh = tenant_mesh();
     let mv = MeshVocab::new(&mesh, [], PartyId(0), PartyId(1));
-    let mut vocab = mv.vocab.clone();
-    let k8s_goals = translate_k8s_goals(
-        &K8sGoal::parse_csv("5432,DENY,ns=pay\n").unwrap(),
-        &mv,
-        &mut vocab,
-    )
-    .unwrap();
+    let bans = K8sGoal::parse_csv("5432,DENY,ns=pay\n").unwrap();
     // Tenants: shop needs its web → db flow; pay needs api → ledger —
     // which now conflicts.
-    let istio_goals = translate_istio_goals(
-        &IstioGoal::parse_csv(
-            "srcService,dstService,srcPort,dstPort\n\
-             shop-web,shop-db,*,5432\n\
-             pay-api,pay-ledger,*,5432\n",
-        )
-        .unwrap(),
-        &mv,
-        &mut vocab,
+    let flows = IstioGoal::parse_csv(
+        "srcService,dstService,srcPort,dstPort\n\
+         shop-web,shop-db,*,5432\n\
+         pay-api,pay-ledger,*,5432\n",
     )
     .unwrap();
-    let axioms = mv.well_formedness_axioms(&mut vocab);
-    let mut session = Session::new(&mv.universe, vocab, Instance::new());
-    session.add_axioms(axioms);
-    session.add_party(
-        Party::new(mv.k8s_party, "platform")
-            .with_goals(k8s_goals.into_iter().map(NamedGoal::from)),
-    );
-    session.add_party(
-        Party::new(mv.istio_party, "tenants")
-            .with_goals(istio_goals.into_iter().map(NamedGoal::from)),
-    );
+    let mut session = muppet_domain::mesh::session(&mv, &bans, &flows, None).unwrap();
     let rec = session.reconcile(ReconcileMode::Blameable).unwrap();
     assert!(!rec.success);
     // Blame names the namespace ban and the PAY goal, not the shop one.

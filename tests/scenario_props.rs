@@ -4,9 +4,12 @@
 //! round-trips — generated YAML through the depth-limited manifest
 //! parser, generated CSVs through the goal-table parsers.
 
+use muppet::ReconcileMode;
+use muppet_domain::{ConfigDomain, DomainInput, MeshDomain};
 use muppet_goals::{IstioGoal, K8sGoal};
 use muppet_mesh::manifest::parse_manifests;
 use muppet_scenario::{generate, ScenarioParams};
+use muppet_stream::{verdict_line, StreamSpec};
 use proptest::prelude::*;
 
 /// A strategy over the whole parameter space the corpus draws from,
@@ -108,5 +111,33 @@ proptest! {
             .reconcile(muppet::ReconcileMode::HardBounds)
             .unwrap();
         prop_assert_eq!(ru.success, rb.success);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every mesh session path goes through one builder, so the mesh
+    /// domain's model of the scenario's wire content (the daemon's
+    /// `open_session`), the scenario's own session and the stream's
+    /// spec pose the same problem: byte-identical verdict lines. The
+    /// wire carries no offers, so the scenarios are unbounded.
+    #[test]
+    fn mesh_session_paths_give_identical_verdicts(params in params_strategy()) {
+        let sc = generate(ScenarioParams { bounded: false, ..params });
+        let (manifests, k8s, istio, extra_ports) = sc.wire_content();
+        let model = MeshDomain
+            .build(&DomainInput { manifests, goals: vec![k8s, istio], mtls: false, extra_ports })
+            .expect("generated wire content builds");
+        let spec = StreamSpec::from(&sc);
+        let mv = spec.vocab();
+        let verdicts = [
+            model.session().reconcile(ReconcileMode::HardBounds),
+            sc.session(false).reconcile(ReconcileMode::HardBounds),
+            spec.session(&mv).expect("stream session").reconcile(ReconcileMode::HardBounds),
+        ]
+        .map(|rec| verdict_line(&rec.expect("reconcile")));
+        prop_assert_eq!(&verdicts[0], &verdicts[1]);
+        prop_assert_eq!(&verdicts[2], &verdicts[1]);
     }
 }
