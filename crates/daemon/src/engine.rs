@@ -1059,10 +1059,10 @@ fn obs_json() -> Json {
     ])
 }
 
-/// The `kernel` section of `stats`: the SAT kernel's inprocessing and
-/// OLL-core counters, pulled out of the obs registry (engines publish
-/// them after every solve) so operators don't have to fish prefixed
-/// names out of the raw `obs` dump.
+/// The `kernel` section of `stats`: the OLL-core counter, pulled out of
+/// the obs registry (engines count each core as they consume it) so
+/// operators don't have to fish prefixed names out of the raw `obs`
+/// dump.
 fn kernel_json() -> Json {
     let snap = registry().snapshot();
     let ctr = |name: &str| {
@@ -1071,16 +1071,7 @@ fn kernel_json() -> Json {
             .find(|(k, _)| k.as_str() == name)
             .map_or(0, |(_, v)| *v)
     };
-    Json::obj([
-        ("inprocessings", Json::num(ctr("kernel.inprocessings"))),
-        ("subsumed_clauses", Json::num(ctr("kernel.subsumed_clauses"))),
-        (
-            "strengthened_clauses",
-            Json::num(ctr("kernel.strengthened_clauses")),
-        ),
-        ("vivified_clauses", Json::num(ctr("kernel.vivified_clauses"))),
-        ("oll_cores", Json::num(ctr("kernel.oll_cores"))),
-    ])
+    Json::obj([("oll_cores", Json::num(ctr("kernel.oll_cores")))])
 }
 
 /// The `trace` result object: the last `n` completed span trees

@@ -113,16 +113,6 @@ impl ClauseDb {
             .collect()
     }
 
-    /// Iterate over the refs of *all* live clauses (problem + learnt).
-    pub fn live_refs(&self) -> Vec<ClauseRef> {
-        self.clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.deleted)
-            .map(|(i, _)| ClauseRef(i as u32))
-            .collect()
-    }
-
     /// Total live clauses (problem + learnt).
     #[cfg(test)]
     pub fn num_live(&self) -> usize {

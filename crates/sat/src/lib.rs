@@ -18,10 +18,8 @@
 //! * One learned-clause retention policy keyed by LBD (glue level): when
 //!   the DB outgrows its cap, the worse half by LBD then activity is
 //!   deleted, glue clauses (LBD ≤ 3) are always kept, and the cap grows
-//!   by a third.
-//! * Budget-bounded inprocessing at restart boundaries: clause
-//!   subsumption, self-subsuming resolution and vivification over the
-//!   learnt DB.
+//!   by a third. Learnt clauses are only ever added and deleted, never
+//!   shortened.
 //! * Incremental solving under **assumptions**, returning an assumption
 //!   *core* on UNSAT — the mechanism behind the paper's "unsatisfiable core
 //!   with blame information" feedback (Sec. 4.3).
@@ -33,8 +31,12 @@
 //! * Variables that occur in no clause are never decided; they read
 //!   `false` in models.
 //! * Deletion-based MUS (minimal unsatisfiable subset) extraction over
-//!   named clause groups ([`mus::shrink_core`]), following Torlak et al.'s
-//!   minimal-core approach the paper cites.
+//!   named clause groups ([`mus::shrink_core_ordered`]), following Torlak
+//!   et al.'s minimal-core approach the paper cites: ordered deletion
+//!   seeded with the search's own core, so the result depends on the
+//!   assumption order only.
+//! * One resource limit: a [`Budget`] (conflict and propagation caps,
+//!   deadline, cancellation) installed with [`Solver::set_budget`].
 //! * DIMACS CNF parsing and emission for debugging and interop.
 //!
 //! ## Quick example

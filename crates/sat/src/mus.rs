@@ -12,114 +12,52 @@
 use crate::lit::Lit;
 use crate::solver::{SolveResult, Solver};
 
-/// Result of [`shrink_core`].
+/// Result of [`shrink_core_ordered`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShrinkResult {
     /// The assumptions are jointly UNSAT; the payload is a minimal core.
     Minimal(Vec<Lit>),
-    /// The assumptions are satisfiable — there is no core to shrink.
-    Sat,
     /// A resource budget fired mid-minimization.
     Exhausted {
-        /// Smallest core established so far — still a sound UNSAT core,
-        /// just not proven minimal — or `None` when the budget fired
-        /// before even the initial solve finished.
-        best: Option<Vec<Lit>>,
+        /// Smallest core established so far, in assumption order — still
+        /// a sound UNSAT core, just not proven minimal.
+        best: Vec<Lit>,
     },
 }
 
-impl ShrinkResult {
-    /// The minimal core, if minimization ran to completion.
-    pub fn minimal(self) -> Option<Vec<Lit>> {
-        match self {
-            ShrinkResult::Minimal(core) => Some(core),
-            _ => None,
-        }
-    }
-}
-
-/// Shrink an assumption core to a minimal one (an irreducible subset whose
-/// members are all necessary for unsatisfiability).
+/// Shrink an assumption core to a minimal one (an irreducible subset
+/// whose members are all necessary for unsatisfiability), by ordered
+/// deletion.
 ///
 /// `assumptions` must be jointly UNSAT with the solver's clauses. The
 /// returned subset is UNSAT, and removing any single member makes the
-/// check pass (i.e. it is a MUS over the assumption set, not merely a
-/// smaller core).
+/// check pass (a MUS over the assumption set, not merely a smaller
+/// core).
 ///
-/// Deletion-based: try dropping each member in turn; keep the drop when
-/// the rest remains UNSAT. Each probe is a full (incremental) solver call,
-/// so cost is `O(k)` solves for `k` initial core members — fine at Muppet
-/// scale where cores name a handful of goals.
-///
-/// Minimization respects any budget installed with
-/// [`Solver::set_budget`] (or `set_conflict_budget`): each probe is a
-/// budgeted solve, and once the budget fires the best core found so far
-/// is returned as [`ShrinkResult::Exhausted`] rather than discarded.
-pub fn shrink_core(solver: &mut Solver, assumptions: &[Lit]) -> ShrinkResult {
-    // Start from the solver-reported core, which is usually already much
-    // smaller than the full assumption set.
-    let mut core: Vec<Lit> = match solver.solve_with_assumptions(assumptions) {
-        SolveResult::Unsat(core) => {
-            if core.is_empty() {
-                // Formula unsat on its own: the empty core is minimal.
-                return ShrinkResult::Minimal(Vec::new());
-            }
-            core
-        }
-        SolveResult::Sat(_) => return ShrinkResult::Sat,
-        SolveResult::Unknown => return ShrinkResult::Exhausted { best: None },
-    };
-
-    let mut i = 0;
-    while i < core.len() {
-        let candidate: Vec<Lit> = core
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, &l)| l)
-            .collect();
-        match solver.solve_with_assumptions(&candidate) {
-            SolveResult::Unsat(sub) => {
-                // Still unsat without core[i]; adopt the (possibly even
-                // smaller) reported core and restart scanning from the
-                // current position.
-                if sub.is_empty() {
-                    return ShrinkResult::Minimal(Vec::new());
-                }
-                core = sub;
-                i = 0;
-            }
-            SolveResult::Sat(_) => {
-                // core[i] is necessary.
-                i += 1;
-            }
-            SolveResult::Unknown => return ShrinkResult::Exhausted { best: Some(core) },
-        }
-    }
-    ShrinkResult::Minimal(core)
-}
-
-/// Like [`shrink_core`], but **deterministic**: the result is a pure
-/// function of the assumption order and the problem semantics,
-/// independent of the solver's heuristic state (learned clauses,
-/// activities, restarts).
-///
-/// The result is exactly what plain left-to-right ordered deletion over
-/// the *full* ordered assumption list gives: drop each element in turn
-/// when the rest stays UNSAT. The warm incremental engine relies on
-/// this to return byte-identical cores from warm and cold runs.
+/// The result is **deterministic**: a pure function of the assumption
+/// order and the problem semantics, independent of the solver's
+/// heuristic state (learned clauses, activities, restarts). It is
+/// exactly what plain left-to-right ordered deletion over the *full*
+/// ordered assumption list gives: drop each element in turn when the
+/// rest stays UNSAT. The warm incremental engine relies on this to
+/// return byte-identical cores from warm and cold runs.
 ///
 /// `first_core` is the core the search that established UNSAT already
 /// reported (a subset of `assumptions`), so there is no confirming
-/// re-solve and this never returns [`ShrinkResult::Sat`]. It seeds a
-/// *witness*: a known-UNSAT subset of the elements still kept. An
-/// element outside the witness is dropped without a probe — the rest
-/// still contains the witness, so plain deletion's probe would have
-/// answered UNSAT — and each UNSAT probe's reported sub-core becomes
-/// the new witness. Probes are spent only on witness members, so the
-/// cost is close to `O(k)` solves for a `k`-member core, not `O(n)`
-/// over all `n` assumptions: on a live edit stream with ~20 goal groups
-/// per solve that is ~4 probes per unsat answer instead of ~21.
+/// re-solve. It seeds a *witness*: a known-UNSAT subset of the elements
+/// still kept. An element outside the witness is dropped without a
+/// probe — the rest still contains the witness, so plain deletion's
+/// probe would have answered UNSAT — and each UNSAT probe's reported
+/// sub-core becomes the new witness. Probes are spent only on witness
+/// members, so the cost is close to `O(k)` solves for a `k`-member
+/// core, not `O(n)` over all `n` assumptions: on a live edit stream
+/// with ~20 goal groups per solve that is ~4 probes per unsat answer
+/// instead of ~21.
+///
+/// Minimization respects any budget installed with
+/// [`Solver::set_budget`]: each probe is a budgeted solve, and once the
+/// budget fires the witness is returned as [`ShrinkResult::Exhausted`]
+/// rather than discarded.
 pub fn shrink_core_ordered(
     solver: &mut Solver,
     assumptions: &[Lit],
@@ -159,7 +97,7 @@ pub fn shrink_core_ordered(
                 // The witness is the smallest UNSAT set established so
                 // far; report it in assumption order.
                 core.retain(|l| witness.contains(l));
-                return ShrinkResult::Exhausted { best: Some(core) };
+                return ShrinkResult::Exhausted { best: core };
             }
         }
     }
@@ -205,22 +143,13 @@ mod tests {
         s.add_clause([Lit::neg(sel[1]), Lit::neg(x)]);
         s.add_clause([Lit::neg(sel[2]), Lit::pos(y)]);
         let assumptions: Vec<Lit> = sel.iter().map(|&v| Lit::pos(v)).collect();
-        let mut core = shrink_core(&mut s, &assumptions).minimal().unwrap();
-        core.sort_unstable();
-        let mut expect = vec![Lit::pos(sel[0]), Lit::pos(sel[1])];
-        expect.sort_unstable();
-        assert_eq!(core, expect);
-        assert!(is_minimal_core(&mut s, &core));
+        let expect = vec![assumptions[0], assumptions[1]];
+        assert_eq!(ordered(&mut s, &assumptions), ShrinkResult::Minimal(expect.clone()));
+        assert!(is_minimal_core(&mut s, &expect));
     }
 
-    #[test]
-    fn sat_assumptions_report_sat() {
-        let mut s = Solver::new();
-        let x = s.new_var();
-        s.add_clause([Lit::pos(x)]);
-        assert_eq!(shrink_core(&mut s, &[Lit::pos(x)]), ShrinkResult::Sat);
-    }
-
+    /// A formula that is UNSAT on its own gives the empty core (plain
+    /// deletion drops every element).
     #[test]
     fn unsat_formula_gives_empty_core() {
         let mut s = Solver::new();
@@ -228,13 +157,11 @@ mod tests {
         s.add_clause([Lit::pos(x)]);
         s.add_clause([Lit::neg(x)]);
         let y = s.new_var();
-        assert_eq!(
-            shrink_core(&mut s, &[Lit::pos(y)]),
-            ShrinkResult::Minimal(Vec::new())
-        );
+        assert_eq!(ordered(&mut s, &[Lit::pos(y)]), ShrinkResult::Minimal(Vec::new()));
     }
 
-    /// An expired deadline makes shrinking exhaust immediately instead of
+    /// A budget that fires before the first probe ends shrinking at
+    /// once, reporting the search's core as the best one, instead of
     /// hanging or misreporting SAT/UNSAT.
     #[test]
     fn expired_budget_exhausts_before_probing() {
@@ -243,35 +170,21 @@ mod tests {
         let x = s.new_var();
         let y = s.new_var();
         s.add_clause([Lit::pos(x), Lit::pos(y)]);
+        let assumptions = [Lit::neg(x), Lit::neg(y)];
+        let first = match s.solve_with_assumptions(&assumptions) {
+            SolveResult::Unsat(first) => first,
+            other => panic!("assumptions must be UNSAT, got {other:?}"),
+        };
         s.set_budget(Budget::unlimited().with_conflict_cap(0));
         assert_eq!(
-            shrink_core(&mut s, &[Lit::neg(x), Lit::neg(y)]),
-            ShrinkResult::Exhausted { best: None }
+            shrink_core_ordered(&mut s, &assumptions, &first),
+            ShrinkResult::Exhausted { best: assumptions.to_vec() }
         );
     }
 
-    /// Overlapping conflicts: groups {a}, {¬a ∨ b}, {¬b}, {¬a}. Two MUSes
-    /// exist ({g0,g3} and {g0,g1,g2}); the shrunk core must be one of them
-    /// and must be minimal.
-    #[test]
-    fn finds_some_minimal_core_among_several() {
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        let sel: Vec<Var> = (0..4).map(|_| s.new_var()).collect();
-        s.add_clause([Lit::neg(sel[0]), Lit::pos(a)]);
-        s.add_clause([Lit::neg(sel[1]), Lit::neg(a), Lit::pos(b)]);
-        s.add_clause([Lit::neg(sel[2]), Lit::neg(b)]);
-        s.add_clause([Lit::neg(sel[3]), Lit::neg(a)]);
-        let assumptions: Vec<Lit> = sel.iter().map(|&v| Lit::pos(v)).collect();
-        let core = shrink_core(&mut s, &assumptions).minimal().unwrap();
-        assert!(is_minimal_core(&mut s, &core));
-        assert!(core.len() == 2 || core.len() == 3);
-        assert!(core.contains(&Lit::pos(sel[0])));
-    }
-
     /// Ordered shrinking is a pure function of the assumption order:
-    /// with several MUSes available it always lands on the same one,
+    /// with several MUSes available (groups {a}, {¬a ∨ b}, {¬b}, {¬a}
+    /// have {g0,g3} and {g0,g1,g2}) it always lands on the same one,
     /// even after the solver has accumulated unrelated search state.
     #[test]
     fn ordered_shrink_is_deterministic_under_warm_state() {
@@ -287,10 +200,10 @@ mod tests {
         };
         let mut cold = Solver::new();
         let assumptions = build(&mut cold);
-        let cold_core = ordered(&mut cold, &assumptions).minimal().unwrap();
         // {s0, s3} is the left-to-right deletion fixpoint.
-        assert_eq!(cold_core, vec![assumptions[0], assumptions[3]]);
-        assert!(is_minimal_core(&mut cold, &cold_core));
+        let expect = vec![assumptions[0], assumptions[3]];
+        assert_eq!(ordered(&mut cold, &assumptions), ShrinkResult::Minimal(expect.clone()));
+        assert!(is_minimal_core(&mut cold, &expect));
 
         let mut warm = Solver::new();
         let assumptions = build(&mut warm);
@@ -301,8 +214,7 @@ mod tests {
                 .solve_with_assumptions(&[assumptions[0], assumptions[3]])
                 .is_unsat());
         }
-        let warm_core = ordered(&mut warm, &assumptions).minimal().unwrap();
-        assert_eq!(warm_core, vec![assumptions[0], assumptions[3]]);
+        assert_eq!(ordered(&mut warm, &assumptions), ShrinkResult::Minimal(expect));
     }
 
     /// [`shrink_core_ordered`] seeded with the search's own core.
@@ -371,20 +283,5 @@ mod tests {
             assert_eq!(ordered(&mut warm, &assumptions), ShrinkResult::Minimal(expect));
         }
         assert!(unsat_rounds >= 50, "only {unsat_rounds} unsat instances");
-    }
-
-    /// A formula that is UNSAT on its own gives the empty core (plain
-    /// deletion drops every element).
-    #[test]
-    fn seeded_shrink_of_unsat_formula_is_empty() {
-        let mut s = Solver::new();
-        let x = s.new_var();
-        let sel = s.new_var();
-        s.add_clause([Lit::pos(x)]);
-        s.add_clause([Lit::neg(x)]);
-        assert_eq!(
-            shrink_core_ordered(&mut s, &[Lit::pos(sel)], &[]),
-            ShrinkResult::Minimal(Vec::new())
-        );
     }
 }

@@ -49,7 +49,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use muppet_logic::fingerprint::Fingerprinter;
 use muppet_logic::{Instance, PartialInstance, RelId, Universe, Vocabulary};
 use muppet_obs::Counter;
-use muppet_sat::{mus, Budget, Lit, Model, SolveResult, Solver, SolverStats, Var};
+use muppet_sat::{mus, Budget, Lit, Model, SolveResult, Solver, Var};
 
 use crate::ground::{ground, GExpr};
 use crate::query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, QueryStats};
@@ -123,18 +123,11 @@ pub struct IncrementalQuery {
     /// solves on this engine; [`QueryStats::oll_cores`] reports the
     /// per-solve delta.
     oll_rounds: u64,
-    /// Kernel counter values already pushed to the metrics registry;
-    /// [`Self::publish_kernel_metrics`] publishes the delta since.
-    kernel_published: SolverStats,
     encoded_groups: u64,
     reused_groups: u64,
     ctr_encoded: Counter,
     ctr_reused: Counter,
     ctr_answers_reused: Counter,
-    ctr_inprocessings: Counter,
-    ctr_subsumed: Counter,
-    ctr_strengthened: Counter,
-    ctr_vivified: Counter,
     ctr_oll_cores: Counter,
 }
 
@@ -191,16 +184,11 @@ impl IncrementalQuery {
             answers_reused: 0,
             target_strategy: TargetStrategy::default(),
             oll_rounds: 0,
-            kernel_published: SolverStats::default(),
             encoded_groups: 0,
             reused_groups: 0,
             ctr_encoded: metrics.counter("engine.groups.encoded"),
             ctr_reused: metrics.counter("engine.groups.reused"),
             ctr_answers_reused: metrics.counter("engine.answers.reused"),
-            ctr_inprocessings: metrics.counter("kernel.inprocessings"),
-            ctr_subsumed: metrics.counter("kernel.subsumed_clauses"),
-            ctr_strengthened: metrics.counter("kernel.strengthened_clauses"),
-            ctr_vivified: metrics.counter("kernel.vivified_clauses"),
             ctr_oll_cores: metrics.counter("kernel.oll_cores"),
         }
     }
@@ -217,23 +205,6 @@ impl IncrementalQuery {
     /// The current target-oriented search strategy.
     pub fn target_strategy(&self) -> TargetStrategy {
         self.target_strategy
-    }
-
-    /// Toggle the kernel's restart-boundary inprocessing (subsumption,
-    /// self-subsuming resolution, vivification). Passthrough to
-    /// [`muppet_sat::Solver::set_inprocessing`]; on by default.
-    pub fn set_inprocessing(&mut self, on: bool) -> &mut Self {
-        self.solver.set_inprocessing(on);
-        self
-    }
-
-    /// Conflicts between kernel inprocessing passes (clamped to ≥ 1).
-    /// Passthrough to [`muppet_sat::Solver::set_inprocess_interval`];
-    /// meant for differential tests that need the pass to fire on small
-    /// instances.
-    pub fn set_inprocess_interval(&mut self, conflicts: u64) -> &mut Self {
-        self.solver.set_inprocess_interval(conflicts);
-        self
     }
 
     /// Whether UNSAT cores are shrunk to minimal ones (default: yes).
@@ -368,7 +339,6 @@ impl IncrementalQuery {
             decisions: self.solver.stats.decisions,
             propagations: self.solver.stats.propagations,
             restarts: self.solver.stats.restarts,
-            inprocessings: self.solver.stats.inprocessings,
             oll_cores: self.oll_rounds,
         }
     }
@@ -380,30 +350,8 @@ impl IncrementalQuery {
             decisions: self.solver.stats.decisions.saturating_sub(base.decisions),
             propagations: self.solver.stats.propagations.saturating_sub(base.propagations),
             restarts: self.solver.stats.restarts.saturating_sub(base.restarts),
-            inprocessings: self
-                .solver
-                .stats
-                .inprocessings
-                .saturating_sub(base.inprocessings),
             oll_cores: self.oll_rounds.saturating_sub(base.oll_cores),
         }
-    }
-
-    /// Push the kernel's inprocessing counters to the metrics registry
-    /// as deltas since the last publish. Called at the end of every solve entry point so the
-    /// daemon's `stats` op sees live kernel numbers.
-    fn publish_kernel_metrics(&mut self) {
-        let s = self.solver.stats;
-        let p = self.kernel_published;
-        self.ctr_inprocessings
-            .add(s.inprocessings.saturating_sub(p.inprocessings));
-        self.ctr_subsumed
-            .add(s.subsumed_clauses.saturating_sub(p.subsumed_clauses));
-        self.ctr_strengthened
-            .add(s.strengthened_clauses.saturating_sub(p.strengthened_clauses));
-        self.ctr_vivified
-            .add(s.vivified_clauses.saturating_sub(p.vivified_clauses));
-        self.kernel_published = s;
     }
 
     /// Group names of the core `lits`: the names `groups` (the current
@@ -580,16 +528,12 @@ impl IncrementalQuery {
                             self.remember(assumptions, Answer::Unsat(core.clone()));
                             core
                         }
-                        // Seeded shrinking never re-solves the full
-                        // set, so it never answers Sat; fall back to
-                        // the first core rather than panic.
-                        mus::ShrinkResult::Sat => first_core,
                         mus::ShrinkResult::Exhausted { best } => {
                             // UNSAT is established; surface the best
                             // (unminimized) core as a partial artifact.
                             let stats = self.delta_stats(base);
                             let partial = Some(PartialResult::Core(
-                                Self::names_of_in(groups, assumptions, &best.unwrap_or(first_core)),
+                                Self::names_of_in(groups, assumptions, &best),
                             ));
                             return Outcome::Unknown {
                                 phase: Phase::Minimize,
@@ -640,9 +584,7 @@ impl IncrementalQuery {
         };
         let base = self.stats_base();
         self.solver.set_budget(budget);
-        let outcome = self.run_search(groups, &assumptions, &base);
-        self.publish_kernel_metrics();
-        Ok(outcome)
+        Ok(self.run_search(groups, &assumptions, &base))
     }
 
     /// Find the satisfying instance *closest to `target`* (fewest tuple
@@ -679,9 +621,7 @@ impl IncrementalQuery {
             }
             Err(e) => return Err(e),
         };
-        let result = self.solve_target_inner(groups, assumptions, target, budget);
-        self.publish_kernel_metrics();
-        Ok(result)
+        Ok(self.solve_target_inner(groups, assumptions, target, budget))
     }
 
     fn solve_target_inner(
@@ -747,11 +687,10 @@ impl IncrementalQuery {
                     mus::ShrinkResult::Minimal(core) => {
                         Self::names_of_in(groups, &assumptions, &core)
                     }
-                    mus::ShrinkResult::Sat => Self::names_of_in(groups, &assumptions, &first_core),
                     mus::ShrinkResult::Exhausted { best } => {
                         let stats = self.delta_stats(&base);
                         let partial = Some(PartialResult::Core(
-                            Self::names_of_in(groups, &assumptions, &best.unwrap_or(first_core)),
+                            Self::names_of_in(groups, &assumptions, &best),
                         ));
                         return (
                             Outcome::Unknown {

@@ -123,9 +123,6 @@ pub struct QueryStats {
     pub propagations: u64,
     /// SAT restarts during the run.
     pub restarts: u64,
-    /// Kernel inprocessing passes (subsumption/vivification sweeps at
-    /// restart boundaries) during the run.
-    pub inprocessings: u64,
     /// UNSAT cores consumed by core-guided (OLL) target optimization
     /// during the run; zero for plain solves and linear-search targets.
     pub oll_cores: u64,
@@ -138,9 +135,6 @@ impl fmt::Display for QueryStats {
             "free_vars={} conflicts={} decisions={} propagations={} restarts={}",
             self.free_tuple_vars, self.conflicts, self.decisions, self.propagations, self.restarts
         )?;
-        if self.inprocessings > 0 {
-            write!(f, " inprocessings={}", self.inprocessings)?;
-        }
         if self.oll_cores > 0 {
             write!(f, " oll_cores={}", self.oll_cores)?;
         }

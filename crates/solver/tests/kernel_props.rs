@@ -5,14 +5,12 @@
 //! * **Target strategies agree** — core-guided (OLL) `solve_target`
 //!   must return byte-identical outcomes and distances to the linear
 //!   search baseline on random instances.
-//! * **Kernel upgrades are invisible** — with inprocessing forced to
-//!   fire (tiny interval) and the learnt DB under reduction pressure,
-//!   verdicts and minimized cores on random CNFs must match the legacy
-//!   kernel ([`Solver::set_legacy_kernel`]: no inprocessing, one-step
-//!   minimization, fixed VSIDS decay) at the `muppet-sat` level; and
-//!   on warm `IncrementalQuery` stores solved over several rounds,
-//!   verdicts, canonical models and minimized cores must match an
-//!   engine with inprocessing off.
+//! * **Kernel upgrades are invisible** — with the learnt DB under
+//!   reduction pressure, verdicts and minimized cores on random CNFs
+//!   must match the legacy kernel ([`Solver::set_legacy_kernel`]:
+//!   one-step minimization, fixed VSIDS decay) at the `muppet-sat`
+//!   level. Warm-versus-fresh equality of whole engines is gated by
+//!   the workspace's `incremental_diff` and `stream_props` tests.
 
 use muppet_logic::{Domain, Formula, Instance, PartialInstance, PartyId, Term, Universe, Vocabulary};
 use muppet_sat::{mus, Budget, Lit, SolveResult, Solver, Var};
@@ -137,13 +135,12 @@ proptest! {
         prop_assert_eq!(oll_dist, lin_dist);
     }
 
-    /// The tuned kernel — inprocessing forced to fire with a 1-conflict
-    /// interval, recursive minimization, the decay ramp and a small
-    /// learnt cap — preserves the legacy kernel's verdict on random
-    /// 3-CNFs, and produces the identical deterministic minimized core
-    /// under assumptions.
+    /// The tuned kernel — recursive minimization, the decay ramp and a
+    /// small learnt cap — preserves the legacy kernel's verdict on
+    /// random 3-CNFs, and produces the identical deterministic
+    /// minimized core under assumptions.
     #[test]
-    fn inprocessing_preserves_random_cnf_verdicts(
+    fn tuned_kernel_matches_legacy_on_random_cnfs(
         nvars in 8usize..24,
         seed_clauses in prop::collection::vec(
             prop::collection::vec((0u32..24, any::<bool>()), 3), 20..120),
@@ -152,7 +149,6 @@ proptest! {
         let build = |tuned: bool| {
             let mut s = Solver::new();
             if tuned {
-                s.set_inprocess_interval(1);
                 s.set_max_learnt(30); // keep clause-DB reduction busy
             } else {
                 s.set_legacy_kernel();
@@ -193,27 +189,6 @@ proptest! {
             prop_assert_eq!(c1, c2, "minimized cores diverged");
         }
     }
-
-    /// On a warm engine solved over several rounds (so learnt state,
-    /// clause-DB reduction and inprocessing accumulate across solves),
-    /// verdicts, canonical models and minimized cores match an engine
-    /// with inprocessing disabled.
-    #[test]
-    fn inprocessing_is_invisible_on_warm_stores(
-        rounds in prop::collection::vec(goal_set(), 2..=3),
-    ) {
-        let f = fix();
-        let mut upgraded = engine(&f);
-        upgraded.set_inprocessing(true).set_inprocess_interval(1);
-        let mut baseline = engine(&f);
-        baseline.set_inprocessing(false);
-        for goals in &rounds {
-            let groups = groups_of(&f, goals);
-            let o1 = upgraded.solve(&groups, Budget::unlimited()).unwrap();
-            let o2 = baseline.solve(&groups, Budget::unlimited()).unwrap();
-            prop_assert_eq!(sig(&o1), sig(&o2), "warm round diverged");
-        }
-    }
 }
 
 /// Sanity anchor for the proptests: the pigeonhole family must stay
@@ -239,7 +214,6 @@ fn pigeonhole_verdict_survives_aggressive_kernel_settings() {
         }
     };
     let mut s = Solver::new();
-    s.set_inprocess_interval(50);
     s.set_max_learnt(40);
     php(&mut s, 7);
     assert!(matches!(s.solve(), SolveResult::Unsat(_)));

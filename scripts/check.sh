@@ -85,11 +85,11 @@ run cargo test -q --offline --test daemon_overload
 run cargo run --release --offline -q --features fault-inject --bin muppet-harness -- r1
 test -s BENCH_robustness.json || { echo "BENCH_robustness.json missing"; exit 1; }
 # SAT-kernel speed lane (DESIGN.md §17): differential kernel
-# properties (core-guided == linear solve_target;
-# the tuned kernel, inprocessing forced on, invisible next to the
-# legacy kernel), then the K1 harness lane — the hard-tier CNF corpus
-# under the legacy pre-change kernel profile, the tuned defaults and
-# three one-feature-off ablations (verdict parity on every entry under
+# properties (core-guided == linear solve_target; the tuned kernel
+# under clause-DB reduction pressure gives the legacy kernel's verdicts
+# and minimized cores), then the K1 harness lane — the hard-tier CNF
+# corpus under the legacy pre-change kernel profile, the tuned defaults
+# and two one-feature-off ablations (verdict parity on every entry under
 # every profile, <= 0.8x tuned-vs-legacy wall on the gated
 # refutation) and the committed minimal-edit scenario (core-guided
 # solve_target >= 2x less solver work than linear, byte-identical

@@ -1963,13 +1963,12 @@ fn w1_unbounded(r: &mut Record) -> Vec<String> {
 ///
 /// **Part A** solves every hard-tier CNF corpus entry sequentially
 /// under two in-binary kernel profiles: the legacy pre-change kernel
-/// ([`muppet_sat::Solver::set_legacy_kernel`] — flat reduction, Luby
-/// schedule, no inprocessing, one-step minimization, fixed decay: the
-/// pre-upgrade oracle) and the tuned defaults (inprocessing with
-/// geometric backoff, recursive minimization, decay ramp). Each entry
-/// is also solved under three ablation profiles, the tuned kernel with
-/// exactly one of those features switched off, so the rows show what
-/// each kept feature buys. Work counters are deterministic per
+/// ([`muppet_sat::Solver::set_legacy_kernel`] — one-step minimization,
+/// fixed decay: the pre-upgrade oracle) and the tuned defaults
+/// (recursive minimization, decay ramp). Each entry is also solved
+/// under two ablation profiles, the tuned kernel with exactly one of
+/// those features switched off, so the rows show what each kept
+/// feature buys. Work counters are deterministic per
 /// profile; wall clock is not, so timings are best-of-3. Every profile
 /// must reproduce the committed verdict on every entry, and on
 /// `hard-pup-unsat-5` — the refutation the speed program is gated on —
@@ -2001,20 +2000,15 @@ fn k1(r: &mut Record) {
             ("restarts", s.restarts),
             ("learned", s.learned_clauses),
             ("deleted", s.deleted_clauses),
-            ("inprocessings", s.inprocessings),
-            ("subsumed", s.subsumed_clauses),
-            ("strengthened", s.strengthened_clauses),
-            ("vivified", s.vivified_clauses),
         ] {
             r.num(inst, &format!("{kernel} {name}"), v as f64, "", "-");
         }
     };
     // The tuned kernel with exactly one kept feature switched off.
     type Ablation = (&'static str, fn(&mut Solver));
-    let ablations: [Ablation; 3] = [
+    let ablations: [Ablation; 2] = [
         ("minimization off", |s| s.set_deep_minimization(false)),
         ("decay ramp off", |s| s.set_decay_ramp(false)),
-        ("inprocessing off", |s| s.set_inprocessing(false)),
     ];
     let mut parity_failures: Vec<String> = Vec::new();
     let mut gated_ratio: Option<f64> = None;

@@ -111,24 +111,22 @@ proptest! {
         }
     }
 
-    /// MUS extraction produces a minimal core whenever the assumptions
-    /// are jointly UNSAT.
+    /// MUS extraction, seeded with the search's first core, produces a
+    /// minimal core whenever the assumptions are jointly UNSAT.
     #[test]
     fn shrunk_cores_are_minimal(clauses in cnf_strategy(6, 18)) {
         let num_vars = 6;
         let (mut s, vars) = load(num_vars, &clauses);
         // Assume every variable true: often UNSAT against random clauses.
         let assumptions: Vec<Lit> = vars.iter().map(|&v| Lit::pos(v)).collect();
-        match mus::shrink_core(&mut s, &assumptions) {
-            mus::ShrinkResult::Minimal(core) => {
-                prop_assert!(mus::is_minimal_core(&mut s, &core), "core {core:?} not minimal");
-            }
-            mus::ShrinkResult::Sat => {
-                // Satisfiable: fine, nothing to check.
-                prop_assert!(s.solve_with_assumptions(&assumptions).is_sat());
-            }
-            mus::ShrinkResult::Exhausted { .. } => {
-                prop_assert!(false, "unbudgeted shrink must not exhaust");
+        if let SolveResult::Unsat(first) = s.solve_with_assumptions(&assumptions) {
+            match mus::shrink_core_ordered(&mut s, &assumptions, &first) {
+                mus::ShrinkResult::Minimal(core) => {
+                    prop_assert!(mus::is_minimal_core(&mut s, &core), "core {core:?} not minimal");
+                }
+                mus::ShrinkResult::Exhausted { .. } => {
+                    prop_assert!(false, "unbudgeted shrink must not exhaust");
+                }
             }
         }
     }
