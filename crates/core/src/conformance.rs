@@ -12,46 +12,35 @@ use muppet_logic::{Domain, Instance, PartyId};
 use muppet_solver::{Outcome, PartialResult, Phase};
 
 use crate::envelope::Envelope;
-use crate::session::{MuppetError, Session};
+use crate::session::{CounterOffer, MuppetError, Session};
 
-/// Fig. 8 counter-offer helper: the minimal-edit distance from `target`
-/// to the nearest envelope-satisfying configuration. Degrades: when the
-/// query budget runs out mid-search, the best-so-far (possibly
-/// non-minimal) edit distance is reported instead of nothing.
+/// Log the Fig. 8 counter-offer and return its distance: the minimal
+/// edit distance from the tenant's preferred configuration to the
+/// nearest envelope-satisfying one, or the best-so-far (possibly
+/// non-minimal) distance when the budget ran out mid-search.
 fn counter_offer_distance(
-    (outcome, dist): (Outcome, usize),
+    counter: &CounterOffer,
     tname: &str,
     log: &mut Vec<String>,
     exhausted: &mut Option<Phase>,
 ) -> Option<usize> {
-    match outcome {
-        Outcome::Sat { .. } => {
-            log.push(format!(
-                "{tname}: nearest envelope-satisfying config is {dist} edit(s) away"
-            ));
-            Some(dist)
-        }
-        Outcome::Unknown {
-            partial: Some(PartialResult::Model { distance, .. }),
-            phase,
-            ..
-        } => {
-            log.push(format!(
-                "{tname}: budget exhausted at phase {phase} while minimizing; \
-                 an envelope-satisfying config exists within {distance} edit(s)"
-            ));
-            exhausted.get_or_insert(phase);
-            Some(distance)
-        }
-        Outcome::Unknown { phase, .. } => {
-            log.push(format!(
-                "{tname}: budget exhausted at phase {phase}; no counter-offer"
-            ));
-            exhausted.get_or_insert(phase);
-            None
-        }
-        Outcome::Unsat { .. } => None,
+    match (&counter.offer, counter.exhausted) {
+        (Some((_, dist)), None) => log.push(format!(
+            "{tname}: nearest envelope-satisfying config is {dist} edit(s) away"
+        )),
+        (Some((_, dist)), Some(phase)) => log.push(format!(
+            "{tname}: budget exhausted at phase {phase} while minimizing; \
+             an envelope-satisfying config exists within {dist} edit(s)"
+        )),
+        (None, Some(phase)) => log.push(format!(
+            "{tname}: budget exhausted at phase {phase}; no counter-offer"
+        )),
+        (None, None) => {}
     }
+    if let Some(phase) = counter.exhausted {
+        exhausted.get_or_insert(phase);
+    }
+    counter.offer.as_ref().map(|&(_, dist)| dist)
 }
 
 /// What happened in one conformance run.
@@ -94,6 +83,19 @@ pub fn run_conformance(
     provider: PartyId,
     tenant: PartyId,
     tenant_preferred: Option<&Instance>,
+) -> Result<ConformanceReport, MuppetError> {
+    conformance(session, provider, tenant, tenant_preferred, &mut None)
+}
+
+/// [`run_conformance`], keeping the tenant's counter-offer in `counter`
+/// once computed: it depends only on the envelope and the preferred
+/// configuration, so a revision loop solves it once.
+fn conformance(
+    session: &mut Session<'_>,
+    provider: PartyId,
+    tenant: PartyId,
+    tenant_preferred: Option<&Instance>,
+    counter: &mut Option<CounterOffer>,
 ) -> Result<ConformanceReport, MuppetError> {
     let names = session.party_names();
     let pname = names.get(&provider).cloned().unwrap_or_default();
@@ -139,10 +141,10 @@ pub fn run_conformance(
     tenant_step(
         session,
         tenant,
-        &tname,
         provider_config,
         envelope,
         tenant_preferred,
+        counter,
         log,
     )
 }
@@ -152,16 +154,21 @@ pub fn run_conformance(
 /// envelope plus its own goals, with minimal-edit counter-offer
 /// feedback on failure. Factored out so the revision loop can re-run
 /// only this step — the provider check and envelope "need never be
-/// recomputed".
+/// recomputed", and neither does the counter-offer held in `counter`.
 fn tenant_step(
     session: &mut Session<'_>,
     tenant: PartyId,
-    tname: &str,
     provider_config: Instance,
     envelope: Envelope,
     tenant_preferred: Option<&Instance>,
+    counter: &mut Option<CounterOffer>,
     mut log: Vec<String>,
 ) -> Result<ConformanceReport, MuppetError> {
+    let tname = session
+        .party_names()
+        .get(&tenant)
+        .cloned()
+        .unwrap_or_default();
     let mut exhausted = None;
     let (tenant_config, blame) = match session.synthesize_against(tenant, &envelope)? {
         Outcome::Sat { solution, .. } => {
@@ -196,8 +203,11 @@ fn tenant_step(
     // budgeted query, tried even when synthesis ran out).
     let counter_offer_distance = match tenant_preferred {
         Some(target) if tenant_config.is_none() => {
-            let edit = session.minimal_edit(tenant, &envelope, target)?;
-            counter_offer_distance(edit, tname, &mut log, &mut exhausted)
+            if counter.is_none() {
+                *counter = Some(session.counter_offer(tenant, &envelope, target)?);
+            }
+            let counter = counter.as_ref().expect("computed above");
+            counter_offer_distance(counter, &tname, &mut log, &mut exhausted)
         }
         _ => None,
     };
@@ -338,45 +348,19 @@ pub fn run_conformance_with_revisions(
     // (tenant revisions touch only tenant-owned goals and offers, which
     // enter neither), and every retry re-runs only the tenant-side step
     // on the session's warm engines.
-    let mut report = run_conformance(session, provider, tenant, tenant_preferred)?;
+    let mut counter = None;
+    let mut report = conformance(session, provider, tenant, tenant_preferred, &mut counter)?;
     let mut revisions = 0usize;
     while !report.success && report.provider_consistent && revisions < max_revisions {
         let envelope = report
             .envelope
             .clone()
             .expect("provider consistent ⇒ envelope exists");
-        // The mediator's counter-offer for the tenant: minimal edit of
-        // the preferred configuration that satisfies the envelope.
-        let counter_offer = match tenant_preferred {
-            Some(target) => {
-                match session.minimal_edit(tenant, &envelope, target)? {
-                    (muppet_solver::Outcome::Sat { solution, .. }, dist) => Some((
-                        solution.restrict_to_domain(
-                            session.vocab(),
-                            muppet_logic::Domain::Party(tenant),
-                        ),
-                        dist,
-                    )),
-                    // Budget fired mid-minimization: the best-so-far model
-                    // is still envelope-satisfying, just maybe not minimal.
-                    (muppet_solver::Outcome::Unknown { phase, partial, .. }, _) => {
-                        report.exhausted.get_or_insert(phase);
-                        match partial {
-                            Some(PartialResult::Model { solution, distance }) => Some((
-                                solution.restrict_to_domain(
-                                    session.vocab(),
-                                    muppet_logic::Domain::Party(tenant),
-                                ),
-                                distance,
-                            )),
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                }
-            }
-            None => None,
-        };
+        // The mediator's counter-offer for the tenant: the minimal edit
+        // of the preferred configuration that satisfies the envelope,
+        // solved by the failed tenant step (its exhaustion, if any, is
+        // already in the report).
+        let counter_offer = counter.as_ref().and_then(|c| c.offer.clone());
         let feedback = crate::negotiate::Feedback {
             core: report.blame.clone(),
             envelope: envelope.clone(),
@@ -397,19 +381,14 @@ pub fn run_conformance_with_revisions(
             .provider_config
             .clone()
             .expect("provider consistent ⇒ witness exists");
-        let tname = session
-            .party_names()
-            .get(&tenant)
-            .cloned()
-            .unwrap_or_default();
         let retry_log = vec![format!("— retry after tenant revision {revisions} —")];
         let mut next = tenant_step(
             session,
             tenant,
-            &tname,
             provider_config,
             envelope,
             tenant_preferred,
+            &mut counter,
             retry_log,
         )?;
         let mut log = report.log;
@@ -564,6 +543,62 @@ mod tests {
         .unwrap();
         assert!(!report.success);
         assert!(report.log.iter().any(|l| l.contains("declined to revise")));
+    }
+
+    /// The counter-offer depends only on the envelope and the preferred
+    /// configuration, which no tenant revision touches: a run whose
+    /// every revision fails solves the minimal edit once and offers the
+    /// same counter-offer each time.
+    #[test]
+    fn failed_revisions_solve_the_minimal_edit_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let mv = MeshVocab::paper_example();
+        let mut s = session(&mv, &IstioGoal::fig3());
+        let preferred = mv.structure_instance();
+        // Count this thread's minimal-edit solves (span closes are
+        // process-wide; other tests' threads are filtered out).
+        muppet_obs::set_enabled(true);
+        let solves = Arc::new(AtomicUsize::new(0));
+        let (counted, me) = (Arc::clone(&solves), std::thread::current().id());
+        muppet_obs::on_span_close(move |e| {
+            if e.name == "minimal_edit" && std::thread::current().id() == me {
+                counted.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // Every revision adds a harmless goal and keeps the conflict.
+        let mut offers = Vec::new();
+        let mut strategy =
+            crate::negotiate::FnNegotiator(|party: &mut Party, fb: &crate::negotiate::Feedback| {
+                offers.push(fb.counter_offer.clone());
+                let goal = party.goals[0].clone();
+                party.goals.push(NamedGoal {
+                    name: format!("copy {}", fb.round),
+                    ..goal
+                });
+                true
+            });
+        let report = run_conformance_with_revisions(
+            &mut s,
+            mv.k8s_party,
+            mv.istio_party,
+            Some(&preferred),
+            &mut strategy,
+            3,
+        )
+        .unwrap();
+        assert!(!report.success);
+        assert_eq!(report.counter_offer_distance, Some(1));
+        let retries = report
+            .log
+            .iter()
+            .filter(|l| l.contains("retry after tenant"));
+        assert_eq!(retries.count(), 3);
+        assert_eq!(solves.load(Ordering::Relaxed), 1, "log: {:#?}", report.log);
+        assert_eq!(offers.len(), 3);
+        assert!(offers.iter().all(|o| matches!(o, Some((_, 1)))));
+        assert!(offers.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

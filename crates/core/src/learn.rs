@@ -21,6 +21,11 @@
 //! 3. block the cube and repeat until no uncovered satisfying
 //!    configuration remains.
 //!
+//! Every query — find and generalize alike — runs on one warm engine
+//! over the scope: the goals, their negation, each blocking cube and
+//! each cube literal are selector-gated groups encoded once, so a
+//! generalization probe is a choice of assumptions, not a new encoding.
+//!
 //! The resulting cube list is a DNF over the recipient's tuples that is
 //! — by construction — *necessary and sufficient* within the scope:
 //! exactly an envelope, obtained without ever looking inside the goals.
@@ -28,9 +33,9 @@
 use muppet_logic::{
     AtomId, Formula, Instance, PartialInstance, PartyId, RelId, Term,
 };
-use muppet_solver::{FormulaGroup, Outcome};
+use muppet_solver::{FormulaGroup, Outcome, Phase};
 
-use crate::session::{Engine, MuppetError, Session};
+use crate::session::{MuppetError, Session};
 
 /// The finite set of recipient tuples the learner characterizes over.
 /// Tuples outside the scope are treated as absent (closed world).
@@ -74,19 +79,18 @@ impl Cube {
             && self.negative.iter().all(|(r, t)| !config.holds(*r, t))
     }
 
+    /// The cube's literals as formulas: each positive tuple, then each
+    /// negated negative one.
+    fn literal_formulas(&self) -> impl Iterator<Item = Formula> + '_ {
+        let pred =
+            |(r, t): &(RelId, Vec<AtomId>)| Formula::pred(*r, t.iter().map(|&a| Term::Const(a)));
+        let negated = self.negative.iter().map(move |l| Formula::not(pred(l)));
+        self.positive.iter().map(pred).chain(negated)
+    }
+
     /// The cube as a conjunction formula.
     pub fn to_formula(&self) -> Formula {
-        let mut parts: Vec<Formula> = Vec::new();
-        for (r, t) in &self.positive {
-            parts.push(Formula::pred(*r, t.iter().map(|&a| Term::Const(a))));
-        }
-        for (r, t) in &self.negative {
-            parts.push(Formula::not(Formula::pred(
-                *r,
-                t.iter().map(|&a| Term::Const(a)),
-            )));
-        }
-        Formula::and(parts)
+        Formula::and(self.literal_formulas().collect::<Vec<_>>())
     }
 
     /// Number of fixed literals (lower = more general).
@@ -129,12 +133,13 @@ impl LearnedEnvelope {
 /// the result has `complete == false` (its cubes are still *sufficient*,
 /// just possibly not necessary).
 ///
-/// The find loop runs on the session's warm engine for the scope shape:
+/// Every query runs on the session's warm engine for the scope shape:
 /// the goal group is grounded and encoded once, each iteration adds
 /// only its one new blocking-cube group, and learned clauses persist —
 /// so iteration `n` does `O(1)` new encoding work instead of
-/// re-compiling `n` groups. Generalization probes change the bounds per
-/// candidate literal, so each runs on a one-shot engine.
+/// re-compiling `n` groups. A generalization probe submits the negated
+/// goals plus one group per kept cube literal on the same engine, so it
+/// encodes at most the literal groups it has not met before.
 pub fn learn_envelope(
     session: &mut Session<'_>,
     from: PartyId,
@@ -162,14 +167,17 @@ pub fn learn_envelope(
     let mut cubes: Vec<Cube> = Vec::new();
     let mut queries = 0usize;
     let mut complete = false;
-    let mut groups = vec![FormulaGroup::new("goals", goal_formulas.clone())];
+    let negated_goals = FormulaGroup::new(
+        "neg goals",
+        vec![Formula::not(Formula::and(goal_formulas.clone()))],
+    );
+    let mut groups = vec![FormulaGroup::new("goals", goal_formulas)];
 
     while cubes.len() < max_cubes {
         // 1. Find a satisfying recipient configuration not covered yet,
         //    on the warm engine (fresh groups only are encoded).
         queries += 1;
         let (outcome, _attempts) = session.run(
-            Engine::Warm,
             &to_rels,
             &scope_bounds,
             Some(&fixed),
@@ -203,8 +211,9 @@ pub fn learn_envelope(
         }
 
         // 3. Generalize to a prime implicant: a literal can be dropped
-        //    when `¬goals` is unsatisfiable under the remaining cube.
-        let negated_goals = Formula::not(Formula::and(goal_formulas.clone()));
+        //    when `¬goals` is unsatisfiable under the remaining cube,
+        //    whose kept literals are one group each; a dropped literal's
+        //    tuple ranges freely over the scope.
         let mut idx = 0usize;
         while idx < cube.literals() {
             let mut candidate = cube.clone();
@@ -213,45 +222,35 @@ pub fn learn_envelope(
             } else {
                 candidate.negative.remove(idx - candidate.positive.len());
             }
-            // Bounds for the candidate cube: positives required,
-            // negatives excluded, dropped literals free within scope.
-            let mut bounds = PartialInstance::new();
-            for &rel in &to_rels {
-                bounds.bound(rel);
-            }
-            for (rel, tuple) in &scope.tuples {
-                let negated = candidate
-                    .negative
-                    .iter()
-                    .any(|(r, t)| r == rel && t == tuple);
-                if !negated {
-                    bounds.permit(*rel, tuple.clone());
-                }
-            }
-            for (rel, tuple) in &candidate.positive {
-                bounds.require(*rel, tuple.clone());
-            }
-            let probe = [FormulaGroup::new("neg goals", vec![negated_goals.clone()])];
+            let probe: Vec<FormulaGroup> = std::iter::once(negated_goals.clone())
+                .chain(
+                    candidate
+                        .literal_formulas()
+                        .map(|l| FormulaGroup::new("cube literal", vec![l])),
+                )
+                .collect();
             queries += 1;
             let (outcome, _attempts) = session.run(
-                Engine::Probe,
                 &to_rels,
-                &bounds,
+                &scope_bounds,
                 Some(&fixed),
                 &probe,
                 |pq, groups, budget| pq.solve(groups, budget),
             )?;
             match outcome {
-                Outcome::Unsat { .. } => {
-                    // Every completion satisfies the goals: drop it.
+                // Every completion satisfies the goals: drop it. A budget
+                // that fired while the core was being minimized had
+                // already established that.
+                Outcome::Unsat { .. }
+                | Outcome::Unknown {
+                    phase: Phase::Minimize,
+                    ..
+                } => {
                     cube = candidate;
                 }
-                Outcome::Sat { .. } => {
-                    idx += 1;
-                }
-                Outcome::Unknown { .. } => {
-                    // Cannot prove the literal droppable: keep it. The
-                    // cube stays sound, just possibly less general.
+                // A counterexample, or no verdict: keep the literal. The
+                // cube stays sound, just possibly less general.
+                Outcome::Sat { .. } | Outcome::Unknown { .. } => {
                     idx += 1;
                 }
             }
@@ -440,8 +439,8 @@ mod tests {
         assert_eq!(learned.cubes[0].positive.len(), 1);
         // Far fewer queries than the 2^4 assignments.
         assert!(learned.queries <= 8, "{}", learned.queries);
-        // The generalization probes ran on one-shot engines: the store
-        // holds only the find loop's warm engine.
+        // The generalization probes ran on the find loop's warm engine:
+        // the store holds that one engine.
         assert_eq!(session.store().len(), 1);
     }
 

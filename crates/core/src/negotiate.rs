@@ -322,31 +322,11 @@ pub fn run_negotiation(
                 }
                 inst
             };
-            match session.minimal_edit(turn, &envelope, &committed)? {
-                (muppet_solver::Outcome::Sat { solution, .. }, dist) => {
-                    let cfg = solution.restrict_to_domain(
-                        session.vocab(),
-                        muppet_logic::Domain::Party(turn),
-                    );
-                    Some((cfg, dist))
-                }
-                // Exhausted mid-minimization: degrade to the best-so-far
-                // model as a (possibly non-minimal) counter-offer.
-                (muppet_solver::Outcome::Unknown { phase, partial, .. }, _) => {
-                    exhausted.get_or_insert(phase);
-                    match partial {
-                        Some(muppet_solver::PartialResult::Model { solution, distance }) => {
-                            let cfg = solution.restrict_to_domain(
-                                session.vocab(),
-                                muppet_logic::Domain::Party(turn),
-                            );
-                            Some((cfg, distance))
-                        }
-                        _ => None,
-                    }
-                }
-                _ => None,
+            let counter = session.counter_offer(turn, &envelope, &committed)?;
+            if let Some(phase) = counter.exhausted {
+                exhausted.get_or_insert(phase);
             }
+            counter.offer
         } else {
             None
         };

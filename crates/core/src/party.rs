@@ -37,12 +37,6 @@ impl NamedGoal {
             ..NamedGoal::hard(name, formula)
         }
     }
-
-    /// Attach variable display names (builder style).
-    pub fn with_var_names(mut self, names: Vec<(VarId, String)>) -> NamedGoal {
-        self.var_names = names;
-        self
-    }
 }
 
 // The production `From<muppet_goals::NamedFormula>` impl lives in

@@ -146,16 +146,16 @@ pub enum ReconcileMode {
     Blameable,
 }
 
-/// Which engine a solve runs on.
-#[derive(Clone, Copy)]
-pub(crate) enum Engine {
-    /// The session store's warm engine for the query's shape.
-    Warm,
-    /// A fresh engine, dropped after the call, without core
-    /// minimization: envelope learning's generalization probes change
-    /// their bounds (and with them the engine shape) on every probe,
-    /// and need only the verdict.
-    Probe,
+/// A [`Session::minimal_edit`] answer as a Fig. 8 counter-offer.
+#[derive(Clone, Debug)]
+pub(crate) struct CounterOffer {
+    /// The edited configuration, restricted to the party's domain, and
+    /// its edit distance: the minimal one, or the best found when the
+    /// budget ran out mid-search. `None` when the envelope cannot be
+    /// met or no model was found in time.
+    pub offer: Option<(Instance, usize)>,
+    /// Where the budget ran out, if it did.
+    pub exhausted: Option<Phase>,
 }
 
 /// What the retry loop needs to know about a solve's result type.
@@ -231,11 +231,6 @@ impl<'a> Session<'a> {
     /// uncapped attempt.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
-    }
-
-    /// The session's retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// The session's warm engine store.
@@ -563,18 +558,17 @@ impl<'a> Session<'a> {
     }
 
     /// The one budget/retry loop every solve runs through. Takes the
-    /// engine for the `free`/`bounds`/`fixed` shape (`fixed` defaults
-    /// to the session structure) — the store's warm one, or a fresh
-    /// one-shot — and per attempt derives the attempt's budget (the
-    /// session budget, with the retry policy's conflict cap when that
-    /// is smaller) and runs `op` with the groups on it; the engine
+    /// store's warm engine for the `free`/`bounds`/`fixed` shape
+    /// (`fixed` defaults to the session structure) and per attempt
+    /// derives the attempt's budget (the session budget, with the
+    /// retry policy's conflict cap when that is smaller) and runs `op`
+    /// with the groups on it; the engine
     /// encodes the groups it has not seen. Re-runs while the answer is
     /// unknown, attempts remain, and the shared deadline/cancellation
     /// has not already fired (retrying past an absolute deadline cannot
     /// help). Returns the final answer and the number of attempts.
     pub(crate) fn run<A: Answer>(
         &mut self,
-        engine: Engine,
         free: &[RelId],
         bounds: &PartialInstance,
         fixed: Option<&Instance>,
@@ -582,20 +576,10 @@ impl<'a> Session<'a> {
         mut op: impl FnMut(&mut IncrementalQuery, &[FormulaGroup], Budget) -> Result<A, QueryError>,
     ) -> Result<(A, u32), MuppetError> {
         let fixed = fixed.unwrap_or(&self.structure);
-        let build =
-            || IncrementalQuery::new(&self.vocab, self.universe, free, bounds, fixed.clone());
-        let mut one_shot;
-        let pq = match engine {
-            Engine::Warm => {
-                let key = self.warm_key(bounds, free, fixed);
-                self.store.get_or_build(key, build)
-            }
-            Engine::Probe => {
-                one_shot = build();
-                one_shot.set_minimize_cores(false);
-                &mut one_shot
-            }
-        };
+        let key = self.warm_key(bounds, free, fixed);
+        let pq = self.store.get_or_build(key, || {
+            IncrementalQuery::new(&self.vocab, self.universe, free, bounds, fixed.clone())
+        });
         let attempts = self.retry.max_attempts.max(1);
         let mut attempt = 1;
         loop {
@@ -634,7 +618,7 @@ impl<'a> Session<'a> {
         groups: &[FormulaGroup],
     ) -> Result<(Outcome, u32), MuppetError> {
         let free = self.all_party_rels();
-        self.run(Engine::Warm, &free, bounds, None, groups, |pq, groups, budget| {
+        self.run(&free, bounds, None, groups, |pq, groups, budget| {
             pq.solve(groups, budget)
         })
     }
@@ -802,7 +786,6 @@ impl<'a> Session<'a> {
         let mut groups = vec![self.axiom_group()];
         groups.extend(envelope.to_groups(&self.party_names()));
         let (result, attempts) = self.run(
-            Engine::Warm,
             &free,
             &PartialInstance::new(),
             None,
@@ -813,6 +796,35 @@ impl<'a> Session<'a> {
         op_span.record("distance", result.1 as u64);
         drop(op_span);
         Ok(result)
+    }
+
+    /// [`Session::minimal_edit`] of `target` as a counter-offer for
+    /// `to`: the answer's configuration restricted to `to`'s domain,
+    /// and where the budget ran out. A budget that fired mid-search
+    /// still offers the best-so-far (possibly non-minimal) model.
+    pub(crate) fn counter_offer(
+        &mut self,
+        to: PartyId,
+        envelope: &Envelope,
+        target: &Instance,
+    ) -> Result<CounterOffer, MuppetError> {
+        let (outcome, dist) = self.minimal_edit(to, envelope, target)?;
+        let offer = |solution: Instance, dist| {
+            Some((solution.restrict_to_domain(&self.vocab, Domain::Party(to)), dist))
+        };
+        Ok(match outcome {
+            Outcome::Sat { solution, .. } => {
+                CounterOffer { offer: offer(solution, dist), exhausted: None }
+            }
+            Outcome::Unsat { .. } => CounterOffer { offer: None, exhausted: None },
+            Outcome::Unknown { phase, partial, .. } => CounterOffer {
+                offer: match partial {
+                    Some(PartialResult::Model { solution, distance }) => offer(solution, distance),
+                    _ => None,
+                },
+                exhausted: Some(phase),
+            },
+        })
     }
 
     /// Evaluate every party's goals over a complete combined instance

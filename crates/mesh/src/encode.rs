@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use muppet_logic::{
-    AtomId, Domain, Formula, Instance, PartyId, RelDecl, RelId, SortId, Term, Universe, VarId,
+    AtomId, Domain, Formula, Instance, PartyId, RelDecl, RelId, SortId, Term, Universe,
     Vocabulary,
 };
 
@@ -594,16 +594,6 @@ impl MeshVocab {
             ));
         }
         Formula::and(parts)
-    }
-
-    /// Give readable names (`src`, `dst`, `p`, …) to printer variables.
-    pub fn name_flow_vars(
-        printer: &mut muppet_logic::pretty::Printer<'_>,
-        src: VarId,
-        dst: VarId,
-    ) {
-        printer.name_var(src, "src");
-        printer.name_var(dst, "dst");
     }
 
     fn expand_ports(

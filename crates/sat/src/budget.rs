@@ -6,7 +6,7 @@
 //! phase of the pipeline interruptible. All limits are *absolute*: a
 //! deadline is a point in time and caps are totals over the budget's
 //! lifetime, so the same `Budget` value can be shared by the several
-//! solver calls that make up one logical query (e.g. the linear search
+//! solver calls that make up one logical query (e.g. the core-guided ascent
 //! of target-oriented solving, or the deletion loop of MUS extraction)
 //! and exhausts exactly once across all of them.
 //!
@@ -139,12 +139,6 @@ impl Budget {
             && self.conflicts.is_none()
             && self.propagations.is_none()
             && self.cancel.is_none()
-    }
-
-    /// `true` if a deadline or cancellation token is configured (the
-    /// limits that remain meaningful across retry attempts).
-    pub fn has_deadline_or_cancel(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
     }
 
     /// Cheap check of the non-counter limits: cancellation and (at the
@@ -311,7 +305,6 @@ mod tests {
             .with_cancel(first.clone())
             .with_cancel(second.clone());
         assert!(!b.is_unlimited());
-        assert!(b.has_deadline_or_cancel());
         first.cancel();
         assert_eq!(b.poll(), None, "a replaced token no longer limits the budget");
         second.cancel();

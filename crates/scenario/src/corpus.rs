@@ -479,7 +479,6 @@ pub fn solver_verdict(entry: &CorpusEntry) -> Expected {
                 &muppet_logic::PartialInstance::new(),
                 muppet_logic::Instance::new(),
             );
-            q.set_minimize_cores(false);
             let groups = [FormulaGroup::new("php", formulas)];
             match q.solve(&groups, Budget::unlimited()).expect("php solves within budget") {
                 Outcome::Sat { .. } => Expected::Sat,

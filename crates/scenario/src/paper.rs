@@ -108,7 +108,6 @@ mod tests {
             let (u, v, sits, formulas) = php_relational(pigeons, holes);
             let mut q =
                 IncrementalQuery::new(&v, &u, &[sits], &PartialInstance::new(), Instance::new());
-            q.set_minimize_cores(false);
             let groups = [FormulaGroup::new("php", formulas)];
             match q.solve(&groups, Budget::unlimited()).unwrap() {
                 Outcome::Sat { .. } => assert!(sat, "PHP({pigeons},{holes}) must be unsat"),

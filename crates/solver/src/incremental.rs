@@ -66,29 +66,6 @@ use crate::varmap::VarMap;
 /// about 13 KiB.
 const MEMO_CAP: usize = 64;
 
-/// Fingerprint tag separating OLL relaxation-sum totalizers from the
-/// difference-indicator totalizers in the shared cache: the two kinds
-/// can range over overlapping literal sets but encode different
-/// constraints.
-const OLL_SUM_TAG: u64 = 0x4f4c_4c5f_5355_4d31; // "OLL_SUM1"
-
-/// How [`IncrementalQuery::solve_target`] proves the minimal edit
-/// distance.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TargetStrategy {
-    /// Core-guided (OLL-style) ascent: every UNSAT core raises the
-    /// proven lower bound by one and is relaxed through a cached
-    /// totalizer, so hard instances climb in conflict-driven steps
-    /// instead of one solve per candidate distance.
-    #[default]
-    CoreGuided,
-    /// Linear search upward from distance 0 over the cached difference
-    /// totalizer — the pre-OLL baseline, kept as a differential oracle
-    /// and as the semantics both strategies degrade to under budget
-    /// exhaustion (best-so-far partial model).
-    Linear,
-}
-
 /// The warm incremental engine: solver + varmap built once, formula
 /// groups encoded on first use and activated by selector assumptions
 /// ever after. See the module docs for the reuse and canonicalization
@@ -109,16 +86,14 @@ pub struct IncrementalQuery {
     /// Group encoding key ([`FormulaGroup::encoding_keys`]) → its
     /// encoding.
     index: HashMap<u128, EncodedGroup>,
-    /// Difference-input fingerprint → cardinality network, so repeated
-    /// target-oriented solves against the same target reuse the
+    /// Relaxation-sum input fingerprint → its totalizer, so repeated
+    /// target-oriented solves that meet the same cores reuse the
     /// (permanent, one-sided, assumption-activated) totalizer clauses.
     totalizers: HashMap<u128, Totalizer>,
-    minimize_cores: bool,
     /// Canonical answers of earlier [`IncrementalQuery::solve`] calls,
     /// keyed by their assumption lists, oldest first.
     memo: VecDeque<(Vec<Lit>, Answer)>,
     answers_reused: u64,
-    target_strategy: TargetStrategy,
     /// Lifetime count of OLL cores consumed by core-guided target
     /// solves on this engine; [`QueryStats::oll_cores`] reports the
     /// per-solve delta.
@@ -179,10 +154,8 @@ impl IncrementalQuery {
             free: Vec::new(),
             index: HashMap::new(),
             totalizers: HashMap::new(),
-            minimize_cores: true,
             memo: VecDeque::new(),
             answers_reused: 0,
-            target_strategy: TargetStrategy::default(),
             oll_rounds: 0,
             encoded_groups: 0,
             reused_groups: 0,
@@ -191,30 +164,6 @@ impl IncrementalQuery {
             ctr_answers_reused: metrics.counter("engine.answers.reused"),
             ctr_oll_cores: metrics.counter("kernel.oll_cores"),
         }
-    }
-
-    /// How target-oriented solves prove the minimal distance (default:
-    /// core-guided). The two strategies return byte-identical outcomes
-    /// and distances; only the search trajectory (and therefore cost)
-    /// differs.
-    pub fn set_target_strategy(&mut self, strategy: TargetStrategy) -> &mut Self {
-        self.target_strategy = strategy;
-        self
-    }
-
-    /// The current target-oriented search strategy.
-    pub fn target_strategy(&self) -> TargetStrategy {
-        self.target_strategy
-    }
-
-    /// Whether UNSAT cores are shrunk to minimal ones (default: yes).
-    /// Shrinking uses deterministic ordered deletion, so minimized
-    /// cores are identical warm and cold; with minimization off the
-    /// solver's first core is returned, which *does* depend on search
-    /// state, and [`Self::solve`] memoizes no answer.
-    pub fn set_minimize_cores(&mut self, minimize: bool) -> &mut Self {
-        self.minimize_cores = minimize;
-        self
     }
 
     /// The free-tuple layout; every public entry point lays it out
@@ -395,33 +344,9 @@ impl IncrementalQuery {
         }
     }
 
-    /// Ensure the global difference-count totalizer for a
-    /// `solve_target` call is encoded and return its negated outputs
-    /// (`&outputs[k..]` assumes "at most k differences"). Cached by the
-    /// difference-indicator fingerprint, so warm engines re-solving
-    /// against the same target reuse the clauses.
-    fn target_totalizer(&mut self, diff_inputs: &[Lit]) -> Vec<Lit> {
-        let mut fp = Fingerprinter::new();
-        for &l in diff_inputs {
-            fp.add_u64(l.var().index() as u64);
-            fp.add_bool(l.is_positive());
-        }
-        let tkey = fp.digest();
-        if !self.totalizers.contains_key(&tkey) {
-            let tot = Totalizer::build(diff_inputs, &mut self.solver);
-            self.totalizers.insert(tkey, tot);
-        }
-        self.totalizers[&tkey].at_most(0)
-    }
-
     /// The memoized answer to `assumptions`, as an outcome named by the
-    /// current call's `groups`, with zero work counters. An engine with
-    /// core minimization off memoizes nothing: a first core is not
-    /// canonical.
+    /// current call's `groups`, with zero work counters.
     fn recall(&mut self, groups: &[FormulaGroup], assumptions: &[Lit]) -> Option<Outcome> {
-        if !self.minimize_cores {
-            return None;
-        }
         let (_, answer) = self.memo.iter().find(|(key, _)| key == assumptions)?;
         let stats = QueryStats {
             free_tuple_vars: self.varmap().num_free_vars(),
@@ -445,40 +370,100 @@ impl IncrementalQuery {
     /// Keep the canonical `answer` to `assumptions`, dropping the
     /// oldest entry beyond [`MEMO_CAP`].
     fn remember(&mut self, assumptions: &[Lit], answer: Answer) {
-        if !self.minimize_cores {
-            return;
-        }
         if self.memo.len() >= MEMO_CAP {
             self.memo.pop_front();
         }
         self.memo.push_back((assumptions.to_vec(), answer));
     }
 
-    /// The shared search → minimize tail: answer from the memo when
-    /// this engine has answered `assumptions` before, else run the CDCL
-    /// search under the already-installed budget (satisfiable models
-    /// come back canonical) and shrink cores by ordered deletion,
-    /// memoizing the canonical answer; report work counters as the
-    /// delta from `base`. The failpoint and the budget are checked
-    /// before the memo, so an expired budget is `Unknown` at
-    /// [`Phase::Search`] whether or not the answer is known.
+    /// Start a call: lay out, ground and encode `groups` ([`Self::prepare`]),
+    /// install `budget`, and return the groups' selectors with the
+    /// counter base the call's stats are measured from. This is the one
+    /// place a call stops before searching: a budget that fires while
+    /// preparing is [`QueryError::Exhausted`] at that phase with empty
+    /// stats, and the `Search` failpoint or a budget already spent is
+    /// [`QueryError::Exhausted`] at [`Phase::Search`] — checked before the
+    /// memo, so an expired budget never gets an answer, known or not.
+    fn begin(
+        &mut self,
+        groups: &[FormulaGroup],
+        budget: Budget,
+    ) -> Result<(Vec<Lit>, QueryStats), QueryError> {
+        let assumptions = self.prepare(groups, &budget)?;
+        let base = self.stats_base();
+        self.solver.set_budget(budget);
+        #[cfg(any(test, feature = "fault-inject"))]
+        let tripped = crate::fault::should_trip(Phase::Search);
+        #[cfg(not(any(test, feature = "fault-inject")))]
+        let tripped = false;
+        if tripped || self.solver.budget_exhausted().is_some() {
+            let stats = self.delta_stats(&base);
+            return Err(QueryError::Exhausted { phase: Phase::Search, stats });
+        }
+        Ok((assumptions, base))
+    }
+
+    /// A call that stopped in [`Self::begin`], as the answer
+    /// [`Self::solve`] and [`Self::solve_target`] give: `Unknown` at the
+    /// phase that stopped it. A ground error stays an error.
+    fn stopped(e: QueryError) -> Result<Outcome, QueryError> {
+        match e {
+            QueryError::Exhausted { phase, stats } => {
+                Ok(Outcome::Unknown { phase, stats, partial: None })
+            }
+            e => Err(e),
+        }
+    }
+
+    /// `Unknown` at `phase`, with the work done since `base`.
+    fn unknown(&self, phase: Phase, base: &QueryStats, partial: Option<PartialResult>) -> Outcome {
+        Outcome::Unknown { phase, stats: self.delta_stats(base), partial }
+    }
+
+    /// The unsat tail every search ends in: shrink the search's
+    /// `first_core` by ordered deletion to the minimal core, memoize it
+    /// under `assumptions` and name it by the current call's `groups`. A
+    /// budget that fires while shrinking leaves UNSAT established, so
+    /// the answer is `Unknown` at [`Phase::Minimize`] carrying the best
+    /// (unminimized) core as a partial artifact.
+    fn unsat_tail(
+        &mut self,
+        groups: &[FormulaGroup],
+        assumptions: &[Lit],
+        first_core: &[Lit],
+        base: &QueryStats,
+    ) -> Outcome {
+        let mut minimize_span = muppet_obs::span("minimize");
+        let pre_conflicts = self.solver.stats.conflicts;
+        let shrunk = mus::shrink_core_ordered(&mut self.solver, assumptions, first_core);
+        minimize_span.record(
+            "conflicts",
+            self.solver.stats.conflicts.saturating_sub(pre_conflicts),
+        );
+        drop(minimize_span);
+        match shrunk {
+            mus::ShrinkResult::Minimal(core) => {
+                let names = Self::names_of_in(groups, assumptions, &core);
+                self.remember(assumptions, Answer::Unsat(core));
+                Outcome::Unsat { core: names, stats: self.delta_stats(base) }
+            }
+            mus::ShrinkResult::Exhausted { best } => {
+                let partial = PartialResult::Core(Self::names_of_in(groups, assumptions, &best));
+                self.unknown(Phase::Minimize, base, Some(partial))
+            }
+        }
+    }
+
+    /// The search of [`Self::solve`]: answer from the memo when this
+    /// engine has answered `assumptions` before, else run the CDCL
+    /// search under the installed budget — a model comes back canonical
+    /// and is memoized, a core goes through [`Self::unsat_tail`].
     fn run_search(
         &mut self,
         groups: &[FormulaGroup],
         assumptions: &[Lit],
         base: &QueryStats,
     ) -> Outcome {
-        #[cfg(any(test, feature = "fault-inject"))]
-        let tripped = crate::fault::should_trip(Phase::Search);
-        #[cfg(not(any(test, feature = "fault-inject")))]
-        let tripped = false;
-        if tripped || self.solver.budget_exhausted().is_some() {
-            return Outcome::Unknown {
-                phase: Phase::Search,
-                stats: self.delta_stats(base),
-                partial: None,
-            };
-        }
         if let Some(outcome) = self.recall(groups, assumptions) {
             return outcome;
         }
@@ -513,47 +498,9 @@ impl IncrementalQuery {
                 Outcome::Sat { solution, stats }
             }
             SolveResult::Unsat(first_core) => {
-                let core_lits = if self.minimize_cores {
-                    let mut minimize_span = muppet_obs::span("minimize");
-                    let pre_conflicts = self.solver.stats.conflicts;
-                    let shrunk =
-                        mus::shrink_core_ordered(&mut self.solver, assumptions, &first_core);
-                    minimize_span.record(
-                        "conflicts",
-                        self.solver.stats.conflicts.saturating_sub(pre_conflicts),
-                    );
-                    drop(minimize_span);
-                    match shrunk {
-                        mus::ShrinkResult::Minimal(core) => {
-                            self.remember(assumptions, Answer::Unsat(core.clone()));
-                            core
-                        }
-                        mus::ShrinkResult::Exhausted { best } => {
-                            // UNSAT is established; surface the best
-                            // (unminimized) core as a partial artifact.
-                            let stats = self.delta_stats(base);
-                            let partial = Some(PartialResult::Core(
-                                Self::names_of_in(groups, assumptions, &best),
-                            ));
-                            return Outcome::Unknown {
-                                phase: Phase::Minimize,
-                                stats,
-                                partial,
-                            };
-                        }
-                    }
-                } else {
-                    first_core
-                };
-                let core = Self::names_of_in(groups, assumptions, &core_lits);
-                let stats = self.delta_stats(base);
-                Outcome::Unsat { core, stats }
+                self.unsat_tail(groups, assumptions, &first_core, base)
             }
-            SolveResult::Unknown => Outcome::Unknown {
-                phase: Phase::Search,
-                stats: self.delta_stats(base),
-                partial: None,
-            },
+            SolveResult::Unknown => self.unknown(Phase::Search, base, None),
         }
     }
 
@@ -575,15 +522,10 @@ impl IncrementalQuery {
         groups: &[FormulaGroup],
         budget: Budget,
     ) -> Result<Outcome, QueryError> {
-        let assumptions = match self.prepare(groups, &budget) {
-            Ok(assumptions) => assumptions,
-            Err(QueryError::Exhausted { phase, stats }) => {
-                return Ok(Outcome::Unknown { phase, stats, partial: None })
-            }
-            Err(e) => return Err(e),
+        let (assumptions, base) = match self.begin(groups, budget) {
+            Ok(started) => started,
+            Err(e) => return Self::stopped(e),
         };
-        let base = self.stats_base();
-        self.solver.set_budget(budget);
         Ok(self.run_search(groups, &assumptions, &base))
     }
 
@@ -592,19 +534,18 @@ impl IncrementalQuery {
     /// encoding the groups this engine has not seen before. Returns the
     /// outcome and, when SAT, the achieved distance.
     ///
-    /// This reproduces Pardinus's target-oriented model finding over a
-    /// cached totalizer cardinality network. The default
-    /// [`TargetStrategy::CoreGuided`] proves the minimum by OLL-style
-    /// core-guided ascent (each UNSAT core raises the lower bound by
-    /// one and is relaxed through a cached sum totalizer);
-    /// [`TargetStrategy::Linear`] searches upward from distance 0 one
-    /// bound at a time. Both return byte-identical results. The
-    /// totalizers' clauses are one-sided (inputs drive outputs) and
-    /// activated purely by assumptions, so they stay inert for every
-    /// other solve on this warm engine. Among the minimal-distance
-    /// models the canonical one (see [`Self::solve`]) is returned. On
-    /// budget exhaustion the returned [`Outcome::Unknown`] carries the
-    /// best model found so far as a [`PartialResult::Model`], so a
+    /// This reproduces Pardinus's target-oriented model finding. A plain
+    /// feasibility probe comes first: when the groups are unsatisfiable
+    /// the answer is the minimal core, exactly as [`Self::solve`] gives
+    /// it, and memoized for it. Otherwise an OLL-style core-guided
+    /// ascent proves the minimal distance: each UNSAT core raises the
+    /// lower bound by one and is relaxed through a cached totalizer,
+    /// whose clauses are one-sided (inputs drive outputs) and activated
+    /// purely by assumptions, so they stay inert for every other solve
+    /// on this warm engine. Among the minimal-distance models the
+    /// canonical one (see [`Self::solve`]) is returned. On budget
+    /// exhaustion the returned [`Outcome::Unknown`] carries the best
+    /// model found so far as a [`PartialResult::Model`], so a
     /// counter-offer can still be made; a budget that fires while
     /// grounding or encoding gives distance 0 and empty stats, as in
     /// [`Self::solve`].
@@ -614,37 +555,20 @@ impl IncrementalQuery {
         target: &Instance,
         budget: Budget,
     ) -> Result<(Outcome, usize), QueryError> {
-        let assumptions = match self.prepare(groups, &budget) {
-            Ok(assumptions) => assumptions,
-            Err(QueryError::Exhausted { phase, stats }) => {
-                return Ok((Outcome::Unknown { phase, stats, partial: None }, 0))
-            }
-            Err(e) => return Err(e),
+        let (assumptions, base) = match self.begin(groups, budget) {
+            Ok(started) => started,
+            Err(e) => return Self::stopped(e).map(|out| (out, 0)),
         };
-        Ok(self.solve_target_inner(groups, assumptions, target, budget))
+        Ok(self.solve_target_inner(groups, &assumptions, target, &base))
     }
 
     fn solve_target_inner(
         &mut self,
         groups: &[FormulaGroup],
-        assumptions: Vec<Lit>,
+        assumptions: &[Lit],
         target: &Instance,
-        budget: Budget,
+        base: &QueryStats,
     ) -> (Outcome, usize) {
-        let base = self.stats_base();
-        self.solver.set_budget(budget);
-        #[cfg(any(test, feature = "fault-inject"))]
-        if crate::fault::should_trip(Phase::Search) {
-            return (
-                Outcome::Unknown {
-                    phase: Phase::Search,
-                    stats: self.delta_stats(&base),
-                    partial: None,
-                },
-                0,
-            );
-        }
-
         // Difference indicators: literal true iff the tuple's value in
         // the model differs from its value in the target.
         let mut diff_inputs = Vec::new();
@@ -672,219 +596,126 @@ impl IncrementalQuery {
             }
         }
 
-        // Initial unconstrained probe: establishes feasibility and an
-        // upper bound on the distance.
+        // Feasibility probe: a plain search (no lex-min pass) that
+        // establishes an upper bound on the distance.
         let mut search_span = muppet_obs::span("search");
         search_span.attr("mode", "target");
-        let probe = match self.solver.solve_with_assumptions(&assumptions) {
+        let probe = match self.solver.solve_with_assumptions(assumptions) {
             SolveResult::Sat(model) => model,
             SolveResult::Unsat(first_core) => {
                 drop(search_span);
-                // Infeasible at any distance: produce a core.
-                let _minimize_span = muppet_obs::span("minimize");
-                let core = match mus::shrink_core_ordered(&mut self.solver, &assumptions, &first_core)
-                {
-                    mus::ShrinkResult::Minimal(core) => {
-                        Self::names_of_in(groups, &assumptions, &core)
-                    }
-                    mus::ShrinkResult::Exhausted { best } => {
-                        let stats = self.delta_stats(&base);
-                        let partial = Some(PartialResult::Core(
-                            Self::names_of_in(groups, &assumptions, &best),
-                        ));
-                        return (
-                            Outcome::Unknown {
-                                phase: Phase::Minimize,
-                                stats,
-                                partial,
-                            },
-                            0,
-                        );
-                    }
-                };
-                let stats = self.delta_stats(&base);
-                return (Outcome::Unsat { core, stats }, 0);
+                // Infeasible at any distance.
+                return (self.unsat_tail(groups, assumptions, &first_core, base), 0);
             }
-            SolveResult::Unknown => {
-                return (
-                    Outcome::Unknown {
-                        phase: Phase::Search,
-                        stats: self.delta_stats(&base),
-                        partial: None,
-                    },
-                    0,
-                );
-            }
+            SolveResult::Unknown => return (self.unknown(Phase::Search, base, None), 0),
         };
         let best_dist = diff_inputs.iter().filter(|&&l| probe.lit_value(l)).count();
         // A budget that fires past the probe keeps the probe model as a
         // valid (if non-minimal) counter-offer.
         let best_so_far = |this: &Self, probe: &Model| {
-            let partial = Some(PartialResult::Model {
+            let partial = PartialResult::Model {
                 solution: this.fixed.union(&this.varmap().decode(probe)),
                 distance: dist_base + best_dist,
-            });
-            let stats = this.delta_stats(&base);
-            (
-                Outcome::Unknown {
-                    phase: Phase::Search,
-                    stats,
-                    partial,
-                },
-                0,
-            )
+            };
+            (this.unknown(Phase::Search, base, Some(partial)), 0)
         };
 
-        // Prove the minimal number of true difference indicators
-        // (`optimum <= best_dist`). Each arm ends with the canonical
-        // model under an assumption set admitting exactly the
-        // distance-minimal models, so both strategies return the same
-        // byte-identical answer. The global difference totalizer, whose
-        // root merge alone has about n²/4 clauses, is built only by the
-        // linear arm and the defensive empty-core branch: the
-        // core-guided path never builds it.
-        let (optimum, model) = match self.target_strategy {
-            TargetStrategy::Linear => {
-                // Linear search upward from distance 0, bounded above by
-                // the probe's distance: minimal edits are small in
-                // practice, so this touches few bounds.
-                let neg_outputs = self.target_totalizer(&diff_inputs);
-                let at_most = |k: usize| {
-                    [&assumptions[..], &neg_outputs[k.min(neg_outputs.len())..]].concat()
-                };
-                let mut found = None;
-                for k in 0..best_dist {
-                    match self.search_canonical(&at_most(k)) {
-                        SolveResult::Sat(model) => {
-                            found = Some((k, model));
-                            break;
-                        }
-                        SolveResult::Unsat(_) => continue,
-                        SolveResult::Unknown => return best_so_far(self, &probe),
-                    }
-                }
-                match found {
-                    Some(found) => found,
-                    None => (best_dist, self.canonical_or(&at_most(best_dist), probe)),
+        // OLL-style ascent proving the minimal number of true difference
+        // indicators (`optimum <= best_dist`). Every indicator `d` gets
+        // the soft assumption `¬d`. Each UNSAT core proves one more
+        // unavoidable flip: the blamed softs are retired and — when the
+        // core blames two or more indicators — replaced by a totalizer
+        // over them whose bound starts at 1 and is raised one unit each
+        // time a later core blames its current bound output. The loop
+        // ends when the softs-plus-bounds state is satisfiable (cost
+        // exactly `lb`) or `lb` meets the probe's upper bound. Either way
+        // every hard-satisfying model costs `lb` plus the number of
+        // softs and bounds it violates, so the final softs-plus-bounds
+        // set admits exactly the distance-minimal models, and the
+        // canonical model under it is the answer.
+        let mut softs: Vec<Lit> = diff_inputs.iter().map(|&d| !d).collect();
+        // Live relaxation sums: (totalizer cache key, current bound,
+        // input count). The one-sided tree forces outputs
+        // monotonically, so assuming the single literal
+        // `¬output(bound)` enforces "≤ bound".
+        let mut sums: Vec<(u128, usize, usize)> = Vec::new();
+        let mut lb = 0usize;
+        let (optimum, model) = loop {
+            let mut assms = assumptions.to_vec();
+            assms.extend_from_slice(&softs);
+            for &(key, bound, _) in &sums {
+                if let Some(o) = self.totalizers[&key].output(bound) {
+                    assms.push(!o);
                 }
             }
-            TargetStrategy::CoreGuided => {
-                // OLL-style ascent. Every difference indicator `d` gets
-                // the soft assumption `¬d`. Each UNSAT core proves one
-                // more unavoidable flip: the blamed softs are retired
-                // and — when the core blames two or more indicators —
-                // replaced by a totalizer over them whose bound starts
-                // at 1 and is raised one unit each time a later core
-                // blames its current bound output. The loop ends when
-                // the softs-plus-bounds state is satisfiable (cost
-                // exactly `lb`) or `lb` meets the probe's upper bound.
-                // Either way every hard-satisfying model costs `lb`
-                // plus the number of softs and bounds it violates, so
-                // the final softs-plus-bounds set admits exactly the
-                // distance-minimal models.
-                let mut softs: Vec<Lit> = diff_inputs.iter().map(|&d| !d).collect();
-                // Live relaxation sums: (totalizer cache key, current
-                // bound, input count). The one-sided tree forces
-                // outputs monotonically, so assuming the single
-                // literal `¬output(bound)` enforces "≤ bound".
-                let mut sums: Vec<(u128, usize, usize)> = Vec::new();
-                let mut lb = 0usize;
-                'ascent: loop {
-                    let mut assms = assumptions.clone();
-                    assms.extend_from_slice(&softs);
-                    for &(key, bound, _) in &sums {
-                        if let Some(o) = self.totalizers[&key].output(bound) {
-                            assms.push(!o);
+            if lb >= best_dist {
+                // The probe model already attains the proven lower
+                // bound.
+                break (best_dist, self.canonical_or(&assms, probe));
+            }
+            match self.search_canonical(&assms) {
+                // Cost of this model is exactly `lb`, which the cores
+                // prove minimal.
+                SolveResult::Sat(model) => break (lb, model),
+                SolveResult::Unsat(core) => {
+                    self.oll_rounds += 1;
+                    self.ctr_oll_cores.inc();
+                    lb += 1;
+                    // Collect the difference indicators this core
+                    // blames: retired softs contribute the indicator
+                    // itself, relaxation sums their violated bound
+                    // output. The probe proved the hard groups
+                    // satisfiable and totalizer clauses are
+                    // definitional, so every core blames at least one.
+                    let mut indicators: Vec<Lit> = Vec::new();
+                    softs.retain(|&s| {
+                        if core.contains(&s) {
+                            indicators.push(!s);
+                            false
+                        } else {
+                            true
+                        }
+                    });
+                    let mut next_sums = Vec::with_capacity(sums.len());
+                    for (key, bound, len) in sums.drain(..) {
+                        let o = self.totalizers[&key]
+                            .output(bound)
+                            .expect("sum bound < input count");
+                        if core.contains(&!o) {
+                            indicators.push(o);
+                            if bound + 1 < len {
+                                next_sums.push((key, bound + 1, len));
+                            }
+                            // A sum at full bound can never be violated
+                            // again; drop it.
+                        } else {
+                            next_sums.push((key, bound, len));
                         }
                     }
-                    if lb >= best_dist {
-                        // The probe model already attains the proven
-                        // lower bound.
-                        break (best_dist, self.canonical_or(&assms, probe));
-                    }
-                    match self.search_canonical(&assms) {
-                        // Cost of this model is exactly `lb`, which the
-                        // cores prove minimal.
-                        SolveResult::Sat(model) => break (lb, model),
-                        SolveResult::Unsat(core) => {
-                            self.oll_rounds += 1;
-                            self.ctr_oll_cores.inc();
-                            lb += 1;
-                            // Collect the difference indicators this
-                            // core blames: retired softs contribute the
-                            // indicator itself, relaxation sums their
-                            // violated bound output.
-                            let mut indicators: Vec<Lit> = Vec::new();
-                            softs.retain(|&s| {
-                                if core.contains(&s) {
-                                    indicators.push(!s);
-                                    false
-                                } else {
-                                    true
-                                }
-                            });
-                            let mut next_sums = Vec::with_capacity(sums.len());
-                            for (key, bound, len) in sums.drain(..) {
-                                let o = self.totalizers[&key]
-                                    .output(bound)
-                                    .expect("sum bound < input count");
-                                if core.contains(&!o) {
-                                    indicators.push(o);
-                                    if bound + 1 < len {
-                                        next_sums.push((key, bound + 1, len));
-                                    }
-                                    // A sum at full bound can never be
-                                    // violated again; drop it.
-                                } else {
-                                    next_sums.push((key, bound, len));
-                                }
-                            }
-                            sums = next_sums;
-                            if indicators.len() >= 2 {
-                                let mut sfp = Fingerprinter::new();
-                                sfp.add_u64(OLL_SUM_TAG);
-                                for &l in &indicators {
-                                    sfp.add_u64(l.var().index() as u64);
-                                    sfp.add_bool(l.is_positive());
-                                }
-                                let skey = sfp.digest();
-                                if !self.totalizers.contains_key(&skey) {
-                                    let tot = Totalizer::build(&indicators, &mut self.solver);
-                                    self.totalizers.insert(skey, tot);
-                                }
-                                sums.push((skey, 1, indicators.len()));
-                            } else if indicators.is_empty() {
-                                // Defensive — unreachable: the probe
-                                // proved the hard groups satisfiable, so
-                                // every core must blame a soft. Degrade
-                                // to linear search from the bound the
-                                // genuine cores proved.
-                                let neg_outputs = self.target_totalizer(&diff_inputs);
-                                let at_most = |k: usize| {
-                                    [&assumptions[..], &neg_outputs[k.min(neg_outputs.len())..]]
-                                        .concat()
-                                };
-                                for k in lb.saturating_sub(1)..best_dist {
-                                    match self.search_canonical(&at_most(k)) {
-                                        SolveResult::Sat(model) => break 'ascent (k, model),
-                                        SolveResult::Unsat(_) => continue,
-                                        SolveResult::Unknown => return best_so_far(self, &probe),
-                                    }
-                                }
-                                break (best_dist, self.canonical_or(&at_most(best_dist), probe));
-                            }
-                            // A single blamed indicator needs no sum:
-                            // one Boolean can only be violated once, and
-                            // its unit of cost is now counted in `lb`.
+                    sums = next_sums;
+                    // A single blamed indicator needs no sum: one
+                    // Boolean can only be violated once, and its unit
+                    // of cost is now counted in `lb`.
+                    if indicators.len() >= 2 {
+                        let mut fp = Fingerprinter::new();
+                        for &l in &indicators {
+                            fp.add_u64(l.var().index() as u64);
+                            fp.add_bool(l.is_positive());
                         }
-                        SolveResult::Unknown => return best_so_far(self, &probe),
+                        let key = fp.digest();
+                        if !self.totalizers.contains_key(&key) {
+                            let tot = Totalizer::build(&indicators, &mut self.solver);
+                            self.totalizers.insert(key, tot);
+                        }
+                        sums.push((key, 1, indicators.len()));
                     }
                 }
+                SolveResult::Unknown => return best_so_far(self, &probe),
             }
         };
         let solution = self.fixed.union(&self.varmap().decode(&model));
         drop(search_span);
-        let stats = self.delta_stats(&base);
+        let stats = self.delta_stats(base);
         (Outcome::Sat { solution, stats }, dist_base + optimum)
     }
 
@@ -904,16 +735,7 @@ impl IncrementalQuery {
         limit: usize,
         budget: Budget,
     ) -> Result<Vec<Instance>, QueryError> {
-        let mut assumptions = self.prepare(groups, &budget)?;
-        let base = self.stats_base();
-        self.solver.set_budget(budget);
-        #[cfg(any(test, feature = "fault-inject"))]
-        if crate::fault::should_trip(Phase::Search) {
-            return Err(QueryError::Exhausted {
-                phase: Phase::Search,
-                stats: self.delta_stats(&base),
-            });
-        }
+        let (mut assumptions, base) = self.begin(groups, budget)?;
         let esel = Lit::pos(self.solver.new_var());
         assumptions.push(esel);
         let mut out = Vec::new();
@@ -1343,11 +1165,13 @@ mod tests {
     #[test]
     fn warm_solve_target_reuses_the_totalizer() {
         let f = fix();
-        let goal = [FormulaGroup::new("g", vec![tuple_pred(&f, 0, 1)])];
+        // One of two tuples: the ascent's one core blames both
+        // difference indicators and relaxes them through a sum.
+        let goal = [FormulaGroup::new(
+            "or",
+            vec![Formula::or([tuple_pred(&f, 0, 0), tuple_pred(&f, 0, 1)])],
+        )];
         let mut q = engine(&f);
-        // The linear strategy runs over the global difference
-        // totalizer; the core-guided path never builds it.
-        q.set_target_strategy(TargetStrategy::Linear);
         let target = Instance::new();
         let (out1, d1) = q.solve_target(&goal, &target, Budget::unlimited()).unwrap();
         assert!(out1.is_sat());
@@ -1356,17 +1180,17 @@ mod tests {
         let (out2, d2) = q.solve_target(&goal, &target, Budget::unlimited()).unwrap();
         assert_eq!(d2, 1);
         assert_eq!(out1.solution(), out2.solution());
-        assert_eq!(q.totalizers.len(), 1, "same target reuses the cardinality network");
+        assert_eq!(q.totalizers.len(), 1, "the same core reuses its sum");
         // A plain solve on the same warm engine is unaffected by the
         // (assumption-gated) totalizer clauses.
         assert!(q.solve(&goal, Budget::unlimited()).unwrap().is_sat());
     }
 
     #[test]
-    fn core_guided_and_linear_target_strategies_agree() {
+    fn core_guided_ascent_counts_singleton_and_relaxed_cores() {
         let f = fix();
-        // Two forced flips plus a one-of-two choice: the OLL ascent
-        // sees both singleton cores (the forced tuples) and a
+        // Two forced flips plus a one-of-two choice: the ascent sees
+        // both singleton cores (the forced tuples) and a
         // multi-indicator core (the disjunction), which exercises the
         // relaxation-sum path.
         let goal = [FormulaGroup::new(
@@ -1378,37 +1202,46 @@ mod tests {
             ],
         )];
         let target = Instance::new();
-        let mut oll = engine(&f);
-        assert_eq!(oll.target_strategy(), TargetStrategy::CoreGuided);
-        let (out_oll, d_oll) = oll.solve_target(&goal, &target, Budget::unlimited()).unwrap();
-        let mut lin = engine(&f);
-        lin.set_target_strategy(TargetStrategy::Linear);
-        let (out_lin, d_lin) = lin.solve_target(&goal, &target, Budget::unlimited()).unwrap();
-        assert_eq!(d_oll, 3, "two forced tuples plus one disjunct");
-        assert_eq!(d_lin, 3);
-        assert_eq!(
-            out_oll.solution(),
-            out_lin.solution(),
-            "strategies must return the byte-identical canonical model"
-        );
-        match out_oll {
-            Outcome::Sat { stats, .. } => {
-                assert!(stats.oll_cores >= 1, "core-guided run consumed no cores");
+        let mut q = engine(&f);
+        let (out, d) = q.solve_target(&goal, &target, Budget::unlimited()).unwrap();
+        assert_eq!(d, 3, "two forced tuples plus one disjunct");
+        match &out {
+            Outcome::Sat { solution, stats } => {
+                assert_eq!(solution.distance(&target), 3);
+                // Canonical (false before true in variable order): the
+                // disjunct whose tuple comes later is the one set.
+                assert!(!solution.holds(f.allow, &[f.atoms[0], f.atoms[0]]));
+                assert!(solution.holds(f.allow, &[f.atoms[2], f.atoms[2]]));
+                assert_eq!(stats.oll_cores, 3, "one core per unit of distance");
             }
             other => panic!("{other:?}"),
         }
-        match out_lin {
-            Outcome::Sat { stats, .. } => {
-                assert_eq!(stats.oll_cores, 0, "linear run must not count OLL cores");
-            }
-            other => panic!("{other:?}"),
-        }
-        // Warm re-solve under the other strategy on the same engine
-        // still agrees: the relaxation sums are assumption-gated.
-        oll.set_target_strategy(TargetStrategy::Linear);
-        let (out_again, d_again) = oll.solve_target(&goal, &target, Budget::unlimited()).unwrap();
+        let (again, d_again) = q.solve_target(&goal, &target, Budget::unlimited()).unwrap();
         assert_eq!(d_again, 3);
-        assert_eq!(out_again.solution(), out_lin.solution());
+        assert_eq!(again.solution(), out.solution());
+    }
+
+    /// An unsat `solve_target` ends in the same tail as `solve`: the
+    /// minimal core a fresh engine's `solve` gives, memoized, so a
+    /// following `solve` of the same groups is answered without search.
+    #[test]
+    fn unsat_solve_target_is_remembered() {
+        let f = fix();
+        let groups = [
+            FormulaGroup::new("pos", vec![tuple_pred(&f, 0, 1)]),
+            FormulaGroup::new("free", vec![tuple_pred(&f, 1, 1)]),
+            FormulaGroup::new("neg", vec![Formula::not(tuple_pred(&f, 0, 1))]),
+        ];
+        let mut q = engine(&f);
+        let (out, d) = q.solve_target(&groups, &Instance::new(), Budget::unlimited()).unwrap();
+        assert_eq!(d, 0);
+        let fresh = engine(&f).solve(&groups, Budget::unlimited()).unwrap();
+        assert_eq!(out.core(), Some(&["pos".to_string(), "neg".to_string()][..]));
+        assert_eq!(out.core(), fresh.core());
+        let reused = q.answers_reused();
+        let again = q.solve(&groups, Budget::unlimited()).unwrap();
+        assert_eq!(q.answers_reused(), reused + 1, "the unsat answer was not memoized");
+        assert_eq!(again.core(), fresh.core());
     }
 
     /// The minimal-edit instance of `muppet-scenario`'s `minedit(400,
@@ -1448,10 +1281,9 @@ mod tests {
     }
 
     /// On an engine with 800 free variables, a warm engine that first
-    /// solved other group sets answers
-    /// `solve`, both `solve_target` strategies and `enumerate` byte for
-    /// byte like fresh engines, and a core-guided `solve_target` never
-    /// builds the global difference totalizer.
+    /// solved other group sets answers `solve`, `solve_target` and
+    /// `enumerate` byte for byte like fresh engines, and the ascent's
+    /// relaxation sums stay local to its cores.
     #[test]
     fn warm_answers_equal_fresh_above_800_free_vars() {
         let (u, v, rel, bounds, groups) = minedit_800();
@@ -1463,8 +1295,7 @@ mod tests {
             Outcome::Sat { solution, .. } => render(&solution),
             other => panic!("{other:?}"),
         };
-        let solve_target = |q: &mut IncrementalQuery, strategy| {
-            q.set_target_strategy(strategy);
+        let solve_target = |q: &mut IncrementalQuery| {
             let (out, d) = q
                 .solve_target(&groups, &target, Budget::unlimited())
                 .unwrap();
@@ -1478,15 +1309,11 @@ mod tests {
         };
 
         let mut oll = new();
-        let fresh_oll = solve_target(&mut oll, TargetStrategy::CoreGuided);
+        let fresh_target = solve_target(&mut oll);
         assert!(
             oll.totalizers.values().all(|t| t.len() < oll.free.len()),
-            "a core-guided solve_target ending at a witness built the global totalizer"
+            "a relaxation sum spans every difference indicator"
         );
-        let mut lin = new();
-        let fresh_lin = solve_target(&mut lin, TargetStrategy::Linear);
-        assert!(lin.totalizers.values().any(|t| t.len() == lin.free.len()));
-        assert_eq!(fresh_oll, fresh_lin, "strategies must agree byte for byte");
         let fresh_solve = solve(&mut new());
         let fresh_enum = enumerate(&mut new());
 
@@ -1510,11 +1337,7 @@ mod tests {
             2
         );
         assert_eq!(solve(&mut warm), fresh_solve);
-        assert_eq!(
-            solve_target(&mut warm, TargetStrategy::CoreGuided),
-            fresh_oll
-        );
-        assert_eq!(solve_target(&mut warm, TargetStrategy::Linear), fresh_oll);
+        assert_eq!(solve_target(&mut warm), fresh_target);
         assert_eq!(enumerate(&mut warm), fresh_enum);
     }
 
@@ -1682,24 +1505,6 @@ mod tests {
         assert_eq!(q.answers_reused(), 0);
         let fresh = new().solve(&groups, Budget::unlimited()).unwrap();
         assert_eq!(again.solution(), fresh.solution());
-    }
-
-    /// Probe one-shots (first cores, not minimized) never answer from
-    /// the memo.
-    #[test]
-    fn probe_engines_never_reuse_an_answer() {
-        let f = fix();
-        let groups = [
-            FormulaGroup::new("pos", vec![tuple_pred(&f, 0, 1)]),
-            FormulaGroup::new("neg", vec![Formula::not(tuple_pred(&f, 0, 1))]),
-        ];
-        let mut probe = engine(&f);
-        probe.set_minimize_cores(false);
-        for groups in [&groups[..], &groups[..1], &groups[..], &groups[..1]] {
-            assert!(!probe.solve(groups, Budget::unlimited()).unwrap().is_unknown());
-        }
-        assert_eq!(probe.answers_reused(), 0);
-        assert!(probe.memo.is_empty());
     }
 
     /// The memo keeps at most `MEMO_CAP` answers and drops the oldest

@@ -38,9 +38,9 @@
 //!   without searching.
 //! * **Target-oriented solving** ([`IncrementalQuery::solve_target`]):
 //!   find the model *closest to a target instance* (minimal
-//!   symmetric-difference) over a [`totalizer`] cardinality encoding,
-//!   by core-guided (OLL) ascent by default or by linear search
-//!   ([`TargetStrategy`]). This is Pardinus's headline feature and
+//!   symmetric-difference) by core-guided (OLL) ascent, relaxing each
+//!   core through a [`totalizer`] cardinality encoding. This is
+//!   Pardinus's headline feature and
 //!   powers Muppet's minimal-edit counter-offers (Fig. 8).
 //! * **Model enumeration** ([`IncrementalQuery::enumerate`]): iterate
 //!   distinct models via blocking clauses; used by tests to verify
@@ -59,7 +59,7 @@ pub mod totalizer;
 pub mod tseitin;
 pub mod varmap;
 
-pub use incremental::{IncrementalQuery, TargetStrategy};
+pub use incremental::IncrementalQuery;
 pub use muppet_sat::{Budget, CancelToken, Exhaustion, RetryPolicy};
 pub use prepared::PreparedStore;
 pub use query::{FormulaGroup, Outcome, PartialResult, Phase, QueryError, QueryStats};

@@ -5,7 +5,8 @@
 //! incrementally via assumptions*. The totalizer (Bailleux & Boufkhad)
 //! builds a balanced tree of unary counters: output literal `o_j` is
 //! implied whenever ≥ j inputs are true, so assuming `¬o_{k+1}` enforces
-//! `≤ k` without re-encoding.
+//! `≤ k` without re-encoding. The core-guided minimal-edit ascent
+//! relaxes each multi-indicator core through one.
 
 use muppet_sat::{Lit, Solver};
 
@@ -33,14 +34,6 @@ impl Totalizer {
     /// `true` when built over zero inputs.
     pub fn is_empty(&self) -> bool {
         self.outputs.is_empty()
-    }
-
-    /// Assumption literals enforcing "at most `k` inputs true".
-    ///
-    /// Assume the negation of every output with index ≥ k. For `k >= n`
-    /// this is empty (no constraint).
-    pub fn at_most(&self, k: usize) -> Vec<Lit> {
-        self.outputs.iter().skip(k).map(|&o| !o).collect()
     }
 
     /// The `j`-th unary counter output: a literal true in any model
@@ -106,6 +99,12 @@ mod tests {
         vars.iter().filter(|&&v| model.value(v)).count()
     }
 
+    /// The assumption enforcing "at most `k` inputs true": `¬o_k`,
+    /// nothing for `k >= n`.
+    fn at_most(tot: &Totalizer, k: usize) -> Vec<Lit> {
+        tot.output(k).map(|o| !o).into_iter().collect()
+    }
+
     #[test]
     fn at_most_k_is_enforced() {
         for n in 1..=6usize {
@@ -119,7 +118,7 @@ mod tests {
                 for &v in vars.iter().take(k) {
                     s.add_clause([Lit::pos(v)]);
                 }
-                match s.solve_with_assumptions(&tot.at_most(k)) {
+                match s.solve_with_assumptions(&at_most(&tot, k)) {
                     SolveResult::Sat(m) => {
                         assert!(count_true(&m, &vars) <= k, "n={n} k={k}");
                     }
@@ -141,7 +140,7 @@ mod tests {
                     s.add_clause([Lit::pos(v)]);
                 }
                 assert!(
-                    s.solve_with_assumptions(&tot.at_most(k - 1)).is_unsat(),
+                    s.solve_with_assumptions(&at_most(&tot, k - 1)).is_unsat(),
                     "n={n} k={k}"
                 );
             }
@@ -157,11 +156,11 @@ mod tests {
         // Force exactly 2 true.
         s.add_clause([Lit::pos(vars[0])]);
         s.add_clause([Lit::pos(vars[1])]);
-        assert!(s.solve_with_assumptions(&tot.at_most(0)).is_unsat());
-        assert!(s.solve_with_assumptions(&tot.at_most(1)).is_unsat());
-        assert!(s.solve_with_assumptions(&tot.at_most(2)).is_sat());
-        assert!(s.solve_with_assumptions(&tot.at_most(3)).is_sat());
-        assert!(s.solve_with_assumptions(&tot.at_most(99)).is_sat());
+        assert!(s.solve_with_assumptions(&at_most(&tot, 0)).is_unsat());
+        assert!(s.solve_with_assumptions(&at_most(&tot, 1)).is_unsat());
+        assert!(s.solve_with_assumptions(&at_most(&tot, 2)).is_sat());
+        assert!(s.solve_with_assumptions(&at_most(&tot, 3)).is_sat());
+        assert!(s.solve_with_assumptions(&at_most(&tot, 99)).is_sat());
     }
 
     #[test]
@@ -169,7 +168,7 @@ mod tests {
         let mut s = Solver::new();
         let tot = Totalizer::build(&[], &mut s);
         assert!(tot.is_empty());
-        assert!(tot.at_most(0).is_empty());
+        assert!(at_most(&tot, 0).is_empty());
         assert!(s.solve().is_sat());
     }
 }

@@ -58,31 +58,6 @@ fn constant_lit(solver: &mut Solver, value: bool) -> Lit {
     l
 }
 
-/// Encode `expr` as a *hard* top-level constraint (asserted, not guarded).
-pub fn assert_true(expr: &GExpr, solver: &mut Solver) {
-    match expr {
-        GExpr::Const(true) => {}
-        GExpr::Const(false) => {
-            // Assert an empty clause via a contradiction.
-            let v = solver.new_var();
-            solver.add_clause([Lit::pos(v)]);
-            solver.add_clause([Lit::neg(v)]);
-        }
-        GExpr::Lit(l) => {
-            solver.add_clause([*l]);
-        }
-        GExpr::And(parts) => {
-            for p in parts {
-                assert_true(p, solver);
-            }
-        }
-        GExpr::Or(parts) => {
-            let lits: Vec<Lit> = parts.iter().map(|p| encode(p, solver)).collect();
-            solver.add_clause(lits);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,41 +65,6 @@ mod tests {
 
     fn lits(solver: &mut Solver, n: usize) -> Vec<Lit> {
         (0..n).map(|_| Lit::pos(solver.new_var())).collect()
-    }
-
-    #[test]
-    fn assert_and_forces_all() {
-        let mut s = Solver::new();
-        let ls = lits(&mut s, 2);
-        let e = GExpr::And(vec![GExpr::Lit(ls[0]), GExpr::Lit(!ls[1])]);
-        assert_true(&e, &mut s);
-        match s.solve() {
-            SolveResult::Sat(m) => {
-                assert!(m.lit_value(ls[0]));
-                assert!(!m.lit_value(ls[1]));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn assert_or_requires_one() {
-        let mut s = Solver::new();
-        let ls = lits(&mut s, 2);
-        assert_true(
-            &GExpr::Or(vec![GExpr::Lit(ls[0]), GExpr::Lit(ls[1])]),
-            &mut s,
-        );
-        s.add_clause([!ls[0]]);
-        s.add_clause([!ls[1]]);
-        assert!(s.solve().is_unsat());
-    }
-
-    #[test]
-    fn assert_false_makes_unsat() {
-        let mut s = Solver::new();
-        assert_true(&GExpr::Const(false), &mut s);
-        assert!(s.solve().is_unsat());
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! Two oracles guard the kernel upgrades:
 //!
-//! * **Target strategies agree** — core-guided (OLL) `solve_target`
-//!   must return byte-identical outcomes and distances to the linear
-//!   search baseline on random instances.
+//! * **Minimal edits are right** — core-guided (OLL) `solve_target`
+//!   must return the minimal distance and the canonical (lex-min)
+//!   model among the minimal ones that an exhaustive enumeration of
+//!   every assignment finds, sharing no code with the ascent; on
+//!   unsatisfiable goals it must blame the core `solve` gives.
 //! * **Kernel upgrades are invisible** — with the learnt DB under
 //!   reduction pressure, verdicts and minimized cores on random CNFs
 //!   must match the legacy kernel ([`Solver::set_legacy_kernel`]:
@@ -14,10 +16,14 @@
 
 use muppet_logic::{Domain, Formula, Instance, PartialInstance, PartyId, Term, Universe, Vocabulary};
 use muppet_sat::{mus, Budget, Lit, SolveResult, Solver, Var};
-use muppet_solver::{FormulaGroup, IncrementalQuery, Outcome, TargetStrategy};
+use muppet_solver::{FormulaGroup, IncrementalQuery, Outcome};
 use proptest::prelude::*;
 
 const N_ATOMS: usize = 4;
+
+/// Free tuple variables: tuple `(i, j)` of `allow` is bit
+/// `i * N_ATOMS + j` of an assignment, the engine's variable order.
+const N_TUPLES: usize = N_ATOMS * N_ATOMS;
 
 struct Fix {
     u: Universe,
@@ -79,13 +85,31 @@ fn target_of(f: &Fix, tuples: &[(usize, usize)]) -> Instance {
     t
 }
 
-/// Everything observable about an outcome except the work counters.
-fn sig(out: &Outcome) -> String {
-    match out {
-        Outcome::Sat { solution, .. } => format!("sat {solution:?}"),
-        Outcome::Unsat { core, .. } => format!("unsat {core:?}"),
-        Outcome::Unknown { phase, partial, .. } => format!("unknown {phase} {partial:?}"),
+/// The assignment of `inst`'s `allow` tuples, as bits.
+fn bits_of(f: &Fix, inst: &Instance) -> u32 {
+    let mut bits = 0;
+    for i in 0..N_ATOMS {
+        for j in 0..N_ATOMS {
+            if inst.holds(f.allow, &[f.atoms[i], f.atoms[j]]) {
+                bits |= 1 << (i * N_ATOMS + j);
+            }
+        }
     }
+    bits
+}
+
+/// Exhaustive oracle: over all 2^16 assignments, the minimal distance
+/// to `target` of one satisfying every goal clause, and the
+/// lexicographically smallest such assignment in tuple order (`false <
+/// true`, tuple 0 most significant); `None` when none satisfies them.
+fn brute_force_min_edit(goals: &[Vec<GoalLit>], target: u32) -> Option<(usize, u32)> {
+    let holds = |bits: u32, (i, j, pos): GoalLit| (bits >> (i * N_ATOMS + j) & 1 == 1) == pos;
+    // Reversing the bits puts tuple 0 most significant.
+    let lex_key = |bits: u32| bits.reverse_bits() >> (32 - N_TUPLES);
+    (0..1u32 << N_TUPLES)
+        .filter(|&bits| goals.iter().all(|c| c.iter().any(|&l| holds(bits, l))))
+        .map(|bits| ((bits ^ target).count_ones() as usize, bits))
+        .min_by_key(|&(distance, bits)| (distance, lex_key(bits)))
 }
 
 fn goal_lit() -> impl Strategy<Value = GoalLit> {
@@ -104,35 +128,38 @@ fn target_tuples() -> impl Strategy<Value = Vec<(usize, usize)>> {
     prop::collection::vec((0..N_ATOMS, 0..N_ATOMS), 0..=6)
 }
 
-fn solve_target_with(
-    f: &Fix,
-    goals: &[Vec<GoalLit>],
-    target: &Instance,
-    strategy: TargetStrategy,
-) -> (String, usize) {
-    let mut q = engine(f);
-    q.set_target_strategy(strategy);
-    let (out, dist) = q
-        .solve_target(&groups_of(f, goals), target, Budget::unlimited())
-        .unwrap();
-    (sig(&out), dist)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// OLL core-guided optimization and the linear-search baseline are
-    /// observationally identical: same verdict, same canonical model,
-    /// same minimized core, same optimal distance.
+    /// `solve_target` against an exhaustive oracle, on the random goal
+    /// set (mostly satisfiable: the minimal distance and the lex-min
+    /// model among the minimal ones) and on the same set plus a
+    /// contradicting pair of unit goals (unsatisfiable: the core a
+    /// fresh `solve` blames, and distance 0).
     #[test]
-    fn oll_matches_linear_search(goals in goal_set(), tuples in target_tuples()) {
+    fn minimal_edits_match_an_exhaustive_oracle(goals in goal_set(), tuples in target_tuples()) {
         let f = fix();
         let target = target_of(&f, &tuples);
-        let (lin_sig, lin_dist) = solve_target_with(&f, &goals, &target, TargetStrategy::Linear);
-        let (oll_sig, oll_dist) =
-            solve_target_with(&f, &goals, &target, TargetStrategy::CoreGuided);
-        prop_assert_eq!(&oll_sig, &lin_sig);
-        prop_assert_eq!(oll_dist, lin_dist);
+        let (i, j, pos) = goals[0][0];
+        let contradicted: Vec<Vec<GoalLit>> =
+            goals.iter().cloned().chain([vec![(i, j, pos)], vec![(i, j, !pos)]]).collect();
+        for goals in [goals, contradicted] {
+            let groups = groups_of(&f, &goals);
+            let (out, dist) =
+                engine(&f).solve_target(&groups, &target, Budget::unlimited()).unwrap();
+            match (brute_force_min_edit(&goals, bits_of(&f, &target)), &out) {
+                (Some((distance, lex_min)), Outcome::Sat { solution, .. }) => {
+                    prop_assert_eq!(dist, distance);
+                    prop_assert_eq!(bits_of(&f, solution), lex_min);
+                }
+                (None, Outcome::Unsat { core, .. }) => {
+                    let fresh = engine(&f).solve(&groups, Budget::unlimited()).unwrap();
+                    prop_assert_eq!(Some(&core[..]), fresh.core());
+                    prop_assert_eq!(dist, 0);
+                }
+                (oracle, out) => prop_assert!(false, "oracle {:?}, engine {:?}", oracle, out),
+            }
+        }
     }
 
     /// The tuned kernel — recursive minimization, the decay ramp and a

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full local gate: everything CI runs, in the same order.
+# The full gate: CI runs this file, so local and CI runs are the same.
 #
 # Offline-friendly by design: the workspace has no registry
 # dependencies (rand and proptest are vendored under third_party/), so
@@ -85,16 +85,17 @@ run cargo test -q --offline --test daemon_overload
 run cargo run --release --offline -q --features fault-inject --bin muppet-harness -- r1
 test -s BENCH_robustness.json || { echo "BENCH_robustness.json missing"; exit 1; }
 # SAT-kernel speed lane (DESIGN.md §17): differential kernel
-# properties (core-guided == linear solve_target; the tuned kernel
-# under clause-DB reduction pressure gives the legacy kernel's verdicts
-# and minimized cores), then the K1 harness lane — the hard-tier CNF
-# corpus under the legacy pre-change kernel profile, the tuned defaults
-# and two one-feature-off ablations (verdict parity on every entry under
-# every profile, <= 0.8x tuned-vs-legacy wall on the gated
-# refutation) and the committed minimal-edit scenario (core-guided
-# solve_target >= 2x less solver work than linear, byte-identical
-# canonical models). BENCH_kernel.json existence is checked before the
-# perf numbers are trusted; the lane writes it before its gates fire.
+# properties (core-guided solve_target == an exhaustive minimal-edit
+# oracle; the tuned kernel under clause-DB reduction pressure gives the
+# legacy kernel's verdicts and minimized cores), then the K1 harness
+# lane — the hard-tier CNF corpus under the legacy pre-change kernel
+# profile, the tuned defaults and two one-feature-off ablations
+# (verdict parity on every entry under every profile, <= 0.8x
+# tuned-vs-legacy wall on the gated refutation) and the committed
+# minimal-edit scenario (solve_target reaches the constructed optimum;
+# its canonical model's digest is recorded). BENCH_kernel.json
+# existence is checked before the perf numbers are trusted; the lane
+# writes it before its gates fire.
 run cargo test -q --offline -p muppet-solver --test kernel_props
 run cargo run --release --offline -q --bin muppet-harness -- k1
 test -s BENCH_kernel.json || { echo "BENCH_kernel.json missing"; exit 1; }

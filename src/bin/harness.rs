@@ -952,7 +952,8 @@ fn a1(r: &mut Record) {
     r.num("simplify=off", revealed, lk_off.revealed_atoms.len() as f64, "", "-");
 }
 
-/// A2 — core minimization ablation on a many-goal conflict.
+/// A2 — core minimization on a many-goal conflict: the minimal core's
+/// size and the time to reach it.
 fn a2(r: &mut Record) {
     use muppet_logic::PartialInstance;
     use muppet_solver::{FormulaGroup, IncrementalQuery, Outcome};
@@ -980,7 +981,7 @@ fn a2(r: &mut Record) {
         .into_iter()
         .chain(scenario.mv.istio_rels())
         .collect();
-    let run = |minimize: bool| {
+    let run = || {
         let mut q = IncrementalQuery::new(
             sess.vocab(),
             sess.universe(),
@@ -988,19 +989,14 @@ fn a2(r: &mut Record) {
             &PartialInstance::new(),
             Instance::new(),
         );
-        q.set_minimize_cores(minimize);
         match q.solve(&groups, Budget::unlimited()).unwrap() {
             Outcome::Unsat { core, .. } => core.len(),
             other => panic!("expected conflict, got {other:?}"),
         }
     };
-    let (min_size, d_min) = timed_median(3, || run(true));
-    let (raw_size, d_raw) = timed_median(3, || run(false));
-    assert!(min_size <= raw_size);
+    let (min_size, d_min) = timed_median(3, run);
     r.num(INST, "minimized core size", min_size as f64, "goals", "minimal");
-    r.num(INST, "first core size", raw_size as f64, "goals", ">= minimized");
-    r.num(INST, "minimized time", ms(d_min), "ms", "slower");
-    r.num(INST, "first-core time", ms(d_raw), "ms", "faster");
+    r.num(INST, "minimized time", ms(d_min), "ms", "-");
 }
 
 /// A3 — bounds tightness ablation: free-variable counts and solve time.
@@ -1976,21 +1972,19 @@ fn w1_unbounded(r: &mut Record) -> Vec<String> {
 ///
 /// **Part B** solves the committed minimal-edit scenario
 /// (`minedit(400, 50, 8)`: optimal distance 50 by construction, 800
-/// free tuples, one-of-16 goals) with the core-guided (OLL) and
-/// linear-search `solve_target` strategies. Two measurements: a
-/// *timed* pass gating core-guided at ≥ 2x less deterministic solver
-/// work (propagations) than linear, wall clock reported best-of-3; and
-/// a *parity* pass gating byte-identical canonical solutions at the
-/// constructed optimum.
+/// free tuples, one-of-16 goals) with the core-guided `solve_target`,
+/// gating the constructed optimum. Work counters and the canonical
+/// model are deterministic (the model is recorded as a digest, so two
+/// records can be compared); wall clock is best-of-3.
 fn k1(r: &mut Record) {
+    use muppet_logic::fingerprint::{hex, Fingerprinter};
     use muppet_sat::{SolveResult, Solver, SolverStats};
     use muppet_scenario::minedit::minedit;
-    use muppet_solver::{QueryStats, TargetStrategy};
+    use muppet_solver::Outcome;
 
     const BEST_OF: usize = 3;
     const GATED: &str = "hard-pup-unsat-5";
     const WALL_CEILING: f64 = 0.8;
-    const OLL_FLOOR: f64 = 2.0;
 
     // ---- Part A: hard-tier CNF corpus, legacy vs tuned kernel ----
     let counters = |r: &mut Record, inst: &str, kernel: &str, s: &SolverStats| {
@@ -2069,56 +2063,34 @@ fn k1(r: &mut Record) {
         }
     }
 
-    // ---- Part B: minedit, core-guided vs linear solve_target ----
+    // ---- Part B: minedit, core-guided solve_target ----
     let sc = minedit(400, 50, 8);
     const MINEDIT: &str = "minedit-400-50x8";
-    // Timed pass: work counters are deterministic; wall is best-of-3.
-    let timed_run = |strategy: TargetStrategy| {
-        let mut best: Option<(f64, usize, QueryStats, BTreeMap<&'static str, PhaseTotals>)> = None;
-        for _ in 0..BEST_OF {
-            let mut q = sc.engine();
-            q.set_target_strategy(strategy);
-            let (((out, d), wall), totals) = profiled(|| {
-                timed(|| {
-                    q.solve_target(&sc.groups, &sc.target, Budget::unlimited())
-                        .expect("minedit groups ground")
-                })
-            });
-            assert!(out.is_sat(), "minedit must be satisfiable");
-            if best.as_ref().is_none_or(|b| ms(wall) < b.0) {
-                best = Some((ms(wall), d, *out.stats(), totals));
-            }
-        }
-        best.expect("BEST_OF > 0")
-    };
-    let oll = timed_run(TargetStrategy::CoreGuided);
-    let lin = timed_run(TargetStrategy::Linear);
-    let wall_speedup = lin.0 / oll.0.max(1e-9);
-    let work_speedup = lin.2.propagations as f64 / oll.2.propagations.max(1) as f64;
-    // Parity pass: both strategies must land on the same
-    // byte-identical (canonical) distance-minimal model.
-    let parity_run = |strategy: TargetStrategy| {
+    let mut best: Option<(f64, usize, Outcome, BTreeMap<&'static str, PhaseTotals>)> = None;
+    for _ in 0..BEST_OF {
         let mut q = sc.engine();
-        q.set_target_strategy(strategy);
-        let (out, d) = q
-            .solve_target(&sc.groups, &sc.target, Budget::unlimited())
-            .expect("minedit groups ground");
-        format!("{:?} at distance {d}", out.solution())
-    };
-    let identical =
-        parity_run(TargetStrategy::CoreGuided) == parity_run(TargetStrategy::Linear);
-    r.num(MINEDIT, "optimum", sc.optimum as f64, "tuples", "-");
-    for (label, (wall, d, stats, totals)) in [("core-guided", &oll), ("linear", &lin)] {
-        let inst = format!("{MINEDIT} {label}");
-        r.num(&inst, "wall", *wall, "ms", "-");
-        r.num(&inst, "distance", *d as f64, "tuples", "50");
-        r.num(&inst, "propagations", stats.propagations as f64, "", "-");
-        r.num(&inst, "conflicts", stats.conflicts as f64, "", "-");
-        r.phases(&inst, totals);
+        let (((out, d), wall), totals) = profiled(|| {
+            timed(|| {
+                q.solve_target(&sc.groups, &sc.target, Budget::unlimited())
+                    .expect("minedit groups ground")
+            })
+        });
+        assert!(out.is_sat(), "minedit must be satisfiable");
+        if best.as_ref().is_none_or(|b| ms(wall) < b.0) {
+            best = Some((ms(wall), d, out, totals));
+        }
     }
-    r.num(MINEDIT, "linear/core-guided work", work_speedup, "x", ">= 2x");
-    r.num(MINEDIT, "linear/core-guided wall", wall_speedup, "x", "-");
-    r.text(MINEDIT, "canonical models identical", identical, "true");
+    let (wall, distance, out, totals) = best.expect("BEST_OF > 0");
+    let model = out.solution().expect("checked sat");
+    let digest = hex(Fingerprinter::new().add_instance(model).digest());
+    r.num(MINEDIT, "optimum", sc.optimum as f64, "tuples", "-");
+    r.num(MINEDIT, "distance", distance as f64, "tuples", "50");
+    r.num(MINEDIT, "wall", wall, "ms", "-");
+    r.num(MINEDIT, "propagations", out.stats().propagations as f64, "", "-");
+    r.num(MINEDIT, "conflicts", out.stats().conflicts as f64, "", "-");
+    r.num(MINEDIT, "oll cores", out.stats().oll_cores as f64, "", "-");
+    r.text(MINEDIT, "canonical model digest", digest, "-");
+    r.phases(MINEDIT, &totals);
 
     assert!(
         parity_failures.is_empty(),
@@ -2130,16 +2102,7 @@ fn k1(r: &mut Record) {
         "tuned kernel must finish {GATED} in <= {WALL_CEILING}x the legacy \
          wall time, measured {ratio:.2}x"
     );
-    assert_eq!(oll.1, sc.optimum, "core-guided missed the constructed optimum");
-    assert_eq!(lin.1, sc.optimum, "linear search missed the constructed optimum");
-    assert!(identical, "strategies must canonicalize to the same model");
-    assert!(
-        work_speedup >= OLL_FLOOR,
-        "core-guided solve_target must do >= {OLL_FLOOR}x less solver work than \
-         linear on minedit, measured {work_speedup:.1}x ({} vs {} propagations)",
-        oll.2.propagations,
-        lin.2.propagations
-    );
+    assert_eq!(distance, sc.optimum, "solve_target missed the constructed optimum");
 }
 
 /// M1 — the ConfigDomain plugin lane (DESIGN.md §18). Two parts:
