@@ -16,8 +16,6 @@
 
 use std::collections::HashMap;
 
-use muppet_obs::{registry, Counter};
-
 use crate::json::Json;
 
 /// One cached result.
@@ -31,32 +29,6 @@ struct Entry {
     last_used: u64,
 }
 
-/// Handles into the process-global metrics registry, mirroring the
-/// cache's local counters (`daemon.cache.*`). Cumulative across every
-/// cache instance in the process, which keeps the published invariants
-/// (`hits + misses == lookups`, `evictions <= insertions`) intact no
-/// matter how many engines share the registry.
-#[derive(Debug)]
-struct CacheMetrics {
-    lookups: Counter,
-    hits: Counter,
-    misses: Counter,
-    insertions: Counter,
-    evictions: Counter,
-}
-
-impl CacheMetrics {
-    fn new() -> CacheMetrics {
-        CacheMetrics {
-            lookups: registry().counter("daemon.cache.lookups"),
-            hits: registry().counter("daemon.cache.hits"),
-            misses: registry().counter("daemon.cache.misses"),
-            insertions: registry().counter("daemon.cache.insertions"),
-            evictions: registry().counter("daemon.cache.evictions"),
-        }
-    }
-}
-
 /// A bounded LRU map from result fingerprints to result objects.
 #[derive(Debug)]
 pub struct ResultCache {
@@ -66,7 +38,6 @@ pub struct ResultCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    metrics: CacheMetrics,
 }
 
 impl ResultCache {
@@ -79,7 +50,6 @@ impl ResultCache {
             hits: 0,
             misses: 0,
             evictions: 0,
-            metrics: CacheMetrics::new(),
         }
     }
 
@@ -87,17 +57,14 @@ impl ResultCache {
     /// cached result object and the session fingerprint it belongs to.
     pub fn get(&mut self, key: u128) -> Option<(Json, String)> {
         self.tick += 1;
-        self.metrics.lookups.inc();
         match self.map.get_mut(&key) {
             Some(e) => {
                 e.last_used = self.tick;
                 self.hits += 1;
-                self.metrics.hits.inc();
                 Some((e.result.clone(), e.session.clone()))
             }
             None => {
                 self.misses += 1;
-                self.metrics.misses.inc();
                 None
             }
         }
@@ -107,7 +74,6 @@ impl ResultCache {
     /// if the cache is full.
     pub fn put(&mut self, key: u128, result: Json, session: String) {
         self.tick += 1;
-        self.metrics.insertions.inc();
         if !self.map.contains_key(&key) && self.map.len() >= self.cap {
             if let Some(oldest) = self
                 .map
@@ -117,7 +83,6 @@ impl ResultCache {
             {
                 self.map.remove(&oldest);
                 self.evictions += 1;
-                self.metrics.evictions.inc();
             }
         }
         let tick = self.tick;

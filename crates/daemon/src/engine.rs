@@ -24,20 +24,18 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use muppet::conformance::run_conformance;
 use muppet::negotiate::{run_negotiation, DropBlamedSoftGoals, Negotiator, Schedule, Stubborn};
 use muppet::{
     Budget, CancelToken, ConsistencyReport, Envelope, ExhaustionReport, MuppetError, Phase,
-    QueryStats, Reconciliation, ReconcileMode, RetryPolicy, Session,
+    PreparedStore, QueryStats, Reconciliation, ReconcileMode, RetryPolicy, Session,
 };
 use muppet_logic::{Instance, PartyId, Universe, Vocabulary};
 use muppet_scenario::ConfigDelta;
 use muppet_stream::{StreamSession, StreamSpec, StreamStats};
-
-use muppet_obs::{registry, Counter, Gauge, Histogram};
 
 use crate::cache::ResultCache;
 use crate::json::Json;
@@ -139,11 +137,100 @@ struct WatchRegistry {
     next_id: u64,
 }
 
-/// Per-operation latency accumulator.
+/// One operation's latency histogram: bucket `i` counts requests that
+/// took at most `2^i` µs, the last bucket everything slower.
 #[derive(Default)]
-struct OpLatency {
-    count: u64,
-    total_us: u64,
+struct Histogram {
+    buckets: [AtomicU64; 32],
+    total_us: AtomicU64,
+}
+
+impl Histogram {
+    fn observe_us(&self, us: u64) {
+        // Smallest i with 2^i >= us, capped to the last bucket.
+        let i = (64 - us.saturating_sub(1).leading_zeros() as usize).min(31);
+        self.buckets[i].fetch_add(1, Ordering::Relaxed);
+        self.total_us.fetch_add(us, Ordering::Relaxed);
+    }
+
+    fn counts(&self) -> Vec<u64> {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+    }
+
+    /// The upper bound of the bucket holding quantile `q`: never below
+    /// the true quantile.
+    fn quantile_us(&self, q: f64) -> u64 {
+        let counts = self.counts();
+        let rank = (q * counts.iter().sum::<u64>() as f64).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        for (i, n) in counts.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return 1 << i;
+            }
+        }
+        0
+    }
+
+    fn json(&self) -> Json {
+        let count = self.counts().iter().sum::<u64>();
+        let total_us = self.total_us.load(Ordering::Relaxed);
+        Json::obj([
+            ("count", Json::num(count)),
+            ("total_us", Json::num(total_us)),
+            ("mean_us", Json::num(total_us.checked_div(count).unwrap_or(0))),
+            ("p50_us", Json::num(self.quantile_us(0.5))),
+            ("p99_us", Json::num(self.quantile_us(0.99))),
+        ])
+    }
+}
+
+/// Warm-state work: a [`PreparedStore`]'s lifetime counters, or the
+/// engine's totals of what requests and watch deltas added to them.
+#[derive(Clone, Copy, Default)]
+struct WarmCounts {
+    encoded: u64,
+    reused: u64,
+    answers_reused: u64,
+    oll_cores: u64,
+}
+
+impl WarmCounts {
+    fn of(store: &PreparedStore) -> WarmCounts {
+        let (encoded, reused) = store.group_counters();
+        WarmCounts {
+            encoded,
+            reused,
+            answers_reused: store.answers_reused(),
+            oll_cores: store.oll_cores(),
+        }
+    }
+
+    fn of_delta(s: &StreamStats) -> WarmCounts {
+        WarmCounts {
+            encoded: s.groups_encoded,
+            reused: s.groups_reused,
+            answers_reused: u64::from(s.answer_reused),
+            oll_cores: 0,
+        }
+    }
+
+    /// What grew since `before` (store counters never go backwards).
+    fn since(self, before: WarmCounts) -> WarmCounts {
+        WarmCounts {
+            encoded: self.encoded - before.encoded,
+            reused: self.reused - before.reused,
+            answers_reused: self.answers_reused - before.answers_reused,
+            oll_cores: self.oll_cores - before.oll_cores,
+        }
+    }
+
+    fn add(&mut self, more: WarmCounts) {
+        self.encoded += more.encoded;
+        self.reused += more.reused;
+        self.answers_reused += more.answers_reused;
+        self.oll_cores += more.oll_cores;
+    }
 }
 
 /// The daemon engine. Thread-safe: share it behind an [`Arc`] and call
@@ -171,15 +258,11 @@ pub struct Engine {
     drain_cancelled: AtomicU64,
     /// The server's admission limits, when it registered them.
     overload_limits: Mutex<Option<OverloadConfig>>,
-    latencies: Mutex<HashMap<&'static str, OpLatency>>,
-    /// Global-registry handles, fetched once so the per-request path
-    /// ticks atomics without touching the registry's maps.
-    obs_requests: Counter,
-    obs_errors: Counter,
-    obs_shed: Counter,
-    obs_queue_highwater: Gauge,
-    obs_drain_duration: Arc<Histogram>,
-    obs_latency: HashMap<&'static str, Arc<Histogram>>,
+    /// Request latency, one histogram per entry of [`Engine::ALL_OPS`].
+    latency: [Histogram; Engine::ALL_OPS.len()],
+    /// Warm-state work of every request and watch delta this engine
+    /// served, kept here so evicted and busy sessions still count.
+    warm: Mutex<WarmCounts>,
 }
 
 /// RAII guard for the in-flight gauge.
@@ -201,19 +284,8 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// [`relock`] without waiting: `None` while another thread holds the
-/// lock.
-fn try_relock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
-    match m.try_lock() {
-        Ok(g) => Some(g),
-        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
-}
-
 impl Engine {
-    /// Every operation the engine answers (for pre-created latency
-    /// histograms).
+    /// Every operation the engine answers, in latency-histogram order.
     const ALL_OPS: [Op; 13] = [
         Op::OpenSession,
         Op::CheckConsistency,
@@ -258,19 +330,8 @@ impl Engine {
             drain_last_us: AtomicU64::new(0),
             drain_cancelled: AtomicU64::new(0),
             overload_limits: Mutex::new(None),
-            latencies: Mutex::new(HashMap::new()),
-            obs_requests: registry().counter("daemon.requests"),
-            obs_errors: registry().counter("daemon.errors"),
-            obs_shed: registry().counter("daemon.shed"),
-            obs_queue_highwater: registry().gauge("daemon.queue.highwater"),
-            obs_drain_duration: registry().histogram("daemon.drain.duration_us"),
-            obs_latency: Engine::ALL_OPS
-                .iter()
-                .map(|op| {
-                    let name = op.name();
-                    (name, registry().histogram(&format!("daemon.op.{name}.latency_us")))
-                })
-                .collect(),
+            latency: Default::default(),
+            warm: Mutex::new(WarmCounts::default()),
         }
     }
 
@@ -279,8 +340,7 @@ impl Engine {
     /// have needed to contain.
     pub fn note_enqueued(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        let high = self.queue_highwater.fetch_max(depth, Ordering::Relaxed).max(depth);
-        self.obs_queue_highwater.set(high);
+        self.queue_highwater.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Record that a queued request was picked up (server side).
@@ -296,7 +356,6 @@ impl Engine {
             ShedReason::Draining => &self.shed_draining,
         }
         .fetch_add(1, Ordering::Relaxed);
-        self.obs_shed.inc();
     }
 
     /// Record a completed graceful drain: how long from stop to the
@@ -307,7 +366,6 @@ impl Engine {
         let us = duration.as_micros().min(u128::from(u64::MAX)) as u64;
         self.drain_last_us.store(us, Ordering::Relaxed);
         self.drain_cancelled.fetch_add(cancelled, Ordering::Relaxed);
-        self.obs_drain_duration.observe_us(us);
     }
 
     /// Register the server's admission limits so `stats` can report
@@ -322,7 +380,6 @@ impl Engine {
     pub fn handle(&self, req: &Request, cancel: Option<&CancelToken>) -> Response {
         let start = Instant::now();
         self.requests.fetch_add(1, Ordering::Relaxed);
-        self.obs_requests.inc();
         // `stats` is excluded from the in-flight gauge so the number it
         // reports is exactly the *other* work in progress — tracking it
         // and fudging the report with a `- 1` would undercount whenever
@@ -338,7 +395,6 @@ impl Engine {
             Ok(resp) => resp,
             Err(e) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
-                self.obs_errors.inc();
                 Response::failure(req.id.clone(), e)
             }
         };
@@ -346,13 +402,9 @@ impl Engine {
         resp.elapsed_us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         span.attr("ok", if resp.ok { "true" } else { "false" });
         drop(span);
-        if let Some(h) = self.obs_latency.get(req.op.name()) {
-            h.observe_us(resp.elapsed_us);
+        if let Some(i) = Engine::ALL_OPS.iter().position(|&op| op == req.op) {
+            self.latency[i].observe_us(resp.elapsed_us);
         }
-        let mut lat = relock(&self.latencies);
-        let slot = lat.entry(req.op.name()).or_default();
-        slot.count += 1;
-        slot.total_us += resp.elapsed_us;
         resp
     }
 
@@ -435,7 +487,6 @@ impl Engine {
         // mutex serializes work *per session*; distinct sessions solve
         // concurrently across worker threads.
         let mut ws = relock(&handle);
-        ws.requests += 1;
         let (result, definite) = self.run_op(req, &mut ws, cancel)?;
         drop(ws);
         if definite {
@@ -506,7 +557,7 @@ impl Engine {
                 // Depends on one party's goals only.
                 let party = self.party_from(req.party.as_deref(), "party", core)?;
                 fp.add_str(core.model.role(party));
-                fp.add_str(core.goals_text(party));
+                fp.add_str(core.model.goals_text(party));
             }
             Op::ExtractEnvelope => {
                 // Depends on the *senders'* goals and deployed configs
@@ -515,7 +566,7 @@ impl Engine {
                 let to = self.party_or_slot(req.to.as_deref(), 1, core)?;
                 fp.add_str(core.model.role(to));
                 for s in core.model.others(to) {
-                    fp.add_str(core.goals_text(s));
+                    fp.add_str(core.model.goals_text(s));
                 }
             }
             Op::Reconcile => {
@@ -558,12 +609,15 @@ impl Engine {
         // Split borrows: the rebuilt `Session` borrows `core` while the
         // warm solver state lives in the sibling `prepared` store. The
         // store is lent to the session for this request and taken back
-        // on every return path, errors included.
-        let WarmSession { core, prepared, .. } = ws;
-        let mut session = core.session();
+        // on every return path, errors included, and the engine's warm
+        // totals gain what the request added to the store's counters.
+        let WarmSession { core, prepared } = ws;
+        let before = WarmCounts::of(prepared);
+        let mut session = core.model.session();
         std::mem::swap(session.store_mut(), prepared);
         let out = self.solve_op(req, core, &mut session, cancel);
         std::mem::swap(session.store_mut(), prepared);
+        relock(&self.warm).add(WarmCounts::of(prepared).since(before));
         out
     }
 
@@ -692,7 +746,7 @@ impl Engine {
             let roles: Vec<&str> = core.model.parties.iter().map(|p| p.role.as_str()).collect();
             format!("missing \"{field}\" (use one of {})", roles.join(", "))
         })?;
-        core.party_id(name)
+        core.model.party_id(name)
     }
 
     /// Resolve an optional party name, defaulting to the domain's
@@ -704,7 +758,7 @@ impl Engine {
         core: &crate::spec::WarmCore,
     ) -> Result<PartyId, String> {
         match name {
-            Some(n) => core.party_id(n),
+            Some(n) => core.model.party_id(n),
             None => core
                 .model
                 .parties
@@ -724,7 +778,7 @@ impl Engine {
     ) -> Result<PartyId, String> {
         match name {
             Some(n) => {
-                let id = core.party_id(n)?;
+                let id = core.model.party_id(n)?;
                 if id == provider {
                     return Err("conformance tenant must differ from the provider".to_string());
                 }
@@ -770,6 +824,7 @@ impl Engine {
         // and encodes the full formula set.
         let (session, initial) =
             StreamSession::new(stream_spec).map_err(|e| e.to_string())?;
+        relock(&self.warm).add(WarmCounts::of_delta(&initial));
         let mut reg = relock(&self.watches);
         let id = format!("w-{}", reg.next_id);
         reg.next_id += 1;
@@ -810,6 +865,7 @@ impl Engine {
         let mut session = relock(&handle);
         let stats = session.push(&delta).map_err(|e| e.to_string())?;
         drop(session);
+        relock(&self.warm).add(WarmCounts::of_delta(&stats));
         let mut pairs = vec![("watch".to_string(), Json::str(&id))];
         if let Json::Obj(fields) = stream_stats_json(&stats) {
             pairs.extend(fields);
@@ -874,45 +930,14 @@ impl Engine {
     pub fn stats_json(&self) -> Json {
         let (hits, misses, evictions) = relock(&self.cache).counters();
         let cache_len = relock(&self.cache).len() as u64;
-        let reg = relock(&self.sessions);
-        let session_count = reg.map.len() as u64;
-        // Warm-group counters cover the sessions at rest. A session
-        // busy with a request has lent its store to that request's
-        // `Session`; it is skipped rather than waited for, so `stats`
-        // answers while long solves run.
-        let (mut builds, mut reuses) = (0u64, 0u64);
-        for ws in reg.map.values().filter_map(|h| try_relock(h)) {
-            let (b, r) = ws.prepared.group_counters();
-            builds += b;
-            reuses += r;
-        }
-        drop(reg);
-        // Streaming watches carry their own warm stores; their reuse is
-        // part of the same story the counters tell.
-        let wreg = relock(&self.watches);
-        let watch_count = wreg.map.len() as u64;
-        for ss in wreg.map.values().filter_map(|h| try_relock(h)) {
-            let (b, r) = ss.group_counters();
-            builds += b;
-            reuses += r;
-        }
-        drop(wreg);
-        let lat = relock(&self.latencies);
-        let mut per_op: Vec<(String, Json)> = lat
+        let session_count = relock(&self.sessions).map.len() as u64;
+        let watch_count = relock(&self.watches).map.len() as u64;
+        let warm = *relock(&self.warm);
+        let mut per_op: Vec<(String, Json)> = Engine::ALL_OPS
             .iter()
-            .map(|(op, l)| {
-                (
-                    op.to_string(),
-                    Json::obj([
-                        ("count", Json::num(l.count)),
-                        ("total_us", Json::num(l.total_us)),
-                        (
-                            "mean_us",
-                            Json::num(l.total_us.checked_div(l.count).unwrap_or(0)),
-                        ),
-                    ]),
-                )
-            })
+            .zip(&self.latency)
+            .filter(|(_, h)| h.counts().iter().any(|&n| n > 0))
+            .map(|(op, h)| (op.name().to_string(), h.json()))
             .collect();
         per_op.sort_by(|a, b| a.0.cmp(&b.0));
         let lookups = hits + misses;
@@ -945,10 +970,13 @@ impl Engine {
             ),
             (
                 "warm_groups",
-                Json::obj([("encoded", Json::num(builds)), ("reused", Json::num(reuses))]),
+                Json::obj([
+                    ("encoded", Json::num(warm.encoded)),
+                    ("reused", Json::num(warm.reused)),
+                    ("answers_reused", Json::num(warm.answers_reused)),
+                ]),
             ),
-            ("obs", obs_json()),
-            ("kernel", kernel_json()),
+            ("kernel", Json::obj([("oll_cores", Json::num(warm.oll_cores))])),
             ("latency", Json::Obj(per_op)),
         ])
     }
@@ -1018,60 +1046,6 @@ fn stream_stats_json(s: &StreamStats) -> Json {
         ("vocab_rebuilt", Json::Bool(s.vocab_rebuilt)),
         ("delta_us", Json::num(s.elapsed_us)),
     ])
-}
-
-/// The aggregated global metrics registry, for `stats`.
-fn obs_json() -> Json {
-    let snap = registry().snapshot();
-    let counters = Json::Obj(
-        snap.counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::num(*v)))
-            .collect(),
-    );
-    let gauges = Json::Obj(
-        snap.gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::num(*v)))
-            .collect(),
-    );
-    let histograms = Json::Obj(
-        snap.histograms
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    Json::obj([
-                        ("count", Json::num(h.count)),
-                        ("sum_us", Json::num(h.sum_us)),
-                        ("mean_us", Json::num(h.mean_us())),
-                        ("p50_us", Json::num(h.quantile_us(0.5))),
-                        ("p99_us", Json::num(h.quantile_us(0.99))),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    Json::obj([
-        ("counters", counters),
-        ("gauges", gauges),
-        ("histograms", histograms),
-    ])
-}
-
-/// The `kernel` section of `stats`: the OLL-core counter, pulled out of
-/// the obs registry (engines count each core as they consume it) so
-/// operators don't have to fish prefixed names out of the raw `obs`
-/// dump.
-fn kernel_json() -> Json {
-    let snap = registry().snapshot();
-    let ctr = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(k, _)| k.as_str() == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    Json::obj([("oll_cores", Json::num(ctr("kernel.oll_cores")))])
 }
 
 /// The `trace` result object: the last `n` completed span trees
@@ -1297,6 +1271,23 @@ mod tests {
         assert_eq!(eng.in_flight.load(Ordering::Relaxed), 0);
     }
 
+    /// Bucket `i` holds latencies up to `2^i` µs and the last bucket
+    /// everything slower; quantiles read a bucket's upper bound.
+    #[test]
+    fn latency_histogram_buckets_by_powers_of_two() {
+        let h = Histogram::default();
+        for us in [0, 1, 2, 3, 1_000_000, u64::MAX] {
+            h.observe_us(us);
+        }
+        let bucket = |i: usize| h.buckets[i].load(Ordering::Relaxed);
+        assert_eq!((bucket(0), bucket(1), bucket(2)), (2, 1, 1), "0 and 1 share bucket 0");
+        assert_eq!(bucket(20), 1, "1 s lands in the 2^20 µs bucket");
+        assert_eq!(bucket(31), 1, "the last bucket absorbs the rest");
+        assert_eq!(h.quantile_us(0.5), 2);
+        assert_eq!(h.quantile_us(0.99), 1 << 31);
+        assert_eq!(Histogram::default().quantile_us(0.99), 0);
+    }
+
     #[test]
     fn reconcile_matches_oracle_and_caches() {
         let eng = engine();
@@ -1320,6 +1311,30 @@ mod tests {
         let wg = stats.get("warm_groups").expect("stats carries warm_groups");
         let n = |k: &str| wg.get(k).and_then(Json::as_u64).unwrap();
         (n("encoded"), n("reused"))
+    }
+
+    /// Warm-group totals outlive the sessions that produced them: in a
+    /// one-session registry, loading spec B evicts spec A's session,
+    /// and `warm_groups.encoded` still counts A's groups.
+    #[test]
+    fn evicted_sessions_keep_their_warm_group_counts() {
+        let one_session = || {
+            Engine::new(EngineConfig {
+                max_sessions: 1,
+                ..EngineConfig::default()
+            })
+        };
+        let (a, b) = (SessionSpec::paper_strict(), SessionSpec::paper_relaxed());
+        let eng = one_session();
+        assert!(eng.handle_op(Op::Reconcile, &a).ok);
+        let (encoded_a, _) = warm_groups(&eng);
+        assert!(eng.handle_op(Op::Reconcile, &b).ok);
+        assert_eq!(relock(&eng.sessions).map.len(), 1, "loading B evicted A");
+        let alone = one_session();
+        assert!(alone.handle_op(Op::Reconcile, &b).ok);
+        let (encoded_b, _) = warm_groups(&alone);
+        assert!(encoded_a > 0 && encoded_b > 0);
+        assert_eq!(warm_groups(&eng).0, encoded_a + encoded_b);
     }
 
     /// A request that fails on a warm session — an error raised after

@@ -15,7 +15,7 @@
 //! warm across requests.
 
 use muppet::fingerprint::Fingerprinter;
-use muppet::{PreparedStore, Session};
+use muppet::PreparedStore;
 use muppet_domain::{ConfigDomain, DomainInput, DomainModel, DEFAULT_DOMAIN};
 use muppet_logic::{Instance, PartyId};
 
@@ -240,22 +240,19 @@ impl SessionSpec {
     /// build), so daemon verdicts match CLI verdicts.
     pub fn load(self) -> Result<WarmSession, String> {
         let (domain, model) = self.build_model()?;
-        let fp = self.fingerprint();
         Ok(WarmSession {
             core: WarmCore {
                 spec: self,
                 domain,
                 model,
-                fp,
             },
             prepared: PreparedStore::new(),
-            requests: 0,
         })
     }
 }
 
 /// The immutable, parsed artifacts of a loaded spec. A borrowing
-/// `Session` is rebuilt from this per request ([`WarmCore::session`]);
+/// `Session` is rebuilt from this per request ([`DomainModel::session`]);
 /// the rebuild is cheap (clones of already-translated formulas), and
 /// the expensive state lives in the sibling [`PreparedStore`].
 pub struct WarmCore {
@@ -265,8 +262,6 @@ pub struct WarmCore {
     pub domain: &'static dyn ConfigDomain,
     /// The domain-built model: universe, vocabulary, parties, payload.
     pub model: DomainModel,
-    /// The spec fingerprint (the session's registry key).
-    pub fp: u128,
 }
 
 /// A warm session: parsed core + persistent solver state.
@@ -275,34 +270,13 @@ pub struct WarmSession {
     pub core: WarmCore,
     /// Warm grounded/encoded solver state, reused across requests.
     pub prepared: PreparedStore,
-    /// Requests served by this session (for `stats`).
-    pub requests: u64,
 }
 
 impl WarmCore {
-    /// Build a fresh borrowing [`Session`] over this core. Parties are
-    /// named exactly as `muppet-cli` names them (the domain's display
-    /// names, in slot order).
-    pub fn session(&self) -> Session<'_> {
-        self.model.session()
-    }
-
-    /// Resolve a wire party name (a role like `"k8s"`, or a display
-    /// name like `"k8s-admin"`) to its id.
-    pub fn party_id(&self, name: &str) -> Result<PartyId, String> {
-        self.model.party_id(name)
-    }
-
     /// The party's deployed configuration, compiled by the domain from
     /// the manifest bundle's policy documents.
     pub fn deployed(&self, id: PartyId) -> Result<Instance, String> {
         self.domain.deployed(&self.model, id)
-    }
-
-    /// The goal-table text belonging to a party (for delta-aware cache
-    /// keys: a consistency check depends only on *this* text).
-    pub fn goals_text(&self, id: PartyId) -> &str {
-        self.model.goals_text(id)
     }
 }
 
@@ -359,11 +333,11 @@ mod tests {
     #[test]
     fn paper_specs_load_and_reconcile_as_in_the_paper() {
         let strict = SessionSpec::paper_strict().load().unwrap();
-        let mut s = strict.core.session();
+        let mut s = strict.core.model.session();
         let rec = s.reconcile(muppet::ReconcileMode::HardBounds).unwrap();
         assert!(!rec.success, "Fig. 3 goals conflict with the ban");
         let relaxed = SessionSpec::paper_relaxed().load().unwrap();
-        let mut s = relaxed.core.session();
+        let mut s = relaxed.core.model.session();
         let rec = s.reconcile(muppet::ReconcileMode::HardBounds).unwrap();
         assert!(rec.success, "Fig. 4 relaxation reconciles: {:?}", rec.core);
     }
@@ -373,10 +347,10 @@ mod tests {
         let warm = SessionSpec::linkerd_example().load().unwrap();
         assert_eq!(warm.core.model.domain, "linkerd");
         assert_eq!(warm.core.model.parties.len(), 2);
-        assert!(warm.core.party_id("platform").is_ok());
-        assert!(warm.core.party_id("linkerd-admin").is_ok());
-        assert!(warm.core.party_id("k8s").is_err());
-        let mut s = warm.core.session();
+        assert!(warm.core.model.party_id("platform").is_ok());
+        assert!(warm.core.model.party_id("linkerd-admin").is_ok());
+        assert!(warm.core.model.party_id("k8s").is_err());
+        let mut s = warm.core.model.session();
         let rec = s.reconcile(muppet::ReconcileMode::HardBounds).unwrap();
         assert!(!rec.success, "the committed example carries a conflict");
     }

@@ -1,7 +1,7 @@
-//! # muppet-obs — structured tracing, metrics and profiling hooks
+//! # muppet-obs — structured tracing and profiling hooks
 //!
-//! The pipeline's observability layer (DESIGN.md §12). Three pieces,
-//! all dependency-free (std only, no unsafe):
+//! The pipeline's observability layer (DESIGN.md §12). Two pieces,
+//! both dependency-free (std only, no unsafe):
 //!
 //! * [`span`](mod@span) — a thread-local **span tree** recorder. Each solve
 //!   phase (`ground` → `encode` → `search` → `minimize`) opens a span;
@@ -11,9 +11,6 @@
 //!   global ring buffer (served by the daemon's `trace` op) and,
 //!   optionally, one JSON-Lines event per span close streams to a file
 //!   sink (`--trace-json`).
-//! * [`metrics`] — a process-global [`MetricsRegistry`] of atomic
-//!   counters, gauges and fixed-bucket latency histograms, aggregated
-//!   into the daemon's `stats` response.
 //! * [`profiler`] — phase-boundary callbacks; the harness's O1, S1
 //!   and K1 lanes use them to record per-phase breakdowns.
 //!
@@ -28,13 +25,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod metrics;
 pub mod profiler;
 pub mod span;
 
-pub use metrics::{
-    registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
 pub use profiler::{clear_profilers, on_span_close, PhaseAccumulator, PhaseTotals, SpanEvent};
 pub use span::{
     clear_json_sink, recent_traces, ring_capacity, set_enabled, set_json_sink, span_named,

@@ -48,7 +48,6 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use muppet_logic::fingerprint::Fingerprinter;
 use muppet_logic::{Instance, PartialInstance, RelId, Universe, Vocabulary};
-use muppet_obs::Counter;
 use muppet_sat::{mus, Budget, Lit, Model, SolveResult, Solver, Var};
 
 use crate::ground::{ground, GExpr};
@@ -100,10 +99,6 @@ pub struct IncrementalQuery {
     oll_rounds: u64,
     encoded_groups: u64,
     reused_groups: u64,
-    ctr_encoded: Counter,
-    ctr_reused: Counter,
-    ctr_answers_reused: Counter,
-    ctr_oll_cores: Counter,
 }
 
 /// A memoized canonical answer.
@@ -142,7 +137,6 @@ impl IncrementalQuery {
     ) -> IncrementalQuery {
         let vocab = vocab.clone();
         let universe = universe.clone();
-        let metrics = muppet_obs::registry();
         IncrementalQuery {
             vocab,
             universe,
@@ -159,10 +153,6 @@ impl IncrementalQuery {
             oll_rounds: 0,
             encoded_groups: 0,
             reused_groups: 0,
-            ctr_encoded: metrics.counter("engine.groups.encoded"),
-            ctr_reused: metrics.counter("engine.groups.reused"),
-            ctr_answers_reused: metrics.counter("engine.answers.reused"),
-            ctr_oll_cores: metrics.counter("kernel.oll_cores"),
         }
     }
 
@@ -204,7 +194,6 @@ impl IncrementalQuery {
     ) -> Result<Lit, QueryError> {
         if let Some(g) = self.index.get(&key) {
             self.reused_groups += 1;
-            self.ctr_reused.inc();
             return Ok(g.sel);
         }
         let exhausted = |phase| QueryError::Exhausted {
@@ -256,7 +245,6 @@ impl IncrementalQuery {
         let vars = self.solver.num_vars() - vars_before;
         self.index.insert(key, EncodedGroup { sel, vars });
         self.encoded_groups += 1;
-        self.ctr_encoded.inc();
         Ok(sel)
     }
 
@@ -363,7 +351,6 @@ impl IncrementalQuery {
             },
         };
         self.answers_reused += 1;
-        self.ctr_answers_reused.inc();
         Some(outcome)
     }
 
@@ -659,7 +646,6 @@ impl IncrementalQuery {
                 SolveResult::Sat(model) => break (lb, model),
                 SolveResult::Unsat(core) => {
                     self.oll_rounds += 1;
-                    self.ctr_oll_cores.inc();
                     lb += 1;
                     // Collect the difference indicators this core
                     // blames: retired softs contribute the indicator
@@ -806,6 +792,12 @@ impl IncrementalQuery {
     /// without searching.
     pub fn answers_reused(&self) -> u64 {
         self.answers_reused
+    }
+
+    /// OLL cores consumed by core-guided [`Self::solve_target`] calls
+    /// over this engine's lifetime.
+    pub fn oll_cores(&self) -> u64 {
+        self.oll_rounds
     }
 
     /// Free-tuple variables laid out so far: 0 until the first call

@@ -18,11 +18,11 @@ use crate::incremental::IncrementalQuery;
 /// universe, fixed instance, bounds and free relations. Distinct keys
 /// get distinct warm states; hitting an existing key is the warm path.
 ///
-/// Counter discipline: `builds`, `hits`, the group counters and the
-/// reused-answer counter are **monotone over the store's lifetime** —
-/// evicting an engine retires its counters into store-level
-/// accumulators instead of forgetting them, so dashboards never see
-/// totals go backwards.
+/// Counter discipline: `builds`, `hits`, the group counters, the
+/// reused-answer counter and the OLL-core counter are **monotone over
+/// the store's lifetime** — evicting an engine retires its counters
+/// into store-level accumulators instead of forgetting them, so
+/// dashboards never see totals go backwards.
 pub struct PreparedStore {
     map: HashMap<u128, IncrementalQuery>,
     order: Vec<u128>,
@@ -33,6 +33,7 @@ pub struct PreparedStore {
     retired_encoded: u64,
     retired_reused: u64,
     retired_answers: u64,
+    retired_oll_cores: u64,
 }
 
 impl PreparedStore {
@@ -54,6 +55,7 @@ impl PreparedStore {
             retired_encoded: 0,
             retired_reused: 0,
             retired_answers: 0,
+            retired_oll_cores: 0,
         }
     }
 
@@ -92,6 +94,7 @@ impl PreparedStore {
             self.retired_encoded += old.encoded_groups();
             self.retired_reused += old.reused_groups();
             self.retired_answers += old.answers_reused();
+            self.retired_oll_cores += old.oll_cores();
         }
     }
 
@@ -166,6 +169,15 @@ impl PreparedStore {
         self.map
             .values()
             .fold(self.retired_answers, |n, q| n + q.answers_reused())
+    }
+
+    /// OLL cores consumed by core-guided target solves
+    /// ([`IncrementalQuery::oll_cores`]), summed across the store's
+    /// whole lifetime.
+    pub fn oll_cores(&self) -> u64 {
+        self.map
+            .values()
+            .fold(self.retired_oll_cores, |n, q| n + q.oll_cores())
     }
 
     /// Whether the engine under `key` holds an encoding under the group
@@ -362,6 +374,12 @@ mod tests {
         assert_eq!(before, (1, 1));
         store.get_or_build(1, || pq(&f)).solve(&[g.clone(), g.clone()], b.clone()).unwrap();
         assert_eq!(store.answers_reused(), 1, "the repeat was answered from the memo");
+        // A minimal edit away from the empty instance consumes OLL cores.
+        let target = Instance::new();
+        let q = store.get_or_build(1, || pq(&f));
+        q.solve_target(std::slice::from_ref(&g), &target, b.clone()).unwrap();
+        let oll_cores = store.oll_cores();
+        assert!(oll_cores > 0);
         let before = store.group_counters();
         // Key 2 evicts key 1 (cap is 1); totals must not shrink.
         store.get_or_build(2, || pq(&f));
@@ -372,6 +390,7 @@ mod tests {
             "eviction retired key 1's counters instead of dropping them"
         );
         assert_eq!(store.answers_reused(), 1);
+        assert_eq!(store.oll_cores(), oll_cores);
         // Re-requesting key 1 mid-"negotiation" rebuilds transparently:
         // a fresh cold build whose groups re-encode.
         let q = store.get_or_build(1, || pq(&f));

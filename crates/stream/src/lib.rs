@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 use muppet::{MuppetError, ReconcileMode, Reconciliation, Session};
@@ -56,7 +55,6 @@ use muppet_domain::mesh::MeshWire;
 use muppet_goals::{IstioGoal, K8sGoal};
 use muppet_logic::PartyId;
 use muppet_mesh::{Mesh, MeshVocab};
-use muppet_obs::{Counter, Histogram};
 use muppet_scenario::stream::{ConfigDelta, DeltaError};
 use muppet_scenario::Scenario;
 use muppet_solver::PreparedStore;
@@ -228,19 +226,12 @@ pub struct StreamSession {
     seq: u64,
     verdict: String,
     prev_keys: BTreeSet<u128>,
-    ctr_deltas: Counter,
-    ctr_flips: Counter,
-    ctr_reused: Counter,
-    ctr_encoded: Counter,
-    ctr_compactions: Counter,
-    hist: Arc<Histogram>,
 }
 
 impl StreamSession {
     /// Open a session: builds the vocabulary, solves the initial state
     /// (seq 0, kind `"initial"`) and leaves the engine warm.
     pub fn new(spec: StreamSpec) -> Result<(StreamSession, StreamStats), StreamError> {
-        let registry = muppet_obs::registry();
         let mv = spec.vocab();
         let mut session = StreamSession {
             spec,
@@ -249,12 +240,6 @@ impl StreamSession {
             seq: 0,
             verdict: String::new(),
             prev_keys: BTreeSet::new(),
-            ctr_deltas: registry.counter("stream.deltas"),
-            ctr_flips: registry.counter("stream.verdict_flips"),
-            ctr_reused: registry.counter("stream.groups.reused"),
-            ctr_encoded: registry.counter("stream.groups.encoded"),
-            ctr_compactions: registry.counter("stream.compactions"),
-            hist: registry.histogram("stream.delta_us"),
         };
         let stats = session.solve_current(Instant::now(), "initial", true)?;
         Ok((session, stats))
@@ -275,9 +260,7 @@ impl StreamSession {
             // warm key — and with it the live engine — is preserved.
             self.mv = self.spec.vocab();
         }
-        let stats = self.solve_current(start, delta.kind(), mesh_dirty)?;
-        self.ctr_deltas.inc();
-        Ok(stats)
+        self.solve_current(start, delta.kind(), mesh_dirty)
     }
 
     /// Solve the current state through the warm store and diff the
@@ -312,18 +295,9 @@ impl StreamSession {
         }
         let verdict = verdict_line(&rec);
         let flipped = self.seq > 0 && verdict != self.verdict;
-        if flipped {
-            self.ctr_flips.inc();
-        }
-        self.ctr_encoded.add(enc_after - enc_before);
-        self.ctr_reused.add(reuse_after - reuse_before);
         self.prev_keys = sigs.into_iter().map(|sig| sig.key).collect();
         let compacted = self.store.compact(&self.prev_keys) > 0;
-        if compacted {
-            self.ctr_compactions.inc();
-        }
         let elapsed_us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.hist.observe_us(elapsed_us);
         let stats = StreamStats {
             seq: self.seq,
             kind,

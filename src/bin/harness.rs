@@ -1602,8 +1602,8 @@ fn s1(r: &mut Record) {
 ///    configs and full trace (the counter-offer sequence) must be
 ///    identical between the two paths.
 /// 2. *Work ratio*: the fresh sessions must re-encode >= 3x more CNF
-///    groups than the shared store, measured as deltas of the global
-///    `engine.groups.encoded` counter around each phase.
+///    groups than the shared store, counted by the stores themselves
+///    ([`muppet_solver::PreparedStore::group_counters`]).
 fn n1(r: &mut Record) {
     use muppet_solver::PreparedStore;
 
@@ -1629,16 +1629,9 @@ fn n1(r: &mut Record) {
         n.insert(mv.istio_party, Box::new(DropBlamedSoftGoals));
         n
     };
-    let encoded = || {
-        muppet_obs::registry()
-            .snapshot()
-            .counter("engine.groups.encoded")
-            .unwrap_or(0)
-    };
 
     // Warm: one store lent to every episode, the daemon's lifetime shape.
     let mut store = PreparedStore::new();
-    let warm_before = encoded();
     let (warm_reports, warm_wall) = timed(|| {
         (0..EPISODES)
             .map(|_| {
@@ -1652,19 +1645,22 @@ fn n1(r: &mut Record) {
             })
             .collect::<Vec<_>>()
     });
-    let warm_encoded = encoded() - warm_before;
+    let warm_encoded = store.group_counters().0;
 
     // Cold: identical episodes, each on a fresh session.
-    let cold_before = encoded();
+    let mut cold_encoded = 0;
     let (cold_reports, cold_wall) = timed(|| {
         (0..EPISODES)
             .map(|_| {
-                run_negotiation(&mut build(), &mut negs(), MAX_ROUNDS, Schedule::RoundRobin)
-                    .unwrap()
+                let mut s = build();
+                let report =
+                    run_negotiation(&mut s, &mut negs(), MAX_ROUNDS, Schedule::RoundRobin)
+                        .unwrap();
+                cold_encoded += s.store().group_counters().0;
+                report
             })
             .collect::<Vec<_>>()
     });
-    let cold_encoded = encoded() - cold_before;
     let inst = format!("paper fig2/fig3, {EPISODES} episodes");
     if let Some(phase) = warm_reports.iter().chain(&cold_reports).find_map(|r| r.exhausted) {
         return r.exhausted(&inst, format!("phase {phase}"));

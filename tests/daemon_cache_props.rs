@@ -63,7 +63,7 @@ proptest! {
         let spec = spec_with(istio_csv(&rows), mtls);
         // Fresh cold oracle: no daemon, no cache, no warm state.
         let oracle = spec.clone().load().expect("load")
-            .core.session()
+            .core.model.session()
             .reconcile(muppet::ReconcileMode::HardBounds)
             .expect("reconcile")
             .success;
@@ -103,9 +103,9 @@ proptest! {
         spec.extra_ports = vec![23, 24, 25, 26, 12000];
         let warm = {
             let ws = spec.clone().load().expect("load");
-            let s = ws.core.session();
-            let from = ws.core.party_id("k8s").expect("party");
-            let to = ws.core.party_id("istio").expect("party");
+            let s = ws.core.model.session();
+            let from = ws.core.model.party_id("k8s").expect("party");
+            let to = ws.core.model.party_id("istio").expect("party");
             let c_from = ws.core.deployed(from).expect("deployed");
             let env = s.compute_envelope(from, to, &c_from).expect("envelope");
             env.render_alloy(s.vocab(), s.universe())
@@ -136,8 +136,8 @@ proptest! {
         let spec = spec_with(istio_csv(&rows), false);
         let oracle = {
             let ws = spec.clone().load().expect("load");
-            let party = ws.core.party_id("istio").expect("party");
-            ws.core.session().local_consistency(party).expect("consistency").ok
+            let party = ws.core.model.party_id("istio").expect("party");
+            ws.core.model.session().local_consistency(party).expect("consistency").ok
         };
         let mut req = Request::new(Op::CheckConsistency).with_spec(spec);
         req.party = Some("istio".into());
@@ -195,7 +195,7 @@ proptest! {
         );
 
         let oracle = spec.clone().load().expect("load")
-            .core.session()
+            .core.model.session()
             .reconcile(muppet::ReconcileMode::HardBounds)
             .expect("reconcile")
             .success;

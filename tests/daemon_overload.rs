@@ -258,11 +258,11 @@ fn retrying_client_reaches_a_verdict_under_flood() {
     // Oracle verdict for the probe spec, computed directly on the core.
     let probe = fresh_spec(33_999);
     let warm = probe.clone().load().expect("load");
-    let tenant = warm.core.party_id("istio").expect("party");
-    let provider = warm.core.party_id("k8s").expect("party");
+    let tenant = warm.core.model.party_id("istio").expect("party");
+    let provider = warm.core.model.party_id("k8s").expect("party");
     let preferred = warm.core.deployed(tenant).expect("deployed");
     let expect = muppet::conformance::run_conformance(
-        &mut warm.core.session(),
+        &mut warm.core.model.session(),
         provider,
         tenant,
         Some(&preferred),

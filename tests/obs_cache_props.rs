@@ -1,20 +1,14 @@
-//! Property test for metrics-counter consistency: the daemon cache's
-//! global-registry counters (`daemon.cache.*`) must stay coherent
-//! under concurrent clients hammering one engine — `hits + misses ==
-//! lookups`, and `evictions <= insertions` — for every generated
-//! workload. The cache capacity is squeezed so evictions actually
-//! happen.
-//!
-//! This rides on the `muppet-obs` registry being cumulative and
-//! process-global: deltas are taken around each workload, so the
-//! invariants are checked per-case even though earlier cases (and the
-//! engine's own lifetime) have already ticked the same counters.
+//! Property test for the result cache's counters under concurrency:
+//! 32 clients hammer one engine whose cache holds two entries, and the
+//! engine's own `stats.cache` must balance for every generated
+//! workload — one hit or miss per request, never more entries than
+//! the cap, and no entry held or evicted that a miss did not insert.
 
 use std::sync::Arc;
 use std::thread;
 
+use muppet_daemon::json::Json;
 use muppet_daemon::{Engine, EngineConfig, Op, Request, SessionSpec};
-use muppet_obs::registry;
 use proptest::prelude::*;
 
 const SERVICES: [&str; 3] = ["test-frontend", "test-backend", "test-db"];
@@ -35,34 +29,12 @@ fn istio_csv(rows: &[(usize, usize, u16, u16)]) -> String {
     csv
 }
 
-/// The cache counters we assert over, as one delta-able tuple.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct CacheCounters {
-    lookups: u64,
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    evictions: u64,
-}
-
-fn cache_counters() -> CacheCounters {
-    let snap = registry().snapshot();
-    let get = |name: &str| snap.counter(name).unwrap_or(0);
-    CacheCounters {
-        lookups: get("daemon.cache.lookups"),
-        hits: get("daemon.cache.hits"),
-        misses: get("daemon.cache.misses"),
-        insertions: get("daemon.cache.insertions"),
-        evictions: get("daemon.cache.evictions"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// 32 concurrent clients, a handful of distinct cacheable requests,
     /// a 2-entry cache: whatever interleaving the scheduler picks, the
-    /// registry's cache counters must balance exactly.
+    /// engine's cache counters must balance exactly.
     #[test]
     fn cache_counters_balance_under_32_concurrent_clients(
         rows in prop::collection::vec(
@@ -86,7 +58,6 @@ proptest! {
             cache_cap: 2,
             max_sessions: 16,
         }));
-        let before = cache_counters();
 
         let mut joins = Vec::new();
         for t in 0..32usize {
@@ -127,33 +98,24 @@ proptest! {
         }
         prop_assert_eq!(total, 96, "32 clients x 3 requests each");
 
-        let after = cache_counters();
-        let d = |a: u64, b: u64| a - b;
-        let (lookups, hits, misses, insertions, evictions) = (
-            d(after.lookups, before.lookups),
-            d(after.hits, before.hits),
-            d(after.misses, before.misses),
-            d(after.insertions, before.insertions),
-            d(after.evictions, before.evictions),
-        );
-        // Every cacheable request does exactly one lookup.
-        prop_assert_eq!(lookups, 96, "one lookup per request");
+        let stats = engine.handle(&Request::new(Op::Stats), None).result;
+        let cache = stats.get("cache").expect("stats carries cache");
+        let n = |k: &str| cache.get(k).and_then(Json::as_u64).expect("cache counter");
+        let (hits, misses, entries, evictions) =
+            (n("hits"), n("misses"), n("entries"), n("evictions"));
+        // Every cacheable request does exactly one lookup: a hit or a miss.
         prop_assert_eq!(
             hits + misses,
-            lookups,
-            "every lookup is exactly one hit or one miss \
-             (hits {} + misses {} != lookups {})",
-            hits, misses, lookups
+            96,
+            "one lookup per request (hits {} + misses {})",
+            hits, misses
         );
-        // Only misses lead to insertions (all results here are
-        // definite), and nothing can be evicted that wasn't inserted.
+        prop_assert!(entries <= 2, "{entries} entries in a 2-entry cache");
+        // Only misses insert (all results here are definite); every
+        // entry is still held or was evicted.
         prop_assert!(
-            insertions <= misses,
-            "insertions {insertions} > misses {misses}"
-        );
-        prop_assert!(
-            evictions <= insertions,
-            "evictions {evictions} > insertions {insertions}"
+            entries + evictions <= misses,
+            "entries {entries} + evictions {evictions} > misses {misses}"
         );
         // With >2 distinct keys pounding a 2-entry cache, eviction
         // pressure is real — the counter must move.
