@@ -19,24 +19,29 @@
 //! dst) ∧ (eg_guard(src) ⇒ eg_allow(src, dst)) ∧ (mtls_strict(dst) ⇒
 //! meshed(src))`.
 //!
-//! Goal tables reuse the shared CSV layer (`muppet_goals::csv`): the
-//! platform table is `port,perm,selector` with perms `DENY` / `ALLOW` /
-//! `MTLS`, the Linkerd table is the reachability table
-//! `srcService,dstService,srcPort,dstPort` with the same `?var`
-//! existential-port language as the paper's Fig. 4.
+//! The goal tables are the goal language of `muppet_goals`, which
+//! translates them through this domain's `allowed`:
+//! [`LinkerdVocab`] implements [`GoalVocab`] over the mesh crate's
+//! [`ServiceUniverse`]. The platform table is `port,perm,selector`,
+//! whose `DENY` / `ALLOW` rows are the shared K8s rows (named `platform
+//! goal N`) and whose `MTLS` rows are this domain's own; the Linkerd
+//! table is the shared reachability table
+//! `srcService,dstService,srcPort,dstPort` with the paper's Fig. 4
+//! `?var` existential ports (named `linkerd goal N`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::Deref;
 
 use muppet::NamedGoal;
-use muppet_goals::{GoalParseError, IstioGoal, K8sGoal, PortSpec};
+use muppet_goals::{GoalParseError, GoalVocab, IstioGoal, K8sGoal, NamedFormula};
 use muppet_logic::{
-    simplify, AtomId, Domain, Formula, Instance, PartyId, RelDecl, RelId, SortId, Term, Universe,
-    VarId, Vocabulary,
+    simplify, AtomId, Domain, Formula, Instance, PartyId, RelDecl, RelId, Term, Vocabulary,
 };
 use muppet_mesh::manifest::{
     emit_peer_authentication, emit_service, parse_peer_authentication, parse_service,
+    selector_yaml,
 };
-use muppet_mesh::{Mesh, MtlsMode, PeerAuthentication, Selector};
+use muppet_mesh::{Mesh, MtlsMode, PeerAuthentication, Selector, ServiceUniverse};
 use muppet_yaml::{parse_documents, Yaml};
 
 use crate::{ConfigDomain, DomainInput, DomainModel, DomainParty};
@@ -270,31 +275,6 @@ pub fn parse_linkerd_manifests(input: &str) -> Result<LinkerdBundle, String> {
     Ok(bundle)
 }
 
-fn selector_yaml(sel: &Selector, label_key: &str) -> Yaml {
-    match sel {
-        Selector::All => Yaml::map([]),
-        Selector::Name(n) => Yaml::map([(
-            label_key.to_string(),
-            Yaml::map([("app".to_string(), Yaml::str(n.clone()))]),
-        )]),
-        Selector::Labels(pairs) => Yaml::map([(
-            label_key.to_string(),
-            Yaml::map(
-                pairs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Yaml::str(v.clone()))),
-            ),
-        )]),
-        Selector::Namespace(ns) => Yaml::map([(
-            label_key.to_string(),
-            Yaml::map([(
-                "kubernetes.io/metadata.name".to_string(),
-                Yaml::str(ns.clone()),
-            )]),
-        )]),
-    }
-}
-
 /// Emit a [`Server`] document.
 pub fn emit_server(s: &Server) -> String {
     muppet_yaml::emit(&Yaml::map([
@@ -405,17 +385,12 @@ pub fn emit_linkerd_bundle(bundle: &LinkerdBundle) -> String {
     out
 }
 
-/// The Linkerd domain's relational vocabulary: universe, relations and
+/// The Linkerd domain's relational vocabulary: the shared
+/// [`ServiceUniverse`], this domain's relations and its
 /// compile/decompile maps (the domain analogue of `MeshVocab`).
 pub struct LinkerdVocab {
-    /// The finite universe: one atom per service, one per port.
-    pub universe: Universe,
     /// Relation declarations.
     pub vocab: Vocabulary,
-    /// The `Service` sort.
-    pub svc_sort: SortId,
-    /// The `Port` sort.
-    pub port_sort: SortId,
     /// The platform party (mTLS + egress allowlists).
     pub platform_party: PartyId,
     /// The Linkerd party (Server + ServerAuthorization).
@@ -434,9 +409,45 @@ pub struct LinkerdVocab {
     pub srv: RelId,
     /// `saz(Service, Service)` — linkerd: client → server authorized.
     pub saz: RelId,
-    svc_atoms: BTreeMap<String, AtomId>,
-    port_atoms: BTreeMap<u16, AtomId>,
-    mesh: Mesh,
+    space: ServiceUniverse,
+}
+
+/// The universe and its lookups are the mesh crate's one
+/// [`ServiceUniverse`], as for `MeshVocab`.
+impl Deref for LinkerdVocab {
+    type Target = ServiceUniverse;
+
+    fn deref(&self) -> &ServiceUniverse {
+        &self.space
+    }
+}
+
+/// The goal language's view of this domain: both goal tables translate
+/// through `muppet_goals` against the `allowed` semantics of the module
+/// docs.
+impl GoalVocab for LinkerdVocab {
+    const PORT_ROWS: &'static str = "platform goal";
+    const REACH_ROWS: &'static str = "linkerd goal";
+
+    fn listens(&self) -> RelId {
+        self.listens
+    }
+
+    fn allowed_formula(&self, src: Term, dst: Term, dport: Term) -> Formula {
+        Formula::and([
+            Formula::pred(self.listens, [dst, dport]),
+            Formula::pred(self.srv, [dst, dport]),
+            Formula::pred(self.saz, [src, dst]),
+            Formula::implies(
+                Formula::pred(self.eg_guard, [src]),
+                Formula::pred(self.eg_allow, [src, dst]),
+            ),
+            Formula::implies(
+                Formula::pred(self.mtls_strict, [dst]),
+                Formula::pred(self.meshed, [src]),
+            ),
+        ])
+    }
 }
 
 impl LinkerdVocab {
@@ -449,19 +460,8 @@ impl LinkerdVocab {
         linkerd_party: PartyId,
     ) -> LinkerdVocab {
         assert_ne!(platform_party, linkerd_party, "parties must be distinct");
-        let mut universe = Universe::new();
-        let svc_sort = universe.add_sort("Service");
-        let port_sort = universe.add_sort("Port");
-        let mut svc_atoms = BTreeMap::new();
-        for s in mesh.services() {
-            svc_atoms.insert(s.name.clone(), universe.add_atom(svc_sort, s.name.clone()));
-        }
-        let mut ports: BTreeSet<u16> = mesh.all_ports();
-        ports.extend(extra_ports);
-        let mut port_atoms = BTreeMap::new();
-        for p in ports {
-            port_atoms.insert(p, universe.add_atom(port_sort, p.to_string()));
-        }
+        let space = ServiceUniverse::new(mesh, extra_ports);
+        let (svc_sort, port_sort) = (space.svc_sort, space.port_sort);
         let mut vocab = Vocabulary::new();
         let platform = Domain::Party(platform_party);
         let linkerd = Domain::Party(linkerd_party);
@@ -515,10 +515,7 @@ impl LinkerdVocab {
             english_neg: "{0} is not authorized to call {1}".into(),
         });
         LinkerdVocab {
-            universe,
             vocab,
-            svc_sort,
-            port_sort,
             platform_party,
             linkerd_party,
             listens,
@@ -528,48 +525,19 @@ impl LinkerdVocab {
             eg_allow,
             srv,
             saz,
-            svc_atoms,
-            port_atoms,
-            mesh: mesh.clone(),
+            space,
         }
-    }
-
-    /// The mesh this vocabulary was built from.
-    pub fn mesh(&self) -> &Mesh {
-        &self.mesh
-    }
-
-    /// Service atom lookup.
-    pub fn svc_atom(&self, name: &str) -> Option<AtomId> {
-        self.svc_atoms.get(name).copied()
-    }
-
-    /// Port atom lookup.
-    pub fn port_atom(&self, port: u16) -> Option<AtomId> {
-        self.port_atoms.get(&port).copied()
-    }
-
-    /// All ports in the universe.
-    pub fn ports(&self) -> impl Iterator<Item = u16> + '_ {
-        self.port_atoms.keys().copied()
-    }
-
-    /// The port a port atom denotes.
-    pub fn port_of_atom(&self, atom: AtomId) -> Option<u16> {
-        self.port_atoms
-            .iter()
-            .find(|(_, &a)| a == atom)
-            .map(|(&p, _)| p)
     }
 
     /// The fixed structural instance: `listens` from declared service
     /// ports, `meshed` from injection.
     pub fn structure_instance(&self) -> Instance {
         let mut inst = Instance::new();
-        for s in self.mesh.services() {
-            let sa = self.svc_atoms[&s.name];
+        for s in self.mesh().services() {
+            let sa = self.atom_of(s);
             for &p in &s.ports {
-                inst.insert(self.listens, vec![sa, self.port_atoms[&p]]);
+                let pa = self.port_atom(p).expect("service ports are in the universe");
+                inst.insert(self.listens, vec![sa, pa]);
             }
             if s.sidecar {
                 inst.insert(self.meshed, vec![sa]);
@@ -597,23 +565,6 @@ impl LinkerdVocab {
         )]
     }
 
-    /// The domain's `allowed` semantics (module docs).
-    pub fn allowed_formula(&self, src: Term, dst: Term, dport: Term) -> Formula {
-        Formula::and([
-            Formula::pred(self.listens, [dst, dport]),
-            Formula::pred(self.srv, [dst, dport]),
-            Formula::pred(self.saz, [src, dst]),
-            Formula::implies(
-                Formula::pred(self.eg_guard, [src]),
-                Formula::pred(self.eg_allow, [src, dst]),
-            ),
-            Formula::implies(
-                Formula::pred(self.mtls_strict, [dst]),
-                Formula::pred(self.meshed, [src]),
-            ),
-        ])
-    }
-
     /// Compile the platform party's deployed documents
     /// (PeerAuthentication + Sidecar) into an instance.
     pub fn compile_platform(&self, bundle: &LinkerdBundle) -> Result<Instance, String> {
@@ -622,18 +573,18 @@ impl LinkerdVocab {
             if p.mode != MtlsMode::Strict {
                 continue;
             }
-            for s in self.mesh.select(&p.selector) {
-                inst.insert(self.mtls_strict, vec![self.svc_atoms[&s.name]]);
+            for s in self.mesh().select(&p.selector) {
+                inst.insert(self.mtls_strict, vec![self.atom_of(s)]);
             }
         }
         for sc in &bundle.sidecars {
-            for src in self.mesh.select(&sc.selector) {
-                let sa = self.svc_atoms[&src.name];
+            for src in self.mesh().select(&sc.selector) {
+                let sa = self.atom_of(src);
                 inst.insert(self.eg_guard, vec![sa]);
                 for host in &sc.hosts {
                     if host == "*/*" || host == "*" {
-                        for dst in self.mesh.services() {
-                            inst.insert(self.eg_allow, vec![sa, self.svc_atoms[&dst.name]]);
+                        for dst in self.mesh().services() {
+                            inst.insert(self.eg_allow, vec![sa, self.atom_of(dst)]);
                         }
                         continue;
                     }
@@ -658,8 +609,8 @@ impl LinkerdVocab {
                 .port_atom(srv.port)
                 .ok_or_else(|| format!("Server {:?} port {} outside the universe", srv.name, srv.port))?;
             let mut covered = Vec::new();
-            for s in self.mesh.select(&srv.selector) {
-                let sa = self.svc_atoms[&s.name];
+            for s in self.mesh().select(&srv.selector) {
+                let sa = self.atom_of(s);
                 inst.insert(self.srv, vec![sa, pa]);
                 covered.push(sa);
             }
@@ -674,10 +625,10 @@ impl LinkerdVocab {
             })?;
             let clients: Vec<AtomId> = match &auth.clients {
                 Clients::Unauthenticated => self
-                    .mesh
+                    .mesh()
                     .services()
                     .iter()
-                    .map(|s| self.svc_atoms[&s.name])
+                    .map(|s| self.atom_of(s))
                     .collect(),
                 Clients::Services(names) => {
                     let mut out = Vec::new();
@@ -704,8 +655,8 @@ impl LinkerdVocab {
     /// Decompile a platform instance back into documents.
     pub fn decompile_platform(&self, inst: &Instance) -> (Vec<PeerAuthentication>, Vec<SidecarPolicy>) {
         let mut peer = Vec::new();
-        for s in self.mesh.services() {
-            if inst.holds(self.mtls_strict, &[self.svc_atoms[&s.name]]) {
+        for s in self.mesh().services() {
+            if inst.holds(self.mtls_strict, &[self.atom_of(s)]) {
                 peer.push(PeerAuthentication {
                     name: format!("mtls-{}", s.name),
                     selector: Selector::Name(s.name.clone()),
@@ -714,16 +665,16 @@ impl LinkerdVocab {
             }
         }
         let mut sidecars = Vec::new();
-        for s in self.mesh.services() {
-            let sa = self.svc_atoms[&s.name];
+        for s in self.mesh().services() {
+            let sa = self.atom_of(s);
             if !inst.holds(self.eg_guard, &[sa]) {
                 continue;
             }
             let hosts: Vec<String> = self
-                .mesh
+                .mesh()
                 .services()
                 .iter()
-                .filter(|d| inst.holds(self.eg_allow, &[sa, self.svc_atoms[&d.name]]))
+                .filter(|d| inst.holds(self.eg_allow, &[sa, self.atom_of(d)]))
                 .map(|d| format!("./{}", d.name))
                 .collect();
             sidecars.push(SidecarPolicy {
@@ -741,9 +692,10 @@ impl LinkerdVocab {
     pub fn decompile_linkerd(&self, inst: &Instance) -> (Vec<Server>, Vec<ServerAuthorization>) {
         let mut servers = Vec::new();
         let mut first_server: BTreeMap<AtomId, String> = BTreeMap::new();
-        for s in self.mesh.services() {
-            let sa = self.svc_atoms[&s.name];
-            for (&p, &pa) in &self.port_atoms {
+        for s in self.mesh().services() {
+            let sa = self.atom_of(s);
+            for p in self.ports() {
+                let pa = self.port_atom(p).expect("universe port");
                 if inst.holds(self.srv, &[sa, pa]) {
                     let name = format!("srv-{}-{p}", s.name);
                     first_server.entry(sa).or_insert_with(|| name.clone());
@@ -756,16 +708,16 @@ impl LinkerdVocab {
             }
         }
         let mut auths = Vec::new();
-        for d in self.mesh.services() {
-            let da = self.svc_atoms[&d.name];
+        for d in self.mesh().services() {
+            let da = self.atom_of(d);
             let Some(server) = first_server.get(&da) else {
                 continue;
             };
             let clients: Vec<String> = self
-                .mesh
+                .mesh()
                 .services()
                 .iter()
-                .filter(|s| inst.holds(self.saz, &[self.svc_atoms[&s.name], da]))
+                .filter(|s| inst.holds(self.saz, &[self.atom_of(s), da]))
                 .map(|s| s.name.clone())
                 .collect();
             if clients.is_empty() {
@@ -792,36 +744,22 @@ pub enum PlatformGoal {
 }
 
 impl PlatformGoal {
-    /// Parse the platform goal table. DENY/ALLOW rows go through the
-    /// shared [`K8sGoal`] parser; `MTLS` rows are domain-specific.
+    /// Parse the platform goal table. Records are read once, in file
+    /// order, by the shared CSV reader; DENY/ALLOW rows go through the
+    /// shared [`K8sGoal`] row reader, and `MTLS` rows are
+    /// domain-specific.
     pub fn parse_csv(input: &str) -> Result<Vec<PlatformGoal>, GoalParseError> {
-        let mut plain_rows = String::new();
         let mut out = Vec::new();
-        let mut order = Vec::new();
-        for line in input.lines() {
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() == 3 && fields[1].eq_ignore_ascii_case("mtls") {
-                let sel = if fields[2] == "*" || fields[2].is_empty() {
+        for rec in muppet_goals::csv::parse_csv(input).map_err(goal_err)? {
+            if rec.len() == 3 && rec[1].eq_ignore_ascii_case("mtls") {
+                let sel = if rec[2] == "*" || rec[2].is_empty() {
                     Selector::All
                 } else {
-                    Selector::Name(fields[2].to_string())
+                    Selector::Name(rec[2].clone())
                 };
-                order.push(Some(PlatformGoal::Mtls(sel)));
-            } else {
-                plain_rows.push_str(line);
-                plain_rows.push('\n');
-                order.push(None);
-            }
-        }
-        let mut parsed = K8sGoal::parse_csv(&plain_rows)?.into_iter();
-        for slot in order {
-            match slot {
-                Some(g) => out.push(g),
-                None => {
-                    if let Some(g) = parsed.next() {
-                        out.push(PlatformGoal::Port(g));
-                    } // else: the row was a header or blank
-                }
+                out.push(PlatformGoal::Mtls(sel));
+            } else if let Some(g) = K8sGoal::from_record(&rec)? {
+                out.push(PlatformGoal::Port(g));
             }
         }
         Ok(out)
@@ -832,228 +770,45 @@ fn goal_err(message: String) -> GoalParseError {
     GoalParseError { message }
 }
 
-/// Translate platform goal rows into named formulas.
+/// Translate platform goal rows into named formulas, numbered in table
+/// order. DENY/ALLOW rows are the goal language's K8s rows
+/// ([`muppet_goals::translate_k8s_row`]).
 pub fn translate_platform_goals(
     goals: &[PlatformGoal],
     lv: &LinkerdVocab,
     vocab: &mut Vocabulary,
-) -> Result<Vec<muppet_goals::NamedFormula>, GoalParseError> {
-    use muppet_mesh::Action;
+) -> Result<Vec<NamedFormula>, GoalParseError> {
     let mut out = Vec::new();
     for (i, g) in goals.iter().enumerate() {
-        match g {
-            PlatformGoal::Mtls(sel) => {
-                let covered: Vec<AtomId> = lv
-                    .mesh()
-                    .select(sel)
-                    .iter()
-                    .map(|s| lv.svc_atoms[&s.name])
-                    .collect();
-                if covered.is_empty() {
-                    return Err(goal_err(format!(
-                        "MTLS goal row {} selects no services",
-                        i + 1
-                    )));
-                }
-                let formula = Formula::and(
-                    covered
-                        .iter()
-                        .map(|&a| Formula::pred(lv.mtls_strict, [Term::Const(a)]))
-                        .collect::<Vec<_>>(),
-                );
-                out.push(muppet_goals::NamedFormula {
-                    name: format!("platform goal {}: require strict mTLS", i + 1),
-                    formula: simplify(&formula),
-                    var_names: Vec::new(),
-                });
-            }
-            PlatformGoal::Port(g) => {
-                let port_atom = lv.port_atom(g.port).ok_or_else(|| {
-                    goal_err(format!("goal port {} missing from the port universe", g.port))
-                })?;
-                let src = vocab.fresh_var();
-                let dst = vocab.fresh_var();
-                let covered: Vec<AtomId> = lv
-                    .mesh()
-                    .select(&g.selector)
-                    .iter()
-                    .map(|s| lv.svc_atoms[&s.name])
-                    .collect();
-                let all_covered = covered.len() == lv.mesh().services().len();
-                let body_for = |dst_term: Term| match g.perm {
-                    Action::Deny => Formula::not(lv.allowed_formula(
-                        Term::Var(src),
-                        dst_term,
-                        Term::Const(port_atom),
-                    )),
-                    Action::Allow => Formula::implies(
-                        Formula::and([
-                            Formula::pred(lv.listens, [dst_term, Term::Const(port_atom)]),
-                            Formula::not(Formula::Eq(Term::Var(src), dst_term)),
-                        ]),
-                        lv.allowed_formula(Term::Var(src), dst_term, Term::Const(port_atom)),
-                    ),
-                };
-                let quantified = if all_covered {
-                    Formula::forall(
-                        src,
-                        lv.svc_sort,
-                        Formula::forall(dst, lv.svc_sort, body_for(Term::Var(dst))),
-                    )
-                } else {
-                    Formula::and(
-                        covered
-                            .iter()
-                            .map(|&d| {
-                                Formula::forall(src, lv.svc_sort, body_for(Term::Const(d)))
-                            })
-                            .collect::<Vec<_>>(),
-                    )
-                };
-                let perm = match g.perm {
-                    Action::Deny => "DENY",
-                    Action::Allow => "ALLOW",
-                };
-                out.push(muppet_goals::NamedFormula {
-                    name: format!("platform goal {}: {} port {}", i + 1, perm, g.port),
-                    formula: simplify(&quantified),
-                    var_names: vec![(src, "src".to_string()), (dst, "dst".to_string())],
-                });
-            }
-        }
+        out.push(match g {
+            PlatformGoal::Port(g) => muppet_goals::translate_k8s_row(i + 1, g, lv, vocab)?,
+            PlatformGoal::Mtls(sel) => translate_mtls_row(i + 1, sel, lv)?,
+        });
     }
     Ok(out)
 }
 
-/// Translate Linkerd reachability rows (`src,dst,srcPort,dstPort`).
-/// Same existential-variable language as the mesh domain's Istio table:
-/// `?v` cells share one variable per name across the table, and rows
-/// coupled by a shared variable merge into one blame group.
-pub fn translate_linkerd_goals(
-    goals: &[IstioGoal],
+/// An `MTLS` row: every selected service requires strict mTLS.
+fn translate_mtls_row(
+    row: usize,
+    sel: &Selector,
     lv: &LinkerdVocab,
-    vocab: &mut Vocabulary,
-) -> Result<Vec<muppet_goals::NamedFormula>, GoalParseError> {
-    // Union-find-lite over rows sharing variable names (mirrors
-    // muppet_goals::translate_istio_goals).
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut var_owner: BTreeMap<String, usize> = BTreeMap::new();
-    for (i, g) in goals.iter().enumerate() {
-        let names: Vec<&str> = [&g.src_port, &g.dst_port]
-            .into_iter()
-            .filter_map(PortSpec::var_name)
-            .collect();
-        let mut target: Option<usize> = None;
-        for n in &names {
-            if let Some(&gidx) = var_owner.get(*n) {
-                target = Some(match target {
-                    Some(t) if t != gidx => {
-                        let moved = std::mem::take(&mut groups[gidx]);
-                        groups[t].extend(moved);
-                        for owner in var_owner.values_mut() {
-                            if *owner == gidx {
-                                *owner = t;
-                            }
-                        }
-                        t
-                    }
-                    Some(t) => t,
-                    None => gidx,
-                });
-            }
-        }
-        let gidx = match target {
-            Some(t) => t,
-            None => {
-                groups.push(Vec::new());
-                groups.len() - 1
-            }
-        };
-        groups[gidx].push(i);
-        for n in names {
-            var_owner.insert(n.to_string(), gidx);
-        }
+) -> Result<NamedFormula, GoalParseError> {
+    let covered: Vec<AtomId> = lv.mesh().select(sel).iter().map(|s| lv.atom_of(s)).collect();
+    if covered.is_empty() {
+        return Err(goal_err(format!("MTLS goal row {row} selects no services")));
     }
-    let mut out = Vec::new();
-    for rows in groups.iter().filter(|g| !g.is_empty()) {
-        let mut vars: BTreeMap<String, VarId> = BTreeMap::new();
-        let mut var_names = Vec::new();
-        let mut order: Vec<VarId> = Vec::new();
-        let mut conjuncts = Vec::new();
-        for &i in rows {
-            let g = &goals[i];
-            let src_atom = lv.svc_atom(&g.src).ok_or_else(|| {
-                goal_err(format!("unknown source service {:?}", g.src))
-            })?;
-            let dst_atom = lv.svc_atom(&g.dst).ok_or_else(|| {
-                goal_err(format!("unknown destination service {:?}", g.dst))
-            })?;
-            let mut bind = |spec: &PortSpec, label: &str| -> Result<Term, GoalParseError> {
-                match spec {
-                    PortSpec::Port(p) => {
-                        let atom = lv.port_atom(*p).ok_or_else(|| {
-                            goal_err(format!("goal port {p} missing from the port universe"))
-                        })?;
-                        Ok(Term::Const(atom))
-                    }
-                    PortSpec::Var(name) => {
-                        let v = *vars.entry(name.clone()).or_insert_with(|| {
-                            let v = vocab.fresh_var();
-                            order.push(v);
-                            var_names.push((v, name.clone()));
-                            v
-                        });
-                        Ok(Term::Var(v))
-                    }
-                    PortSpec::Any => {
-                        let v = vocab.fresh_var();
-                        order.push(v);
-                        var_names.push((v, format!("any_{label}_{i}")));
-                        Ok(Term::Var(v))
-                    }
-                }
-            };
-            let _sp = bind(&g.src_port, "sp")?;
-            let dp = bind(&g.dst_port, "dp")?;
-            conjuncts.push(lv.allowed_formula(
-                Term::Const(src_atom),
-                Term::Const(dst_atom),
-                dp,
-            ));
-        }
-        let mut formula = Formula::and(conjuncts);
-        for v in order.into_iter().rev() {
-            formula = Formula::exists(v, lv.port_sort, formula);
-        }
-        let name = if rows.len() == 1 {
-            let g = &goals[rows[0]];
-            let port = match &g.dst_port {
-                PortSpec::Port(p) => format!("port {p}"),
-                PortSpec::Var(v) => format!("port ∃{v}"),
-                PortSpec::Any => "any port".to_string(),
-            };
-            format!(
-                "linkerd goal {}: {} -> {} ({port})",
-                rows[0] + 1,
-                g.src,
-                g.dst
-            )
-        } else {
-            format!(
-                "linkerd goals {} (coupled by shared port variables)",
-                rows.iter()
-                    .map(|i| (i + 1).to_string())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            )
-        };
-        out.push(muppet_goals::NamedFormula {
-            name,
-            formula: simplify(&formula),
-            var_names,
-        });
-    }
-    Ok(out)
+    let formula = Formula::and(
+        covered
+            .iter()
+            .map(|&a| Formula::pred(lv.mtls_strict, [Term::Const(a)]))
+            .collect::<Vec<_>>(),
+    );
+    Ok(NamedFormula {
+        name: format!("{} {row}: require strict mTLS", LinkerdVocab::PORT_ROWS),
+        formula: simplify(&formula),
+        var_names: Vec::new(),
+    })
 }
 
 /// Domain-private state for a built Linkerd model.
@@ -1093,24 +848,14 @@ impl ConfigDomain for LinkerdDomain {
         let platform_rows =
             PlatformGoal::parse_csv(input.goal_text(0)).map_err(|e| e.to_string())?;
         let linkerd_rows = IstioGoal::parse_csv(input.goal_text(1)).map_err(|e| e.to_string())?;
-        let mut ports: BTreeSet<u16> = BTreeSet::new();
-        for g in &platform_rows {
-            if let PlatformGoal::Port(g) = g {
-                ports.insert(g.port);
-            }
-        }
-        for g in &linkerd_rows {
-            for spec in [&g.src_port, &g.dst_port] {
-                if let PortSpec::Port(p) = spec {
-                    ports.insert(*p);
-                }
-            }
-        }
+        let port_rows = platform_rows.iter().filter_map(|g| match g {
+            PlatformGoal::Port(g) => Some(g),
+            PlatformGoal::Mtls(_) => None,
+        });
+        let mut ports = muppet_goals::collect_goal_ports(port_rows, &linkerd_rows);
         ports.extend(&input.extra_ports);
-        for s in &bundle.servers {
-            ports.insert(s.port);
-        }
-        let lv = LinkerdVocab::new(&bundle.mesh, ports.iter().copied(), PartyId(0), PartyId(1));
+        ports.extend(bundle.servers.iter().map(|s| s.port));
+        let lv = LinkerdVocab::new(&bundle.mesh, ports, PartyId(0), PartyId(1));
         let port_list: Vec<u16> = lv.ports().collect();
         let mut vocab = lv.vocab.clone();
         let platform_goals: Vec<NamedGoal> =
@@ -1120,7 +865,7 @@ impl ConfigDomain for LinkerdDomain {
                 .map(NamedGoal::from)
                 .collect();
         let linkerd_goals: Vec<NamedGoal> =
-            translate_linkerd_goals(&linkerd_rows, &lv, &mut vocab)
+            muppet_goals::translate_istio_goals(&linkerd_rows, &lv, &mut vocab)
                 .map_err(|e| e.to_string())?
                 .into_iter()
                 .map(NamedGoal::from)
@@ -1413,6 +1158,68 @@ mod tests {
         let model = LinkerdDomain.build(&relaxed).unwrap();
         let mut s = model.session();
         assert!(s.reconcile(ReconcileMode::HardBounds).unwrap().success);
+    }
+
+    /// Each goal of the example holds or fails under the deployed
+    /// configuration as the scenario describes: the platform's goals
+    /// and web → api hold; the two rows negotiation must drop fail.
+    #[test]
+    fn example_goals_are_named_and_judged_against_the_deployment() {
+        let model = LinkerdDomain.build(&example_input()).unwrap();
+        let lv = &payload(&model).unwrap().lv;
+        let deployed = model
+            .structure
+            .union(&LinkerdDomain.deployed(&model, lv.platform_party).unwrap())
+            .union(&LinkerdDomain.deployed(&model, lv.linkerd_party).unwrap());
+        let judged: Vec<(&str, bool)> = model
+            .parties
+            .iter()
+            .flat_map(|p| &p.goals)
+            .map(|g| {
+                let holds =
+                    muppet_logic::evaluate_closed(&g.formula, &deployed, &lv.universe).unwrap();
+                (g.name.as_str(), holds)
+            })
+            .collect();
+        assert_eq!(
+            judged,
+            [
+                ("platform goal 1: DENY port 9090", true),
+                ("platform goal 2: require strict mTLS", true),
+                ("linkerd goal 1: web -> api (port 8443)", true),
+                ("linkerd goal 2: legacy -> db (port 5432)", false),
+                ("linkerd goal 3: web -> legacy (port 9090)", false),
+            ]
+        );
+    }
+
+    /// Platform rows, and the `platform goal N` names they translate
+    /// to, follow file order whatever headers, comments and blank lines
+    /// sit between them.
+    #[test]
+    fn platform_rows_keep_file_order() {
+        let names = |table: &str| -> Vec<String> {
+            let input = DomainInput {
+                goals: vec![table.into(), String::new()],
+                ..example_input()
+            };
+            let model = LinkerdDomain.build(&input).unwrap();
+            model.parties[0].goals.iter().map(|g| g.name.clone()).collect()
+        };
+        let rows = PlatformGoal::parse_csv("port,perm,selector\n0,MTLS,db\n9090,DENY,*\n").unwrap();
+        assert!(matches!(rows[..], [PlatformGoal::Mtls(_), PlatformGoal::Port(_)]));
+        assert_eq!(
+            names("port,perm,selector\n0,MTLS,db\n9090,DENY,*\n"),
+            ["platform goal 1: require strict mTLS", "platform goal 2: DENY port 9090"]
+        );
+        assert_eq!(
+            names("9090,DENY,*\n# note\n\n0,MTLS,db\n23,DENY,*\n"),
+            [
+                "platform goal 1: DENY port 9090",
+                "platform goal 2: require strict mTLS",
+                "platform goal 3: DENY port 23",
+            ]
+        );
     }
 
     #[test]

@@ -13,8 +13,14 @@
 //!
 //! Each goal row is translated "by the system, not the administrator"
 //! (Sec. 4) into a bounded first-order formula over **both** parties'
-//! configuration relations, via the mesh semantics in
-//! [`muppet_mesh::MeshVocab::allowed_formula`]. Rows become named
+//! configuration relations, via a domain's `allowed(src, dst, port)`
+//! semantics. This crate owns the goal language for every domain: the
+//! translators take any [`GoalVocab`] — a domain's
+//! [`muppet_mesh::ServiceUniverse`], its `listens` relation, its
+//! `allowed` formula and its row names. [`muppet_mesh::MeshVocab`]
+//! implements it here (`k8s goal` / `istio goal` rows); the Linkerd
+//! domain implements it for its own vocabulary (`platform goal` /
+//! `linkerd goal` rows). Rows become named
 //! `muppet_solver::FormulaGroup`-style pairs so that unsat cores blame
 //! specific rows; rows that share an existential variable are merged into
 //! one group (their meaning is coupled).
@@ -29,4 +35,7 @@ mod translate;
 pub use model::{
     fig2, istio_goals_csv, k8s_goals_csv, GoalParseError, IstioGoal, K8sGoal, PortSpec,
 };
-pub use translate::{collect_goal_ports, translate_istio_goals, translate_k8s_goals, NamedFormula};
+pub use translate::{
+    collect_goal_ports, translate_istio_goals, translate_k8s_goals, translate_k8s_row, GoalVocab,
+    NamedFormula,
+};

@@ -45,33 +45,37 @@ pub struct K8sGoal {
 impl K8sGoal {
     /// Parse a `port, perm, selector` CSV document (header optional).
     pub fn parse_csv(input: &str) -> Result<Vec<K8sGoal>, GoalParseError> {
-        let records = parse_csv(input).map_err(err)?;
         let mut out = Vec::new();
-        for rec in records {
-            if rec.len() != 3 {
-                return Err(err(format!(
-                    "K8s goal rows need 3 fields (port, perm, selector), got {rec:?}"
-                )));
-            }
-            if rec[0].eq_ignore_ascii_case("port") {
-                continue; // header
-            }
-            let port: u16 = rec[0]
-                .parse()
-                .map_err(|_| err(format!("bad port {:?}", rec[0])))?;
-            let perm = match rec[1].to_ascii_uppercase().as_str() {
-                "DENY" => Action::Deny,
-                "ALLOW" => Action::Allow,
-                other => return Err(err(format!("bad perm {other:?}"))),
-            };
-            let selector = parse_goal_selector(&rec[2]);
-            out.push(K8sGoal {
-                port,
-                perm,
-                selector,
-            });
+        for rec in parse_csv(input).map_err(err)? {
+            out.extend(K8sGoal::from_record(&rec)?);
         }
         Ok(out)
+    }
+
+    /// Read one CSV record of a `port, perm, selector` table; `None` for
+    /// the header row.
+    pub fn from_record(rec: &[String]) -> Result<Option<K8sGoal>, GoalParseError> {
+        if rec.len() != 3 {
+            return Err(err(format!(
+                "K8s goal rows need 3 fields (port, perm, selector), got {rec:?}"
+            )));
+        }
+        if rec[0].eq_ignore_ascii_case("port") {
+            return Ok(None);
+        }
+        let port: u16 = rec[0]
+            .parse()
+            .map_err(|_| err(format!("bad port {:?}", rec[0])))?;
+        let perm = match rec[1].to_ascii_uppercase().as_str() {
+            "DENY" => Action::Deny,
+            "ALLOW" => Action::Allow,
+            other => return Err(err(format!("bad perm {other:?}"))),
+        };
+        Ok(Some(K8sGoal {
+            port,
+            perm,
+            selector: parse_goal_selector(&rec[2]),
+        }))
     }
 }
 

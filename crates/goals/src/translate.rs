@@ -2,9 +2,10 @@
 //! of network and authorization policy semantics" of Sec. 4.3).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 
-use muppet_logic::{simplify, Formula, Term, VarId};
-use muppet_mesh::{Action, MeshVocab};
+use muppet_logic::{simplify, Formula, RelId, Term, VarId};
+use muppet_mesh::{Action, MeshVocab, ServiceUniverse};
 
 use crate::model::{GoalParseError, IstioGoal, K8sGoal, PortSpec};
 
@@ -32,9 +33,43 @@ impl From<NamedFormula> for muppet::NamedGoal {
     }
 }
 
+/// What the goal language reads of a domain: its Service/Port universe
+/// (through `Deref`), the `listens` relation, the domain's `allowed`
+/// semantics, and the names its two goal tables give their rows. A
+/// domain whose policies decide `allowed(src, dst, port)` over a
+/// [`ServiceUniverse`] implements this and gets both goal tables.
+pub trait GoalVocab: Deref<Target = ServiceUniverse> {
+    /// Row-name prefix of the `port,perm,selector` table (`"k8s goal"`).
+    const PORT_ROWS: &'static str;
+    /// Row-name prefix of the reachability table (`"istio goal"`).
+    const REACH_ROWS: &'static str;
+
+    /// `listens(Service, Port)`: the ports a destination serves.
+    fn listens(&self) -> RelId;
+
+    /// `allowed(src, dst, dport)` under the domain's policy semantics.
+    fn allowed_formula(&self, src: Term, dst: Term, dport: Term) -> Formula;
+}
+
+impl GoalVocab for MeshVocab {
+    const PORT_ROWS: &'static str = "k8s goal";
+    const REACH_ROWS: &'static str = "istio goal";
+
+    fn listens(&self) -> RelId {
+        self.listens
+    }
+
+    fn allowed_formula(&self, src: Term, dst: Term, dport: Term) -> Formula {
+        MeshVocab::allowed_formula(self, src, dst, dport)
+    }
+}
+
 /// Every concrete port mentioned in the goal tables — callers must put
-/// these in the [`MeshVocab`] port universe.
-pub fn collect_goal_ports(k8s: &[K8sGoal], istio: &[IstioGoal]) -> BTreeSet<u16> {
+/// these in the [`ServiceUniverse`] port universe.
+pub fn collect_goal_ports<'a>(
+    k8s: impl IntoIterator<Item = &'a K8sGoal>,
+    istio: &[IstioGoal],
+) -> BTreeSet<u16> {
     let mut out = BTreeSet::new();
     for g in k8s {
         out.insert(g.port);
@@ -49,7 +84,20 @@ pub fn collect_goal_ports(k8s: &[K8sGoal], istio: &[IstioGoal]) -> BTreeSet<u16>
     out
 }
 
-/// Translate K8s goal rows. Each row becomes one named formula:
+/// Translate K8s goal rows, numbering them from 1 ([`translate_k8s_row`]).
+pub fn translate_k8s_goals<V: GoalVocab>(
+    goals: &[K8sGoal],
+    dv: &V,
+    vocab: &mut muppet_logic::Vocabulary,
+) -> Result<Vec<NamedFormula>, GoalParseError> {
+    goals
+        .iter()
+        .enumerate()
+        .map(|(i, g)| translate_k8s_row(i + 1, g, dv, vocab))
+        .collect()
+}
+
+/// Translate one K8s goal row, named as row `row` of its table:
 ///
 /// * `DENY p sel`: `∀ src, dst · sel(dst) ⇒ ¬allowed(src, dst, p)`
 /// * `ALLOW p sel`: `∀ src, dst · (sel(dst) ∧ listens(dst, p) ∧ src ≠ dst)
@@ -57,69 +105,65 @@ pub fn collect_goal_ports(k8s: &[K8sGoal], istio: &[IstioGoal]) -> BTreeSet<u16>
 ///
 /// Selectors are expanded against the mesh (they are structure, not
 /// configuration), so the emitted formula quantifies only over services.
-pub fn translate_k8s_goals(
-    goals: &[K8sGoal],
-    mv: &MeshVocab,
+pub fn translate_k8s_row<V: GoalVocab>(
+    row: usize,
+    g: &K8sGoal,
+    dv: &V,
     vocab: &mut muppet_logic::Vocabulary,
-) -> Result<Vec<NamedFormula>, GoalParseError> {
-    let mut out = Vec::new();
-    for (i, g) in goals.iter().enumerate() {
-        let port_atom = mv.port_atom(g.port).ok_or_else(|| GoalParseError {
-            message: format!("goal port {} missing from the port universe", g.port),
-        })?;
-        let src = vocab.fresh_var();
-        let dst = vocab.fresh_var();
-        // Expand the selector over the mesh: the set of covered dsts.
-        let covered: Vec<_> = mv
-            .mesh()
-            .select(&g.selector)
-            .iter()
-            .map(|s| mv.svc_atom(&s.name).expect("mesh services have atoms"))
-            .collect();
-        let all_covered = covered.len() == mv.mesh().services().len();
-        // Build the per-destination body with `dst` either a quantified
-        // variable (selector covers everything — keeps the Fig. 5
-        // `all dst: Service` shape) or each covered constant.
-        let body_for = |dst_term: Term| match g.perm {
-            Action::Deny => Formula::not(mv.allowed_formula(
-                Term::Var(src),
-                dst_term,
-                Term::Const(port_atom),
-            )),
-            Action::Allow => Formula::implies(
-                Formula::and([
-                    Formula::pred(mv.listens, [dst_term, Term::Const(port_atom)]),
-                    Formula::not(Formula::Eq(Term::Var(src), dst_term)),
-                ]),
-                mv.allowed_formula(Term::Var(src), dst_term, Term::Const(port_atom)),
-            ),
-        };
-        let quantified = if all_covered {
-            Formula::forall(
-                src,
-                mv.svc_sort,
-                Formula::forall(dst, mv.svc_sort, body_for(Term::Var(dst))),
-            )
-        } else {
-            Formula::and(
-                covered
-                    .iter()
-                    .map(|&d| Formula::forall(src, mv.svc_sort, body_for(Term::Const(d))))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let formula = simplify(&quantified);
-        let perm = match g.perm {
-            Action::Deny => "DENY",
-            Action::Allow => "ALLOW",
-        };
-        out.push(NamedFormula {
-            name: format!("k8s goal {}: {} port {}", i + 1, perm, g.port),
-            formula,
-            var_names: vec![(src, "src".to_string()), (dst, "dst".to_string())],
-        });
-    }
-    Ok(out)
+) -> Result<NamedFormula, GoalParseError> {
+    let port_atom = dv.port_atom(g.port).ok_or_else(|| GoalParseError {
+        message: format!("goal port {} missing from the port universe", g.port),
+    })?;
+    let src = vocab.fresh_var();
+    let dst = vocab.fresh_var();
+    // Expand the selector over the mesh: the set of covered dsts.
+    let covered: Vec<_> = dv
+        .mesh()
+        .select(&g.selector)
+        .iter()
+        .map(|s| dv.atom_of(s))
+        .collect();
+    let all_covered = covered.len() == dv.mesh().services().len();
+    // Build the per-destination body with `dst` either a quantified
+    // variable (selector covers everything — keeps the Fig. 5
+    // `all dst: Service` shape) or each covered constant.
+    let body_for = |dst_term: Term| match g.perm {
+        Action::Deny => Formula::not(dv.allowed_formula(
+            Term::Var(src),
+            dst_term,
+            Term::Const(port_atom),
+        )),
+        Action::Allow => Formula::implies(
+            Formula::and([
+                Formula::pred(dv.listens(), [dst_term, Term::Const(port_atom)]),
+                Formula::not(Formula::Eq(Term::Var(src), dst_term)),
+            ]),
+            dv.allowed_formula(Term::Var(src), dst_term, Term::Const(port_atom)),
+        ),
+    };
+    let quantified = if all_covered {
+        Formula::forall(
+            src,
+            dv.svc_sort,
+            Formula::forall(dst, dv.svc_sort, body_for(Term::Var(dst))),
+        )
+    } else {
+        Formula::and(
+            covered
+                .iter()
+                .map(|&d| Formula::forall(src, dv.svc_sort, body_for(Term::Const(d))))
+                .collect::<Vec<_>>(),
+        )
+    };
+    let perm = match g.perm {
+        Action::Deny => "DENY",
+        Action::Allow => "ALLOW",
+    };
+    Ok(NamedFormula {
+        name: format!("{} {row}: {perm} port {}", V::PORT_ROWS, g.port),
+        formula: simplify(&quantified),
+        var_names: vec![(src, "src".to_string()), (dst, "dst".to_string())],
+    })
 }
 
 /// Translate Istio goal rows.
@@ -131,15 +175,14 @@ pub fn translate_k8s_goals(
 /// "the variables capturing which must be the same"). Rows connected by
 /// a shared variable are merged into one named formula, because their
 /// truth is coupled; independent rows stay separate for precise blame.
-pub fn translate_istio_goals(
+pub fn translate_istio_goals<V: GoalVocab>(
     goals: &[IstioGoal],
-    mv: &MeshVocab,
+    dv: &V,
     vocab: &mut muppet_logic::Vocabulary,
 ) -> Result<Vec<NamedFormula>, GoalParseError> {
     // Union-find-lite over rows sharing variable names.
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut var_owner: BTreeMap<String, usize> = BTreeMap::new();
-    let mut row_group: Vec<usize> = Vec::with_capacity(goals.len());
     for (i, g) in goals.iter().enumerate() {
         let names: Vec<&str> = [&g.src_port, &g.dst_port]
             .into_iter()
@@ -152,9 +195,6 @@ pub fn translate_istio_goals(
                     Some(t) if t != gidx => {
                         // Merge gidx into t.
                         let moved = std::mem::take(&mut groups[gidx]);
-                        for &r in &moved {
-                            row_group[r] = t;
-                        }
                         groups[t].extend(moved);
                         for owner in var_owner.values_mut() {
                             if *owner == gidx {
@@ -176,7 +216,6 @@ pub fn translate_istio_goals(
             }
         };
         groups[gidx].push(i);
-        row_group.push(gidx);
         for n in names {
             var_owner.insert(n.to_string(), gidx);
         }
@@ -190,10 +229,10 @@ pub fn translate_istio_goals(
         let mut conjuncts = Vec::new();
         for &i in rows {
             let g = &goals[i];
-            let src_atom = mv.svc_atom(&g.src).ok_or_else(|| GoalParseError {
+            let src_atom = dv.svc_atom(&g.src).ok_or_else(|| GoalParseError {
                 message: format!("unknown source service {:?}", g.src),
             })?;
-            let dst_atom = mv.svc_atom(&g.dst).ok_or_else(|| GoalParseError {
+            let dst_atom = dv.svc_atom(&g.dst).ok_or_else(|| GoalParseError {
                 message: format!("unknown destination service {:?}", g.dst),
             })?;
             // Bind both port cells (src ports bind but do not constrain).
@@ -202,7 +241,7 @@ pub fn translate_istio_goals(
              -> Result<Term, GoalParseError> {
                 match spec {
                     PortSpec::Port(p) => {
-                        let atom = mv.port_atom(*p).ok_or_else(|| GoalParseError {
+                        let atom = dv.port_atom(*p).ok_or_else(|| GoalParseError {
                             message: format!("goal port {p} missing from the port universe"),
                         })?;
                         Ok(Term::Const(atom))
@@ -226,7 +265,7 @@ pub fn translate_istio_goals(
             };
             let _sp = bind(&g.src_port, "sp")?;
             let dp = bind(&g.dst_port, "dp")?;
-            conjuncts.push(mv.allowed_formula(
+            conjuncts.push(dv.allowed_formula(
                 Term::Const(src_atom),
                 Term::Const(dst_atom),
                 dp,
@@ -234,13 +273,14 @@ pub fn translate_istio_goals(
         }
         let mut formula = Formula::and(conjuncts);
         for v in order.into_iter().rev() {
-            formula = Formula::exists(v, mv.port_sort, formula);
+            formula = Formula::exists(v, dv.port_sort, formula);
         }
         let formula = simplify(&formula);
         let name = if rows.len() == 1 {
             let g = &goals[rows[0]];
             format!(
-                "istio goal {}: {} -> {} ({})",
+                "{} {}: {} -> {} ({})",
+                V::REACH_ROWS,
                 rows[0] + 1,
                 g.src,
                 g.dst,
@@ -248,7 +288,8 @@ pub fn translate_istio_goals(
             )
         } else {
             format!(
-                "istio goals {} (coupled by shared port variables)",
+                "{}s {} (coupled by shared port variables)",
+                V::REACH_ROWS,
                 rows.iter()
                     .map(|i| (i + 1).to_string())
                     .collect::<Vec<_>>()

@@ -78,7 +78,7 @@ pub struct RelDecl {
 ///
 /// Atom ids are globally unique (not per-sort); every atom belongs to
 /// exactly one sort.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Universe {
     sorts: Vec<Sort>,
     atom_names: Vec<String>,

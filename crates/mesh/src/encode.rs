@@ -31,6 +31,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Deref;
 
 use muppet_logic::{
     AtomId, Domain, Formula, Instance, PartyId, RelDecl, RelId, SortId, Term, Universe,
@@ -38,7 +39,7 @@ use muppet_logic::{
 };
 
 use crate::policy::{Action, AuthorizationPolicy, Direction, MtlsMode, NetworkPolicy, PeerAuthentication};
-use crate::service::{Mesh, Selector};
+use crate::service::{Mesh, Selector, Service};
 
 /// Errors from compiling policies into relation tables.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,21 +80,95 @@ pub struct MtlsRels {
     pub sidecar: RelId,
 }
 
-/// The complete logical vocabulary of the mesh domain.
-///
-/// Owns the [`Universe`] (service and port atoms), the [`Vocabulary`]
-/// (relations with party ownership and English templates), and the
-/// compile/decompile maps.
+/// The Service/Port universe a mesh-shaped domain quantifies over:
+/// one `Service` atom per mesh service, in mesh order, then one `Port`
+/// atom per port, ascending. Both the mesh domain's [`MeshVocab`] and
+/// the Linkerd domain's vocabulary are laid out by this one type, so
+/// their atom numbering and lookups cannot drift apart.
 #[derive(Debug)]
-pub struct MeshVocab {
+pub struct ServiceUniverse {
     /// The finite universe: one atom per service, one per port.
     pub universe: Universe,
-    /// Relation declarations.
-    pub vocab: Vocabulary,
     /// The `Service` sort.
     pub svc_sort: SortId,
     /// The `Port` sort.
     pub port_sort: SortId,
+    svc_atoms: BTreeMap<String, AtomId>,
+    port_atoms: BTreeMap<u16, AtomId>,
+    mesh: Mesh,
+}
+
+impl ServiceUniverse {
+    /// Lay out the universe of `mesh`: its services, and the ports its
+    /// services listen on together with `extra_ports`.
+    pub fn new(mesh: &Mesh, extra_ports: impl IntoIterator<Item = u16>) -> ServiceUniverse {
+        let mut universe = Universe::new();
+        let svc_sort = universe.add_sort("Service");
+        let port_sort = universe.add_sort("Port");
+        let mut svc_atoms = BTreeMap::new();
+        for s in mesh.services() {
+            svc_atoms.insert(s.name.clone(), universe.add_atom(svc_sort, s.name.clone()));
+        }
+        let mut ports: BTreeSet<u16> = mesh.all_ports();
+        ports.extend(extra_ports);
+        let mut port_atoms = BTreeMap::new();
+        for p in ports {
+            port_atoms.insert(p, universe.add_atom(port_sort, p.to_string()));
+        }
+        ServiceUniverse {
+            universe,
+            svc_sort,
+            port_sort,
+            svc_atoms,
+            port_atoms,
+            mesh: mesh.clone(),
+        }
+    }
+
+    /// The mesh this universe was laid out for.
+    pub fn mesh(&self) -> &Mesh {
+        &self.mesh
+    }
+
+    /// The atom for a service name.
+    pub fn svc_atom(&self, name: &str) -> Option<AtomId> {
+        self.svc_atoms.get(name).copied()
+    }
+
+    /// The atom of one of the mesh's own services (as the mesh's
+    /// `services()` and `select` return them); panics on any other.
+    pub fn atom_of(&self, svc: &Service) -> AtomId {
+        self.svc_atom(&svc.name).expect("every mesh service has an atom")
+    }
+
+    /// The atom for a port.
+    pub fn port_atom(&self, port: u16) -> Option<AtomId> {
+        self.port_atoms.get(&port).copied()
+    }
+
+    /// All port numbers in the universe, ascending.
+    pub fn ports(&self) -> impl Iterator<Item = u16> + '_ {
+        self.port_atoms.keys().copied()
+    }
+
+    /// The port number of a port atom (`None` for a service atom).
+    pub fn port_of_atom(&self, atom: AtomId) -> Option<u16> {
+        self.port_atoms
+            .iter()
+            .find(|(_, &a)| a == atom)
+            .map(|(&p, _)| p)
+    }
+}
+
+/// The complete logical vocabulary of the mesh domain.
+///
+/// Owns its [`ServiceUniverse`] (service and port atoms), the
+/// [`Vocabulary`] (relations with party ownership and English
+/// templates), and the compile/decompile maps.
+#[derive(Debug)]
+pub struct MeshVocab {
+    /// Relation declarations.
+    pub vocab: Vocabulary,
     /// Which party owns the K8s relations.
     pub k8s_party: PartyId,
     /// Which party owns the Istio relations.
@@ -126,9 +201,17 @@ pub struct MeshVocab {
     pub istio_eg_guard: RelId,
     /// The optional mTLS extension relations (Sec. 7 authentication).
     pub mtls: Option<MtlsRels>,
-    svc_atoms: BTreeMap<String, AtomId>,
-    port_atoms: BTreeMap<u16, AtomId>,
-    mesh: Mesh,
+    space: ServiceUniverse,
+}
+
+/// `MeshVocab` reads as its universe: `mv.universe`, `mv.svc_sort`,
+/// `mv.svc_atom(..)` and the other lookups are [`ServiceUniverse`]'s.
+impl Deref for MeshVocab {
+    type Target = ServiceUniverse;
+
+    fn deref(&self) -> &ServiceUniverse {
+        &self.space
+    }
 }
 
 impl MeshVocab {
@@ -159,19 +242,8 @@ impl MeshVocab {
         with_mtls: bool,
     ) -> MeshVocab {
         assert_ne!(k8s_party, istio_party, "parties must be distinct");
-        let mut universe = Universe::new();
-        let svc_sort = universe.add_sort("Service");
-        let port_sort = universe.add_sort("Port");
-        let mut svc_atoms = BTreeMap::new();
-        for s in mesh.services() {
-            svc_atoms.insert(s.name.clone(), universe.add_atom(svc_sort, s.name.clone()));
-        }
-        let mut ports: BTreeSet<u16> = mesh.all_ports();
-        ports.extend(extra_ports);
-        let mut port_atoms = BTreeMap::new();
-        for p in ports {
-            port_atoms.insert(p, universe.add_atom(port_sort, p.to_string()));
-        }
+        let space = ServiceUniverse::new(mesh, extra_ports);
+        let (svc_sort, port_sort) = (space.svc_sort, space.port_sort);
 
         let mut vocab = Vocabulary::new();
         let k8s = Domain::Party(k8s_party);
@@ -296,10 +368,7 @@ impl MeshVocab {
         };
 
         MeshVocab {
-            universe,
             vocab,
-            svc_sort,
-            port_sort,
             k8s_party,
             istio_party,
             listens,
@@ -316,9 +385,7 @@ impl MeshVocab {
             istio_eg_allow,
             istio_eg_guard,
             mtls,
-            svc_atoms,
-            port_atoms,
-            mesh: mesh.clone(),
+            space,
         }
     }
 
@@ -331,31 +398,6 @@ impl MeshVocab {
             PartyId(0),
             PartyId(1),
         )
-    }
-
-    /// The mesh this vocabulary was built over.
-    pub fn mesh(&self) -> &Mesh {
-        &self.mesh
-    }
-
-    /// The atom for a service name.
-    pub fn svc_atom(&self, name: &str) -> Option<AtomId> {
-        self.svc_atoms.get(name).copied()
-    }
-
-    /// The atom for a port.
-    pub fn port_atom(&self, port: u16) -> Option<AtomId> {
-        self.port_atoms.get(&port).copied()
-    }
-
-    /// All port numbers in the universe.
-    pub fn ports(&self) -> impl Iterator<Item = u16> + '_ {
-        self.port_atoms.keys().copied()
-    }
-
-    /// The port number of a port atom.
-    pub fn port_of_atom(&self, atom: AtomId) -> Option<u16> {
-        self.universe.atom_name(atom).parse().ok()
     }
 
     /// The relations owned by the K8s party.

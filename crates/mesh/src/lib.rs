@@ -39,7 +39,7 @@ mod policy;
 mod service;
 
 pub use dataplane::{evaluate_flow, evaluate_flow_full, Decision, Flow};
-pub use encode::MeshVocab;
+pub use encode::{MeshVocab, ServiceUniverse};
 pub use policy::{
     Action, AuthPolicyRule, AuthorizationPolicy, Direction, MtlsMode, NetPolicyRule,
     NetworkPolicy, PeerAuthentication,

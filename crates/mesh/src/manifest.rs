@@ -420,11 +420,14 @@ pub fn parse_peer_authentication(doc: &Yaml) -> Result<PeerAuthentication, Manif
 // Emission
 // ---------------------------------------------------------------------
 
-fn selector_yaml(sel: &Selector) -> Yaml {
+/// A selector as the mapping under a policy's selector field, with its
+/// labels under `label_key`: `matchLabels` for K8s and Istio policies,
+/// `labels` for an Istio `Sidecar`'s `workloadSelector`.
+pub fn selector_yaml(sel: &Selector, label_key: &str) -> Yaml {
     match sel {
         Selector::All => Yaml::Map(vec![]),
         Selector::Labels(labels) => Yaml::map([(
-            "matchLabels".to_string(),
+            label_key.to_string(),
             Yaml::Map(
                 labels
                     .iter()
@@ -435,13 +438,13 @@ fn selector_yaml(sel: &Selector) -> Yaml {
         // A name selector is emitted as the conventional app label; the
         // default Service labels make this equivalent.
         Selector::Name(n) => Yaml::map([(
-            "matchLabels".to_string(),
+            label_key.to_string(),
             Yaml::map([("app".to_string(), Yaml::str(n.clone()))]),
         )]),
         // K8s convention: namespaces are matched via the well-known
         // kubernetes.io/metadata.name label.
         Selector::Namespace(ns) => Yaml::map([(
-            "matchLabels".to_string(),
+            label_key.to_string(),
             Yaml::map([(
                 "kubernetes.io/metadata.name".to_string(),
                 Yaml::str(ns.clone()),
@@ -515,7 +518,7 @@ pub fn emit_network_policy(p: &NetworkPolicy) -> String {
                     peer_key.to_string(),
                     Yaml::Seq(vec![Yaml::map([(
                         "podSelector".to_string(),
-                        selector_yaml(&r.peer),
+                        selector_yaml(&r.peer, "matchLabels"),
                     )])]),
                 ));
             }
@@ -537,7 +540,7 @@ pub fn emit_network_policy(p: &NetworkPolicy) -> String {
         })
         .collect();
     let mut spec = vec![
-        ("podSelector".to_string(), selector_yaml(&p.selector)),
+        ("podSelector".to_string(), selector_yaml(&p.selector, "matchLabels")),
         (
             "policyTypes".to_string(),
             Yaml::Seq(vec![Yaml::str(type_name)]),
@@ -624,7 +627,7 @@ pub fn emit_authorization_policy(p: &AuthorizationPolicy) -> String {
         Action::Deny => "DENY",
     };
     let mut spec = vec![
-        ("selector".to_string(), selector_yaml(&p.selector)),
+        ("selector".to_string(), selector_yaml(&p.selector, "matchLabels")),
         ("action".to_string(), Yaml::str(action)),
     ];
     if !rules.is_empty() {
@@ -661,7 +664,7 @@ pub fn emit_peer_authentication(p: &PeerAuthentication) -> String {
         (
             "spec".to_string(),
             Yaml::map([
-                ("selector".to_string(), selector_yaml(&p.selector)),
+                ("selector".to_string(), selector_yaml(&p.selector, "matchLabels")),
                 (
                     "mtls".to_string(),
                     Yaml::map([("mode".to_string(), Yaml::str(mode))]),

@@ -98,6 +98,13 @@ impl PreparedStore {
         }
     }
 
+    /// Evict every engine, retiring its counters as the cap does.
+    pub fn clear(&mut self) {
+        for key in std::mem::take(&mut self.order) {
+            self.evict(key);
+        }
+    }
+
     /// Evict every engine in which the groups whose encoding keys
     /// ([`crate::FormulaGroup::encoding_keys`]) are not in `live` own
     /// more solver variables than everything else in it (the live

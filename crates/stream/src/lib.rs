@@ -10,7 +10,8 @@
 //! 1. applies the edit to its [`StreamSpec`] (rebuilding the mesh
 //!    vocabulary only when the edit touched the mesh — the vocabulary
 //!    rebuild is content-driven, so an unchanged universe keeps the
-//!    warm engine's variable layout byte-identical),
+//!    warm engine's variable layout byte-identical, and a changed one
+//!    evicts the engines of the universe it replaced),
 //! 2. names the dirtied CNF groups: those of the groups a reconcile
 //!    would submit whose encoding keys the warm engine does not hold
 //!    ([`muppet::Session::reconcile_group_signatures`]). Keys are a
@@ -258,7 +259,13 @@ impl StreamSession {
             // Content-driven rebuild: if the edit left the universe's
             // atom content identical (e.g. a replica-scale label), the
             // warm key — and with it the live engine — is preserved.
-            self.mv = self.spec.vocab();
+            let mv = self.spec.vocab();
+            if mv.universe != self.mv.universe {
+                // Otherwise a growing mesh keeps one engine per universe
+                // it passed through, up to the store's cap.
+                self.store.clear();
+            }
+            self.mv = mv;
         }
         self.solve_current(start, delta.kind(), mesh_dirty)
     }
@@ -505,6 +512,36 @@ mod tests {
         }
         let ports: Vec<u16> = session.spec().k8s_goals.iter().map(|g| g.port).collect();
         assert_eq!(ports, [free[0], first.port], "the first row moved to the end");
+    }
+
+    /// A delta that changes the universe evicts the engines of the
+    /// universe it left: after each added service the warm store holds
+    /// no more than twice what a fresh session's store needs.
+    #[test]
+    fn growing_the_mesh_keeps_one_universe_of_engines() {
+        let mut cold = generate(small_params());
+        let (mut session, _) = StreamSession::new(StreamSpec::from(&cold)).unwrap();
+        for i in 0..4 {
+            let d = ConfigDelta::AddService {
+                name: format!("grown-{i}"),
+                namespace: "default".into(),
+                tier: None,
+                ports: vec![7000 + i],
+            };
+            let warm = session.push(&d).unwrap();
+            assert!(warm.vocab_rebuilt);
+            d.apply(&mut cold).unwrap();
+            let mut fresh = cold.session(false);
+            let cold_rec = fresh.reconcile(ReconcileMode::HardBounds).unwrap();
+            assert_eq!(warm.verdict, verdict_line(&cold_rec), "delta {}", warm.seq);
+            let fresh_vars = fresh.store().num_vars() as u64;
+            assert!(
+                warm.engine_vars <= 2 * fresh_vars,
+                "delta {}: warm store holds {} vars, a fresh one {fresh_vars}",
+                warm.seq,
+                warm.engine_vars
+            );
+        }
     }
 
     #[test]

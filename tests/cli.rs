@@ -178,6 +178,33 @@ fn reconcile_succeeds_on_relaxed_goals() {
     assert!(stdout(&out).contains("SAT"));
 }
 
+/// The Linkerd domain end to end through the binary: `gen` writes the
+/// committed `linkerd-shop` fixture, and `reconcile --domain linkerd`
+/// finds its conflict and blames both administrators.
+#[test]
+fn gen_and_reconcile_drive_the_linkerd_domain() {
+    let f = Fixture::new("linkerd");
+    let dir = f.path("shop");
+    let gen = f.run(&["gen", "--scenario", "linkerd-shop", "--out", &dir]);
+    assert_eq!(gen.status.code(), Some(0), "{gen:?}");
+    let out = f.run(&[
+        "reconcile",
+        "--domain",
+        "linkerd",
+        "--manifests",
+        &format!("{dir}/manifests.yaml"),
+        "--goals",
+        &format!("{dir}/platform-goals.csv"),
+        "--goals",
+        &format!("{dir}/linkerd-goals.csv"),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let text = stdout(&out);
+    assert!(text.contains("UNSAT"), "{text}");
+    assert!(text.contains("platform-admin: platform goal"), "{text}");
+    assert!(text.contains("linkerd-admin: linkerd goal"), "{text}");
+}
+
 #[test]
 fn check_localizes_the_outage() {
     let f = Fixture::new("check");
